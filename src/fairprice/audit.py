@@ -8,13 +8,19 @@ their first-order conditions.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import PartiallyLinearDemand, eval_demand, demand_gradient
+from .demand import (
+    PartiallyLinearDemand,
+    RecordTable,
+    as_table,
+    demand_gradient,
+    eval_demand,
+)
 from .errors import (
     DecompositionError,
     InvalidRecordError,
@@ -24,9 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .optimize import PriceInterval, maximize_revenue_1d
-from .util import json_dumps_stable, worker_limit
-
-_PAIR_CHUNK = 256
+from .util import json_dumps_stable
 
 
 # ---------------------------------------------------------------------------
@@ -77,30 +81,23 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _group_arrays(records, fields=("price",)):
-    by_group = {}
-    for r in records:
-        row = []
-        for name in fields:
-            v = getattr(r, name)
-            if v is None:
-                raise MissingFieldError(f"record {r.id}: {name} missing")
-            row.append(float(v))
-        by_group.setdefault(r.group, []).append(row + [r.weight])
-    return {g: np.asarray(rows, dtype=float) for g, rows in by_group.items()}
+def _weighted_mean(values, weights) -> float:
+    # BLAS sums a dot product over strided columns in another order than over
+    # contiguous arrays; taking it over the columns of one (n, 2) array keeps
+    # the means bit-stable with the values these metrics have always reported
+    pair = np.column_stack([values, weights])
+    return float(pair[:, 0] @ pair[:, 1] / pair[:, 1].sum())
 
 
 def marginal_price_disparity(records) -> dict:
     """Weighted mean offered price per group and the largest pairwise gap."""
-    if not records:
-        raise MissingFieldError("no records")
-    data = _group_arrays(records, ("price",))
+    table = as_table(records).require("price")
     means = {}
     counts = {}
-    for g, arr in sorted(data.items()):
-        w = arr[:, -1]
-        means[g] = float(arr[:, 0] @ w / w.sum())
-        counts[g] = int(arr.shape[0])
+    for k, g in enumerate(table.labels):
+        rows = table.codes == k
+        means[g] = _weighted_mean(table.price[rows], table.weight[rows])
+        counts[g] = int(rows.sum())
     values = list(means.values())
     return {
         "price_mean": means,
@@ -109,15 +106,19 @@ def marginal_price_disparity(records) -> dict:
     }
 
 
+def _cumulative(values, weights):
+    """``values`` sorted, and the running weight before each of them."""
+    order = np.argsort(values, kind="stable")
+    return values[order], np.concatenate([[0.0], np.cumsum(weights[order])])
+
+
 def _weighted_ecdf_stat(x1, w1, x2, w2) -> float:
     pool = np.unique(np.concatenate([x1, x2]))
-    order1 = np.argsort(x1, kind="stable")
-    order2 = np.argsort(x2, kind="stable")
-    c1 = np.concatenate([[0.0], np.cumsum(w1[order1])])
-    c2 = np.concatenate([[0.0], np.cumsum(w2[order2])])
-    f1 = c1[np.searchsorted(x1[order1], pool, side="right")] / c1[-1]
-    f2 = c2[np.searchsorted(x2[order2], pool, side="right")] / c2[-1]
-    return float(np.max(np.abs(f1 - f2)))
+    ecdfs = []
+    for x, w in ((x1, w1), (x2, w2)):
+        ordered, cw = _cumulative(x, w)
+        ecdfs.append(cw[np.searchsorted(ordered, pool, side="right")] / cw[-1])
+    return float(np.max(np.abs(ecdfs[0] - ecdfs[1])))
 
 
 def two_sample_distribution_test(x1, w1, x2, w2, alpha: float = 0.05) -> dict:
@@ -146,25 +147,39 @@ def two_sample_distribution_test(x1, w1, x2, w2, alpha: float = 0.05) -> dict:
     }
 
 
+def _two_groups(table: RecordTable, what: str) -> None:
+    if len(table.labels) != 2:
+        raise PreconditionError(
+            f"{what} compares exactly two groups, got {len(table.labels)}")
+
+
 def distributional_parity_stat(records, alpha: float = 0.05) -> dict:
     """KS distance between the two groups' offered-price distributions."""
-    data = _group_arrays(records, ("price",))
-    if len(data) != 2:
-        raise PreconditionError(
-            f"distributional parity compares exactly two groups, got {len(data)}")
-    (ga, arr_a), (gb, arr_b) = sorted(data.items())
+    table = as_table(records).require("price")
+    _two_groups(table, "distributional parity")
+    a, b = table.codes == 0, table.codes == 1
     out = two_sample_distribution_test(
-        arr_a[:, 0], arr_a[:, -1], arr_b[:, 0], arr_b[:, -1], alpha)
-    out["groups"] = [ga, gb]
+        table.price[a], table.weight[a], table.price[b], table.weight[b], alpha)
+    out["groups"] = list(table.labels)
     return out
 
 
-def _strata(records):
-    buckets = {}
-    for r in records:
-        key = tuple(float(v) for v in r.covariates)
-        buckets.setdefault(key, []).append(r)
-    return buckets
+def _stratum_rows(table: RecordTable):
+    """Yield ``(key, rows)`` per exact covariate stratum, in sorted order.
+
+    ``rows`` holds one index array per group label, in record order.
+    """
+    n_groups = len(table.labels)
+    strata, inverse = np.unique(table.X, axis=0, return_inverse=True)
+    cell = inverse.reshape(-1) * n_groups + table.codes
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[order],
+                             np.arange(strata.shape[0] * n_groups + 1))
+    for s, x in enumerate(strata):
+        first = s * n_groups
+        yield (str(tuple(x.tolist())),
+               [order[bounds[first + k]:bounds[first + k + 1]]
+                for k in range(n_groups)])
 
 
 def conditional_parity_gap(records) -> dict:
@@ -173,30 +188,19 @@ def conditional_parity_gap(records) -> dict:
     Strata where some group is absent are skipped; the summary value is the
     largest absolute within-stratum gap. Raises when no stratum is computable.
     """
-    if not records:
-        raise MissingFieldError("no records")
-    groups = sorted({r.group for r in records})
-    if len(groups) != 2:
-        raise PreconditionError(
-            f"conditional parity compares exactly two groups, got {len(groups)}")
+    table = as_table(records).require("price")
+    _two_groups(table, "conditional parity")
     per_stratum = {}
-    for key, rows in sorted(_strata(records).items()):
-        means = {}
-        for g in groups:
-            sel = [(r.price, r.weight) for r in rows if r.group == g]
-            if not sel:
-                break
-            arr = np.asarray(sel, dtype=float)
-            if np.any(np.isnan(arr[:, 0])):
-                raise MissingFieldError("price missing inside a stratum")
-            means[g] = float(arr[:, 0] @ arr[:, 1] / arr[:, 1].sum())
-        if len(means) == 2:
-            per_stratum[str(key)] = means[groups[0]] - means[groups[1]]
+    for key, (a, b) in _stratum_rows(table):
+        if a.size and b.size:
+            per_stratum[key] = (
+                _weighted_mean(table.price[a], table.weight[a])
+                - _weighted_mean(table.price[b], table.weight[b]))
     if not per_stratum:
         raise NoComputableMetricError(
             "no covariate stratum contains both groups")
     max_abs = max(abs(v) for v in per_stratum.values())
-    return {"groups": groups, "per_stratum": per_stratum,
+    return {"groups": list(table.labels), "per_stratum": per_stratum,
             "max_abs_gap": float(max_abs)}
 
 
@@ -208,36 +212,25 @@ def takeup_conditional_parity(records, alpha: float = 0.05) -> dict:
     skipping it would hide exactly the asymmetric take-up the metric is
     meant to expose.
     """
-    if not records:
-        raise MissingFieldError("no records")
-    for r in records:
-        if r.demand is None:
-            raise MissingFieldError(f"record {r.id}: demand missing")
-    groups = sorted({r.group for r in records})
-    if len(groups) != 2:
-        raise PreconditionError(
-            f"take-up parity compares exactly two groups, got {len(groups)}")
+    table = as_table(records).require("price", "demand")
+    _two_groups(table, "take-up parity")
+    bought = table.demand > 0.0
+    p, w = table.price, table.weight
     out = {}
     worst = 0.0
-    for key, rows in sorted(_strata(records).items()):
-        buyers = [r for r in rows if float(r.demand) > 0.0]
-        if not buyers:
-            out[str(key)] = None
+    for key, rows in _stratum_rows(table):
+        a, b = (r[bought[r]] for r in rows)
+        if not (a.size or b.size):
+            out[key] = None
             continue
-        samples = {}
-        for g in groups:
-            sel = [(float(r.price), r.weight) for r in buyers if r.group == g]
-            samples[g] = np.asarray(sel, dtype=float).reshape(-1, 2)
-        if any(samples[g].shape[0] == 0 for g in groups):
+        if not (a.size and b.size):
             raise NoComputableMetricError(
                 f"stratum {key}: purchases exist but not for every group")
-        test = two_sample_distribution_test(
-            samples[groups[0]][:, 0], samples[groups[0]][:, 1],
-            samples[groups[1]][:, 0], samples[groups[1]][:, 1], alpha)
-        out[str(key)] = test["statistic"]
+        test = two_sample_distribution_test(p[a], w[a], p[b], w[b], alpha)
+        out[key] = test["statistic"]
         worst = max(worst, test["statistic"])
-    return {"groups": groups, "per_stratum": out, "max_statistic": worst,
-            "alpha": alpha}
+    return {"groups": list(table.labels), "per_stratum": out,
+            "max_statistic": worst, "alpha": alpha}
 
 
 def access_metrics(records=None, policy=None, model=None, population=None) -> dict:
@@ -255,19 +248,13 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
             "pass records alone or policy+model+population, not both")
     out = {}
     if empirical:
-        if not records:
-            raise MissingFieldError("no records")
-        for r in records:
-            if r.demand is None:
-                raise MissingFieldError(f"record {r.id}: demand missing")
-        for g in sorted({r.group for r in records}):
-            rows = [(float(r.demand), float(r.price), r.weight)
-                    for r in records if r.group == g]
-            arr = np.asarray(rows, dtype=float)
-            w = arr[:, 2]
+        table = as_table(records).require("price", "demand")
+        for k, g in enumerate(table.labels):
+            rows = table.codes == k
+            w = table.weight[rows]
             out[g] = {
-                "access": float(arr[:, 0] @ w / w.sum()),
-                "price_mean": float(arr[:, 1] @ w / w.sum()),
+                "access": _weighted_mean(table.demand[rows], w),
+                "price_mean": _weighted_mean(table.price[rows], w),
                 "weight": float(w.sum()),
             }
         return out
@@ -280,9 +267,7 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
                  for i in range(population.support.shape[0])
                  for k, g in enumerate(population.groups)]
     elif population.records:
-        total = sum(r.weight for r in population.records)
-        cells = [(r.weight / total, r.group, r.covariates)
-                 for r in population.records]
+        cells = population.records.cells()
     else:
         raise MissingFieldError("population has neither support nor records")
     stats = {g: [0.0, 0.0, 0.0] for g in population.groups}
@@ -307,51 +292,43 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
 # ---------------------------------------------------------------------------
 
 
-def _pair_records(records, need_valuation=False):
-    if not records:
-        raise MissingFieldError("no records")
-    p, d, v, w, g = [], [], [], [], []
-    for r in records:
-        if r.price is None:
-            raise MissingFieldError(f"record {r.id}: price missing")
-        if not need_valuation:
-            if r.demand is None:
-                raise MissingFieldError(f"record {r.id}: demand missing")
-            if float(r.demand) not in (0.0, 1.0):
-                raise InvalidRecordError(
-                    f"record {r.id}: demand must be 0 or 1 for pair metrics")
-            d.append(float(r.demand))
-        else:
-            if r.valuation is None:
-                raise MissingFieldError(f"record {r.id}: valuation missing")
-            v.append(float(r.valuation))
-        p.append(float(r.price))
-        w.append(float(r.weight))
-        g.append(r.group)
-    groups = sorted(set(g))
-    labels = np.asarray(g)
-    return (np.asarray(p), np.asarray(d) if d else None,
-            np.asarray(v) if v else None, np.asarray(w), labels, groups)
+def _group_pairs(table: RecordTable):
+    """Row indices of every pair of distinct groups, in label order."""
+    members = [np.flatnonzero(table.codes == k)
+               for k in range(len(table.labels))]
+    return itertools.combinations(members, 2)
 
 
-def _chunked_pair_sums(idx_a, idx_b, kernel):
-    """Sum kernel(chunk_a, idx_b) over chunks of idx_a, order-deterministic.
+def _price_masses(query, prices, weights):
+    """Weight of ``prices`` strictly below, tied with, and strictly above
+    each ``query`` price."""
+    ordered, cw = _cumulative(prices, weights)
+    below = cw[np.searchsorted(ordered, query, side="left")]
+    upto = cw[np.searchsorted(ordered, query, side="right")]
+    return below, upto - below, cw[-1] - upto
 
-    Each kernel call returns a tuple of scalars; tuples are summed in chunk
-    order so the result does not depend on thread scheduling.
+
+def _dominating_mass(q_rev, q_val, d_rev, d_val, d_weight):
+    """Per query, the data weight strictly higher in price and in valuation.
+
+    Inputs are dense integer ranks, prices reversed (``rev = top - rank``),
+    so "higher price" is the prefix ``d_rev < q_rev``. That prefix splits
+    into one dyadic block per set bit of ``q_rev``; per bit level, one sort
+    of the data by (block, valuation rank) and two ``searchsorted`` calls sum
+    each query's block above its valuation. O(n log^2 n).
     """
-    chunks = [idx_a[s:s + _PAIR_CHUNK] for s in range(0, idx_a.size, _PAIR_CHUNK)]
-    workers = worker_limit()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda c: kernel(c, idx_b), chunks))
-    else:
-        partials = [kernel(c, idx_b) for c in chunks]
-    totals = None
-    for part in partials:
-        totals = part if totals is None else tuple(
-            t + q for t, q in zip(totals, part))
-    return totals
+    span = int(max(q_val.max(), d_val.max())) + 1
+    out = np.zeros(q_rev.size)
+    level = 0
+    while (1 << level) <= q_rev.max():
+        hit = ((q_rev >> level) & 1) == 1
+        keys, cw = _cumulative((d_rev >> level) * span + d_val, d_weight)
+        block = (q_rev[hit] >> level) - 1
+        start = np.searchsorted(keys, block * span + q_val[hit], side="right")
+        end = np.searchsorted(keys, (block + 1) * span, side="left")
+        out[hit] += cw[end] - cw[start]
+        level += 1
+    return out
 
 
 def concordance_lower_bound(records) -> dict:
@@ -364,43 +341,24 @@ def concordance_lower_bound(records) -> dict:
     share can never exceed the true concordance rate. Pairs with tied prices
     are excluded and reported.
     """
-    p, d, _, w, labels, groups = _pair_records(records)
-    unit_weights = bool(np.all(w == 1.0))
-
-    qualifying = 0.0
-    certified = 0.0
-    tied = 0.0
-    total = 0.0
-    for ai in range(len(groups)):
-        for bi in range(ai + 1, len(groups)):
-            idx_a = np.where(labels == groups[ai])[0]
-            idx_b = np.where(labels == groups[bi])[0]
-
-            def kernel(chunk, other):
-                pa = p[chunk][:, None]
-                pb = p[other][None, :]
-                da = d[chunk][:, None]
-                db = d[other][None, :]
-                if unit_weights:
-                    ww = 1
-                    pair_mass = float(chunk.size * other.size)
-                else:
-                    ww = w[chunk][:, None] * w[other][None, :]
-                    pair_mass = float(np.sum(ww))
-                low_a = pa < pb
-                low_b = pb < pa
-                cert = (np.sum((low_a & (da == 0.0) & (db == 1.0)) * ww)
-                        + np.sum((low_b & (db == 0.0) & (da == 1.0)) * ww))
-                qual = np.sum(low_a * ww) + np.sum(low_b * ww)
-                return (float(qual), float(cert),
-                        pair_mass - float(qual), pair_mass)
-
-            part = _chunked_pair_sums(idx_a, idx_b, kernel)
-            if part is not None:
-                qualifying += part[0]
-                certified += part[1]
-                tied += part[2]
-                total += part[3]
+    table = as_table(records).require("price", "demand")
+    p, d, w = table.price, table.demand, table.weight
+    nonbinary = np.flatnonzero((d != 0.0) & (d != 1.0))
+    if nonbinary.size:
+        raise InvalidRecordError(f"record {table.ids[nonbinary[0]]}: demand "
+                                 "must be 0 or 1 for pair metrics")
+    qualifying = certified = tied = total = 0.0
+    for a, b in _group_pairs(table):
+        below, same, above = _price_masses(p[a], p[b], w[b])
+        qualifying += float(w[a] @ (below + above))
+        tied += float(w[a] @ same)
+        total += float(w[a].sum() * w[b].sum())
+        # a declined below a purchase in b, or purchased above a decline in b
+        skip_a, buy_a = a[d[a] == 0.0], a[d[a] == 1.0]
+        skip_b, buy_b = b[d[b] == 0.0], b[d[b] == 1.0]
+        _, _, above_buy = _price_masses(p[skip_a], p[buy_b], w[buy_b])
+        below_skip, _, _ = _price_masses(p[buy_a], p[skip_b], w[skip_b])
+        certified += float(w[skip_a] @ above_buy) + float(w[buy_a] @ below_skip)
     if qualifying <= 0.0:
         raise NoQualifyingPairsError(
             "no cross-group pair has strictly different prices")
@@ -418,32 +376,18 @@ def concordance_oracle(records) -> dict:
     Among cross-group pairs with strictly different prices, the share where
     the higher-priced record also has the strictly higher valuation.
     """
-    p, _, v, w, labels, groups = _pair_records(records, need_valuation=True)
-    unit_weights = bool(np.all(w == 1.0))
-    qualifying = 0.0
-    concordant = 0.0
-    for ai in range(len(groups)):
-        for bi in range(ai + 1, len(groups)):
-            idx_a = np.where(labels == groups[ai])[0]
-            idx_b = np.where(labels == groups[bi])[0]
-
-            def kernel(chunk, other):
-                pa = p[chunk][:, None]
-                pb = p[other][None, :]
-                va = v[chunk][:, None]
-                vb = v[other][None, :]
-                ww = 1 if unit_weights else w[chunk][:, None] * w[other][None, :]
-                low_a = pa < pb
-                low_b = pb < pa
-                conc = (np.sum((low_a & (va < vb)) * ww)
-                        + np.sum((low_b & (vb < va)) * ww))
-                qual = np.sum(low_a * ww) + np.sum(low_b * ww)
-                return float(qual), float(conc)
-
-            part = _chunked_pair_sums(idx_a, idx_b, kernel)
-            if part is not None:
-                qualifying += part[0]
-                concordant += part[1]
+    table = as_table(records).require("price", "valuation")
+    p, w = table.price, table.weight
+    levels, rank = np.unique(p, return_inverse=True)
+    rev = levels.size - 1 - rank.reshape(-1)
+    val = np.unique(table.valuation, return_inverse=True)[1].reshape(-1)
+    qualifying = concordant = 0.0
+    for a, b in _group_pairs(table):
+        below, _, above = _price_masses(p[a], p[b], w[b])
+        qualifying += float(w[a] @ (below + above))
+        concordant += float(
+            w[a] @ _dominating_mass(rev[a], val[a], rev[b], val[b], w[b])
+            + w[b] @ _dominating_mass(rev[b], val[b], rev[a], val[a], w[a]))
     if qualifying <= 0.0:
         raise NoQualifyingPairsError(
             "no cross-group pair has strictly different prices")
@@ -608,14 +552,15 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     Metrics that cannot be computed from the given records are reported as
     ``{"error": <code>}``. If nothing at all is computable the audit raises.
     """
+    table = as_table(records)
     attempts = {
-        "marginal_price_disparity": lambda: marginal_price_disparity(records),
-        "distributional_parity": lambda: distributional_parity_stat(records, alpha),
-        "conditional_parity_gap": lambda: conditional_parity_gap(records),
-        "takeup_conditional_parity": lambda: takeup_conditional_parity(records, alpha),
-        "access": lambda: access_metrics(records=records),
-        "concordance_lower_bound": lambda: concordance_lower_bound(records),
-        "concordance_oracle": lambda: concordance_oracle(records),
+        "marginal_price_disparity": lambda: marginal_price_disparity(table),
+        "distributional_parity": lambda: distributional_parity_stat(table, alpha),
+        "conditional_parity_gap": lambda: conditional_parity_gap(table),
+        "takeup_conditional_parity": lambda: takeup_conditional_parity(table, alpha),
+        "access": lambda: access_metrics(records=table),
+        "concordance_lower_bound": lambda: concordance_lower_bound(table),
+        "concordance_oracle": lambda: concordance_oracle(table),
     }
     selected = AUDIT_METRIC_NAMES if metrics is None else tuple(metrics)
     unknown = [m for m in selected if m not in attempts]
@@ -636,5 +581,5 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     if computed == 0:
         raise NoComputableMetricError(
             "none of the audit metrics could be computed from these records")
-    groups = tuple(sorted({r.group for r in records})) if records else ()
-    return AuditReport(n_records=len(records), groups=groups, metrics=metrics)
+    return AuditReport(n_records=len(table), groups=table.labels,
+                       metrics=metrics)

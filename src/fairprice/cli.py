@@ -20,8 +20,6 @@ identical output bytes (the manifest's duration field aside). Failures print
 Codes 3-5 are reserved for those specific failure modes so scripts can
 branch on them; the ``error_code=`` token disambiguates everything that
 lands on 1 or 2.
-
-``FAIRPRICE_THREADS`` caps the worker threads used by pair-based audits.
 """
 
 from __future__ import annotations
@@ -202,8 +200,7 @@ def _cmd_simulate(args) -> int:
     run.write("population.json", json_dumps_stable(population_to_dict(population)))
     run.write("model_true.json", json_dumps_stable(model_to_dict(model)))
     _write_experiment_bundle(run, model, population, config)
-    takeup = (sum(r.demand for r in population.records)
-              / len(population.records))
+    takeup = float(population.records.demand.mean())
     run.say(f"simulated {len(population.records)} records "
             f"({', '.join(population.groups)}); mean take-up {takeup:.3f}")
     return run.finish("simulate", [args.scenario],

@@ -186,6 +186,128 @@ class Record:
             raise InvalidRecordError(f"record {self.id}: weight must be positive")
 
 
+@dataclass(eq=False)
+class RecordTable:
+    """Records as columns: the one container every record-level path reads.
+
+    ``labels`` are the sorted group labels and ``codes`` index them per row;
+    ``X`` is the (n, k) covariate matrix. In the float columns NaN means only
+    "empty cell"; ``weight`` is never empty. Build tables with
+    :func:`as_table`, :meth:`from_arrays` or
+    :func:`fairprice.sim.read_records_csv`, which validate every cell.
+    Integer indexing and iteration yield :class:`Record` rows, slicing and
+    :meth:`take` yield tables.
+    """
+
+    ids: np.ndarray
+    labels: tuple
+    codes: np.ndarray
+    X: np.ndarray
+    price: np.ndarray
+    demand: np.ndarray
+    outcome: np.ndarray
+    valuation: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, ids, groups, X, values, present, where) -> "RecordTable":
+        """Validated table from parsed arrays.
+
+        ``values`` and ``present`` are (n, 5) arrays with the columns of
+        ``CSV_TRAILING_COLUMNS``; a cell that is not present is empty (an
+        empty weight means 1). Present cells must be finite and weights
+        positive; ``where(i)`` names row ``i`` in error messages.
+        """
+        weight = np.where(present[:, -1], values[:, -1], 1.0)
+        checks = [("covariates must be given and finite",
+                   np.isfinite(X).all(axis=1))]
+        checks += [(f"{name} must be finite",
+                    np.isfinite(values[:, j]) | ~present[:, j])
+                   for j, name in enumerate(CSV_TRAILING_COLUMNS)]
+        checks.append(("weight must be positive", weight > 0.0))
+        for problem, ok in checks:
+            if not ok.all():
+                raise InvalidRecordError(f"{where(np.argmin(ok))}: {problem}")
+        cols = np.where(present[:, :-1], values[:, :-1], np.nan).T.copy()
+        labels, codes = np.unique(np.asarray(groups, dtype=str),
+                                  return_inverse=True)
+        return cls(ids=np.asarray(ids, dtype=str),
+                   labels=tuple(str(g) for g in labels),
+                   codes=codes.reshape(-1), X=X, price=cols[0],
+                   demand=cols[1], outcome=cols[2], valuation=cols[3],
+                   weight=weight)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        i = int(index)
+        cells = {name: float(getattr(self, name)[i])
+                 for name in CSV_TRAILING_COLUMNS}
+        cells.update((name, None) for name, v in cells.items() if math.isnan(v))
+        return Record(id=str(self.ids[i]), group=self.labels[self.codes[i]],
+                      covariates=self.X[i].copy(), **cells)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def take(self, idx) -> "RecordTable":
+        """The rows at integer positions ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = ("ids", "codes", "X") + CSV_TRAILING_COLUMNS
+        return RecordTable(labels=self.labels,
+                           **{name: getattr(self, name)[idx] for name in rows})
+
+    def cells(self) -> list:
+        """``(weight share, group, covariates)`` of every row."""
+        share = (self.weight / sum(self.weight.tolist())).tolist()
+        return list(zip(share, self.group.tolist(), self.X))
+
+    @property
+    def group(self) -> np.ndarray:
+        """Group label of every row (an object array of ``str``)."""
+        return np.array(self.labels, dtype=object)[self.codes]
+
+    def require(self, *names) -> "RecordTable":
+        """This table, once checked to have rows and no empty cell in the
+        ``names`` columns; raises MissingFieldError naming the first gap."""
+        if not len(self):
+            raise MissingFieldError("no records")
+        for name in names:
+            empty = np.flatnonzero(np.isnan(getattr(self, name)))
+            if empty.size:
+                raise MissingFieldError(
+                    f"record {self.ids[empty[0]]}: {name} missing")
+        return self
+
+
+def as_table(records) -> RecordTable:
+    """``records`` as a validated RecordTable.
+
+    A table passes through; :class:`Record` rows are converted, ``None``
+    fields becoming empty cells.
+    """
+    if isinstance(records, RecordTable):
+        return records
+    records = list(records)
+    dim = records[0].covariates.size if records else 0
+    odd = [r.id for r in records if r.covariates.size != dim]
+    if odd:
+        raise DimensionMismatchError(
+            f"record {odd[0]}: expected {dim} covariates like the first record")
+    cells = np.array([[getattr(r, name) for name in CSV_TRAILING_COLUMNS]
+                      for r in records], dtype=object)
+    cells = cells.reshape(len(records), len(CSV_TRAILING_COLUMNS))
+    present = cells != None  # noqa: E711
+    values = np.where(present, cells, np.nan).astype(float)
+    ids = [r.id for r in records]
+    X = np.array([r.covariates for r in records]).reshape(len(records), dim)
+    return RecordTable.from_arrays(ids, [r.group for r in records], X, values,
+                                  present, lambda i: f"record {ids[i]}")
+
+
 @dataclass
 class Population:
     """A reference population: group priors plus, optionally, a discrete support.
@@ -193,13 +315,13 @@ class Population:
     ``support`` rows are covariate vectors with point masses ``masses`` and
     per-point group membership probabilities ``membership`` (rows sum to one).
     The group priors ``rho`` must be the membership-weighted masses; they are
-    computed when omitted and validated when given. Record lists are optional
-    and used by record-level estimators; the analytic solvers only touch the
-    support.
+    computed when omitted and validated when given. ``records`` (a
+    RecordTable, or Record rows converted to one) are optional and used by
+    record-level estimators; the analytic solvers only touch the support.
     """
 
     groups: tuple
-    records: list = field(default_factory=list)
+    records: RecordTable | list = field(default_factory=list)
     support: np.ndarray | None = None
     masses: np.ndarray | None = None
     membership: np.ndarray | None = None
@@ -242,26 +364,12 @@ class Population:
             total = sum(self.rho[g] for g in self.groups)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidRecordError("group priors must sum to 1")
-        for r in self.records:
-            if r.group not in self.groups:
-                raise UnknownGroupError(f"record {r.id}: unknown group {r.group!r}")
+        self.records = as_table(self.records)
+        unknown = [g for g in self.records.labels if g not in self.groups]
+        if unknown:
+            raise UnknownGroupError(f"records carry unknown group {unknown[0]!r}")
 
     # -- convenience accessors -------------------------------------------
-
-    @classmethod
-    def from_support(cls, groups, support, masses, membership, unit_cost=0.0):
-        return cls(groups=tuple(groups), support=support, masses=masses,
-                   membership=membership, unit_cost=unit_cost)
-
-    @classmethod
-    def from_records(cls, records, groups=None, unit_cost=0.0):
-        if groups is None:
-            groups = tuple(sorted({r.group for r in records}))
-        total = sum(r.weight for r in records)
-        rho = {g: sum(r.weight for r in records if r.group == g) / total
-               for g in groups}
-        return cls(groups=tuple(groups), records=list(records), rho=rho,
-                   unit_cost=unit_cost)
 
     def group_index(self, group: str) -> int:
         try:
@@ -483,17 +591,6 @@ def demand_curvature(model, x, group, p) -> float:
     raise TypeError(f"not a demand model: {type(model).__name__}")
 
 
-def implied_demand_curve(model: LatentValuationModel, x, group):
-    """The survival curve ``p -> P(V >= p | x, a)`` of a latent model."""
-    if not isinstance(model, LatentValuationModel):
-        raise TypeError("implied_demand_curve needs a LatentValuationModel")
-
-    def curve(p):
-        return eval_demand(model, x, group, p)
-
-    return curve
-
-
 def sample_valuation(model: LatentValuationModel, x, group, rng) -> float:
     """One latent valuation draw ``loc(x, a) + scale * eps``."""
     if not isinstance(model, LatentValuationModel):
@@ -553,26 +650,6 @@ class FitDiagnostics:
     residual_sum_squares: dict | None = None
 
 
-def _design_matrix(records, require_demand=True):
-    if not records:
-        raise MissingFieldError("no records to fit")
-    dim = records[0].covariates.size
-    rows, y, w = [], [], []
-    for r in records:
-        if r.covariates.size != dim:
-            raise DimensionMismatchError(
-                f"record {r.id}: expected {dim} covariates, got {r.covariates.size}")
-        if r.price is None:
-            raise MissingFieldError(f"record {r.id}: price missing")
-        if require_demand:
-            if r.demand is None:
-                raise MissingFieldError(f"record {r.id}: demand missing")
-            y.append(float(r.demand))
-        rows.append(np.concatenate([r.covariates, [r.price, 1.0]]))
-        w.append(r.weight)
-    return np.asarray(rows), np.asarray(y), np.asarray(w), dim
-
-
 def fit_logistic(records, max_iter=500, grad_tol=1e-8):
     """Maximum-likelihood logistic demand via damped Newton iterations.
 
@@ -586,7 +663,10 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
     -------
     (LogisticDemand, FitDiagnostics)
     """
-    X, y, w, dim = _design_matrix(records)
+    table = as_table(records).require("price", "demand")
+    dim = table.X.shape[1]
+    X = np.column_stack([table.X, table.price, np.ones(len(table))])
+    y, w = table.demand, table.weight
     if np.any((y != 0.0) & (y != 1.0)):
         raise InvalidRecordError("demand must be 0 or 1 for a logistic fit")
     if np.all(y == y[0]):
@@ -618,7 +698,7 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
             model = LogisticDemand(gamma=coef[:dim], beta=coef[dim],
                                    intercept=coef[dim + 1])
             return model, FitDiagnostics(
-                n_records=len(records), iterations=iteration - 1,
+                n_records=len(table), iterations=iteration - 1,
                 gradient_norm=grad_norm, log_likelihood=ll, std_errors=se)
         margins = (2.0 * y - 1.0) * eta
         if np.all(margins > 0.0) and float(np.max(np.abs(eta))) > 30.0:
@@ -633,12 +713,15 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
             raise SingularDesignError(
                 "singular information matrix; some coefficient unidentified"
             ) from None
+        # the acceptance slack scales with |ll|: near the optimum a full step
+        # changes ll by less than its rounding error, which grows with n
+        slack = 1e-12 * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(40):
             cand = coef + scale * step
             eta_cand = X @ cand
             ll_cand = loglik(eta_cand)
-            if ll_cand > ll - 1e-12:
+            if ll_cand > ll - slack:
                 break
             scale *= 0.5
         coef, eta, ll = cand, eta_cand, ll_cand
@@ -655,13 +738,13 @@ def fit_partially_linear(records, allow_upward=False):
     carries the override flag). Groups with rank-deficient designs, e.g. no
     price variation, raise SingularDesignError.
     """
-    X, y, w, dim = _design_matrix(records)
-    groups = sorted({r.group for r in records})
-    labels = np.array([r.group for r in records])
+    table = as_table(records).require("price", "demand")
+    y, w = table.demand, table.weight
     beta, baseline, rss = {}, {}, {}
-    for g in groups:
-        rows = labels == g
-        Xg = np.column_stack([X[rows, dim], X[rows, :dim], np.ones(rows.sum())])
+    for k, g in enumerate(table.labels):
+        rows = table.codes == k
+        Xg = np.column_stack([table.price[rows], table.X[rows],
+                              np.ones(rows.sum())])
         yg = y[rows]
         sw = np.sqrt(w[rows])
         if np.ptp(Xg[:, 0]) == 0.0:
@@ -683,7 +766,7 @@ def fit_partially_linear(records, allow_upward=False):
     model = PartiallyLinearDemand(beta=beta, baseline=baseline,
                                   baseline_form="linear",
                                   allow_upward=allow_upward)
-    diag = FitDiagnostics(n_records=len(records), iterations=1,
+    diag = FitDiagnostics(n_records=len(table), iterations=1,
                           gradient_norm=0.0, residual_sum_squares=rss)
     return model, diag
 
@@ -773,7 +856,7 @@ def population_from_dict(data: dict, records=None) -> Population:
         raise MissingFieldError("population description needs 'groups'")
     return Population(
         groups=tuple(data["groups"]),
-        records=list(records) if records else [],
+        records=[] if records is None else records,
         support=np.asarray(data["support"], dtype=float)
         if data.get("support") is not None else None,
         masses=np.asarray(data["masses"], dtype=float)

@@ -144,10 +144,8 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
                 if w > 0.0:
                     rows.append((w, g, x, policy.price(x, g)))
     elif population.records:
-        total = sum(r.weight for r in population.records)
-        for r in population.records:
-            rows.append((r.weight / total, r.group, r.covariates,
-                         policy.price(r.covariates, r.group)))
+        rows = [(w, g, x, policy.price(x, g))
+                for w, g, x in population.records.cells()]
     else:
         raise MissingFieldError("population has neither support nor records")
 

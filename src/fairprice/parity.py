@@ -256,10 +256,9 @@ def expected_revenue(policy, model, population) -> float:
         return total
     if not population.records:
         raise MissingFieldError("population has neither support nor records")
-    mass = sum(r.weight for r in population.records)
-    for r in population.records:
-        p = policy.price(r.covariates, r.group)
-        total += (r.weight / mass) * p * eval_demand(model, r.covariates, r.group, p)
+    for w, g, x in population.records.cells():
+        p = policy.price(x, g)
+        total += w * p * eval_demand(model, x, g, p)
     return total
 
 

@@ -235,9 +235,7 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
                  for i in range(population.support.shape[0])
                  for k, g in enumerate(population.groups)]
     elif population.records:
-        total = sum(r.weight for r in population.records)
-        cells = [(r.weight / total, r.group, r.covariates)
-                 for r in population.records]
+        cells = population.records.cells()
     else:
         raise MissingFieldError("population has neither support nor records")
 

@@ -39,7 +39,8 @@ from .demand import (
     LatentValuationModel,
     LogisticDemand,
     Population,
-    Record,
+    RecordTable,
+    as_table,
     eval_demand,
 )
 from .errors import (
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .optimize import PriceInterval, maximize_revenue_1d
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
-from .util import fmt_float, parse_optional_float
+from .util import fmt_float
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +347,29 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     """
     model = config.build_model()
     width = max(6, len(str(config.n)))
-    records = []
+    ids = [f"r{i:0{width}d}" for i in range(config.n)]
+    rows, groups = [], []
+    values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
+    valuation = values[:, CSV_TRAILING_COLUMNS.index("valuation")]
     for i in range(config.n):
         x = np.array([spec.sample(rng) for spec in config.covariates])
         q = config.membership_prob(x)
         group = config.groups[0] if rng.random() < q else config.groups[1]
-        valuation = None
         if config.demand_kind == "latent":
             eps = float(model.family.sample(rng))
-            valuation = model.location(x, group) + model.scale * eps
-        records.append(Record(id=f"r{i:0{width}d}", group=group, covariates=x,
-                              valuation=valuation))
+            valuation[i] = model.location(x, group) + model.scale * eps
+        rows.append(x)
+        groups.append(group)
+    records = RecordTable.from_arrays(
+        ids, groups, np.array(rows), values, ~np.isnan(values),
+        lambda i: f"record {ids[i]}")
     if config.all_discrete:
         support, masses, membership = _exact_support(config)
         return Population(groups=config.groups, records=records,
                           support=support, masses=masses,
                           membership=membership, unit_cost=config.unit_cost)
     total = len(records)
-    rho = {g: sum(1 for r in records if r.group == g) / total
-           for g in config.groups}
+    rho = {g: groups.count(g) / total for g in config.groups}
     if min(rho.values()) == 0.0:
         # keep priors valid even if a tiny sample missed a group entirely
         rho = {g: max(v, 1.0 / (2 * total)) for g, v in rho.items()}
@@ -386,20 +391,23 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     """
     model = config.build_model()
     levels = config.price_levels
-    for r in population.records:
+    table = population.records
+    groups = table.group
+    for i, x in enumerate(table.X):
         if policy is None:
             p = float(levels[int(rng.integers(len(levels)))])
         else:
-            p = float(policy.price(r.covariates, r.group))
-        r.price = p
+            p = float(policy.price(x, groups[i]))
+        table.price[i] = p
         if config.demand_kind == "latent":
-            r.demand = float(r.valuation >= p)
+            table.demand[i] = float(table.valuation[i] >= p)
         else:
-            rate = eval_demand(model, r.covariates, r.group, p)
-            r.demand = float(rng.random() < rate)
-        if config.surplus_weight is not None:
-            r.outcome = (config.surplus_weight * max(r.valuation - p, 0.0)
-                         * r.demand)
+            rate = eval_demand(model, x, groups[i], p)
+            table.demand[i] = float(rng.random() < rate)
+    if config.surplus_weight is not None:
+        table.outcome[:] = (config.surplus_weight
+                            * np.maximum(table.valuation - table.price, 0.0)
+                            * table.demand)
     return population
 
 
@@ -421,26 +429,33 @@ def simulate(config: ScenarioConfig, seed: int):
 
 def write_records_csv(path, records) -> None:
     """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
-    if not records:
-        raise MissingFieldError("no records to write")
-    k = records[0].covariates.size
-    header = (list(CSV_LEADING_COLUMNS)
-              + [f"x{j + 1}" for j in range(k)]
-              + list(CSV_TRAILING_COLUMNS))
+    table = as_table(records).require()
+    numeric = [*table.X.T] + [getattr(table, name)
+                              for name in CSV_TRAILING_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            row = [r.id, r.group]
-            row += [fmt_float(v) for v in r.covariates]
-            row += [fmt_float(r.price), fmt_float(r.demand),
-                    fmt_float(r.outcome), fmt_float(r.valuation),
-                    fmt_float(r.weight)]
-            writer.writerow(row)
+        writer.writerow(_csv_header(table.X.shape[1]))
+        # rows are formatted as they are written, so no column of cell
+        # strings is ever held in memory
+        writer.writerows(zip(table.ids, table.group,
+                             *(map(_csv_cell, col) for col in numeric)))
 
 
-def read_records_csv(path) -> list:
-    """Read records written by :func:`write_records_csv` (empty cell = missing)."""
+def _csv_header(k: int) -> list:
+    return (list(CSV_LEADING_COLUMNS) + [f"x{j + 1}" for j in range(k)]
+            + list(CSV_TRAILING_COLUMNS))
+
+
+def _csv_cell(value) -> str:
+    return "" if value != value else fmt_float(value)
+
+
+def read_records_csv(path) -> RecordTable:
+    """Read records written by :func:`write_records_csv` (empty cell = missing).
+
+    Every non-empty numeric cell must parse as a finite number; the error
+    names the CSV line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -448,14 +463,12 @@ def read_records_csv(path) -> list:
         except StopIteration:
             raise InvalidRecordError("empty records file") from None
         k = len(header) - len(CSV_LEADING_COLUMNS) - len(CSV_TRAILING_COLUMNS)
-        expected = (list(CSV_LEADING_COLUMNS)
-                    + [f"x{j + 1}" for j in range(k)]
-                    + list(CSV_TRAILING_COLUMNS))
+        expected = _csv_header(k)
         if k < 0 or header != expected:
             raise InvalidRecordError(
                 f"unexpected header {header!r}; expected id,group,x1..xk,"
                 "price,demand,outcome,valuation,weight")
-        records = []
+        lines, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -463,18 +476,26 @@ def read_records_csv(path) -> list:
                 raise InvalidRecordError(
                     f"line {lineno}: expected {len(expected)} cells, "
                     f"got {len(row)}")
-            rid, group = row[0], row[1]
-            covs = [parse_optional_float(c) for c in row[2:2 + k]]
-            if any(c is None for c in covs):
-                raise InvalidRecordError(f"line {lineno}: missing covariate")
-            price, demand, outcome, valuation, weight = (
-                parse_optional_float(c) for c in row[2 + k:])
-            records.append(Record(
-                id=rid, group=group, covariates=np.asarray(covs),
-                price=price, demand=demand, outcome=outcome,
-                valuation=valuation,
-                weight=1.0 if weight is None else weight))
-    return records
+            lines.append(lineno)
+            rows.append(row)
+    text = np.array([c.strip() for row in rows for c in row[2:]],
+                    dtype=object).reshape(len(rows), len(expected) - 2)
+    present = text != ""
+    values = np.full(text.shape, np.nan)
+    try:
+        values[present] = np.array(text[present].tolist(), dtype=float)
+    except ValueError:
+        for i, j in zip(*np.nonzero(present)):
+            try:
+                float(text[i, j])
+            except ValueError:
+                raise InvalidRecordError(
+                    f"line {lines[i]}: {expected[j + 2]} cell {text[i, j]!r} "
+                    "is not a number") from None
+        raise
+    return RecordTable.from_arrays(
+        [row[0] for row in rows], [row[1] for row in rows], values[:, :k],
+        values[:, k:], present[:, k:], lambda i: f"line {lines[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +512,7 @@ def _population_cells(population: Population):
                 if joint[i, k] > 0.0]
     if not population.records:
         raise MissingFieldError("population has neither support nor records")
-    total = sum(r.weight for r in population.records)
-    return [(r.weight / total, r.group, r.covariates)
-            for r in population.records]
+    return population.records.cells()
 
 
 def _histogram(prices, weights, lo, hi, bins=25):
@@ -634,20 +653,20 @@ def _epanechnikov(u):
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-def _ope_arrays(records, policy, config: OPEConfig):
-    if not records:
-        raise MissingFieldError("no records")
-    p = np.empty(len(records))
-    d = np.empty(len(records))
-    w = np.empty(len(records))
-    target = np.empty(len(records))
-    for i, r in enumerate(records):
-        if r.price is None or r.demand is None:
-            raise MissingFieldError(f"record {r.id}: price or demand missing")
-        p[i] = r.price
-        d[i] = float(r.demand)
-        w[i] = r.weight
-        target[i] = policy.price(r.covariates, r.group)
+def ope_value(records, policy, config: OPEConfig | None = None) -> float:
+    """Kernel-smoothed off-policy estimate of a policy's expected revenue.
+
+    Each record is weighted by kernel proximity of its logged price to the
+    policy's price for that customer, divided by the behavior probability of
+    the logged level; the revenue signal is ``target price x logged demand``.
+    Self-normalization (the default) divides by the summed weights. Raises
+    when every kernel weight vanishes (policy prices too far from the data).
+    """
+    config = config or OPEConfig()
+    table = as_table(records).require("price", "demand")
+    p, d, w = table.price, table.demand, table.weight
+    target = np.array([policy.price(x, g)
+                       for x, g in zip(table.X, table.group)], dtype=float)
     width = float(p.max() - p.min())
     if width <= 0.0:
         raise MissingFieldError(
@@ -665,20 +684,6 @@ def _ope_arrays(records, policy, config: OPEConfig):
     h = config.bandwidth * width
     kernel_weights = _epanechnikov((target - p) / h) / h
     imp = w * kernel_weights / masses
-    return imp, p, d, target, width
-
-
-def ope_value(records, policy, config: OPEConfig | None = None) -> float:
-    """Kernel-smoothed off-policy estimate of a policy's expected revenue.
-
-    Each record is weighted by kernel proximity of its logged price to the
-    policy's price for that customer, divided by the behavior probability of
-    the logged level; the revenue signal is ``target price x logged demand``.
-    Self-normalization (the default) divides by the summed weights. Raises
-    when every kernel weight vanishes (policy prices too far from the data).
-    """
-    config = config or OPEConfig()
-    imp, _, d, target, _ = _ope_arrays(records, policy, config)
     total = float(imp.sum())
     if total <= 0.0:
         raise EmptyWeightError(
@@ -687,21 +692,21 @@ def ope_value(records, policy, config: OPEConfig | None = None) -> float:
     signal = target * d
     if config.self_normalize:
         return float((imp * signal).sum() / total)
-    return float((imp * signal).sum() / len(records))
+    return float((imp * signal).sum() / len(table))
 
 
 def ope_bootstrap_se(records, policy, config: OPEConfig | None = None,
                      n_boot: int = 200, seed: int = 0) -> float:
     """Bootstrap standard error of :func:`ope_value` over record resamples."""
     config = config or OPEConfig()
+    table = as_table(records)
     rng = np.random.default_rng(seed)
-    n = len(records)
+    n = len(table)
     values = []
     for _ in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        sample = [records[i] for i in idx]
         try:
-            values.append(ope_value(sample, policy, config))
+            values.append(ope_value(table.take(idx), policy, config))
         except EmptyWeightError:
             continue
     if len(values) < 2:
@@ -736,20 +741,19 @@ def optimize_linear_policy(records, config: OPEConfig | None = None,
     clip range and halve ``n_halvings`` times. Ties keep the earliest start.
     """
     config = config or OPEConfig()
-    if not records:
-        raise MissingFieldError("no records")
-    prices = sorted({float(r.price) for r in records if r.price is not None})
+    table = as_table(records).require()
+    prices = np.unique(table.price[~np.isnan(table.price)]).tolist()
     if not prices:
         raise MissingFieldError("records carry no logged prices")
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
-    dim = records[0].covariates.size
+    dim = table.X.shape[1]
 
     def evaluate(vec):
         policy = LinearPolicy(theta=vec[1:], intercept=vec[0],
                               clip_lo=lo, clip_hi=hi)
         try:
-            return ope_value(records, policy, config)
+            return ope_value(table, policy, config)
         except EmptyWeightError:
             return -math.inf
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic serialization, atomic writes, threading cap."""
+"""Small shared helpers: deterministic serialization and atomic writes."""
 
 from __future__ import annotations
 
@@ -7,31 +7,10 @@ import math
 import os
 import tempfile
 
-THREADS_ENV_VAR = "FAIRPRICE_THREADS"
-
-
-def worker_limit() -> int:
-    """Worker-count cap from the FAIRPRICE_THREADS environment variable.
-
-    Defaults to 1 (serial). Values below 1 or unparsable values fall back to 1;
-    results never depend on the cap, only wall-clock time does.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
 
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form, '' for None. Used by every CSV writer."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    return "" if x is None else repr(float(x))
 
 
 def _jsonable(obj):
@@ -58,20 +37,6 @@ def json_dumps_stable(obj) -> str:
     for equal inputs.
     """
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def parse_optional_float(text: str):
-    """Inverse of fmt_float: None for empty cells, non-finite tokens honored."""
-    text = text.strip()
-    if not text:
-        return None
-    if text == "inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    if text == "nan":
-        return math.nan
-    return float(text)
 
 
 def atomic_write_text(path: str, text: str) -> None:

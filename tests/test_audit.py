@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 
@@ -133,6 +134,17 @@ def test_access_metrics_from_records():
     assert out["b"]["weight"] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("metric", [
+    fp.takeup_conditional_parity,
+    lambda records: fp.access_metrics(records=records),
+])
+def test_missing_price_raises_missing_field(metric):
+    records = [_rec(0, "a", 1.0, 1.0), _rec(1, "b", None, 1.0),
+               _rec(2, "b", 2.0, 0.0)]
+    with pytest.raises(fp.MissingFieldError, match="price missing"):
+        metric(records)
+
+
 def test_access_metrics_from_model():
     model = fp.PartiallyLinearDemand(
         beta={"a": -1.0, "b": -1.0},
@@ -235,18 +247,74 @@ def test_concordance_rejects_nonbinary_demand():
                                     _rec(1, "b", 2.0, 1.0)])
 
 
-def test_concordance_threaded_path_matches(monkeypatch):
-    rng = np.random.default_rng(19)
-    n = 600  # above one chunk so the parallel split is exercised
-    groups = np.array(["a" if rng.random() < 0.5 else "b" for _ in range(n)])
-    prices = rng.choice([1.0, 1.5, 2.0], size=n)
+@st.composite
+def _pair_logs(draw):
+    """Small logs with tied prices and valuations, non-unit weights, absent
+    groups and all-tied prices."""
+    n = draw(st.integers(1, 16))
+    labels = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+    price_pool = draw(st.sampled_from([
+        st.just(1.0),
+        st.sampled_from([1.0, 1.5, 2.0]),
+        st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False),
+    ]))
+    value_pool = draw(st.sampled_from([
+        st.sampled_from([0.5, 1.5, 2.5]),
+        st.floats(-2.0, 4.0, allow_nan=False, allow_infinity=False),
+    ]))
+    weight_pool = draw(st.sampled_from([
+        st.just(1.0), st.floats(0.1, 10.0, allow_nan=False)]))
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    return (column(st.sampled_from(labels)), column(price_pool),
+            column(st.sampled_from([0.0, 1.0])), column(value_pool),
+            column(weight_pool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_logs())
+def test_pair_kernels_match_loop_oracles(log):
+    groups, prices, demands, values, weights = log
+    records = [_rec(i, g, p, d, valuation=v, weight=w)
+               for i, (g, p, d, v, w) in enumerate(zip(*log))]
+    cert, qual = loop_concordance_bound(prices, demands, groups, weights)
+    conc, qual_o = loop_concordance_oracle(prices, values, groups, weights)
+    if qual == 0.0:
+        for metric in (fp.concordance_lower_bound, fp.concordance_oracle):
+            with pytest.raises(fp.NoQualifyingPairsError):
+                metric(records)
+        return
+    bound = fp.concordance_lower_bound(records)
+    oracle = fp.concordance_oracle(records)
+    assert bound["qualifying_pairs"] == pytest.approx(qual, rel=1e-12)
+    assert bound["bound"] == pytest.approx(cert / qual, rel=1e-12, abs=0.0)
+    assert oracle["qualifying_pairs"] == pytest.approx(qual_o, rel=1e-12)
+    assert oracle["concordance"] == pytest.approx(conc / qual_o, rel=1e-12,
+                                                  abs=0.0)
+
+
+def test_concordance_ties_counted_directly():
+    rng = np.random.default_rng(23)
+    n = 3000
+    groups = np.where(rng.random(n) < 0.5, "a", "b")
     demands = (rng.random(n) < 0.5).astype(float)
-    records = [_rec(i, groups[i], float(prices[i]), float(demands[i]))
-               for i in range(n)]
-    serial = fp.concordance_lower_bound(records)
-    monkeypatch.setenv("FAIRPRICE_THREADS", "3")
-    threaded = fp.concordance_lower_bound(records)
-    assert serial == threaded
+    weights = rng.uniform(0.2, 5.0, size=n)
+    distinct = rng.permutation(n) * 0.001 + 0.5
+    records = [_rec(i, groups[i], float(distinct[i]), float(demands[i]),
+                    weight=float(weights[i])) for i in range(n)]
+    assert fp.concordance_lower_bound(records)["excluded_ties"] == 0.0
+
+    small = 60
+    prices = rng.choice([1.0, 1.5, 2.0], size=small)
+    records = [_rec(i, groups[i], float(prices[i]), float(demands[i]),
+                    weight=float(weights[i])) for i in range(small)]
+    tied = sum(weights[i] * weights[j]
+               for i in range(small) for j in range(i + 1, small)
+               if groups[i] != groups[j] and prices[i] == prices[j])
+    got = fp.concordance_lower_bound(records)["excluded_ties"]
+    assert got == pytest.approx(tied, rel=1e-12)
 
 
 # -- decomposition ------------------------------------------------------------

@@ -312,6 +312,47 @@ def test_audit_nothing_computable_exits_5(tmp_path, capsys):
     assert "error_code=no_computable_metric" in capsys.readouterr().err
 
 
+_GOOD_ROWS = "".join(
+    f"r{i},{'ab'[i % 2]},{i % 3}.0,{1.0 + 0.25 * (i % 4)},{float(i % 3 == 0)},"
+    f",{1.0 + 0.1 * i},1.0\n" for i in range(12))
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--model", "linear"], ["audit"],
+    ["ope", "--policy", "POLICY"],
+])
+@pytest.mark.parametrize("bad_row", [
+    "r99,a,1.0,nan,1.0,,,1.0",
+    "r99,a,1.0,1.5,nan,,,1.0",
+    "r99,a,1.0,1.5,1.0,,,inf",
+    "r99,a,1.0,abc,1.0,,,1.0",
+])
+def test_bad_record_cell_exits_2_naming_the_line(tmp_path, capsys, command,
+                                                 bad_row):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
+                    + _GOOD_ROWS + bad_row + "\n")
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    argv = [command[0], "--records", str(path)]
+    argv += [str(policy) if a == "POLICY" else a for a in command[1:]]
+    code = main(argv + ["--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert "line 14" in err
+
+
+def test_audit_empty_price_cell_exits_5(tmp_path, capsys):
+    path = tmp_path / "noprice.csv"
+    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
+                    + _GOOD_ROWS + "r99,a,1.0,,1.0,,2.0,1.0\n")
+    code = main(["audit", "--records", str(path),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    assert code == 5
+    assert "error_code=no_computable_metric" in capsys.readouterr().err
+
+
 def test_audit_json_and_csv(tmp_path, sim_dir):
     out = tmp_path / "audit"
     code = main(["audit", "--records", str(sim_dir / "records.csv"),

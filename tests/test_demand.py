@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fairprice as fp
-from fairprice.demand import NOISE_FAMILIES
+from fairprice.demand import NOISE_FAMILIES, as_table
 
 from oracles import central_difference
 
@@ -175,6 +175,26 @@ def test_fit_logistic_recovers_coefficients():
     assert diag.log_likelihood < 0
 
 
+def test_fit_logistic_converges_on_large_discrete_log():
+    # near the optimum a full Newton step moves a log-likelihood of size ~1e4
+    # by less than its rounding error; the line search must still accept it
+    rng = np.random.default_rng(1)
+    n = 20000
+    x = rng.choice([0.0, 1.0, 2.0], size=(n, 2))
+    p = rng.choice([0.8, 1.2, 1.6, 2.0], size=n)
+    truth = np.array([0.5, 0.15, -1.5, 2.0])  # gamma, beta, intercept
+    rate = 1.0 / (1.0 + np.exp(-(x @ truth[:2] + truth[2] * p + truth[3])))
+    y = (rng.random(n) < rate).astype(float)
+    records = [fp.Record(id=str(i), group="a", covariates=x[i],
+                         price=float(p[i]), demand=float(y[i]))
+               for i in range(n)]
+    model, diag = fp.fit_logistic(records)
+    assert diag.gradient_norm < 1e-8
+    assert diag.iterations <= 10
+    est = np.concatenate([model.gamma, [model.beta, model.intercept]])
+    assert np.all(np.abs(est - truth) <= 5.0 * diag.std_errors)
+
+
 def test_fit_logistic_weights_matter():
     rng = np.random.default_rng(9)
     records = _logistic_records(800, rng)
@@ -303,6 +323,37 @@ def test_record_validation():
         fp.Record(id="0", group="a", covariates=[np.nan])
     with pytest.raises(fp.InvalidRecordError):
         fp.Record(id="0", group="a", covariates=[0.0], weight=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("price", np.nan), ("price", np.inf), ("demand", np.nan),
+    ("outcome", -np.inf), ("valuation", np.nan), ("weight", np.inf),
+])
+def test_record_table_rejects_nonfinite_cells(field, value):
+    good = fp.Record(id="r0", group="a", covariates=[0.0], price=1.0,
+                     demand=1.0)
+    bad = fp.Record(id="r1", group="b", covariates=[1.0], price=1.0,
+                    demand=0.0)
+    setattr(bad, field, value)
+    with pytest.raises(fp.InvalidRecordError, match=f"record r1: {field}"):
+        as_table([good, bad])
+
+
+def test_record_table_rows_round_trip():
+    records = [fp.Record(id=f"r{i}", group="ba"[i % 2], covariates=[i, 1.0],
+                         price=1.0 + i, demand=float(i % 2),
+                         valuation=None if i % 3 else 2.5, weight=1.0 + i)
+               for i in range(6)]
+    pop = fp.Population(groups=("a", "b"), records=records,
+                        rho={"a": 0.5, "b": 0.5})
+    table = pop.records
+    assert isinstance(table, fp.RecordTable)
+    assert len(table) == 6 and table.labels == ("a", "b")
+    assert [r.id for r in table] == [r.id for r in records]
+    assert [r.valuation for r in table[1:4]] == [None, None, 2.5]
+    row = table[4]
+    assert (row.group, row.price, row.demand, row.weight) == ("b", 5.0, 0.0, 5.0)
+    assert row.covariates.tolist() == [4.0, 1.0]
 
 
 def test_model_dict_round_trip():

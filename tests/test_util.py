@@ -11,10 +11,8 @@ def test_fmt_parse_round_trip():
     values = [0.0, 1.5, -2.25, 1e-17, 3.141592653589793, float("inf"),
               float("-inf")]
     for v in values:
-        assert util.parse_optional_float(util.fmt_float(v)) == v
+        assert float(util.fmt_float(v)) == v
     assert util.fmt_float(None) == ""
-    assert util.parse_optional_float("") is None
-    assert util.parse_optional_float("  ") is None
 
 
 def test_fmt_float_shortest_repr():
@@ -40,15 +38,6 @@ def test_atomic_write_text(tmp_path):
     util.atomic_write_text(str(target), "again\n")
     assert target.read_text() == "again\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp litter
-
-
-def test_worker_limit_env(monkeypatch):
-    monkeypatch.delenv(util.THREADS_ENV_VAR, raising=False)
-    assert util.worker_limit() == 1
-    monkeypatch.setenv(util.THREADS_ENV_VAR, "4")
-    assert util.worker_limit() == 4
-    monkeypatch.setenv(util.THREADS_ENV_VAR, "not-a-number")
-    assert util.worker_limit() == 1
 
 
 def test_error_codes():
