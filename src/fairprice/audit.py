@@ -170,8 +170,8 @@ def _stratum_rows(table: RecordTable):
     ``rows`` holds one index array per group label, in record order.
     """
     n_groups = len(table.labels)
-    strata, inverse = np.unique(table.X, axis=0, return_inverse=True)
-    cell = inverse.reshape(-1) * n_groups + table.codes
+    strata, row_of = table.strata
+    cell = row_of * n_groups + table.codes
     order = np.argsort(cell, kind="stable")
     bounds = np.searchsorted(cell[order],
                              np.arange(strata.shape[0] * n_groups + 1))

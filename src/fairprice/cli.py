@@ -68,6 +68,7 @@ from .sim import (
     ScenarioConfig,
     ope_bootstrap_se,
     ope_value,
+    ope_weight_diagnostics,
     optimize_linear_policy,
     read_records_csv,
     run_pricing_experiment,
@@ -424,14 +425,16 @@ def _cmd_ope(args) -> int:
         result = optimize_linear_policy(records, config,
                                         n_starts=args.n_starts,
                                         seed=args.seed)
-        se = ope_bootstrap_se(records, result.policy, config,
+        policy = result.policy
+        se = ope_bootstrap_se(records, policy, config,
                               n_boot=args.n_boot, seed=args.seed)
-        payload.update({"policy": policy_to_dict(result.policy),
+        payload.update({"policy": policy_to_dict(policy),
                         "value": result.value, "std_error": se,
                         "n_boot": args.n_boot, "starts": result.starts,
                         "trace": result.trace})
         run.say(f"best linear policy value {result.value:.6g} "
                 f"(bootstrap se {se:.3g}, {result.starts} starts)")
+    payload.update(ope_weight_diagnostics(records, policy, config))
     run.write("ope.json", json_dumps_stable(payload))
     inputs = [args.records] + ([args.policy] if args.policy else [])
     return run.finish("ope", inputs,

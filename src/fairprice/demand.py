@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -264,6 +265,14 @@ class RecordTable:
         """``(weight share, group, covariates)`` of every row."""
         share = (self.weight / sum(self.weight.tolist())).tolist()
         return list(zip(share, self.group.tolist(), self.X))
+
+    @cached_property
+    def strata(self) -> tuple:
+        """``(rows, row_of)``: the distinct covariate rows in sorted order and
+        the index into them of every record. Computed once per table, since
+        ``X`` is never written after construction."""
+        rows, row_of = np.unique(self.X, axis=0, return_inverse=True)
+        return rows, row_of.reshape(-1)
 
     @property
     def group(self) -> np.ndarray:

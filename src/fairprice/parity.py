@@ -87,6 +87,9 @@ class ParitySolution:
     def price(self, x, a=None) -> float:
         return self.policy().price(x, a)
 
+    def price_batch(self, X, groups) -> np.ndarray:
+        return self.policy().price_batch(X, groups)
+
     def to_json(self) -> str:
         rows = []
         for (idx, group), price in sorted(

@@ -1,8 +1,12 @@
 """Pricing policies: small callables mapping (covariates, group) to a price.
 
-Every policy implements ``price(x, a=None)``. Attribute-blind policies ignore
-``a``; attribute-based ones require it. Policies are plain data so they can be
-serialized into run manifests and reloaded by the CLI.
+Every policy implements ``price(x, a=None)`` for one customer and
+``price_batch(X, groups)`` for the rows of an (n, k) covariate matrix with one
+group label per row. ``price_batch`` returns exactly the ``price`` values, bit
+for bit, and raises the same error type for the first offending row.
+Attribute-blind policies ignore ``a``; attribute-based ones require it.
+Policies are plain data so they can be serialized into run manifests and
+reloaded by the CLI.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ class ConstantPolicy:
     def price(self, x, a=None) -> float:
         return float(self.value)
 
+    def price_batch(self, X, groups) -> np.ndarray:
+        return np.full(len(X), float(self.value))
+
 
 @dataclass(frozen=True)
 class GroupPolicy:
@@ -37,6 +44,12 @@ class GroupPolicy:
         if self.default is not None:
             return float(self.default)
         raise UnknownGroupError(f"no price for group {a!r} and no default")
+
+    def price_batch(self, X, groups) -> np.ndarray:
+        # labels in order of first appearance, so the first failing label is
+        # the one of the first failing row
+        by_label = {a: self.price(None, a) for a in dict.fromkeys(groups)}
+        return np.fromiter(map(by_label.__getitem__, groups), float, len(groups))
 
 
 @dataclass
@@ -75,6 +88,17 @@ class TabularPolicy:
         raise UnknownGroupError(
             f"no price for support point {idx} and group {a!r}")
 
+    def price_batch(self, X, groups) -> np.ndarray:
+        # one ``price`` call per distinct (row, group) pair, taken in order of
+        # first appearance so that an error names the first failing record
+        X = np.asarray(X, dtype=float)
+        _, first, row_of = np.unique(X, axis=0, return_index=True,
+                                     return_inverse=True)
+        pairs = list(zip(row_of.reshape(-1).tolist(), groups))
+        by_pair = {(r, a): self.price(X[first[r]], a)
+                   for r, a in dict.fromkeys(pairs)}
+        return np.fromiter(map(by_pair.__getitem__, pairs), float, len(pairs))
+
 
 @dataclass
 class LinearPolicy:
@@ -101,6 +125,20 @@ class LinearPolicy:
                 f"policy expects {self.theta.size} covariates, got {x.size}")
         raw = float(self.intercept + self.theta @ x)
         return float(min(self.clip_hi, max(self.clip_lo, raw)))
+
+    def price_batch(self, X, groups) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] != self.theta.size:
+            raise DimensionMismatchError(
+                f"policy expects {self.theta.size} covariates, got {X.shape[1]}")
+        # a stack of (1, k) @ (k,) products takes the same BLAS dot per row as
+        # ``theta @ x`` in ``price``; ``X @ theta`` is one matrix-vector
+        # product, which sums in another order and changes last bits
+        rows = np.ascontiguousarray(X)[:, None, :]
+        raw = self.intercept + (rows @ self.theta)[:, 0]
+        # Python's max/min keep their first argument on ties and NaN
+        raw = np.where(raw > self.clip_lo, raw, float(self.clip_lo))
+        return np.where(raw < self.clip_hi, raw, float(self.clip_hi))
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([[self.intercept], self.theta])

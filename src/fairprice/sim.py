@@ -393,11 +393,13 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     levels = config.price_levels
     table = population.records
     groups = table.group
+    # pricing draws no random numbers, so batching it keeps the RNG stream
+    offered = None if policy is None else policy.price_batch(table.X, groups)
     for i, x in enumerate(table.X):
         if policy is None:
             p = float(levels[int(rng.integers(len(levels)))])
         else:
-            p = float(policy.price(x, groups[i]))
+            p = float(offered[i])
         table.price[i] = p
         if config.demand_kind == "latent":
             table.demand[i] = float(table.valuation[i] >= p)
@@ -653,32 +655,29 @@ def _epanechnikov(u):
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-def ope_value(records, policy, config: OPEConfig | None = None) -> float:
-    """Kernel-smoothed off-policy estimate of a policy's expected revenue.
+def _importance_weights(table: RecordTable, policy, config: OPEConfig):
+    """Target prices of ``policy``, the kernel importance weight of every
+    logged record, and their sum.
 
-    Each record is weighted by kernel proximity of its logged price to the
-    policy's price for that customer, divided by the behavior probability of
-    the logged level; the revenue signal is ``target price x logged demand``.
-    Self-normalization (the default) divides by the summed weights. Raises
-    when every kernel weight vanishes (policy prices too far from the data).
+    A record's weight is the kernel proximity of its logged price to the
+    target price over the behavior probability of the logged level, times
+    the record weight. Raises when every weight vanishes.
     """
-    config = config or OPEConfig()
-    table = as_table(records).require("price", "demand")
-    p, d, w = table.price, table.demand, table.weight
-    target = np.array([policy.price(x, g)
-                       for x, g in zip(table.X, table.group)], dtype=float)
+    p, w = table.price, table.weight
+    target = policy.price_batch(table.X, table.group)
     width = float(p.max() - p.min())
     if width <= 0.0:
         raise MissingFieldError(
             "logged prices carry no variation; off-policy weights undefined")
+    levels, inverse = np.unique(p, return_inverse=True)
     if config.level_masses is not None:
-        masses = np.array([config.level_masses.get(float(v), 0.0) for v in p])
+        masses = np.array([config.level_masses.get(float(v), 0.0)
+                           for v in levels])[inverse]
         if np.any(masses <= 0.0):
             bad = float(p[int(np.argmin(masses))])
             raise MissingFieldError(
                 f"logged price {bad:g} has no behavior mass")
     else:
-        levels, inverse = np.unique(p, return_inverse=True)
         freq = np.bincount(inverse, weights=w)
         masses = (freq / w.sum())[inverse]
     h = config.bandwidth * width
@@ -689,10 +688,44 @@ def ope_value(records, policy, config: OPEConfig | None = None) -> float:
         raise EmptyWeightError(
             "no logged interaction falls inside the kernel window of the "
             "target policy")
-    signal = target * d
+    return target, imp, total
+
+
+def ope_value(records, policy, config: OPEConfig | None = None) -> float:
+    """Kernel-smoothed off-policy estimate of a policy's expected revenue.
+
+    Each record is weighted by kernel proximity of its logged price to the
+    policy's price for that customer, divided by the behavior probability of
+    the logged level; the revenue signal is ``target price x logged demand``.
+    Self-normalization (the default) divides by the summed importance
+    weights, otherwise by the summed record weights. Raises when every kernel
+    weight vanishes (policy prices too far from the data).
+    """
+    config = config or OPEConfig()
+    table = as_table(records).require("price", "demand")
+    target, imp, total = _importance_weights(table, policy, config)
+    signal = target * table.demand
     if config.self_normalize:
         return float((imp * signal).sum() / total)
-    return float((imp * signal).sum() / len(table))
+    return float((imp * signal).sum() / table.weight.sum())
+
+
+def ope_weight_diagnostics(records, policy,
+                           config: OPEConfig | None = None) -> dict:
+    """How much of the log the importance weights of :func:`ope_value` use.
+
+    ``ess`` is the Kish effective sample size ``(sum imp)^2 / sum imp^2``,
+    ``window_share`` the weighted share of records inside the kernel window
+    (nonzero weight), ``max_weight_share`` the largest single weight over
+    the summed weights.
+    """
+    config = config or OPEConfig()
+    table = as_table(records).require("price", "demand")
+    _, imp, total = _importance_weights(table, policy, config)
+    w = table.weight
+    return {"ess": total * total / float((imp * imp).sum()),
+            "window_share": float(w[imp > 0.0].sum() / w.sum()),
+            "max_weight_share": float(imp.max() / total)}
 
 
 def ope_bootstrap_se(records, policy, config: OPEConfig | None = None,

@@ -452,6 +452,9 @@ def test_ope_eval_and_search(tmp_path, sim_dir):
     blob = json.loads((out / "ope.json").read_text())
     assert blob["value"] > 0
     assert blob["std_error"] > 0
+    assert 1.0 <= blob["ess"] <= blob["n_records"]
+    assert 0.0 < blob["window_share"] <= 1.0
+    assert 0.0 < blob["max_weight_share"] <= 1.0
 
     out2 = tmp_path / "search"
     code = main(["ope", "--records", str(sim_dir / "records.csv"),
@@ -461,6 +464,7 @@ def test_ope_eval_and_search(tmp_path, sim_dir):
     blob2 = json.loads((out2 / "ope.json").read_text())
     assert blob2["policy"]["kind"] == "linear"
     assert blob2["value"] >= blob["value"] - 1e-9
+    assert {"ess", "window_share", "max_weight_share"} <= set(blob2)
 
 
 def test_ope_requires_exactly_one_of_policy_or_search(tmp_path, sim_dir,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,22 @@ def test_log_interactions_under_policy():
     assert {r.price for r in pop.records} == {1.1}
 
 
+def test_log_interactions_prices_rows_like_price():
+    text = SCENARIO.replace("covariate.x1 = choice(0:0.5, 1:0.5)",
+                            "covariate.x1 = normal(0.3, 0.7)\n"
+                            "covariate.x2 = uniform(-1.0, 2.0)")
+    cfg = fp.ScenarioConfig.from_text(text)
+    policy = fp.LinearPolicy(theta=np.array([0.31, -0.27]), intercept=1.3,
+                             clip_lo=0.8, clip_hi=2.0)
+    rng = np.random.default_rng(3)
+    pop = fp.generate_population(cfg, rng)
+    fp.log_interactions(cfg, pop, rng, policy=policy)
+    want = [policy.price(x) for x in pop.records.X]
+    assert pop.records.price.tolist() == want
+    assert (pop.records.demand
+            == (pop.records.valuation >= pop.records.price)).all()
+
+
 def test_surplus_weight_outcome():
     cfg = fp.ScenarioConfig.from_text(SCENARIO + "outcome.surplus_weight = 2.0\n")
     rng = np.random.default_rng(3)
@@ -222,6 +240,64 @@ def test_ope_level_masses_override():
                            fp.OPEConfig(bandwidth=0.3))
     # self-normalization cancels a uniform mass constant
     assert est_known == pytest.approx(est_emp, rel=1e-9)
+
+
+def test_ope_level_masses_missing_level_raises():
+    cfg, pop, logged = _logged_scenario(seed=9, n=400)
+    masses = {0.8: 0.25, 1.2: 0.25, 1.6: 0.25}    # no entry for 2.0
+    with pytest.raises(fp.MissingFieldError,
+                       match="logged price 2 has no behavior mass"):
+        fp.ope_value(logged, fp.ConstantPolicy(1.2),
+                     fp.OPEConfig(bandwidth=0.3, level_masses=masses))
+
+
+@pytest.mark.parametrize("self_normalize", [True, False])
+def test_ope_value_invariant_to_weight_scale(self_normalize):
+    # record weights are relative: doubling all of them is the same log
+    cfg, pop, logged = _logged_scenario(seed=9, n=1000)
+    doubled = dataclasses.replace(logged, weight=2.0 * logged.weight)
+    ope_cfg = fp.OPEConfig(bandwidth=0.3, self_normalize=self_normalize)
+    policy = fp.LinearPolicy(theta=np.array([0.4]), intercept=1.1,
+                             clip_lo=0.8, clip_hi=2.0)
+    assert (fp.ope_value(doubled, policy, ope_cfg)
+            == fp.ope_value(logged, policy, ope_cfg))
+
+
+def test_ope_weight_diagnostics_on_one_level():
+    # a window narrower than the level spacing keeps only the 1.2 records,
+    # which all carry the same importance weight
+    cfg, pop, logged = _logged_scenario(seed=9, n=2000)
+    at_level = int(np.sum(logged.price == 1.2))
+    diag = fp.ope_weight_diagnostics(logged, fp.ConstantPolicy(1.2),
+                                     fp.OPEConfig(bandwidth=0.3))
+    assert diag["ess"] == pytest.approx(at_level, rel=1e-12)
+    assert diag["window_share"] == at_level / len(logged)
+    assert diag["max_weight_share"] == pytest.approx(1.0 / at_level,
+                                                     rel=1e-12)
+
+
+def test_ope_weight_diagnostics_match_direct_formulas():
+    cfg, pop, logged = _logged_scenario(seed=4, n=800)
+    weighted = dataclasses.replace(
+        logged, weight=np.random.default_rng(0).uniform(0.5, 2.0, len(logged)))
+    policy = fp.LinearPolicy(theta=np.array([0.5]), intercept=1.0,
+                             clip_lo=0.8, clip_hi=2.0)
+    diag = fp.ope_weight_diagnostics(weighted, policy,
+                                     fp.OPEConfig(bandwidth=0.3))
+    p, w = weighted.price, weighted.weight
+    target = np.array([policy.price(x) for x in weighted.X])
+    h = 0.3 * (p.max() - p.min())
+    u = (target - p) / h
+    kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0) / h
+    mass = {v: w[p == v].sum() / w.sum() for v in np.unique(p)}
+    imp = w * kern / np.array([mass[v] for v in p])
+    assert diag["ess"] == pytest.approx(imp.sum() ** 2 / (imp ** 2).sum(),
+                                        rel=1e-12)
+    assert diag["window_share"] == pytest.approx(
+        w[kern > 0].sum() / w.sum(), rel=1e-12)
+    assert 0.0 < diag["window_share"] < 1.0
+    assert diag["max_weight_share"] == pytest.approx(imp.max() / imp.sum(),
+                                                     rel=1e-12)
 
 
 def test_ope_empty_window_raises():
