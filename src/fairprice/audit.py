@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .optimize import PriceInterval, maximize_revenue_1d
+from .policies import price_cells
 from .util import json_dumps_stable
 
 
@@ -261,26 +263,12 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
     if policy is None or model is None or population is None:
         raise MissingFieldError(
             "model-implied access needs policy, model, and population")
-    if population.support is not None and population.membership is not None:
-        joint = population.joint_weights()
-        cells = [(float(joint[i, k]), g, population.support[i])
-                 for i in range(population.support.shape[0])
-                 for k, g in enumerate(population.groups)]
-    elif population.records:
-        cells = population.records.cells()
-    else:
-        raise MissingFieldError("population has neither support nor records")
-    stats = {g: [0.0, 0.0, 0.0] for g in population.groups}
-    for mass, g, x in cells:
-        if mass <= 0.0:
-            continue
-        p = policy.price(x, g)
-        d = eval_demand(model, x, g, p)
-        stats[g][0] += mass
-        stats[g][1] += mass * d
-        stats[g][2] += mass * p
-    for g in population.groups:
-        mass, dsum, psum = stats[g]
+    cells = population.cells()
+    p = price_cells(policy, cells, population.support)
+    d = model.demand(cells.X, cells.g, p, cells.groups)
+    w = cells.mass
+    for k, g in enumerate(population.groups):
+        mass, dsum, psum = cells.totals(k, w, w * d, w * p)
         if mass > 0.0:
             out[g] = {"access": dsum / mass, "price_mean": psum / mass,
                       "weight": mass}
@@ -472,15 +460,9 @@ def suboptimality_decomposition(estimated, true, x, group,
         raise DecompositionError(
             "estimated demand is linear in price; slope-shift term vanishes")
 
-    def curve_est(p):
-        return eval_demand(estimated, x, group, p)
-
-    def curve_true(p):
-        return eval_demand(true, x, group, p)
-
-    def grad_est(p):
-        return demand_gradient(estimated, x, group, p)
-
+    curve_est = partial(eval_demand, estimated, x, group)
+    curve_true = partial(eval_demand, true, x, group)
+    grad_est = partial(demand_gradient, estimated, x, group)
     t1, t3, p_est, p_true, den = _decompose_curves(
         curve_est, grad_est, curve_true, interval)
     t2 = grad_est(p_true) - demand_gradient(true, x, group, p_true)
@@ -513,15 +495,9 @@ def attribute_gap_decomposition(model, population, x_index: int, group: str,
         hi = max(max(centers) + 10.0 * spread, 10.0 * spread)
         interval = PriceInterval(0.0, float(hi))
 
-    def curve_est(p):
-        return eval_demand(model, x, group, p)
-
-    def curve_true(p):
-        return eval_demand(model, x, mixture, p)
-
-    def grad_est(p):
-        return demand_gradient(model, x, group, p)
-
+    curve_est = partial(eval_demand, model, x, group)
+    curve_true = partial(eval_demand, model, x, mixture)
+    grad_est = partial(demand_gradient, model, x, group)
     t1, t3, p_est, p_true, den = _decompose_curves(
         curve_est, grad_est, curve_true, interval)
     t2 = grad_est(p_true) - demand_gradient(model, x, mixture, p_true)

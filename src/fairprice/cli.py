@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -61,7 +60,7 @@ from .parity import (
     solve_attribute_based_parity,
     solve_attribute_blind_parity,
 )
-from .policies import ConstantPolicy, TabularPolicy, policy_from_dict, policy_to_dict
+from .policies import ConstantPolicy, TabularPolicy, policy_from_dict, policy_to_dict, table_rows
 from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, solve_share_price
 from .sim import (
     OPEConfig,
@@ -302,7 +301,7 @@ def _cmd_price(args) -> int:
                   else solve_attribute_blind_parity)
         solution = solver(model, population, gamma)
         policy = solution.policy()
-        payload = json.loads(solution.to_json())
+        payload = solution.to_dict()
         parameters = {"mode": args.mode, "gamma": gamma}
         note = (f"{args.mode} prices under gamma={fmt_float(gamma)}: "
                 f"multiplier {solution.lambda_star:.6g}")
@@ -312,23 +311,13 @@ def _cmd_price(args) -> int:
         g: info["access"]
         for g, info in access_metrics(policy=policy, model=model,
                                       population=population).items()}
-    table = sorted(_price_table(policy).items(),
-                   key=lambda kv: (kv[0][0], kv[0][1] or ""))
-    payload.setdefault("prices", [
-        {"x_index": idx, "group": group, "price": price}
-        for (idx, group), price in table])
-    rows = [(idx, "" if group is None else group, price)
-            for (idx, group), price in table]
+    payload.setdefault("prices", table_rows(policy.table))
+    rows = [(row["x_index"], "" if row["group"] is None else row["group"],
+             row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))
     run.write("prices.json", json_dumps_stable(payload))
     run.say(f"{note}, expected revenue {payload['revenue']:.6g}")
     return run.finish("price", [args.model, args.population], parameters)
-
-
-def _price_table(policy) -> dict:
-    if isinstance(policy, TabularPolicy):
-        return policy.table
-    raise MissingFieldError("pricing produced a non-tabular policy")
 
 
 def _share_solution(model, population, args):

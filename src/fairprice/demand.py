@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -36,6 +37,7 @@ from .errors import (
     UnknownGroupError,
     UpwardSlopeError,
 )
+from .util import seqsum
 
 CSV_LEADING_COLUMNS = ("id", "group")
 CSV_TRAILING_COLUMNS = ("price", "demand", "outcome", "valuation", "weight")
@@ -52,18 +54,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class NoiseFamily:
     """Standardized (location 0, scale 1) log-concave noise distribution.
 
-    ``pdf_prime`` is the derivative of the density, needed for analytic
-    revenue curvature. ``sample`` draws from the numpy generator passed in.
+    ``sf`` is the survival function ``1 - cdf``, in a form that keeps its
+    precision in the upper tail where the family has one. ``pdf_prime`` is
+    the derivative of the density, needed for analytic revenue curvature.
+    ``sample`` draws from the numpy generator passed in.
     """
 
     name: str
     cdf: callable
+    sf: callable
     pdf: callable
     pdf_prime: callable
     sample: callable
-
-    def survival(self, z):
-        return 1.0 - self.cdf(z)
 
 
 def _normal_cdf(z):
@@ -134,24 +136,28 @@ def _gumbel_pdf_prime(z):
 
 NOISE_FAMILIES: dict[str, NoiseFamily] = {
     "normal": NoiseFamily(
-        "normal", _normal_cdf, _normal_pdf,
+        "normal", _normal_cdf, lambda z: ndtr(-z), _normal_pdf,
         lambda z: -np.asarray(z, dtype=float) * _normal_pdf(z),
         lambda rng, size=None: rng.standard_normal(size),
     ),
     "logistic": NoiseFamily(
-        "logistic", _logistic_cdf, _logistic_pdf, _logistic_pdf_prime,
+        "logistic", _logistic_cdf, lambda z: expit(-z),
+        _logistic_pdf, _logistic_pdf_prime,
         lambda rng, size=None: rng.logistic(0.0, 1.0, size),
     ),
     "exponential": NoiseFamily(
-        "exponential", _exponential_cdf, _exponential_pdf, _exponential_pdf_prime,
+        "exponential", _exponential_cdf, lambda z: 1.0 - _exponential_cdf(z),
+        _exponential_pdf, _exponential_pdf_prime,
         lambda rng, size=None: rng.exponential(1.0, size),
     ),
     "laplace": NoiseFamily(
-        "laplace", _laplace_cdf, _laplace_pdf, _laplace_pdf_prime,
+        "laplace", _laplace_cdf, lambda z: 1.0 - _laplace_cdf(z),
+        _laplace_pdf, _laplace_pdf_prime,
         lambda rng, size=None: rng.laplace(0.0, 1.0, size),
     ),
     "gumbel": NoiseFamily(
-        "gumbel", _gumbel_cdf, _gumbel_pdf, _gumbel_pdf_prime,
+        "gumbel", _gumbel_cdf, lambda z: -np.expm1(-np.exp(-z)),
+        _gumbel_pdf, _gumbel_pdf_prime,
         lambda rng, size=None: rng.gumbel(0.0, 1.0, size),
     ),
 }
@@ -261,11 +267,6 @@ class RecordTable:
         return RecordTable(labels=self.labels,
                            **{name: getattr(self, name)[idx] for name in rows})
 
-    def cells(self) -> list:
-        """``(weight share, group, covariates)`` of every row."""
-        share = (self.weight / sum(self.weight.tolist())).tolist()
-        return list(zip(share, self.group.tolist(), self.X))
-
     @cached_property
     def strata(self) -> tuple:
         """``(rows, row_of)``: the distinct covariate rows in sorted order and
@@ -274,9 +275,11 @@ class RecordTable:
         rows, row_of = np.unique(self.X, axis=0, return_inverse=True)
         return rows, row_of.reshape(-1)
 
-    @property
+    @cached_property
     def group(self) -> np.ndarray:
-        """Group label of every row (an object array of ``str``)."""
+        """Group label of every row (an object array of ``str``), built once
+        per table: ``labels`` and ``codes`` are never written after
+        construction."""
         return np.array(self.labels, dtype=object)[self.codes]
 
     def require(self, *names) -> "RecordTable":
@@ -396,10 +399,112 @@ class Population:
     def rho_vector(self) -> np.ndarray:
         return np.array([self.rho[g] for g in self.groups], dtype=float)
 
+    def cells(self) -> "Cells":
+        """The population as weighted cells, one array per field.
+
+        With a support and membership: every (support point, group) pair of
+        positive joint weight, support-major. Otherwise every record, weighted
+        by its share of the total record weight. Raises MissingFieldError
+        when the population has neither.
+        """
+        if self.support is not None and self.membership is not None:
+            joint = self.joint_weights()
+            index, g = np.nonzero(joint > 0.0)
+            return Cells(joint[index, g], g, self.support[index], index,
+                         self.groups)
+        table = self.records
+        if not table:
+            raise MissingFieldError("population has neither support nor records")
+        share = table.weight / sum(table.weight.tolist())
+        code = np.array([self.groups.index(g) for g in table.labels],
+                        dtype=np.intp)
+        return Cells(share, code[table.codes], table.X, None, self.groups)
+
+
+class Cells(NamedTuple):
+    """Weighted population cells (see :meth:`Population.cells`).
+
+    ``g`` indexes ``groups`` per cell; ``index`` is the support row of each
+    cell, or None for record cells.
+    """
+
+    mass: np.ndarray
+    g: np.ndarray
+    X: np.ndarray
+    index: np.ndarray | None
+    groups: tuple
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Group label of every cell (an object array of ``str``)."""
+        return np.array(self.groups, dtype=object)[self.g]
+
+    def totals(self, k: int, *terms) -> list:
+        """Each per-cell ``terms`` array summed over the cells of group
+        ``k``, in cell order."""
+        rows = self.g == k
+        return [seqsum(t[rows]) for t in terms]
+
 
 # ---------------------------------------------------------------------------
 # demand models
 # ---------------------------------------------------------------------------
+#
+# Each family evaluates ``demand``, ``gradient`` and ``curvature`` at once for
+# the rows of an (n, k) covariate matrix ``X``: ``g`` indexes the label tuple
+# ``groups`` per row, and prices ``p`` broadcast against the rows along their
+# first axis (one price, one per row, or an (n or 1, m) grid). One customer is
+# a (k,) row ``X`` with one index ``g``; the scalar functions below evaluate
+# that form. Row terms use the per-row dot of ``_row_dots``, so a row of a
+# matrix gets the very bits the same row gets alone.
+
+
+def _row_dots(X, coefs):
+    """``coefs @ x`` for every row ``x`` of ``X`` (or the one row ``X``).
+
+    A stack of (1, k) @ (k,) products takes the same BLAS dot per row as the
+    1-D product; ``X @ coefs`` sums in another order and changes last bits.
+    """
+    if X.ndim == 1:
+        return coefs @ X
+    return (np.ascontiguousarray(X)[:, None, :] @ coefs)[:, 0]
+
+
+def _along(rows, p):
+    """Per-row values shaped to broadcast with prices ``p``."""
+    if isinstance(p, float) or np.ndim(p) < 2 or not np.ndim(rows):
+        return rows
+    return rows.reshape(rows.shape + (1,) * (np.ndim(p) - 1))
+
+
+def _used_labels(g, groups, known) -> list:
+    """The indices into ``groups`` that ``g`` uses, in order of first use;
+    raises UnknownGroupError for the first label ``known`` lacks."""
+    if isinstance(g, int) or len(groups) == 1:
+        used = [g if isinstance(g, int) else 0]
+    else:
+        used = list(dict.fromkeys(np.asarray(g).tolist()))
+    for j in used:
+        if groups[j] not in known:
+            raise UnknownGroupError(f"unknown group {groups[j]!r}")
+    return used
+
+
+def _affine_rows(X, g, groups, params, known, what) -> np.ndarray:
+    """``intercept + coefs @ x`` per row, with the ``(intercept, coefs)`` of
+    the row's group in ``params``."""
+    X = np.asarray(X, dtype=float)
+    used = _used_labels(g, groups, known)
+    out = np.empty(X.shape[:-1])
+    for j in used:
+        intercept, coefs = params[groups[j]]
+        coefs = np.asarray(coefs, dtype=float).reshape(-1)
+        if coefs.size != X.shape[-1]:
+            raise DimensionMismatchError(
+                f"{what} expects {coefs.size} covariates, got {X.shape[-1]}")
+        rows = ... if len(used) == 1 else np.asarray(g) == j
+        out[rows] = intercept + _row_dots(X[rows], coefs)
+    return out
 
 
 @dataclass
@@ -428,42 +533,62 @@ class PartiallyLinearDemand:
                 raise UpwardSlopeError(
                     f"group {g!r}: price slope {b:g} is not negative")
 
-    @property
-    def group_labels(self) -> tuple:
-        return tuple(self.beta.keys())
+    def baseline_rows(self, X, g, groups) -> np.ndarray:
+        """``dbar(x, a)`` of every row of ``X``."""
+        if self.baseline_form == "linear":
+            return _affine_rows(X, g, groups, self.baseline, self.beta,
+                                "baseline")
+        _used_labels(g, groups, self.beta)
+        X = np.asarray(X, dtype=float)
+        out = []
+        for x, j in zip(np.atleast_2d(X).tolist(), np.ravel(g).tolist()):
+            table = self.baseline[groups[j]]
+            if tuple(x) not in table:
+                raise DimensionMismatchError(
+                    f"covariate point {tuple(x)} not in baseline table for "
+                    f"group {groups[j]!r}")
+            out.append(table[tuple(x)])
+        return np.array(out, dtype=float).reshape(X.shape[:-1])
+
+    def _slopes(self, g, groups):
+        _used_labels(g, groups, self.beta)
+        per_group = [float(self.beta.get(label, math.nan)) for label in groups]
+        return np.array(per_group)[g]
 
     def dbar(self, x, group) -> float:
         """Baseline expected demand at zero price for one group or a mixture."""
         if isinstance(group, dict):
             return sum(w * self.dbar(x, g) for g, w in group.items())
-        if group not in self.beta:
-            raise UnknownGroupError(f"unknown group {group!r}")
-        if self.baseline_form == "linear":
-            intercept, coefs = self.baseline[group]
-            x = np.asarray(x, dtype=float).reshape(-1)
-            coefs = np.asarray(coefs, dtype=float).reshape(-1)
-            if coefs.size != x.size:
-                raise DimensionMismatchError(
-                    f"baseline expects {coefs.size} covariates, got {x.size}")
-            return float(intercept + coefs @ x)
-        key = tuple(float(v) for v in np.asarray(x, dtype=float).reshape(-1))
-        table = self.baseline[group]
-        if key not in table:
-            raise DimensionMismatchError(
-                f"covariate point {key} not in baseline table for group {group!r}")
-        return float(table[key])
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return float(self.baseline_rows(x, 0, (group,)))
 
     def slope(self, group) -> float:
         if isinstance(group, dict):
             return float(sum(w * self.slope(g) for g, w in group.items()))
-        if group not in self.beta:
-            raise UnknownGroupError(f"unknown group {group!r}")
-        return float(self.beta[group])
+        return float(self._slopes(0, (group,)))
+
+    def demand(self, X, g, p, groups) -> np.ndarray:
+        p = _check_price(self, p)
+        dbar = _along(self.baseline_rows(X, g, groups), p)
+        return dbar + _along(self._slopes(g, groups), p) * p
+
+    def gradient(self, X, g, p, groups) -> np.ndarray:
+        p = _check_price(self, p)
+        slopes = _along(self._slopes(g, groups), p)
+        return np.broadcast_to(slopes, np.broadcast_shapes(
+            np.shape(slopes), np.shape(p))).copy()
+
+    def curvature(self, X, g, p, groups) -> np.ndarray:
+        p = _check_price(self, p)
+        return np.zeros(np.shape(_along(np.zeros(np.shape(g)), p) + p))
 
 
 @dataclass
 class LogisticDemand:
-    """Take-up probability ``sigmoid(gamma . x + beta * p + intercept)``."""
+    """Take-up probability ``sigmoid(gamma . x + beta * p + intercept)``.
+
+    The kernels take ``g`` and ``groups`` like the other families and ignore
+    them."""
 
     gamma: np.ndarray
     beta: float
@@ -474,12 +599,25 @@ class LogisticDemand:
         self.beta = float(self.beta)
         self.intercept = float(self.intercept)
 
-    def linear_index(self, x, p) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.gamma.size:
+    def _sigmoid(self, X, p) -> np.ndarray:
+        p = _check_price(self, p)
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1] != self.gamma.size:
             raise DimensionMismatchError(
-                f"model expects {self.gamma.size} covariates, got {x.size}")
-        return float(self.gamma @ x + self.beta * p + self.intercept)
+                f"model expects {self.gamma.size} covariates, got {X.shape[-1]}")
+        index = _along(_row_dots(X, self.gamma), p) + self.beta * p
+        return expit(index + self.intercept)
+
+    def demand(self, X, g, p, groups) -> np.ndarray:
+        return self._sigmoid(X, p)
+
+    def gradient(self, X, g, p, groups) -> np.ndarray:
+        s = self._sigmoid(X, p)
+        return self.beta * s * (1.0 - s)
+
+    def curvature(self, X, g, p, groups) -> np.ndarray:
+        s = self._sigmoid(X, p)
+        return self.beta ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 @dataclass
@@ -508,24 +646,44 @@ class LatentValuationModel:
     def family(self) -> NoiseFamily:
         return NOISE_FAMILIES[self.noise]
 
+    def location_rows(self, X, g, groups) -> np.ndarray:
+        """``loc(x, a)`` of every row of ``X``."""
+        return _affine_rows(X, g, groups, self.loc, self.loc, "location")
+
     def location(self, x, group) -> float:
         if isinstance(group, dict):
             return sum(w * self.location(x, g) for g, w in group.items())
-        if group not in self.loc:
-            raise UnknownGroupError(f"unknown group {group!r}")
-        intercept, coefs = self.loc[group]
         x = np.asarray(x, dtype=float).reshape(-1)
-        coefs = np.asarray(coefs, dtype=float).reshape(-1)
-        if coefs.size != x.size:
-            raise DimensionMismatchError(
-                f"location expects {coefs.size} covariates, got {x.size}")
-        return float(intercept + coefs @ x)
+        return float(self.location_rows(x, 0, (group,)))
+
+    def _z(self, X, g, p, groups) -> np.ndarray:
+        p = _check_price(self, p)
+        return (p - _along(self.location_rows(X, g, groups), p)) / self.scale
+
+    def demand(self, X, g, p, groups) -> np.ndarray:
+        return self.family.sf(self._z(X, g, p, groups))
+
+    def gradient(self, X, g, p, groups) -> np.ndarray:
+        return -self.family.pdf(self._z(X, g, p, groups)) / self.scale
+
+    def curvature(self, X, g, p, groups) -> np.ndarray:
+        return (-self.family.pdf_prime(self._z(X, g, p, groups))
+                / self.scale ** 2)
 
 
 DemandModel = (PartiallyLinearDemand, LogisticDemand, LatentValuationModel)
 
 
-def _check_price(model, p) -> float:
+def _check_price(model, p):
+    """``p`` as a float, or as a float array for an array of prices; raises
+    for the first price that is not finite (or negative, except for
+    partially linear demand)."""
+    if not isinstance(p, float) and np.ndim(p):
+        p = np.asarray(p, dtype=float)
+        negative_ok = isinstance(model, PartiallyLinearDemand)
+        for first in p[~np.isfinite(p) | ((p < 0.0) & (not negative_ok))][:1]:
+            _check_price(model, first)
+        return p
     p = float(p)
     if not math.isfinite(p):
         raise InvalidRecordError("price must be finite")
@@ -534,70 +692,42 @@ def _check_price(model, p) -> float:
     return p
 
 
-def eval_demand(model, x, group, p) -> float:
-    """Model-scale expected demand at price ``p``.
+def _one_customer(kernel: str, model, x, group, p):
+    """``kernel`` of ``model`` for one customer: a float at a scalar price,
+    an array at an array of prices. A {label: weight} mixture sums its
+    groups' values (logistic demand takes no group)."""
+    p = _check_price(model, p)
+    if not isinstance(model, DemandModel):
+        raise TypeError(f"not a demand model: {type(model).__name__}")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    evaluate = getattr(model, kernel)
+    if isinstance(group, dict) and not isinstance(model, LogisticDemand):
+        out = sum((w * evaluate(x, 0, p, (g,)) for g, w in group.items()),
+                  np.zeros(np.shape(p)))
+    else:
+        out = evaluate(x, 0, p, (group,))
+    return float(out) if isinstance(p, float) else out
+
+
+def eval_demand(model, x, group, p):
+    """Model-scale expected demand at price ``p`` (a float, or an array of
+    prices for an array).
 
     ``group`` may be a label or a {label: weight} mixture (used for
     attribute-blind evaluation). Partially linear values are not clamped;
     logistic and latent values are probabilities by construction.
     """
-    p = _check_price(model, p)
-    if isinstance(model, PartiallyLinearDemand):
-        if isinstance(group, dict):
-            return float(sum(
-                w * (model.dbar(x, g) + model.beta[g] * p)
-                for g, w in group.items()))
-        return model.dbar(x, group) + model.slope(group) * p
-    if isinstance(model, LogisticDemand):
-        return float(expit(model.linear_index(x, p)))
-    if isinstance(model, LatentValuationModel):
-        if isinstance(group, dict):
-            return float(sum(w * eval_demand(model, x, g, p)
-                             for g, w in group.items()))
-        z = (p - model.location(x, group)) / model.scale
-        fam = model.family
-        if model.noise == "normal":
-            return float(ndtr(-z))
-        if model.noise == "logistic":
-            return float(expit(-z))
-        if model.noise == "gumbel":
-            return float(-np.expm1(-np.exp(-z)))
-        return float(1.0 - fam.cdf(z))
-    raise TypeError(f"not a demand model: {type(model).__name__}")
+    return _one_customer("demand", model, x, group, p)
 
 
-def demand_gradient(model, x, group, p) -> float:
+def demand_gradient(model, x, group, p):
     """Analytic d demand / d price at ``p`` (mixtures sum their components)."""
-    p = _check_price(model, p)
-    if isinstance(model, PartiallyLinearDemand):
-        return model.slope(group)
-    if isinstance(model, LogisticDemand):
-        s = expit(model.linear_index(x, p))
-        return float(model.beta * s * (1.0 - s))
-    if isinstance(model, LatentValuationModel):
-        if isinstance(group, dict):
-            return float(sum(w * demand_gradient(model, x, g, p)
-                             for g, w in group.items()))
-        z = (p - model.location(x, group)) / model.scale
-        return float(-model.family.pdf(z) / model.scale)
-    raise TypeError(f"not a demand model: {type(model).__name__}")
+    return _one_customer("gradient", model, x, group, p)
 
 
-def demand_curvature(model, x, group, p) -> float:
+def demand_curvature(model, x, group, p):
     """Analytic d^2 demand / d price^2 at ``p``."""
-    p = _check_price(model, p)
-    if isinstance(model, PartiallyLinearDemand):
-        return 0.0
-    if isinstance(model, LogisticDemand):
-        s = expit(model.linear_index(x, p))
-        return float(model.beta ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s))
-    if isinstance(model, LatentValuationModel):
-        if isinstance(group, dict):
-            return float(sum(w * demand_curvature(model, x, g, p)
-                             for g, w in group.items()))
-        z = (p - model.location(x, group)) / model.scale
-        return float(-model.family.pdf_prime(z) / model.scale ** 2)
-    raise TypeError(f"not a demand model: {type(model).__name__}")
+    return _one_customer("curvature", model, x, group, p)
 
 
 def sample_valuation(model: LatentValuationModel, x, group, rng) -> float:
@@ -630,15 +760,12 @@ def sample_demand_curve(model, x, group, prices, rng) -> np.ndarray:
     probabilistic families) is shared, so the result is nonincreasing in
     price by construction.
     """
-    prices = np.asarray(prices, dtype=float).reshape(-1)
-    for p in prices:
-        _check_price(model, p)
+    prices = _check_price(model, np.asarray(prices, dtype=float).reshape(-1))
     if isinstance(model, LatentValuationModel):
         v = sample_valuation(model, x, group, rng)
         return (v >= prices).astype(int)
     u = rng.random()
-    rates = np.array([
-        min(1.0, max(0.0, eval_demand(model, x, group, p))) for p in prices])
+    rates = np.clip(eval_demand(model, x, group, prices), 0.0, 1.0)
     return (u < rates).astype(int)
 
 

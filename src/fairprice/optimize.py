@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import eval_demand
 from .errors import (
     DegenerateDemandError,
     MissingFieldError,
     PreconditionError,
     UpwardSlopeError,
 )
+from .policies import price_cells
+from .util import seqsum
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,6 +73,10 @@ def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
     """Maximize ``(p - shift) * curve(p)`` over the interval.
 
     ``curve`` maps price to model-scale demand; ``shift`` is a unit cost.
+    It is called once on the whole price array of each grid below, where a
+    scalar return broadcasts, and on single prices while golden section
+    refines; a curve that only takes single prices (raising TypeError or
+    ValueError on an array) is evaluated point by point instead.
     A coarse 64-point probe first rejects curves with no positive revenue
     anywhere on the interval. With ``unimodal=True`` the search is a single
     golden-section pass; otherwise a dense grid locates the best bracket and
@@ -83,15 +88,21 @@ def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
     def objective(p):
         return (p - shift) * curve(p)
 
+    def objective_on(grid):
+        try:
+            return objective(grid)
+        except (TypeError, ValueError):
+            return np.array([objective(p) for p in grid])
+
     probe = np.linspace(interval.lo, interval.hi, 64)
-    probe_vals = np.array([objective(p) for p in probe])
+    probe_vals = objective_on(probe)
     if not np.any(probe_vals > 0.0):
         raise DegenerateDemandError(
             "objective is nonpositive across the whole price interval")
     if unimodal:
         return golden_section_max(objective, interval.lo, interval.hi, tol)
     grid = np.linspace(interval.lo, interval.hi, interval.grid_n)
-    vals = np.array([objective(p) for p in grid])
+    vals = objective_on(grid)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
@@ -135,35 +146,21 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
         raise MissingFieldError(
             "outcome_weight is nonzero but no outcome model was given")
 
-    rows = []  # (joint weight, group, x, price)
-    if population.support is not None and population.membership is not None:
-        joint = population.joint_weights()
-        for i, x in enumerate(population.support):
-            for k, g in enumerate(population.groups):
-                w = float(joint[i, k])
-                if w > 0.0:
-                    rows.append((w, g, x, policy.price(x, g)))
-    elif population.records:
-        rows = [(w, g, x, policy.price(x, g))
-                for w, g, x in population.records.cells()]
-    else:
-        raise MissingFieldError("population has neither support nor records")
-
-    revenue = 0.0
-    margin = 0.0
+    cells = population.cells()
+    p = price_cells(policy, cells, population.support)
+    d = model.demand(cells.X, cells.g, p, cells.groups)
+    w = cells.mass
+    revenue = seqsum(w * p * d)
+    margin = seqsum(w * (p - weights.unit_cost) * d)
+    group_mass, group_demand, group_price = {}, {}, {}
+    for k, g in enumerate(population.groups):
+        group_mass[g], group_demand[g], group_price[g] = cells.totals(
+            k, w, w * d, w * p)
     outcome_mean = 0.0
-    group_mass = {g: 0.0 for g in population.groups}
-    group_demand = {g: 0.0 for g in population.groups}
-    group_price = {g: 0.0 for g in population.groups}
-    for w, g, x, p in rows:
-        d = eval_demand(model, x, g, p)
-        revenue += w * p * d
-        margin += w * (p - weights.unit_cost) * d
-        group_mass[g] += w
-        group_demand[g] += w * d
-        group_price[g] += w * p
-        if outcome is not None:
-            outcome_mean += w * float(outcome(x, g, p))
+    if outcome is not None:
+        outcome_mean = seqsum(w * np.array(
+            [float(outcome(x, g, q)) for x, g, q in zip(
+                cells.X, cells.labels, p.tolist())]))
 
     access = sum(group_demand[g] / group_mass[g]
                  for g in population.groups if group_mass[g] > 0.0)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .demand import PartiallyLinearDemand, Population, eval_demand
+from .demand import Cells, PartiallyLinearDemand, Population
 from .errors import (
     MissingFieldError,
     MissingSupportError,
@@ -30,8 +31,8 @@ from .errors import (
     UnknownGroupError,
     UpwardSlopeError,
 )
-from .policies import TabularPolicy
-from .util import json_dumps_stable
+from .policies import TabularPolicy, price_cells, table_rows
+from .util import json_dumps_stable, seqsum
 
 ATTRIBUTE_BASED = "attribute_based"
 ATTRIBUTE_BLIND = "attribute_blind"
@@ -84,19 +85,19 @@ class ParitySolution:
     def policy(self) -> TabularPolicy:
         return TabularPolicy(support=self.support, table=dict(self.prices))
 
+    @cached_property
+    def _policy(self) -> TabularPolicy:
+        return self.policy()
+
     def price(self, x, a=None) -> float:
-        return self.policy().price(x, a)
+        return self._policy.price(x, a)
 
     def price_batch(self, X, groups) -> np.ndarray:
-        return self.policy().price_batch(X, groups)
+        return self._policy.price_batch(X, groups)
 
-    def to_json(self) -> str:
-        rows = []
-        for (idx, group), price in sorted(
-                self.prices.items(),
-                key=lambda kv: (kv[0][0], kv[0][1] or "")):
-            rows.append({"x_index": idx, "group": group, "price": price})
-        payload = {
+    def to_dict(self) -> dict:
+        """JSON-ready description; an infinite ``gamma`` stays a float."""
+        return {
             "mode": self.mode,
             "gamma": self.gamma,
             "lambda_star": self.lambda_star,
@@ -104,9 +105,11 @@ class ParitySolution:
             "oriented_groups": list(self.oriented_groups),
             "unconstrained_disparity": self.unconstrained_disparity,
             "achieved_disparity": self.achieved_disparity,
-            "prices": rows,
+            "prices": table_rows(self.prices),
         }
-        return json_dumps_stable(payload)
+
+    def to_json(self) -> str:
+        return json_dumps_stable(self.to_dict())
 
 
 def _check_parity_inputs(model, population, gamma):
@@ -132,6 +135,15 @@ def _check_parity_inputs(model, population, gamma):
     return gamma
 
 
+def _dbar_matrix(model, population) -> np.ndarray:
+    """``dbar(x_i, g)`` of every support point and group, (n_support, n_groups)."""
+    support, groups = population.support, population.groups
+    n, k = support.shape[0], len(groups)
+    dbar = model.baseline_rows(np.repeat(support, k, axis=0),
+                               np.tile(np.arange(k), n), groups)
+    return dbar.reshape(n, k)
+
+
 def _oriented_weights(population, positive_group):
     return {g: parity_weight(population.rho, g, positive_group)
             for g in population.groups}
@@ -151,7 +163,7 @@ def solve_attribute_based_parity(model: PartiallyLinearDemand,
     support = population.support
     joint = population.joint_weights()
     groups = population.groups
-    dbar = np.array([[model.dbar(x, g) for g in groups] for x in support])
+    dbar = _dbar_matrix(model, population)
     beta = np.array([model.beta[g] for g in groups])
 
     def solve_for(positive_group):
@@ -205,7 +217,7 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
     masses = population.masses
     memb = population.membership
     groups = population.groups
-    dbar_xa = np.array([[model.dbar(x, g) for g in groups] for x in support])
+    dbar_xa = _dbar_matrix(model, population)
     beta = np.array([model.beta[g] for g in groups])
     betabar = memb @ beta
     dbar_x = np.sum(memb * dbar_xa, axis=1)
@@ -247,22 +259,10 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
 
 def expected_revenue(policy, model, population) -> float:
     """E[P * D] for a policy, over the support when present, else records."""
-    total = 0.0
-    if population.support is not None and population.membership is not None:
-        joint = population.joint_weights()
-        for i, x in enumerate(population.support):
-            for k, g in enumerate(population.groups):
-                w = float(joint[i, k])
-                if w > 0.0:
-                    p = policy.price(x, g)
-                    total += w * p * eval_demand(model, x, g, p)
-        return total
-    if not population.records:
-        raise MissingFieldError("population has neither support nor records")
-    for w, g, x in population.records.cells():
-        p = policy.price(x, g)
-        total += w * p * eval_demand(model, x, g, p)
-    return total
+    cells = population.cells()
+    p = price_cells(policy, cells, population.support)
+    d = model.demand(cells.X, cells.g, p, cells.groups)
+    return seqsum(cells.mass * p * d)
 
 
 def policy_disparity(policy, population) -> float:
@@ -272,10 +272,14 @@ def policy_disparity(policy, population) -> float:
     if len(population.groups) != 2:
         raise PreconditionError("policy disparity is defined for two groups")
     joint = population.joint_weights()
+    support = population.support
+    n = support.shape[0]
     means = []
-    for k, g in enumerate(population.groups):
+    for k in range(2):
         w = joint[:, k]
-        prices = np.array([policy.price(x, g) for x in population.support])
+        every_point = Cells(w, np.full(n, k), support, np.arange(n),
+                            population.groups)
+        prices = price_cells(policy, every_point, support)
         means.append(float(w @ prices / w.sum()))
     return means[0] - means[1]
 
@@ -302,9 +306,7 @@ def revenue_loss_bound(model: PartiallyLinearDemand,
     actual = (expected_revenue(based.policy(), model, population)
               - expected_revenue(blind.policy(), model, population))
     joint = population.joint_weights()
-    groups = population.groups
-    dbar_xa = np.array([[model.dbar(x, g) for g in groups]
-                        for x in population.support])
+    dbar_xa = _dbar_matrix(model, population)
     memb = population.membership
     dbar_x = np.sum(memb * dbar_xa, axis=1)
     second_moment_xa = float(np.sum(joint * dbar_xa ** 2))
@@ -389,7 +391,7 @@ def compare_parity_modes(model: PartiallyLinearDemand,
         raise PreconditionError(
             "mode comparison needs a price slope shared across groups")
     beta = betas[0]
-    dbar_xa = np.array([[model.dbar(x, g) for g in groups] for x in support])
+    dbar_xa = _dbar_matrix(model, population)
     if float(np.max(np.abs(dbar_xa[:, 0] - dbar_xa[:, 1]))) > 1e-9:
         raise PreconditionError(
             "mode comparison needs a baseline free of the group label")

@@ -11,11 +11,16 @@ reloaded by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, MissingFieldError, UnknownGroupError
+
+# a row matches a support point within this distance in every coordinate
+_MATCH_TOL = 1e-9
+# (row, support point) pairs compared at once by TabularPolicy._match
+_MATCH_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,9 @@ class TabularPolicy:
 
     ``table`` maps ``(support_index, group_label)`` to a price; a key with
     group ``None`` serves as the attribute-blind price for that support
-    point and is the fallback when the requested group has no entry.
+    point and is the fallback when the requested group has no entry. A
+    covariate row is priced at the first support point within 1e-9 of it in
+    every coordinate.
     """
 
     support: np.ndarray
@@ -73,14 +80,28 @@ class TabularPolicy:
             raise DimensionMismatchError(
                 f"policy support has {self.support.shape[1]} covariates, "
                 f"got {x.size}")
-        hits = np.where(np.all(np.abs(self.support - x) <= 1e-9, axis=1))[0]
+        hits = np.where(np.all(np.abs(self.support - x) <= _MATCH_TOL, axis=1))[0]
         if hits.size == 0:
             raise DimensionMismatchError(
                 f"covariate point {tuple(x)} is not on the policy support")
         return int(hits[0])
 
-    def price(self, x, a=None) -> float:
-        idx = self._locate(x)
+    def _match(self, X) -> np.ndarray:
+        """``_locate`` of every row of ``X``, -1 where a row is off the
+        support. Each distinct row is compared with every support point, a
+        block of rows at a time, so no (rows, support) array is built."""
+        rows, row_of = np.unique(X, axis=0, return_inverse=True)
+        hit = np.full(len(rows), -1, dtype=np.intp)
+        step = max(1, _MATCH_BLOCK // max(1, len(self.support)))
+        for lo in range(0, len(rows), step):
+            near = np.ones((len(rows[lo:lo + step]), len(self.support)), bool)
+            for c in range(self.support.shape[1]):
+                near &= (np.abs(self.support[:, c] - rows[lo:lo + step, c, None])
+                         <= _MATCH_TOL)
+            hit[lo:lo + step] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+        return hit[row_of.reshape(-1)]
+
+    def _entry(self, idx: int, a) -> float:
         if a is not None and (idx, a) in self.table:
             return float(self.table[(idx, a)])
         if (idx, None) in self.table:
@@ -88,16 +109,48 @@ class TabularPolicy:
         raise UnknownGroupError(
             f"no price for support point {idx} and group {a!r}")
 
-    def price_batch(self, X, groups) -> np.ndarray:
-        # one ``price`` call per distinct (row, group) pair, taken in order of
-        # first appearance so that an error names the first failing record
-        X = np.asarray(X, dtype=float)
-        _, first, row_of = np.unique(X, axis=0, return_index=True,
-                                     return_inverse=True)
-        pairs = list(zip(row_of.reshape(-1).tolist(), groups))
-        by_pair = {(r, a): self.price(X[first[r]], a)
-                   for r, a in dict.fromkeys(pairs)}
+    def price(self, x, a=None) -> float:
+        return self._entry(self._locate(x), a)
+
+    def price_at(self, index, groups) -> np.ndarray:
+        """Prices of support points ``index`` for the labels ``groups``.
+
+        One table lookup per distinct (index, label) pair, in order of first
+        appearance, so an error names the first failing row.
+        """
+        pairs = list(zip(np.asarray(index).tolist(), groups))
+        by_pair = {pair: self._entry(*pair) for pair in dict.fromkeys(pairs)}
         return np.fromiter(map(by_pair.__getitem__, pairs), float, len(pairs))
+
+    def price_batch(self, X, groups) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if not len(X):
+            return np.zeros(0)
+        if X.shape[1] != self.support.shape[1]:
+            raise DimensionMismatchError(
+                f"policy support has {self.support.shape[1]} covariates, "
+                f"got {X.shape[1]}")
+        index = self._match(X)
+        off = np.flatnonzero(index < 0)
+        if off.size:
+            # a lookup failing on an earlier row is the first error
+            self.price_at(index[:off[0]], list(groups)[:off[0]])
+            raise DimensionMismatchError(
+                f"covariate point {tuple(X[off[0]])} is not on the policy support")
+        return self.price_at(index, groups)
+
+
+def price_cells(policy, cells, support) -> np.ndarray:
+    """Prices of population cells (see ``Population.cells``).
+
+    A TabularPolicy on the cells' own ``support`` is read by support index,
+    since a support cell is its own support point; every other policy
+    prices the cell rows with ``price_batch``.
+    """
+    if (isinstance(policy, TabularPolicy) and cells.index is not None
+            and np.array_equal(policy.support, support)):
+        return policy.price_at(cells.index, cells.labels)
+    return policy.price_batch(cells.X, cells.labels)
 
 
 @dataclass
@@ -151,6 +204,14 @@ def policy_from_flat(vector, clip_lo, clip_hi) -> LinearPolicy:
                         clip_lo=clip_lo, clip_hi=clip_hi)
 
 
+def table_rows(table: dict) -> list:
+    """A ``(support_index, group) -> price`` table as JSON rows, ordered by
+    support index, then group label (the blind ``None`` entry first)."""
+    return [{"x_index": idx, "group": group, "price": float(price)}
+            for (idx, group), price in sorted(
+                table.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
+
+
 def policy_to_dict(policy) -> dict:
     """JSON-ready description of any of the built-in policy classes."""
     if isinstance(policy, ConstantPolicy):
@@ -160,12 +221,9 @@ def policy_to_dict(policy) -> dict:
                 "prices": {g: float(v) for g, v in policy.prices.items()},
                 "default": policy.default}
     if isinstance(policy, TabularPolicy):
-        rows = [{"x_index": idx, "group": group, "price": float(price)}
-                for (idx, group), price in sorted(
-                    policy.table.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
         return {"kind": "tabular",
                 "support": [[float(v) for v in row] for row in policy.support],
-                "prices": rows}
+                "prices": table_rows(policy.table)}
     if isinstance(policy, LinearPolicy):
         return {"kind": "linear", "intercept": float(policy.intercept),
                 "theta": [float(v) for v in policy.theta],

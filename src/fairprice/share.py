@@ -9,7 +9,6 @@ therefore lowers prices; a negative one acts as a tax and raises them.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -113,7 +112,7 @@ def solve_share_price(model, x, group, ell: float) -> float:
     hi0 = max(center + _BRACKET_SIGMAS * spread,
               lo_min + _BRACKET_SIGMAS * spread)
     grid = np.linspace(lo_min, hi0, _GRID_POINTS)
-    vals = np.array([objective(p) for p in grid])
+    vals = objective(grid)
     if not np.any(vals > 0.0):
         raise DegenerateDemandError(
             "subsidized revenue is nonpositive everywhere in the price range")
@@ -229,32 +228,18 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
     expected revenue. Returns a list of row dicts, one per (weight, group).
     """
     rows = []
-    if population.support is not None and population.membership is not None:
-        joint = population.joint_weights()
-        cells = [(float(joint[i, k]), g, population.support[i])
-                 for i in range(population.support.shape[0])
-                 for k, g in enumerate(population.groups)]
-    elif population.records:
-        cells = population.records.cells()
-    else:
-        raise MissingFieldError("population has neither support nor records")
-
+    cells = population.cells()
+    labels = cells.labels
+    m = cells.mass
     for w in np.asarray(weights, dtype=float).reshape(-1):
         penalty = SharePenalty(weight=float(w), scope=scope, group=group)
-        stats = {g: [0.0, 0.0, 0.0, 0.0] for g in population.groups}
-        for mass, g, x in cells:
-            if mass <= 0.0:
-                continue
-            ell = penalty.effective(population.rho, g)
-            p = solve_share_price(model, x, g, ell)
-            d = eval_demand(model, x, g, p)
-            acc = stats[g]
-            acc[0] += mass
-            acc[1] += mass * p
-            acc[2] += mass * d
-            acc[3] += mass * p * d
-        for g in population.groups:
-            mass, psum, dsum, rsum = stats[g]
+        ell = {g: penalty.effective(population.rho, g)
+               for g in dict.fromkeys(labels)}
+        p = np.array([solve_share_price(model, x, g, ell[g])
+                      for x, g in zip(cells.X, labels)])
+        d = model.demand(cells.X, cells.g, p, cells.groups)
+        for k, g in enumerate(population.groups):
+            mass, psum, dsum, rsum = cells.totals(k, m, m * p, m * d, m * p * d)
             if mass <= 0.0:
                 continue
             rows.append({

@@ -50,8 +50,14 @@ from .errors import (
     MissingFieldError,
 )
 from .optimize import PriceInterval, maximize_revenue_1d
-from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
-from .util import fmt_float
+from .policies import (
+    ConstantPolicy,
+    GroupPolicy,
+    LinearPolicy,
+    TabularPolicy,
+    price_cells,
+)
+from .util import fmt_float, seqsum
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +298,15 @@ class ScenarioConfig:
         config.build_model()  # validate model parameters eagerly
         return config
 
-    def membership_prob(self, x) -> float:
-        """P(first group | x) from the logit membership rule."""
+    def membership_prob(self, x):
+        """P(first group | x) from the logit membership rule: a float for
+        one covariate vector, an array for the rows of a matrix."""
+        x = np.asarray(x, dtype=float)
         z = self.membership_intercept
         for name, coef in self.membership_coefs.items():
-            z += coef * x[self.covariate_names.index(name)]
-        return float(expit(z))
+            z = z + coef * x[..., self.covariate_names.index(name)]
+        q = expit(z)
+        return float(q) if x.ndim == 1 else q
 
     def build_model(self):
         names = self.covariate_names
@@ -329,12 +338,8 @@ def _exact_support(config: ScenarioConfig):
         points.append([value for value, _ in combo])
         masses.append(math.prod(prob for _, prob in combo))
     support = np.asarray(points, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    membership = np.zeros((support.shape[0], 2))
-    for i, x in enumerate(support):
-        q = config.membership_prob(x)
-        membership[i] = (q, 1.0 - q)
-    return support, masses, membership
+    q = config.membership_prob(support)
+    return support, np.asarray(masses, dtype=float), np.column_stack([q, 1.0 - q])
 
 
 def generate_population(config: ScenarioConfig, rng) -> Population:
@@ -346,22 +351,26 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     probabilities of the generating process.
     """
     model = config.build_model()
+    latent = config.demand_kind == "latent"
     width = max(6, len(str(config.n)))
     ids = [f"r{i:0{width}d}" for i in range(config.n)]
-    rows, groups = [], []
-    values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
-    valuation = values[:, CSV_TRAILING_COLUMNS.index("valuation")]
+    # the loop only draws, in the generator's order; the draws are turned
+    # into groups and valuations afterwards, all rows at once
+    X = np.empty((config.n, len(config.covariates)))
+    u, eps = np.empty(config.n), np.empty(config.n)
     for i in range(config.n):
-        x = np.array([spec.sample(rng) for spec in config.covariates])
-        q = config.membership_prob(x)
-        group = config.groups[0] if rng.random() < q else config.groups[1]
-        if config.demand_kind == "latent":
-            eps = float(model.family.sample(rng))
-            valuation[i] = model.location(x, group) + model.scale * eps
-        rows.append(x)
-        groups.append(group)
+        X[i] = [spec.sample(rng) for spec in config.covariates]
+        u[i] = rng.random()
+        if latent:
+            eps[i] = model.family.sample(rng)
+    code = np.where(u < config.membership_prob(X), 0, 1)
+    groups = np.array(config.groups)[code]
+    values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
+    if latent:
+        values[:, CSV_TRAILING_COLUMNS.index("valuation")] = (
+            model.location_rows(X, code, config.groups) + model.scale * eps)
     records = RecordTable.from_arrays(
-        ids, groups, np.array(rows), values, ~np.isnan(values),
+        ids, groups, X, values, ~np.isnan(values),
         lambda i: f"record {ids[i]}")
     if config.all_discrete:
         support, masses, membership = _exact_support(config)
@@ -369,7 +378,7 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
                           support=support, masses=masses,
                           membership=membership, unit_cost=config.unit_cost)
     total = len(records)
-    rho = {g: groups.count(g) / total for g in config.groups}
+    rho = {g: int(np.sum(groups == g)) / total for g in config.groups}
     if min(rho.values()) == 0.0:
         # keep priors valid even if a tiny sample missed a group entirely
         rho = {g: max(v, 1.0 / (2 * total)) for g, v in rho.items()}
@@ -505,16 +514,8 @@ def read_records_csv(path) -> RecordTable:
 # ---------------------------------------------------------------------------
 
 
-def _population_cells(population: Population):
-    if population.support is not None and population.membership is not None:
-        joint = population.joint_weights()
-        return [(float(joint[i, k]), g, population.support[i])
-                for i in range(population.support.shape[0])
-                for k, g in enumerate(population.groups)
-                if joint[i, k] > 0.0]
-    if not population.records:
-        raise MissingFieldError("population has neither support nor records")
-    return population.records.cells()
+# cells x prices evaluated at once by the aggregated demand curves
+_CURVE_BLOCK = 1 << 12
 
 
 def _histogram(prices, weights, lo, hi, bins=25):
@@ -538,87 +539,74 @@ def run_pricing_experiment(model, population: Population,
     histogram}.
     """
     cost = population.unit_cost if unit_cost is None else float(unit_cost)
-    cells = _population_cells(population)
+    cells = population.cells()
+    labels = cells.labels.tolist()
+    w = cells.mass
 
-    def aggregate(curve_cells):
+    def aggregate(rows):
+        """Mass-weighted demand of the cells ``rows``, added cell by cell."""
+        X, g, mass = cells.X[rows], cells.g[rows], w[rows]
+
         def curve(p):
-            return sum(w * eval_demand(model, x, g, p)
-                       for w, g, x in curve_cells)
+            p = np.asarray(p, dtype=float)
+            total = np.zeros(p.shape)
+            step = max(1, _CURVE_BLOCK // max(p.size, 1))
+            for lo in range(0, len(mass), step):
+                part = slice(lo, lo + step)
+                d = model.demand(X[part], g[part], p[None], cells.groups)
+                terms = (mass[part] if p.ndim == 0 else mass[part][:, None]) * d
+                # continuing the running sum from the total so far adds the
+                # cells one by one, in cell order, as a Python sum would
+                total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
+            return total
         return curve
+
+    def cell_price(j):
+        def curve(p):
+            return eval_demand(model, cells.X[j], labels[j], p)
+        return maximize_revenue_1d(curve, interval, shift=cost)[0]
 
     out = {}
 
-    uniform_price, _ = maximize_revenue_1d(aggregate(cells), interval,
+    uniform_price, _ = maximize_revenue_1d(aggregate(slice(None)), interval,
                                            shift=cost)
     out["uniform"] = ConstantPolicy(uniform_price)
 
+    present = sorted(set(labels))
     group_prices = {}
-    for g in sorted({c[1] for c in cells}):
-        sub = [c for c in cells if c[1] == g]
-        price, _ = maximize_revenue_1d(aggregate(sub), interval, shift=cost)
+    for g in present:
+        price, _ = maximize_revenue_1d(aggregate(cells.labels == g), interval,
+                                       shift=cost)
         group_prices[g] = price
     out["group"] = GroupPolicy(prices=group_prices)
 
-    if population.support is not None and population.membership is not None:
-        table = {}
-        joint = population.joint_weights()
-        for i, x in enumerate(population.support):
-            for k, g in enumerate(population.groups):
-                if joint[i, k] > 0.0:
-                    def cell_curve(p, x=x, g=g):
-                        return eval_demand(model, x, g, p)
-                    price, _ = maximize_revenue_1d(cell_curve, interval,
-                                                   shift=cost)
-                    table[(i, g)] = price
-        out["personalized"] = TabularPolicy(support=population.support,
-                                            table=table)
+    if cells.index is not None:
+        index, support = cells.index.tolist(), population.support
     else:
-        # record-level personalization: memoize identical (x, g) cells
-        cache = {}
-        support_rows = []
-        table = {}
-        for w, g, x in cells:
-            key = (tuple(float(v) for v in x), g)
-            if key not in cache:
-                def cell_curve(p, x=x, g=g):
-                    return eval_demand(model, x, g, p)
-                price, _ = maximize_revenue_1d(cell_curve, interval,
-                                               shift=cost)
-                cache[key] = price
+        # record cells: one solve per distinct (x, g), the distinct rows
+        # numbered in order of first appearance
         seen = {}
-        for (xt, g), price in cache.items():
-            if xt not in seen:
-                seen[xt] = len(support_rows)
-                support_rows.append(list(xt))
-            table[(seen[xt], g)] = price
-        out["personalized"] = TabularPolicy(
-            support=np.asarray(support_rows), table=table)
+        index = [seen.setdefault(tuple(x), len(seen)) for x in cells.X.tolist()]
+        support = np.asarray(list(seen))
+    table = {}
+    for j, i in enumerate(index):
+        if (i, labels[j]) not in table:
+            table[(i, labels[j])] = cell_price(j)
+    out["personalized"] = TabularPolicy(support=support, table=table)
 
     report = {}
     for mode, policy in out.items():
-        revenue = 0.0
-        margin = 0.0
-        stats = {}
-        prices, weights = [], []
-        for w, g, x in cells:
-            p = policy.price(x, g)
-            d = eval_demand(model, x, g, p)
-            revenue += w * p * d
-            margin += w * (p - cost) * d
-            acc = stats.setdefault(g, [0.0, 0.0, 0.0])
-            acc[0] += w
-            acc[1] += w * d
-            acc[2] += w * p
-            prices.append(p)
-            weights.append(w)
+        p = price_cells(policy, cells, population.support)
+        d = model.demand(cells.X, cells.g, p, cells.groups)
+        stats = {g: cells.totals(cells.groups.index(g), w, w * d, w * p)
+                 for g in present}
         report[mode] = {
             "policy": policy,
-            "revenue": float(revenue),
-            "margin": float(margin),
-            "access": {g: s[1] / s[0] for g, s in sorted(stats.items())},
-            "price_mean": {g: s[2] / s[0] for g, s in sorted(stats.items())},
-            "histogram": _histogram(prices, weights, interval.lo,
-                                    interval.hi),
+            "revenue": seqsum(w * p * d),
+            "margin": seqsum(w * (p - cost) * d),
+            "access": {g: s[1] / s[0] for g, s in stats.items()},
+            "price_mean": {g: s[2] / s[0] for g, s in stats.items()},
+            "histogram": _histogram(p, w, interval.lo, interval.hi),
         }
     return report
 

@@ -7,10 +7,22 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form, '' for None. Used by every CSV writer."""
     return "" if x is None else repr(float(x))
+
+
+def seqsum(terms):
+    """``terms`` added in index order from 0.0, as a ``total += t`` loop adds
+    them (numpy's ``sum`` adds pairwise and rounds differently): a float for
+    a 1-D array, column totals for a 2-D one."""
+    running = np.cumsum(np.asarray(terms, dtype=float), axis=0)
+    # the last running sum (zeros for no terms); + 0.0 turns -0.0 into 0.0
+    total = running[-1:].sum(axis=0) + 0.0
+    return float(total) if total.ndim == 0 else total
 
 
 def _jsonable(obj):

@@ -188,3 +188,246 @@ def loop_weighted_mean(values, weights):
     num = sum(v * w for v, w in zip(values, weights))
     den = sum(weights)
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# population-cell loops: one scalar price and demand call per cell
+# ---------------------------------------------------------------------------
+#
+# Cell-by-cell reference loops, written against the scalar API only
+# (``policy.price``, ``fp.eval_demand``, ``model.dbar`` and the like) and
+# accumulating in cell order, so an array path that keeps the order matches
+# them bit for bit.
+
+import fairprice as fp  # noqa: E402
+
+_GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
+
+
+def loop_cells(population):
+    """``(mass, support index or None, group, x)`` per positive-mass cell."""
+    if population.support is not None and population.membership is not None:
+        joint = population.joint_weights()
+        return [(float(joint[i, k]), i, g, population.support[i])
+                for i in range(population.support.shape[0])
+                for k, g in enumerate(population.groups)
+                if joint[i, k] > 0.0]
+    records = population.records
+    total = sum(records.weight.tolist())
+    return [(w / total, None, records.labels[c], x)
+            for w, c, x in zip(records.weight.tolist(), records.codes.tolist(),
+                               records.X)]
+
+
+def loop_expected_revenue(policy, model, population):
+    total = 0.0
+    for w, _, g, x in loop_cells(population):
+        p = policy.price(x, g)
+        total += w * p * fp.eval_demand(model, x, g, p)
+    return total
+
+
+def loop_access(policy, model, population):
+    stats = {g: [0.0, 0.0, 0.0] for g in population.groups}
+    for w, _, g, x in loop_cells(population):
+        p = policy.price(x, g)
+        d = fp.eval_demand(model, x, g, p)
+        stats[g][0] += w
+        stats[g][1] += w * d
+        stats[g][2] += w * p
+    return {g: {"access": s[1] / s[0], "price_mean": s[2] / s[0],
+                "weight": s[0]}
+            for g, s in stats.items() if s[0] > 0.0}
+
+
+def loop_policy_disparity(policy, population):
+    joint = population.joint_weights()
+    means = []
+    for k, g in enumerate(population.groups):
+        w = joint[:, k]
+        prices = np.array([policy.price(x, g) for x in population.support])
+        means.append(float(w @ prices / w.sum()))
+    return means[0] - means[1]
+
+
+def loop_golden_max(f, lo, hi, tol):
+    a, b = float(lo), float(hi)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return max([(x, f(x)), (lo, f(lo)), (hi, f(hi))], key=lambda t: t[1])
+
+
+def loop_maximize_revenue(curve, lo, hi, grid_n, shift, tol=1e-8):
+    """Grid then golden section, one ``curve`` call per price."""
+    def objective(p):
+        return (p - shift) * curve(p)
+
+    probe = np.array([objective(p) for p in np.linspace(lo, hi, 64)])
+    assert np.any(probe > 0.0)
+    grid = np.linspace(lo, hi, grid_n)
+    vals = np.array([objective(p) for p in grid])
+    k = int(np.argmax(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    if a == b:
+        return float(grid[k])
+    return loop_golden_max(objective, a, b, tol)[0]
+
+
+def loop_share_price(model, x, group, ell):
+    """Subsidized-revenue price: 2001-point grid, one demand call per point,
+    then safeguarded Newton on the first-order condition."""
+    if isinstance(model, fp.PartiallyLinearDemand):
+        return -model.dbar(x, group) / (2.0 * model.slope(group)) - ell / 2.0
+    if isinstance(model, fp.LatentValuationModel):
+        center, spread = model.location(x, group), model.scale
+    else:
+        spread = 1.0 / abs(model.beta)
+        x = np.asarray(x, dtype=float)
+        center = max(-(model.gamma @ x + model.intercept) / model.beta, 0.0)
+    lo_min = max(0.0, -ell) + (1e-9 if ell < 0.0 else 0.0)
+
+    def objective(p):
+        return (p + ell) * fp.eval_demand(model, x, group, p)
+
+    def foc(p):
+        return (fp.eval_demand(model, x, group, p)
+                + (p + ell) * fp.demand_gradient(model, x, group, p))
+
+    grid = np.linspace(lo_min, max(center + 10.0 * spread,
+                                   lo_min + 10.0 * spread), 2001)
+    p0 = float(grid[int(np.argmax([objective(p) for p in grid]))])
+    lo, hi = max(lo_min, p0 - 10.0 * spread), p0 + 10.0 * spread
+    fa = foc(lo)
+    if fa * foc(hi) > 0.0:
+        return float(loop_golden_max(objective, lo, hi, 1e-10)[0])
+    a, b = lo, hi
+    p = p0 if lo < p0 < hi else 0.5 * (a + b)
+    for _ in range(200):
+        fp_ = foc(p)
+        if fp_ == 0.0:
+            return float(p)
+        if (fp_ > 0.0) == (fa > 0.0):
+            a, fa = p, fp_
+        else:
+            b = p
+        if b - a < 1e-12 * max(1.0, abs(p)):
+            return float(0.5 * (a + b))
+        slope = (2.0 * fp.demand_gradient(model, x, group, p)
+                 + (p + ell) * fp.demand_curvature(model, x, group, p))
+        if slope != 0.0 and a < p - fp_ / slope < b:
+            p = p - fp_ / slope
+            continue
+        p = 0.5 * (a + b)
+    raise AssertionError("no convergence")
+
+
+def loop_share_frontier(model, population, weights, scope="population",
+                        group=None):
+    rows = []
+    for wt in weights:
+        penalty = fp.SharePenalty(weight=float(wt), scope=scope, group=group)
+        stats = {g: [0.0, 0.0, 0.0, 0.0] for g in population.groups}
+        for m, _, g, x in loop_cells(population):
+            p = loop_share_price(model, x, g,
+                                 penalty.effective(population.rho, g))
+            d = fp.eval_demand(model, x, g, p)
+            acc = stats[g]
+            acc[0] += m
+            acc[1] += m * p
+            acc[2] += m * d
+            acc[3] += m * p * d
+        rows += [{"weight": float(wt), "group": g, "price_mean": s[1] / s[0],
+                  "access": s[2] / s[0], "revenue": s[3] / s[0]}
+                 for g, s in stats.items() if s[0] > 0.0]
+    return rows
+
+
+def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
+                            cost=0.0):
+    """Uniform, per-group and per-cell prices, then revenue, margin, access
+    and mean price per scheme; histograms are left out."""
+    cells = loop_cells(population)
+
+    def curve_of(sub):
+        return lambda p: sum(w * fp.eval_demand(model, x, g, p)
+                             for w, _, g, x in sub)
+
+    prices = {"uniform": {}, "group": {}, "personalized": {}}
+    uniform = loop_maximize_revenue(curve_of(cells), lo, hi, grid_n, cost)
+    for g in sorted({c[2] for c in cells}):
+        sub = [c for c in cells if c[2] == g]
+        prices["group"][g] = loop_maximize_revenue(curve_of(sub), lo, hi,
+                                                   grid_n, cost)
+    for j, (_, _, g, x) in enumerate(cells):
+        key = (tuple(float(v) for v in x), g)
+        if key not in prices["personalized"]:
+            prices["personalized"][key] = loop_maximize_revenue(
+                lambda p, x=x, g=g: fp.eval_demand(model, x, g, p),
+                lo, hi, grid_n, cost)
+    price_of = {
+        "uniform": lambda x, g: uniform,
+        "group": lambda x, g: prices["group"][g],
+        "personalized": lambda x, g: prices["personalized"][
+            (tuple(float(v) for v in x), g)],
+    }
+    report = {}
+    for mode, rule in price_of.items():
+        revenue = margin = 0.0
+        stats = {}
+        for w, _, g, x in cells:
+            p = rule(x, g)
+            d = fp.eval_demand(model, x, g, p)
+            revenue += w * p * d
+            margin += w * (p - cost) * d
+            acc = stats.setdefault(g, [0.0, 0.0, 0.0])
+            acc[0] += w
+            acc[1] += w * d
+            acc[2] += w * p
+        report[mode] = {
+            "revenue": revenue, "margin": margin,
+            "access": {g: s[1] / s[0] for g, s in sorted(stats.items())},
+            "price_mean": {g: s[2] / s[0] for g, s in sorted(stats.items())}}
+    return report
+
+
+# ---------------------------------------------------------------------------
+# per-family demand formulas, one customer and one price at a time
+# ---------------------------------------------------------------------------
+
+
+def formula_demand(model, x, group, p):
+    """Demand, slope and curvature at one price from each family's own
+    scalar formula (survival form per noise family)."""
+    from scipy.special import expit, ndtr
+
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if isinstance(model, fp.PartiallyLinearDemand):
+        if model.baseline_form == "linear":
+            intercept, coefs = model.baseline[group]
+            dbar = float(intercept + np.asarray(coefs, dtype=float) @ x)
+        else:
+            dbar = float(model.baseline[group][tuple(float(v) for v in x)])
+        beta = float(model.beta[group])
+        return dbar + beta * p, beta, 0.0
+    if isinstance(model, fp.LogisticDemand):
+        s = expit(float(model.gamma @ x + model.beta * p + model.intercept))
+        return (float(s), float(model.beta * s * (1.0 - s)),
+                float(model.beta ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)))
+    intercept, coefs = model.loc[group]
+    z = (p - float(intercept + np.asarray(coefs, dtype=float) @ x)) / model.scale
+    fam = model.family
+    survival = {"normal": lambda: ndtr(-z), "logistic": lambda: expit(-z),
+                "gumbel": lambda: -np.expm1(-np.exp(-z))}.get(
+        model.noise, lambda: 1.0 - fam.cdf(z))()
+    return (float(survival), float(-fam.pdf(z) / model.scale),
+            float(-fam.pdf_prime(z) / model.scale ** 2))

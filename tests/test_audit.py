@@ -273,7 +273,7 @@ def _pair_logs(draw):
             column(weight_pool))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_pair_logs())
 def test_pair_kernels_match_loop_oracles(log):
     groups, prices, demands, values, weights = log

@@ -124,6 +124,24 @@ def test_fit_linear_then_price(tmp_path, sim_dir):
     assert abs(prices["achieved_disparity"]) <= 1e-7
 
 
+def test_price_infinite_gamma_writes_inf_string(tmp_path, sim_dir):
+    fit_out = tmp_path / "fit"
+    main(["fit", "--records", str(sim_dir / "records.csv"),
+          "--model", "linear", "--out-dir", str(fit_out), "--quiet"])
+    out = tmp_path / "price"
+    assert main(["price", "--model", str(fit_out / "model.json"),
+                 "--population", str(sim_dir / "population.json"),
+                 "--mode", "attribute_blind", "--out-dir", str(out),
+                 "--quiet"]) == 0
+    text = (out / "prices.json").read_text()
+    assert '"gamma": "inf"' in text
+    prices = json.loads(text)
+    assert prices["lambda_star"] == 0.0
+    assert set(prices) == {"mode", "gamma", "lambda_star", "xi",
+                           "oriented_groups", "unconstrained_disparity",
+                           "achieved_disparity", "prices", "revenue", "access"}
+
+
 def test_price_csv_format(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     main(["fit", "--records", str(sim_dir / "records.csv"),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice.demand import NOISE_FAMILIES, as_table
 
-from oracles import central_difference
+from oracles import central_difference, formula_demand
 
 
 def test_noise_families_pdf_matches_cdf_derivative():
@@ -146,6 +147,167 @@ def test_sample_valuation_location_shift():
     rng = np.random.default_rng(5)
     draws = [fp.sample_valuation(m, [], "g", rng) for _ in range(2000)]
     assert abs(np.mean(draws) - 5.0) < 0.02
+
+
+# -- array kernels ----------------------------------------------------------
+
+_FAMILIES = sorted(NOISE_FAMILIES) + ["logistic_demand", "linear", "table"]
+_KERNELS = (("demand", fp.eval_demand), ("gradient", fp.demand_gradient),
+            ("curvature", fp.demand_curvature))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except fp.FairPriceError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A model of one family, covariate rows with group indices, and prices.
+
+    Coefficients and covariates carry full mantissas, so dot products round;
+    prices include 0, values near the location and far tails (|z| up to
+    about 1e6), and negative prices for partially linear demand.
+    """
+    family = draw(st.sampled_from(_FAMILIES))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.normal(size=(draw(st.integers(1, 4)), k)) * 1.7
+    X = support[rng.integers(len(support), size=draw(st.integers(1, 7)))]
+    groups = ("a", "b")
+    g = rng.integers(2, size=len(X))
+
+    def affine():
+        return {h: (float(rng.normal()), rng.normal(size=k)) for h in groups}
+
+    if family == "logistic_demand":
+        model = fp.LogisticDemand(gamma=rng.normal(size=k),
+                                  beta=-abs(rng.normal()) - 0.1,
+                                  intercept=rng.normal())
+    elif family == "linear":
+        model = fp.PartiallyLinearDemand(
+            beta={h: -abs(rng.normal()) - 0.1 for h in groups},
+            baseline=affine())
+    elif family == "table":
+        model = fp.PartiallyLinearDemand(
+            beta={h: -abs(rng.normal()) - 0.1 for h in groups},
+            baseline={h: {tuple(x): float(rng.normal()) for x in support.tolist()}
+                      for h in groups}, baseline_form="table")
+    else:
+        model = fp.LatentValuationModel(
+            loc=affine(), noise=family,
+            scale=draw(st.sampled_from([1e-3, 0.4, 1.0, 3.0])))
+    scale = draw(st.sampled_from([0.0, 1e-300, 0.5, 2.0, 1e3, 1e6]))
+    prices = np.concatenate([[0.0], rng.uniform(0.0, 4.0, size=5), [scale]])
+    if family in ("linear", "table"):
+        prices = np.concatenate([prices, -prices[1:3]])
+    return model, X, g, groups, prices
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
+@settings(max_examples=300)
+@given(_kernel_cases())
+def test_array_kernels_match_scalar_functions_bitwise(case):
+    model, X, g, groups, prices = case
+    for name, scalar in _KERNELS:
+        kernel = getattr(model, name)
+        want = [[scalar(model, x, groups[j], p) for p in prices]
+                for x, j in zip(X, g)]
+        # a price grid for every row, one price per row, one shared price
+        assert _bits(kernel(X, g, prices[None], groups)) == _bits(want), name
+        per_row = prices[np.arange(len(X)) % len(prices)]
+        assert _bits(kernel(X, g, per_row, groups)) == _bits(
+            [want[i][i % len(prices)] for i in range(len(X))]), name
+        assert _bits(kernel(X, g, prices[-1], groups)) == _bits(
+            [row[-1] for row in want]), name
+        # one customer over an array of prices
+        assert _bits(scalar(model, X[0], groups[g[0]], prices)) == _bits(want[0])
+    for x, j in zip(X, g):
+        for p in prices:
+            formula = formula_demand(model, x, groups[j], float(p))
+            values = [scalar(model, x, groups[j], p) for _, scalar in _KERNELS]
+            assert _bits(values) == _bits(formula), (x, p)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+def test_bad_prices_raise_the_scalar_errors(family, bad):
+    model = {"logistic_demand": fp.LogisticDemand(gamma=[0.3], beta=-1.0),
+             "linear": _linear_model(),
+             "table": fp.PartiallyLinearDemand(
+                 beta={"a": -1.0}, baseline={"a": {(0.0,): 1.0}},
+                 baseline_form="table")}.get(family) or fp.LatentValuationModel(
+        loc={"a": (1.0, np.array([0.2]))}, noise=family)
+    X, g = np.zeros((2, 1)), np.zeros(2, dtype=int)
+    negative_ok = isinstance(model, fp.PartiallyLinearDemand)
+
+    def first_error(prices):
+        for p in prices:
+            if not np.isfinite(p):
+                return fp.InvalidRecordError, "price must be finite"
+            if p < 0.0 and not negative_ok:
+                return (fp.InvalidRecordError,
+                        "price must be nonnegative for this demand family")
+        return None
+
+    for prices in (bad, [0.3, bad, np.nan], [[0.2], [bad]]):
+        want = first_error(np.ravel(prices))
+        for name, scalar in _KERNELS:
+            got = [_outcome(lambda: getattr(model, name)(
+                X, g, np.asarray(prices), ("a",)))]
+            if np.ndim(prices) < 2:
+                got.append(_outcome(lambda: scalar(model, [0.0], "a", prices)))
+            for outcome in got:
+                assert outcome == want if want else not isinstance(outcome, tuple)
+
+
+def test_kernels_check_groups_and_covariates_like_scalars():
+    latent = fp.LatentValuationModel(loc={"a": (1.0, np.array([0.2, 0.1]))})
+    linear = _linear_model()
+    X = np.zeros((3, 2))
+    for model, scalar_args in ((latent, ([0.0, 0.0], "z")),
+                               (linear, ([0.0], "z"))):
+        want = _outcome(lambda: fp.eval_demand(model, *scalar_args, 1.0))
+        assert want == (fp.UnknownGroupError, "unknown group 'z'")
+        got = _outcome(lambda: model.demand(X[:, :len(scalar_args[0])],
+                                            [0, 1, 0], 1.0, ("a", "z")))
+        assert got == want
+    assert _outcome(lambda: latent.demand(np.zeros((2, 3)), [0, 0], 1.0, ("a",))) \
+        == _outcome(lambda: fp.eval_demand(latent, [0.0] * 3, "a", 1.0)) \
+        == (fp.DimensionMismatchError, "location expects 2 covariates, got 3")
+
+
+def test_population_cells_support_and_record_views():
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0], [2.0]],
+                        masses=[0.5, 0.0, 0.5],
+                        membership=[[1.0, 0.0], [0.3, 0.7], [0.4, 0.6]])
+    cells = pop.cells()
+    assert cells.index.tolist() == [0, 2, 2]
+    assert cells.g.tolist() == [0, 0, 1]
+    assert cells.labels.tolist() == ["a", "a", "b"]
+    assert cells.mass.tolist() == [0.5, 0.5 * 0.4, 0.5 * 0.6]
+    assert cells.X.tolist() == [[0.0], [2.0], [2.0]]
+    records = [fp.Record(id=f"r{i}", group=g, covariates=[float(i)], weight=w)
+               for i, (g, w) in enumerate([("b", 1.0), ("a", 3.0)])]
+    rows = fp.Population(groups=("b", "a"), records=records, rho={"a": 0.5, "b": 0.5}).cells()
+    assert rows.index is None
+    assert rows.g.tolist() == [0, 1] and rows.mass.tolist() == [0.25, 0.75]
+    assert rows.totals(1, rows.mass, rows.mass * 2.0) == [0.75, 1.5]
+    with pytest.raises(fp.MissingFieldError):
+        fp.Population(groups=("a",), rho={"a": 1.0}).cells()
+
+
+def test_record_table_group_is_built_once():
+    table = as_table([fp.Record(id="r0", group="b", covariates=[0.0]),
+                      fp.Record(id="r1", group="a", covariates=[1.0])])
+    assert table.group.tolist() == ["b", "a"]
+    assert table.group is table.group
 
 
 # -- fitting ----------------------------------------------------------------

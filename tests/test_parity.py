@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice.util import json_dumps_stable
 
 from oracles import oracle_attribute_parity, oracle_blind_parity
 
@@ -196,6 +197,20 @@ def test_solution_round_trips_to_json():
     assert blob["lambda_star"] == pytest.approx(0.25)
     assert len(blob["prices"]) == 2
     assert {row["group"] for row in blob["prices"]} == {"a", "b"}
+
+
+def test_solution_dict_keeps_infinite_gamma_and_one_policy():
+    model, pop = _hand_model_population()
+    sol = fp.solve_attribute_blind_parity(model, pop, gamma=float("inf"))
+    blob = sol.to_dict()
+    assert blob["gamma"] == float("inf")
+    assert sol.to_json() == json_dumps_stable(blob)
+    assert '"gamma": "inf"' in sol.to_json()
+    # pricing reuses one tabular policy built from the solution
+    assert sol.price([], "a") == sol.policy().price([], "a")
+    assert sol._policy is sol._policy
+    assert sol.price_batch(np.zeros((2, 0)), ["a", "b"]).tolist() == [
+        sol.prices[(0, None)]] * 2
 
 
 def test_parity_rejects_latent_model():

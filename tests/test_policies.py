@@ -144,7 +144,7 @@ def _priced_rows(draw):
     return policy, X, groups
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_priced_rows())
 def test_price_batch_matches_price_loop_bitwise(case):
     policy, X, groups = case
@@ -169,3 +169,55 @@ def test_linear_price_batch_matches_per_row_dot_on_inexact_products():
         want = np.array([pol.price(x) for x in X])
         got = pol.price_batch(X, ["a"] * len(X))
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# TabularPolicy row matching
+# ---------------------------------------------------------------------------
+
+
+def test_tabular_price_batch_resolves_near_duplicates_to_first_hit():
+    # points 0 and 2 lie within the 1e-9 tolerance of each other, so every
+    # row near either resolves to point 0, as ``price`` does
+    support = [[1.0, 2.0], [3.0, 4.0], [1.0 + 5e-10, 2.0 - 5e-10]]
+    pol = fp.TabularPolicy(support=support, table={
+        (0, None): 10.0, (1, None): 11.0, (2, None): 12.0})
+    X = np.array([[1.0 + 5e-10, 2.0 - 5e-10], [3.0, 4.0 + 5e-10],
+                  [1.0 + 1.4e-9, 2.0], [1.0, 2.0]])
+    want = [pol.price(x) for x in X]
+    assert want == [10.0, 11.0, 12.0, 10.0]
+    assert pol.price_batch(X, [None] * 4).tolist() == want
+
+
+def test_tabular_price_batch_errors_match_price():
+    pol = fp.TabularPolicy(support=[[0.0, 1.0], [2.0, 3.0]],
+                           table={(0, "a"): 1.0, (1, None): 2.0})
+    off = np.array([[0.0, 1.0], [2.0, 3.0 + 2e-9], [0.0, 1.0]])
+    with pytest.raises(fp.DimensionMismatchError) as want:
+        pol.price(off[1], "a")
+    with pytest.raises(fp.DimensionMismatchError) as got:
+        pol.price_batch(off, ["a", "a", "a"])
+    assert str(got.value) == str(want.value)
+    # a missing entry on an earlier row is the first error
+    with pytest.raises(fp.UnknownGroupError,
+                       match="no price for support point 0 and group 'b'"):
+        pol.price_batch(off, ["b", "a", "a"])
+    for width in (1, 3):
+        with pytest.raises(fp.DimensionMismatchError) as want:
+            pol.price(np.zeros(width), "a")
+        with pytest.raises(fp.DimensionMismatchError) as got:
+            pol.price_batch(np.zeros((2, width)), ["a", "a"])
+        assert str(got.value) == str(want.value)
+        assert "policy support has 2 covariates" in str(got.value)
+
+
+def test_tabular_match_of_many_rows_against_a_large_support():
+    # many blocks of rows, one coordinate shared by every support point
+    rng = np.random.default_rng(8)
+    support = np.column_stack([np.zeros(3000), rng.permutation(3000) * 0.5])
+    pol = fp.TabularPolicy(support=support,
+                           table={(i, None): float(i) for i in range(3000)})
+    X = support[rng.integers(3000, size=5000)]
+    want = [pol._locate(x) for x in X[:200]]
+    assert pol.price_batch(X, [None] * len(X))[:200].tolist() == want
+    assert pol._match(X).tolist() == pol.price_batch(X, [None] * len(X)).astype(int).tolist()
