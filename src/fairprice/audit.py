@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
 )
 from .optimize import PriceInterval, maximize_revenue_1d
-from .policies import price_cells
 from .util import json_dumps_stable
 
 
@@ -263,12 +262,8 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
     if policy is None or model is None or population is None:
         raise MissingFieldError(
             "model-implied access needs policy, model, and population")
-    cells = population.cells()
-    p = price_cells(policy, cells, population.support)
-    d = model.demand(cells.X, cells.g, p, cells.groups)
-    w = cells.mass
-    for k, g in enumerate(population.groups):
-        mass, dsum, psum = cells.totals(k, w, w * d, w * p)
+    _, _, stats = population.cells().evaluate(policy, model)
+    for g, (mass, dsum, psum) in zip(population.groups, stats):
         if mass > 0.0:
             out[g] = {"access": dsum / mass, "price_mean": psum / mass,
                       "weight": mass}

@@ -311,7 +311,8 @@ def _cmd_price(args) -> int:
         g: info["access"]
         for g, info in access_metrics(policy=policy, model=model,
                                       population=population).items()}
-    payload.setdefault("prices", table_rows(policy.table))
+    if "prices" not in payload:
+        payload["prices"] = table_rows(policy.table)
     rows = [(row["x_index"], "" if row["group"] is None else row["group"],
              row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))

@@ -445,6 +445,16 @@ class Cells(NamedTuple):
         rows = self.g == k
         return [seqsum(t[rows]) for t in terms]
 
+    def evaluate(self, policy, model):
+        """``(p, d, stats)``: the price and model demand of every cell under
+        ``policy``, and per group index the cell-order totals ``(mass,
+        mass * demand, mass * price)``."""
+        p = policy.price_batch(self.X, self.labels)
+        d = model.demand(self.X, self.g, p, self.groups)
+        w = self.mass
+        return p, d, [self.totals(k, w, w * d, w * p)
+                      for k in range(len(self.groups))]
+
 
 # ---------------------------------------------------------------------------
 # demand models
@@ -480,8 +490,10 @@ def _along(rows, p):
 def _used_labels(g, groups, known) -> list:
     """The indices into ``groups`` that ``g`` uses, in order of first use;
     raises UnknownGroupError for the first label ``known`` lacks."""
-    if isinstance(g, int) or len(groups) == 1:
-        used = [g if isinstance(g, int) else 0]
+    if np.ndim(g) == 0:
+        used = [int(g)]
+    elif len(groups) == 1:
+        used = [0]
     else:
         used = list(dict.fromkeys(np.asarray(g).tolist()))
     for j in used:

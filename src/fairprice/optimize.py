@@ -13,7 +13,6 @@ from .errors import (
     PreconditionError,
     UpwardSlopeError,
 )
-from .policies import price_cells
 from .util import seqsum
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -147,15 +146,12 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
             "outcome_weight is nonzero but no outcome model was given")
 
     cells = population.cells()
-    p = price_cells(policy, cells, population.support)
-    d = model.demand(cells.X, cells.g, p, cells.groups)
+    p, d, stats = cells.evaluate(policy, model)
     w = cells.mass
     revenue = seqsum(w * p * d)
     margin = seqsum(w * (p - weights.unit_cost) * d)
-    group_mass, group_demand, group_price = {}, {}, {}
-    for k, g in enumerate(population.groups):
-        group_mass[g], group_demand[g], group_price[g] = cells.totals(
-            k, w, w * d, w * p)
+    group_mass, group_demand, group_price = (
+        dict(zip(population.groups, column)) for column in zip(*stats))
     outcome_mean = 0.0
     if outcome is not None:
         outcome_mean = seqsum(w * np.array(

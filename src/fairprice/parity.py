@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import Cells, PartiallyLinearDemand, Population
+from .demand import PartiallyLinearDemand, Population
 from .errors import (
     MissingFieldError,
     MissingSupportError,
@@ -31,7 +31,7 @@ from .errors import (
     UnknownGroupError,
     UpwardSlopeError,
 )
-from .policies import TabularPolicy, price_cells, table_rows
+from .policies import TabularPolicy, table_rows
 from .util import json_dumps_stable, seqsum
 
 ATTRIBUTE_BASED = "attribute_based"
@@ -260,8 +260,7 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
 def expected_revenue(policy, model, population) -> float:
     """E[P * D] for a policy, over the support when present, else records."""
     cells = population.cells()
-    p = price_cells(policy, cells, population.support)
-    d = model.demand(cells.X, cells.g, p, cells.groups)
+    p, d, _ = cells.evaluate(policy, model)
     return seqsum(cells.mass * p * d)
 
 
@@ -272,14 +271,11 @@ def policy_disparity(policy, population) -> float:
     if len(population.groups) != 2:
         raise PreconditionError("policy disparity is defined for two groups")
     joint = population.joint_weights()
-    support = population.support
-    n = support.shape[0]
+    n = population.support.shape[0]
     means = []
-    for k in range(2):
+    for k, g in enumerate(population.groups):
         w = joint[:, k]
-        every_point = Cells(w, np.full(n, k), support, np.arange(n),
-                            population.groups)
-        prices = price_cells(policy, every_point, support)
+        prices = policy.price_batch(population.support, [g] * n)
         means.append(float(w @ prices / w.sum()))
     return means[0] - means[1]
 

@@ -112,12 +112,10 @@ class TabularPolicy:
     def price(self, x, a=None) -> float:
         return self._entry(self._locate(x), a)
 
-    def price_at(self, index, groups) -> np.ndarray:
-        """Prices of support points ``index`` for the labels ``groups``.
-
-        One table lookup per distinct (index, label) pair, in order of first
-        appearance, so an error names the first failing row.
-        """
+    def _entries(self, index, groups) -> np.ndarray:
+        """``_entry`` of every (index, label) pair, one lookup per distinct
+        pair in order of first appearance, so an error names the first
+        failing row."""
         pairs = list(zip(np.asarray(index).tolist(), groups))
         by_pair = {pair: self._entry(*pair) for pair in dict.fromkeys(pairs)}
         return np.fromiter(map(by_pair.__getitem__, pairs), float, len(pairs))
@@ -134,23 +132,10 @@ class TabularPolicy:
         off = np.flatnonzero(index < 0)
         if off.size:
             # a lookup failing on an earlier row is the first error
-            self.price_at(index[:off[0]], list(groups)[:off[0]])
+            self._entries(index[:off[0]], list(groups)[:off[0]])
             raise DimensionMismatchError(
                 f"covariate point {tuple(X[off[0]])} is not on the policy support")
-        return self.price_at(index, groups)
-
-
-def price_cells(policy, cells, support) -> np.ndarray:
-    """Prices of population cells (see ``Population.cells``).
-
-    A TabularPolicy on the cells' own ``support`` is read by support index,
-    since a support cell is its own support point; every other policy
-    prices the cell rows with ``price_batch``.
-    """
-    if (isinstance(policy, TabularPolicy) and cells.index is not None
-            and np.array_equal(policy.support, support)):
-        return policy.price_at(cells.index, cells.labels)
-    return policy.price_batch(cells.X, cells.labels)
+        return self._entries(index, groups)
 
 
 @dataclass

@@ -50,13 +50,7 @@ from .errors import (
     MissingFieldError,
 )
 from .optimize import PriceInterval, maximize_revenue_1d
-from .policies import (
-    ConstantPolicy,
-    GroupPolicy,
-    LinearPolicy,
-    TabularPolicy,
-    price_cells,
-)
+from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
 from .util import fmt_float, seqsum
 
 
@@ -596,10 +590,8 @@ def run_pricing_experiment(model, population: Population,
 
     report = {}
     for mode, policy in out.items():
-        p = price_cells(policy, cells, population.support)
-        d = model.demand(cells.X, cells.g, p, cells.groups)
-        stats = {g: cells.totals(cells.groups.index(g), w, w * d, w * p)
-                 for g in present}
+        p, d, totals = cells.evaluate(policy, model)
+        stats = {g: totals[cells.groups.index(g)] for g in present}
         report[mode] = {
             "policy": policy,
             "revenue": seqsum(w * p * d),

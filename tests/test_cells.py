@@ -109,6 +109,26 @@ def test_revenue_access_and_disparity_match_cell_loops(market, kind):
                     loop_policy_disparity(policy, population))
 
 
+def test_near_duplicate_support_points_price_at_the_first_hit():
+    # support points 0 and 1 lie within 1e-9: every path prices the cells of
+    # point 1 at point 0's entry, as TabularPolicy.price does
+    pop = fp.Population(groups=GROUPS, support=[[0.0], [5e-10], [1.0]],
+                        masses=[0.3, 0.3, 0.4],
+                        membership=[[0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
+    model = fp.LatentValuationModel(
+        loc={g: (1.5, np.array([0.4])) for g in GROUPS}, noise="gumbel")
+    policy = fp.TabularPolicy(support=pop.support,
+                              table={(0, None): 1.0, (1, None): 2.0,
+                                     (2, "a"): 1.2, (2, "b"): 1.4})
+    assert fp.expected_revenue(policy, model, pop) \
+        == loop_expected_revenue(policy, model, pop)
+    access = fp.access_metrics(policy=policy, model=model, population=pop)
+    assert same(access, loop_access(policy, model, pop))
+    assert access["b"]["price_mean"] == pytest.approx(
+        (0.15 + 0.24 + 0.16 * 1.4) / 0.55)
+    assert fp.policy_disparity(policy, pop) == loop_policy_disparity(policy, pop)
+
+
 @settings(max_examples=15)
 @given(markets(max_points=3), st.sampled_from(["population", "group"]))
 def test_share_frontier_matches_cell_loop(market, scope):

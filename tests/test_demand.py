@@ -281,6 +281,16 @@ def test_kernels_check_groups_and_covariates_like_scalars():
     assert _outcome(lambda: latent.demand(np.zeros((2, 3)), [0, 0], 1.0, ("a",))) \
         == _outcome(lambda: fp.eval_demand(latent, [0.0] * 3, "a", 1.0)) \
         == (fp.DimensionMismatchError, "location expects 2 covariates, got 3")
+    # one row with a numpy integer group index, as Cells.g yields it
+    two = fp.LatentValuationModel(loc={"a": (1.0, np.array([0.2, 0.1])),
+                                       "b": (0.5, np.array([0.3, 0.0]))})
+    x = np.array([1.0, 2.0])
+    for model, row in ((two, x), (linear, x[:1])):
+        for kernel, scalar in (("demand", fp.eval_demand),
+                               ("gradient", fp.demand_gradient),
+                               ("curvature", fp.demand_curvature)):
+            got = getattr(model, kernel)(row, np.intp(1), 1.5, ("a", "b"))
+            assert got.shape == () and float(got) == scalar(model, row, "b", 1.5)
 
 
 def test_population_cells_support_and_record_views():
