@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import (
     ConvergenceError,
@@ -45,6 +44,14 @@ CSV_TRAILING_COLUMNS = ("price", "demand", "outcome", "valuation", "weight")
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+@cache
+def scipy_special():
+    """``scipy.special``, imported on first use: its import costs more than
+    a whole audit, and only the curved demand families need it."""
+    import scipy.special
+    return scipy.special
+
+
 # ---------------------------------------------------------------------------
 # noise families for the latent-valuation model
 # ---------------------------------------------------------------------------
@@ -57,7 +64,11 @@ class NoiseFamily:
     ``sf`` is the survival function ``1 - cdf``, in a form that keeps its
     precision in the upper tail where the family has one. ``pdf_prime`` is
     the derivative of the density, needed for analytic revenue curvature.
-    ``sample`` draws from the numpy generator passed in.
+    ``sample`` draws from the numpy generator passed in. ``from_uniform``
+    turns a list of doubles in (0, 1) into the draws ``sample`` makes from
+    them, for the samplers that take exactly one double per draw; it is None
+    for the ziggurat samplers (normal, exponential), which take a variable
+    number.
     """
 
     name: str
@@ -66,10 +77,11 @@ class NoiseFamily:
     pdf: callable
     pdf_prime: callable
     sample: callable
+    from_uniform: callable = None
 
 
 def _normal_cdf(z):
-    return ndtr(z)
+    return scipy_special().ndtr(z)
 
 
 def _normal_pdf(z):
@@ -77,16 +89,16 @@ def _normal_pdf(z):
 
 
 def _logistic_cdf(z):
-    return expit(z)
+    return scipy_special().expit(z)
 
 
 def _logistic_pdf(z):
-    s = expit(z)
+    s = scipy_special().expit(z)
     return s * (1.0 - s)
 
 
 def _logistic_pdf_prime(z):
-    s = expit(z)
+    s = scipy_special().expit(z)
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
@@ -134,16 +146,37 @@ def _gumbel_pdf_prime(z):
     return np.exp(-z - np.exp(-z)) * (np.exp(-z) - 1.0)
 
 
+# numpy's one-double samplers at loc 0 and scale 1, formula for formula; they
+# draw again on U == 0.0, so callers pass only positive doubles. math.log is
+# the C library's log, as in numpy's samplers; np.log rounds some values
+# differently.
+def _logistic_from_uniform(u):
+    log = math.log
+    return [log(v / (1.0 - v)) for v in u]
+
+
+def _laplace_from_uniform(u):
+    log = math.log
+    # 0.0 - y, as the sampler's loc - scale * y, gives +0.0 where y is 0.0
+    return [0.0 - log(2.0 - v - v) if v >= 0.5 else log(v + v) for v in u]
+
+
+def _gumbel_from_uniform(u):
+    log = math.log
+    return [0.0 - log(-log(1.0 - v)) for v in u]
+
+
 NOISE_FAMILIES: dict[str, NoiseFamily] = {
     "normal": NoiseFamily(
-        "normal", _normal_cdf, lambda z: ndtr(-z), _normal_pdf,
-        lambda z: -np.asarray(z, dtype=float) * _normal_pdf(z),
+        "normal", _normal_cdf, lambda z: scipy_special().ndtr(-z),
+        _normal_pdf, lambda z: -np.asarray(z, dtype=float) * _normal_pdf(z),
         lambda rng, size=None: rng.standard_normal(size),
     ),
     "logistic": NoiseFamily(
-        "logistic", _logistic_cdf, lambda z: expit(-z),
+        "logistic", _logistic_cdf, lambda z: scipy_special().expit(-z),
         _logistic_pdf, _logistic_pdf_prime,
         lambda rng, size=None: rng.logistic(0.0, 1.0, size),
+        _logistic_from_uniform,
     ),
     "exponential": NoiseFamily(
         "exponential", _exponential_cdf, lambda z: 1.0 - _exponential_cdf(z),
@@ -154,11 +187,13 @@ NOISE_FAMILIES: dict[str, NoiseFamily] = {
         "laplace", _laplace_cdf, lambda z: 1.0 - _laplace_cdf(z),
         _laplace_pdf, _laplace_pdf_prime,
         lambda rng, size=None: rng.laplace(0.0, 1.0, size),
+        _laplace_from_uniform,
     ),
     "gumbel": NoiseFamily(
         "gumbel", _gumbel_cdf, lambda z: -np.expm1(-np.exp(-z)),
         _gumbel_pdf, _gumbel_pdf_prime,
         lambda rng, size=None: rng.gumbel(0.0, 1.0, size),
+        _gumbel_from_uniform,
     ),
 }
 
@@ -344,11 +379,16 @@ class Population:
         self.groups = tuple(str(g) for g in self.groups)
         if len(set(self.groups)) != len(self.groups):
             raise InvalidRecordError("duplicate group labels")
+        if self.rho is not None and not all(
+                math.isfinite(v) for v in self.rho.values()):
+            raise InvalidRecordError("group priors must be finite")
         if self.support is not None:
             self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
             self.masses = np.asarray(self.masses, dtype=float).reshape(-1)
             if self.masses.shape[0] != self.support.shape[0]:
                 raise DimensionMismatchError("one mass per support point required")
+            if not np.isfinite(self.masses).all():
+                raise InvalidRecordError("support masses must be finite")
             if np.any(self.masses < -1e-12) or abs(self.masses.sum() - 1.0) > 1e-9:
                 raise InvalidRecordError("support masses must be nonnegative and sum to 1")
             if self.membership is not None:
@@ -356,6 +396,9 @@ class Population:
                 if self.membership.shape != (self.support.shape[0], len(self.groups)):
                     raise DimensionMismatchError(
                         "membership must be (n_support, n_groups)")
+                if not np.isfinite(self.membership).all():
+                    raise InvalidRecordError(
+                        "membership probabilities must be finite")
                 if np.any(self.membership < -1e-12):
                     raise InvalidRecordError("membership probabilities must be >= 0")
                 rowsums = self.membership.sum(axis=1)
@@ -618,7 +661,7 @@ class LogisticDemand:
             raise DimensionMismatchError(
                 f"model expects {self.gamma.size} covariates, got {X.shape[-1]}")
         index = _along(_row_dots(X, self.gamma), p) + self.beta * p
-        return expit(index + self.intercept)
+        return scipy_special().expit(index + self.intercept)
 
     def demand(self, X, g, p, groups) -> np.ndarray:
         return self._sigmoid(X, p)
@@ -837,7 +880,7 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
     ll = loglik(eta)
     grad_norm = math.inf
     for iteration in range(1, max_iter + 1):
-        mu = expit(eta)
+        mu = scipy_special().expit(eta)
         grad = X.T @ (w * (y - mu))
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < grad_tol:

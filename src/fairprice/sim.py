@@ -21,6 +21,22 @@ be ``normal(m, s)``, ``uniform(lo, hi)``, ``choice(v:p, ...)`` or
 ``constant(v)``; when all are discrete the generated population carries the
 exact covariate support with exact membership probabilities, so analytic
 solvers and sampled records see the same world.
+
+Simulation draws whole arrays and stays on the exact stream of the per-record
+loop: the same records, bit for bit, and the generator left in the same
+state. When every sampler takes exactly one double per record (``choice``,
+``uniform`` and ``constant`` covariates, the last taking none; the
+membership draw; logistic, laplace or gumbel noise), the population comes
+from one ``rng.random((n, m))`` block, each column rebuilt with numpy's own
+formula for its sampler. Three cases fall back to the per-record loop:
+``normal`` covariates and normal or exponential noise, whose ziggurat
+samplers take a variable number of doubles, and a block with a noise double
+of exactly 0.0, on which numpy's sampler draws again. Logged prices come from
+one ``rng.integers`` call and policy-priced logistic take-up from one
+``rng.random`` call. Logistic demand without a policy draws its prices and
+take-up in a loop: a scalar ``integers`` call takes 32 bits of a 64-bit draw
+and keeps the other half for the next call, ``random`` takes a whole one, so
+the two interleave.
 """
 
 from __future__ import annotations
@@ -31,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .demand import (
     CSV_LEADING_COLUMNS,
@@ -42,6 +57,7 @@ from .demand import (
     RecordTable,
     as_table,
     eval_demand,
+    scipy_special,
 )
 from .errors import (
     ConfigError,
@@ -51,7 +67,7 @@ from .errors import (
 )
 from .optimize import PriceInterval, maximize_revenue_1d
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
-from .util import fmt_float, seqsum
+from .util import seqsum
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +105,26 @@ class CovariateSpec:
         values, probs = self.values_and_probs()
         return float(values[rng.choice(len(values), p=probs)])
 
+    def from_uniform(self, u) -> np.ndarray:
+        """The values :meth:`sample` draws from the doubles ``u``, one per
+        record, for the ``uniform`` and ``choice`` kinds: numpy's C formula
+        ``lo + (hi - lo) * U``, and a search of ``Generator.choice``'s own
+        cdf."""
+        if self.kind == "uniform":
+            lo, hi = self.params
+            return lo + (hi - lo) * u
+        values, probs = self.values_and_probs()
+        cdf = np.asarray(probs, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        return np.asarray(values, dtype=float)[cdf.searchsorted(u, side="right")]
+
+
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
 
 def _parse_sampler(name, text, line):
     text = text.strip()
@@ -100,22 +136,24 @@ def _parse_sampler(name, text, line):
     body = text[open_paren + 1:-1].strip()
     try:
         if kind == "normal":
-            m, s = (float(t) for t in body.split(","))
+            m, s = (_finite(t) for t in body.split(","))
             if s <= 0:
                 raise ValueError("scale must be positive")
             return CovariateSpec(name, "normal", (m, s))
         if kind == "uniform":
-            lo, hi = (float(t) for t in body.split(","))
+            lo, hi = (_finite(t) for t in body.split(","))
             if not lo < hi:
                 raise ValueError("needs lo < hi")
             return CovariateSpec(name, "uniform", (lo, hi))
         if kind == "constant":
-            return CovariateSpec(name, "constant", (float(body),))
+            return CovariateSpec(name, "constant", (_finite(body),))
         if kind == "choice":
             pairs = []
             for item in body.split(","):
                 v, p = item.split(":")
-                pairs.append((float(v), float(p)))
+                pairs.append((_finite(v), _finite(p)))
+            if any(p < 0.0 for _, p in pairs):
+                raise ValueError("choice probabilities must be nonnegative")
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"choice probabilities sum to {total:g}, not 1")
@@ -189,10 +227,11 @@ class ScenarioConfig:
 
         def as_float(key, text_value):
             try:
-                return float(text_value)
+                return _finite(text_value)
             except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {text_value!r}",
-                                  lines.get(key)) from None
+                raise ConfigError(
+                    f"{key}: expected a finite number, got {text_value!r}",
+                    lines.get(key)) from None
 
         try:
             n = int(take("n", required=True))
@@ -229,9 +268,10 @@ class ScenarioConfig:
 
         levels_text = take("price_levels", required=True)
         try:
-            levels = tuple(float(t) for t in levels_text.split(","))
+            levels = tuple(_finite(t) for t in levels_text.split(","))
         except ValueError:
-            raise ConfigError("price_levels: expected comma-separated numbers",
+            raise ConfigError("price_levels: expected comma-separated finite "
+                              "numbers",
                               lines.get("price_levels")) from None
         if len(levels) < 2 or len(set(levels)) != len(levels) or \
                 list(levels) != sorted(levels):
@@ -299,7 +339,7 @@ class ScenarioConfig:
         z = self.membership_intercept
         for name, coef in self.membership_coefs.items():
             z = z + coef * x[..., self.covariate_names.index(name)]
-        q = expit(z)
+        q = scipy_special().expit(z)
         return float(q) if x.ndim == 1 else q
 
     def build_model(self):
@@ -336,6 +376,11 @@ def _exact_support(config: ScenarioConfig):
     return support, np.asarray(masses, dtype=float), np.column_stack([q, 1.0 - q])
 
 
+# rows turned into Python objects (noise draws, CSV cells) at a time, which
+# bounds the memory those objects hold
+_ROW_BLOCK = 1 << 12
+
+
 def generate_population(config: ScenarioConfig, rng) -> Population:
     """Draw ``n`` customers: covariates, group, and (latent) valuation.
 
@@ -347,16 +392,10 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     model = config.build_model()
     latent = config.demand_kind == "latent"
     width = max(6, len(str(config.n)))
-    ids = [f"r{i:0{width}d}" for i in range(config.n)]
-    # the loop only draws, in the generator's order; the draws are turned
-    # into groups and valuations afterwards, all rows at once
-    X = np.empty((config.n, len(config.covariates)))
-    u, eps = np.empty(config.n), np.empty(config.n)
-    for i in range(config.n):
-        X[i] = [spec.sample(rng) for spec in config.covariates]
-        u[i] = rng.random()
-        if latent:
-            eps[i] = model.family.sample(rng)
+    ids = np.char.add("r", np.char.zfill(
+        np.arange(config.n).astype(f"U{width}"), width))
+    draws = _draw_block(config, model, rng)
+    X, u, eps = draws if draws is not None else _draw_loop(config, model, rng)
     code = np.where(u < config.membership_prob(X), 0, 1)
     groups = np.array(config.groups)[code]
     values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
@@ -382,6 +421,49 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
                       unit_cost=config.unit_cost)
 
 
+def _draw_block(config: ScenarioConfig, model, rng):
+    """``(X, u, eps)`` from one ``rng.random((n, m))`` block, bit for bit
+    what :func:`_draw_loop` draws, or None with ``rng`` untouched when a
+    sampler takes other than one double per record (see the module
+    docstring). A record's doubles sit in one row, in the loop's order."""
+    family = model.family if config.demand_kind == "latent" else None
+    if any(spec.kind == "normal" for spec in config.covariates) or (
+            family is not None and family.from_uniform is None):
+        return None
+    state = rng.bit_generator.state
+    drawn = sum(spec.kind != "constant" for spec in config.covariates)
+    U = rng.random((config.n, drawn + 1 + (family is not None)))
+    eps = None
+    if family is not None:
+        if not U[:, -1].all():
+            rng.bit_generator.state = state
+            return None
+        eps = np.concatenate([
+            family.from_uniform(U[lo:lo + _ROW_BLOCK, -1].tolist())
+            for lo in range(0, config.n, _ROW_BLOCK)])
+    X = np.empty((config.n, len(config.covariates)))
+    columns = iter(U.T)
+    for j, spec in enumerate(config.covariates):
+        X[:, j] = (spec.params[0] if spec.kind == "constant"
+                   else spec.from_uniform(next(columns)))
+    return X, next(columns), eps
+
+
+def _draw_loop(config: ScenarioConfig, model, rng):
+    """``(X, u, eps)`` drawn record by record, in the generator's order:
+    the covariates, the membership double and, under latent demand, the
+    noise. The fallback of :func:`_draw_block`."""
+    latent = config.demand_kind == "latent"
+    X = np.empty((config.n, len(config.covariates)))
+    u, eps = np.empty(config.n), np.empty(config.n)
+    for i in range(config.n):
+        X[i] = [spec.sample(rng) for spec in config.covariates]
+        u[i] = rng.random()
+        if latent:
+            eps[i] = model.family.sample(rng)
+    return X, u, eps
+
+
 def log_interactions(config: ScenarioConfig, population: Population, rng,
                      policy=None) -> Population:
     """Assign a price to every record and realize demand (and outcomes).
@@ -393,22 +475,29 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     outcome column when configured.
     """
     model = config.build_model()
-    levels = config.price_levels
+    levels = np.asarray(config.price_levels, dtype=float)
     table = population.records
-    groups = table.group
-    # pricing draws no random numbers, so batching it keeps the RNG stream
-    offered = None if policy is None else policy.price_batch(table.X, groups)
-    for i, x in enumerate(table.X):
-        if policy is None:
-            p = float(levels[int(rng.integers(len(levels)))])
-        else:
-            p = float(offered[i])
-        table.price[i] = p
-        if config.demand_kind == "latent":
-            table.demand[i] = float(table.valuation[i] >= p)
-        else:
-            rate = eval_demand(model, x, groups[i], p)
-            table.demand[i] = float(rng.random() < rate)
+    n = len(table)
+    logistic = config.demand_kind == "logistic"
+    if policy is not None:
+        # pricing draws no random numbers, so batching it keeps the RNG stream
+        table.price[:] = policy.price_batch(table.X, table.group)
+        u = rng.random(n) if logistic else None
+    elif not logistic:
+        table.price[:] = levels[rng.integers(len(levels), size=n)]
+    else:
+        # a scalar integers() call takes 32-bit halves of a 64-bit draw and
+        # random() a whole one, so the interleaved draws are taken one by one
+        level, u = np.empty(n, dtype=np.intp), np.empty(n)
+        for i in range(n):
+            level[i] = rng.integers(len(levels))
+            u[i] = rng.random()
+        table.price[:] = levels[level]
+    if logistic:
+        rate = model.demand(table.X, table.codes, table.price, table.labels)
+        table.demand[:] = u < rate
+    else:
+        table.demand[:] = table.valuation >= table.price
     if config.surplus_weight is not None:
         table.outcome[:] = (config.surplus_weight
                             * np.maximum(table.valuation - table.price, 0.0)
@@ -432,27 +521,56 @@ def simulate(config: ScenarioConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 
+
+
 def write_records_csv(path, records) -> None:
     """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
     table = as_table(records).require()
     numeric = [*table.X.T] + [getattr(table, name)
                               for name in CSV_TRAILING_COLUMNS]
+    cells = [_column_cells(col) for col in numeric]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(table.X.shape[1]))
-        # rows are formatted as they are written, so no column of cell
-        # strings is ever held in memory
-        writer.writerows(zip(table.ids, table.group,
-                             *(map(_csv_cell, col) for col in numeric)))
+        # rows are formatted block by block as they are written, so no
+        # column of cell strings is ever held in memory
+        for lo in range(0, len(table), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            writer.writerows(zip(table.ids[rows].tolist(),
+                                 table.group[rows].tolist(),
+                                 *(column(rows) for column in cells)))
+
+
+def _column_cells(col):
+    """A function from a row slice to the CSV cells of ``col`` there: the
+    shortest round-trip repr of each value, '' for NaN.
+
+    A column of at most a block's worth of distinct values (price levels,
+    demand, discrete covariates) formats each one once, keyed by its float64
+    bits so that -0.0 and 0.0 keep their own text.
+    """
+    # np.unique would hash, far slower than a sort on continuous columns
+    bits = np.sort(col.view(np.uint64))
+    bits = bits[np.append(True, bits[1:] != bits[:-1])]
+    if bits.size <= _ROW_BLOCK:
+        text = np.array(["" if v != v else repr(v)
+                         for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        return lambda rows: text[bits.searchsorted(
+            col[rows].view(np.uint64))].tolist()
+    empty = np.isnan(col)
+
+    def cells(rows):
+        text = list(map(repr, col[rows].tolist()))
+        for i in np.flatnonzero(empty[rows]).tolist():
+            text[i] = ""
+        return text
+    return cells
 
 
 def _csv_header(k: int) -> list:
     return (list(CSV_LEADING_COLUMNS) + [f"x{j + 1}" for j in range(k)]
             + list(CSV_TRAILING_COLUMNS))
-
-
-def _csv_cell(value) -> str:
-    return "" if value != value else fmt_float(value)
 
 
 def read_records_csv(path) -> RecordTable:

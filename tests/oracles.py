@@ -431,3 +431,122 @@ def formula_demand(model, x, group, p):
         model.noise, lambda: 1.0 - fam.cdf(z))()
     return (float(survival), float(-fam.pdf(z) / model.scale),
             float(-fam.pdf_prime(z) / model.scale ** 2))
+
+
+# ---------------------------------------------------------------------------
+# the simulator's per-record draw loops and the per-cell CSV writer
+# ---------------------------------------------------------------------------
+#
+# Verbatim copies of the record-by-record implementations that the block
+# draws and the blocked CSV writer of ``fairprice.sim`` replaced; those must
+# match them bit for bit, leaving the generator in the same state.
+
+import csv  # noqa: E402
+
+from fairprice.demand import (  # noqa: E402
+    CSV_TRAILING_COLUMNS,
+    Population,
+    RecordTable,
+    as_table,
+    eval_demand,
+)
+from fairprice.sim import ScenarioConfig, _csv_header, _exact_support  # noqa: E402
+from fairprice.util import fmt_float  # noqa: E402
+
+
+def loop_generate_population(config: ScenarioConfig, rng) -> Population:
+    """Draw ``n`` customers: covariates, group, and (latent) valuation.
+
+    Prices, demand, and outcomes are attached later by
+    :func:`log_interactions`. When every covariate is discrete the returned
+    population also carries the exact support, masses, and membership
+    probabilities of the generating process.
+    """
+    model = config.build_model()
+    latent = config.demand_kind == "latent"
+    width = max(6, len(str(config.n)))
+    ids = [f"r{i:0{width}d}" for i in range(config.n)]
+    # the loop only draws, in the generator's order; the draws are turned
+    # into groups and valuations afterwards, all rows at once
+    X = np.empty((config.n, len(config.covariates)))
+    u, eps = np.empty(config.n), np.empty(config.n)
+    for i in range(config.n):
+        X[i] = [spec.sample(rng) for spec in config.covariates]
+        u[i] = rng.random()
+        if latent:
+            eps[i] = model.family.sample(rng)
+    code = np.where(u < config.membership_prob(X), 0, 1)
+    groups = np.array(config.groups)[code]
+    values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
+    if latent:
+        values[:, CSV_TRAILING_COLUMNS.index("valuation")] = (
+            model.location_rows(X, code, config.groups) + model.scale * eps)
+    records = RecordTable.from_arrays(
+        ids, groups, X, values, ~np.isnan(values),
+        lambda i: f"record {ids[i]}")
+    if config.all_discrete:
+        support, masses, membership = _exact_support(config)
+        return Population(groups=config.groups, records=records,
+                          support=support, masses=masses,
+                          membership=membership, unit_cost=config.unit_cost)
+    total = len(records)
+    rho = {g: int(np.sum(groups == g)) / total for g in config.groups}
+    if min(rho.values()) == 0.0:
+        # keep priors valid even if a tiny sample missed a group entirely
+        rho = {g: max(v, 1.0 / (2 * total)) for g, v in rho.items()}
+        z = sum(rho.values())
+        rho = {g: v / z for g, v in rho.items()}
+    return Population(groups=config.groups, records=records, rho=rho,
+                      unit_cost=config.unit_cost)
+
+
+def loop_log_interactions(config: ScenarioConfig, population: Population,
+                          rng, policy=None) -> Population:
+    """Assign a price to every record and realize demand (and outcomes).
+
+    Without a policy, prices are drawn uniformly from the scenario's price
+    levels (the logging menu). Latent records buy iff their stored valuation
+    covers the price; logistic records draw a Bernoulli take-up. The realized
+    consumer surplus, scaled by ``outcome.surplus_weight``, lands in the
+    outcome column when configured.
+    """
+    model = config.build_model()
+    levels = config.price_levels
+    table = population.records
+    groups = table.group
+    # pricing draws no random numbers, so batching it keeps the RNG stream
+    offered = None if policy is None else policy.price_batch(table.X, groups)
+    for i, x in enumerate(table.X):
+        if policy is None:
+            p = float(levels[int(rng.integers(len(levels)))])
+        else:
+            p = float(offered[i])
+        table.price[i] = p
+        if config.demand_kind == "latent":
+            table.demand[i] = float(table.valuation[i] >= p)
+        else:
+            rate = eval_demand(model, x, groups[i], p)
+            table.demand[i] = float(rng.random() < rate)
+    if config.surplus_weight is not None:
+        table.outcome[:] = (config.surplus_weight
+                            * np.maximum(table.valuation - table.price, 0.0)
+                            * table.demand)
+    return population
+
+
+def cell_write_records_csv(path, records) -> None:
+    """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
+    table = as_table(records).require()
+    numeric = [*table.X.T] + [getattr(table, name)
+                              for name in CSV_TRAILING_COLUMNS]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_csv_header(table.X.shape[1]))
+        # rows are formatted as they are written, so no column of cell
+        # strings is ever held in memory
+        writer.writerows(zip(table.ids, table.group,
+                             *(map(_csv_cell, col) for col in numeric)))
+
+
+def _csv_cell(value) -> str:
+    return "" if value != value else fmt_float(value)

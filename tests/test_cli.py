@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -555,3 +557,65 @@ def test_version_flag(capsys):
         import fairprice.cli as cli
         cli.build_parser().parse_args(["--version"])
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("price_levels = 0.8, 1.2, 1.6, 2.0", "price_levels = 0.8, 1.2, nan", 14),
+    ("covariate.x1 = choice(0:0.5, 1:0.5)",
+     "covariate.x1 = choice(0:-0.5, 1:1.5)", 4),
+    ("covariate.x1 = choice(0:0.5, 1:0.5)",
+     "covariate.x1 = choice(0:nan, 1:nan)", 4),
+], ids=["nan_price_level", "negative_choice_prob", "nan_choice_probs"])
+def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
+                                                      new, line):
+    path = tmp_path / "scenario.txt"
+    path.write_text(SCENARIO.replace(old, new))
+    code = main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert f"line {line}" in err
+
+
+@pytest.mark.parametrize("field", ["masses", "membership", "rho"])
+def test_sweep_rejects_nan_population_fields(tmp_path, capsys, sim_dir,
+                                             field):
+    population = json.loads((sim_dir / "population.json").read_text())
+    if field == "membership":
+        population["membership"][0] = [float("nan"), float("nan")]
+    elif field == "rho":
+        population["rho"]["a"] = float("nan")
+    else:
+        population[field][0] = float("nan")
+    path = tmp_path / "population.json"
+    path.write_text(json.dumps(population))
+    code = main(["sweep", "--kind", "share",
+                 "--model", str(sim_dir / "model_true.json"),
+                 "--population", str(path), "--grid", "0,0.3",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert ("priors" if field == "rho" else field) in err
+
+
+def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):
+    """``import fairprice.cli`` and an audit never import scipy.special."""
+    script = (
+        "import sys\n"
+        "import fairprice.cli\n"
+        "assert 'scipy.special' not in sys.modules, 'import'\n"
+        "code = fairprice.cli.main(['audit', '--records', sys.argv[1],\n"
+        "                           '--out-dir', sys.argv[2], '--quiet'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.special' not in sys.modules, 'audit'\n")
+    src = os.path.dirname(os.path.dirname(fp.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(sim_dir / "records.csv"),
+         str(tmp_path / "audit")], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert (tmp_path / "audit" / "audit.json").exists()
