@@ -252,13 +252,16 @@ class RecordTable:
     weight: np.ndarray
 
     @classmethod
-    def from_arrays(cls, ids, groups, X, values, present, where) -> "RecordTable":
+    def from_arrays(cls, ids, groups, X, values, present, where,
+                    labels=None) -> "RecordTable":
         """Validated table from parsed arrays.
 
-        ``values`` and ``present`` are (n, 5) arrays with the columns of
-        ``CSV_TRAILING_COLUMNS``; a cell that is not present is empty (an
-        empty weight means 1). Present cells must be finite and weights
-        positive; ``where(i)`` names row ``i`` in error messages.
+        ``groups`` holds each row's group label or, when the sorted
+        ``labels`` are given, its index into them. ``values`` and ``present``
+        are (n, 5) arrays with the columns of ``CSV_TRAILING_COLUMNS``; a cell
+        that is not present is empty (an empty weight means 1). Present cells
+        must be finite and weights positive; ``where(i)`` names row ``i`` in
+        error messages.
         """
         weight = np.where(present[:, -1], values[:, -1], 1.0)
         checks = [("covariates must be given and finite",
@@ -271,11 +274,12 @@ class RecordTable:
             if not ok.all():
                 raise InvalidRecordError(f"{where(np.argmin(ok))}: {problem}")
         cols = np.where(present[:, :-1], values[:, :-1], np.nan).T.copy()
-        labels, codes = np.unique(np.asarray(groups, dtype=str),
-                                  return_inverse=True)
+        if labels is None:
+            labels, groups = np.unique(np.asarray(groups, dtype=str),
+                                       return_inverse=True)
         return cls(ids=np.asarray(ids, dtype=str),
                    labels=tuple(str(g) for g in labels),
-                   codes=codes.reshape(-1), X=X, price=cols[0],
+                   codes=np.asarray(groups).reshape(-1), X=X, price=cols[0],
                    demand=cols[1], outcome=cols[2], valuation=cols[3],
                    weight=weight)
 
@@ -309,6 +313,15 @@ class RecordTable:
         ``X`` is never written after construction."""
         rows, row_of = np.unique(self.X, axis=0, return_inverse=True)
         return rows, row_of.reshape(-1)
+
+    @cached_property
+    def price_levels(self) -> tuple:
+        """``(levels, level_of)``: the distinct logged prices in sorted order
+        and the index into them of every record. Computed once per table;
+        :func:`fairprice.sim.log_interactions`, the one writer of ``price``,
+        drops it."""
+        levels, level_of = np.unique(self.price, return_inverse=True)
+        return levels, level_of.reshape(-1)
 
     @cached_property
     def group(self) -> np.ndarray:

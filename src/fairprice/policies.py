@@ -12,15 +12,23 @@ reloaded by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MissingFieldError, UnknownGroupError
+from .errors import (
+    DimensionMismatchError,
+    InvalidRecordError,
+    MissingFieldError,
+    UnknownGroupError,
+)
+from .util import json_field, json_numbers, json_value
 
 # a row matches a support point within this distance in every coordinate
 _MATCH_TOL = 1e-9
-# (row, support point) pairs compared at once by TabularPolicy._match
-_MATCH_BLOCK = 1 << 14
+# (row, support point) candidate pairs tested at once by TabularPolicy
+_MATCH_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,8 @@ class TabularPolicy:
     group ``None`` serves as the attribute-blind price for that support
     point and is the fallback when the requested group has no entry. A
     covariate row is priced at the first support point within 1e-9 of it in
-    every coordinate.
+    every coordinate. The fields are read into a dense price table on first
+    use, so they must not change after it.
     """
 
     support: np.ndarray
@@ -74,51 +83,63 @@ class TabularPolicy:
     def __post_init__(self):
         self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
 
-    def _locate(self, x) -> int:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.support.shape[1]:
-            raise DimensionMismatchError(
-                f"policy support has {self.support.shape[1]} covariates, "
-                f"got {x.size}")
-        hits = np.where(np.all(np.abs(self.support - x) <= _MATCH_TOL, axis=1))[0]
-        if hits.size == 0:
-            raise DimensionMismatchError(
-                f"covariate point {tuple(x)} is not on the policy support")
-        return int(hits[0])
+    @cached_property
+    def _dense(self) -> tuple:
+        """``(column_of, prices, present)``: the table as an (n_support + 1,
+        n_labels + 1) array and where it has an entry. The blind entries, in
+        the last column, fill labels without their own and serve the labels
+        not in ``column_of``; the last row, read for rows off the support,
+        is empty."""
+        idx, labels = zip(*self.table) if self.table else ((), ())
+        column_of = {g: j for j, g in enumerate(
+            dict.fromkeys(g for g in labels if g is not None))}
+        n, blind = len(self.support), len(column_of)
+        # a dict lookup matches an index as the table's own keys would; keys
+        # off the support go to the last row, emptied below
+        row_of = dict(zip(range(n), range(n)))
+        at = (np.fromiter(map(row_of.get, idx, repeat(n)), np.intp),
+              np.fromiter(map(column_of.get, labels, repeat(blind)), np.intp))
+        prices = np.zeros((n + 1, blind + 1))
+        present = np.zeros(prices.shape, dtype=bool)
+        prices[at] = np.fromiter(map(float, self.table.values()), float)
+        present[at], present[n] = True, False
+        fill = present[:, -1:] & ~present
+        return column_of, np.where(fill, prices[:, -1:], prices), present | fill
 
-    def _match(self, X) -> np.ndarray:
-        """``_locate`` of every row of ``X``, -1 where a row is off the
-        support. Each distinct row is compared with every support point, a
-        block of rows at a time, so no (rows, support) array is built."""
-        rows, row_of = np.unique(X, axis=0, return_inverse=True)
-        hit = np.full(len(rows), -1, dtype=np.intp)
-        step = max(1, _MATCH_BLOCK // max(1, len(self.support)))
-        for lo in range(0, len(rows), step):
-            near = np.ones((len(rows[lo:lo + step]), len(self.support)), bool)
-            for c in range(self.support.shape[1]):
-                near &= (np.abs(self.support[:, c] - rows[lo:lo + step, c, None])
-                         <= _MATCH_TOL)
-            hit[lo:lo + step] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
-        return hit[row_of.reshape(-1)]
-
-    def _entry(self, idx: int, a) -> float:
-        if a is not None and (idx, a) in self.table:
-            return float(self.table[(idx, a)])
-        if (idx, None) in self.table:
-            return float(self.table[(idx, None)])
-        raise UnknownGroupError(
-            f"no price for support point {idx} and group {a!r}")
+    def _first_hits(self, X) -> np.ndarray:
+        """Index of the first support point within 1e-9 of each row of ``X``
+        in every coordinate, n_support where there is none. Only the points
+        whose sort key lies within 2e-9 of a row's can pass; these candidate
+        pairs are tested a block of rows at a time, a coordinate at a time."""
+        n, k = self.support.shape
+        if k == 0:
+            return np.zeros(len(X), dtype=np.intp)
+        by_row = np.lexsort(X.T)  # puts equal rows next to each other
+        new = np.r_[True, (X[by_row[1:]] != X[by_row[:-1]]).any(axis=1)]
+        rows, row_of = X[by_row[new]], np.empty(len(X), dtype=np.intp)
+        row_of[by_row] = np.cumsum(new) - 1
+        # sort the support on its column with the most distinct values
+        columns = np.ascontiguousarray(self.support.T)
+        key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))
+        order = np.argsort(columns[key])
+        keys = columns[key][order]
+        first = np.searchsorted(keys, rows[:, key] - 2 * _MATCH_TOL)
+        count = np.searchsorted(keys, rows[:, key] + 2 * _MATCH_TOL, "right") - first
+        start = np.cumsum(count) - count
+        hit = np.full(len(rows), n, dtype=np.intp)
+        # rows a..b-1 start their pairs in one _MATCH_BLOCK-sized stretch
+        cuts = (np.flatnonzero(np.diff(start // _MATCH_BLOCK)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+            r = np.repeat(np.arange(a, b), count[a:b])
+            s = order[first[r] + np.arange(len(r)) - (start[r] - start[a])]
+            for c in range(k):
+                near = np.abs(columns[c][s] - rows[r, c]) <= _MATCH_TOL
+                r, s = r[near], s[near]
+            np.minimum.at(hit, r, s)
+        return hit[row_of]
 
     def price(self, x, a=None) -> float:
-        return self._entry(self._locate(x), a)
-
-    def _entries(self, index, groups) -> np.ndarray:
-        """``_entry`` of every (index, label) pair, one lookup per distinct
-        pair in order of first appearance, so an error names the first
-        failing row."""
-        pairs = list(zip(np.asarray(index).tolist(), groups))
-        by_pair = {pair: self._entry(*pair) for pair in dict.fromkeys(pairs)}
-        return np.fromiter(map(by_pair.__getitem__, pairs), float, len(pairs))
+        return float(self.price_batch(np.reshape(x, (1, -1)), [a])[0])
 
     def price_batch(self, X, groups) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -128,14 +149,18 @@ class TabularPolicy:
             raise DimensionMismatchError(
                 f"policy support has {self.support.shape[1]} covariates, "
                 f"got {X.shape[1]}")
-        index = self._match(X)
-        off = np.flatnonzero(index < 0)
-        if off.size:
-            # a lookup failing on an earlier row is the first error
-            self._entries(index[:off[0]], list(groups)[:off[0]])
-            raise DimensionMismatchError(
-                f"covariate point {tuple(X[off[0]])} is not on the policy support")
-        return self._entries(index, groups)
+        column_of, prices, present = self._dense
+        at = (self._first_hits(X), np.fromiter(
+            map(column_of.get, groups, repeat(len(column_of))), np.intp, len(X)))
+        missing = ~present[at]
+        if missing.any():
+            i = int(np.argmax(missing))
+            if at[0][i] == len(self.support):
+                raise DimensionMismatchError(
+                    f"covariate point {tuple(X[i])} is not on the policy support")
+            raise UnknownGroupError(f"no price for support point {at[0][i]} "
+                                    f"and group {list(groups)[i]!r}")
+        return prices[at]
 
 
 @dataclass
@@ -218,23 +243,48 @@ def policy_to_dict(policy) -> dict:
 
 
 def policy_from_dict(data: dict):
-    """Inverse of :func:`policy_to_dict`."""
-    kind = data.get("kind")
+    """Inverse of :func:`policy_to_dict`. A missing or ill-typed field raises
+    MissingFieldError or InvalidRecordError naming its JSON path."""
+    kind = json_value(data, "object", "policy").get("kind")
     if kind == "constant":
-        return ConstantPolicy(value=float(data["value"]))
+        return ConstantPolicy(value=json_field(data, "value", "number", "policy"))
     if kind == "group":
+        prices = json_field(data, "prices", "object", "policy")
         default = data.get("default")
-        return GroupPolicy(prices={g: float(v)
-                                   for g, v in data["prices"].items()},
-                           default=None if default is None else float(default))
+        return GroupPolicy(
+            prices={g: json_value(v, "number", f"policy.prices.{g}")
+                    for g, v in prices.items()},
+            default=None if default is None
+            else json_value(default, "number", "policy.default"))
     if kind == "tabular":
-        table = {(int(row["x_index"]), row["group"]): float(row["price"])
-                 for row in data["prices"]}
-        return TabularPolicy(support=np.asarray(data["support"], dtype=float),
-                             table=table)
+        support = [json_numbers(row, f"policy.support[{i}]") for i, row
+                   in enumerate(json_field(data, "support", "list", "policy"))]
+        if not support or len({len(row) for row in support}) > 1:
+            raise InvalidRecordError(
+                "policy.support must be a non-empty list of equal-length rows")
+        table = {}
+        for i, row in enumerate(json_field(data, "prices", "list", "policy")):
+            at = f"policy.prices[{i}]"
+            json_value(row, "object", at)
+            cell = (json_field(row, "x_index", "index", at),
+                    json_field(row, "group", "label", at))
+            if not 0 <= cell[0] < len(support):
+                raise InvalidRecordError(
+                    f"{at}.x_index must index the {len(support)} support "
+                    f"points, got {cell[0]}")
+            if cell in table:
+                raise InvalidRecordError(f"{at} repeats the entry for "
+                                         f"x_index {cell[0]}, group {cell[1]!r}")
+            table[cell] = json_field(row, "price", "number", at)
+        return TabularPolicy(support=np.array(support), table=table)
     if kind == "linear":
-        return LinearPolicy(theta=np.asarray(data["theta"], dtype=float),
-                            intercept=float(data["intercept"]),
-                            clip_lo=float(data["clip_lo"]),
-                            clip_hi=float(data["clip_hi"]))
+        theta = json_numbers(json_field(data, "theta", "list", "policy"),
+                             "policy.theta")
+        lo, hi = (json_field(data, name, "number", "policy")
+                  for name in ("clip_lo", "clip_hi"))
+        if not lo <= hi:
+            raise InvalidRecordError("policy.clip_lo must not exceed policy.clip_hi")
+        return LinearPolicy(theta=np.array(theta, dtype=float),
+                            intercept=json_field(data, "intercept", "number", "policy"),
+                            clip_lo=lo, clip_hi=hi)
     raise MissingFieldError(f"unknown policy kind {kind!r}")

@@ -397,21 +397,25 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     draws = _draw_block(config, model, rng)
     X, u, eps = draws if draws is not None else _draw_loop(config, model, rng)
     code = np.where(u < config.membership_prob(X), 0, 1)
-    groups = np.array(config.groups)[code]
+    count = np.bincount(code, minlength=len(config.groups))
+    # the table keeps the sorted labels that occur and codes into them
+    labels = sorted(g for g, c in zip(config.groups, count) if c)
+    label_code = np.array([labels.index(g) if c else -1
+                           for g, c in zip(config.groups, count)])
     values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
     if latent:
         values[:, CSV_TRAILING_COLUMNS.index("valuation")] = (
             model.location_rows(X, code, config.groups) + model.scale * eps)
     records = RecordTable.from_arrays(
-        ids, groups, X, values, ~np.isnan(values),
-        lambda i: f"record {ids[i]}")
+        ids, label_code[code], X, values, ~np.isnan(values),
+        lambda i: f"record {ids[i]}", labels)
     if config.all_discrete:
         support, masses, membership = _exact_support(config)
         return Population(groups=config.groups, records=records,
                           support=support, masses=masses,
                           membership=membership, unit_cost=config.unit_cost)
     total = len(records)
-    rho = {g: int(np.sum(groups == g)) / total for g in config.groups}
+    rho = {g: int(c) / total for g, c in zip(config.groups, count)}
     if min(rho.values()) == 0.0:
         # keep priors valid even if a tiny sample missed a group entirely
         rho = {g: max(v, 1.0 / (2 * total)) for g, v in rho.items()}
@@ -479,6 +483,8 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     table = population.records
     n = len(table)
     logistic = config.demand_kind == "logistic"
+    # the prices written below replace any cached levels of older ones
+    vars(table).pop("price_levels", None)
     if policy is not None:
         # pricing draws no random numbers, so batching it keeps the RNG stream
         table.price[:] = policy.price_batch(table.X, table.group)
@@ -767,7 +773,7 @@ def _importance_weights(table: RecordTable, policy, config: OPEConfig):
     if width <= 0.0:
         raise MissingFieldError(
             "logged prices carry no variation; off-policy weights undefined")
-    levels, inverse = np.unique(p, return_inverse=True)
+    levels, inverse = table.price_levels
     if config.level_masses is not None:
         masses = np.array([config.level_masses.get(float(v), 0.0)
                            for v in levels])[inverse]

@@ -1,13 +1,17 @@
-"""Small shared helpers: deterministic serialization and atomic writes."""
+"""Small shared helpers: deterministic serialization, atomic writes and
+checked reads of JSON input fields."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
+
+from .errors import InvalidRecordError, MissingFieldError
 
 
 def fmt_float(x: float) -> str:
@@ -66,3 +70,42 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+# JSON value kinds: accepted Python types and the name used in errors
+_JSON_KINDS = {
+    "number": ((int, float), "a finite number"),
+    "index": ((int,), "an integer"),
+    "label": ((str, type(None)), "a string or null"),
+    "list": ((list,), "a list"),
+    "object": ((dict,), "an object"),
+}
+
+
+def json_value(value, kind: str, where: str):
+    """``value`` if it is a JSON ``kind`` (a key of ``_JSON_KINDS``; a
+    number comes back as a float), else InvalidRecordError naming ``where``,
+    the value's JSON path."""
+    types, expected = _JSON_KINDS[kind]
+    if isinstance(value, types) and not isinstance(value, bool):
+        if kind != "number":
+            return value
+        # also false for NaN, and for integers too large for a float
+        if -sys.float_info.max <= value <= sys.float_info.max:
+            return float(value)
+    raise InvalidRecordError(f"{where} must be {expected}, got {value!r:.60}")
+
+
+def json_field(data: dict, key: str, kind: str, where: str):
+    """:func:`json_value` of ``data[key]``, named ``where.key``;
+    MissingFieldError when the key is absent."""
+    if key not in data:
+        raise MissingFieldError(f"{where}.{key} is missing")
+    return json_value(data[key], kind, f"{where}.{key}")
+
+
+def json_numbers(value, where: str) -> list:
+    """A JSON list of finite numbers, as floats, else the error of
+    :func:`json_value` for the list or its first bad item."""
+    return [json_value(v, "number", f"{where}[{j}]")
+            for j, v in enumerate(json_value(value, "list", where))]

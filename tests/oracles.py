@@ -550,3 +550,43 @@ def cell_write_records_csv(path, records) -> None:
 
 def _csv_cell(value) -> str:
     return "" if value != value else fmt_float(value)
+
+
+# ---------------------------------------------------------------------------
+# TabularPolicy: the full-scan row match and the per-pair table lookup that
+# the sort-window matcher and the dense price table replaced, verbatim apart
+# from taking the support and table as arguments
+# ---------------------------------------------------------------------------
+
+from fairprice.errors import DimensionMismatchError, UnknownGroupError  # noqa: E402
+
+_MATCH_TOL = 1e-9
+
+
+def scan_locate(support, x) -> int:
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != support.shape[1]:
+        raise DimensionMismatchError(
+            f"policy support has {support.shape[1]} covariates, "
+            f"got {x.size}")
+    hits = np.where(np.all(np.abs(support - x) <= _MATCH_TOL, axis=1))[0]
+    if hits.size == 0:
+        raise DimensionMismatchError(
+            f"covariate point {tuple(x)} is not on the policy support")
+    return int(hits[0])
+
+
+def scan_entry(table, idx: int, a) -> float:
+    if a is not None and (idx, a) in table:
+        return float(table[(idx, a)])
+    if (idx, None) in table:
+        return float(table[(idx, None)])
+    raise UnknownGroupError(
+        f"no price for support point {idx} and group {a!r}")
+
+
+def scan_tabular_prices(policy, X, groups) -> np.ndarray:
+    """A TabularPolicy's price of every row: one full scan and one table
+    lookup per row, the first failing row raising."""
+    return np.array([scan_entry(policy.table, scan_locate(policy.support, x), a)
+                     for x, a in zip(X, groups)], dtype=float)

@@ -619,3 +619,55 @@ def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):
         timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert (tmp_path / "audit" / "audit.json").exists()
+
+
+def _mutations(doc):
+    """``(name, copy)`` of every single-field change of a JSON document:
+    each object member and list item at any depth dropped, replaced by its
+    JSON text, or set to null. Changes that leave ``doc`` equal are skipped."""
+    def fields(node, path):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            yield path + (key,), value
+            yield from fields(value, path + (key,))
+
+    for path, value in fields(doc, ()):
+        for change in ("drop", "stringify", "null"):
+            new = json.loads(json.dumps(doc))
+            parent = new
+            for key in path[:-1]:
+                parent = parent[key]
+            if change == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = json.dumps(value) if change == "stringify" else None
+            if new != doc:
+                yield f"{change} {'.'.join(map(str, path))}", new
+
+
+def test_every_policy_file_mutation_exits_2(tmp_path, capsys, sim_dir):
+    """One field of a valid policy file dropped, stringified or nulled is an
+    input error (exit 2) naming its kind, never an internal error."""
+    records = str(sim_dir / "records.csv")
+    policies = [
+        {"kind": "constant", "value": 1.2},
+        {"kind": "tabular", "support": [[0.0], [1.0]],
+         "prices": [{"x_index": 0, "group": None, "price": 1.1},
+                    {"x_index": 1, "group": None, "price": 1.4}]},
+        {"kind": "linear", "intercept": 1.0, "theta": [0.3],
+         "clip_lo": 0.8, "clip_hi": 2.0},
+    ]
+    path = tmp_path / "policy.json"
+    runs = 0
+    for policy in policies:
+        for name, doc in [("valid", policy), *_mutations(policy)]:
+            path.write_text(json.dumps(doc))
+            code = main(["ope", "--records", records, "--policy", str(path),
+                         "--n-boot", "2", "--out-dir", str(tmp_path / "o"),
+                         "--quiet"])
+            err = capsys.readouterr().err
+            assert code == (0 if name == "valid" else 2), (name, err)
+            assert "error_code=internal" not in err, (name, err)
+            runs += 1
+    assert runs > 60

@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
+from oracles import scan_locate, scan_tabular_prices
 
 
 def test_constant_policy():
@@ -64,6 +68,77 @@ def test_policy_dict_round_trips():
         assert fp.policy_to_dict(back) == blob
     with pytest.raises(fp.MissingFieldError):
         fp.policy_from_dict({"kind": "cubist"})
+
+
+_TABULAR = {"kind": "tabular", "support": [[0.0, 1.0], [2.0, 3.0]],
+            "prices": [{"x_index": 0, "group": None, "price": 1.0},
+                       {"x_index": 1, "group": "a", "price": 2.0}]}
+
+
+@pytest.mark.parametrize("path, value, error, where", [
+    (("prices", 1, "x_index"), 2, fp.InvalidRecordError, "prices[1].x_index"),
+    (("prices", 1, "x_index"), -1, fp.InvalidRecordError, "prices[1].x_index"),
+    (("prices", 1, "x_index"), 1.0, fp.InvalidRecordError, "prices[1].x_index"),
+    (("prices", 1, "x_index"), True, fp.InvalidRecordError, "prices[1].x_index"),
+    (("prices", 0, "price"), float("nan"), fp.InvalidRecordError,
+     "prices[0].price"),
+    (("prices", 0, "price"), float("inf"), fp.InvalidRecordError,
+     "prices[0].price"),
+    (("prices", 0, "price"), 10 ** 400, fp.InvalidRecordError,
+     "prices[0].price"),
+    (("prices", 0, "price"), "1.0", fp.InvalidRecordError, "prices[0].price"),
+    (("prices", 0, "group"), 3, fp.InvalidRecordError, "prices[0].group"),
+    (("prices", 0, "group"), ["a"], fp.InvalidRecordError, "prices[0].group"),
+    (("prices", 0), {"x_index": 1, "group": "a", "price": 5.0},
+     fp.InvalidRecordError, "prices[1] repeats"),
+    (("prices", 0), [0, None, 1.0], fp.InvalidRecordError, "prices[0]"),
+    (("support", 1), [2.0], fp.InvalidRecordError, "support"),
+    (("support",), [], fp.InvalidRecordError, "support"),
+    (("support", 0, 1), float("nan"), fp.InvalidRecordError, "support[0][1]"),
+    (("support", 0, 1), None, fp.InvalidRecordError, "support[0][1]"),
+    (("support",), {"0": [0.0]}, fp.InvalidRecordError, "policy.support"),
+    (("prices", 1, "price"), None, fp.InvalidRecordError, "prices[1].price"),
+    (("prices", 1, "x_index"), "drop", fp.MissingFieldError,
+     "prices[1].x_index"),
+    (("prices", 1, "group"), "drop", fp.MissingFieldError, "prices[1].group"),
+    (("prices",), "drop", fp.MissingFieldError, "policy.prices"),
+    (("support",), "drop", fp.MissingFieldError, "policy.support"),
+], ids=lambda v: "huge_int" if isinstance(v, int) and v > 2 ** 64 else None)
+def test_tabular_policy_file_is_checked_field_by_field(path, value, error,
+                                                       where):
+    blob = json.loads(json.dumps(_TABULAR))
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(error, match=re.escape(where)):
+        fp.policy_from_dict(blob)
+
+
+@pytest.mark.parametrize("blob, error, where", [
+    ({"kind": "constant"}, fp.MissingFieldError, "policy.value"),
+    ({"kind": "constant", "value": "1.2"}, fp.InvalidRecordError,
+     "policy.value"),
+    ({"kind": "group", "default": 1.0}, fp.MissingFieldError, "policy.prices"),
+    ({"kind": "group", "prices": {"a": None}}, fp.InvalidRecordError,
+     "policy.prices.a"),
+    ({"kind": "linear", "theta": [1.0], "clip_lo": 0.0, "clip_hi": 1.0},
+     fp.MissingFieldError, "policy.intercept"),
+    ({"kind": "linear", "intercept": 1.0, "clip_lo": 0.0, "clip_hi": 1.0},
+     fp.MissingFieldError, "policy.theta"),
+    ({"kind": "linear", "intercept": 1.0, "theta": [1.0, None],
+      "clip_lo": 0.0, "clip_hi": 1.0}, fp.InvalidRecordError,
+     "policy.theta[1]"),
+    ({"kind": "linear", "intercept": 1.0, "theta": [], "clip_lo": 2.0,
+      "clip_hi": 1.0}, fp.InvalidRecordError, "policy.clip_lo"),
+    ([1.0], fp.InvalidRecordError, "policy"),
+])
+def test_policy_files_name_the_bad_field(blob, error, where):
+    with pytest.raises(error, match=re.escape(where)):
+        fp.policy_from_dict(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +293,80 @@ def test_tabular_match_of_many_rows_against_a_large_support():
     pol = fp.TabularPolicy(support=support,
                            table={(i, None): float(i) for i in range(3000)})
     X = support[rng.integers(3000, size=5000)]
-    want = [pol._locate(x) for x in X[:200]]
-    assert pol.price_batch(X, [None] * len(X))[:200].tolist() == want
-    assert pol._match(X).tolist() == pol.price_batch(X, [None] * len(X)).astype(int).tolist()
+    want = [scan_locate(pol.support, x) for x in X]
+    assert pol.price_batch(X, [None] * len(X)).tolist() == want
+
+
+@pytest.mark.parametrize("shape", ["grid", "repeated"])
+def test_tabular_match_over_many_blocks_of_candidates(shape):
+    # every row's window holds many candidates: a 50 x 40 grid gives 40 per
+    # row over many blocks; 4 points repeated 2500 times give one row more
+    # candidates than a block, and the first copy is the hit
+    rng = np.random.default_rng(9)
+    if shape == "grid":
+        support = np.stack(np.meshgrid(np.arange(50.0), np.linspace(-1, 2, 40),
+                                       indexing="ij"), -1).reshape(-1, 2)
+    else:
+        support = rng.integers(2, size=(10000, 2)).astype(float)
+    pol = fp.TabularPolicy(support=support,
+                           table={(i, None): float(i) for i in range(len(support))})
+    X = support[rng.integers(len(support), size=1000)]
+    X[::3] += 5e-10
+    want = [scan_locate(pol.support, x) for x in X]
+    assert pol.price_batch(X, [None] * len(X)).tolist() == want
+
+
+# near-duplicate offsets around the 1e-9 tolerance, and values at 1e10, where
+# 1e-9 is below one ulp
+_OFFSETS = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1e-9 * (1 + 1e-7), 3e-9)
+_CENTERS = (0.0, -0.0, 1.0, -2.5, 1e10, -1e10, 3.0, float("nan"))
+
+
+@st.composite
+def _tabular_rows(draw):
+    """A TabularPolicy on a support built from few values per column, with
+    near-duplicate, signed-zero, 1e10 and (in half the draws) NaN
+    coordinates; rows on, near and (in half the draws) off the support, some
+    of the wrong width; and their labels. Two tables in three have a blind
+    price at every support point."""
+    k = draw(st.integers(0, 3))
+    centers = _CENTERS if draw(st.booleans()) else _CENTERS[:-1]
+    coordinate = st.builds(lambda c, o: c + o, st.sampled_from(centers),
+                           st.sampled_from(_OFFSETS))
+    point = st.lists(coordinate, min_size=k, max_size=k)
+    support = draw(st.lists(point, min_size=1, max_size=8))
+    near = st.sampled_from(support).flatmap(lambda p: st.builds(
+        lambda o: [v + d for v, d in zip(p, o)],
+        st.lists(st.sampled_from(_OFFSETS[:5]), min_size=k, max_size=k)))
+    row = st.sampled_from(support) | near
+    rows = draw(st.lists(row | point if draw(st.booleans()) else row,
+                         min_size=1, max_size=20))
+    width = max(0, k + draw(st.sampled_from([0] * 8 + [1, -1])))
+    X = np.array([(r + [0.5])[:width] for r in rows]).reshape(len(rows), width)
+    groups = draw(st.lists(st.sampled_from(_LABELS), min_size=len(rows),
+                           max_size=len(rows)))
+    # keys off the support (-1, len(support)) are never read
+    cells = [(i, g) for i in range(-1, len(support) + 1) for g in _LABELS]
+    price = _coef | st.just(float("nan"))
+    table = {cell: draw(price) for cell in draw(
+        st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))}
+    if draw(st.sampled_from([True, True, False])):
+        for i in range(len(support)):
+            table.setdefault((i, None), draw(price))
+    return fp.TabularPolicy(support=np.reshape(support, (len(support), k)),
+                            table=table), X, groups
+
+
+@settings(max_examples=300)
+@given(_tabular_rows())
+def test_tabular_prices_match_the_full_scan_bitwise(case):
+    policy, X, groups = case
+    want = _outcome(lambda: scan_tabular_prices(policy, X, groups))
+    got = _outcome(lambda: policy.price_batch(X, groups))
+    if isinstance(want, tuple):
+        assert got == want      # same error type, naming the same row
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    one = _outcome(lambda: policy.price(X[-1], groups[-1]))
+    assert np.float64(one).view(np.uint64) == want[-1:].view(np.uint64)[0]

@@ -114,6 +114,19 @@ def test_log_interactions_under_policy():
     assert {r.price for r in pop.records} == {1.1}
 
 
+def test_relogged_prices_replace_the_cached_price_levels():
+    cfg = fp.ScenarioConfig.from_text(SCENARIO)
+    rng = np.random.default_rng(3)
+    pop = fp.generate_population(cfg, rng)
+    fp.log_interactions(cfg, pop, rng)
+    assert pop.records.price_levels[0].tolist() == list(cfg.price_levels)
+    policy = fp.GroupPolicy(prices={"a": 1.0, "b": 1.5})
+    fp.log_interactions(cfg, pop, rng, policy=policy)
+    levels, level_of = pop.records.price_levels
+    assert levels.tolist() == [1.0, 1.5]
+    assert (levels[level_of] == pop.records.price).all()
+
+
 def test_log_interactions_prices_rows_like_price():
     text = SCENARIO.replace("covariate.x1 = choice(0:0.5, 1:0.5)",
                             "covariate.x1 = normal(0.3, 0.7)\n"

@@ -28,8 +28,8 @@ COVARIATES = {
 
 
 def scenario(covariates="choice", demand="latent", noise="logistic",
-             n=1500, surplus=False):
-    lines = [f"n = {n}", "groups = a, b", *COVARIATES[covariates],
+             n=1500, surplus=False, groups="a, b"):
+    lines = [f"n = {n}", f"groups = {groups}", *COVARIATES[covariates],
              "membership.intercept = 0.8", "membership.x1 = -1.6",
              f"demand = {demand}", "price_levels = 0.8, 1.2, 1.6, 2.0"]
     if demand == "latent":
@@ -124,6 +124,13 @@ def test_interactions_under_a_policy(demand, covariates):
 def test_logistic_demand_without_policy_any_parity_of_n(n):
     # scalar integers() calls keep half of a 64-bit draw for the next one
     run_both(scenario("uniform", "logistic", n=n), 4)
+
+
+@pytest.mark.parametrize("n", [1, 1500])
+def test_group_codes_index_the_sorted_labels_that_occur(n):
+    # groups listed out of sorted order; a one-record draw holds one group
+    got = run_both(scenario("uniform", n=n, groups="b, a"), 6)
+    assert len(got.records.labels) == min(n, 2)
 
 
 class ZeroInBlock:
