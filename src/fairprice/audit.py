@@ -24,6 +24,7 @@ from .demand import (
 )
 from .errors import (
     DecompositionError,
+    FairPriceError,
     InvalidRecordError,
     MissingFieldError,
     NoComputableMetricError,
@@ -122,6 +123,11 @@ def _weighted_ecdf_stat(x1, w1, x2, w2) -> float:
     return float(np.max(np.abs(ecdfs[0] - ecdfs[1])))
 
 
+def _check_alpha(alpha) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise MissingFieldError("alpha must lie strictly between 0 and 1")
+
+
 def two_sample_distribution_test(x1, w1, x2, w2, alpha: float = 0.05) -> dict:
     """Two-sample Kolmogorov-Smirnov test with weighted ECDFs.
 
@@ -129,6 +135,7 @@ def two_sample_distribution_test(x1, w1, x2, w2, alpha: float = 0.05) -> dict:
     ``sqrt(-ln(alpha/2)/2) * sqrt((n1+n2)/(n1 n2))`` with effective sample
     sizes ``(sum w)^2 / sum w^2``.
     """
+    _check_alpha(alpha)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     w1 = np.asarray(w1, dtype=float)
@@ -361,8 +368,8 @@ def concordance_oracle(records) -> dict:
     """
     table = as_table(records).require("price", "valuation")
     p, w = table.price, table.weight
-    levels, rank = np.unique(p, return_inverse=True)
-    rev = levels.size - 1 - rank.reshape(-1)
+    levels, rank = table.price_levels
+    rev = levels.size - 1 - rank
     val = np.unique(table.valuation, return_inverse=True)[1].reshape(-1)
     qualifying = concordant = 0.0
     for a, b in _group_pairs(table):
@@ -407,23 +414,22 @@ class DecompositionReport:
     sign: str
 
 
-def _decompose_curves(curve_est, grad_est, curve_true, interval, t3_tol=1e-12):
-    """Solve both pricing problems and return (t1, t3, p_est, p_true, den)."""
+def _decompose(estimated, est_group, true, true_group, x, interval):
+    """Solve both pricing problems at ``x`` and decompose their price gap."""
+    curve_est = partial(eval_demand, estimated, x, est_group)
+    curve_true = partial(eval_demand, true, x, true_group)
     p_est, _ = maximize_revenue_1d(curve_est, interval)
     p_true, _ = maximize_revenue_1d(curve_true, interval)
-    grad_est_at_true = grad_est(p_true)
-    grad_est_at_est = grad_est(p_est)
+    grad_est_at_true = demand_gradient(estimated, x, est_group, p_true)
+    grad_est_at_est = demand_gradient(estimated, x, est_group, p_est)
     t3 = grad_est_at_est - grad_est_at_true
-    if abs(t3) < t3_tol:
+    if abs(t3) < 1e-12:
         raise DecompositionError(
             "estimated demand slope does not move between the two optima; "
             "the decomposition is inapplicable (e.g. linear estimated demand)")
     t1 = curve_est(p_true) - curve_true(p_true)
+    t2 = grad_est_at_true - demand_gradient(true, x, true_group, p_true)
     denominator = grad_est_at_est + grad_est_at_true
-    return t1, t3, p_est, p_true, denominator
-
-
-def _finish_decomposition(t1, t2, t3, p_est, p_true, denominator):
     predicted = -(t1 + p_true * (t2 + t3)) / denominator
     gap = p_est - p_true
     terms = (t1, t2, t3)
@@ -454,14 +460,7 @@ def suboptimality_decomposition(estimated, true, x, group,
     if isinstance(estimated, PartiallyLinearDemand):
         raise DecompositionError(
             "estimated demand is linear in price; slope-shift term vanishes")
-
-    curve_est = partial(eval_demand, estimated, x, group)
-    curve_true = partial(eval_demand, true, x, group)
-    grad_est = partial(demand_gradient, estimated, x, group)
-    t1, t3, p_est, p_true, den = _decompose_curves(
-        curve_est, grad_est, curve_true, interval)
-    t2 = grad_est(p_true) - demand_gradient(true, x, group, p_true)
-    return _finish_decomposition(t1, t2, t3, p_est, p_true, den)
+    return _decompose(estimated, group, true, group, x, interval)
 
 
 def attribute_gap_decomposition(model, population, x_index: int, group: str,
@@ -489,14 +488,7 @@ def attribute_gap_decomposition(model, population, x_index: int, group: str,
         spread = getattr(model, "scale", 1.0)
         hi = max(max(centers) + 10.0 * spread, 10.0 * spread)
         interval = PriceInterval(0.0, float(hi))
-
-    curve_est = partial(eval_demand, model, x, group)
-    curve_true = partial(eval_demand, model, x, mixture)
-    grad_est = partial(demand_gradient, model, x, group)
-    t1, t3, p_est, p_true, den = _decompose_curves(
-        curve_est, grad_est, curve_true, interval)
-    t2 = grad_est(p_true) - demand_gradient(model, x, mixture, p_true)
-    return _finish_decomposition(t1, t2, t3, p_est, p_true, den)
+    return _decompose(model, group, model, mixture, x, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +514,10 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     ``metrics`` selects a subset of ``AUDIT_METRIC_NAMES`` (default all).
     Metrics that cannot be computed from the given records are reported as
     ``{"error": <code>}``. If nothing at all is computable the audit raises.
+    A significance level ``alpha`` outside (0, 1) raises before any metric
+    runs.
     """
+    _check_alpha(alpha)
     table = as_table(records)
     attempts = {
         "marginal_price_disparity": lambda: marginal_price_disparity(table),
@@ -541,8 +536,6 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
             f"choose from {list(AUDIT_METRIC_NAMES)}")
     metrics = {}
     computed = 0
-    from .errors import FairPriceError
-
     for name in selected:
         try:
             metrics[name] = attempts[name]()

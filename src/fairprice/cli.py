@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit metric to compute (repeatable or "
                         "comma-separated; default all)")
     p.add_argument("--alpha", type=float, default=0.05,
-                   help="test level for distributional metrics")
+                   help="test level for distributional metrics, "
+                        "strictly between 0 and 1")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("ope", parents=[common],

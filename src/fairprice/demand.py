@@ -854,7 +854,12 @@ class FitDiagnostics:
     residual_sum_squares: dict | None = None
 
 
-def fit_logistic(records, max_iter=500, grad_tol=1e-8):
+# Newton iteration cap and gradient-norm stopping bound of the logistic fit
+_LOGISTIC_MAX_ITER = 500
+_LOGISTIC_GRAD_TOL = 1e-8
+
+
+def fit_logistic(records):
     """Maximum-likelihood logistic demand via damped Newton iterations.
 
     The price enters as one more covariate; coefficients are reported as
@@ -892,11 +897,11 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
     eta = X @ coef
     ll = loglik(eta)
     grad_norm = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _LOGISTIC_MAX_ITER + 1):
         mu = scipy_special().expit(eta)
         grad = X.T @ (w * (y - mu))
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < grad_tol:
+        if grad_norm < _LOGISTIC_GRAD_TOL:
             info = X.T @ (X * (w * mu * (1.0 - mu))[:, None])
             se = np.sqrt(np.diag(np.linalg.inv(info)))
             model = LogisticDemand(gamma=coef[:dim], beta=coef[dim],
@@ -930,7 +935,7 @@ def fit_logistic(records, max_iter=500, grad_tol=1e-8):
             scale *= 0.5
         coef, eta, ll = cand, eta_cand, ll_cand
     raise ConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations "
+        f"logistic fit did not converge in {_LOGISTIC_MAX_ITER} iterations "
         f"(gradient norm {grad_norm:.3e})", gradient_norm=grad_norm)
 
 

@@ -16,6 +16,7 @@ nonnegative; reported multipliers refer to that orientation and the
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,9 +145,48 @@ def _dbar_matrix(model, population) -> np.ndarray:
     return dbar.reshape(n, k)
 
 
-def _oriented_weights(population, positive_group):
-    return {g: parity_weight(population.rho, g, positive_group)
-            for g in population.groups}
+def _solve(mode, population, gamma, weight, dbar, slope, contrast):
+    """The closed form both solvers share, on price cells that are (x, a)
+    pairs or support points. ``weight``, ``dbar`` and ``slope`` broadcast to
+    the cells; ``contrast @ xi`` is each cell's contrast: the identity for
+    (x, a) cells, the membership matrix for support points."""
+    groups = population.groups
+    xi_map = {g: parity_weight(population.rho, g, groups[0]) for g in groups}
+    xi = np.array([xi_map[g] for g in groups])
+    c = contrast @ xi
+    p0 = -dbar / (2.0 * slope)
+    d0 = float(np.sum(weight * c * p0))
+    flip = d0 < 0.0
+    if flip:
+        # Negation is exact; the contrast is recomputed, not negated, so a
+        # zero contrast stays +0.0 as in a solve in this orientation.
+        xi_map = {g: -w for g, w in xi_map.items()}
+        xi = -xi
+        c = contrast @ xi
+        d0 = -d0
+
+    if math.isinf(gamma) or d0 <= gamma:
+        lam = 0.0
+        prices = p0
+        achieved = d0
+    else:
+        den = float(np.sum(weight * c ** 2 / (2.0 * slope)))
+        if mode == ATTRIBUTE_BLIND and abs(den) < 1e-14:
+            raise UnenforceableConstraintError(
+                "covariates carry no group signal; an attribute-blind policy "
+                "cannot move the disparity below the cap")
+        lam = (gamma - d0) / den
+        prices = (-dbar + lam * c) / (2.0 * slope)
+        achieved = gamma
+    support = population.support
+    columns = groups if mode == ATTRIBUTE_BASED else (None,)
+    table = dict(zip(itertools.product(range(support.shape[0]), columns),
+                     prices.reshape(-1).tolist()))
+    return ParitySolution(
+        mode=mode, gamma=gamma, lambda_star=float(lam),
+        parity_weights=xi_map, oriented_groups=groups[::-1] if flip else groups,
+        prices=table, support=support.copy(), groups=groups,
+        unconstrained_disparity=d0, achieved_disparity=float(achieved))
 
 
 def solve_attribute_based_parity(model: PartiallyLinearDemand,
@@ -160,43 +200,10 @@ def solve_attribute_based_parity(model: PartiallyLinearDemand,
     it is zero when the unconstrained prices already satisfy the cap.
     """
     gamma = _check_parity_inputs(model, population, gamma)
-    support = population.support
-    joint = population.joint_weights()
-    groups = population.groups
-    dbar = _dbar_matrix(model, population)
-    beta = np.array([model.beta[g] for g in groups])
-
-    def solve_for(positive_group):
-        xi_map = _oriented_weights(population, positive_group)
-        xi = np.array([xi_map[g] for g in groups])
-        p0 = -dbar / (2.0 * beta)
-        d0 = float(np.sum(joint * xi * p0))
-        return xi_map, xi, p0, d0
-
-    xi_map, xi, p0, d0 = solve_for(groups[0])
-    positive = groups[0] if d0 >= 0.0 else groups[1]
-    if d0 < 0.0:
-        xi_map, xi, p0, d0 = solve_for(positive)
-
-    if math.isinf(gamma) or d0 <= gamma:
-        lam = 0.0
-        prices = p0
-        achieved = d0
-    else:
-        num = gamma - d0
-        den = float(np.sum(joint * xi ** 2 / (2.0 * beta)))
-        lam = num / den
-        prices = (-dbar + lam * xi) / (2.0 * beta)
-        achieved = gamma
-    table = {(i, g): float(prices[i, k])
-             for i in range(support.shape[0])
-             for k, g in enumerate(groups)}
-    other = groups[1] if positive == groups[0] else groups[0]
-    return ParitySolution(
-        mode=ATTRIBUTE_BASED, gamma=gamma, lambda_star=float(lam),
-        parity_weights=xi_map, oriented_groups=(positive, other),
-        prices=table, support=support.copy(), groups=groups,
-        unconstrained_disparity=d0, achieved_disparity=float(achieved))
+    beta = np.array([model.beta[g] for g in population.groups])
+    return _solve(ATTRIBUTE_BASED, population, gamma,
+                  population.joint_weights(), _dbar_matrix(model, population),
+                  beta, np.eye(len(beta)))
 
 
 def solve_attribute_blind_parity(model: PartiallyLinearDemand,
@@ -213,48 +220,11 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
     cap cannot be enforced and the solver raises.
     """
     gamma = _check_parity_inputs(model, population, gamma)
-    support = population.support
-    masses = population.masses
     memb = population.membership
-    groups = population.groups
-    dbar_xa = _dbar_matrix(model, population)
-    beta = np.array([model.beta[g] for g in groups])
-    betabar = memb @ beta
-    dbar_x = np.sum(memb * dbar_xa, axis=1)
-
-    def solve_for(positive_group):
-        xi_map = _oriented_weights(population, positive_group)
-        xi = np.array([xi_map[g] for g in groups])
-        m = memb @ xi
-        p0 = -dbar_x / (2.0 * betabar)
-        d0 = float(np.sum(masses * m * p0))
-        return xi_map, xi, m, p0, d0
-
-    xi_map, xi, m, p0, d0 = solve_for(groups[0])
-    positive = groups[0] if d0 >= 0.0 else groups[1]
-    if d0 < 0.0:
-        xi_map, xi, m, p0, d0 = solve_for(positive)
-
-    if math.isinf(gamma) or d0 <= gamma:
-        lam = 0.0
-        prices = p0
-        achieved = d0
-    else:
-        den = float(np.sum(masses * m ** 2 / (2.0 * betabar)))
-        if abs(den) < 1e-14:
-            raise UnenforceableConstraintError(
-                "covariates carry no group signal; an attribute-blind policy "
-                "cannot move the disparity below the cap")
-        lam = (gamma - d0) / den
-        prices = (-dbar_x + lam * m) / (2.0 * betabar)
-        achieved = gamma
-    table = {(i, None): float(prices[i]) for i in range(support.shape[0])}
-    other = groups[1] if positive == groups[0] else groups[0]
-    return ParitySolution(
-        mode=ATTRIBUTE_BLIND, gamma=gamma, lambda_star=float(lam),
-        parity_weights=xi_map, oriented_groups=(positive, other),
-        prices=table, support=support.copy(), groups=groups,
-        unconstrained_disparity=d0, achieved_disparity=float(achieved))
+    beta = np.array([model.beta[g] for g in population.groups])
+    dbar_x = np.sum(memb * _dbar_matrix(model, population), axis=1)
+    return _solve(ATTRIBUTE_BLIND, population, gamma,
+                  population.masses, dbar_x, memb @ beta, memb)
 
 
 def expected_revenue(policy, model, population) -> float:

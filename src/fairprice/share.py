@@ -141,8 +141,7 @@ def solve_share_price(model, x, group, ell: float) -> float:
             b = p
         if b - a < 1e-12 * max(1.0, abs(p)):
             return float(0.5 * (a + b))
-        slope = (2.0 * demand_gradient(model, x, group, p)
-                 + (p + ell) * demand_curvature(model, x, group, p))
+        slope = revenue_curvature(model, x, group, p, ell)
         if slope != 0.0:
             candidate = p - fp / slope
             if a < candidate < b:

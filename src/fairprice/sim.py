@@ -864,10 +864,14 @@ class PolicySearchResult:
     starts: int
 
 
+# times the policy search halves its pattern step
+_SEARCH_HALVINGS = 6
+
+
 def optimize_linear_policy(records, config: OPEConfig | None = None,
                            clip_lo: float | None = None,
                            clip_hi: float | None = None,
-                           n_starts: int = 16, n_halvings: int = 6,
+                           n_starts: int = 16,
                            seed: int = 0) -> PolicySearchResult:
     """Maximize the OPE value over clipped linear pricing policies.
 
@@ -875,7 +879,8 @@ def optimize_linear_policy(records, config: OPEConfig | None = None,
     deterministic flat policies pinned at each observed price level (so the
     search result is never worse than the best constant policy); remaining
     starts draw random coefficients from ``seed``. Steps begin at 10% of the
-    clip range and halve ``n_halvings`` times. Ties keep the earliest start.
+    clip range and halve ``_SEARCH_HALVINGS`` times. Ties keep the earliest
+    start.
     """
     config = config or OPEConfig()
     table = as_table(records).require()
@@ -910,7 +915,7 @@ def optimize_linear_policy(records, config: OPEConfig | None = None,
         vec = start.copy()
         val = evaluate(vec)
         step = step0
-        for _ in range(n_halvings + 1):
+        for _ in range(_SEARCH_HALVINGS + 1):
             improved = True
             while improved:
                 improved = False

@@ -590,3 +590,114 @@ def scan_tabular_prices(policy, X, groups) -> np.ndarray:
     lookup per row, the first failing row raising."""
     return np.array([scan_entry(policy.table, scan_locate(policy.support, x), a)
                      for x, a in zip(X, groups)], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Parity solvers: the two separate closed-form bodies that the shared
+# ``parity._solve`` replaced, verbatim, each orienting the groups by solving
+# a second time
+# ---------------------------------------------------------------------------
+
+import math  # noqa: E402
+
+from fairprice.errors import UnenforceableConstraintError  # noqa: E402
+from fairprice.parity import (  # noqa: E402
+    ATTRIBUTE_BASED,
+    ATTRIBUTE_BLIND,
+    ParitySolution,
+    _check_parity_inputs,
+    _dbar_matrix,
+    parity_weight,
+)
+
+
+def _oriented_weights(population, positive_group):
+    return {g: parity_weight(population.rho, g, positive_group)
+            for g in population.groups}
+
+
+def reference_attribute_based_parity(model, population, gamma):
+    gamma = _check_parity_inputs(model, population, gamma)
+    support = population.support
+    joint = population.joint_weights()
+    groups = population.groups
+    dbar = _dbar_matrix(model, population)
+    beta = np.array([model.beta[g] for g in groups])
+
+    def solve_for(positive_group):
+        xi_map = _oriented_weights(population, positive_group)
+        xi = np.array([xi_map[g] for g in groups])
+        p0 = -dbar / (2.0 * beta)
+        d0 = float(np.sum(joint * xi * p0))
+        return xi_map, xi, p0, d0
+
+    xi_map, xi, p0, d0 = solve_for(groups[0])
+    positive = groups[0] if d0 >= 0.0 else groups[1]
+    if d0 < 0.0:
+        xi_map, xi, p0, d0 = solve_for(positive)
+
+    if math.isinf(gamma) or d0 <= gamma:
+        lam = 0.0
+        prices = p0
+        achieved = d0
+    else:
+        num = gamma - d0
+        den = float(np.sum(joint * xi ** 2 / (2.0 * beta)))
+        lam = num / den
+        prices = (-dbar + lam * xi) / (2.0 * beta)
+        achieved = gamma
+    table = {(i, g): float(prices[i, k])
+             for i in range(support.shape[0])
+             for k, g in enumerate(groups)}
+    other = groups[1] if positive == groups[0] else groups[0]
+    return ParitySolution(
+        mode=ATTRIBUTE_BASED, gamma=gamma, lambda_star=float(lam),
+        parity_weights=xi_map, oriented_groups=(positive, other),
+        prices=table, support=support.copy(), groups=groups,
+        unconstrained_disparity=d0, achieved_disparity=float(achieved))
+
+
+def reference_attribute_blind_parity(model, population, gamma):
+    gamma = _check_parity_inputs(model, population, gamma)
+    support = population.support
+    masses = population.masses
+    memb = population.membership
+    groups = population.groups
+    dbar_xa = _dbar_matrix(model, population)
+    beta = np.array([model.beta[g] for g in groups])
+    betabar = memb @ beta
+    dbar_x = np.sum(memb * dbar_xa, axis=1)
+
+    def solve_for(positive_group):
+        xi_map = _oriented_weights(population, positive_group)
+        xi = np.array([xi_map[g] for g in groups])
+        m = memb @ xi
+        p0 = -dbar_x / (2.0 * betabar)
+        d0 = float(np.sum(masses * m * p0))
+        return xi_map, xi, m, p0, d0
+
+    xi_map, xi, m, p0, d0 = solve_for(groups[0])
+    positive = groups[0] if d0 >= 0.0 else groups[1]
+    if d0 < 0.0:
+        xi_map, xi, m, p0, d0 = solve_for(positive)
+
+    if math.isinf(gamma) or d0 <= gamma:
+        lam = 0.0
+        prices = p0
+        achieved = d0
+    else:
+        den = float(np.sum(masses * m ** 2 / (2.0 * betabar)))
+        if abs(den) < 1e-14:
+            raise UnenforceableConstraintError(
+                "covariates carry no group signal; an attribute-blind policy "
+                "cannot move the disparity below the cap")
+        lam = (gamma - d0) / den
+        prices = (-dbar_x + lam * m) / (2.0 * betabar)
+        achieved = gamma
+    table = {(i, None): float(prices[i]) for i in range(support.shape[0])}
+    other = groups[1] if positive == groups[0] else groups[0]
+    return ParitySolution(
+        mode=ATTRIBUTE_BLIND, gamma=gamma, lambda_star=float(lam),
+        parity_weights=xi_map, oriented_groups=(positive, other),
+        prices=table, support=support.copy(), groups=groups,
+        unconstrained_disparity=d0, achieved_disparity=float(achieved))

@@ -75,6 +75,12 @@ def test_weighted_ks_uses_effective_sample_size():
     assert skew["threshold"] > flat["threshold"]
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 1.5, float("nan")])
+def test_two_sample_test_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(fp.MissingFieldError):
+        fp.two_sample_distribution_test([1.0], [1.0], [2.0], [1.0], alpha)
+
+
 def test_distributional_parity_stat():
     records = ([_rec(i, "a", float(i % 5), 1.0) for i in range(40)]
                + [_rec(100 + i, "b", float(i % 5) + 2.0, 1.0)

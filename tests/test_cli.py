@@ -439,6 +439,17 @@ def test_audit_requires_one_input_mode(tmp_path, sim_dir, capsys):
     assert "error_code=missing_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "1"])
+def test_audit_rejects_alpha_outside_unit_interval(tmp_path, sim_dir, capsys,
+                                                  alpha):
+    out = tmp_path / "o"
+    code = main(["audit", "--records", str(sim_dir / "records.csv"),
+                 f"--alpha={alpha}", "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "error_code=missing_field" in capsys.readouterr().err
+    assert not (out / "audit.json").exists()
+
+
 def test_audit_without_valuations_skips_oracle(tmp_path, sim_dir):
     """Observational logs still get the concordance lower bound."""
     lines = (sim_dir / "records.csv").read_text().strip().splitlines()

@@ -11,7 +11,12 @@ import pytest
 import fairprice as fp
 from fairprice.util import json_dumps_stable
 
-from oracles import oracle_attribute_parity, oracle_blind_parity
+from oracles import (
+    oracle_attribute_parity,
+    oracle_blind_parity,
+    reference_attribute_based_parity,
+    reference_attribute_blind_parity,
+)
 
 
 def _hand_model_population():
@@ -148,6 +153,72 @@ def test_attribute_blind_matches_oracle(seed, gamma):
     got_rev = fp.expected_revenue(sol.policy(), model, pop)
     assert abs(got_rev - revenue) < 1e-5
     assert abs(sol.achieved_disparity) <= gamma + 1e-7
+
+
+def _solve_outcome(solver, model, pop, gamma):
+    """Everything a solve yields, as text that tells -0.0 from 0.0 and a
+    numpy float from a Python one."""
+    try:
+        sol = solver(model, pop, gamma)
+    except fp.FairPriceError as exc:
+        return type(exc), str(exc)
+    return (json_dumps_stable(sol.to_dict()), repr(list(sol.prices.items())),
+            repr(list(sol.parity_weights.items())), sol.oriented_groups)
+
+
+def _bitwise_instance(rng, t):
+    """0-2 covariates, shared or distinct slopes, priors listed in reverse
+    key order, and every 10th membership within 1e-9 of the priors (an
+    attribute-blind cap the covariates cannot enforce)."""
+    n, d = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+    masses = rng.dirichlet(np.ones(n))
+    if t % 10 == 0:
+        r = rng.uniform(0.2, 0.8)
+        memb = np.array([r, 1.0 - r]) + rng.normal(
+            scale=1e-9, size=(n, 1)) * np.array([1.0, -1.0])
+    else:
+        memb = rng.dirichlet(np.ones(2), size=n)
+    support = rng.normal(size=(n, d))
+    baseline = {g: (float(rng.uniform(-1.0, 3.0)), rng.uniform(-0.5, 0.5, d))
+                for g in ("a", "b")}
+    b = -rng.uniform(0.5, 2.0)
+    beta = {"a": b, "b": b if t % 2 else -rng.uniform(0.5, 2.0)}
+    implied = masses @ memb
+    rho = ({"b": float(implied[1]), "a": float(implied[0])} if t % 3 == 0
+           else None)
+    return (fp.PartiallyLinearDemand(beta=beta, baseline=baseline),
+            fp.Population(groups=("a", "b"), support=support, masses=masses,
+                          membership=memb, rho=rho))
+
+
+def _zero_contrast_instance(sign):
+    """Support point 0 has zero membership contrast and zero baseline, so its
+    constrained blind price is a signed zero."""
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": -1.5},
+        baseline={"a": (0.0, np.array([sign])), "b": (0.0, np.array([sign / 2]))})
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0], [2.0]],
+                        masses=[0.2, 0.4, 0.4],
+                        membership=[[0.5, 0.5], [0.9, 0.1], [0.1, 0.9]])
+    return model, pop
+
+
+def test_solvers_match_separate_reference_bodies_bitwise():
+    rng = np.random.default_rng(20)
+    cases = [_bitwise_instance(rng, t) for t in range(200)]
+    cases += [_zero_contrast_instance(s) for s in (1.0, -1.0)]
+    pairs = ((fp.solve_attribute_based_parity, reference_attribute_based_parity),
+             (fp.solve_attribute_blind_parity, reference_attribute_blind_parity))
+    flips = unenforceable = 0
+    for model, pop in cases:
+        for gamma in (0.0, 0.01, 0.05, 0.3, float("inf")):
+            for solver, reference in pairs:
+                got = _solve_outcome(solver, model, pop, gamma)
+                assert got == _solve_outcome(reference, model, pop, gamma)
+                flips += got[-1] == ("b", "a")
+                unenforceable += got[0] is fp.UnenforceableConstraintError
+    assert flips > 100 and unenforceable > 0
+    assert list(cases[0][1].rho) == ["b", "a"]
 
 
 def test_parity_weight_identities():
