@@ -123,7 +123,8 @@ def _weighted_ecdf_stat(x1, w1, x2, w2) -> float:
     return float(np.max(np.abs(ecdfs[0] - ecdfs[1])))
 
 
-def _check_alpha(alpha) -> None:
+def check_alpha(alpha) -> None:
+    """Raise MissingFieldError unless ``0 < alpha < 1``; nan fails too."""
     if not (0.0 < alpha < 1.0):
         raise MissingFieldError("alpha must lie strictly between 0 and 1")
 
@@ -135,7 +136,7 @@ def two_sample_distribution_test(x1, w1, x2, w2, alpha: float = 0.05) -> dict:
     ``sqrt(-ln(alpha/2)/2) * sqrt((n1+n2)/(n1 n2))`` with effective sample
     sizes ``(sum w)^2 / sum w^2``.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     w1 = np.asarray(w1, dtype=float)
@@ -517,7 +518,7 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     A significance level ``alpha`` outside (0, 1) raises before any metric
     runs.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     table = as_table(records)
     attempts = {
         "marginal_price_disparity": lambda: marginal_price_disparity(table),

@@ -33,7 +33,13 @@ import time
 from csv import writer as csv_writer
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
-from .audit import AUDIT_METRIC_NAMES, AuditReport, access_metrics, run_audit
+from .audit import (
+    AUDIT_METRIC_NAMES,
+    AuditReport,
+    access_metrics,
+    check_alpha,
+    run_audit,
+)
 from .demand import (
     fit_logistic,
     fit_partially_linear,
@@ -362,6 +368,7 @@ def _cmd_audit(args) -> int:
     if model_mode == bool(args.records):
         raise MissingFieldError(
             "pass either --records or the --model/--policy/--population trio")
+    check_alpha(args.alpha)
     if model_mode:
         if not (args.model and args.policy and args.population):
             raise MissingFieldError(

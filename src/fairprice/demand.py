@@ -452,9 +452,6 @@ class Population:
                 "population has no discrete support with membership probabilities")
         return self.masses[:, None] * self.membership
 
-    def rho_vector(self) -> np.ndarray:
-        return np.array([self.rho[g] for g in self.groups], dtype=float)
-
     def cells(self) -> "Cells":
         """The population as weighted cells, one array per field.
 
@@ -624,15 +621,11 @@ class PartiallyLinearDemand:
         return np.array(per_group)[g]
 
     def dbar(self, x, group) -> float:
-        """Baseline expected demand at zero price for one group or a mixture."""
-        if isinstance(group, dict):
-            return sum(w * self.dbar(x, g) for g, w in group.items())
+        """Baseline expected demand at zero price for one group."""
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(self.baseline_rows(x, 0, (group,)))
 
     def slope(self, group) -> float:
-        if isinstance(group, dict):
-            return float(sum(w * self.slope(g) for g, w in group.items()))
         return float(self._slopes(0, (group,)))
 
     def demand(self, X, g, p, groups) -> np.ndarray:
@@ -719,8 +712,6 @@ class LatentValuationModel:
         return _affine_rows(X, g, groups, self.loc, self.loc, "location")
 
     def location(self, x, group) -> float:
-        if isinstance(group, dict):
-            return sum(w * self.location(x, g) for g, w in group.items())
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(self.location_rows(x, 0, (group,)))
 
@@ -796,45 +787,6 @@ def demand_gradient(model, x, group, p):
 def demand_curvature(model, x, group, p):
     """Analytic d^2 demand / d price^2 at ``p``."""
     return _one_customer("curvature", model, x, group, p)
-
-
-def sample_valuation(model: LatentValuationModel, x, group, rng) -> float:
-    """One latent valuation draw ``loc(x, a) + scale * eps``."""
-    if not isinstance(model, LatentValuationModel):
-        raise TypeError("sample_valuation needs a LatentValuationModel")
-    eps = float(model.family.sample(rng))
-    return model.location(x, group) + model.scale * eps
-
-
-def sample_demand(model, x, group, p, rng) -> int:
-    """One realized purchase indicator at price ``p``.
-
-    Latent models threshold a fresh valuation draw (purchase iff V >= p).
-    The probabilistic families draw a single uniform and compare it with the
-    clamped take-up rate, so a caller holding the rng can couple draws.
-    """
-    p = _check_price(model, p)
-    if isinstance(model, LatentValuationModel):
-        return int(sample_valuation(model, x, group, rng) >= p)
-    rate = eval_demand(model, x, group, p)
-    rate = min(1.0, max(0.0, rate))
-    return int(rng.random() < rate)
-
-
-def sample_demand_curve(model, x, group, prices, rng) -> np.ndarray:
-    """Purchase indicators for one customer across several candidate prices.
-
-    A single latent draw (valuation, or uniform threshold for the
-    probabilistic families) is shared, so the result is nonincreasing in
-    price by construction.
-    """
-    prices = _check_price(model, np.asarray(prices, dtype=float).reshape(-1))
-    if isinstance(model, LatentValuationModel):
-        v = sample_valuation(model, x, group, rng)
-        return (v >= prices).astype(int)
-    u = rng.random()
-    rates = np.clip(eval_demand(model, x, group, prices), 0.0, 1.0)
-    return (u < rates).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +888,7 @@ def fit_logistic(records):
         coef, eta, ll = cand, eta_cand, ll_cand
     raise ConvergenceError(
         f"logistic fit did not converge in {_LOGISTIC_MAX_ITER} iterations "
-        f"(gradient norm {grad_norm:.3e})", gradient_norm=grad_norm)
+        f"(gradient norm {grad_norm:.3e})")
 
 
 def fit_partially_linear(records, allow_upward=False):

@@ -61,10 +61,6 @@ class ConvergenceError(FairPriceError):
 
     code = "no_convergence"
 
-    def __init__(self, message: str, gradient_norm: float | None = None):
-        super().__init__(message)
-        self.gradient_norm = gradient_norm
-
 
 class UpwardSlopeError(FairPriceError):
     """Fitted or supplied price response slopes upward (demand must fall in price)."""
@@ -117,7 +113,6 @@ class ConfigError(FairPriceError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class EmptyWeightError(FairPriceError):

@@ -68,17 +68,15 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
 
 
 def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
-                        shift: float = 0.0, unimodal: bool = False):
+                        shift: float = 0.0):
     """Maximize ``(p - shift) * curve(p)`` over the interval.
 
     ``curve`` maps price to model-scale demand; ``shift`` is a unit cost.
-    It is called once on the whole price array of each grid below, where a
-    scalar return broadcasts, and on single prices while golden section
-    refines; a curve that only takes single prices (raising TypeError or
-    ValueError on an array) is evaluated point by point instead.
+    It must accept a price array: it is called once on the whole price array
+    of each grid below, where a scalar return broadcasts, and on single
+    prices while golden section refines.
     A coarse 64-point probe first rejects curves with no positive revenue
-    anywhere on the interval. With ``unimodal=True`` the search is a single
-    golden-section pass; otherwise a dense grid locates the best bracket and
+    anywhere on the interval; then a dense grid locates the best bracket and
     golden section refines it, which is robust to multiple local peaks.
 
     Returns ``(price, value)``.
@@ -87,21 +85,13 @@ def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
     def objective(p):
         return (p - shift) * curve(p)
 
-    def objective_on(grid):
-        try:
-            return objective(grid)
-        except (TypeError, ValueError):
-            return np.array([objective(p) for p in grid])
-
     probe = np.linspace(interval.lo, interval.hi, 64)
-    probe_vals = objective_on(probe)
+    probe_vals = objective(probe)
     if not np.any(probe_vals > 0.0):
         raise DegenerateDemandError(
             "objective is nonpositive across the whole price interval")
-    if unimodal:
-        return golden_section_max(objective, interval.lo, interval.hi, tol)
     grid = np.linspace(interval.lo, interval.hi, interval.grid_n)
-    vals = objective_on(grid)
+    vals = objective(grid)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]

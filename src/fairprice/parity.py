@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
     UpwardSlopeError,
 )
 from .policies import TabularPolicy, table_rows
-from .util import json_dumps_stable, seqsum
+from .util import seqsum
 
 ATTRIBUTE_BASED = "attribute_based"
 ATTRIBUTE_BLIND = "attribute_blind"
@@ -86,16 +85,6 @@ class ParitySolution:
     def policy(self) -> TabularPolicy:
         return TabularPolicy(support=self.support, table=dict(self.prices))
 
-    @cached_property
-    def _policy(self) -> TabularPolicy:
-        return self.policy()
-
-    def price(self, x, a=None) -> float:
-        return self._policy.price(x, a)
-
-    def price_batch(self, X, groups) -> np.ndarray:
-        return self._policy.price_batch(X, groups)
-
     def to_dict(self) -> dict:
         """JSON-ready description; an infinite ``gamma`` stays a float."""
         return {
@@ -108,9 +97,6 @@ class ParitySolution:
             "achieved_disparity": self.achieved_disparity,
             "prices": table_rows(self.prices),
         }
-
-    def to_json(self) -> str:
-        return json_dumps_stable(self.to_dict())
 
 
 def _check_parity_inputs(model, population, gamma):

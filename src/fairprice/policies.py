@@ -203,16 +203,6 @@ class LinearPolicy:
         raw = np.where(raw > self.clip_lo, raw, float(self.clip_lo))
         return np.where(raw < self.clip_hi, raw, float(self.clip_hi))
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([[self.intercept], self.theta])
-
-
-def policy_from_flat(vector, clip_lo, clip_hi) -> LinearPolicy:
-    """Rebuild a LinearPolicy from the flat (intercept, theta...) vector."""
-    vector = np.asarray(vector, dtype=float).reshape(-1)
-    return LinearPolicy(theta=vector[1:], intercept=float(vector[0]),
-                        clip_lo=clip_lo, clip_hi=clip_hi)
-
 
 def table_rows(table: dict) -> list:
     """A ``(support_index, group) -> price`` table as JSON rows, ordered by

@@ -9,6 +9,7 @@ therefore lowers prices; a negative one acts as a tax and raises them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ class SharePenalty:
             raise MissingFieldError(f"unknown share scope {self.scope!r}")
         if self.scope == GROUP_SCOPE and self.group is None:
             raise MissingFieldError("group-scoped share penalty needs a group")
+        if not math.isfinite(self.weight):
+            raise MissingFieldError("share weight must be a finite number")
         if self.weight < 0.0:
             warnings.warn("negative share weight acts as a tax and raises prices",
                           stacklevel=2)

@@ -251,15 +251,18 @@ class ScenarioConfig:
         if not covariates:
             raise ConfigError("at least one covariate.<name> entry is required")
 
+        def coefficients(prefix):
+            coefs = {}
+            for key in [k for k in list(raw) if k.startswith(prefix)]:
+                name = key[len(prefix):]
+                if name not in {c.name for c in covariates}:
+                    raise ConfigError(f"{key}: unknown covariate", lines[key])
+                coefs[name] = as_float(key, raw.pop(key))
+            return coefs
+
         membership_intercept = as_float(
             "membership.intercept", take("membership.intercept", "0"))
-        membership_coefs = {}
-        for key in [k for k in list(raw) if k.startswith("membership.")]:
-            name = key.split(".", 1)[1]
-            if name not in {c.name for c in covariates}:
-                raise ConfigError(f"membership.{name}: unknown covariate",
-                                  lines[key])
-            membership_coefs[name] = as_float(key, raw.pop(key))
+        membership_coefs = coefficients("membership.")
 
         demand_kind = take("demand", required=True)
         if demand_kind not in ("latent", "logistic"):
@@ -296,23 +299,14 @@ class ScenarioConfig:
         if demand_kind == "latent":
             for g in groups:
                 loc_icpt = take(f"loc.{g}.intercept", required=True)
-                coefs = {}
-                for key in [k for k in list(raw) if k.startswith(f"loc.{g}.")]:
-                    name = key.split(".", 2)[2]
-                    if name not in {c.name for c in covariates}:
-                        raise ConfigError(f"{key}: unknown covariate", lines[key])
-                    coefs[name] = as_float(key, raw.pop(key))
+                coefs = coefficients(f"loc.{g}.")
                 loc[g] = (as_float(f"loc.{g}.intercept", loc_icpt), coefs)
         else:
             beta = as_float("beta", take("beta", required=True))
             if beta >= 0:
                 raise ConfigError("beta must be negative", lines.get("beta"))
             intercept = as_float("intercept", take("intercept", "0"))
-            for key in [k for k in list(raw) if k.startswith("gamma.")]:
-                name = key.split(".", 1)[1]
-                if name not in {c.name for c in covariates}:
-                    raise ConfigError(f"{key}: unknown covariate", lines[key])
-                gamma[name] = as_float(key, raw.pop(key))
+            gamma = coefficients("gamma.")
             if surplus_weight is not None:
                 raise ConfigError(
                     "outcome.surplus_weight needs latent demand",
@@ -743,15 +737,12 @@ class OPEConfig:
     """
 
     bandwidth: float = 0.3
-    kernel: str = "epanechnikov"
     level_masses: dict | None = None
     self_normalize: bool = True
 
     def __post_init__(self):
         if not (self.bandwidth > 0.0):
             raise MissingFieldError("bandwidth must be positive")
-        if self.kernel != "epanechnikov":
-            raise MissingFieldError(f"unknown kernel {self.kernel!r}")
 
 
 def _epanechnikov(u):

@@ -450,6 +450,22 @@ def test_audit_rejects_alpha_outside_unit_interval(tmp_path, sim_dir, capsys,
     assert not (out / "audit.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "0"])
+def test_model_audit_rejects_alpha_outside_unit_interval(tmp_path, sim_dir,
+                                                        capsys, alpha):
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(fp.policy_to_dict(
+        fp.GroupPolicy(prices={"a": 1.6, "b": 1.1}))))
+    out = tmp_path / "o"
+    code = main(["audit", "--model", str(sim_dir / "model_true.json"),
+                 "--policy", str(policy_path),
+                 "--population", str(sim_dir / "population.json"),
+                 f"--alpha={alpha}", "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "error_code=missing_field" in capsys.readouterr().err
+    assert not (out / "audit.json").exists()
+
+
 def test_audit_without_valuations_skips_oracle(tmp_path, sim_dir):
     """Observational logs still get the concordance lower bound."""
     lines = (sim_dir / "records.csv").read_text().strip().splitlines()
@@ -539,6 +555,24 @@ def test_sweep_share(tmp_path, sim_dir):
     assert len(lines) == 1 + 3 * 2  # three weights x two groups
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
+                                     ["price", "--share-lambda"]],
+                         ids=["sweep", "price"])
+def test_share_weight_must_be_finite(tmp_path, sim_dir, capsys, command,
+                                     weight):
+    out = tmp_path / "o"
+    code = main(command + [weight,
+                           "--model", str(sim_dir / "model_true.json"),
+                           "--population", str(sim_dir / "population.json"),
+                           "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error_code=missing_field" in err
+    assert "share weight" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_single_point_sweep_matches_price(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     main(["fit", "--records", str(sim_dir / "records.csv"),
@@ -587,6 +621,24 @@ def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
     assert code == 2
     assert "error_code=config_parse" in err
     assert f"line {line}" in err
+
+
+@pytest.mark.parametrize("key", ["membership.zz", "loc.a.zz", "gamma.zz"])
+def test_simulate_rejects_unknown_covariate_coefficient(tmp_path, capsys, key):
+    text = SCENARIO
+    if key.startswith("gamma."):
+        latent = text[text.index("demand = latent"):text.index("price_levels")]
+        text = text.replace(latent, "demand = logistic\nbeta = -1.5\n"
+                                    "gamma.x1 = 0.5\n")
+    text += f"{key} = 1.0\n"
+    path = tmp_path / "scenario.txt"
+    path.write_text(text)
+    code = main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert f"line {text.count(chr(10))}: {key}: unknown covariate" in err
 
 
 @pytest.mark.parametrize("field", ["masses", "membership", "rho"])

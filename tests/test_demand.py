@@ -124,31 +124,6 @@ def test_latent_demand_is_survival_probability():
         fp.eval_demand(m, [], "g", 30.0) == 0.0
 
 
-def test_sample_demand_curve_monotone_in_price():
-    m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
-                                noise="gumbel", scale=1.0)
-    rng = np.random.default_rng(3)
-    prices = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-    for _ in range(200):
-        buys = fp.sample_demand_curve(m, [], "g", prices, rng)
-        assert np.all(np.diff(buys) <= 0)
-
-
-def test_sample_demand_rate_matches_model():
-    m = fp.LogisticDemand(gamma=[0.0], beta=-1.0, intercept=1.0)
-    rng = np.random.default_rng(11)
-    hits = sum(fp.sample_demand(m, [0.0], None, 1.0, rng) for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.5) < 0.02
-
-
-def test_sample_valuation_location_shift():
-    m = fp.LatentValuationModel(loc={"g": (5.0, np.array([]))},
-                                noise="normal", scale=0.1)
-    rng = np.random.default_rng(5)
-    draws = [fp.sample_valuation(m, [], "g", rng) for _ in range(2000)]
-    assert abs(np.mean(draws) - 5.0) < 0.02
-
-
 # -- array kernels ----------------------------------------------------------
 
 _FAMILIES = sorted(NOISE_FAMILIES) + ["logistic_demand", "linear", "table"]
@@ -329,9 +304,9 @@ def _logistic_records(n, rng, gamma=(0.8,), beta=-1.5, intercept=0.5):
     for i in range(n):
         x = rng.normal(size=len(gamma))
         p = rng.uniform(0.2, 2.5)
-        d = fp.sample_demand(model, x, None, p, rng)
+        d = float(rng.random() < fp.eval_demand(model, x, None, p))
         records.append(fp.Record(id=str(i), group="a" if i % 2 else "b",
-                                 covariates=x, price=p, demand=float(d)))
+                                 covariates=x, price=p, demand=d))
     return records
 
 

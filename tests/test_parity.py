@@ -97,7 +97,7 @@ def _oracle_inputs(model, pop):
                      for i in range(m)])
     beta = np.array([model.beta[g] for g in pop.groups])
     joint = pop.joint_weights()
-    rho = pop.rho_vector()
+    rho = np.array([pop.rho[g] for g in pop.groups])
     return dbar, beta, joint, rho
 
 
@@ -144,12 +144,13 @@ def test_attribute_blind_matches_oracle(seed, gamma):
     prices, revenue, disparity = oracle_blind_parity(
         dbar_x, betabar, m_x, np.asarray(pop.masses), gamma)
 
+    policy = sol.policy()
     for i in range(m):
         got = sol.prices[(i, None)]  # one price per covariate cell
         assert abs(got - prices[i]) < 1e-3
         # both group labels resolve to the cell price
-        assert sol.price(pop.support[i], "a") == got
-        assert sol.price(pop.support[i], "b") == got
+        assert policy.price(pop.support[i], "a") == got
+        assert policy.price(pop.support[i], "b") == got
     got_rev = fp.expected_revenue(sol.policy(), model, pop)
     assert abs(got_rev - revenue) < 1e-5
     assert abs(sol.achieved_disparity) <= gamma + 1e-7
@@ -263,7 +264,7 @@ def test_solution_round_trips_to_json():
 
     model, pop = _hand_model_population()
     sol = fp.solve_attribute_based_parity(model, pop, gamma=0.0)
-    blob = json.loads(sol.to_json())
+    blob = json.loads(json_dumps_stable(sol.to_dict()))
     assert blob["mode"] == fp.ATTRIBUTE_BASED
     assert blob["lambda_star"] == pytest.approx(0.25)
     assert len(blob["prices"]) == 2
@@ -275,12 +276,11 @@ def test_solution_dict_keeps_infinite_gamma_and_one_policy():
     sol = fp.solve_attribute_blind_parity(model, pop, gamma=float("inf"))
     blob = sol.to_dict()
     assert blob["gamma"] == float("inf")
-    assert sol.to_json() == json_dumps_stable(blob)
-    assert '"gamma": "inf"' in sol.to_json()
-    # pricing reuses one tabular policy built from the solution
-    assert sol.price([], "a") == sol.policy().price([], "a")
-    assert sol._policy is sol._policy
-    assert sol.price_batch(np.zeros((2, 0)), ["a", "b"]).tolist() == [
+    assert '"gamma": "inf"' in json_dumps_stable(blob)
+    # the solution prices through one tabular policy built from its table
+    policy = sol.policy()
+    assert policy.price([], "a") == sol.prices[(0, None)]
+    assert policy.price_batch(np.zeros((2, 0)), ["a", "b"]).tolist() == [
         sol.prices[(0, None)]] * 2
 
 

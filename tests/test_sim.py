@@ -333,8 +333,6 @@ def test_ope_bootstrap_se_positive_and_stable():
 def test_ope_config_validation():
     with pytest.raises(fp.MissingFieldError):
         fp.OPEConfig(bandwidth=0.0)
-    with pytest.raises(fp.MissingFieldError):
-        fp.OPEConfig(kernel="triangle")
 
 
 def test_policy_search_beats_every_constant():
