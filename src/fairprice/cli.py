@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
@@ -67,7 +68,7 @@ from .parity import (
     solve_attribute_blind_parity,
 )
 from .policies import ConstantPolicy, TabularPolicy, policy_from_dict, policy_to_dict, table_rows
-from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, solve_share_price
+from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, share_prices
 from .sim import (
     OPEConfig,
     ScenarioConfig,
@@ -334,22 +335,16 @@ def _share_solution(model, population, args):
             "share pricing needs a population with a discrete support")
     penalty = SharePenalty(weight=args.share_lambda, scope=args.scope,
                            group=args.group)
-    table = {}
-    for i, x in enumerate(population.support):
-        for g in population.groups:
-            ell = penalty.effective(population.rho, g)
-            table[(i, g)] = solve_share_price(model, x, g, ell)
+    groups, n = population.groups, len(population.support)
+    ell = [penalty.effective(population.rho, g) for g in groups]
+    prices = share_prices(model, population.support.repeat(len(groups), 0),
+                          list(range(len(groups))) * n, groups, ell * n)
+    table = dict(zip(itertools.product(range(n), groups), prices.tolist()))
     policy = TabularPolicy(support=population.support.copy(), table=table)
-    payload = {
-        "mode": "share",
-        "share_lambda": float(args.share_lambda),
-        "scope": args.scope,
-        "group": args.group,
-        "disparity": (policy_disparity(policy, population)
-                      if len(population.groups) == 2 else None),
-    }
     parameters = {"mode": "share", "share_lambda": float(args.share_lambda),
                   "scope": args.scope, "group": args.group}
+    payload = dict(parameters, disparity=(policy_disparity(policy, population)
+                                          if len(groups) == 2 else None))
     return policy, payload, parameters
 
 
@@ -457,11 +452,10 @@ def _cmd_sweep(args) -> int:
         json_rows = [dict(zip(header, row)) for row in rows]
         parameters = {"kind": "parity", "mode": args.mode, "grid": grid}
     else:
-        frontier = share_frontier(model, population, grid,
-                                  scope=args.scope, group=args.group)
+        json_rows = share_frontier(model, population, grid,
+                                   scope=args.scope, group=args.group)
         header = ("weight", "group", "price_mean", "access", "revenue")
-        rows = [tuple(r[k] for k in header) for r in frontier]
-        json_rows = frontier
+        rows = [tuple(r[k] for k in header) for r in json_rows]
         parameters = {"kind": "share", "scope": args.scope,
                       "group": args.group, "grid": grid}
     run.write("sweep.csv", _csv_text(header, rows))

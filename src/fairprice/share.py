@@ -19,6 +19,7 @@ from .demand import (
     LatentValuationModel,
     LogisticDemand,
     PartiallyLinearDemand,
+    _row_dots,
     demand_curvature,
     demand_gradient,
     eval_demand,
@@ -26,13 +27,16 @@ from .demand import (
 from .errors import (
     ConvergenceError,
     DegenerateDemandError,
+    FairPriceError,
     MissingFieldError,
     PreconditionError,
+    UnknownGroupError,
 )
 from .optimize import golden_section_max
 
 _BRACKET_SIGMAS = 10.0
 _GRID_POINTS = 2001
+_GRID_ROWS = 256  # rows per block of price grids, which bounds their memory
 
 POPULATION_SCOPE = "population"
 GROUP_SCOPE = "group"
@@ -55,103 +59,111 @@ class SharePenalty:
             raise MissingFieldError("share weight must be a finite number")
         if self.weight < 0.0:
             warnings.warn("negative share weight acts as a tax and raises prices",
-                          stacklevel=2)
+                          stacklevel=3)
 
     def effective(self, rho: dict, group: str) -> float:
         """Per-customer margin shift for a member of ``group``."""
         if self.scope == POPULATION_SCOPE:
             return float(self.weight)
+        if self.group not in rho:
+            raise UnknownGroupError(f"unknown group {self.group!r}")
         if group != self.group:
             return 0.0
-        prior = rho.get(self.group, 0.0)
-        if not (prior > 0.0):
+        if not (rho[self.group] > 0.0):
             raise PreconditionError(
                 f"group {self.group!r} needs a positive prior")
-        return float(self.weight) / prior
+        return float(self.weight) / rho[self.group]
 
 
-def _model_scale(model, x, group) -> tuple:
-    """(center, spread) used to bracket the subsidized-revenue peak."""
+def share_prices(model, X, g, groups, ell) -> np.ndarray:
+    """Price maximizing ``(p + ell) * D(p | x, a)`` for every row of ``X``,
+    with ``g`` indexing ``groups`` and ``ell`` the penalty per row.
+
+    Partially linear demand has the closed form ``-dbar/(2 beta) - ell/2``.
+    Curved demand takes the grid argmax of the objective, then a safeguarded
+    Newton iteration on ``D + (p + ell) D' = 0`` for all rows in lockstep, or
+    golden section row by row where that condition keeps its sign on the
+    bracket (boundary optimum). Prices stay above ``max(0, -ell)``. Each row
+    gets the price it gets alone; a failure raises the first failing row's.
+    """
+    X, g, ell = np.asarray(X, float), np.asarray(g), np.asarray(ell, float)
+    try:
+        return _share_rows(model, X, g, groups, ell)
+    except FairPriceError:
+        for r in range(len(ell)):
+            _share_rows(model, X[r:r + 1], g[r:r + 1], groups, ell[r:r + 1])
+        raise
+
+
+def _share_rows(model, X, g, groups, ell) -> np.ndarray:
+    if isinstance(model, PartiallyLinearDemand):
+        dbar, beta = model.baseline_rows(X, g, groups), model._slopes(g, groups)
+        if np.any(beta >= 0.0):
+            raise PreconditionError("price slope must be negative")
+        return -dbar / (2.0 * beta) - ell / 2.0
+    # np.where(b > a, b, a) is Python's max(a, b), on ties of +-0 and NaN too
     if isinstance(model, LatentValuationModel):
-        return model.location(x, group), model.scale
-    if isinstance(model, LogisticDemand):
-        spread = 1.0 / abs(model.beta) if model.beta != 0.0 else 1.0
-        x = np.asarray(x, dtype=float).reshape(-1)
+        center, spread = model.location_rows(X, g, groups), model.scale
+    elif isinstance(model, LogisticDemand):
+        spread, center = 1.0, np.zeros(len(ell))
         if model.beta != 0.0:
-            center = -(model.gamma @ x + model.intercept) / model.beta
-        else:
-            center = 0.0
-        return float(max(center, 0.0)), spread
-    raise PreconditionError(f"unsupported model {type(model).__name__}")
+            spread = 1.0 / abs(model.beta)
+            center = -(_row_dots(X, model.gamma) + model.intercept) / model.beta
+        center = np.where(0.0 > center, 0.0, center)
+    else:
+        raise PreconditionError(f"unsupported model {type(model).__name__}")
+    step = _BRACKET_SIGMAS * spread
+    lo_min = np.where(-ell > 0.0, -ell, 0.0) + np.where(ell < 0.0, 1e-9, 0.0)
+    hi0 = np.where(lo_min + step > center + step, lo_min + step, center + step)
+    p0 = np.empty(len(ell))
+    for s in range(0, len(ell), _GRID_ROWS):
+        k = slice(s, s + _GRID_ROWS)
+        grid = np.linspace(lo_min[k], hi0[k], _GRID_POINTS, axis=1)
+        vals = (grid + ell[k, None]) * model.demand(X[k], g[k], grid, groups)
+        if not np.any(vals > 0.0, axis=1).all():
+            raise DegenerateDemandError("subsidized revenue is nonpositive "
+                                        "everywhere in the price range")
+        p0[k] = grid[np.arange(len(grid)), np.argmax(vals, axis=1)]
+    lo, hi = np.where(p0 - step > lo_min, p0 - step, lo_min), p0 + step
+
+    def foc(rows, p, *more):  # D + (p + ell) D', then D' and the more kernels
+        d, dp, *rest = (getattr(model, kernel)(X[rows], g[rows], p, groups)
+                        for kernel in ("demand", "gradient") + more)
+        return d + (p + ell[rows]) * dp, dp, *rest
+
+    f_lo = foc(..., lo)[0]
+    golden = f_lo * foc(..., hi)[0] > 0.0
+    price = np.empty(len(ell))
+    for r in np.flatnonzero(golden):
+        def objective(p, r=r):
+            return (p + ell[r]) * model.demand(X[r], g[r], p, groups)
+        price[r] = golden_section_max(objective, lo[r], hi[r], tol=1e-10)[0]
+    rows = np.flatnonzero(~golden)
+    a, b, fa = lo[rows], hi[rows], f_lo[rows]
+    p = np.where((lo < p0) & (p0 < hi), p0, 0.5 * (lo + hi))[rows]
+    for _ in range(200):
+        fp, dp, ddp = foc(rows, p, "curvature")
+        up = (fp > 0.0) == (fa > 0.0)
+        a, fa, b = np.where(up, p, a), np.where(up, fp, fa), np.where(up, b, p)
+        mid, root, size = 0.5 * (a + b), fp == 0.0, np.abs(p)
+        narrow = ~root & (b - a < 1e-12 * np.where(size > 1.0, size, 1.0))
+        price[rows[root]], price[rows[narrow]] = p[root], mid[narrow]
+        slope = 2.0 * dp + (p + ell[rows]) * ddp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = p - fp / slope
+        p = np.where((slope != 0.0) & (a < newton) & (newton < b), newton, mid)
+        live = ~(root | narrow)
+        rows, a, b, fa, p = rows[live], a[live], b[live], fa[live], p[live]
+        if not rows.size:
+            return price
+    raise ConvergenceError(
+        "share-price iteration failed to localize the optimum")
 
 
 def solve_share_price(model, x, group, ell: float) -> float:
-    """Price maximizing ``(p + ell) * D(p | x, group)``.
-
-    Partially linear demand has the closed form ``-dbar/(2 beta) - ell/2``.
-    The curved families are solved on a bracket around the grid argmax of the
-    objective via a safeguarded Newton iteration on the first-order condition
-    ``D + (p + ell) D' = 0``, falling back to golden section when the
-    condition does not change sign on the bracket (boundary optimum). Prices
-    are kept above ``max(0, -ell)`` so the margin stays meaningful.
-    """
-    ell = float(ell)
-    if isinstance(model, PartiallyLinearDemand):
-        dbar = model.dbar(x, group)
-        beta = model.slope(group)
-        if beta >= 0.0:
-            raise PreconditionError("price slope must be negative")
-        return -dbar / (2.0 * beta) - ell / 2.0
-
-    center, spread = _model_scale(model, x, group)
-    lo_min = max(0.0, -ell) + (1e-9 if ell < 0.0 else 0.0)
-
-    def demand(p):
-        return eval_demand(model, x, group, p)
-
-    def objective(p):
-        return (p + ell) * demand(p)
-
-    hi0 = max(center + _BRACKET_SIGMAS * spread,
-              lo_min + _BRACKET_SIGMAS * spread)
-    grid = np.linspace(lo_min, hi0, _GRID_POINTS)
-    vals = objective(grid)
-    if not np.any(vals > 0.0):
-        raise DegenerateDemandError(
-            "subsidized revenue is nonpositive everywhere in the price range")
-    p0 = float(grid[int(np.argmax(vals))])
-    lo = max(lo_min, p0 - _BRACKET_SIGMAS * spread)
-    hi = p0 + _BRACKET_SIGMAS * spread
-
-    def foc(p):
-        return demand(p) + (p + ell) * demand_gradient(model, x, group, p)
-
-    f_lo, f_hi = foc(lo), foc(hi)
-    if f_lo * f_hi > 0.0:
-        price, _ = golden_section_max(objective, lo, hi, tol=1e-10)
-        return float(price)
-
-    a, b = lo, hi
-    fa = f_lo
-    p = p0 if lo < p0 < hi else 0.5 * (a + b)
-    for _ in range(200):
-        fp = foc(p)
-        if fp == 0.0:
-            return float(p)
-        if (fp > 0.0) == (fa > 0.0):
-            a, fa = p, fp
-        else:
-            b = p
-        if b - a < 1e-12 * max(1.0, abs(p)):
-            return float(0.5 * (a + b))
-        slope = revenue_curvature(model, x, group, p, ell)
-        if slope != 0.0:
-            candidate = p - fp / slope
-            if a < candidate < b:
-                p = candidate
-                continue
-        p = 0.5 * (a + b)
-    raise ConvergenceError("share-price iteration failed to localize the optimum")
+    """The one-row call of :func:`share_prices`."""
+    return float(share_prices(model, np.reshape(x, (1, -1)), [0], (group,),
+                              [float(ell)])[0])
 
 
 def revenue_curvature(model, x, group, p, ell: float = 0.0) -> float:
@@ -231,24 +243,18 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
     """
     rows = []
     cells = population.cells()
-    labels = cells.labels
+    used, inverse = np.unique(cells.g, return_inverse=True)
     m = cells.mass
     for w in np.asarray(weights, dtype=float).reshape(-1):
         penalty = SharePenalty(weight=float(w), scope=scope, group=group)
-        ell = {g: penalty.effective(population.rho, g)
-               for g in dict.fromkeys(labels)}
-        p = np.array([solve_share_price(model, x, g, ell[g])
-                      for x, g in zip(cells.X, labels)])
+        ell = [penalty.effective(population.rho, cells.groups[k]) for k in used]
+        p = share_prices(model, cells.X, cells.g, cells.groups,
+                         np.array(ell)[inverse])
         d = model.demand(cells.X, cells.g, p, cells.groups)
         for k, g in enumerate(population.groups):
             mass, psum, dsum, rsum = cells.totals(k, m, m * p, m * d, m * p * d)
-            if mass <= 0.0:
-                continue
-            rows.append({
-                "weight": float(w),
-                "group": g,
-                "price_mean": psum / mass,
-                "access": dsum / mass,
-                "revenue": rsum / mass,
-            })
+            if mass > 0.0:
+                rows.append({"weight": float(w), "group": g,
+                             "price_mean": psum / mass, "access": dsum / mass,
+                             "revenue": rsum / mass})
     return rows

@@ -330,7 +330,7 @@ class ScenarioConfig:
         """P(first group | x) from the logit membership rule: a float for
         one covariate vector, an array for the rows of a matrix."""
         x = np.asarray(x, dtype=float)
-        z = self.membership_intercept
+        z = np.full(x.shape[:-1], self.membership_intercept)
         for name, coef in self.membership_coefs.items():
             z = z + coef * x[..., self.covariate_names.index(name)]
         q = scipy_special().expit(z)
@@ -741,8 +741,8 @@ class OPEConfig:
     self_normalize: bool = True
 
     def __post_init__(self):
-        if not (self.bandwidth > 0.0):
-            raise MissingFieldError("bandwidth must be positive")
+        if not (0.0 < self.bandwidth < math.inf):
+            raise MissingFieldError("bandwidth must be positive and finite")
 
 
 def _epanechnikov(u):

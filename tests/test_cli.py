@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from scipy.special import expit
 
 import fairprice as fp
 from fairprice.cli import main
@@ -522,6 +523,31 @@ def test_ope_requires_exactly_one_of_policy_or_search(tmp_path, sim_dir,
     assert "error_code=missing_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+def test_ope_rejects_non_finite_bandwidth(tmp_path, sim_dir, capsys,
+                                          bandwidth):
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    code = main(["ope", "--records", str(sim_dir / "records.csv"),
+                 "--policy", str(policy_path), "--bandwidth", bandwidth,
+                 "--out-dir", str(tmp_path / "x"), "--quiet"])
+    assert code == 2
+    assert "error_code=missing_field" in capsys.readouterr().err
+
+
+def test_simulate_without_membership_coefficients(tmp_path):
+    """An intercept-only membership rule gives every support point the same
+    membership row."""
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO.replace("membership.x1 = -1.6\n", ""))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "3",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    blob = json.loads((out / "population.json").read_text())
+    q = float(expit(0.8))
+    assert blob["membership"] == [[q, 1.0 - q]] * len(blob["support"])
+
+
 def test_sweep_parity(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     main(["fit", "--records", str(sim_dir / "records.csv"),
@@ -571,6 +597,22 @@ def test_share_weight_must_be_finite(tmp_path, sim_dir, capsys, command,
     assert "error_code=missing_field" in err
     assert "share weight" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
+                                     ["price", "--share-lambda"]],
+                         ids=["sweep", "price"])
+def test_share_subsidy_for_unknown_group_exits_2(tmp_path, sim_dir, capsys,
+                                                 command):
+    out = tmp_path / "o"
+    code = main(command + ["0.3", "--scope", "group", "--group", "zz",
+                           "--model", str(sim_dir / "model_true.json"),
+                           "--population", str(sim_dir / "population.json"),
+                           "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error_code=unknown_group" in err
+    assert "'zz'" in err
 
 
 def test_single_point_sweep_matches_price(tmp_path, sim_dir):

@@ -1,11 +1,13 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice.cli import main
 
-from oracles import grid_argmax
+from oracles import grid_argmax, loop_share_frontier, loop_share_price
 
 
 def test_linear_demand_closed_form():
@@ -127,6 +129,8 @@ def test_share_penalty_validation_and_effective():
         warnings.simplefilter("always")
         fp.SharePenalty(weight=-0.2)
     assert any("negative" in str(w.message).lower() for w in caught)
+    # the warning points at the caller, not into the dataclass __init__
+    assert [w.filename for w in caught] == [__file__]
 
 
 def _frontier_setup():
@@ -169,3 +173,91 @@ def test_share_frontier_group_scope_targets_one_group():
     # ...while the other group's prices stay put (penalty is zero there)
     assert f[(0.6, "a")]["price_mean"] == pytest.approx(
         f[(0.0, "a")]["price_mean"])
+
+
+def _boundary_market(noise):
+    """Group ``a`` (location 0.5) prices at the boundary 0.0 under a large
+    subsidy, through golden section; group ``b`` (location 2.5) stays
+    interior, through Newton."""
+    model = fp.LatentValuationModel(
+        loc={"a": (0.5, np.array([0.0])), "b": (2.5, np.array([0.3]))},
+        noise=noise, scale=0.4)
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0], [2.0]],
+                        masses=[0.3, 0.3, 0.4],
+                        membership=[[0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
+    return model, pop
+
+
+@pytest.mark.parametrize("noise, weight", [
+    ("logistic", 3.0), ("laplace", 3.0), ("normal", 3.0), ("normal", 10.0),
+    ("gumbel", 10.0)])
+def test_golden_section_rows_match_the_cell_loop(tmp_path, noise, weight):
+    model, pop = _boundary_market(noise)
+    rows = fp.share_frontier(model, pop, [weight])
+    assert rows == loop_share_frontier(model, pop, [weight])
+    assert {r["group"]: r["price_mean"] == 0.0 for r in rows} == {
+        "a": True, "b": False}
+
+    model_path, pop_path = tmp_path / "model.json", tmp_path / "pop.json"
+    model_path.write_text(json.dumps(fp.model_to_dict(model)))
+    pop_path.write_text(json.dumps(fp.population_to_dict(pop)))
+    out = tmp_path / "price"
+    assert main(["price", "--model", str(model_path), "--population",
+                 str(pop_path), "--share-lambda", str(weight),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    prices = json.loads((out / "prices.json").read_text())["prices"]
+    assert [(r["x_index"], r["group"], r["price"]) for r in prices] == [
+        (i, g, loop_share_price(model, x, g, weight))
+        for i, x in enumerate(pop.support) for g in pop.groups]
+
+
+def test_degenerate_rows_raise_among_newton_rows():
+    # exponential valuations far below zero never buy at a nonnegative price
+    model = fp.LatentValuationModel(
+        loc={"a": (2.0, np.array([0.2])), "b": (-60.0, np.array([0.0]))},
+        noise="exponential", scale=0.5)
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
+                        masses=[0.5, 0.5], membership=[[0.6, 0.4], [0.3, 0.7]])
+    message = "subsidized revenue is nonpositive everywhere in the price range"
+    with pytest.raises(fp.DegenerateDemandError) as caught:
+        fp.share_frontier(model, pop, [0.3])
+    assert str(caught.value) == message
+    with pytest.raises(fp.DegenerateDemandError) as caught:
+        fp.solve_share_price(model, [1.0], "b", 0.3)
+    assert str(caught.value) == message
+    assert fp.solve_share_price(model, [1.0], "a", 0.3) == loop_share_price(
+        model, np.array([1.0]), "a", 0.3)
+
+
+def test_share_solver_kernel_calls_do_not_grow_with_cells():
+    """The share solver works on all cells at once: ten times the cells take
+    about as many demand-kernel calls, not ten times as many."""
+    calls = []
+
+    class Counting(fp.LatentValuationModel):
+        def demand(self, *args):
+            calls.append("demand")
+            return super().demand(*args)
+
+        def gradient(self, *args):
+            calls.append("gradient")
+            return super().gradient(*args)
+
+        def curvature(self, *args):
+            calls.append("curvature")
+            return super().curvature(*args)
+
+    def kernel_calls(n_points):
+        model = Counting(loc={"a": (2.0, np.array([0.3])),
+                              "b": (1.5, np.array([0.2]))},
+                         noise="logistic", scale=0.5)
+        pop = fp.Population(groups=("a", "b"),
+                            support=np.linspace(-1.0, 1.0, n_points)[:, None],
+                            masses=np.full(n_points, 1.0 / n_points),
+                            membership=np.full((n_points, 2), 0.5))
+        calls.clear()
+        fp.share_frontier(model, pop, [0.3])
+        return len(calls)
+
+    few, many = kernel_calls(20), kernel_calls(200)  # 40 and 400 cells
+    assert many <= 1.5 * few, (few, many)

@@ -331,8 +331,9 @@ def test_ope_bootstrap_se_positive_and_stable():
 
 
 def test_ope_config_validation():
-    with pytest.raises(fp.MissingFieldError):
-        fp.OPEConfig(bandwidth=0.0)
+    for bandwidth in (0.0, float("inf"), float("nan")):
+        with pytest.raises(fp.MissingFieldError):
+            fp.OPEConfig(bandwidth=bandwidth)
 
 
 def test_policy_search_beats_every_constant():
