@@ -523,11 +523,16 @@ class Cells(NamedTuple):
 
 
 def _row_dots(X, coefs):
-    """``coefs @ x`` for every row ``x`` of ``X`` (or the one row ``X``).
+    """``coefs @ x`` for every row ``x`` of ``X`` (or the one row ``X``);
+    raises DimensionMismatchError when ``x`` and ``coefs`` differ in length.
 
     A stack of (1, k) @ (k,) products takes the same BLAS dot per row as the
     1-D product; ``X @ coefs`` sums in another order and changes last bits.
     """
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] != coefs.size:
+        raise DimensionMismatchError(
+            f"model expects {coefs.size} covariates, got {X.shape[-1]}")
     if X.ndim == 1:
         return coefs @ X
     return (np.ascontiguousarray(X)[:, None, :] @ coefs)[:, 0]
@@ -662,10 +667,6 @@ class LogisticDemand:
 
     def _sigmoid(self, X, p) -> np.ndarray:
         p = _check_price(self, p)
-        X = np.asarray(X, dtype=float)
-        if X.shape[-1] != self.gamma.size:
-            raise DimensionMismatchError(
-                f"model expects {self.gamma.size} covariates, got {X.shape[-1]}")
         index = _along(_row_dots(X, self.gamma), p) + self.beta * p
         return scipy_special().expit(index + self.intercept)
 

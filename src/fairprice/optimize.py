@@ -1,4 +1,4 @@
-"""One-dimensional revenue maximization and the scalarized welfare objective."""
+"""Row-wise revenue maximization and the scalarized welfare objective."""
 
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ from .errors import (
 from .util import seqsum
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# (row, price) values evaluated at once on grids, which bounds their memory
+_GRID_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
 class PriceInterval:
-    """Closed price interval searched by the 1-D maximizers."""
+    """Closed price interval searched by the row maximizers."""
 
     lo: float
     hi: float
@@ -44,60 +46,86 @@ def monopoly_price_linear(dbar: float, beta: float) -> float:
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
-    """Maximize a unimodal scalar function on [lo, hi].
-
-    Returns ``(argmax, value)``; endpoints are checked as well so a maximizer
-    on the boundary is not missed.
-    """
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    candidates = [(x, f(x)), (lo, f(lo)), (hi, f(hi))]
-    return max(candidates, key=lambda t: t[1])
+    """Maximize a unimodal scalar function on [lo, hi]: the one-row call of
+    :func:`golden_rows`. Returns ``(argmax, value)``."""
+    price, value = golden_rows(
+        lambda rows, p: np.array([f(float(p[0]))], dtype=float), [lo], [hi], tol)
+    return float(price[0]), float(value[0])
 
 
 def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
                         shift: float = 0.0):
-    """Maximize ``(p - shift) * curve(p)`` over the interval.
+    """Maximize ``(p - shift) * curve(p)`` over the interval: the one-row
+    call of :func:`maximize_rows`. ``curve`` maps a price array, or one
+    price, to model-scale demand (a scalar return broadcasts); ``shift`` is a
+    unit cost."""
+    price, value = maximize_rows(lambda rows, p: (p - shift) * curve(p[0]),
+                                 1, interval, tol)
+    return float(price[0]), float(value[0])
 
-    ``curve`` maps price to model-scale demand; ``shift`` is a unit cost.
-    It must accept a price array: it is called once on the whole price array
-    of each grid below, where a scalar return broadcasts, and on single
-    prices while golden section refines.
-    A coarse 64-point probe first rejects curves with no positive revenue
-    anywhere on the interval; then a dense grid locates the best bracket and
-    golden section refines it, which is robust to multiple local peaks.
 
-    Returns ``(price, value)``.
-    """
-
-    def objective(p):
-        return (p - shift) * curve(p)
-
-    probe = np.linspace(interval.lo, interval.hi, 64)
-    probe_vals = objective(probe)
-    if not np.any(probe_vals > 0.0):
+def maximize_rows(objective, n_rows: int, interval: PriceInterval,
+                  tol: float = 1e-8):
+    """``(price, value)`` arrays maximizing ``objective(rows, p)`` over the
+    interval for each of ``n_rows`` rows; ``p`` holds one price per row, or
+    price grids as an (n, m) or (1, m) array. A 64-point probe rejects rows
+    with no positive value; a ``grid_n``-point grid brackets each row's best
+    point, robust to several local peaks, and golden section refines it."""
+    lo, hi = interval.lo, interval.hi
+    if not grid_argmax(objective, n_rows, lo, hi, 64)[1].all():
         raise DegenerateDemandError(
             "objective is nonpositive across the whole price interval")
-    grid = np.linspace(interval.lo, interval.hi, interval.grid_n)
-    vals = objective(grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    if lo == hi:
-        return float(grid[k]), float(vals[k])
-    return golden_section_max(objective, lo, hi, tol)
+    around = grid_argmax(objective, n_rows, lo, hi, interval.grid_n)[0]
+    return golden_rows(objective, around[:, 0], around[:, 2], tol)
+
+
+def grid_argmax(objective, n_rows: int, lo, hi, n: int):
+    """``(around, positive)`` of ``objective(rows, p)`` on ``np.linspace(lo,
+    hi, n)``, one grid per row when ``lo`` and ``hi`` are arrays: per row,
+    the grid points before, at and after its first argmax (clipped to the
+    grid), and whether any value is positive. Blocks of rows bound memory."""
+    around, positive = np.empty((n_rows, 3)), np.empty(n_rows, dtype=bool)
+    step = max(1, _GRID_CELLS // n)
+    for s in range(0, n_rows, step):
+        rows = np.arange(s, min(s + step, n_rows))
+        grid = (np.linspace(lo, hi, n)[None] if np.ndim(lo) == 0 else
+                np.ascontiguousarray(np.linspace(lo[rows], hi[rows], n, axis=1)))
+        vals = objective(rows, grid)
+        k = np.argmax(vals, axis=1)[:, None] + np.array([-1, 0, 1])
+        around[rows] = np.take_along_axis(grid, k.clip(0, n - 1), axis=1)
+        positive[rows] = np.any(vals > 0.0, axis=1)
+    return around, positive
+
+
+def golden_rows(objective, lo, hi, tol: float):
+    """``(price, value)`` arrays from golden section on ``[lo[r], hi[r]]``
+    for every row in lockstep, ``objective(rows, p)`` taking one price per
+    row. A row retires once its bracket is no wider than ``tol``; its
+    midpoint then competes with its two endpoints, a later candidate winning
+    only when strictly larger, as in Python's ``max``."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    every = np.arange(len(a))
+    fc, fd = objective(every, c), objective(every, d)
+    live = every[b - a > tol]
+    while live.size:
+        left = fc[live] >= fd[live]
+        l, r = live[left], live[~left]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        c[l] = b[l] - GOLDEN * (b[l] - a[l])
+        d[r] = a[r] + GOLDEN * (b[r] - a[r])
+        new = objective(live, np.where(left, c[live], d[live]))
+        fc[l], fd[r] = new[left], new[~left]
+        live = live[b[live] - a[live] > tol]
+    price = 0.5 * (a + b)
+    value = objective(every, price)
+    for edge in (lo, hi):
+        v = objective(every, edge)
+        price = np.where(v > value, edge, price)
+        value = np.where(v > value, v, value)
+    return price, value
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,42 @@ from .util import json_field, json_numbers, json_value
 
 # a row matches a support point within this distance in every coordinate
 _MATCH_TOL = 1e-9
-# (row, support point) candidate pairs tested at once by TabularPolicy
+# (row, support point) candidate pairs tested at once by first_hits
 _MATCH_BLOCK = 1 << 12
+
+
+def first_hits(support, X) -> np.ndarray:
+    """Index of the first support point within 1e-9 of each row of ``X`` in
+    every coordinate (TabularPolicy's match), n_support where there is none.
+    Only the points whose sort key lies within 2e-9 of a row's can pass; the
+    candidate pairs are tested a block of rows at a time, a coordinate at a
+    time."""
+    n, k = support.shape
+    if k == 0:
+        return np.zeros(len(X), dtype=np.intp)
+    by_row = np.lexsort(X.T)  # puts equal rows next to each other
+    new = np.r_[True, (X[by_row[1:]] != X[by_row[:-1]]).any(axis=1)]
+    rows, row_of = X[by_row[new]], np.empty(len(X), dtype=np.intp)
+    row_of[by_row] = np.cumsum(new) - 1
+    # sort the support on its column with the most distinct values
+    columns = np.ascontiguousarray(support.T)
+    key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))
+    order = np.argsort(columns[key])
+    keys = columns[key][order]
+    first = np.searchsorted(keys, rows[:, key] - 2 * _MATCH_TOL)
+    count = np.searchsorted(keys, rows[:, key] + 2 * _MATCH_TOL, "right") - first
+    start = np.cumsum(count) - count
+    hit = np.full(len(rows), n, dtype=np.intp)
+    # rows a..b-1 start their pairs in one _MATCH_BLOCK-sized stretch
+    cuts = (np.flatnonzero(np.diff(start // _MATCH_BLOCK)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+        r = np.repeat(np.arange(a, b), count[a:b])
+        s = order[first[r] + np.arange(len(r)) - (start[r] - start[a])]
+        for c in range(k):
+            near = np.abs(columns[c][s] - rows[r, c]) <= _MATCH_TOL
+            r, s = r[near], s[near]
+        np.minimum.at(hit, r, s)
+    return hit[row_of]
 
 
 @dataclass(frozen=True)
@@ -106,38 +140,6 @@ class TabularPolicy:
         fill = present[:, -1:] & ~present
         return column_of, np.where(fill, prices[:, -1:], prices), present | fill
 
-    def _first_hits(self, X) -> np.ndarray:
-        """Index of the first support point within 1e-9 of each row of ``X``
-        in every coordinate, n_support where there is none. Only the points
-        whose sort key lies within 2e-9 of a row's can pass; these candidate
-        pairs are tested a block of rows at a time, a coordinate at a time."""
-        n, k = self.support.shape
-        if k == 0:
-            return np.zeros(len(X), dtype=np.intp)
-        by_row = np.lexsort(X.T)  # puts equal rows next to each other
-        new = np.r_[True, (X[by_row[1:]] != X[by_row[:-1]]).any(axis=1)]
-        rows, row_of = X[by_row[new]], np.empty(len(X), dtype=np.intp)
-        row_of[by_row] = np.cumsum(new) - 1
-        # sort the support on its column with the most distinct values
-        columns = np.ascontiguousarray(self.support.T)
-        key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))
-        order = np.argsort(columns[key])
-        keys = columns[key][order]
-        first = np.searchsorted(keys, rows[:, key] - 2 * _MATCH_TOL)
-        count = np.searchsorted(keys, rows[:, key] + 2 * _MATCH_TOL, "right") - first
-        start = np.cumsum(count) - count
-        hit = np.full(len(rows), n, dtype=np.intp)
-        # rows a..b-1 start their pairs in one _MATCH_BLOCK-sized stretch
-        cuts = (np.flatnonzero(np.diff(start // _MATCH_BLOCK)) + 1).tolist()
-        for a, b in zip([0, *cuts], [*cuts, len(rows)]):
-            r = np.repeat(np.arange(a, b), count[a:b])
-            s = order[first[r] + np.arange(len(r)) - (start[r] - start[a])]
-            for c in range(k):
-                near = np.abs(columns[c][s] - rows[r, c]) <= _MATCH_TOL
-                r, s = r[near], s[near]
-            np.minimum.at(hit, r, s)
-        return hit[row_of]
-
     def price(self, x, a=None) -> float:
         return float(self.price_batch(np.reshape(x, (1, -1)), [a])[0])
 
@@ -150,7 +152,7 @@ class TabularPolicy:
                 f"policy support has {self.support.shape[1]} covariates, "
                 f"got {X.shape[1]}")
         column_of, prices, present = self._dense
-        at = (self._first_hits(X), np.fromiter(
+        at = (first_hits(self.support, X), np.fromiter(
             map(column_of.get, groups, repeat(len(column_of))), np.intp, len(X)))
         missing = ~present[at]
         if missing.any():

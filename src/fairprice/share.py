@@ -19,6 +19,7 @@ from .demand import (
     LatentValuationModel,
     LogisticDemand,
     PartiallyLinearDemand,
+    _along,
     _row_dots,
     demand_curvature,
     demand_gradient,
@@ -32,11 +33,10 @@ from .errors import (
     PreconditionError,
     UnknownGroupError,
 )
-from .optimize import golden_section_max
+from .optimize import golden_rows, grid_argmax
 
 _BRACKET_SIGMAS = 10.0
 _GRID_POINTS = 2001
-_GRID_ROWS = 256  # rows per block of price grids, which bounds their memory
 
 POPULATION_SCOPE = "population"
 GROUP_SCOPE = "group"
@@ -82,9 +82,10 @@ def share_prices(model, X, g, groups, ell) -> np.ndarray:
     Partially linear demand has the closed form ``-dbar/(2 beta) - ell/2``.
     Curved demand takes the grid argmax of the objective, then a safeguarded
     Newton iteration on ``D + (p + ell) D' = 0`` for all rows in lockstep, or
-    golden section row by row where that condition keeps its sign on the
-    bracket (boundary optimum). Prices stay above ``max(0, -ell)``. Each row
-    gets the price it gets alone; a failure raises the first failing row's.
+    lockstep golden section for the rows where that condition keeps its sign
+    on the bracket (boundary optimum). Prices stay above ``max(0, -ell)``.
+    Each row gets the price it gets alone; a failure raises the first failing
+    row's.
     """
     X, g, ell = np.asarray(X, float), np.asarray(g), np.asarray(ell, float)
     try:
@@ -115,15 +116,17 @@ def _share_rows(model, X, g, groups, ell) -> np.ndarray:
     step = _BRACKET_SIGMAS * spread
     lo_min = np.where(-ell > 0.0, -ell, 0.0) + np.where(ell < 0.0, 1e-9, 0.0)
     hi0 = np.where(lo_min + step > center + step, lo_min + step, center + step)
-    p0 = np.empty(len(ell))
-    for s in range(0, len(ell), _GRID_ROWS):
-        k = slice(s, s + _GRID_ROWS)
-        grid = np.linspace(lo_min[k], hi0[k], _GRID_POINTS, axis=1)
-        vals = (grid + ell[k, None]) * model.demand(X[k], g[k], grid, groups)
-        if not np.any(vals > 0.0, axis=1).all():
-            raise DegenerateDemandError("subsidized revenue is nonpositive "
-                                        "everywhere in the price range")
-        p0[k] = grid[np.arange(len(grid)), np.argmax(vals, axis=1)]
+
+    def objective(rows, p):
+        return (p + _along(ell[rows], p)) * model.demand(X[rows], g[rows], p,
+                                                        groups)
+
+    around, positive = grid_argmax(objective, len(ell), lo_min, hi0,
+                                   _GRID_POINTS)
+    if not positive.all():
+        raise DegenerateDemandError("subsidized revenue is nonpositive "
+                                    "everywhere in the price range")
+    p0 = around[:, 1]
     lo, hi = np.where(p0 - step > lo_min, p0 - step, lo_min), p0 + step
 
     def foc(rows, p, *more):  # D + (p + ell) D', then D' and the more kernels
@@ -133,11 +136,10 @@ def _share_rows(model, X, g, groups, ell) -> np.ndarray:
 
     f_lo = foc(..., lo)[0]
     golden = f_lo * foc(..., hi)[0] > 0.0
-    price = np.empty(len(ell))
-    for r in np.flatnonzero(golden):
-        def objective(p, r=r):
-            return (p + ell[r]) * model.demand(X[r], g[r], p, groups)
-        price[r] = golden_section_max(objective, lo[r], hi[r], tol=1e-10)[0]
+    price, at = np.empty(len(ell)), np.flatnonzero(golden)
+    if at.size:
+        price[at] = golden_rows(lambda i, p: objective(at[i], p), lo[at],
+                                hi[at], 1e-10)[0]
     rows = np.flatnonzero(~golden)
     a, b, fa = lo[rows], hi[rows], f_lo[rows]
     p = np.where((lo < p0) & (p0 < hi), p0, 0.5 * (lo + hi))[rows]
@@ -243,13 +245,14 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
     """
     rows = []
     cells = population.cells()
-    used, inverse = np.unique(cells.g, return_inverse=True)
     m = cells.mass
     for w in np.asarray(weights, dtype=float).reshape(-1):
         penalty = SharePenalty(weight=float(w), scope=scope, group=group)
-        ell = [penalty.effective(population.rho, cells.groups[k]) for k in used]
+        # every group's shift, so that a target group without cells is
+        # checked too
+        ell = [penalty.effective(population.rho, g) for g in cells.groups]
         p = share_prices(model, cells.X, cells.g, cells.groups,
-                         np.array(ell)[inverse])
+                         np.array(ell)[cells.g])
         d = model.demand(cells.X, cells.g, p, cells.groups)
         for k, g in enumerate(population.groups):
             mass, psum, dsum, rsum = cells.totals(k, m, m * p, m * d, m * p * d)

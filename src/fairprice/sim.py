@@ -56,7 +56,6 @@ from .demand import (
     Population,
     RecordTable,
     as_table,
-    eval_demand,
     scipy_special,
 )
 from .errors import (
@@ -65,8 +64,8 @@ from .errors import (
     InvalidRecordError,
     MissingFieldError,
 )
-from .optimize import PriceInterval, maximize_revenue_1d
-from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
+from .optimize import _GRID_CELLS, PriceInterval, maximize_revenue_1d, maximize_rows
+from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
 from .util import seqsum
 
 
@@ -626,10 +625,6 @@ def read_records_csv(path) -> RecordTable:
 # ---------------------------------------------------------------------------
 
 
-# cells x prices evaluated at once by the aggregated demand curves
-_CURVE_BLOCK = 1 << 12
-
-
 def _histogram(prices, weights, lo, hi, bins=25):
     # shared edges across policies keep the histograms comparable
     counts, edges = np.histogram(np.asarray(prices, dtype=float), bins=bins,
@@ -652,58 +647,45 @@ def run_pricing_experiment(model, population: Population,
     """
     cost = population.unit_cost if unit_cost is None else float(unit_cost)
     cells = population.cells()
-    labels = cells.labels.tolist()
-    w = cells.mass
+    labels, w = cells.labels, cells.mass
 
     def aggregate(rows):
-        """Mass-weighted demand of the cells ``rows``, added cell by cell."""
-        X, g, mass = cells.X[rows], cells.g[rows], w[rows]
+        """Mass-weighted demand of the cells ``rows`` at an array of prices,
+        added cell by cell; a block of cells at a time bounds the memory."""
+        X, g, mass = cells.X[rows], cells.g[rows], w[rows][:, None]
 
         def curve(p):
-            p = np.asarray(p, dtype=float)
-            total = np.zeros(p.shape)
-            step = max(1, _CURVE_BLOCK // max(p.size, 1))
-            for lo in range(0, len(mass), step):
-                part = slice(lo, lo + step)
-                d = model.demand(X[part], g[part], p[None], cells.groups)
-                terms = (mass[part] if p.ndim == 0 else mass[part][:, None]) * d
-                # continuing the running sum from the total so far adds the
-                # cells one by one, in cell order, as a Python sum would
-                total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
+            p = np.atleast_1d(p)
+            total, step = np.zeros(p.size), max(1, _GRID_CELLS // p.size)
+            for k in range(0, len(mass), step):
+                d = model.demand(X[k:k + step], g[k:k + step], p[None],
+                                 cells.groups)
+                # continuing from the total so far adds the cells in order
+                total = seqsum(np.vstack([total, mass[k:k + step] * d]))
             return total
         return curve
 
-    def cell_price(j):
-        def curve(p):
-            return eval_demand(model, cells.X[j], labels[j], p)
-        return maximize_revenue_1d(curve, interval, shift=cost)[0]
-
-    out = {}
-
-    uniform_price, _ = maximize_revenue_1d(aggregate(slice(None)), interval,
-                                           shift=cost)
-    out["uniform"] = ConstantPolicy(uniform_price)
-
     present = sorted(set(labels))
-    group_prices = {}
-    for g in present:
-        price, _ = maximize_revenue_1d(aggregate(cells.labels == g), interval,
-                                       shift=cost)
-        group_prices[g] = price
-    out["group"] = GroupPolicy(prices=group_prices)
+    out = {"uniform": ConstantPolicy(maximize_revenue_1d(
+        aggregate(slice(None)), interval, shift=cost)[0])}
+    out["group"] = GroupPolicy(prices={g: maximize_revenue_1d(
+        aggregate(labels == g), interval, shift=cost)[0] for g in present})
 
-    if cells.index is not None:
-        index, support = cells.index.tolist(), population.support
-    else:
-        # record cells: one solve per distinct (x, g), the distinct rows
-        # numbered in order of first appearance
-        seen = {}
-        index = [seen.setdefault(tuple(x), len(seen)) for x in cells.X.tolist()]
-        support = np.asarray(list(seen))
-    table = {}
-    for j, i in enumerate(index):
-        if (i, labels[j]) not in table:
-            table[(i, labels[j])] = cell_price(j)
+    # one solve per (support point, group) that the policy's matcher finds;
+    # record cells take their distinct rows, first appearances, as support
+    support = population.support
+    if cells.index is None:
+        support = cells.X[np.sort(np.unique(cells.X, axis=0,
+                                            return_index=True)[1])]
+    index = first_hits(support, cells.X)
+    first = np.unique(index * len(cells.groups) + cells.g, return_index=True)[1]
+    X, g = support[index[first]], cells.g[first]
+    prices = maximize_rows(
+        lambda rows, p: (p - cost) * model.demand(X[rows], g[rows], p,
+                                                  cells.groups),
+        len(first), interval)[0]
+    table = dict(zip(zip(index[first].tolist(), labels[first].tolist()),
+                     prices.tolist()))
     out["personalized"] = TabularPolicy(support=support, table=table)
 
     report = {}

@@ -152,6 +152,98 @@ def test_pricing_experiment_matches_cell_loop(market):
         assert same({key: got[mode][key] for key in info}, info), mode
 
 
+@pytest.mark.parametrize("family", [*sorted(fp.NOISE_FAMILIES), "logit"])
+def test_pricing_experiment_matches_cell_loop_at_the_default_grid(family):
+    # a continuous covariate: every record is its own cell
+    rng = np.random.default_rng(11)
+    if family == "logit":
+        model = fp.LogisticDemand(gamma=[0.6, -0.4], beta=-1.7, intercept=1.4)
+    else:
+        model = fp.LatentValuationModel(
+            loc={"a": (1.6, np.array([0.4, -0.2])),
+                 "b": (1.1, np.array([0.3, 0.1]))}, noise=family, scale=0.45)
+    records = [fp.Record(id=f"r{i}", group=GROUPS[i % 2],
+                         covariates=rng.uniform(0.0, 2.0, size=2),
+                         weight=float(rng.uniform(0.5, 2.0))) for i in range(5)]
+    population = fp.Population(groups=GROUPS, records=records,
+                               rho={"a": 0.5, "b": 0.5})
+    got = fp.run_pricing_experiment(model, population,
+                                    fp.PriceInterval(0.05, 4.0), unit_cost=0.1)
+    want = loop_pricing_experiment(model, population, 0.05, 4.0, cost=0.1)
+    for mode, info in want.items():
+        assert same({key: got[mode][key] for key in info}, info), mode
+
+
+@settings(max_examples=25)
+@given(markets(max_points=4), st.floats(0.0, 0.3))
+def test_row_maximizer_prices_each_row_as_alone(market, cost):
+    from fairprice.optimize import maximize_rows
+
+    model, population, _ = market
+    cells = population.cells()
+    interval = fp.PriceInterval(0.05, 3.0)
+    many = maximize_rows(
+        lambda rows, p: (p - cost) * model.demand(cells.X[rows], cells.g[rows],
+                                                  p, cells.groups),
+        len(cells.g), interval)
+    for j, (x, label) in enumerate(zip(cells.X, cells.labels)):
+        alone = fp.maximize_revenue_1d(
+            lambda p: fp.eval_demand(model, x, label, p), interval, shift=cost)
+        assert (many[0][j], many[1][j]) == alone
+
+
+def _near_duplicate_market(groups=None, **support):
+    """Customers at x = 0.3, 0.3 + 5e-10 and 1.0, the first two within the
+    1e-9 by which TabularPolicy matches rows: three records in ``groups``,
+    or a support of these three points."""
+    model = fp.LatentValuationModel(loc={"a": (1.8, np.array([0.4])),
+                                         "b": (1.3, np.array([0.4]))},
+                                    noise="logistic", scale=0.4)
+    points = [0.3, 0.3 + 5e-10, 1.0]
+    if support:
+        pop = fp.Population(groups=GROUPS, support=np.c_[points], **support)
+    else:
+        pop = fp.Population(groups=GROUPS, rho={"a": 0.5, "b": 0.5}, records=[
+            fp.Record(id=f"r{i}", group=g, covariates=[x])
+            for i, (x, g) in enumerate(zip(points, groups))])
+    interval = fp.PriceInterval(0.05, 4.0)
+
+    def alone(x, g):
+        return fp.maximize_revenue_1d(
+            lambda p: fp.eval_demand(model, [x], g, p), interval)[0]
+    return fp.run_pricing_experiment(model, pop, interval)["personalized"], alone
+
+
+def test_near_duplicate_records_in_two_groups_get_a_cell_each():
+    # the second row is matched to the first row's point, in its own group
+    out, alone = _near_duplicate_market(["a", "b", "a"])
+    policy = out["policy"]
+    assert policy.support.tolist() == [[0.3], [0.3 + 5e-10], [1.0]]
+    assert policy.table == {(0, "a"): alone(0.3, "a"), (0, "b"): alone(0.3, "b"),
+                            (2, "a"): alone(1.0, "a")}
+    assert out["price_mean"]["b"] == alone(0.3, "b")
+
+
+def test_near_duplicate_records_in_one_group_share_the_first_rows_price():
+    # both rows of group a are one cell of the matcher, priced at its point;
+    # no table entry is left that the matcher never reads
+    out, alone = _near_duplicate_market(["a", "a", "b"])
+    assert out["policy"].table == {(0, "a"): alone(0.3, "a"),
+                                   (2, "b"): alone(1.0, "b")}
+    assert out["price_mean"]["a"] == alone(0.3, "a")
+    assert alone(0.3 + 5e-10, "a") != alone(0.3, "a")
+
+
+def test_near_duplicate_support_points_get_the_first_points_cells():
+    # point 0 has no group b mass; point 1's b cell is matched to point 0
+    out, alone = _near_duplicate_market(
+        masses=[0.3, 0.3, 0.4], membership=[[1.0, 0.0], [0.2, 0.8], [0.6, 0.4]])
+    assert out["policy"].support.tolist() == [[0.3], [0.3 + 5e-10], [1.0]]
+    assert out["policy"].table == {
+        (0, "a"): alone(0.3, "a"), (0, "b"): alone(0.3, "b"),
+        (2, "a"): alone(1.0, "a"), (2, "b"): alone(1.0, "b")}
+
+
 def test_scalarized_objective_sums_in_cell_order():
     rng = np.random.default_rng(3)
     pop = fp.Population(groups=GROUPS, support=rng.normal(size=(40, 2)),

@@ -615,6 +615,41 @@ def test_share_subsidy_for_unknown_group_exits_2(tmp_path, sim_dir, capsys,
     assert "'zz'" in err
 
 
+@pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
+                                     ["price", "--share-lambda"]],
+                         ids=["sweep", "price"])
+def test_share_subsidy_for_a_group_of_zero_prior_exits_2(tmp_path, capsys,
+                                                         command):
+    model = fp.LatentValuationModel(loc={g: (2.0, [0.5]) for g in "ab"})
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
+                        masses=[0.5, 0.5], membership=[[1.0, 0.0], [1.0, 0.0]])
+    model_path, pop_path = tmp_path / "model.json", tmp_path / "pop.json"
+    model_path.write_text(json.dumps(fp.model_to_dict(model)))
+    pop_path.write_text(json.dumps(fp.population_to_dict(pop)))
+    out = tmp_path / "o"
+    code = main(command + ["0.5", "--scope", "group", "--group", "b",
+                           "--model", str(model_path), "--population",
+                           str(pop_path), "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error_code=precondition" in err
+    assert "'b' needs a positive prior" in err
+
+
+def test_share_price_with_a_logistic_model_of_other_width_exits_2(
+        tmp_path, sim_dir, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(fp.model_to_dict(
+        fp.LogisticDemand(gamma=[0.5, 0.2], beta=-1.5, intercept=1.0))))
+    code = main(["price", "--share-lambda", "0.3", "--model", str(model_path),
+                 "--population", str(sim_dir / "population.json"),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error_code=dimension_mismatch" in err
+    assert "model expects 2 covariates, got 1" in err
+
+
 def test_single_point_sweep_matches_price(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     main(["fit", "--records", str(sim_dir / "records.csv"),
