@@ -18,7 +18,6 @@ import numpy as np
 from .demand import (
     PartiallyLinearDemand,
     RecordTable,
-    as_table,
     demand_gradient,
     eval_demand,
 )
@@ -91,9 +90,9 @@ def _weighted_mean(values, weights) -> float:
     return float(pair[:, 0] @ pair[:, 1] / pair[:, 1].sum())
 
 
-def marginal_price_disparity(records) -> dict:
+def marginal_price_disparity(records: RecordTable) -> dict:
     """Weighted mean offered price per group and the largest pairwise gap."""
-    table = as_table(records).require("price")
+    table = records.require("price")
     means = {}
     counts = {}
     for k, g in enumerate(table.labels):
@@ -162,9 +161,10 @@ def _two_groups(table: RecordTable, what: str) -> None:
             f"{what} compares exactly two groups, got {len(table.labels)}")
 
 
-def distributional_parity_stat(records, alpha: float = 0.05) -> dict:
+def distributional_parity_stat(records: RecordTable,
+                               alpha: float = 0.05) -> dict:
     """KS distance between the two groups' offered-price distributions."""
-    table = as_table(records).require("price")
+    table = records.require("price")
     _two_groups(table, "distributional parity")
     a, b = table.codes == 0, table.codes == 1
     out = two_sample_distribution_test(
@@ -191,13 +191,13 @@ def _stratum_rows(table: RecordTable):
                 for k in range(n_groups)])
 
 
-def conditional_parity_gap(records) -> dict:
+def conditional_parity_gap(records: RecordTable) -> dict:
     """Mean-price gap between groups within each exact covariate stratum.
 
     Strata where some group is absent are skipped; the summary value is the
     largest absolute within-stratum gap. Raises when no stratum is computable.
     """
-    table = as_table(records).require("price")
+    table = records.require("price")
     _two_groups(table, "conditional parity")
     per_stratum = {}
     for key, (a, b) in _stratum_rows(table):
@@ -213,7 +213,8 @@ def conditional_parity_gap(records) -> dict:
             "max_abs_gap": float(max_abs)}
 
 
-def takeup_conditional_parity(records, alpha: float = 0.05) -> dict:
+def takeup_conditional_parity(records: RecordTable,
+                              alpha: float = 0.05) -> dict:
     """Per-stratum KS test on prices *among purchasers*.
 
     A stratum with no purchases at all reports ``None``; a stratum where
@@ -221,7 +222,7 @@ def takeup_conditional_parity(records, alpha: float = 0.05) -> dict:
     skipping it would hide exactly the asymmetric take-up the metric is
     meant to expose.
     """
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     _two_groups(table, "take-up parity")
     bought = table.demand > 0.0
     p, w = table.price, table.weight
@@ -242,7 +243,8 @@ def takeup_conditional_parity(records, alpha: float = 0.05) -> dict:
             "max_statistic": worst, "alpha": alpha}
 
 
-def access_metrics(records=None, policy=None, model=None, population=None) -> dict:
+def access_metrics(records: RecordTable | None = None, policy=None,
+                   model=None, population=None) -> dict:
     """Per-group take-up and mean price, empirical or model-implied.
 
     Pass ``records`` alone for the empirical version (observed demand), or
@@ -257,7 +259,7 @@ def access_metrics(records=None, policy=None, model=None, population=None) -> di
             "pass records alone or policy+model+population, not both")
     out = {}
     if empirical:
-        table = as_table(records).require("price", "demand")
+        table = records.require("price", "demand")
         for k, g in enumerate(table.labels):
             rows = table.codes == k
             w = table.weight[rows]
@@ -322,7 +324,7 @@ def _dominating_mass(q_rev, q_val, d_rev, d_val, d_weight):
     return out
 
 
-def concordance_lower_bound(records) -> dict:
+def concordance_lower_bound(records: RecordTable) -> dict:
     """Observable lower bound on cross-group valuation concordance.
 
     Over cross-group record pairs with strictly different prices, counts the
@@ -332,7 +334,7 @@ def concordance_lower_bound(records) -> dict:
     share can never exceed the true concordance rate. Pairs with tied prices
     are excluded and reported.
     """
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     p, d, w = table.price, table.demand, table.weight
     nonbinary = np.flatnonzero((d != 0.0) & (d != 1.0))
     if nonbinary.size:
@@ -361,13 +363,13 @@ def concordance_lower_bound(records) -> dict:
     }
 
 
-def concordance_oracle(records) -> dict:
+def concordance_oracle(records: RecordTable) -> dict:
     """True cross-group concordance rate, computable only with valuations.
 
     Among cross-group pairs with strictly different prices, the share where
     the higher-priced record also has the strictly higher valuation.
     """
-    table = as_table(records).require("price", "valuation")
+    table = records.require("price", "valuation")
     p, w = table.price, table.weight
     levels, rank = table.price_levels
     rev = levels.size - 1 - rank
@@ -509,7 +511,8 @@ AUDIT_METRIC_NAMES = (
 )
 
 
-def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
+def run_audit(records: RecordTable, alpha: float = 0.05,
+              metrics=None) -> AuditReport:
     """Run record-level audit metrics, tolerating per-metric failures.
 
     ``metrics`` selects a subset of ``AUDIT_METRIC_NAMES`` (default all).
@@ -519,15 +522,14 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     runs.
     """
     check_alpha(alpha)
-    table = as_table(records)
     attempts = {
-        "marginal_price_disparity": lambda: marginal_price_disparity(table),
-        "distributional_parity": lambda: distributional_parity_stat(table, alpha),
-        "conditional_parity_gap": lambda: conditional_parity_gap(table),
-        "takeup_conditional_parity": lambda: takeup_conditional_parity(table, alpha),
-        "access": lambda: access_metrics(records=table),
-        "concordance_lower_bound": lambda: concordance_lower_bound(table),
-        "concordance_oracle": lambda: concordance_oracle(table),
+        "marginal_price_disparity": lambda: marginal_price_disparity(records),
+        "distributional_parity": lambda: distributional_parity_stat(records, alpha),
+        "conditional_parity_gap": lambda: conditional_parity_gap(records),
+        "takeup_conditional_parity": lambda: takeup_conditional_parity(records, alpha),
+        "access": lambda: access_metrics(records=records),
+        "concordance_lower_bound": lambda: concordance_lower_bound(records),
+        "concordance_oracle": lambda: concordance_oracle(records),
     }
     selected = AUDIT_METRIC_NAMES if metrics is None else tuple(metrics)
     unknown = [m for m in selected if m not in attempts]
@@ -546,5 +548,5 @@ def run_audit(records, alpha: float = 0.05, metrics=None) -> AuditReport:
     if computed == 0:
         raise NoComputableMetricError(
             "none of the audit metrics could be computed from these records")
-    return AuditReport(n_records=len(table), groups=table.labels,
+    return AuditReport(n_records=len(records), groups=records.labels,
                        metrics=metrics)

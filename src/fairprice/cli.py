@@ -67,7 +67,7 @@ from .parity import (
     solve_attribute_based_parity,
     solve_attribute_blind_parity,
 )
-from .policies import ConstantPolicy, TabularPolicy, policy_from_dict, policy_to_dict, table_rows
+from .policies import TabularPolicy, policy_from_dict, policy_to_dict, table_rows
 from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, share_prices
 from .sim import (
     OPEConfig,
@@ -248,12 +248,11 @@ def _write_experiment_bundle(run, model, population, config) -> None:
     run.write("experiment.json", json_dumps_stable(payload))
 
     cost = population.unit_cost
-    curve_rows = []
-    for k in range(200):
-        p = interval.lo + k * (interval.hi - interval.lo) / 199.0
-        revenue = expected_revenue(ConstantPolicy(p), model, population)
-        margin = revenue - cost * (revenue / p if p > 0.0 else 0.0)
-        curve_rows.append((p, revenue, margin))
+    prices = [interval.lo + k * (interval.hi - interval.lo) / 199.0
+              for k in range(200)]
+    revenues = population.cells().curve(model, prices, revenue=True)
+    curve_rows = [(p, r, r - cost * (r / p if p > 0.0 else 0.0))
+                  for p, r in zip(prices, revenues.tolist())]
     run.write("revenue_curve.csv",
               _csv_text(("price", "revenue", "margin"), curve_rows))
 

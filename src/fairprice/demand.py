@@ -19,7 +19,7 @@ writer live in :mod:`fairprice.sim`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ from .errors import (
     UnknownGroupError,
     UpwardSlopeError,
 )
+from .optimize import _GRID_CELLS
 from .util import seqsum
 
 CSV_LEADING_COLUMNS = ("id", "group")
@@ -203,31 +204,6 @@ NOISE_FAMILIES: dict[str, NoiseFamily] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Record:
-    """One customer interaction.
-
-    Optional fields are ``None`` when unobserved. ``weight`` is a positive
-    sampling weight used by every record-level expectation.
-    """
-
-    id: str
-    group: str
-    covariates: np.ndarray
-    price: float | None = None
-    demand: float | None = None
-    outcome: float | None = None
-    valuation: float | None = None
-    weight: float = 1.0
-
-    def __post_init__(self):
-        self.covariates = np.asarray(self.covariates, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(self.covariates)):
-            raise InvalidRecordError(f"record {self.id}: non-finite covariate")
-        if not (self.weight > 0.0):
-            raise InvalidRecordError(f"record {self.id}: weight must be positive")
-
-
 @dataclass(eq=False)
 class RecordTable:
     """Records as columns: the one container every record-level path reads.
@@ -235,10 +211,8 @@ class RecordTable:
     ``labels`` are the sorted group labels and ``codes`` index them per row;
     ``X`` is the (n, k) covariate matrix. In the float columns NaN means only
     "empty cell"; ``weight`` is never empty. Build tables with
-    :func:`as_table`, :meth:`from_arrays` or
-    :func:`fairprice.sim.read_records_csv`, which validate every cell.
-    Integer indexing and iteration yield :class:`Record` rows, slicing and
-    :meth:`take` yield tables.
+    :meth:`from_arrays` or :func:`fairprice.sim.read_records_csv`, which
+    validate every cell; :meth:`take` selects rows.
     """
 
     ids: np.ndarray
@@ -260,9 +234,17 @@ class RecordTable:
         ``labels`` are given, its index into them. ``values`` and ``present``
         are (n, 5) arrays with the columns of ``CSV_TRAILING_COLUMNS``; a cell
         that is not present is empty (an empty weight means 1). Present cells
-        must be finite and weights positive; ``where(i)`` names row ``i`` in
-        error messages.
+        must be finite, weights positive and group labels not empty;
+        ``where(i)`` names row ``i`` in error messages.
         """
+        if labels is None:
+            labels, groups = np.unique(np.asarray(groups, dtype=str),
+                                       return_inverse=True)
+        labels = tuple(str(g) for g in labels)
+        codes = np.asarray(groups).reshape(-1)
+        if "" in labels:
+            raise MissingFieldError(
+                f"{where(np.argmax(codes == labels.index('')))}: group missing")
         weight = np.where(present[:, -1], values[:, -1], 1.0)
         checks = [("covariates must be given and finite",
                    np.isfinite(X).all(axis=1))]
@@ -274,30 +256,12 @@ class RecordTable:
             if not ok.all():
                 raise InvalidRecordError(f"{where(np.argmin(ok))}: {problem}")
         cols = np.where(present[:, :-1], values[:, :-1], np.nan).T.copy()
-        if labels is None:
-            labels, groups = np.unique(np.asarray(groups, dtype=str),
-                                       return_inverse=True)
-        return cls(ids=np.asarray(ids, dtype=str),
-                   labels=tuple(str(g) for g in labels),
-                   codes=np.asarray(groups).reshape(-1), X=X, price=cols[0],
-                   demand=cols[1], outcome=cols[2], valuation=cols[3],
-                   weight=weight)
+        return cls(ids=np.asarray(ids, dtype=str), labels=labels, codes=codes,
+                   X=X, price=cols[0], demand=cols[1], outcome=cols[2],
+                   valuation=cols[3], weight=weight)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        i = int(index)
-        cells = {name: float(getattr(self, name)[i])
-                 for name in CSV_TRAILING_COLUMNS}
-        cells.update((name, None) for name, v in cells.items() if math.isnan(v))
-        return Record(id=str(self.ids[i]), group=self.labels[self.codes[i]],
-                      covariates=self.X[i].copy(), **cells)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def take(self, idx) -> "RecordTable":
         """The rows at integer positions ``idx``, in that order."""
@@ -343,31 +307,6 @@ class RecordTable:
         return self
 
 
-def as_table(records) -> RecordTable:
-    """``records`` as a validated RecordTable.
-
-    A table passes through; :class:`Record` rows are converted, ``None``
-    fields becoming empty cells.
-    """
-    if isinstance(records, RecordTable):
-        return records
-    records = list(records)
-    dim = records[0].covariates.size if records else 0
-    odd = [r.id for r in records if r.covariates.size != dim]
-    if odd:
-        raise DimensionMismatchError(
-            f"record {odd[0]}: expected {dim} covariates like the first record")
-    cells = np.array([[getattr(r, name) for name in CSV_TRAILING_COLUMNS]
-                      for r in records], dtype=object)
-    cells = cells.reshape(len(records), len(CSV_TRAILING_COLUMNS))
-    present = cells != None  # noqa: E711
-    values = np.where(present, cells, np.nan).astype(float)
-    ids = [r.id for r in records]
-    X = np.array([r.covariates for r in records]).reshape(len(records), dim)
-    return RecordTable.from_arrays(ids, [r.group for r in records], X, values,
-                                  present, lambda i: f"record {ids[i]}")
-
-
 @dataclass
 class Population:
     """A reference population: group priors plus, optionally, a discrete support.
@@ -375,13 +314,13 @@ class Population:
     ``support`` rows are covariate vectors with point masses ``masses`` and
     per-point group membership probabilities ``membership`` (rows sum to one).
     The group priors ``rho`` must be the membership-weighted masses; they are
-    computed when omitted and validated when given. ``records`` (a
-    RecordTable, or Record rows converted to one) are optional and used by
-    record-level estimators; the analytic solvers only touch the support.
+    computed when omitted and validated when given. ``records``, a
+    RecordTable, are optional and used by record-level estimators; the
+    analytic solvers only touch the support.
     """
 
     groups: tuple
-    records: RecordTable | list = field(default_factory=list)
+    records: RecordTable | None = None
     support: np.ndarray | None = None
     masses: np.ndarray | None = None
     membership: np.ndarray | None = None
@@ -432,8 +371,8 @@ class Population:
             total = sum(self.rho[g] for g in self.groups)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidRecordError("group priors must sum to 1")
-        self.records = as_table(self.records)
-        unknown = [g for g in self.records.labels if g not in self.groups]
+        unknown = [] if self.records is None else [
+            g for g in self.records.labels if g not in self.groups]
         if unknown:
             raise UnknownGroupError(f"records carry unknown group {unknown[0]!r}")
 
@@ -466,7 +405,7 @@ class Population:
             return Cells(joint[index, g], g, self.support[index], index,
                          self.groups)
         table = self.records
-        if not table:
+        if table is None or not len(table):
             raise MissingFieldError("population has neither support nor records")
         share = table.weight / sum(table.weight.tolist())
         code = np.array([self.groups.index(g) for g in table.labels],
@@ -507,6 +446,21 @@ class Cells(NamedTuple):
         w = self.mass
         return p, d, [self.totals(k, w, w * d, w * p)
                       for k in range(len(self.groups))]
+
+    def curve(self, model, p, revenue=False) -> np.ndarray:
+        """The cells' ``mass * demand``, or with ``revenue`` their ``(mass *
+        price) * demand``, at each price of ``p``, added cell by cell as a
+        ``total +=`` loop over the cells adds them; a block of cells at a
+        time bounds the memory."""
+        p = np.atleast_1d(p)
+        total, step = np.zeros(p.size), max(1, _GRID_CELLS // p.size)
+        for k in range(0, len(self.mass), step):
+            rows = slice(k, k + step)
+            d = model.demand(self.X[rows], self.g[rows], p[None], self.groups)
+            w = self.mass[rows, None] * (p if revenue else 1.0)
+            # continuing from the total so far adds the cells in order
+            total = seqsum(np.vstack([total, w * d]))
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +766,7 @@ _LOGISTIC_MAX_ITER = 500
 _LOGISTIC_GRAD_TOL = 1e-8
 
 
-def fit_logistic(records):
+def fit_logistic(records: RecordTable):
     """Maximum-likelihood logistic demand via damped Newton iterations.
 
     The price enters as one more covariate; coefficients are reported as
@@ -825,7 +779,7 @@ def fit_logistic(records):
     -------
     (LogisticDemand, FitDiagnostics)
     """
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     dim = table.X.shape[1]
     X = np.column_stack([table.X, table.price, np.ones(len(table))])
     y, w = table.demand, table.weight
@@ -892,7 +846,7 @@ def fit_logistic(records):
         f"(gradient norm {grad_norm:.3e})")
 
 
-def fit_partially_linear(records, allow_upward=False):
+def fit_partially_linear(records: RecordTable, allow_upward=False):
     """Per-group least squares of demand on (price, covariates, intercept).
 
     A fitted nonnegative price slope raises UpwardSlopeError unless the
@@ -900,7 +854,7 @@ def fit_partially_linear(records, allow_upward=False):
     carries the override flag). Groups with rank-deficient designs, e.g. no
     price variation, raise SingularDesignError.
     """
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     y, w = table.demand, table.weight
     beta, baseline, rss = {}, {}, {}
     for k, g in enumerate(table.labels):
@@ -1012,13 +966,12 @@ def population_to_dict(population: Population) -> dict:
     return out
 
 
-def population_from_dict(data: dict, records=None) -> Population:
-    """Inverse of :func:`population_to_dict`; records may be attached."""
+def population_from_dict(data: dict) -> Population:
+    """Inverse of :func:`population_to_dict`: a population without records."""
     if "groups" not in data:
         raise MissingFieldError("population description needs 'groups'")
     return Population(
         groups=tuple(data["groups"]),
-        records=[] if records is None else records,
         support=np.asarray(data["support"], dtype=float)
         if data.get("support") is not None else None,
         masses=np.asarray(data["masses"], dtype=float)

@@ -55,7 +55,6 @@ from .demand import (
     LogisticDemand,
     Population,
     RecordTable,
-    as_table,
     scipy_special,
 )
 from .errors import (
@@ -64,7 +63,7 @@ from .errors import (
     InvalidRecordError,
     MissingFieldError,
 )
-from .optimize import _GRID_CELLS, PriceInterval, maximize_revenue_1d, maximize_rows
+from .optimize import PriceInterval, maximize_revenue_1d, maximize_rows
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
 from .util import seqsum
 
@@ -522,9 +521,9 @@ def simulate(config: ScenarioConfig, seed: int):
 
 
 
-def write_records_csv(path, records) -> None:
+def write_records_csv(path, records: RecordTable) -> None:
     """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
-    table = as_table(records).require()
+    table = records.require()
     numeric = [*table.X.T] + [getattr(table, name)
                               for name in CSV_TRAILING_COLUMNS]
     cells = [_column_cells(col) for col in numeric]
@@ -590,8 +589,10 @@ def read_records_csv(path) -> RecordTable:
             raise InvalidRecordError(
                 f"unexpected header {header!r}; expected id,group,x1..xk,"
                 "price,demand,outcome,valuation,weight")
-        lines, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
+        lines, rows, end = [], [], reader.line_num
+        for row in reader:
+            # a quoted field may span lines: a row starts after the last one
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(expected):
@@ -650,20 +651,9 @@ def run_pricing_experiment(model, population: Population,
     labels, w = cells.labels, cells.mass
 
     def aggregate(rows):
-        """Mass-weighted demand of the cells ``rows`` at an array of prices,
-        added cell by cell; a block of cells at a time bounds the memory."""
-        X, g, mass = cells.X[rows], cells.g[rows], w[rows][:, None]
-
-        def curve(p):
-            p = np.atleast_1d(p)
-            total, step = np.zeros(p.size), max(1, _GRID_CELLS // p.size)
-            for k in range(0, len(mass), step):
-                d = model.demand(X[k:k + step], g[k:k + step], p[None],
-                                 cells.groups)
-                # continuing from the total so far adds the cells in order
-                total = seqsum(np.vstack([total, mass[k:k + step] * d]))
-            return total
-        return curve
+        """The demand curve of the cells ``rows``."""
+        part = cells._replace(mass=w[rows], g=cells.g[rows], X=cells.X[rows])
+        return lambda p: part.curve(model, p)
 
     present = sorted(set(labels))
     out = {"uniform": ConstantPolicy(maximize_revenue_1d(
@@ -768,7 +758,8 @@ def _importance_weights(table: RecordTable, policy, config: OPEConfig):
     return target, imp, total
 
 
-def ope_value(records, policy, config: OPEConfig | None = None) -> float:
+def ope_value(records: RecordTable, policy,
+              config: OPEConfig | None = None) -> float:
     """Kernel-smoothed off-policy estimate of a policy's expected revenue.
 
     Each record is weighted by kernel proximity of its logged price to the
@@ -779,7 +770,7 @@ def ope_value(records, policy, config: OPEConfig | None = None) -> float:
     weight vanishes (policy prices too far from the data).
     """
     config = config or OPEConfig()
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     target, imp, total = _importance_weights(table, policy, config)
     signal = target * table.demand
     if config.self_normalize:
@@ -787,7 +778,7 @@ def ope_value(records, policy, config: OPEConfig | None = None) -> float:
     return float((imp * signal).sum() / table.weight.sum())
 
 
-def ope_weight_diagnostics(records, policy,
+def ope_weight_diagnostics(records: RecordTable, policy,
                            config: OPEConfig | None = None) -> dict:
     """How much of the log the importance weights of :func:`ope_value` use.
 
@@ -797,7 +788,7 @@ def ope_weight_diagnostics(records, policy,
     the summed weights.
     """
     config = config or OPEConfig()
-    table = as_table(records).require("price", "demand")
+    table = records.require("price", "demand")
     _, imp, total = _importance_weights(table, policy, config)
     w = table.weight
     return {"ess": total * total / float((imp * imp).sum()),
@@ -805,18 +796,18 @@ def ope_weight_diagnostics(records, policy,
             "max_weight_share": float(imp.max() / total)}
 
 
-def ope_bootstrap_se(records, policy, config: OPEConfig | None = None,
-                     n_boot: int = 200, seed: int = 0) -> float:
+def ope_bootstrap_se(records: RecordTable, policy,
+                     config: OPEConfig | None = None, n_boot: int = 200,
+                     seed: int = 0) -> float:
     """Bootstrap standard error of :func:`ope_value` over record resamples."""
     config = config or OPEConfig()
-    table = as_table(records)
     rng = np.random.default_rng(seed)
-    n = len(table)
+    n = len(records)
     values = []
     for _ in range(n_boot):
         idx = rng.integers(0, n, size=n)
         try:
-            values.append(ope_value(table.take(idx), policy, config))
+            values.append(ope_value(records.take(idx), policy, config))
         except EmptyWeightError:
             continue
     if len(values) < 2:
@@ -841,7 +832,8 @@ class PolicySearchResult:
 _SEARCH_HALVINGS = 6
 
 
-def optimize_linear_policy(records, config: OPEConfig | None = None,
+def optimize_linear_policy(records: RecordTable,
+                           config: OPEConfig | None = None,
                            clip_lo: float | None = None,
                            clip_hi: float | None = None,
                            n_starts: int = 16,
@@ -856,7 +848,7 @@ def optimize_linear_policy(records, config: OPEConfig | None = None,
     start.
     """
     config = config or OPEConfig()
-    table = as_table(records).require()
+    table = records.require()
     prices = np.unique(table.price[~np.isnan(table.price)]).tolist()
     if not prices:
         raise MissingFieldError("records carry no logged prices")

@@ -447,7 +447,6 @@ from fairprice.demand import (  # noqa: E402
     CSV_TRAILING_COLUMNS,
     Population,
     RecordTable,
-    as_table,
     eval_demand,
 )
 from fairprice.sim import ScenarioConfig, _csv_header, _exact_support  # noqa: E402
@@ -536,7 +535,7 @@ def loop_log_interactions(config: ScenarioConfig, population: Population,
 
 def cell_write_records_csv(path, records) -> None:
     """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
-    table = as_table(records).require()
+    table = records.require()
     numeric = [*table.X.T] + [getattr(table, name)
                               for name in CSV_TRAILING_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:

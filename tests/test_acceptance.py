@@ -15,6 +15,7 @@ import fairprice as fp
 from fairprice.cli import main as cli_main
 
 from oracles import oracle_attribute_parity, oracle_blind_parity
+from tables import record_table
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +293,11 @@ def test_criterion_07_concordance_bound_never_exceeds_oracle():
                         rng.normal(1.4, 0.6, n))
         prices = levels[rng.integers(0, len(levels), n)]
         demands = (vals >= prices).astype(float)
-        records = [
-            fp.Record(id=f"r{i}", group=str(grp[i]), covariates=[0.0],
-                      price=float(prices[i]), demand=float(demands[i]),
-                      valuation=float(vals[i]))
-            for i in range(n)
-        ]
+        records = record_table(
+            dict(id=f"r{i}", group=str(grp[i]), covariates=[0.0],
+                 price=float(prices[i]), demand=float(demands[i]),
+                 valuation=float(vals[i]))
+            for i in range(n))
         try:
             bound = fp.concordance_lower_bound(records)["bound"]
         except fp.NoQualifyingPairsError:

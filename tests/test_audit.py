@@ -17,12 +17,12 @@ from oracles import (
     loop_concordance_oracle,
     loop_ks_statistic,
 )
+from tables import record_table
 
 
 def _rec(i, group, price, demand, valuation=None, weight=1.0, x=(0.0,)):
-    return fp.Record(id=f"r{i}", group=group, covariates=list(x),
-                     price=price, demand=demand, valuation=valuation,
-                     weight=weight)
+    return dict(id=f"r{i}", group=group, covariates=list(x), price=price,
+                demand=demand, valuation=valuation, weight=weight)
 
 
 def test_marginal_price_disparity_hand_case():
@@ -30,7 +30,7 @@ def test_marginal_price_disparity_hand_case():
         _rec(0, "a", 1.0, 1.0), _rec(1, "a", 2.0, 0.0),
         _rec(2, "b", 4.0, 1.0, weight=2.0),
     ]
-    out = fp.marginal_price_disparity(records)
+    out = fp.marginal_price_disparity(record_table(records))
     assert out["price_mean"]["a"] == pytest.approx(1.5)
     assert out["price_mean"]["b"] == pytest.approx(4.0)
     assert out["max_gap"] == pytest.approx(2.5)
@@ -85,12 +85,12 @@ def test_distributional_parity_stat():
     records = ([_rec(i, "a", float(i % 5), 1.0) for i in range(40)]
                + [_rec(100 + i, "b", float(i % 5) + 2.0, 1.0)
                   for i in range(40)])
-    out = fp.distributional_parity_stat(records)
+    out = fp.distributional_parity_stat(record_table(records))
     assert out["groups"] == ["a", "b"]
     assert out["reject"]
     one_group = [_rec(i, "a", 1.0, 1.0) for i in range(5)]
     with pytest.raises(fp.PreconditionError):
-        fp.distributional_parity_stat(one_group)
+        fp.distributional_parity_stat(record_table(one_group))
 
 
 def test_conditional_parity_gap_by_stratum():
@@ -99,14 +99,14 @@ def test_conditional_parity_gap_by_stratum():
         _rec(2, "a", 2.0, 1.0, x=(1.0,)), _rec(3, "b", 2.0, 1.0, x=(1.0,)),
         _rec(4, "a", 9.0, 1.0, x=(2.0,)),  # one-group stratum: skipped
     ]
-    out = fp.conditional_parity_gap(records)
+    out = fp.conditional_parity_gap(record_table(records))
     assert out["max_abs_gap"] == pytest.approx(0.4)
     assert len(out["per_stratum"]) == 2
     # both groups exist but never share a stratum: nothing is computable
     apart = [_rec(0, "a", 1.0, 1.0, x=(0.0,)),
              _rec(1, "b", 2.0, 1.0, x=(1.0,))]
     with pytest.raises(fp.NoComputableMetricError):
-        fp.conditional_parity_gap(apart)
+        fp.conditional_parity_gap(record_table(apart))
 
 
 def test_takeup_conditional_parity():
@@ -117,24 +117,24 @@ def test_takeup_conditional_parity():
         price = float(rng.uniform(1, 3))
         records.append(_rec(i, g, price, demand=float(rng.random() < 0.7),
                             x=(float(rng.integers(0, 2)),)))
-    out = fp.takeup_conditional_parity(records)
+    out = fp.takeup_conditional_parity(record_table(records))
     assert set(out["per_stratum"]) and out["max_statistic"] >= 0
     # a stratum with no buyers reports None rather than a statistic
     dead = [_rec(i, "a" if i % 2 else "b", 1.0, 0.0) for i in range(10)]
-    rep = fp.takeup_conditional_parity(dead)
+    rep = fp.takeup_conditional_parity(record_table(dead))
     assert rep["per_stratum"] == {"(0.0,)": None}
     assert rep["max_statistic"] == 0.0
     # buyers exist but only in one group -> not computable
     lopsided = [_rec(i, "a", 1.0, 1.0) for i in range(5)] + \
         [_rec(9 + i, "b", 1.0, 0.0) for i in range(5)]
     with pytest.raises(fp.NoComputableMetricError):
-        fp.takeup_conditional_parity(lopsided)
+        fp.takeup_conditional_parity(record_table(lopsided))
 
 
 def test_access_metrics_from_records():
     records = [_rec(0, "a", 1.0, 1.0), _rec(1, "a", 2.0, 0.0),
                _rec(2, "b", 1.5, 1.0, weight=3.0)]
-    out = fp.access_metrics(records=records)
+    out = fp.access_metrics(records=record_table(records))
     assert out["a"]["access"] == pytest.approx(0.5)
     assert out["a"]["price_mean"] == pytest.approx(1.5)
     assert out["b"]["weight"] == pytest.approx(3.0)
@@ -148,7 +148,7 @@ def test_missing_price_raises_missing_field(metric):
     records = [_rec(0, "a", 1.0, 1.0), _rec(1, "b", None, 1.0),
                _rec(2, "b", 2.0, 0.0)]
     with pytest.raises(fp.MissingFieldError, match="price missing"):
-        metric(records)
+        metric(record_table(records))
 
 
 def test_access_metrics_from_model():
@@ -163,7 +163,7 @@ def test_access_metrics_from_model():
     assert out["b"]["access"] == pytest.approx(0.25)
     assert out["a"]["price_mean"] == pytest.approx(0.75)
     with pytest.raises(fp.MissingFieldError):
-        fp.access_metrics(records=[_rec(0, "a", 1.0, 1.0)],
+        fp.access_metrics(records=record_table([_rec(0, "a", 1.0, 1.0)]),
                           policy=fp.ConstantPolicy(1.0))
 
 
@@ -179,7 +179,7 @@ def test_concordance_micro_example():
         _rec(2, "b", 3.0, 1.0),   # pricier, accepted -> pairs with r0 certify
         _rec(3, "b", 1.0, 1.0),   # ties with r0 on price -> excluded
     ]
-    out = fp.concordance_lower_bound(records)
+    out = fp.concordance_lower_bound(record_table(records))
     # cross-group pairs: (0,2) certified, (1,2) not (both accepted),
     # (1,3) not, (0,3) tie excluded
     assert out["qualifying_pairs"] == 3
@@ -196,7 +196,7 @@ def test_concordance_bound_matches_loop_oracle():
     demands = (rng.random(n) < 0.5).astype(float)
     records = [_rec(i, groups[i], float(prices[i]), float(demands[i]))
                for i in range(n)]
-    got = fp.concordance_lower_bound(records)
+    got = fp.concordance_lower_bound(record_table(records))
     want_cert, want_qual = loop_concordance_bound(prices, demands,
                                                   np.array(groups))
     assert got["qualifying_pairs"] == want_qual
@@ -212,7 +212,7 @@ def test_concordance_bound_weighted_matches_loop():
     weights = rng.integers(1, 4, size=n).astype(float)
     records = [_rec(i, groups[i], float(prices[i]), float(demands[i]),
                     weight=float(weights[i])) for i in range(n)]
-    got = fp.concordance_lower_bound(records)
+    got = fp.concordance_lower_bound(record_table(records))
     want_cert, want_qual = loop_concordance_bound(prices, demands, groups,
                                                   weights)
     assert got["bound"] == pytest.approx(want_cert / want_qual)
@@ -230,8 +230,8 @@ def test_concordance_bound_never_exceeds_oracle_on_threshold_demand():
     demands = (vals >= prices).astype(float)
     records = [_rec(i, groups[i], float(prices[i]), float(demands[i]),
                     valuation=float(vals[i])) for i in range(n)]
-    bound = fp.concordance_lower_bound(records)
-    oracle = fp.concordance_oracle(records)
+    bound = fp.concordance_lower_bound(record_table(records))
+    oracle = fp.concordance_oracle(record_table(records))
     conc, qual = loop_concordance_oracle(prices, vals, groups,
                                          np.ones(n))
     assert oracle["concordance"] == pytest.approx(conc / qual)
@@ -241,16 +241,16 @@ def test_concordance_bound_never_exceeds_oracle_on_threshold_demand():
 def test_concordance_requires_qualifying_pairs():
     same_group = [_rec(i, "a", 1.0 + i, 1.0) for i in range(4)]
     with pytest.raises(fp.NoQualifyingPairsError):
-        fp.concordance_lower_bound(same_group)
+        fp.concordance_lower_bound(record_table(same_group))
     all_tied = [_rec(0, "a", 1.0, 1.0), _rec(1, "b", 1.0, 0.0)]
     with pytest.raises(fp.NoQualifyingPairsError):
-        fp.concordance_lower_bound(all_tied)
+        fp.concordance_lower_bound(record_table(all_tied))
 
 
 def test_concordance_rejects_nonbinary_demand():
     with pytest.raises(fp.InvalidRecordError):
-        fp.concordance_lower_bound([_rec(0, "a", 1.0, 0.4),
-                                    _rec(1, "b", 2.0, 1.0)])
+        fp.concordance_lower_bound(record_table([_rec(0, "a", 1.0, 0.4),
+                                                 _rec(1, "b", 2.0, 1.0)]))
 
 
 @st.composite
@@ -283,8 +283,8 @@ def _pair_logs(draw):
 @given(_pair_logs())
 def test_pair_kernels_match_loop_oracles(log):
     groups, prices, demands, values, weights = log
-    records = [_rec(i, g, p, d, valuation=v, weight=w)
-               for i, (g, p, d, v, w) in enumerate(zip(*log))]
+    records = record_table(_rec(i, g, p, d, valuation=v, weight=w)
+                           for i, (g, p, d, v, w) in enumerate(zip(*log)))
     cert, qual = loop_concordance_bound(prices, demands, groups, weights)
     conc, qual_o = loop_concordance_oracle(prices, values, groups, weights)
     if qual == 0.0:
@@ -310,7 +310,7 @@ def test_concordance_ties_counted_directly():
     distinct = rng.permutation(n) * 0.001 + 0.5
     records = [_rec(i, groups[i], float(distinct[i]), float(demands[i]),
                     weight=float(weights[i])) for i in range(n)]
-    assert fp.concordance_lower_bound(records)["excluded_ties"] == 0.0
+    assert fp.concordance_lower_bound(record_table(records))["excluded_ties"] == 0.0
 
     small = 60
     prices = rng.choice([1.0, 1.5, 2.0], size=small)
@@ -319,7 +319,7 @@ def test_concordance_ties_counted_directly():
     tied = sum(weights[i] * weights[j]
                for i in range(small) for j in range(i + 1, small)
                if groups[i] != groups[j] and prices[i] == prices[j])
-    got = fp.concordance_lower_bound(records)["excluded_ties"]
+    got = fp.concordance_lower_bound(record_table(records))["excluded_ties"]
     assert got == pytest.approx(tied, rel=1e-12)
 
 
@@ -402,7 +402,7 @@ def test_run_audit_collects_metrics_and_errors():
         price = float(rng.choice([1.0, 1.5, 2.0]))
         records.append(_rec(i, g, price, float(rng.random() < 0.5),
                             x=(float(i % 3),)))
-    report = fp.run_audit(records)
+    report = fp.run_audit(record_table(records))
     assert report.n_records == 200
     assert "marginal_price_disparity" in report.metrics
     assert isinstance(report.to_json(), str)
@@ -411,6 +411,6 @@ def test_run_audit_collects_metrics_and_errors():
     # an all-ties corpus: concordance fails, the rest still computes
     tied = [_rec(i, "a" if i % 2 else "b", 1.0, float(i % 2), x=(0.0,))
             for i in range(20)]
-    rep2 = fp.run_audit(tied)
+    rep2 = fp.run_audit(record_table(tied))
     assert rep2.metrics["concordance_lower_bound"] == {
         "error": "no_qualifying_pairs"}

@@ -16,6 +16,7 @@ from oracles import (
     loop_pricing_experiment,
     loop_share_frontier,
 )
+from tables import record_table
 
 GROUPS = ("a", "b")
 
@@ -61,10 +62,10 @@ def markets(draw, max_points=5):
                                    membership=np.column_stack([q, 1.0 - q]))
     else:
         m = draw(st.integers(1, 12))
-        records = [fp.Record(id=f"r{i}", group=GROUPS[int(rng.integers(2))],
-                             covariates=support[rng.integers(n)],
-                             weight=float(rng.uniform(0.2, 3.0)))
-                   for i in range(m)]
+        records = record_table(
+            dict(id=f"r{i}", group=GROUPS[int(rng.integers(2))],
+                 covariates=support[rng.integers(n)],
+                 weight=float(rng.uniform(0.2, 3.0))) for i in range(m))
         population = fp.Population(groups=GROUPS, records=records,
                                    rho={"a": 0.5, "b": 0.5})
     return model, population, rng
@@ -162,9 +163,10 @@ def test_pricing_experiment_matches_cell_loop_at_the_default_grid(family):
         model = fp.LatentValuationModel(
             loc={"a": (1.6, np.array([0.4, -0.2])),
                  "b": (1.1, np.array([0.3, 0.1]))}, noise=family, scale=0.45)
-    records = [fp.Record(id=f"r{i}", group=GROUPS[i % 2],
-                         covariates=rng.uniform(0.0, 2.0, size=2),
-                         weight=float(rng.uniform(0.5, 2.0))) for i in range(5)]
+    records = record_table(
+        dict(id=f"r{i}", group=GROUPS[i % 2],
+             covariates=rng.uniform(0.0, 2.0, size=2),
+             weight=float(rng.uniform(0.5, 2.0))) for i in range(5))
     population = fp.Population(groups=GROUPS, records=records,
                                rho={"a": 0.5, "b": 0.5})
     got = fp.run_pricing_experiment(model, population,
@@ -203,9 +205,10 @@ def _near_duplicate_market(groups=None, **support):
     if support:
         pop = fp.Population(groups=GROUPS, support=np.c_[points], **support)
     else:
-        pop = fp.Population(groups=GROUPS, rho={"a": 0.5, "b": 0.5}, records=[
-            fp.Record(id=f"r{i}", group=g, covariates=[x])
-            for i, (x, g) in enumerate(zip(points, groups))])
+        records = record_table(dict(id=f"r{i}", group=g, covariates=[x])
+                               for i, (x, g) in enumerate(zip(points, groups)))
+        pop = fp.Population(groups=GROUPS, rho={"a": 0.5, "b": 0.5},
+                            records=records)
     interval = fp.PriceInterval(0.05, 4.0)
 
     def alone(x, g):

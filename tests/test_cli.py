@@ -106,6 +106,37 @@ def test_revenue_curve_matches_uniform_optimum(sim_dir):
     assert abs(best_price - uniform_price) <= spacing + 1e-12
 
 
+_LOGISTIC = ("demand = logistic\nbeta = -1.5\nintercept = 1.2\n"
+             "gamma.x1 = 0.5\nunit_cost = 0.1\n")
+
+
+@pytest.mark.parametrize("kind", ["support", "records", "logistic"])
+def test_revenue_curve_is_the_expected_revenue_loop(tmp_path, kind):
+    """Every point of the curve, bit for bit, is ``expected_revenue`` of the
+    constant policy at that price."""
+    text = SCENARIO
+    if kind != "support":
+        text = text.replace("n = 800", "n = 300").replace(
+            "choice(0:0.5, 1:0.5)", "uniform(0.0, 2.0)")
+    if kind == "logistic":
+        latent = text[text.index("demand = latent"):text.index("price_levels")]
+        text = text.replace(latent, _LOGISTIC)
+    path = tmp_path / "scenario.txt"
+    path.write_text(text)
+    assert main(["simulate", "--scenario", str(path), "--seed", "5",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+    model, population = fp.simulate(fp.ScenarioConfig.from_text(text), 5)
+    assert (population.support is None) == (kind != "support")
+    want = ["price,revenue,margin"]
+    for k in range(200):
+        p = 0.8 + k * (2.0 - 0.8) / 199.0
+        revenue = fp.expected_revenue(fp.ConstantPolicy(p), model, population)
+        margin = revenue - population.unit_cost * (revenue / p)
+        want.append(",".join(map(repr, (p, revenue, margin))))
+    got = (tmp_path / "o" / "revenue_curve.csv").read_text().splitlines()
+    assert got == want
+
+
 def test_fit_linear_then_price(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     code = main(["fit", "--records", str(sim_dir / "records.csv"),
@@ -362,6 +393,40 @@ def test_bad_record_cell_exits_2_naming_the_line(tmp_path, capsys, command,
     assert code == 2
     assert "error_code=invalid_value" in err
     assert "line 14" in err
+
+
+@pytest.mark.parametrize("command", [["audit"], ["fit", "--model", "linear"]])
+def test_empty_group_cell_exits_2_naming_the_line(tmp_path, capsys, sim_dir,
+                                                  command):
+    lines = (sim_dir / "records.csv").read_text().splitlines(keepends=True)
+    rid, _, rest = lines[5].split(",", 2)
+    lines[5] = f"{rid},,{rest}"
+    path = tmp_path / "blank.csv"
+    path.write_text("".join(lines))
+    code = main([command[0], "--records", str(path), *command[1:],
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert "line 6: group missing" in err
+
+
+@pytest.mark.parametrize("rows,line", [
+    ('"r\n0",a,0.0,abc,1.0,,,1.0\nr1,b,1.0,1.0,0.0,,,1.0\n', 2),
+    ('"r\n0",a,0.0,1.0,1.0,,,1.0\nr1,b,1.0,abc,0.0,,,1.0\n', 4),
+    ('"r\n0",a,0.0,1.0,1.0,,,1.0\n\nr1,b,1.0,1.0,0.0,,,nan\n', 5),
+])
+def test_bad_cell_after_a_multi_line_field_names_its_first_line(
+        tmp_path, capsys, rows, line):
+    path = tmp_path / "quoted.csv"
+    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
+                    + rows)
+    code = main(["audit", "--records", str(path),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert f"line {line}:" in err
 
 
 def test_audit_empty_price_cell_exits_5(tmp_path, capsys):

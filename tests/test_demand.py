@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
-from fairprice.demand import NOISE_FAMILIES, as_table
+from fairprice.demand import NOISE_FAMILIES
 
 from oracles import central_difference, formula_demand
+from tables import record_table
 
 
 def test_noise_families_pdf_matches_cdf_derivative():
@@ -278,8 +279,9 @@ def test_population_cells_support_and_record_views():
     assert cells.labels.tolist() == ["a", "a", "b"]
     assert cells.mass.tolist() == [0.5, 0.5 * 0.4, 0.5 * 0.6]
     assert cells.X.tolist() == [[0.0], [2.0], [2.0]]
-    records = [fp.Record(id=f"r{i}", group=g, covariates=[float(i)], weight=w)
-               for i, (g, w) in enumerate([("b", 1.0), ("a", 3.0)])]
+    records = record_table(
+        dict(id=f"r{i}", group=g, covariates=[float(i)], weight=w)
+        for i, (g, w) in enumerate([("b", 1.0), ("a", 3.0)]))
     rows = fp.Population(groups=("b", "a"), records=records, rho={"a": 0.5, "b": 0.5}).cells()
     assert rows.index is None
     assert rows.g.tolist() == [0, 1] and rows.mass.tolist() == [0.25, 0.75]
@@ -289,8 +291,8 @@ def test_population_cells_support_and_record_views():
 
 
 def test_record_table_group_is_built_once():
-    table = as_table([fp.Record(id="r0", group="b", covariates=[0.0]),
-                      fp.Record(id="r1", group="a", covariates=[1.0])])
+    table = record_table([dict(id="r0", group="b", covariates=[0.0]),
+                          dict(id="r1", group="a", covariates=[1.0])])
     assert table.group.tolist() == ["b", "a"]
     assert table.group is table.group
 
@@ -305,15 +307,15 @@ def _logistic_records(n, rng, gamma=(0.8,), beta=-1.5, intercept=0.5):
         x = rng.normal(size=len(gamma))
         p = rng.uniform(0.2, 2.5)
         d = float(rng.random() < fp.eval_demand(model, x, None, p))
-        records.append(fp.Record(id=str(i), group="a" if i % 2 else "b",
-                                 covariates=x, price=p, demand=d))
+        records.append(dict(id=str(i), group="a" if i % 2 else "b",
+                            covariates=x, price=p, demand=d))
     return records
 
 
 def test_fit_logistic_recovers_coefficients():
     rng = np.random.default_rng(7)
     records = _logistic_records(6000, rng)
-    model, diag = fp.fit_logistic(records)
+    model, diag = fp.fit_logistic(record_table(records))
     assert abs(model.beta - (-1.5)) < 0.15
     assert abs(model.gamma[0] - 0.8) < 0.15
     assert abs(model.intercept - 0.5) < 0.15
@@ -332,10 +334,10 @@ def test_fit_logistic_converges_on_large_discrete_log():
     truth = np.array([0.5, 0.15, -1.5, 2.0])  # gamma, beta, intercept
     rate = 1.0 / (1.0 + np.exp(-(x @ truth[:2] + truth[2] * p + truth[3])))
     y = (rng.random(n) < rate).astype(float)
-    records = [fp.Record(id=str(i), group="a", covariates=x[i],
-                         price=float(p[i]), demand=float(y[i]))
+    records = [dict(id=str(i), group="a", covariates=x[i],
+                    price=float(p[i]), demand=float(y[i]))
                for i in range(n)]
-    model, diag = fp.fit_logistic(records)
+    model, diag = fp.fit_logistic(record_table(records))
     assert diag.gradient_norm < 1e-8
     assert diag.iterations <= 10
     est = np.concatenate([model.gamma, [model.beta, model.intercept]])
@@ -345,11 +347,9 @@ def test_fit_logistic_converges_on_large_discrete_log():
 def test_fit_logistic_weights_matter():
     rng = np.random.default_rng(9)
     records = _logistic_records(800, rng)
-    doubled = [fp.Record(id=r.id, group=r.group, covariates=r.covariates,
-                         price=r.price, demand=r.demand, weight=2.0)
-               for r in records]
-    m1, _ = fp.fit_logistic(records)
-    m2, _ = fp.fit_logistic(doubled)
+    doubled = [dict(r, weight=2.0) for r in records]
+    m1, _ = fp.fit_logistic(record_table(records))
+    m2, _ = fp.fit_logistic(record_table(doubled))
     # uniform reweighting must not move the MLE
     assert np.allclose(m1.gamma, m2.gamma, atol=1e-6)
     assert abs(m1.beta - m2.beta) < 1e-6
@@ -357,37 +357,37 @@ def test_fit_logistic_weights_matter():
 
 def test_fit_logistic_perfect_separation():
     records = [
-        fp.Record(id=str(i), group="a", covariates=[float(i)], price=1.0 + i,
-                  demand=float(i >= 5))
+        dict(id=str(i), group="a", covariates=[float(i)], price=1.0 + i,
+             demand=float(i >= 5))
         for i in range(10)
     ]
     with pytest.raises(fp.PerfectSeparationError):
-        fp.fit_logistic(records)
+        fp.fit_logistic(record_table(records))
 
 
 def test_fit_logistic_one_class():
-    records = [fp.Record(id=str(i), group="a", covariates=[float(i % 3)],
-                         price=1.0 + (i % 4), demand=1.0) for i in range(12)]
+    records = [dict(id=str(i), group="a", covariates=[float(i % 3)],
+                    price=1.0 + (i % 4), demand=1.0) for i in range(12)]
     with pytest.raises(fp.PerfectSeparationError):
-        fp.fit_logistic(records)
+        fp.fit_logistic(record_table(records))
 
 
 def test_fit_logistic_dead_column():
     rng = np.random.default_rng(1)
-    records = [fp.Record(id=str(i), group="a", covariates=[1.5],  # constant
-                         price=rng.uniform(0.5, 2.0),
-                         demand=float(rng.random() < 0.5)) for i in range(60)]
+    records = [dict(id=str(i), group="a", covariates=[1.5],  # constant
+                    price=rng.uniform(0.5, 2.0),
+                    demand=float(rng.random() < 0.5)) for i in range(60)]
     with pytest.raises(fp.SingularDesignError):
-        fp.fit_logistic(records)
+        fp.fit_logistic(record_table(records))
 
 
 def test_fit_logistic_rejects_nonbinary_demand():
-    records = [fp.Record(id="0", group="a", covariates=[0.1], price=1.0,
-                         demand=0.7),
-               fp.Record(id="1", group="a", covariates=[0.9], price=1.5,
-                         demand=0.0)]
+    records = [dict(id="0", group="a", covariates=[0.1], price=1.0,
+                    demand=0.7),
+               dict(id="1", group="a", covariates=[0.9], price=1.5,
+                    demand=0.0)]
     with pytest.raises(fp.InvalidRecordError):
-        fp.fit_logistic(records)
+        fp.fit_logistic(record_table(records))
 
 
 def test_fit_partially_linear_recovery():
@@ -401,9 +401,9 @@ def test_fit_partially_linear_recovery():
         g = "a" if rng.random() < 0.5 else "b"
         p = rng.uniform(0.2, 2.0)
         d = fp.eval_demand(truth, x, g, p) + 0.05 * rng.normal()
-        records.append(fp.Record(id=str(i), group=g, covariates=x,
-                                 price=p, demand=d))
-    model, diag = fp.fit_partially_linear(records)
+        records.append(dict(id=str(i), group=g, covariates=x,
+                            price=p, demand=d))
+    model, diag = fp.fit_partially_linear(record_table(records))
     assert abs(model.beta["a"] + 1.2) < 0.02
     assert abs(model.beta["b"] + 0.6) < 0.02
     icpt_a, coefs_a = model.baseline["a"]
@@ -417,20 +417,20 @@ def test_fit_partially_linear_upward_slope():
     records = []
     for i in range(200):
         p = rng.uniform(0.5, 2.0)
-        records.append(fp.Record(id=str(i), group="a",
-                                 covariates=rng.normal(size=1),
-                                 price=p, demand=0.5 * p + rng.normal() * 0.01))
+        records.append(dict(id=str(i), group="a",
+                            covariates=rng.normal(size=1),
+                            price=p, demand=0.5 * p + rng.normal() * 0.01))
     with pytest.raises(fp.UpwardSlopeError):
-        fp.fit_partially_linear(records)
-    model, _ = fp.fit_partially_linear(records, allow_upward=True)
+        fp.fit_partially_linear(record_table(records))
+    model, _ = fp.fit_partially_linear(record_table(records), allow_upward=True)
     assert model.beta["a"] > 0
 
 
 def test_fit_partially_linear_no_price_variation():
-    records = [fp.Record(id=str(i), group="a", covariates=[float(i)],
-                         price=1.0, demand=0.3) for i in range(10)]
+    records = [dict(id=str(i), group="a", covariates=[float(i)],
+                    price=1.0, demand=0.3) for i in range(10)]
     with pytest.raises(fp.SingularDesignError):
-        fp.fit_partially_linear(records)
+        fp.fit_partially_linear(record_table(records))
 
 
 # -- populations and serialization -------------------------------------------
@@ -461,15 +461,28 @@ def test_population_validation_errors():
                       membership=[[0.5, 0.5]])
     with pytest.raises(fp.UnknownGroupError):
         fp.Population(groups=("a", "b"),
-                      records=[fp.Record(id="0", group="zz", covariates=[0.0])],
+                      records=record_table(
+                          [dict(id="0", group="zz", covariates=[0.0])]),
                       rho={"a": 0.5, "b": 0.5})
 
 
 def test_record_validation():
-    with pytest.raises(fp.InvalidRecordError):
-        fp.Record(id="0", group="a", covariates=[np.nan])
-    with pytest.raises(fp.InvalidRecordError):
-        fp.Record(id="0", group="a", covariates=[0.0], weight=0.0)
+    with pytest.raises(fp.InvalidRecordError, match="record 0: covariates"):
+        record_table([dict(id="0", group="a", covariates=[np.nan])])
+    with pytest.raises(fp.InvalidRecordError, match="record 0: weight"):
+        record_table([dict(id="0", group="a", covariates=[0.0], weight=0.0)])
+
+
+def test_record_table_rejects_an_empty_group():
+    rows = [dict(id=f"r{i}", group=g, covariates=[0.0])
+            for i, g in enumerate(["a", "", "b"])]
+    with pytest.raises(fp.MissingFieldError, match="record r1: group missing"):
+        record_table(rows)
+    with pytest.raises(fp.MissingFieldError, match="row 1: group missing"):
+        fp.RecordTable.from_arrays(
+            ["r0", "r1"], [0, 1], np.zeros((2, 1)), np.full((2, 5), np.nan),
+            np.zeros((2, 5), dtype=bool), lambda i: f"row {i}",
+            labels=("a", ""))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -477,30 +490,34 @@ def test_record_validation():
     ("outcome", -np.inf), ("valuation", np.nan), ("weight", np.inf),
 ])
 def test_record_table_rejects_nonfinite_cells(field, value):
-    good = fp.Record(id="r0", group="a", covariates=[0.0], price=1.0,
-                     demand=1.0)
-    bad = fp.Record(id="r1", group="b", covariates=[1.0], price=1.0,
-                    demand=0.0)
-    setattr(bad, field, value)
+    good = dict(id="r0", group="a", covariates=[0.0], price=1.0,
+                demand=1.0)
+    bad = dict(id="r1", group="b", covariates=[1.0], price=1.0,
+               demand=0.0)
+    bad[field] = value
     with pytest.raises(fp.InvalidRecordError, match=f"record r1: {field}"):
-        as_table([good, bad])
+        record_table([good, bad])
 
 
 def test_record_table_rows_round_trip():
-    records = [fp.Record(id=f"r{i}", group="ba"[i % 2], covariates=[i, 1.0],
-                         price=1.0 + i, demand=float(i % 2),
-                         valuation=None if i % 3 else 2.5, weight=1.0 + i)
-               for i in range(6)]
-    pop = fp.Population(groups=("a", "b"), records=records,
+    rows = [dict(id=f"r{i}", group="ba"[i % 2], covariates=[i, 1.0],
+                 price=1.0 + i, demand=float(i % 2),
+                 valuation=None if i % 3 else 2.5, weight=1.0 + i)
+            for i in range(6)]
+    table = record_table(rows)
+    pop = fp.Population(groups=("a", "b"), records=table,
                         rho={"a": 0.5, "b": 0.5})
-    table = pop.records
-    assert isinstance(table, fp.RecordTable)
+    assert pop.records is table
     assert len(table) == 6 and table.labels == ("a", "b")
-    assert [r.id for r in table] == [r.id for r in records]
-    assert [r.valuation for r in table[1:4]] == [None, None, 2.5]
-    row = table[4]
-    assert (row.group, row.price, row.demand, row.weight) == ("b", 5.0, 0.0, 5.0)
-    assert row.covariates.tolist() == [4.0, 1.0]
+    assert table.ids.tolist() == [r["id"] for r in rows]
+    assert table.group.tolist() == [r["group"] for r in rows]
+    assert np.isnan(table.outcome).all()
+    part = table.take([1, 2, 3])
+    assert np.isnan(part.valuation[:2]).all() and part.valuation[2] == 2.5
+    row = table.take([4])
+    assert (row.group[0], row.price[0], row.demand[0], row.weight[0]) == (
+        "b", 5.0, 0.0, 5.0)
+    assert row.X.tolist() == [[4.0, 1.0]]
 
 
 def test_model_dict_round_trip():

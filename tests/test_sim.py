@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice.demand import CSV_TRAILING_COLUMNS
 from fairprice.sim import read_records_csv, write_records_csv
+
+from tables import record_table
 
 
 SCENARIO = """
@@ -84,16 +87,15 @@ def test_exact_support_for_discrete_covariates():
         want = cfg.membership_prob(x)
         assert pop.membership[i, 0] == pytest.approx(want)
     assert len(pop.records) == 400
-    assert pop.records[0].id == "r000000"
+    assert pop.records.ids[0] == "r000000"
 
 
 def test_population_reproducible_under_seed():
     cfg = fp.ScenarioConfig.from_text(SCENARIO)
     pop1 = fp.generate_population(cfg, np.random.default_rng(7))
     pop2 = fp.generate_population(cfg, np.random.default_rng(7))
-    assert [r.group for r in pop1.records] == [r.group for r in pop2.records]
-    assert np.allclose([r.valuation for r in pop1.records],
-                       [r.valuation for r in pop2.records])
+    assert pop1.records.group.tolist() == pop2.records.group.tolist()
+    assert np.allclose(pop1.records.valuation, pop2.records.valuation)
 
 
 def test_log_interactions_latent_demand_is_threshold():
@@ -101,9 +103,9 @@ def test_log_interactions_latent_demand_is_threshold():
     rng = np.random.default_rng(3)
     pop = fp.generate_population(cfg, rng)
     fp.log_interactions(cfg, pop, rng)
-    for r in pop.records[:100]:
-        assert r.price in cfg.price_levels
-        assert r.demand == float(r.valuation >= r.price)
+    first = pop.records.take(np.arange(100))
+    assert set(first.price.tolist()) <= set(cfg.price_levels)
+    assert (first.demand == (first.valuation >= first.price)).all()
 
 
 def test_log_interactions_under_policy():
@@ -111,7 +113,7 @@ def test_log_interactions_under_policy():
     rng = np.random.default_rng(3)
     pop = fp.generate_population(cfg, rng)
     fp.log_interactions(cfg, pop, rng, policy=fp.ConstantPolicy(1.1))
-    assert {r.price for r in pop.records} == {1.1}
+    assert set(pop.records.price.tolist()) == {1.1}
 
 
 def test_relogged_prices_replace_the_cached_price_levels():
@@ -148,9 +150,9 @@ def test_surplus_weight_outcome():
     rng = np.random.default_rng(3)
     pop = fp.generate_population(cfg, rng)
     fp.log_interactions(cfg, pop, rng)
-    for r in pop.records[:100]:
-        want = 2.0 * max(r.valuation - r.price, 0.0) * r.demand
-        assert r.outcome == pytest.approx(want)
+    first = pop.records.take(np.arange(100))
+    want = 2.0 * np.maximum(first.valuation - first.price, 0.0) * first.demand
+    assert first.outcome == pytest.approx(want)
 
 
 def test_csv_round_trip_identical(tmp_path):
@@ -165,7 +167,33 @@ def test_csv_round_trip_identical(tmp_path):
     write_records_csv(str(path), back)
     assert path.read_text() == text1
     assert len(back) == len(pop.records)
-    assert back[0].covariates.tolist() == pop.records[0].covariates.tolist()
+    assert back.X[0].tolist() == pop.records.X[0].tolist()
+
+
+def test_csv_round_trip_with_quoted_fields(tmp_path):
+    # ids and groups that the writer must quote, or keep their spaces
+    ids = ["plain", "com,ma", 'say "hi"', "two\nlines", "  padded ",
+           'all, "of"\nthem ']
+    groups = ["a,b", ' "q" ', "line\nbreak"]
+    rows = [dict(id=rid, group=groups[i % 3],
+                 covariates=[-0.0 if i % 2 else 1e-300, 0.5 * i],
+                 price=1.0 + i, demand=float(i % 2),
+                 outcome=None if i % 2 else -0.0,
+                 valuation=None if i % 3 else 2.5, weight=1.0 + i)
+            for i, rid in enumerate(ids)]
+    table = record_table(rows)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_records_csv(first, table)
+    back = read_records_csv(first)
+    write_records_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert b'"two\nlines"' in first.read_bytes()
+    assert back.ids.tolist() == ids and back.labels == table.labels
+    assert back.codes.tolist() == table.codes.tolist()
+    for name in ("X",) + CSV_TRAILING_COLUMNS:
+        # bit for bit: -0.0 stays negative and empty cells stay NaN
+        want, got = getattr(table, name), getattr(back, name)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_csv_missing_fields_read_as_none(tmp_path):
@@ -173,9 +201,9 @@ def test_csv_missing_fields_read_as_none(tmp_path):
     path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
                     "r0,a,0.5,1.0,1.0,,,\n")
     recs = read_records_csv(str(path))
-    assert recs[0].outcome is None
-    assert recs[0].valuation is None
-    assert recs[0].weight == 1.0
+    assert np.isnan(recs.outcome[0])
+    assert np.isnan(recs.valuation[0])
+    assert recs.weight[0] == 1.0
 
 
 def test_csv_header_mismatch_raises(tmp_path):
@@ -239,8 +267,7 @@ def test_ope_constant_policy_at_level_is_exact_average():
     cfg, pop, logged = _logged_scenario(seed=9, n=2000)
     target = fp.ConstantPolicy(1.2)
     est = fp.ope_value(logged, target, fp.OPEConfig(bandwidth=0.3))
-    at_level = [r for r in logged if r.price == 1.2]
-    want = 1.2 * np.mean([r.demand for r in at_level])
+    want = 1.2 * np.mean(logged.demand[logged.price == 1.2])
     assert est == pytest.approx(want, abs=1e-12)
 
 
