@@ -72,6 +72,7 @@ from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, 
 from .sim import (
     OPEConfig,
     ScenarioConfig,
+    check_n_boot,
     ope_bootstrap_se,
     ope_value,
     ope_weight_diagnostics,
@@ -162,6 +163,8 @@ class _Run:
     """Collects output files and the manifest for one CLI invocation."""
 
     def __init__(self, args):
+        if args.seed < 0:
+            raise MissingFieldError("--seed must be nonnegative")
         self.args = args
         self.out_dir = args.out_dir
         os.makedirs(self.out_dir, exist_ok=True)
@@ -206,7 +209,7 @@ def _cmd_simulate(args) -> int:
     run.outputs.append("records.csv")
     run.write("population.json", json_dumps_stable(population_to_dict(population)))
     run.write("model_true.json", json_dumps_stable(model_to_dict(model)))
-    _write_experiment_bundle(run, model, population, config)
+    _write_experiment_bundle(run, population, config)
     takeup = float(population.records.demand.mean())
     run.say(f"simulated {len(population.records)} records "
             f"({', '.join(population.groups)}); mean take-up {takeup:.3f}")
@@ -214,7 +217,7 @@ def _cmd_simulate(args) -> int:
                       {"scenario": str(args.scenario)})
 
 
-def _write_experiment_bundle(run, model, population, config) -> None:
+def _write_experiment_bundle(run, population, config) -> None:
     """Price the simulated market three ways and emit plot-ready tables.
 
     ``experiment.csv`` holds long-format (scheme, metric, group, value) rows,
@@ -222,6 +225,7 @@ def _write_experiment_bundle(run, model, population, config) -> None:
     ``revenue_curve.csv`` traces aggregate revenue and margin over 200
     uniform prices spanning the scenario's level grid.
     """
+    model = config.model
     interval = PriceInterval(min(config.price_levels),
                              max(config.price_levels))
     experiment = run_pricing_experiment(model, population, interval)
@@ -235,14 +239,7 @@ def _write_experiment_bundle(run, model, population, config) -> None:
             rows.append((scheme, "access", g, info["access"][g]))
         for g in sorted(info["price_mean"]):
             rows.append((scheme, "price_mean", g, info["price_mean"][g]))
-        payload[scheme] = {
-            "policy": policy_to_dict(info["policy"]),
-            "revenue": info["revenue"],
-            "margin": info["margin"],
-            "access": info["access"],
-            "price_mean": info["price_mean"],
-            "histogram": info["histogram"],
-        }
+        payload[scheme] = dict(info, policy=policy_to_dict(info["policy"]))
     run.write("experiment.csv",
               _csv_text(("scheme", "metric", "group", "value"), rows))
     run.write("experiment.json", json_dumps_stable(payload))
@@ -401,31 +398,29 @@ def _cmd_ope(args) -> int:
     run = _Run(args)
     if bool(args.policy) == bool(args.search):
         raise MissingFieldError("pass exactly one of --policy or --search")
+    check_n_boot(args.n_boot)
     records = read_records_csv(args.records)
     config = OPEConfig(bandwidth=args.bandwidth)
-    payload = {"bandwidth": args.bandwidth, "n_records": len(records)}
+    payload = {"bandwidth": args.bandwidth, "n_records": len(records),
+               "n_boot": args.n_boot}
     if args.policy:
         policy = policy_from_dict(_load_json(args.policy, "policy"))
-        value = ope_value(records, policy, config)
-        se = ope_bootstrap_se(records, policy, config,
-                              n_boot=args.n_boot, seed=args.seed)
-        payload.update({"policy": policy_to_dict(policy), "value": value,
-                        "std_error": se, "n_boot": args.n_boot})
-        run.say(f"off-policy value {value:.6g} (bootstrap se {se:.3g})")
+        payload["value"] = ope_value(records, policy, config)
+        note = "off-policy value {:.6g} (bootstrap se {:.3g})"
     else:
         result = optimize_linear_policy(records, config,
                                         n_starts=args.n_starts,
                                         seed=args.seed)
         policy = result.policy
-        se = ope_bootstrap_se(records, policy, config,
-                              n_boot=args.n_boot, seed=args.seed)
-        payload.update({"policy": policy_to_dict(policy),
-                        "value": result.value, "std_error": se,
-                        "n_boot": args.n_boot, "starts": result.starts,
+        payload.update({"value": result.value, "starts": result.starts,
                         "trace": result.trace})
-        run.say(f"best linear policy value {result.value:.6g} "
-                f"(bootstrap se {se:.3g}, {result.starts} starts)")
-    payload.update(ope_weight_diagnostics(records, policy, config))
+        note = (f"best linear policy value {{:.6g}} (bootstrap se {{:.3g}}, "
+                f"{result.starts} starts)")
+    se = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
+                          seed=args.seed)
+    payload.update(policy=policy_to_dict(policy), std_error=se,
+                   **ope_weight_diagnostics(records, policy, config))
+    run.say(note.format(payload["value"], se))
     run.write("ope.json", json_dumps_stable(payload))
     inputs = [args.records] + ([args.policy] if args.policy else [])
     return run.finish("ope", inputs,

@@ -16,6 +16,8 @@ from .errors import (
 from .util import seqsum
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# bracket width at which the revenue maximizers stop refining a price
+_TOL = 1e-8
 # (row, price) values evaluated at once on grids, which bounds their memory
 _GRID_CELLS = 1 << 16
 
@@ -45,27 +47,25 @@ def monopoly_price_linear(dbar: float, beta: float) -> float:
     return -dbar / (2.0 * beta)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
+def golden_section_max(f, lo: float, hi: float):
     """Maximize a unimodal scalar function on [lo, hi]: the one-row call of
     :func:`golden_rows`. Returns ``(argmax, value)``."""
     price, value = golden_rows(
-        lambda rows, p: np.array([f(float(p[0]))], dtype=float), [lo], [hi], tol)
+        lambda rows, p: np.array([f(float(p[0]))], dtype=float), [lo], [hi], _TOL)
     return float(price[0]), float(value[0])
 
 
-def maximize_revenue_1d(curve, interval: PriceInterval, tol: float = 1e-8,
-                        shift: float = 0.0):
+def maximize_revenue_1d(curve, interval: PriceInterval, shift: float = 0.0):
     """Maximize ``(p - shift) * curve(p)`` over the interval: the one-row
     call of :func:`maximize_rows`. ``curve`` maps a price array, or one
     price, to model-scale demand (a scalar return broadcasts); ``shift`` is a
     unit cost."""
     price, value = maximize_rows(lambda rows, p: (p - shift) * curve(p[0]),
-                                 1, interval, tol)
+                                 1, interval)
     return float(price[0]), float(value[0])
 
 
-def maximize_rows(objective, n_rows: int, interval: PriceInterval,
-                  tol: float = 1e-8):
+def maximize_rows(objective, n_rows: int, interval: PriceInterval):
     """``(price, value)`` arrays maximizing ``objective(rows, p)`` over the
     interval for each of ``n_rows`` rows; ``p`` holds one price per row, or
     price grids as an (n, m) or (1, m) array. A 64-point probe rejects rows
@@ -76,7 +76,7 @@ def maximize_rows(objective, n_rows: int, interval: PriceInterval,
         raise DegenerateDemandError(
             "objective is nonpositive across the whole price interval")
     around = grid_argmax(objective, n_rows, lo, hi, interval.grid_n)[0]
-    return golden_rows(objective, around[:, 0], around[:, 2], tol)
+    return golden_rows(objective, around[:, 0], around[:, 2], _TOL)
 
 
 def grid_argmax(objective, n_rows: int, lo, hi, n: int):

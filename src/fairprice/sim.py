@@ -44,13 +44,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .demand import (
     CSV_LEADING_COLUMNS,
     CSV_TRAILING_COLUMNS,
+    NOISE_FAMILIES,
     LatentValuationModel,
     LogisticDemand,
     Population,
@@ -174,20 +175,10 @@ class ScenarioConfig:
     covariates: list
     membership_intercept: float
     membership_coefs: dict
-    demand_kind: str
+    model: LatentValuationModel | LogisticDemand
     price_levels: tuple
-    noise: str = "logistic"
-    scale: float = 1.0
-    loc: dict = field(default_factory=dict)
-    beta: float | None = None
-    gamma: dict = field(default_factory=dict)
-    intercept: float = 0.0
     unit_cost: float = 0.0
     surplus_weight: float | None = None
-
-    @property
-    def covariate_names(self) -> list:
-        return [c.name for c in self.covariates]
 
     @property
     def all_discrete(self) -> bool:
@@ -258,14 +249,18 @@ class ScenarioConfig:
                 coefs[name] = as_float(key, raw.pop(key))
             return coefs
 
+        def coef_vector(prefix):
+            coefs = coefficients(prefix)
+            return np.array([coefs.get(c.name, 0.0) for c in covariates])
+
         membership_intercept = as_float(
             "membership.intercept", take("membership.intercept", "0"))
         membership_coefs = coefficients("membership.")
 
-        demand_kind = take("demand", required=True)
-        if demand_kind not in ("latent", "logistic"):
+        kind = take("demand", required=True)
+        if kind not in ("latent", "logistic"):
             raise ConfigError(f"demand must be 'latent' or 'logistic', "
-                              f"got {demand_kind!r}", lines.get("demand"))
+                              f"got {kind!r}", lines.get("demand"))
 
         levels_text = take("price_levels", required=True)
         try:
@@ -288,23 +283,27 @@ class ScenarioConfig:
         surplus_weight = (None if surplus_raw is None
                           else as_float("outcome.surplus_weight", surplus_raw))
 
-        noise = take("noise", "logistic")
-        scale = as_float("scale", take("scale", "1"))
-        loc = {}
-        beta = None
-        gamma = {}
-        intercept = 0.0
-        if demand_kind == "latent":
+        if kind == "latent":
+            noise = take("noise", "logistic")
+            if noise not in NOISE_FAMILIES:
+                raise ConfigError(f"unknown noise family {noise!r}; choose from "
+                                  f"{sorted(NOISE_FAMILIES)}", lines.get("noise"))
+            scale = as_float("scale", take("scale", "1"))
+            if not scale > 0.0:
+                raise ConfigError("scale must be positive", lines.get("scale"))
+            loc = {}
             for g in groups:
                 loc_icpt = take(f"loc.{g}.intercept", required=True)
-                coefs = coefficients(f"loc.{g}.")
+                coefs = coef_vector(f"loc.{g}.")
                 loc[g] = (as_float(f"loc.{g}.intercept", loc_icpt), coefs)
+            model = LatentValuationModel(loc=loc, noise=noise, scale=scale)
         else:
             beta = as_float("beta", take("beta", required=True))
             if beta >= 0:
                 raise ConfigError("beta must be negative", lines.get("beta"))
             intercept = as_float("intercept", take("intercept", "0"))
-            gamma = coefficients("gamma.")
+            model = LogisticDemand(gamma=coef_vector("gamma."), beta=beta,
+                                   intercept=intercept)
             if surplus_weight is not None:
                 raise ConfigError(
                     "outcome.surplus_weight needs latent demand",
@@ -314,39 +313,22 @@ class ScenarioConfig:
             stray = sorted(raw)[0]
             raise ConfigError(f"unknown key {stray!r}", lines.get(stray))
 
-        config = cls(n=n, groups=groups, covariates=covariates,
-                     membership_intercept=membership_intercept,
-                     membership_coefs=membership_coefs,
-                     demand_kind=demand_kind, price_levels=levels,
-                     noise=noise, scale=scale, loc=loc, beta=beta,
-                     gamma=gamma, intercept=intercept, unit_cost=unit_cost,
-                     surplus_weight=surplus_weight)
-        config.build_model()  # validate model parameters eagerly
-        return config
+        return cls(n=n, groups=groups, covariates=covariates,
+                   membership_intercept=membership_intercept,
+                   membership_coefs=membership_coefs, model=model,
+                   price_levels=levels, unit_cost=unit_cost,
+                   surplus_weight=surplus_weight)
 
     def membership_prob(self, x):
         """P(first group | x) from the logit membership rule: a float for
         one covariate vector, an array for the rows of a matrix."""
         x = np.asarray(x, dtype=float)
         z = np.full(x.shape[:-1], self.membership_intercept)
+        names = [c.name for c in self.covariates]
         for name, coef in self.membership_coefs.items():
-            z = z + coef * x[..., self.covariate_names.index(name)]
+            z = z + coef * x[..., names.index(name)]
         q = scipy_special().expit(z)
         return float(q) if x.ndim == 1 else q
-
-    def build_model(self):
-        names = self.covariate_names
-        if self.demand_kind == "latent":
-            loc = {}
-            for g in self.groups:
-                intercept, coefs = self.loc[g]
-                vec = np.array([coefs.get(nm, 0.0) for nm in names])
-                loc[g] = (intercept, vec)
-            return LatentValuationModel(loc=loc, noise=self.noise,
-                                        scale=self.scale)
-        vec = np.array([self.gamma.get(nm, 0.0) for nm in names])
-        return LogisticDemand(gamma=vec, beta=self.beta,
-                              intercept=self.intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +363,13 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     population also carries the exact support, masses, and membership
     probabilities of the generating process.
     """
-    model = config.build_model()
-    latent = config.demand_kind == "latent"
+    model = config.model
+    family = model.family if isinstance(model, LatentValuationModel) else None
     width = max(6, len(str(config.n)))
     ids = np.char.add("r", np.char.zfill(
         np.arange(config.n).astype(f"U{width}"), width))
-    draws = _draw_block(config, model, rng)
-    X, u, eps = draws if draws is not None else _draw_loop(config, model, rng)
+    draws = _draw_block(config, family, rng)
+    X, u, eps = draws if draws is not None else _draw_loop(config, family, rng)
     code = np.where(u < config.membership_prob(X), 0, 1)
     count = np.bincount(code, minlength=len(config.groups))
     # the table keeps the sorted labels that occur and codes into them
@@ -395,7 +377,7 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
     label_code = np.array([labels.index(g) if c else -1
                            for g, c in zip(config.groups, count)])
     values = np.full((config.n, len(CSV_TRAILING_COLUMNS)), np.nan)
-    if latent:
+    if family is not None:
         values[:, CSV_TRAILING_COLUMNS.index("valuation")] = (
             model.location_rows(X, code, config.groups) + model.scale * eps)
     records = RecordTable.from_arrays(
@@ -417,12 +399,12 @@ def generate_population(config: ScenarioConfig, rng) -> Population:
                       unit_cost=config.unit_cost)
 
 
-def _draw_block(config: ScenarioConfig, model, rng):
+def _draw_block(config: ScenarioConfig, family, rng):
     """``(X, u, eps)`` from one ``rng.random((n, m))`` block, bit for bit
     what :func:`_draw_loop` draws, or None with ``rng`` untouched when a
     sampler takes other than one double per record (see the module
-    docstring). A record's doubles sit in one row, in the loop's order."""
-    family = model.family if config.demand_kind == "latent" else None
+    docstring). A record's doubles sit in one row, in the loop's order;
+    ``family`` is the latent noise family, None under logistic demand."""
     if any(spec.kind == "normal" for spec in config.covariates) or (
             family is not None and family.from_uniform is None):
         return None
@@ -445,18 +427,17 @@ def _draw_block(config: ScenarioConfig, model, rng):
     return X, next(columns), eps
 
 
-def _draw_loop(config: ScenarioConfig, model, rng):
+def _draw_loop(config: ScenarioConfig, family, rng):
     """``(X, u, eps)`` drawn record by record, in the generator's order:
-    the covariates, the membership double and, under latent demand, the
+    the covariates, the membership double and, with a noise ``family``, the
     noise. The fallback of :func:`_draw_block`."""
-    latent = config.demand_kind == "latent"
     X = np.empty((config.n, len(config.covariates)))
     u, eps = np.empty(config.n), np.empty(config.n)
     for i in range(config.n):
         X[i] = [spec.sample(rng) for spec in config.covariates]
         u[i] = rng.random()
-        if latent:
-            eps[i] = model.family.sample(rng)
+        if family is not None:
+            eps[i] = family.sample(rng)
     return X, u, eps
 
 
@@ -470,11 +451,11 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     consumer surplus, scaled by ``outcome.surplus_weight``, lands in the
     outcome column when configured.
     """
-    model = config.build_model()
+    model = config.model
     levels = np.asarray(config.price_levels, dtype=float)
     table = population.records
     n = len(table)
-    logistic = config.demand_kind == "logistic"
+    logistic = isinstance(model, LogisticDemand)
     # the prices written below replace any cached levels of older ones
     vars(table).pop("price_levels", None)
     if policy is not None:
@@ -511,7 +492,7 @@ def simulate(config: ScenarioConfig, seed: int):
     rng = np.random.default_rng(seed)
     population = generate_population(config, rng)
     log_interactions(config, population, rng)
-    return config.build_model(), population
+    return config.model, population
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +777,17 @@ def ope_weight_diagnostics(records: RecordTable, policy,
             "max_weight_share": float(imp.max() / total)}
 
 
+def check_n_boot(n_boot) -> None:
+    """Raise MissingFieldError unless ``n_boot >= 2``."""
+    if n_boot < 2:
+        raise MissingFieldError("n_boot must be at least 2")
+
+
 def ope_bootstrap_se(records: RecordTable, policy,
                      config: OPEConfig | None = None, n_boot: int = 200,
                      seed: int = 0) -> float:
     """Bootstrap standard error of :func:`ope_value` over record resamples."""
+    check_n_boot(n_boot)
     config = config or OPEConfig()
     rng = np.random.default_rng(seed)
     n = len(records)
@@ -845,8 +833,10 @@ def optimize_linear_policy(records: RecordTable,
     search result is never worse than the best constant policy); remaining
     starts draw random coefficients from ``seed``. Steps begin at 10% of the
     clip range and halve ``_SEARCH_HALVINGS`` times. Ties keep the earliest
-    start.
+    start. ``n_starts`` must be at least 1.
     """
+    if n_starts < 1:
+        raise MissingFieldError("n_starts must be at least 1")
     config = config or OPEConfig()
     table = records.require()
     prices = np.unique(table.price[~np.isnan(table.price)]).tolist()

@@ -461,8 +461,8 @@ def loop_generate_population(config: ScenarioConfig, rng) -> Population:
     population also carries the exact support, masses, and membership
     probabilities of the generating process.
     """
-    model = config.build_model()
-    latent = config.demand_kind == "latent"
+    model = config.model
+    latent = isinstance(model, fp.LatentValuationModel)
     width = max(6, len(str(config.n)))
     ids = [f"r{i:0{width}d}" for i in range(config.n)]
     # the loop only draws, in the generator's order; the draws are turned
@@ -509,7 +509,7 @@ def loop_log_interactions(config: ScenarioConfig, population: Population,
     consumer surplus, scaled by ``outcome.surplus_weight``, lands in the
     outcome column when configured.
     """
-    model = config.build_model()
+    model = config.model
     levels = config.price_levels
     table = population.records
     groups = table.group
@@ -521,7 +521,7 @@ def loop_log_interactions(config: ScenarioConfig, population: Population,
         else:
             p = float(offered[i])
         table.price[i] = p
-        if config.demand_kind == "latent":
+        if isinstance(model, fp.LatentValuationModel):
             table.demand[i] = float(table.valuation[i] >= p)
         else:
             rate = eval_demand(model, x, groups[i], p)

@@ -752,7 +752,10 @@ def test_version_flag(capsys):
      "covariate.x1 = choice(0:-0.5, 1:1.5)", 4),
     ("covariate.x1 = choice(0:0.5, 1:0.5)",
      "covariate.x1 = choice(0:nan, 1:nan)", 4),
-], ids=["nan_price_level", "negative_choice_prob", "nan_choice_probs"])
+    ("noise = logistic", "noise = bogus", 8),
+    ("scale = 0.4", "scale = 0", 9),
+], ids=["nan_price_level", "negative_choice_prob", "nan_choice_probs",
+        "unknown_noise", "zero_scale"])
 def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
                                                       new, line):
     path = tmp_path / "scenario.txt"
@@ -781,6 +784,68 @@ def test_simulate_rejects_unknown_covariate_coefficient(tmp_path, capsys, key):
     assert code == 2
     assert "error_code=config_parse" in err
     assert f"line {text.count(chr(10))}: {key}: unknown covariate" in err
+
+
+@pytest.mark.parametrize("key", ["noise = gumbel", "scale = -3"])
+def test_simulate_rejects_latent_keys_under_logistic_demand(tmp_path, capsys,
+                                                            key):
+    latent = SCENARIO[SCENARIO.index("demand = latent"):
+                      SCENARIO.index("price_levels")]
+    text = SCENARIO.replace(latent, f"demand = logistic\nbeta = -1.5\n{key}\n")
+    path = tmp_path / "scenario.txt"
+    path.write_text(text)
+    code = main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    line = text.splitlines().index(key) + 1
+    assert f"line {line}: unknown key {key.split()[0]!r}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_negative_seed_exits_2(tmp_path, capsys, scenario_path, sim_dir,
+                               command):
+    source = (["--scenario", scenario_path] if command == "simulate"
+              else ["--records", str(sim_dir / "records.csv")])
+    code = main([command, *source, "--seed", "-1",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert "--seed" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_boot", ["0", "1", "-5"])
+@pytest.mark.parametrize("mode", ["policy", "search"])
+def test_ope_rejects_too_few_bootstrap_resamples(tmp_path, sim_dir, capsys,
+                                                 monkeypatch, n_boot, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran before --n-boot was checked")
+    monkeypatch.setattr("fairprice.cli.optimize_linear_policy", refuse)
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    target = (["--policy", str(policy_path)] if mode == "policy"
+              else ["--search"])
+    code = main(["ope", "--records", str(sim_dir / "records.csv"), *target,
+                 "--n-boot", n_boot, "--out-dir", str(tmp_path / "x"),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert "n_boot must be at least 2" in err
+
+
+@pytest.mark.parametrize("n_starts", ["0", "-3"])
+def test_ope_search_rejects_no_starts(tmp_path, sim_dir, capsys, n_starts):
+    code = main(["ope", "--records", str(sim_dir / "records.csv"), "--search",
+                 "--n-starts", n_starts, "--n-boot", "20",
+                 "--out-dir", str(tmp_path / "x"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert "n_starts must be at least 1" in err
 
 
 @pytest.mark.parametrize("field", ["masses", "membership", "rho"])

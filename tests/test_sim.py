@@ -33,8 +33,7 @@ def test_scenario_parses_and_builds_model():
     assert cfg.n == 400
     assert cfg.groups == ("a", "b")
     assert cfg.price_levels == (0.8, 1.2, 1.6, 2.0)
-    model = cfg.build_model()
-    assert isinstance(model, fp.LatentValuationModel)
+    assert isinstance(cfg.model, fp.LatentValuationModel)
     assert cfg.membership_prob([0.0]) == pytest.approx(
         1 / (1 + np.exp(-0.8)))
     assert cfg.membership_prob([1.0]) == pytest.approx(
@@ -217,7 +216,7 @@ def test_csv_header_mismatch_raises(tmp_path):
 def test_simulate_returns_model_and_population():
     cfg = fp.ScenarioConfig.from_text(SCENARIO)
     model, pop = fp.simulate(cfg, seed=11)
-    assert isinstance(model, fp.LatentValuationModel)
+    assert model is cfg.model
     assert len(pop.records) == cfg.n
 
 
@@ -361,6 +360,16 @@ def test_ope_config_validation():
     for bandwidth in (0.0, float("inf"), float("nan")):
         with pytest.raises(fp.MissingFieldError):
             fp.OPEConfig(bandwidth=bandwidth)
+
+
+def test_ope_counts_below_their_minimum_raise():
+    cfg, pop, logged = _logged_scenario(seed=9)
+    for n_boot in (1, 0, -5):
+        with pytest.raises(fp.MissingFieldError, match="n_boot"):
+            fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2), n_boot=n_boot)
+    for n_starts in (0, -3):
+        with pytest.raises(fp.MissingFieldError, match="n_starts"):
+            fp.optimize_linear_policy(logged, n_starts=n_starts)
 
 
 def test_policy_search_beats_every_constant():
