@@ -272,12 +272,7 @@ def access_metrics(records: RecordTable | None = None, policy=None,
     if policy is None or model is None or population is None:
         raise MissingFieldError(
             "model-implied access needs policy, model, and population")
-    _, _, stats = population.cells().evaluate(policy, model)
-    for g, (mass, dsum, psum) in zip(population.groups, stats):
-        if mass > 0.0:
-            out[g] = {"access": dsum / mass, "price_mean": psum / mass,
-                      "weight": mass}
-    return out
+    return population.cells().evaluate(policy, model)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,7 @@ from .demand import (
     population_to_dict,
 )
 from .optimize import PriceInterval
-from .errors import (
-    ConfigError,
-    FairPriceError,
-    InvalidRecordError,
-    MissingFieldError,
-    NoComputableMetricError,
-    UnenforceableConstraintError,
-    UpwardSlopeError,
-)
+from .errors import ConfigError, FairPriceError, InvalidRecordError, MissingFieldError
 from .parity import (
     ATTRIBUTE_BASED,
     ATTRIBUTE_BLIND,
@@ -90,25 +82,6 @@ except PackageNotFoundError:  # running from a source tree without install
     VERSION = "0.0.0"
 
 _EXIT_IO = 1
-_EXIT_USAGE = 2
-_EXIT_UPWARD_SLOPE = 3
-_EXIT_UNENFORCEABLE = 4
-_EXIT_NO_METRIC = 5
-
-_ERROR_EXIT_CODES = (
-    (UpwardSlopeError, _EXIT_UPWARD_SLOPE),
-    (UnenforceableConstraintError, _EXIT_UNENFORCEABLE),
-    (NoComputableMetricError, _EXIT_NO_METRIC),
-)
-
-
-def _exit_code_for(exc: FairPriceError) -> int:
-    for cls, code in _ERROR_EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    # everything else (config, data, estimation, precondition failures)
-    # shares the usage code; error_code= on stderr disambiguates
-    return _EXIT_USAGE
 
 
 def _load_json(path, what: str) -> dict:
@@ -262,17 +235,8 @@ def _cmd_fit(args) -> int:
     else:
         model, diag = fit_partially_linear(records,
                                            allow_upward=args.allow_upward)
-    diagnostics = {
-        "n_records": diag.n_records,
-        "iterations": diag.iterations,
-        "gradient_norm": diag.gradient_norm,
-    }
-    if diag.log_likelihood is not None:
-        diagnostics["log_likelihood"] = diag.log_likelihood
-    if diag.std_errors is not None:
-        diagnostics["std_errors"] = [float(v) for v in diag.std_errors]
-    if diag.residual_sum_squares is not None:
-        diagnostics["residual_sum_squares"] = diag.residual_sum_squares
+    diagnostics = {k: v.tolist() if k == "std_errors" else v
+                   for k, v in vars(diag).items() if v is not None}
     run.write("model.json", json_dumps_stable(
         {"model": model_to_dict(model), "diagnostics": diagnostics}))
     run.say(f"fitted {args.model} demand on {diag.n_records} records")
@@ -300,9 +264,7 @@ def _cmd_price(args) -> int:
                 f"({args.scope} scope)")
     else:
         gamma = _parse_gamma(args.gamma if args.gamma is not None else "inf")
-        solver = (solve_attribute_based_parity if args.mode == ATTRIBUTE_BASED
-                  else solve_attribute_blind_parity)
-        solution = solver(model, population, gamma)
+        solution = _parity_solver(args.mode)(model, population, gamma)
         policy = solution.policy()
         payload = solution.to_dict()
         parameters = {"mode": args.mode, "gamma": gamma}
@@ -322,6 +284,13 @@ def _cmd_price(args) -> int:
     run.write("prices.json", json_dumps_stable(payload))
     run.say(f"{note}, expected revenue {payload['revenue']:.6g}")
     return run.finish("price", [args.model, args.population], parameters)
+
+
+def _parity_solver(mode: str):
+    """The parity solver of ``mode``, looked up in this module's globals
+    on every call, so that a replaced solver function is the one run."""
+    return (solve_attribute_based_parity if mode == ATTRIBUTE_BASED
+            else solve_attribute_blind_parity)
 
 
 def _share_solution(model, population, args):
@@ -425,7 +394,8 @@ def _cmd_ope(args) -> int:
     inputs = [args.records] + ([args.policy] if args.policy else [])
     return run.finish("ope", inputs,
                       {"bandwidth": args.bandwidth, "n_boot": args.n_boot,
-                       "search": bool(args.search)})
+                       "search": bool(args.search),
+                       **({"n_starts": args.n_starts} if args.search else {})})
 
 
 def _cmd_sweep(args) -> int:
@@ -434,8 +404,7 @@ def _cmd_sweep(args) -> int:
     population = population_from_dict(_load_json(args.population, "population"))
     grid = _parse_grid(args.grid)
     if args.kind == "parity":
-        solver = (solve_attribute_based_parity if args.mode == ATTRIBUTE_BASED
-                  else solve_attribute_blind_parity)
+        solver = _parity_solver(args.mode)
         rows = []
         for gamma in grid:
             solution = solver(model, population, gamma)
@@ -572,7 +541,7 @@ def main(argv=None) -> int:
     except FairPriceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"error_code={exc.code}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_status
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("error_code=io", file=sys.stderr)

@@ -37,7 +37,7 @@ from .errors import (
     UpwardSlopeError,
 )
 from .optimize import _GRID_CELLS
-from .util import seqsum
+from .util import json_field, json_number_map, json_numbers, json_rows, json_value, seqsum
 
 CSV_LEADING_COLUMNS = ("id", "group")
 CSV_TRAILING_COLUMNS = ("price", "demand", "outcome", "valuation", "weight")
@@ -73,7 +73,6 @@ class NoiseFamily:
     """
 
     name: str
-    cdf: callable
     sf: callable
     pdf: callable
     pdf_prime: callable
@@ -81,16 +80,8 @@ class NoiseFamily:
     from_uniform: callable = None
 
 
-def _normal_cdf(z):
-    return scipy_special().ndtr(z)
-
-
 def _normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
-
-
-def _logistic_cdf(z):
-    return scipy_special().expit(z)
 
 
 def _logistic_pdf(z):
@@ -133,10 +124,6 @@ def _laplace_pdf_prime(z):
     return -np.sign(z) * 0.5 * np.exp(-np.abs(z))
 
 
-def _gumbel_cdf(z):
-    return np.exp(-np.exp(-np.asarray(z, dtype=float)))
-
-
 def _gumbel_pdf(z):
     z = np.asarray(z, dtype=float)
     return np.exp(-z - np.exp(-z))
@@ -169,29 +156,29 @@ def _gumbel_from_uniform(u):
 
 NOISE_FAMILIES: dict[str, NoiseFamily] = {
     "normal": NoiseFamily(
-        "normal", _normal_cdf, lambda z: scipy_special().ndtr(-z),
+        "normal", lambda z: scipy_special().ndtr(-z),
         _normal_pdf, lambda z: -np.asarray(z, dtype=float) * _normal_pdf(z),
         lambda rng, size=None: rng.standard_normal(size),
     ),
     "logistic": NoiseFamily(
-        "logistic", _logistic_cdf, lambda z: scipy_special().expit(-z),
+        "logistic", lambda z: scipy_special().expit(-z),
         _logistic_pdf, _logistic_pdf_prime,
         lambda rng, size=None: rng.logistic(0.0, 1.0, size),
         _logistic_from_uniform,
     ),
     "exponential": NoiseFamily(
-        "exponential", _exponential_cdf, lambda z: 1.0 - _exponential_cdf(z),
+        "exponential", lambda z: 1.0 - _exponential_cdf(z),
         _exponential_pdf, _exponential_pdf_prime,
         lambda rng, size=None: rng.exponential(1.0, size),
     ),
     "laplace": NoiseFamily(
-        "laplace", _laplace_cdf, lambda z: 1.0 - _laplace_cdf(z),
+        "laplace", lambda z: 1.0 - _laplace_cdf(z),
         _laplace_pdf, _laplace_pdf_prime,
         lambda rng, size=None: rng.laplace(0.0, 1.0, size),
         _laplace_from_uniform,
     ),
     "gumbel": NoiseFamily(
-        "gumbel", _gumbel_cdf, lambda z: -np.expm1(-np.exp(-z)),
+        "gumbel", lambda z: -np.expm1(-np.exp(-z)),
         _gumbel_pdf, _gumbel_pdf_prime,
         lambda rng, size=None: rng.gumbel(0.0, 1.0, size),
         _gumbel_from_uniform,
@@ -438,14 +425,19 @@ class Cells(NamedTuple):
         return [seqsum(t[rows]) for t in terms]
 
     def evaluate(self, policy, model):
-        """``(p, d, stats)``: the price and model demand of every cell under
-        ``policy``, and per group index the cell-order totals ``(mass,
-        mass * demand, mass * price)``."""
+        """``(p, d, by_group)``: the price and model demand of every cell
+        under ``policy``, and for each group of positive mass, in ``groups``
+        order, its ``access`` (mean demand), ``price_mean`` and ``weight``
+        (mass), divided from cell-order totals."""
         p = policy.price_batch(self.X, self.labels)
         d = model.demand(self.X, self.g, p, self.groups)
-        w = self.mass
-        return p, d, [self.totals(k, w, w * d, w * p)
-                      for k in range(len(self.groups))]
+        w, by_group = self.mass, {}
+        for k, g in enumerate(self.groups):
+            mass, dsum, psum = self.totals(k, w, w * d, w * p)
+            if mass > 0.0:
+                by_group[g] = {"access": dsum / mass,
+                               "price_mean": psum / mass, "weight": mass}
+        return p, d, by_group
 
     def curve(self, model, p, revenue=False) -> np.ndarray:
         """The cells' ``mass * demand``, or with ``revenue`` their ``(mass *
@@ -892,13 +884,26 @@ def fit_partially_linear(records: RecordTable, allow_upward=False):
 # ---------------------------------------------------------------------------
 
 
+def _affine_to_dict(params: dict) -> dict:
+    """A group -> ``(intercept, coefs)`` map as JSON ``{intercept, coefs}``
+    objects."""
+    return {g: {"intercept": float(icpt),
+                "coefs": [float(c) for c in np.atleast_1d(coefs)]}
+            for g, (icpt, coefs) in params.items()}
+
+
+def _affine_from_dict(data: dict) -> dict:
+    """Inverse of :func:`_affine_to_dict`."""
+    return {g: (float(entry["intercept"]),
+                np.asarray(entry["coefs"], dtype=float))
+            for g, entry in data.items()}
+
+
 def model_to_dict(model) -> dict:
     """JSON-ready description of a demand model."""
     if isinstance(model, PartiallyLinearDemand):
         if model.baseline_form == "linear":
-            baseline = {g: {"intercept": float(icpt),
-                            "coefs": [float(c) for c in np.atleast_1d(coefs)]}
-                        for g, (icpt, coefs) in model.baseline.items()}
+            baseline = _affine_to_dict(model.baseline)
         else:
             baseline = {g: [{"x": [float(v) for v in key], "value": float(val)}
                             for key, val in sorted(table.items())]
@@ -915,9 +920,7 @@ def model_to_dict(model) -> dict:
                 "intercept": model.intercept}
     if isinstance(model, LatentValuationModel):
         return {"kind": "latent", "noise": model.noise, "scale": model.scale,
-                "loc": {g: {"intercept": float(icpt),
-                            "coefs": [float(c) for c in np.atleast_1d(coefs)]}
-                        for g, (icpt, coefs) in model.loc.items()}}
+                "loc": _affine_to_dict(model.loc)}
     raise TypeError(f"not a demand model: {type(model).__name__}")
 
 
@@ -927,9 +930,7 @@ def model_from_dict(data: dict):
     if kind == "partially_linear":
         form = data.get("baseline_form", "linear")
         if form == "linear":
-            baseline = {g: (float(entry["intercept"]),
-                            np.asarray(entry["coefs"], dtype=float))
-                        for g, entry in data["baseline"].items()}
+            baseline = _affine_from_dict(data["baseline"])
         else:
             baseline = {g: {tuple(float(v) for v in row["x"]): float(row["value"])
                             for row in rows}
@@ -943,10 +944,7 @@ def model_from_dict(data: dict):
                               beta=float(data["beta"]),
                               intercept=float(data.get("intercept", 0.0)))
     if kind == "latent":
-        loc = {g: (float(entry["intercept"]),
-                   np.asarray(entry["coefs"], dtype=float))
-               for g, entry in data["loc"].items()}
-        return LatentValuationModel(loc=loc,
+        return LatentValuationModel(loc=_affine_from_dict(data["loc"]),
                                     noise=data.get("noise", "logistic"),
                                     scale=float(data.get("scale", 1.0)))
     raise MissingFieldError(f"unknown model kind {kind!r}")
@@ -967,16 +965,17 @@ def population_to_dict(population: Population) -> dict:
 
 
 def population_from_dict(data: dict) -> Population:
-    """Inverse of :func:`population_to_dict`: a population without records."""
-    if "groups" not in data:
-        raise MissingFieldError("population description needs 'groups'")
+    """Inverse of :func:`population_to_dict`: a population without records.
+    A bad field raises the error of the ``util.json_*`` readers; a null
+    ``support``, ``masses``, ``membership`` or ``rho`` is an absent one."""
+    groups = json_field(json_value(data, "object", "population"), "groups",
+                        "list", "population")
+    read = {"support": json_rows, "masses": json_numbers,
+            "membership": json_rows, "rho": json_number_map}
     return Population(
-        groups=tuple(data["groups"]),
-        support=np.asarray(data["support"], dtype=float)
-        if data.get("support") is not None else None,
-        masses=np.asarray(data["masses"], dtype=float)
-        if data.get("masses") is not None else None,
-        membership=np.asarray(data["membership"], dtype=float)
-        if data.get("membership") is not None else None,
-        rho=dict(data["rho"]) if data.get("rho") is not None else None,
-        unit_cost=float(data.get("unit_cost", 0.0)))
+        groups=tuple(json_value(g, "string", f"population.groups[{i}]")
+                     for i, g in enumerate(groups)),
+        unit_cost=json_value(data.get("unit_cost", 0.0), "number",
+                             "population.unit_cost"),
+        **{key: None if data.get(key) is None
+           else f(data[key], f"population.{key}") for key, f in read.items()})

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own class;
-the CLI maps these onto its documented exit codes.
+Every failure mode that callers are expected to branch on gets its own class,
+carrying the CLI's exit status for it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ class FairPriceError(Exception):
 
     #: short machine-readable token, emitted by the CLI as ``error_code=...``
     code = "error"
+    #: the CLI's exit status: 3-5 mark the failure modes scripts branch on
+    exit_status = 2
 
 
 class DimensionMismatchError(FairPriceError):
@@ -66,12 +68,14 @@ class UpwardSlopeError(FairPriceError):
     """Fitted or supplied price response slopes upward (demand must fall in price)."""
 
     code = "upward_slope"
+    exit_status = 3
 
 
 class UnenforceableConstraintError(FairPriceError):
     """The parity constraint binds but the policy class cannot move the disparity."""
 
     code = "unenforceable_constraint"
+    exit_status = 4
 
 
 class DegenerateDemandError(FairPriceError):
@@ -102,6 +106,7 @@ class NoComputableMetricError(FairPriceError):
     """None of the requested audit metrics could be computed from the input."""
 
     code = "no_computable_metric"
+    exit_status = 5
 
 
 class ConfigError(FairPriceError):

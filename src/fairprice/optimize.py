@@ -164,26 +164,22 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
             "outcome_weight is nonzero but no outcome model was given")
 
     cells = population.cells()
-    p, d, stats = cells.evaluate(policy, model)
+    p, d, by_group = cells.evaluate(policy, model)
     w = cells.mass
     revenue = seqsum(w * p * d)
     margin = seqsum(w * (p - weights.unit_cost) * d)
-    group_mass, group_demand, group_price = (
-        dict(zip(population.groups, column)) for column in zip(*stats))
     outcome_mean = 0.0
     if outcome is not None:
         outcome_mean = seqsum(w * np.array(
             [float(outcome(x, g, q)) for x, g, q in zip(
                 cells.X, cells.labels, p.tolist())]))
 
-    access = sum(group_demand[g] / group_mass[g]
-                 for g in population.groups if group_mass[g] > 0.0)
+    access = sum(s["access"] for s in by_group.values())
     value = revenue + weights.access_weight * access
     if outcome is not None:
         value += weights.outcome_weight * outcome_mean
 
-    means = [group_price[g] / group_mass[g]
-             for g in population.groups if group_mass[g] > 0.0]
+    means = [s["price_mean"] for s in by_group.values()]
     disparity = max(means) - min(means) if len(means) > 1 else 0.0
     slacks = {
         "parity": (math.inf if math.isinf(weights.parity_cap)

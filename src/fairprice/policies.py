@@ -23,7 +23,7 @@ from .errors import (
     MissingFieldError,
     UnknownGroupError,
 )
-from .util import json_field, json_numbers, json_value
+from .util import json_field, json_number_map, json_numbers, json_rows, json_value
 
 # a row matches a support point within this distance in every coordinate
 _MATCH_TOL = 1e-9
@@ -241,19 +241,15 @@ def policy_from_dict(data: dict):
     if kind == "constant":
         return ConstantPolicy(value=json_field(data, "value", "number", "policy"))
     if kind == "group":
-        prices = json_field(data, "prices", "object", "policy")
         default = data.get("default")
         return GroupPolicy(
-            prices={g: json_value(v, "number", f"policy.prices.{g}")
-                    for g, v in prices.items()},
+            prices=json_number_map(json_field(data, "prices", "object", "policy"),
+                                   "policy.prices"),
             default=None if default is None
             else json_value(default, "number", "policy.default"))
     if kind == "tabular":
-        support = [json_numbers(row, f"policy.support[{i}]") for i, row
-                   in enumerate(json_field(data, "support", "list", "policy"))]
-        if not support or len({len(row) for row in support}) > 1:
-            raise InvalidRecordError(
-                "policy.support must be a non-empty list of equal-length rows")
+        support = json_rows(json_field(data, "support", "list", "policy"),
+                            "policy.support")
         table = {}
         for i, row in enumerate(json_field(data, "prices", "list", "policy")):
             at = f"policy.prices[{i}]"
@@ -268,7 +264,7 @@ def policy_from_dict(data: dict):
                 raise InvalidRecordError(f"{at} repeats the entry for "
                                          f"x_index {cell[0]}, group {cell[1]!r}")
             table[cell] = json_field(row, "price", "number", at)
-        return TabularPolicy(support=np.array(support), table=table)
+        return TabularPolicy(support=support, table=table)
     if kind == "linear":
         theta = json_numbers(json_field(data, "theta", "list", "policy"),
                              "policy.theta")

@@ -617,17 +617,16 @@ def _histogram(prices, weights, lo, hi, bins=25):
 
 
 def run_pricing_experiment(model, population: Population,
-                           interval: PriceInterval,
-                           unit_cost: float | None = None) -> dict:
+                           interval: PriceInterval) -> dict:
     """Price one market three ways and compare revenue and access.
 
     Modes: ``uniform`` (one price), ``group`` (one price per group), and
     ``personalized`` (one price per population cell). Every mode maximizes
-    expected margin ``(p - unit_cost) * D`` under the same demand model.
-    Returns a dict mode -> {policy, revenue, margin, access, price_mean,
-    histogram}.
+    expected margin ``(p - population.unit_cost) * D`` under the same
+    demand model. Returns a dict mode -> {policy, revenue, margin, access,
+    price_mean, histogram}.
     """
-    cost = population.unit_cost if unit_cost is None else float(unit_cost)
+    cost = population.unit_cost
     cells = population.cells()
     labels, w = cells.labels, cells.mass
 
@@ -661,14 +660,13 @@ def run_pricing_experiment(model, population: Population,
 
     report = {}
     for mode, policy in out.items():
-        p, d, totals = cells.evaluate(policy, model)
-        stats = {g: totals[cells.groups.index(g)] for g in present}
+        p, d, by_group = cells.evaluate(policy, model)
         report[mode] = {
             "policy": policy,
             "revenue": seqsum(w * p * d),
             "margin": seqsum(w * (p - cost) * d),
-            "access": {g: s[1] / s[0] for g, s in stats.items()},
-            "price_mean": {g: s[2] / s[0] for g, s in stats.items()},
+            "access": {g: s["access"] for g, s in by_group.items()},
+            "price_mean": {g: s["price_mean"] for g, s in by_group.items()},
             "histogram": _histogram(p, w, interval.lo, interval.hi),
         }
     return report
@@ -709,9 +707,10 @@ def _importance_weights(table: RecordTable, policy, config: OPEConfig):
 
     A record's weight is the kernel proximity of its logged price to the
     target price over the behavior probability of the logged level, times
-    the record weight. Raises when every weight vanishes.
+    the record weight. Raises when a price or demand cell is empty, and when
+    every weight vanishes.
     """
-    p, w = table.price, table.weight
+    p, w = table.require("price", "demand").price, table.weight
     target = policy.price_batch(table.X, table.group)
     width = float(p.max() - p.min())
     if width <= 0.0:
@@ -751,12 +750,11 @@ def ope_value(records: RecordTable, policy,
     weight vanishes (policy prices too far from the data).
     """
     config = config or OPEConfig()
-    table = records.require("price", "demand")
-    target, imp, total = _importance_weights(table, policy, config)
-    signal = target * table.demand
+    target, imp, total = _importance_weights(records, policy, config)
+    signal = target * records.demand
     if config.self_normalize:
         return float((imp * signal).sum() / total)
-    return float((imp * signal).sum() / table.weight.sum())
+    return float((imp * signal).sum() / records.weight.sum())
 
 
 def ope_weight_diagnostics(records: RecordTable, policy,
@@ -769,9 +767,8 @@ def ope_weight_diagnostics(records: RecordTable, policy,
     the summed weights.
     """
     config = config or OPEConfig()
-    table = records.require("price", "demand")
-    _, imp, total = _importance_weights(table, policy, config)
-    w = table.weight
+    _, imp, total = _importance_weights(records, policy, config)
+    w = records.weight
     return {"ess": total * total / float((imp * imp).sum()),
             "window_share": float(w[imp > 0.0].sum() / w.sum()),
             "max_weight_share": float(imp.max() / total)}
@@ -786,16 +783,20 @@ def check_n_boot(n_boot) -> None:
 def ope_bootstrap_se(records: RecordTable, policy,
                      config: OPEConfig | None = None, n_boot: int = 200,
                      seed: int = 0) -> float:
-    """Bootstrap standard error of :func:`ope_value` over record resamples."""
+    """Bootstrap standard error of :func:`ope_value` over record resamples,
+    skipping those with an empty kernel window or one logged price."""
     check_n_boot(n_boot)
     config = config or OPEConfig()
+    table = records.require("price", "demand")
     rng = np.random.default_rng(seed)
-    n = len(records)
+    n = len(table)
     values = []
     for _ in range(n_boot):
         idx = rng.integers(0, n, size=n)
+        if np.ptp(table.price[idx]) == 0.0:
+            continue
         try:
-            values.append(ope_value(records.take(idx), policy, config))
+            values.append(ope_value(table.take(idx), policy, config))
         except EmptyWeightError:
             continue
     if len(values) < 2:
@@ -838,10 +839,8 @@ def optimize_linear_policy(records: RecordTable,
     if n_starts < 1:
         raise MissingFieldError("n_starts must be at least 1")
     config = config or OPEConfig()
-    table = records.require()
-    prices = np.unique(table.price[~np.isnan(table.price)]).tolist()
-    if not prices:
-        raise MissingFieldError("records carry no logged prices")
+    table = records.require("price", "demand")
+    prices = table.price_levels[0].tolist()
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
     dim = table.X.shape[1]

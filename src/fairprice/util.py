@@ -76,6 +76,7 @@ def atomic_write_text(path: str, text: str) -> None:
 _JSON_KINDS = {
     "number": ((int, float), "a finite number"),
     "index": ((int,), "an integer"),
+    "string": ((str,), "a string"),
     "label": ((str, type(None)), "a string or null"),
     "list": ((list,), "a list"),
     "object": ((dict,), "an object"),
@@ -107,5 +108,32 @@ def json_field(data: dict, key: str, kind: str, where: str):
 def json_numbers(value, where: str) -> list:
     """A JSON list of finite numbers, as floats, else the error of
     :func:`json_value` for the list or its first bad item."""
+    items = json_value(value, "list", where)
+    if _finite_floats(items):
+        return items
     return [json_value(v, "number", f"{where}[{j}]")
-            for j, v in enumerate(json_value(value, "list", where))]
+            for j, v in enumerate(items)]
+
+
+def _finite_floats(items) -> bool:
+    """Whether ``items`` are all finite floats, which need no item checks."""
+    return {type(v) for v in items} <= {float} and all(map(math.isfinite, items))
+
+
+def json_number_map(value, where: str) -> dict:
+    """:func:`json_numbers` for the members of a JSON object, as a dict."""
+    return {key: json_value(v, "number", f"{where}.{key}")
+            for key, v in json_value(value, "object", where).items()}
+
+
+def json_rows(value, where: str) -> np.ndarray:
+    """A non-empty JSON list of equal-length :func:`json_numbers` rows, as a
+    float matrix; InvalidRecordError otherwise."""
+    rows = json_value(value, "list", where)
+    if not ({type(row) for row in rows} <= {list}
+            and _finite_floats([v for row in rows for v in row])):
+        rows = [json_numbers(row, f"{where}[{i}]") for i, row in enumerate(rows)]
+    if not rows or len({len(row) for row in rows}) > 1:
+        raise InvalidRecordError(
+            f"{where} must be a non-empty list of equal-length rows")
+    return np.array(rows, dtype=float)

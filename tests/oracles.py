@@ -427,8 +427,12 @@ def formula_demand(model, x, group, p):
     z = (p - float(intercept + np.asarray(coefs, dtype=float) @ x)) / model.scale
     fam = model.family
     survival = {"normal": lambda: ndtr(-z), "logistic": lambda: expit(-z),
-                "gumbel": lambda: -np.expm1(-np.exp(-z))}.get(
-        model.noise, lambda: 1.0 - fam.cdf(z))()
+                "gumbel": lambda: -np.expm1(-np.exp(-z)),
+                "exponential": lambda: 1.0 - (0.0 if z < 0.0
+                                              else -np.expm1(-z)),
+                "laplace": lambda: 1.0 - (0.5 * np.exp(z) if z < 0.0
+                                          else 1.0 - 0.5 * np.exp(-z))}[
+        model.noise]()
     return (float(survival), float(-fam.pdf(z) / model.scale),
             float(-fam.pdf_prime(z) / model.scale ** 2))
 

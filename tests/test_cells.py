@@ -146,7 +146,8 @@ def test_pricing_experiment_matches_cell_loop(market):
     model, population, rng = market
     cost = float(rng.uniform(0.0, 0.3))
     interval = fp.PriceInterval(0.05, 3.0, grid_n=64)
-    got = fp.run_pricing_experiment(model, population, interval, unit_cost=cost)
+    population.unit_cost = cost
+    got = fp.run_pricing_experiment(model, population, interval)
     want = loop_pricing_experiment(model, population, 0.05, 3.0, grid_n=64,
                                    cost=cost)
     for mode, info in want.items():
@@ -168,9 +169,9 @@ def test_pricing_experiment_matches_cell_loop_at_the_default_grid(family):
              covariates=rng.uniform(0.0, 2.0, size=2),
              weight=float(rng.uniform(0.5, 2.0))) for i in range(5))
     population = fp.Population(groups=GROUPS, records=records,
-                               rho={"a": 0.5, "b": 0.5})
+                               rho={"a": 0.5, "b": 0.5}, unit_cost=0.1)
     got = fp.run_pricing_experiment(model, population,
-                                    fp.PriceInterval(0.05, 4.0), unit_cost=0.1)
+                                    fp.PriceInterval(0.05, 4.0))
     want = loop_pricing_experiment(model, population, 0.05, 4.0, cost=0.1)
     for mode, info in want.items():
         assert same({key: got[mode][key] for key in info}, info), mode

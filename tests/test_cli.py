@@ -11,6 +11,8 @@ from scipy.special import expit
 import fairprice as fp
 from fairprice.cli import main
 
+from tables import record_table
+
 
 SCENARIO = """
 n = 800
@@ -578,6 +580,12 @@ def test_ope_eval_and_search(tmp_path, sim_dir):
     assert blob2["policy"]["kind"] == "linear"
     assert blob2["value"] >= blob["value"] - 1e-9
     assert {"ess", "window_share", "max_weight_share"} <= set(blob2)
+    # the start count is a parameter of a search, as its output shows; a
+    # policy evaluation runs no search and records none
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "n_starts" not in manifest["parameters"]
+    manifest = json.loads((out2 / "run_manifest.json").read_text())
+    assert manifest["parameters"]["n_starts"] == 4
 
 
 def test_ope_requires_exactly_one_of_policy_or_search(tmp_path, sim_dir,
@@ -867,7 +875,7 @@ def test_sweep_rejects_nan_population_fields(tmp_path, capsys, sim_dir,
     err = capsys.readouterr().err
     assert code == 2
     assert "error_code=invalid_value" in err
-    assert ("priors" if field == "rho" else field) in err
+    assert f"population.{field}" in err
 
 
 def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):
@@ -941,3 +949,57 @@ def test_every_policy_file_mutation_exits_2(tmp_path, capsys, sim_dir):
             assert "error_code=internal" not in err, (name, err)
             runs += 1
     assert runs > 60
+
+
+def test_every_population_file_mutation_exits_2_or_changes_nothing(
+        tmp_path, capsys, sim_dir):
+    """One field of a valid population file dropped, stringified or nulled
+    is an input error (exit 2), or leaves the prices unchanged (a dropped
+    ``unit_cost`` or ``rho`` is its default); never an internal error."""
+    population = json.loads((sim_dir / "population.json").read_text())
+    path = tmp_path / "population.json"
+
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        for name in ("prices.json", "prices.csv"):
+            if (out / name).exists():
+                (out / name).unlink()
+        code = main(["price", "--model", str(sim_dir / "model_true.json"),
+                     "--population", str(path), "--share-lambda", "0.3",
+                     "--out-dir", str(out), "--quiet"])
+        outputs = [(out / name).read_bytes() for name
+                   in ("prices.json", "prices.csv") if code == 0]
+        return code, capsys.readouterr().err, outputs
+
+    code, _, valid = run(population)
+    assert code == 0
+    runs = 0
+    for name, doc in _mutations(population):
+        code, err, outputs = run(doc)
+        assert code in (0, 2), (name, err)
+        assert "error_code=internal" not in err, (name, err)
+        if code == 0:
+            assert outputs == valid, name
+        runs += 1
+    assert runs > 50
+
+
+def test_ope_bootstrap_skips_a_resample_with_one_logged_price(tmp_path,
+                                                             capsys):
+    # a third of the resamples draw only price-1 records, though the log's
+    # prices vary
+    records = tmp_path / "records.csv"
+    fp.write_records_csv(records, record_table(
+        dict(id=f"r{i}", group="a", covariates=[0.0], price=p, demand=d)
+        for i, (p, d) in enumerate(zip([1, 1, 1, 1, 1, 2],
+                                       [1, 0, 1, 1, 0, 1]))))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    code = main(["ope", "--records", str(records), "--policy", str(policy),
+                 "--bandwidth", "0.5", "--out-dir", str(tmp_path / "o"),
+                 "--quiet"])
+    assert code == 0, capsys.readouterr().err
+    blob = json.loads((tmp_path / "o" / "ope.json").read_text())
+    assert blob["value"] == pytest.approx(0.72)
+    assert blob["std_error"] > 0.0

@@ -15,8 +15,8 @@ def test_noise_families_pdf_matches_cdf_derivative():
         for z in zs:
             if name == "exponential" and abs(z) < 0.05:
                 continue  # density kink at the origin
-            num = central_difference(lambda t: float(fam.cdf(t)), z, 1e-5)
-            assert abs(num - float(fam.pdf(z))) < 5e-6, (name, z)
+            num = central_difference(lambda t: float(fam.sf(t)), z, 1e-5)
+            assert abs(-num - float(fam.pdf(z))) < 5e-6, (name, z)
 
 
 def test_noise_families_pdf_prime_matches_pdf_derivative():
@@ -29,13 +29,13 @@ def test_noise_families_pdf_prime_matches_pdf_derivative():
 
 
 def test_noise_samples_follow_cdf():
-    # seeded draw; compare empirical CDF at a few quantiles
+    # seeded draw; compare the empirical survival function at a few points
     rng = np.random.default_rng(42)
     for name, fam in NOISE_FAMILIES.items():
         draws = fam.sample(rng, 20_000)
         for z in (-1.0, 0.0, 1.0):
-            emp = float(np.mean(draws <= z))
-            assert abs(emp - float(fam.cdf(z))) < 0.02, name
+            emp = float(np.mean(draws > z))
+            assert abs(emp - float(fam.sf(z))) < 0.02, name
 
 
 def _linear_model():

@@ -243,7 +243,8 @@ def test_pricing_experiment_margin_uses_unit_cost():
     cfg = fp.ScenarioConfig.from_text(SCENARIO)
     model, pop = fp.simulate(cfg, seed=2)
     interval = fp.PriceInterval(0.05, 6.0)
-    out = fp.run_pricing_experiment(model, pop, interval, unit_cost=0.4)
+    pop.unit_cost = 0.4
+    out = fp.run_pricing_experiment(model, pop, interval)
     for mode, cell in out.items():
         assert cell["margin"] <= cell["revenue"]
 
@@ -394,3 +395,21 @@ def test_policy_search_deterministic_under_seed():
     assert r1.value == r2.value
     assert r1.policy.theta.tolist() == r2.policy.theta.tolist()
     assert r1.policy.intercept == r2.policy.intercept
+
+
+def test_ope_bootstrap_skips_resamples_with_one_logged_price():
+    # the log's prices vary only through its last record, so about a third
+    # of the resamples log one price and carry no kernel width
+    log = record_table(
+        dict(id=f"r{i}", group="a", covariates=[0.0], price=p, demand=d)
+        for i, (p, d) in enumerate(zip([1, 1, 1, 1, 1, 2], [1, 0, 1, 1, 0, 1])))
+    policy, config = fp.ConstantPolicy(1.2), fp.OPEConfig(bandwidth=0.5)
+    assert fp.ope_value(log, policy, config) == pytest.approx(0.72)
+    rng, values = np.random.default_rng(3), []
+    for _ in range(200):
+        idx = rng.integers(0, len(log), size=len(log))
+        if np.ptp(log.price[idx]) > 0.0:
+            values.append(fp.ope_value(log.take(idx), policy, config))
+    assert 100 < len(values) < 200
+    se = fp.ope_bootstrap_se(log, policy, config, n_boot=200, seed=3)
+    assert se == float(np.std(values, ddof=1))

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fairprice import util
-from fairprice.errors import FairPriceError, ConfigError
+from fairprice import errors, util
+from fairprice.errors import FairPriceError, ConfigError, InvalidRecordError
 
 
 def test_fmt_parse_round_trip():
@@ -45,3 +46,31 @@ def test_error_codes():
     err = ConfigError("bad things", line=7)
     assert err.code == "config_parse"
     assert "line 7" in str(err)
+
+
+def test_each_error_class_carries_its_exit_status():
+    reserved = {errors.UpwardSlopeError: 3,
+                errors.UnenforceableConstraintError: 4,
+                errors.NoComputableMetricError: 5}
+    classes = [c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.FairPriceError)]
+    assert len(classes) > len(reserved) + 1
+    for cls in classes:
+        assert cls.exit_status == reserved.get(cls, 2), cls.__name__
+
+
+def test_json_numbers_and_rows_check_every_item():
+    # plain floats pass one check for the whole list, anything else the item
+    # checks; both give the same floats and name the first bad item
+    assert util.json_numbers([1.5, 2.0], "v") == [1.5, 2.0]
+    assert util.json_numbers([1.5, 2], "v") == [1.5, 2.0]
+    assert util.json_rows([[1.5], [2]], "m").tolist() == [[1.5], [2.0]]
+    bad = [([[0.0, "1.0"]], "m[0][1] "), ([[0.0], [np.nan]], "m[1][0] "),
+           ([[0.0], [True]], "m[1][0] "), ([[0.0], 1.0], "m[1] "),
+           ([1.5, [2.0]], "m[0] ")]
+    for rows, path in bad:
+        with pytest.raises(InvalidRecordError, match=re.escape(path)):
+            util.json_rows(rows, "m")
+    for rows in ([], [[0.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidRecordError, match="equal-length rows"):
+            util.json_rows(rows, "m")
