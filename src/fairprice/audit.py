@@ -243,36 +243,21 @@ def takeup_conditional_parity(records: RecordTable,
             "max_statistic": worst, "alpha": alpha}
 
 
-def access_metrics(records: RecordTable | None = None, policy=None,
-                   model=None, population=None) -> dict:
-    """Per-group take-up and mean price, empirical or model-implied.
-
-    Pass ``records`` alone for the empirical version (observed demand), or
-    the ``policy``+``model``+``population`` triple for the model-implied
-    version. Model-implied take-up is reported on the model's own scale,
-    without clamping. Mixing the two input styles is rejected.
-    """
-    empirical = records is not None
-    implied = policy is not None or model is not None or population is not None
-    if empirical and implied:
-        raise MissingFieldError(
-            "pass records alone or policy+model+population, not both")
+def access_metrics(records: RecordTable) -> dict:
+    """Per-group take-up (observed demand), mean price and weight of the
+    records. The model-implied version under a policy is the ``by_group``
+    item of ``population.cells().evaluate(policy, model)``."""
+    table = records.require("price", "demand")
     out = {}
-    if empirical:
-        table = records.require("price", "demand")
-        for k, g in enumerate(table.labels):
-            rows = table.codes == k
-            w = table.weight[rows]
-            out[g] = {
-                "access": _weighted_mean(table.demand[rows], w),
-                "price_mean": _weighted_mean(table.price[rows], w),
-                "weight": float(w.sum()),
-            }
-        return out
-    if policy is None or model is None or population is None:
-        raise MissingFieldError(
-            "model-implied access needs policy, model, and population")
-    return population.cells().evaluate(policy, model)[2]
+    for k, g in enumerate(table.labels):
+        rows = table.codes == k
+        w = table.weight[rows]
+        out[g] = {
+            "access": _weighted_mean(table.demand[rows], w),
+            "price_mean": _weighted_mean(table.price[rows], w),
+            "weight": float(w.sum()),
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +498,8 @@ def run_audit(records: RecordTable, alpha: float = 0.05,
               metrics=None) -> AuditReport:
     """Run record-level audit metrics, tolerating per-metric failures.
 
-    ``metrics`` selects a subset of ``AUDIT_METRIC_NAMES`` (default all).
+    ``metrics`` selects a nonempty subset of ``AUDIT_METRIC_NAMES``
+    (default all).
     Metrics that cannot be computed from the given records are reported as
     ``{"error": <code>}``. If nothing at all is computable the audit raises.
     A significance level ``alpha`` outside (0, 1) raises before any metric
@@ -522,9 +508,9 @@ def run_audit(records: RecordTable, alpha: float = 0.05,
     check_alpha(alpha)
     selected = AUDIT_METRIC_NAMES if metrics is None else tuple(metrics)
     unknown = [m for m in selected if m not in _AUDIT_METRICS]
-    if unknown:
+    if unknown or not selected:
         raise MissingFieldError(
-            f"unknown audit metric(s) {unknown}; "
+            f"unknown audit metric(s) {unknown} or none selected; "
             f"choose from {list(AUDIT_METRIC_NAMES)}")
     metrics = {}
     computed = 0

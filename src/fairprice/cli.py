@@ -34,13 +34,7 @@ import time
 from csv import writer as csv_writer
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
-from .audit import (
-    AUDIT_METRIC_NAMES,
-    AuditReport,
-    access_metrics,
-    check_alpha,
-    run_audit,
-)
+from .audit import AUDIT_METRIC_NAMES, AuditReport, check_alpha, run_audit
 from .demand import (
     fit_logistic,
     fit_partially_linear,
@@ -246,7 +240,7 @@ def _cmd_fit(args) -> int:
 
 def _load_model_file(path):
     data = _load_json(path, "model")
-    if "model" in data and isinstance(data["model"], dict):
+    if isinstance(data, dict) and isinstance(data.get("model"), dict):
         data = data["model"]
     return model_from_dict(data)
 
@@ -271,11 +265,8 @@ def _cmd_price(args) -> int:
         note = (f"{args.mode} prices under gamma={fmt_float(gamma)}: "
                 f"multiplier {solution.lambda_star:.6g}")
 
-    payload["revenue"] = expected_revenue(policy, model, population)
-    payload["access"] = {
-        g: info["access"]
-        for g, info in access_metrics(policy=policy, model=model,
-                                      population=population).items()}
+    *_, payload["revenue"], by_group = population.cells().evaluate(policy, model)
+    payload["access"] = {g: info["access"] for g, info in by_group.items()}
     if "prices" not in payload:
         payload["prices"] = table_rows(policy.table)
     rows = [(row["x_index"], "" if row["group"] is None else row["group"],
@@ -323,6 +314,9 @@ def _cmd_audit(args) -> int:
         if unknown:
             raise ConfigError(f"unknown audit metric(s) {unknown}; "
                               f"choose from {list(AUDIT_METRIC_NAMES)}")
+        if not selected:
+            raise ConfigError(f"--metric selects no audit metric; "
+                              f"choose from {list(AUDIT_METRIC_NAMES)}")
 
     model_mode = bool(args.model or args.policy)
     if model_mode == bool(args.records):
@@ -342,8 +336,7 @@ def _cmd_audit(args) -> int:
             _load_json(args.population, "population"))
         report = AuditReport(
             n_records=0, groups=population.groups,
-            metrics={"access": access_metrics(policy=policy, model=model,
-                                              population=population)})
+            metrics={"access": population.cells().evaluate(policy, model)[3]})
         inputs = [args.model, args.policy, args.population]
     else:
         records = read_records_csv(args.records)

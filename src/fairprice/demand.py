@@ -274,13 +274,6 @@ class RecordTable:
         levels, level_of = np.unique(self.price, return_inverse=True)
         return levels, level_of.reshape(-1)
 
-    @cached_property
-    def group(self) -> np.ndarray:
-        """Group label of every row (an object array of ``str``), built once
-        per table: ``labels`` and ``codes`` are never written after
-        construction."""
-        return np.array(self.labels, dtype=object)[self.codes]
-
     def require(self, *names) -> "RecordTable":
         """This table, once checked to have rows and no empty cell in the
         ``names`` columns; raises MissingFieldError naming the first gap."""
@@ -413,11 +406,6 @@ class Cells(NamedTuple):
     index: np.ndarray | None
     groups: tuple
 
-    @property
-    def labels(self) -> np.ndarray:
-        """Group label of every cell (an object array of ``str``)."""
-        return np.array(self.groups, dtype=object)[self.g]
-
     def totals(self, k: int, *terms) -> list:
         """Each per-cell ``terms`` array summed over the cells of group
         ``k``, in cell order."""
@@ -425,11 +413,12 @@ class Cells(NamedTuple):
         return [seqsum(t[rows]) for t in terms]
 
     def evaluate(self, policy, model):
-        """``(p, d, by_group)``: the price and model demand of every cell
-        under ``policy``, and for each group of positive mass, in ``groups``
-        order, its ``access`` (mean demand), ``price_mean`` and ``weight``
-        (mass), divided from cell-order totals."""
-        p = policy.price_batch(self.X, self.labels)
+        """``(p, d, revenue, by_group)``: the price and model demand of every
+        cell under ``policy``, the cells' expected revenue ``mass * p * d``
+        added in cell order, and for each group of positive mass, in
+        ``groups`` order, its ``access`` (mean demand), ``price_mean`` and
+        ``weight`` (mass), divided from cell-order totals."""
+        p = policy.price_batch(self.X, self.g, self.groups)
         d = model.demand(self.X, self.g, p, self.groups)
         w, by_group = self.mass, {}
         for k, g in enumerate(self.groups):
@@ -437,7 +426,7 @@ class Cells(NamedTuple):
             if mass > 0.0:
                 by_group[g] = {"access": dsum / mass,
                                "price_mean": psum / mass, "weight": mass}
-        return p, d, by_group
+        return p, d, seqsum(w * p * d), by_group
 
     def curve(self, model, p, revenue=False) -> np.ndarray:
         """The cells' ``mass * demand``, or with ``revenue`` their ``(mass *
@@ -892,11 +881,25 @@ def _affine_to_dict(params: dict) -> dict:
             for g, (icpt, coefs) in params.items()}
 
 
-def _affine_from_dict(data: dict) -> dict:
-    """Inverse of :func:`_affine_to_dict`."""
-    return {g: (float(entry["intercept"]),
-                np.asarray(entry["coefs"], dtype=float))
+def _affine_from_dict(data: dict, where: str) -> dict:
+    """Inverse of :func:`_affine_to_dict` for the JSON object at ``where``."""
+    return {g: (json_field(entry, "intercept", "number", f"{where}.{g}"),
+                np.array(json_numbers(json_field(entry, "coefs", "list",
+                                                 f"{where}.{g}"),
+                                      f"{where}.{g}.coefs"), dtype=float))
             for g, entry in data.items()}
+
+
+def _table_from_dict(data: dict, where: str) -> dict:
+    """Inverse of :func:`model_to_dict`'s table baseline, the JSON object at
+    ``where``: group -> {covariate tuple -> value}."""
+    tables = {g: {} for g in data}
+    for g, rows in data.items():
+        for i, row in enumerate(json_value(rows, "list", f"{where}.{g}")):
+            at = f"{where}.{g}[{i}]"
+            x = json_numbers(json_field(row, "x", "list", at), f"{at}.x")
+            tables[g][tuple(x)] = json_field(row, "value", "number", at)
+    return tables
 
 
 def model_to_dict(model) -> dict:
@@ -925,28 +928,35 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
-    """Inverse of :func:`model_to_dict`."""
-    kind = data.get("kind")
+    """Inverse of :func:`model_to_dict`. Every field it writes is required
+    but ``baseline_form`` (default "linear") and ``allow_upward`` (a JSON
+    boolean, default false); a missing or ill-typed field raises
+    MissingFieldError or InvalidRecordError naming its JSON path."""
+    kind = json_value(data, "object", "model").get("kind")
     if kind == "partially_linear":
-        form = data.get("baseline_form", "linear")
-        if form == "linear":
-            baseline = _affine_from_dict(data["baseline"])
-        else:
-            baseline = {g: {tuple(float(v) for v in row["x"]): float(row["value"])
-                            for row in rows}
-                        for g, rows in data["baseline"].items()}
+        form = json_value(data.get("baseline_form", "linear"), "string",
+                          "model.baseline_form")
+        read = _affine_from_dict if form == "linear" else _table_from_dict
         return PartiallyLinearDemand(
-            beta={g: float(b) for g, b in data["beta"].items()},
-            baseline=baseline, baseline_form=form,
-            allow_upward=bool(data.get("allow_upward", False)))
+            beta=json_number_map(json_field(data, "beta", "object", "model"),
+                                 "model.beta"),
+            baseline=read(json_field(data, "baseline", "object", "model"),
+                          "model.baseline"),
+            baseline_form=form,
+            allow_upward=json_value(data.get("allow_upward", False), "boolean",
+                                    "model.allow_upward"))
     if kind == "logistic":
-        return LogisticDemand(gamma=np.asarray(data["gamma"], dtype=float),
-                              beta=float(data["beta"]),
-                              intercept=float(data.get("intercept", 0.0)))
+        return LogisticDemand(
+            gamma=json_numbers(json_field(data, "gamma", "list", "model"),
+                               "model.gamma"),
+            beta=json_field(data, "beta", "number", "model"),
+            intercept=json_field(data, "intercept", "number", "model"))
     if kind == "latent":
-        return LatentValuationModel(loc=_affine_from_dict(data["loc"]),
-                                    noise=data.get("noise", "logistic"),
-                                    scale=float(data.get("scale", 1.0)))
+        return LatentValuationModel(
+            loc=_affine_from_dict(json_field(data, "loc", "object", "model"),
+                                  "model.loc"),
+            noise=json_field(data, "noise", "string", "model"),
+            scale=json_field(data, "scale", "number", "model"))
     raise MissingFieldError(f"unknown model kind {kind!r}")
 
 
@@ -968,8 +978,7 @@ def population_from_dict(data: dict) -> Population:
     """Inverse of :func:`population_to_dict`: a population without records.
     A bad field raises the error of the ``util.json_*`` readers; a null
     ``support``, ``masses``, ``membership`` or ``rho`` is an absent one."""
-    groups = json_field(json_value(data, "object", "population"), "groups",
-                        "list", "population")
+    groups = json_field(data, "groups", "list", "population")
     read = {"support": json_rows, "masses": json_numbers,
             "membership": json_rows, "rho": json_number_map}
     return Population(

@@ -164,15 +164,14 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
             "outcome_weight is nonzero but no outcome model was given")
 
     cells = population.cells()
-    p, d, by_group = cells.evaluate(policy, model)
+    p, d, revenue, by_group = cells.evaluate(policy, model)
     w = cells.mass
-    revenue = seqsum(w * p * d)
     margin = seqsum(w * (p - weights.unit_cost) * d)
     outcome_mean = 0.0
     if outcome is not None:
         outcome_mean = seqsum(w * np.array(
-            [float(outcome(x, g, q)) for x, g, q in zip(
-                cells.X, cells.labels, p.tolist())]))
+            [float(outcome(x, cells.groups[k], q)) for x, k, q in zip(
+                cells.X, cells.g.tolist(), p.tolist())]))
 
     access = sum(s["access"] for s in by_group.values())
     value = revenue + weights.access_weight * access

@@ -32,7 +32,6 @@ from .errors import (
     UpwardSlopeError,
 )
 from .policies import TabularPolicy, table_rows
-from .util import seqsum
 
 ATTRIBUTE_BASED = "attribute_based"
 ATTRIBUTE_BLIND = "attribute_blind"
@@ -215,9 +214,7 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
 
 def expected_revenue(policy, model, population) -> float:
     """E[P * D] for a policy, over the support when present, else records."""
-    cells = population.cells()
-    p, d, _ = cells.evaluate(policy, model)
-    return seqsum(cells.mass * p * d)
+    return population.cells().evaluate(policy, model)[2]
 
 
 def policy_disparity(policy, population) -> float:
@@ -229,9 +226,10 @@ def policy_disparity(policy, population) -> float:
     joint = population.joint_weights()
     n = population.support.shape[0]
     means = []
-    for k, g in enumerate(population.groups):
+    for k in range(len(population.groups)):
         w = joint[:, k]
-        prices = policy.price_batch(population.support, [g] * n)
+        prices = policy.price_batch(population.support, np.full(n, k),
+                                    population.groups)
         means.append(float(w @ prices / w.sum()))
     return means[0] - means[1]
 

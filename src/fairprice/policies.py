@@ -1,10 +1,11 @@
 """Pricing policies: small callables mapping (covariates, group) to a price.
 
-Every policy implements ``price(x, a=None)`` for one customer and
-``price_batch(X, groups)`` for the rows of an (n, k) covariate matrix with one
-group label per row. ``price_batch`` returns exactly the ``price`` values, bit
-for bit, and raises the same error type for the first offending row.
-Attribute-blind policies ignore ``a``; attribute-based ones require it.
+Every policy implements ``price_batch(X, g, groups)`` for the rows of an
+(n, k) covariate matrix, with ``g`` indexing the label tuple ``groups`` per
+row as in the demand kernels, and ``price(x, a=None)`` for one customer, the
+same prices bit for bit. An error names the first offending row; a label no
+row uses is never read. Attribute-blind policies ignore the group;
+attribute-based ones require it.
 Policies are plain data so they can be serialized into run manifests and
 reloaded by the CLI.
 """
@@ -74,7 +75,7 @@ class ConstantPolicy:
     def price(self, x, a=None) -> float:
         return float(self.value)
 
-    def price_batch(self, X, groups) -> np.ndarray:
+    def price_batch(self, X, g, groups) -> np.ndarray:
         return np.full(len(X), float(self.value))
 
 
@@ -92,11 +93,13 @@ class GroupPolicy:
             return float(self.default)
         raise UnknownGroupError(f"no price for group {a!r} and no default")
 
-    def price_batch(self, X, groups) -> np.ndarray:
-        # labels in order of first appearance, so the first failing label is
-        # the one of the first failing row
-        by_label = {a: self.price(None, a) for a in dict.fromkeys(groups)}
-        return np.fromiter(map(by_label.__getitem__, groups), float, len(groups))
+    def price_batch(self, X, g, groups) -> np.ndarray:
+        # the codes in order of first use, so the first failing label is the
+        # one of the first failing row
+        prices = np.zeros(len(groups))
+        for j in dict.fromkeys(np.asarray(g).tolist()):
+            prices[j] = self.price(None, groups[j])
+        return prices[g]
 
 
 @dataclass
@@ -141,9 +144,9 @@ class TabularPolicy:
         return column_of, np.where(fill, prices[:, -1:], prices), present | fill
 
     def price(self, x, a=None) -> float:
-        return float(self.price_batch(np.reshape(x, (1, -1)), [a])[0])
+        return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])
 
-    def price_batch(self, X, groups) -> np.ndarray:
+    def price_batch(self, X, g, groups) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if not len(X):
             return np.zeros(0)
@@ -152,8 +155,10 @@ class TabularPolicy:
                 f"policy support has {self.support.shape[1]} covariates, "
                 f"got {X.shape[1]}")
         column_of, prices, present = self._dense
-        at = (first_hits(self.support, X), np.fromiter(
-            map(column_of.get, groups, repeat(len(column_of))), np.intp, len(X)))
+        g = np.asarray(g, dtype=np.intp)
+        column = np.array([column_of.get(a, len(column_of)) for a in groups],
+                          dtype=np.intp)
+        at = (first_hits(self.support, X), column[g])
         missing = ~present[at]
         if missing.any():
             i = int(np.argmax(missing))
@@ -161,7 +166,7 @@ class TabularPolicy:
                 raise DimensionMismatchError(
                     f"covariate point {tuple(X[i])} is not on the policy support")
             raise UnknownGroupError(f"no price for support point {at[0][i]} "
-                                    f"and group {list(groups)[i]!r}")
+                                    f"and group {groups[g[i]]!r}")
         return prices[at]
 
 
@@ -184,24 +189,20 @@ class LinearPolicy:
             raise ValueError("clip_lo must not exceed clip_hi")
 
     def price(self, x, a=None) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.theta.size:
-            raise DimensionMismatchError(
-                f"policy expects {self.theta.size} covariates, got {x.size}")
-        raw = float(self.intercept + self.theta @ x)
-        return float(min(self.clip_hi, max(self.clip_lo, raw)))
+        return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])
 
-    def price_batch(self, X, groups) -> np.ndarray:
+    def price_batch(self, X, g, groups) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.theta.size:
             raise DimensionMismatchError(
                 f"policy expects {self.theta.size} covariates, got {X.shape[1]}")
         # a stack of (1, k) @ (k,) products takes the same BLAS dot per row as
-        # ``theta @ x`` in ``price``; ``X @ theta`` is one matrix-vector
-        # product, which sums in another order and changes last bits
+        # the 1-D ``theta @ x``; ``X @ theta`` is one matrix-vector product,
+        # which sums in another order and changes last bits
         rows = np.ascontiguousarray(X)[:, None, :]
         raw = self.intercept + (rows @ self.theta)[:, 0]
-        # Python's max/min keep their first argument on ties and NaN
+        # clipped as Python's min(hi, max(lo, raw)), which keeps its first
+        # argument on ties and NaN
         raw = np.where(raw > self.clip_lo, raw, float(self.clip_lo))
         return np.where(raw < self.clip_hi, raw, float(self.clip_hi))
 
@@ -253,7 +254,6 @@ def policy_from_dict(data: dict):
         table = {}
         for i, row in enumerate(json_field(data, "prices", "list", "policy")):
             at = f"policy.prices[{i}]"
-            json_value(row, "object", at)
             cell = (json_field(row, "x_index", "index", at),
                     json_field(row, "group", "label", at))
             if not 0 <= cell[0] < len(support):

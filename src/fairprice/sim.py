@@ -460,7 +460,7 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     vars(table).pop("price_levels", None)
     if policy is not None:
         # pricing draws no random numbers, so batching it keeps the RNG stream
-        table.price[:] = policy.price_batch(table.X, table.group)
+        table.price[:] = policy.price_batch(table.X, table.codes, table.labels)
         u = rng.random(n) if logistic else None
     elif not logistic:
         table.price[:] = levels[rng.integers(len(levels), size=n)]
@@ -508,6 +508,7 @@ def write_records_csv(path, records: RecordTable) -> None:
     numeric = [*table.X.T] + [getattr(table, name)
                               for name in CSV_TRAILING_COLUMNS]
     cells = [_column_cells(col) for col in numeric]
+    labels = np.array(table.labels, dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(table.X.shape[1]))
@@ -516,7 +517,7 @@ def write_records_csv(path, records: RecordTable) -> None:
         for lo in range(0, len(table), _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             writer.writerows(zip(table.ids[rows].tolist(),
-                                 table.group[rows].tolist(),
+                                 labels[table.codes[rows]].tolist(),
                                  *(column(rows) for column in cells)))
 
 
@@ -628,18 +629,18 @@ def run_pricing_experiment(model, population: Population,
     """
     cost = population.unit_cost
     cells = population.cells()
-    labels, w = cells.labels, cells.mass
+    groups, w = cells.groups, cells.mass
 
     def aggregate(rows):
         """The demand curve of the cells ``rows``."""
         part = cells._replace(mass=w[rows], g=cells.g[rows], X=cells.X[rows])
         return lambda p: part.curve(model, p)
 
-    present = sorted(set(labels))
+    present = sorted((groups[k], k) for k in np.unique(cells.g).tolist())
     out = {"uniform": ConstantPolicy(maximize_revenue_1d(
         aggregate(slice(None)), interval, shift=cost)[0])}
     out["group"] = GroupPolicy(prices={g: maximize_revenue_1d(
-        aggregate(labels == g), interval, shift=cost)[0] for g in present})
+        aggregate(cells.g == k), interval, shift=cost)[0] for g, k in present})
 
     # one solve per (support point, group) that the policy's matcher finds;
     # record cells take their distinct rows, first appearances, as support
@@ -651,19 +652,18 @@ def run_pricing_experiment(model, population: Population,
     first = np.unique(index * len(cells.groups) + cells.g, return_index=True)[1]
     X, g = support[index[first]], cells.g[first]
     prices = maximize_rows(
-        lambda rows, p: (p - cost) * model.demand(X[rows], g[rows], p,
-                                                  cells.groups),
+        lambda rows, p: (p - cost) * model.demand(X[rows], g[rows], p, groups),
         len(first), interval)[0]
-    table = dict(zip(zip(index[first].tolist(), labels[first].tolist()),
+    table = dict(zip(zip(index[first].tolist(), (groups[k] for k in g.tolist())),
                      prices.tolist()))
     out["personalized"] = TabularPolicy(support=support, table=table)
 
     report = {}
     for mode, policy in out.items():
-        p, d, by_group = cells.evaluate(policy, model)
+        p, d, revenue, by_group = cells.evaluate(policy, model)
         report[mode] = {
             "policy": policy,
-            "revenue": seqsum(w * p * d),
+            "revenue": revenue,
             "margin": seqsum(w * (p - cost) * d),
             "access": {g: s["access"] for g, s in by_group.items()},
             "price_mean": {g: s["price_mean"] for g, s in by_group.items()},
@@ -703,15 +703,16 @@ def _epanechnikov(u):
 
 def _importance_weights(table: RecordTable, policy, config: OPEConfig):
     """Target prices of ``policy``, the kernel importance weight of every
-    logged record, and their sum.
+    logged record, their sum and the sum of their squares.
 
     A record's weight is the kernel proximity of its logged price to the
     target price over the behavior probability of the logged level, times
-    the record weight. Raises when a price or demand cell is empty, and when
-    every weight vanishes.
+    the record weight. Raises when a price or demand cell is empty, when the
+    weights overflow (a bandwidth too narrow for floats) and when every
+    weight vanishes.
     """
     p, w = table.require("price", "demand").price, table.weight
-    target = policy.price_batch(table.X, table.group)
+    target = policy.price_batch(table.X, table.codes, table.labels)
     width = float(p.max() - p.min())
     if width <= 0.0:
         raise MissingFieldError(
@@ -728,14 +729,20 @@ def _importance_weights(table: RecordTable, policy, config: OPEConfig):
         freq = np.bincount(inverse, weights=w)
         masses = (freq / w.sum())[inverse]
     h = config.bandwidth * width
-    kernel_weights = _epanechnikov((target - p) / h) / h
-    imp = w * kernel_weights / masses
-    total = float(imp.sum())
+    # overflows are caught below: a weight that is not finite makes the sum
+    # inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        imp = w * (_epanechnikov((target - p) / h) / h) / masses
+        total, squares = float(imp.sum()), float((imp * imp).sum())
+        if not all(map(math.isfinite, (total, total * total, squares))):
+            raise MissingFieldError(
+                f"bandwidth {config.bandwidth!r} is too narrow: the kernel "
+                f"weights overflow")
     if total <= 0.0:
         raise EmptyWeightError(
             "no logged interaction falls inside the kernel window of the "
             "target policy")
-    return target, imp, total
+    return target, imp, total, squares
 
 
 def ope_value(records: RecordTable, policy,
@@ -750,7 +757,7 @@ def ope_value(records: RecordTable, policy,
     weight vanishes (policy prices too far from the data).
     """
     config = config or OPEConfig()
-    target, imp, total = _importance_weights(records, policy, config)
+    target, imp, total, _ = _importance_weights(records, policy, config)
     signal = target * records.demand
     if config.self_normalize:
         return float((imp * signal).sum() / total)
@@ -767,9 +774,9 @@ def ope_weight_diagnostics(records: RecordTable, policy,
     the summed weights.
     """
     config = config or OPEConfig()
-    _, imp, total = _importance_weights(records, policy, config)
+    _, imp, total, squares = _importance_weights(records, policy, config)
     w = records.weight
-    return {"ess": total * total / float((imp * imp).sum()),
+    return {"ess": total * total / squares,
             "window_share": float(w[imp > 0.0].sum() / w.sum()),
             "max_weight_share": float(imp.max() / total)}
 

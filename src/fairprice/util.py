@@ -80,6 +80,7 @@ _JSON_KINDS = {
     "label": ((str, type(None)), "a string or null"),
     "list": ((list,), "a list"),
     "object": ((dict,), "an object"),
+    "boolean": ((bool,), "true or false"),
 }
 
 
@@ -88,7 +89,8 @@ def json_value(value, kind: str, where: str):
     number comes back as a float), else InvalidRecordError naming ``where``,
     the value's JSON path."""
     types, expected = _JSON_KINDS[kind]
-    if isinstance(value, types) and not isinstance(value, bool):
+    # bool is an int to Python, but only a "boolean" to JSON
+    if isinstance(value, types) and isinstance(value, bool) == (kind == "boolean"):
         if kind != "number":
             return value
         # also false for NaN, and for integers too large for a float
@@ -98,9 +100,10 @@ def json_value(value, kind: str, where: str):
 
 
 def json_field(data: dict, key: str, kind: str, where: str):
-    """:func:`json_value` of ``data[key]``, named ``where.key``;
-    MissingFieldError when the key is absent."""
-    if key not in data:
+    """:func:`json_value` of ``data[key]``, named ``where.key``; the error of
+    :func:`json_value` when ``data`` is not an object, MissingFieldError when
+    the key is absent."""
+    if key not in json_value(data, "object", where):
         raise MissingFieldError(f"{where}.{key} is missing")
     return json_value(data[key], kind, f"{where}.{key}")
 

@@ -516,9 +516,10 @@ def loop_log_interactions(config: ScenarioConfig, population: Population,
     model = config.model
     levels = config.price_levels
     table = population.records
-    groups = table.group
+    groups = [table.labels[c] for c in table.codes]
     # pricing draws no random numbers, so batching it keeps the RNG stream
-    offered = None if policy is None else policy.price_batch(table.X, groups)
+    offered = None if policy is None else policy.price_batch(
+        table.X, table.codes, table.labels)
     for i, x in enumerate(table.X):
         if policy is None:
             p = float(levels[int(rng.integers(len(levels)))])
@@ -547,7 +548,7 @@ def cell_write_records_csv(path, records) -> None:
         writer.writerow(_csv_header(table.X.shape[1]))
         # rows are formatted as they are written, so no column of cell
         # strings is ever held in memory
-        writer.writerows(zip(table.ids, table.group,
+        writer.writerows(zip(table.ids, (table.labels[c] for c in table.codes),
                              *(map(_csv_cell, col) for col in numeric)))
 
 
@@ -593,6 +594,22 @@ def scan_tabular_prices(policy, X, groups) -> np.ndarray:
     lookup per row, the first failing row raising."""
     return np.array([scan_entry(policy.table, scan_locate(policy.support, x), a)
                      for x, a in zip(X, groups)], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# LinearPolicy: the scalar formula that priced one customer before ``price``
+# became a one-row ``price_batch``, verbatim apart from taking the policy as
+# an argument
+# ---------------------------------------------------------------------------
+
+
+def scalar_linear_price(policy, x) -> float:
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != policy.theta.size:
+        raise DimensionMismatchError(
+            f"policy expects {policy.theta.size} covariates, got {x.size}")
+    raw = float(policy.intercept + policy.theta @ x)
+    return float(min(policy.clip_hi, max(policy.clip_lo, raw)))
 
 
 # ---------------------------------------------------------------------------

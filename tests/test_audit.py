@@ -151,20 +151,16 @@ def test_missing_price_raises_missing_field(metric):
         metric(record_table(records))
 
 
-def test_access_metrics_from_model():
+def test_model_implied_access_under_a_policy():
     model = fp.PartiallyLinearDemand(
         beta={"a": -1.0, "b": -1.0},
         baseline={"a": (2.0, np.array([])), "b": (1.0, np.array([]))})
     pop = fp.Population(groups=("a", "b"), support=[[]], masses=[1.0],
                         membership=[[0.5, 0.5]])
-    out = fp.access_metrics(policy=fp.ConstantPolicy(0.75), model=model,
-                            population=pop)
+    out = pop.cells().evaluate(fp.ConstantPolicy(0.75), model)[3]
     assert out["a"]["access"] == pytest.approx(1.25)
     assert out["b"]["access"] == pytest.approx(0.25)
     assert out["a"]["price_mean"] == pytest.approx(0.75)
-    with pytest.raises(fp.MissingFieldError):
-        fp.access_metrics(records=record_table([_rec(0, "a", 1.0, 1.0)]),
-                          policy=fp.ConstantPolicy(1.0))
 
 
 # -- concordance --------------------------------------------------------------
@@ -392,6 +388,13 @@ def test_attribute_gap_decomposition_runs():
     # group-aware price vs. membership-mixture price at the same covariates
     assert rep.price_estimated != pytest.approx(rep.price_true)
     assert abs(rep.gap - (rep.price_estimated - rep.price_true)) < 1e-12
+
+
+def test_run_audit_rejects_an_empty_selection():
+    records = record_table([_rec(0, "a", 1.0, 1.0), _rec(1, "b", 2.0, 0.0)])
+    with pytest.raises(fp.MissingFieldError, match="none selected") as info:
+        fp.run_audit(records, metrics=())
+    assert info.value.exit_status == 2
 
 
 def test_run_audit_collects_metrics_and_errors():

@@ -102,8 +102,7 @@ def test_revenue_access_and_disparity_match_cell_loops(market, kind):
     policy = _policy(rng, population, kind)
     assert same(fp.expected_revenue(policy, model, population),
                 loop_expected_revenue(policy, model, population))
-    assert same(fp.access_metrics(policy=policy, model=model,
-                                  population=population),
+    assert same(population.cells().evaluate(policy, model)[3],
                 loop_access(policy, model, population))
     if population.support is not None:
         assert same(fp.policy_disparity(policy, population),
@@ -123,7 +122,7 @@ def test_near_duplicate_support_points_price_at_the_first_hit():
                                      (2, "a"): 1.2, (2, "b"): 1.4})
     assert fp.expected_revenue(policy, model, pop) \
         == loop_expected_revenue(policy, model, pop)
-    access = fp.access_metrics(policy=policy, model=model, population=pop)
+    access = pop.cells().evaluate(policy, model)[3]
     assert same(access, loop_access(policy, model, pop))
     assert access["b"]["price_mean"] == pytest.approx(
         (0.15 + 0.24 + 0.16 * 1.4) / 0.55)
@@ -189,9 +188,10 @@ def test_row_maximizer_prices_each_row_as_alone(market, cost):
         lambda rows, p: (p - cost) * model.demand(cells.X[rows], cells.g[rows],
                                                   p, cells.groups),
         len(cells.g), interval)
-    for j, (x, label) in enumerate(zip(cells.X, cells.labels)):
+    for j, (x, k) in enumerate(zip(cells.X, cells.g)):
         alone = fp.maximize_revenue_1d(
-            lambda p: fp.eval_demand(model, x, label, p), interval, shift=cost)
+            lambda p: fp.eval_demand(model, x, cells.groups[k], p), interval,
+            shift=cost)
         assert (many[0][j], many[1][j]) == alone
 
 

@@ -458,6 +458,17 @@ def test_audit_json_and_csv(tmp_path, sim_dir):
     assert first == "metric,key,value"
 
 
+@pytest.mark.parametrize("metric", ["", ",", " , "])
+def test_audit_empty_metric_selection_is_a_usage_error(tmp_path, sim_dir,
+                                                       capsys, metric):
+    # exit 5 is kept for records from which no metric can be computed
+    code = main(["audit", "--records", str(sim_dir / "records.csv"),
+                 "--metric", metric, "--out-dir", str(tmp_path / "x"),
+                 "--quiet"])
+    assert code == 2
+    assert "error_code=config_parse" in capsys.readouterr().err
+
+
 def test_audit_metric_selection(tmp_path, sim_dir, capsys):
     out = tmp_path / "picked"
     code = main(["audit", "--records", str(sim_dir / "records.csv"),
@@ -606,6 +617,24 @@ def test_ope_rejects_non_finite_bandwidth(tmp_path, sim_dir, capsys,
                  "--out-dir", str(tmp_path / "x"), "--quiet"])
     assert code == 2
     assert "error_code=missing_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bandwidth", ["1e-308", "1e-300"])
+def test_ope_rejects_a_bandwidth_whose_kernel_weights_overflow(
+        tmp_path, sim_dir, capsys, bandwidth):
+    # at 1e-308 the weights themselves overflow, at 1e-300 their squares:
+    # either way the estimate or its diagnostics would be nan
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    out = tmp_path / "x"
+    code = main(["ope", "--records", str(sim_dir / "records.csv"),
+                 "--policy", str(policy_path), "--bandwidth", bandwidth,
+                 "--n-boot", "20", "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error_code=missing_field" in err and "bandwidth" in err
+    assert "Warning" not in err
+    assert not (out / "ope.json").exists()
 
 
 def test_simulate_without_membership_coefficients(tmp_path):
@@ -951,6 +980,21 @@ def test_every_policy_file_mutation_exits_2(tmp_path, capsys, sim_dir):
     assert runs > 60
 
 
+def _price_outputs(tmp_path, capsys, model, population, flags):
+    """``(exit status, stderr, output bytes)`` of ``price`` on the ``model``
+    and ``population`` files; the bytes of prices.json and prices.csv on
+    success, none otherwise."""
+    out = tmp_path / "o"
+    for name in ("prices.json", "prices.csv"):
+        if (out / name).exists():
+            (out / name).unlink()
+    code = main(["price", "--model", str(model), "--population",
+                 str(population), *flags, "--out-dir", str(out), "--quiet"])
+    outputs = [(out / name).read_bytes() for name
+               in ("prices.json", "prices.csv") if code == 0]
+    return code, capsys.readouterr().err, outputs
+
+
 def test_every_population_file_mutation_exits_2_or_changes_nothing(
         tmp_path, capsys, sim_dir):
     """One field of a valid population file dropped, stringified or nulled
@@ -961,16 +1005,8 @@ def test_every_population_file_mutation_exits_2_or_changes_nothing(
 
     def run(doc):
         path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        for name in ("prices.json", "prices.csv"):
-            if (out / name).exists():
-                (out / name).unlink()
-        code = main(["price", "--model", str(sim_dir / "model_true.json"),
-                     "--population", str(path), "--share-lambda", "0.3",
-                     "--out-dir", str(out), "--quiet"])
-        outputs = [(out / name).read_bytes() for name
-                   in ("prices.json", "prices.csv") if code == 0]
-        return code, capsys.readouterr().err, outputs
+        return _price_outputs(tmp_path, capsys, sim_dir / "model_true.json",
+                              path, ["--share-lambda", "0.3"])
 
     code, _, valid = run(population)
     assert code == 0
@@ -983,6 +1019,51 @@ def test_every_population_file_mutation_exits_2_or_changes_nothing(
             assert outputs == valid, name
         runs += 1
     assert runs > 50
+
+
+def test_every_model_file_mutation_exits_2_or_changes_nothing(
+        tmp_path, capsys, sim_dir):
+    """One field of a valid model file dropped, stringified or nulled is an
+    input error (exit 2), or leaves the prices unchanged (a dropped
+    ``baseline_form`` or ``allow_upward`` at its default, or a change to
+    fit's diagnostics); never an internal error. Latent and logistic models
+    price with a share subsidy, partially linear ones (linear and table
+    baselines) under a parity cap; the fitted ones keep fit's wrapper."""
+    records = str(sim_dir / "records.csv")
+    for kind in ("logistic", "linear"):
+        assert main(["fit", "--records", records, "--model", kind,
+                     "--out-dir", str(tmp_path / kind), "--quiet"]) == 0
+    table = {"kind": "partially_linear", "baseline_form": "table",
+             "beta": {"a": -1.0, "b": -1.2}, "allow_upward": False,
+             "baseline": {g: [{"x": [0.0], "value": v0},
+                              {"x": [1.0], "value": v1}]
+                          for g, v0, v1 in [("a", 2.2, 2.6), ("b", 1.5, 1.8)]}}
+    share, parity = ["--share-lambda", "0.3"], ["--gamma", "0.2"]
+    cases = [(json.loads((sim_dir / "model_true.json").read_text()), share),
+             (json.loads((tmp_path / "logistic" / "model.json").read_text()),
+              share),
+             (json.loads((tmp_path / "linear" / "model.json").read_text()),
+              parity),
+             (table, parity)]
+    path = tmp_path / "model.json"
+
+    def run(doc, flags):
+        path.write_text(json.dumps(doc))
+        return _price_outputs(tmp_path, capsys, path,
+                              sim_dir / "population.json", flags)
+
+    runs = 0
+    for case, (model, flags) in enumerate(cases):
+        code, err, valid = run(model, flags)
+        assert code == 0, err
+        for name, doc in _mutations(model):
+            code, err, outputs = run(doc, flags)
+            assert code in (0, 2), (case, name, err)
+            assert "error_code=internal" not in err, (case, name, err)
+            if code == 0:
+                assert outputs == valid, (case, name)
+            runs += 1
+    assert runs > 100
 
 
 def test_ope_bootstrap_skips_a_resample_with_one_logged_price(tmp_path,

@@ -276,7 +276,6 @@ def test_population_cells_support_and_record_views():
     cells = pop.cells()
     assert cells.index.tolist() == [0, 2, 2]
     assert cells.g.tolist() == [0, 0, 1]
-    assert cells.labels.tolist() == ["a", "a", "b"]
     assert cells.mass.tolist() == [0.5, 0.5 * 0.4, 0.5 * 0.6]
     assert cells.X.tolist() == [[0.0], [2.0], [2.0]]
     records = record_table(
@@ -288,13 +287,6 @@ def test_population_cells_support_and_record_views():
     assert rows.totals(1, rows.mass, rows.mass * 2.0) == [0.75, 1.5]
     with pytest.raises(fp.MissingFieldError):
         fp.Population(groups=("a",), rho={"a": 1.0}).cells()
-
-
-def test_record_table_group_is_built_once():
-    table = record_table([dict(id="r0", group="b", covariates=[0.0]),
-                          dict(id="r1", group="a", covariates=[1.0])])
-    assert table.group.tolist() == ["b", "a"]
-    assert table.group is table.group
 
 
 # -- fitting ----------------------------------------------------------------
@@ -510,12 +502,13 @@ def test_record_table_rows_round_trip():
     assert pop.records is table
     assert len(table) == 6 and table.labels == ("a", "b")
     assert table.ids.tolist() == [r["id"] for r in rows]
-    assert table.group.tolist() == [r["group"] for r in rows]
+    assert [table.labels[c] for c in table.codes] == [r["group"] for r in rows]
     assert np.isnan(table.outcome).all()
     part = table.take([1, 2, 3])
     assert np.isnan(part.valuation[:2]).all() and part.valuation[2] == 2.5
     row = table.take([4])
-    assert (row.group[0], row.price[0], row.demand[0], row.weight[0]) == (
+    assert (row.labels[row.codes[0]], row.price[0], row.demand[0],
+            row.weight[0]) == (
         "b", 5.0, 0.0, 5.0)
     assert row.X.tolist() == [[4.0, 1.0]]
 

@@ -280,7 +280,7 @@ def test_solution_dict_keeps_infinite_gamma_and_one_policy():
     # the solution prices through one tabular policy built from its table
     policy = sol.policy()
     assert policy.price([], "a") == sol.prices[(0, None)]
-    assert policy.price_batch(np.zeros((2, 0)), ["a", "b"]).tolist() == [
+    assert policy.price_batch(np.zeros((2, 0)), [0, 1], ("a", "b")).tolist() == [
         sol.prices[(0, None)]] * 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
-from oracles import scan_locate, scan_tabular_prices
+from oracles import scalar_linear_price, scan_locate, scan_tabular_prices
 
 
 def test_constant_policy():
@@ -161,9 +161,29 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _assert_same_outcome(got, want):
+    """The same error (type and message), or the same float64 bits."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _price_loop(policy, X, g, groups):
+    """Each row priced alone: by the scalar formula for a linear policy
+    (``LinearPolicy.price`` is a one-row ``price_batch``), by ``price``
+    otherwise."""
+    price = policy.price
+    if isinstance(policy, fp.LinearPolicy):
+        price = lambda x, a: scalar_linear_price(policy, x)  # noqa: E731
+    return np.array([price(x, groups[j]) for x, j in zip(X, g)], dtype=float)
+
+
 @st.composite
 def _priced_rows(draw):
-    """A policy of one of the five kinds, plus rows and labels to price.
+    """A policy of one of the five kinds, plus rows, their group codes and
+    the label tuple the codes index.
 
     Rows mostly sit on a small support (some nudged within the match
     tolerance); others are off it, and some draws give every row the wrong
@@ -183,8 +203,9 @@ def _priced_rows(draw):
         _noisy(k))
     rows = draw(st.lists(row, min_size=1, max_size=25))
     X = np.array([r + [0.25] * (width - k) for r in rows])
-    groups = draw(st.lists(st.sampled_from(_LABELS), min_size=len(rows),
-                           max_size=len(rows)))
+    groups = tuple(draw(st.permutations(_LABELS)))
+    g = np.array(draw(st.lists(st.integers(0, len(groups) - 1),
+                               min_size=len(rows), max_size=len(rows))))
     cells = [(i, g) for i in range(len(support)) for g in _LABELS]
     table = {cell: draw(_coef) for cell in draw(
         st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))}
@@ -213,21 +234,31 @@ def _priced_rows(draw):
                                 | _noisy(k))),
             intercept=draw(_coef), clip_lo=lo,
             clip_hi=lo + draw(st.floats(0.0, 2e4)))
-    return policy, X, groups
+    return policy, X, g, groups
 
 
 @settings(max_examples=400)
 @given(_priced_rows())
 def test_price_batch_matches_price_loop_bitwise(case):
-    policy, X, groups = case
-    want = _outcome(lambda: np.array(
-        [policy.price(x, g) for x, g in zip(X, groups)], dtype=float))
-    got = _outcome(lambda: policy.price_batch(X, groups))
-    if isinstance(want, tuple):
-        assert got == want      # same error type, naming the same row
-        return
-    assert isinstance(got, np.ndarray) and got.dtype == np.float64
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # an error is the first failing row's: same type, naming the same row
+    policy, X, g, groups = case
+    want = _outcome(lambda: _price_loop(policy, X, g, groups))
+    _assert_same_outcome(_outcome(lambda: policy.price_batch(X, g, groups)),
+                         want)
+
+
+@settings(max_examples=300)
+@given(_priced_rows(), st.permutations(range(len(_LABELS) + 1)))
+def test_prices_read_labels_only_through_codes(case, order):
+    # the labels permuted, with one that no row uses and no policy prices:
+    # remapped codes give the same prices or the same first error
+    policy, X, g, groups = case
+    want = _outcome(lambda: _price_loop(policy, X, g, groups))
+    extended = groups + ("unpriced",)
+    relabeled = tuple(extended[j] for j in order)
+    remap = np.array([relabeled.index(a) for a in groups])
+    _assert_same_outcome(
+        _outcome(lambda: policy.price_batch(X, remap[g], relabeled)), want)
 
 
 def test_linear_price_batch_matches_per_row_dot_on_inexact_products():
@@ -238,8 +269,8 @@ def test_linear_price_batch_matches_per_row_dot_on_inexact_products():
         X = rng.normal(size=(300, k)) * 3.7
         pol = fp.LinearPolicy(theta=rng.normal(size=k), intercept=0.3,
                               clip_lo=-50.0, clip_hi=50.0)
-        want = np.array([pol.price(x) for x in X])
-        got = pol.price_batch(X, ["a"] * len(X))
+        want = np.array([scalar_linear_price(pol, x) for x in X])
+        got = pol.price_batch(X, [0] * len(X), ("a",))
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -258,7 +289,7 @@ def test_tabular_price_batch_resolves_near_duplicates_to_first_hit():
                   [1.0 + 1.4e-9, 2.0], [1.0, 2.0]])
     want = [pol.price(x) for x in X]
     assert want == [10.0, 11.0, 12.0, 10.0]
-    assert pol.price_batch(X, [None] * 4).tolist() == want
+    assert pol.price_batch(X, [0] * 4, (None,)).tolist() == want
 
 
 def test_tabular_price_batch_errors_match_price():
@@ -268,17 +299,17 @@ def test_tabular_price_batch_errors_match_price():
     with pytest.raises(fp.DimensionMismatchError) as want:
         pol.price(off[1], "a")
     with pytest.raises(fp.DimensionMismatchError) as got:
-        pol.price_batch(off, ["a", "a", "a"])
+        pol.price_batch(off, [0, 0, 0], ("a",))
     assert str(got.value) == str(want.value)
     # a missing entry on an earlier row is the first error
     with pytest.raises(fp.UnknownGroupError,
                        match="no price for support point 0 and group 'b'"):
-        pol.price_batch(off, ["b", "a", "a"])
+        pol.price_batch(off, [0, 1, 1], ("b", "a"))
     for width in (1, 3):
         with pytest.raises(fp.DimensionMismatchError) as want:
             pol.price(np.zeros(width), "a")
         with pytest.raises(fp.DimensionMismatchError) as got:
-            pol.price_batch(np.zeros((2, width)), ["a", "a"])
+            pol.price_batch(np.zeros((2, width)), [0, 0], ("a",))
         assert str(got.value) == str(want.value)
         assert "policy support has 2 covariates" in str(got.value)
 
@@ -291,7 +322,7 @@ def test_tabular_match_of_many_rows_against_a_large_support():
                            table={(i, None): float(i) for i in range(3000)})
     X = support[rng.integers(3000, size=5000)]
     want = [scan_locate(pol.support, x) for x in X]
-    assert pol.price_batch(X, [None] * len(X)).tolist() == want
+    assert pol.price_batch(X, [0] * len(X), (None,)).tolist() == want
 
 
 @pytest.mark.parametrize("shape", ["grid", "repeated"])
@@ -310,7 +341,7 @@ def test_tabular_match_over_many_blocks_of_candidates(shape):
     X = support[rng.integers(len(support), size=1000)]
     X[::3] += 5e-10
     want = [scan_locate(pol.support, x) for x in X]
-    assert pol.price_batch(X, [None] * len(X)).tolist() == want
+    assert pol.price_batch(X, [0] * len(X), (None,)).tolist() == want
 
 
 # near-duplicate offsets around the 1e-9 tolerance, and values at 1e10, where
@@ -359,11 +390,10 @@ def _tabular_rows(draw):
 def test_tabular_prices_match_the_full_scan_bitwise(case):
     policy, X, groups = case
     want = _outcome(lambda: scan_tabular_prices(policy, X, groups))
-    got = _outcome(lambda: policy.price_batch(X, groups))
+    got = _outcome(lambda: policy.price_batch(
+        X, [_LABELS.index(a) for a in groups], _LABELS))
+    _assert_same_outcome(got, want)
     if isinstance(want, tuple):
-        assert got == want      # same error type, naming the same row
         return
-    assert isinstance(got, np.ndarray) and got.dtype == np.float64
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     one = _outcome(lambda: policy.price(X[-1], groups[-1]))
     assert np.float64(one).view(np.uint64) == want[-1:].view(np.uint64)[0]

@@ -93,7 +93,8 @@ def test_population_reproducible_under_seed():
     cfg = fp.ScenarioConfig.from_text(SCENARIO)
     pop1 = fp.generate_population(cfg, np.random.default_rng(7))
     pop2 = fp.generate_population(cfg, np.random.default_rng(7))
-    assert pop1.records.group.tolist() == pop2.records.group.tolist()
+    assert pop1.records.labels == pop2.records.labels
+    assert pop1.records.codes.tolist() == pop2.records.codes.tolist()
     assert np.allclose(pop1.records.valuation, pop2.records.valuation)
 
 
