@@ -22,6 +22,7 @@ from .demand import (
     eval_demand,
 )
 from .errors import (
+    ConfigError,
     DecompositionError,
     FairPriceError,
     InvalidRecordError,
@@ -494,24 +495,30 @@ _AUDIT_METRICS = {
 AUDIT_METRIC_NAMES = tuple(_AUDIT_METRICS)
 
 
+def check_metrics(metrics=None) -> tuple:
+    """The audit metrics named by ``metrics``, every one for None;
+    ConfigError for an unknown name or an empty selection."""
+    selected = AUDIT_METRIC_NAMES if metrics is None else tuple(metrics)
+    unknown = [m for m in selected if m not in _AUDIT_METRICS]
+    if unknown or not selected:
+        raise ConfigError(f"unknown audit metric(s) {unknown} or none "
+                          f"selected; choose from {list(AUDIT_METRIC_NAMES)}")
+    return selected
+
+
 def run_audit(records: RecordTable, alpha: float = 0.05,
               metrics=None) -> AuditReport:
     """Run record-level audit metrics, tolerating per-metric failures.
 
     ``metrics`` selects a nonempty subset of ``AUDIT_METRIC_NAMES``
-    (default all).
+    (default all; see :func:`check_metrics`).
     Metrics that cannot be computed from the given records are reported as
     ``{"error": <code>}``. If nothing at all is computable the audit raises.
     A significance level ``alpha`` outside (0, 1) raises before any metric
     runs.
     """
     check_alpha(alpha)
-    selected = AUDIT_METRIC_NAMES if metrics is None else tuple(metrics)
-    unknown = [m for m in selected if m not in _AUDIT_METRICS]
-    if unknown or not selected:
-        raise MissingFieldError(
-            f"unknown audit metric(s) {unknown} or none selected; "
-            f"choose from {list(AUDIT_METRIC_NAMES)}")
+    selected = check_metrics(metrics)
     metrics = {}
     computed = 0
     for name in selected:

@@ -34,7 +34,7 @@ import time
 from csv import writer as csv_writer
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
-from .audit import AUDIT_METRIC_NAMES, AuditReport, check_alpha, run_audit
+from .audit import AuditReport, check_alpha, check_metrics, run_audit
 from .demand import (
     fit_logistic,
     fit_partially_linear,
@@ -214,7 +214,8 @@ def _write_experiment_bundle(run, population, config) -> None:
     cost = population.unit_cost
     prices = [interval.lo + k * (interval.hi - interval.lo) / 199.0
               for k in range(200)]
-    revenues = population.cells().curve(model, prices, revenue=True)
+    cells = population.cells()
+    revenues = cells.curve(model, [prices], cells.mass[None], revenue=True)[0]
     curve_rows = [(p, r, r - cost * (r / p if p > 0.0 else 0.0))
                   for p, r in zip(prices, revenues.tolist())]
     run.write("revenue_curve.csv",
@@ -306,17 +307,8 @@ def _share_solution(model, population, args):
 
 def _cmd_audit(args) -> int:
     run = _Run(args)
-    selected = None
-    if args.metric:
-        selected = tuple(m.strip() for spec in args.metric
-                         for m in spec.split(",") if m.strip())
-        unknown = [m for m in selected if m not in AUDIT_METRIC_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown audit metric(s) {unknown}; "
-                              f"choose from {list(AUDIT_METRIC_NAMES)}")
-        if not selected:
-            raise ConfigError(f"--metric selects no audit metric; "
-                              f"choose from {list(AUDIT_METRIC_NAMES)}")
+    selected = None if args.metric is None else check_metrics(
+        m.strip() for spec in args.metric for m in spec.split(",") if m.strip())
 
     model_mode = bool(args.model or args.policy)
     if model_mode == bool(args.records):

@@ -428,20 +428,28 @@ class Cells(NamedTuple):
                                "price_mean": psum / mass, "weight": mass}
         return p, d, seqsum(w * p * d), by_group
 
-    def curve(self, model, p, revenue=False) -> np.ndarray:
-        """The cells' ``mass * demand``, or with ``revenue`` their ``(mass *
-        price) * demand``, at each price of ``p``, added cell by cell as a
-        ``total +=`` loop over the cells adds them; a block of cells at a
-        time bounds the memory."""
-        p = np.atleast_1d(p)
-        total, step = np.zeros(p.size), max(1, _GRID_CELLS // p.size)
+    def curve(self, model, p, weights, revenue=False) -> np.ndarray:
+        """For each row of the (R, n_cells) ``weights``, the cells' ``weight *
+        demand``, or with ``revenue`` their ``(weight * price) * demand``,
+        added cell by cell as a ``total +=`` loop over the cells adds them.
+        ``p`` broadcasts against the rows: one price per row (an (R,) result)
+        or an (R or 1, m) grid (an (R, m) one). A block of cells at a time
+        bounds the memory, and each block's demand serves every row."""
+        p = np.asarray(p, dtype=float)
+        grid = p if p.ndim == 2 else p[:, None]
+        step = max(1, _GRID_CELLS // grid.size)
+        # row 0 holds the totals so far, so each block continues in cell order
+        block = np.zeros((min(step, len(self.mass)) + 1, len(weights),
+                          grid.shape[1]))
         for k in range(0, len(self.mass), step):
             rows = slice(k, k + step)
-            d = model.demand(self.X[rows], self.g[rows], p[None], self.groups)
-            w = self.mass[rows, None] * (p if revenue else 1.0)
-            # continuing from the total so far adds the cells in order
-            total = seqsum(np.vstack([total, w * d]))
-        return total
+            d = model.demand(self.X[rows], self.g[rows], grid.reshape(1, -1),
+                             self.groups).reshape((-1,) + grid.shape)
+            w = weights[:, rows].T[:, :, None] * (grid if revenue else 1.0)
+            terms = block[:len(d) + 1]
+            np.multiply(w, d, out=terms[1:])
+            block[0] = seqsum(terms.reshape(len(terms), -1)).reshape(block[0].shape)
+        return block[0] if p.ndim == 2 else block[0, :, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from .errors import (
     InvalidRecordError,
     MissingFieldError,
 )
-from .optimize import PriceInterval, maximize_revenue_1d, maximize_rows
+from .optimize import PriceInterval, maximize_rows
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
 from .util import seqsum
 
@@ -159,8 +159,6 @@ def _parse_sampler(name, text, line):
             if len({v for v, _ in pairs}) != len(pairs):
                 raise ValueError("choice values must be distinct")
             return CovariateSpec(name, "choice", tuple(pairs))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"covariate {name}: {exc}", line) from None
     raise ConfigError(f"covariate {name}: unknown sampler kind {kind!r}", line)
@@ -337,17 +335,12 @@ class ScenarioConfig:
 
 
 def _exact_support(config: ScenarioConfig):
-    pairs_per_cov = []
-    for spec in config.covariates:
-        values, probs = spec.values_and_probs()
-        pairs_per_cov.append(list(zip(values, probs)))
-    points, masses = [], []
-    for combo in itertools.product(*pairs_per_cov):
-        points.append([value for value, _ in combo])
-        masses.append(math.prod(prob for _, prob in combo))
-    support = np.asarray(points, dtype=float)
+    combos = list(itertools.product(*(
+        zip(*spec.values_and_probs()) for spec in config.covariates)))
+    support = np.array([[value for value, _ in c] for c in combos], dtype=float)
+    masses = np.array([math.prod(prob for _, prob in c) for c in combos])
     q = config.membership_prob(support)
-    return support, np.asarray(masses, dtype=float), np.column_stack([q, 1.0 - q])
+    return support, masses, np.column_stack([q, 1.0 - q])
 
 
 # rows turned into Python objects (noise draws, CSV cells) at a time, which
@@ -500,8 +493,6 @@ def simulate(config: ScenarioConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 
-
-
 def write_records_csv(path, records: RecordTable) -> None:
     """Write records with header id,group,x1..xk,price,demand,outcome,valuation,weight."""
     table = records.require()
@@ -631,16 +622,14 @@ def run_pricing_experiment(model, population: Population,
     cells = population.cells()
     groups, w = cells.groups, cells.mass
 
-    def aggregate(rows):
-        """The demand curve of the cells ``rows``."""
-        part = cells._replace(mass=w[rows], g=cells.g[rows], X=cells.X[rows])
-        return lambda p: part.curve(model, p)
-
+    # one weight row for the uniform price, then one per group with cells
     present = sorted((groups[k], k) for k in np.unique(cells.g).tolist())
-    out = {"uniform": ConstantPolicy(maximize_revenue_1d(
-        aggregate(slice(None)), interval, shift=cost)[0])}
-    out["group"] = GroupPolicy(prices={g: maximize_revenue_1d(
-        aggregate(cells.g == k), interval, shift=cost)[0] for g, k in present})
+    weights = np.array([w, *(np.where(cells.g == k, w, 0.0) for _, k in present)])
+    prices = maximize_rows(
+        lambda rows, p: (p - cost) * cells.curve(model, p, weights[rows]),
+        len(weights), interval)[0].tolist()
+    out = {"uniform": ConstantPolicy(prices[0]), "group": GroupPolicy(
+        prices={g: q for (g, _), q in zip(present, prices[1:])})}
 
     # one solve per (support point, group) that the policy's matcher finds;
     # record cells take their distinct rows, first appearances, as support

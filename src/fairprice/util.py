@@ -23,9 +23,13 @@ def seqsum(terms):
     """``terms`` added in index order from 0.0, as a ``total += t`` loop adds
     them (numpy's ``sum`` adds pairwise and rounds differently): a float for
     a 1-D array, column totals for a 2-D one."""
-    running = np.cumsum(np.asarray(terms, dtype=float), axis=0)
+    terms = np.asarray(terms, dtype=float)
+    if terms.ndim == 2 and terms.shape[1] > 1:
+        # numpy adds a C-contiguous block row after row, as cumsum does
+        # (tests/test_cells.py pins it), but one column pairwise
+        return np.add.reduce(np.ascontiguousarray(terms), axis=0) + 0.0
     # the last running sum (zeros for no terms); + 0.0 turns -0.0 into 0.0
-    total = running[-1:].sum(axis=0) + 0.0
+    total = np.cumsum(terms, axis=0)[-1:].sum(axis=0) + 0.0
     return float(total) if total.ndim == 0 else total
 
 

@@ -392,9 +392,11 @@ def test_attribute_gap_decomposition_runs():
 
 def test_run_audit_rejects_an_empty_selection():
     records = record_table([_rec(0, "a", 1.0, 1.0), _rec(1, "b", 2.0, 0.0)])
-    with pytest.raises(fp.MissingFieldError, match="none selected") as info:
+    with pytest.raises(fp.ConfigError, match="none selected") as info:
         fp.run_audit(records, metrics=())
     assert info.value.exit_status == 2
+    with pytest.raises(fp.ConfigError, match="bogus"):
+        fp.run_audit(records, metrics=["access", "bogus"])
 
 
 def test_run_audit_collects_metrics_and_errors():

@@ -176,6 +176,34 @@ def test_pricing_experiment_matches_cell_loop_at_the_default_grid(family):
         assert same({key: got[mode][key] for key in info}, info), mode
 
 
+@settings(max_examples=50)
+@given(markets(), st.integers(1, 5), st.booleans())
+def test_curve_rows_are_the_curves_of_the_cells_they_select(market, m, revenue):
+    # prices up to 8 make partially linear demand negative, so the cells a
+    # row leaves out add 0.0 * d = -0.0 terms there
+    model, population, rng = market
+    cells = population.cells()
+    masks = [np.ones(len(cells.g), dtype=bool), rng.random(len(cells.g)) < 0.5,
+             *(cells.g == k for k in range(len(cells.groups)))]
+    weights = np.array([np.where(mask, cells.mass, 0.0) for mask in masks])
+
+    def loop(mask, prices):
+        total = np.zeros(len(prices))
+        for w, k, x in zip(cells.mass[mask], cells.g[mask], cells.X[mask]):
+            d = fp.eval_demand(model, x, cells.groups[k], prices)
+            total = total + (w * prices if revenue else w) * d
+        return total.tolist()
+
+    for p in (rng.uniform(0.0, 8.0, size=(1, m)),
+              rng.uniform(0.0, 8.0, size=(len(masks), m)),
+              rng.uniform(0.0, 8.0, size=len(masks))):
+        got = cells.curve(model, p, weights, revenue=revenue)
+        assert got.shape == (len(masks),) + p.shape[1:]
+        for r, mask in enumerate(masks):
+            prices = np.atleast_1d(p[min(r, len(p) - 1)])
+            assert same(np.atleast_1d(got[r]).tolist(), loop(mask, prices))
+
+
 @settings(max_examples=25)
 @given(markets(max_points=4), st.floats(0.0, 0.3))
 def test_row_maximizer_prices_each_row_as_alone(market, cost):
@@ -280,3 +308,39 @@ def test_seqsum_is_a_left_to_right_loop(terms):
     assert isinstance(got, float) and repr(got) == repr(total)
     stacked = seqsum(np.array([[t, 2 * t] for t in terms]).reshape(-1, 2))
     assert stacked.tolist() == [total, seqsum(2 * np.array(terms, dtype=float))]
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(["contiguous", "transposed", "column slice"]))
+def test_seqsum_adds_every_column_in_row_order(n, m, seed, layout):
+    # numpy does not document the row-by-row order of a 2-D add.reduce that
+    # seqsum relies on; each column must equal a Python loop, bit for bit.
+    # Terms mix signed zeros, values of one scale, whose sums round by their
+    # order, and (in a share of examples) magnitudes from 1e-300 to 1e300;
+    # column 0 is all -0.0 when the seed is even.
+    from fairprice.util import seqsum
+
+    rng = np.random.default_rng(seed)
+    wide = rng.choice([0.0, 0.05, 0.3])
+    kind = rng.choice(3, size=(n, m), p=[0.2, 0.8 - wide, wide])
+    block = np.where(kind == 0, rng.choice([0.0, -0.0], size=(n, m)),
+                     rng.normal(size=(n, m)))
+    block[kind == 2] *= 10.0 ** rng.integers(-300, 300, size=(n, m))[kind == 2]
+    block[:, 0] = -0.0 if seed % 2 == 0 else block[:, 0]
+    values = block.tolist()
+    if layout == "transposed":
+        block = np.ascontiguousarray(block.T).T
+    elif layout == "column slice":
+        padded = np.zeros((n, 2 * m))
+        padded[:, 1::2] = block
+        block = padded[:, 1::2]
+    want = []
+    for j in range(m):
+        total = 0.0
+        for row in values:
+            total += row[j]
+        want.append(total)
+        one = seqsum(block[:, j])
+        assert isinstance(one, float) and repr(one) == repr(total)
+    assert repr(seqsum(block).tolist()) == repr(want)
