@@ -60,8 +60,7 @@ from .sim import (
     ScenarioConfig,
     check_n_boot,
     ope_bootstrap_se,
-    ope_value,
-    ope_weight_diagnostics,
+    ope_estimate,
     optimize_linear_policy,
     read_records_csv,
     run_pricing_experiment,
@@ -359,21 +358,20 @@ def _cmd_ope(args) -> int:
                "n_boot": args.n_boot}
     if args.policy:
         policy = policy_from_dict(_load_json(args.policy, "policy"))
-        payload["value"] = ope_value(records, policy, config)
+        payload.update(ope_estimate(records, policy, config))
         note = "off-policy value {:.6g} (bootstrap se {:.3g})"
     else:
-        result = optimize_linear_policy(records, config,
-                                        n_starts=args.n_starts,
+        result = optimize_linear_policy(records, config, n_starts=args.n_starts,
                                         seed=args.seed)
         policy = result.policy
-        payload.update({"value": result.value, "starts": result.starts,
-                        "trace": result.trace})
+        payload.update(ope_estimate(records, policy, config),
+                       value=result.value, starts=result.starts,
+                       trace=result.trace)
         note = (f"best linear policy value {{:.6g}} (bootstrap se {{:.3g}}, "
                 f"{result.starts} starts)")
     se = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
                           seed=args.seed)
-    payload.update(policy=policy_to_dict(policy), std_error=se,
-                   **ope_weight_diagnostics(records, policy, config))
+    payload.update(policy=policy_to_dict(policy), std_error=se)
     run.say(note.format(payload["value"], se))
     run.write("ope.json", json_dumps_stable(payload))
     inputs = [args.records] + ([args.policy] if args.policy else [])

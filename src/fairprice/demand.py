@@ -259,11 +259,17 @@ class RecordTable:
 
     @cached_property
     def strata(self) -> tuple:
-        """``(rows, row_of)``: the distinct covariate rows in sorted order and
-        the index into them of every record. Computed once per table, since
-        ``X`` is never written after construction."""
-        rows, row_of = np.unique(self.X, axis=0, return_inverse=True)
-        return rows, row_of.reshape(-1)
+        """``(rows, row_of)``: the distinct covariate rows, sorted, each as its
+        stratum's first record has it (-0.0 and 0.0 are one stratum), and the
+        index into them of every record. Computed once per table, since ``X``
+        is never written after construction."""
+        X = self.X
+        order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
+        new = np.ones(len(X), dtype=bool)
+        new[1:] = (X[order[1:]] != X[order[:-1]]).any(axis=1)
+        row_of = np.empty(len(X), dtype=np.intp)
+        row_of[order] = np.cumsum(new) - 1
+        return X[order[new]], row_of
 
     @cached_property
     def price_levels(self) -> tuple:

@@ -685,53 +685,75 @@ class OPEConfig:
             raise MissingFieldError("bandwidth must be positive and finite")
 
 
-def _epanechnikov(u):
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+class _KernelLog:
+    """A log as kernel OPE reads it: each record's price (its index into the
+    logged ``levels``), demand, weight and behavior mass (from ``given``, one
+    per level, or the level frequencies when None), and the price range."""
+
+    def __init__(self, levels, level_of, demand, weight, given, config):
+        self.level_of, self.given, self.config = level_of, given, config
+        self.price, self.demand, self.weight = levels[level_of], demand, weight
+        self.masses = (np.bincount(level_of, weights=weight) / weight.sum()
+                       if given is None else given)[level_of]
+        self.width = float(self.price.max() - self.price.min())
+
+    def weights(self, target) -> tuple:
+        """``(value, imp, total, squares)``: the :func:`ope_value` estimate at
+        the ``target`` prices, the importance weight of each record, their
+        sum and the sum of their squares. Raises when the weights overflow (a
+        bandwidth too narrow for floats) and when every weight vanishes."""
+        p, h = self.price, self.config.bandwidth * self.width
+        # overflows are caught below: a weight that is not finite makes the
+        # sum inf or nan
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u = (target - p) / h  # the Epanechnikov kernel's argument
+            kernel = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+            imp = self.weight * (kernel / h) / self.masses
+            total, squares = float(imp.sum()), float((imp * imp).sum())
+            if not all(map(math.isfinite, (total, total * total, squares))):
+                raise MissingFieldError(
+                    f"bandwidth {self.config.bandwidth!r} is too narrow: the "
+                    f"kernel weights overflow")
+        if total <= 0.0:
+            raise EmptyWeightError(
+                "no logged interaction falls inside the kernel window of the "
+                "target policy")
+        norm = total if self.config.self_normalize else self.weight.sum()
+        value = float((imp * (target * self.demand)).sum() / norm)
+        return value, imp, total, squares
 
 
-def _importance_weights(table: RecordTable, policy, config: OPEConfig):
-    """Target prices of ``policy``, the kernel importance weight of every
-    logged record, their sum and the sum of their squares.
-
-    A record's weight is the kernel proximity of its logged price to the
-    target price over the behavior probability of the logged level, times
-    the record weight. Raises when a price or demand cell is empty, when the
-    weights overflow (a bandwidth too narrow for floats) and when every
-    weight vanishes.
-    """
-    p, w = table.require("price", "demand").price, table.weight
-    target = policy.price_batch(table.X, table.codes, table.labels)
-    width = float(p.max() - p.min())
-    if width <= 0.0:
+def _kernel_log(records: RecordTable, config) -> _KernelLog:
+    """The kernel OPE log of ``records``. Raises when a price or demand cell
+    is empty, when the logged prices all tie and when a logged level has no
+    behavior mass in ``config.level_masses``."""
+    config = config or OPEConfig()
+    table = records.require("price", "demand")
+    levels, level_of = table.price_levels
+    if levels.size < 2:
         raise MissingFieldError(
             "logged prices carry no variation; off-policy weights undefined")
-    levels, inverse = table.price_levels
-    if config.level_masses is not None:
-        masses = np.array([config.level_masses.get(float(v), 0.0)
-                           for v in levels])[inverse]
-        if np.any(masses <= 0.0):
-            bad = float(p[int(np.argmin(masses))])
-            raise MissingFieldError(
-                f"logged price {bad:g} has no behavior mass")
-    else:
-        freq = np.bincount(inverse, weights=w)
-        masses = (freq / w.sum())[inverse]
-    h = config.bandwidth * width
-    # overflows are caught below: a weight that is not finite makes the sum
-    # inf or nan
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        imp = w * (_epanechnikov((target - p) / h) / h) / masses
-        total, squares = float(imp.sum()), float((imp * imp).sum())
-        if not all(map(math.isfinite, (total, total * total, squares))):
-            raise MissingFieldError(
-                f"bandwidth {config.bandwidth!r} is too narrow: the kernel "
-                f"weights overflow")
-    if total <= 0.0:
-        raise EmptyWeightError(
-            "no logged interaction falls inside the kernel window of the "
-            "target policy")
-    return target, imp, total, squares
+    given = None if config.level_masses is None else np.array(
+        [config.level_masses.get(float(v), 0.0) for v in levels])
+    # the narrowest codes make the bootstrap's gathers cheap
+    log = _KernelLog(levels, level_of.astype(np.min_scalar_type(levels.size)),
+                     table.demand, table.weight, given, config)
+    if given is not None and np.any(log.masses <= 0.0):
+        bad = float(table.price[int(np.argmin(log.masses))])
+        raise MissingFieldError(f"logged price {bad:g} has no behavior mass")
+    return log
+
+
+def ope_estimate(records: RecordTable, policy,
+                 config: OPEConfig | None = None) -> dict:
+    """:func:`ope_value` as ``value`` and :func:`ope_weight_diagnostics`,
+    from one pricing of the log and one set of importance weights."""
+    value, imp, total, squares = _kernel_log(records, config).weights(
+        policy.price_batch(records.X, records.codes, records.labels))
+    w = records.weight
+    return {"value": value, "ess": total * total / squares,
+            "window_share": float(w[imp > 0.0].sum() / w.sum()),
+            "max_weight_share": float(imp.max() / total)}
 
 
 def ope_value(records: RecordTable, policy,
@@ -745,12 +767,7 @@ def ope_value(records: RecordTable, policy,
     weights, otherwise by the summed record weights. Raises when every kernel
     weight vanishes (policy prices too far from the data).
     """
-    config = config or OPEConfig()
-    target, imp, total, _ = _importance_weights(records, policy, config)
-    signal = target * records.demand
-    if config.self_normalize:
-        return float((imp * signal).sum() / total)
-    return float((imp * signal).sum() / records.weight.sum())
+    return ope_estimate(records, policy, config)["value"]
 
 
 def ope_weight_diagnostics(records: RecordTable, policy,
@@ -762,12 +779,8 @@ def ope_weight_diagnostics(records: RecordTable, policy,
     (nonzero weight), ``max_weight_share`` the largest single weight over
     the summed weights.
     """
-    config = config or OPEConfig()
-    _, imp, total, squares = _importance_weights(records, policy, config)
-    w = records.weight
-    return {"ess": total * total / squares,
-            "window_share": float(w[imp > 0.0].sum() / w.sum()),
-            "max_weight_share": float(imp.max() / total)}
+    estimate = ope_estimate(records, policy, config)
+    return {k: v for k, v in estimate.items() if k != "value"}
 
 
 def check_n_boot(n_boot) -> None:
@@ -780,21 +793,21 @@ def ope_bootstrap_se(records: RecordTable, policy,
                      config: OPEConfig | None = None, n_boot: int = 200,
                      seed: int = 0) -> float:
     """Bootstrap standard error of :func:`ope_value` over record resamples,
-    skipping those with an empty kernel window or one logged price."""
+    skipping those with an empty kernel window or one logged price. The log
+    is priced once; a resample gathers its records' columns and prices."""
     check_n_boot(n_boot)
-    config = config or OPEConfig()
-    table = records.require("price", "demand")
-    rng = np.random.default_rng(seed)
-    n = len(table)
-    values = []
+    log = _kernel_log(records, config)
+    target = policy.price_batch(records.X, records.codes, records.labels)
+    levels, rng, values = records.price_levels[0], np.random.default_rng(seed), []
     for _ in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        if np.ptp(table.price[idx]) == 0.0:
-            continue
-        try:
-            values.append(ope_value(table.take(idx), policy, config))
-        except EmptyWeightError:
-            continue
+        idx = rng.integers(0, len(target), size=len(target))
+        sample = _KernelLog(levels, log.level_of[idx], log.demand[idx],
+                            log.weight[idx], log.given, log.config)
+        if sample.width > 0.0:
+            try:
+                values.append(sample.weights(target[idx])[0])
+            except EmptyWeightError:
+                pass
     if len(values) < 2:
         raise EmptyWeightError("bootstrap produced no usable resamples")
     return float(np.std(np.asarray(values), ddof=1))
@@ -834,41 +847,35 @@ def optimize_linear_policy(records: RecordTable,
     """
     if n_starts < 1:
         raise MissingFieldError("n_starts must be at least 1")
-    config = config or OPEConfig()
-    table = records.require("price", "demand")
-    prices = table.price_levels[0].tolist()
+    log = _kernel_log(records, config)
+    prices = records.price_levels[0].tolist()
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
-    dim = table.X.shape[1]
+    dim = records.X.shape[1]
+    rows, row_of = records.strata  # the blind policy prices each row once
 
     def evaluate(vec):
         policy = LinearPolicy(theta=vec[1:], intercept=vec[0],
                               clip_lo=lo, clip_hi=hi)
         try:
-            return ope_value(table, policy, config)
+            return log.weights(policy.price_batch(
+                rows, np.zeros(len(rows), np.intp), records.labels)[row_of])[0]
         except EmptyWeightError:
             return -math.inf
 
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([[lvl], np.zeros(dim)]) for lvl in prices]
     while len(starts) < n_starts:
-        vec = np.concatenate([
-            [rng.uniform(lo, hi)],
-            rng.normal(0.0, 0.25 * (hi - lo), size=dim)])
-        starts.append(vec)
-    starts = starts[:max(n_starts, len(prices))]
+        starts.append(np.concatenate([[rng.uniform(lo, hi)], rng.normal(
+            0.0, 0.25 * (hi - lo), size=dim)]))
 
-    step0 = 0.1 * (hi - lo)
     best_vec, best_val = None, -math.inf
     trace = []
     for si, start in enumerate(starts):
-        vec = start.copy()
-        val = evaluate(vec)
-        step = step0
-        for _ in range(_SEARCH_HALVINGS + 1):
-            improved = True
-            while improved:
-                improved = False
+        vec, val = start, evaluate(start)
+        for halving in range(_SEARCH_HALVINGS + 1):
+            step = 0.1 * (hi - lo) * 0.5 ** halving
+            while True:
                 best_move, best_move_val = None, val
                 for k in range(vec.size):
                     for sign in (1.0, -1.0):
@@ -877,10 +884,9 @@ def optimize_linear_policy(records: RecordTable,
                         cand_val = evaluate(cand)
                         if cand_val > best_move_val + 1e-15:
                             best_move, best_move_val = cand, cand_val
-                if best_move is not None:
-                    vec, val = best_move, best_move_val
-                    improved = True
-            step *= 0.5
+                if best_move is None:
+                    break
+                vec, val = best_move, best_move_val
         trace.append({"start": si, "value": val})
         if val > best_val + 1e-12:
             best_vec, best_val = vec, val

@@ -721,3 +721,95 @@ def reference_attribute_blind_parity(model, population, gamma):
         parity_weights=xi_map, oriented_groups=(positive, other),
         prices=table, support=support.copy(), groups=groups,
         unconstrained_disparity=d0, achieved_disparity=float(achieved))
+
+
+# ---------------------------------------------------------------------------
+# Kernel OPE: the bootstrap and the linear policy search as they ran before
+# the log was priced once, verbatim apart from the names: every resample a
+# ``RecordTable.take`` and every search candidate an ``ope_value`` call
+# ---------------------------------------------------------------------------
+
+from fairprice.errors import EmptyWeightError, MissingFieldError  # noqa: E402
+from fairprice.sim import _SEARCH_HALVINGS, OPEConfig, check_n_boot  # noqa: E402
+
+
+def take_bootstrap_se(records, policy, config=None, n_boot=200, seed=0):
+    check_n_boot(n_boot)
+    config = config or OPEConfig()
+    table = records.require("price", "demand")
+    rng = np.random.default_rng(seed)
+    n = len(table)
+    values = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        if np.ptp(table.price[idx]) == 0.0:
+            continue
+        try:
+            values.append(fp.ope_value(table.take(idx), policy, config))
+        except EmptyWeightError:
+            continue
+    if len(values) < 2:
+        raise EmptyWeightError("bootstrap produced no usable resamples")
+    return float(np.std(np.asarray(values), ddof=1))
+
+
+def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
+                            n_starts=16, seed=0):
+    if n_starts < 1:
+        raise MissingFieldError("n_starts must be at least 1")
+    config = config or OPEConfig()
+    table = records.require("price", "demand")
+    prices = table.price_levels[0].tolist()
+    lo = min(prices) if clip_lo is None else float(clip_lo)
+    hi = max(prices) if clip_hi is None else float(clip_hi)
+    dim = table.X.shape[1]
+
+    def evaluate(vec):
+        policy = fp.LinearPolicy(theta=vec[1:], intercept=vec[0],
+                                 clip_lo=lo, clip_hi=hi)
+        try:
+            return fp.ope_value(table, policy, config)
+        except EmptyWeightError:
+            return -math.inf
+
+    rng = np.random.default_rng(seed)
+    starts = [np.concatenate([[lvl], np.zeros(dim)]) for lvl in prices]
+    while len(starts) < n_starts:
+        vec = np.concatenate([
+            [rng.uniform(lo, hi)],
+            rng.normal(0.0, 0.25 * (hi - lo), size=dim)])
+        starts.append(vec)
+    starts = starts[:max(n_starts, len(prices))]
+
+    step0 = 0.1 * (hi - lo)
+    best_vec, best_val = None, -math.inf
+    trace = []
+    for si, start in enumerate(starts):
+        vec = start.copy()
+        val = evaluate(vec)
+        step = step0
+        for _ in range(_SEARCH_HALVINGS + 1):
+            improved = True
+            while improved:
+                improved = False
+                best_move, best_move_val = None, val
+                for k in range(vec.size):
+                    for sign in (1.0, -1.0):
+                        cand = vec.copy()
+                        cand[k] += sign * step
+                        cand_val = evaluate(cand)
+                        if cand_val > best_move_val + 1e-15:
+                            best_move, best_move_val = cand, cand_val
+                if best_move is not None:
+                    vec, val = best_move, best_move_val
+                    improved = True
+            step *= 0.5
+        trace.append({"start": si, "value": val})
+        if val > best_val + 1e-12:
+            best_vec, best_val = vec, val
+    if best_vec is None or not math.isfinite(best_val):
+        raise EmptyWeightError("no starting policy produced usable weights")
+    policy = fp.LinearPolicy(theta=best_vec[1:], intercept=float(best_vec[0]),
+                             clip_lo=lo, clip_hi=hi)
+    return fp.PolicySearchResult(policy=policy, value=float(best_val),
+                                 trace=trace, starts=len(starts))

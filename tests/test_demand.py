@@ -513,6 +513,42 @@ def test_record_table_rows_round_trip():
     assert row.X.tolist() == [[4.0, 1.0]]
 
 
+def _covariate_table(X):
+    n = len(X)
+    return fp.RecordTable.from_arrays(
+        [f"r{i}" for i in range(n)], ["a"] * n, np.asarray(X, dtype=float),
+        np.full((n, 5), np.nan), np.zeros((n, 5), dtype=bool), str)
+
+
+@given(n=st.integers(0, 40), k=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_strata_match_np_unique_and_keep_each_first_record(n, k, seed):
+    # the sorted rows and every record's index are np.unique's; a stratum
+    # whose records mix -0.0 and 0.0 takes its first record's spelling
+    X = np.random.default_rng(seed).choice([-0.0, 0.0, 0.5, -1.5, 2.0],
+                                           size=(n, k))
+    rows, row_of = _covariate_table(X).strata
+    want_rows, want_row_of = np.unique(X, axis=0, return_inverse=True)
+    assert rows.shape == want_rows.shape and (rows == want_rows).all()
+    assert row_of.dtype == np.intp
+    assert row_of.tolist() == want_row_of.reshape(-1).tolist()
+    for s in range(len(rows)):
+        first = X[np.flatnonzero(row_of == s)[0]]
+        assert rows[s].view(np.uint64).tolist() == first.view(np.uint64).tolist()
+
+
+def test_strata_spell_a_signed_zero_as_the_first_record_does():
+    X = [[0.0, 1.0], [-0.0, 1.0], [-0.0, 0.0], [0.0, -0.0]]
+    rows, row_of = _covariate_table(X).strata
+    assert [str(tuple(r)) for r in rows.tolist()] == ["(-0.0, 0.0)",
+                                                      "(0.0, 1.0)"]
+    assert row_of.tolist() == [1, 1, 0, 0]
+    rows, _ = _covariate_table(X[::-1]).strata
+    assert [str(tuple(r)) for r in rows.tolist()] == ["(0.0, -0.0)",
+                                                      "(-0.0, 1.0)"]
+
+
 def test_model_dict_round_trip():
     models = [
         _linear_model(),

@@ -1,0 +1,286 @@
+"""Kernel OPE on one per-log context, checked against the loops it replaced.
+
+``ope_bootstrap_se`` prices the log once and gathers each resample;
+``optimize_linear_policy`` prices each distinct covariate row once per
+candidate. Both must give the bits of the take-based bootstrap and the
+per-candidate ``ope_value`` search in ``tests/oracles.py``. A log that no
+resample or candidate can use fails when the context is built, with the
+error class and CLI ``error_code`` pinned here.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fairprice as fp
+from fairprice.cli import main
+
+from oracles import candidate_policy_search, take_bootstrap_se
+from tables import record_table
+
+LEVELS = (0.8, 1.2, 1.6, 2.0)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(fn):
+    """What ``fn`` returns, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except fp.FairPriceError as exc:
+        return type(exc), str(exc)
+
+
+def _rows(X, groups, price, demand, weight=None):
+    return [dict(id=f"r{i}", group=g, covariates=x, price=p, demand=d,
+                 weight=None if weight is None else weight[i])
+            for i, (x, g, p, d) in enumerate(zip(X, groups, price, demand))]
+
+
+@st.composite
+def _cases(draw):
+    """``(log, config, policy)``: a log of 4-30 records over one or two
+    covariates drawn with signed zeros, in two groups, logged at two to four
+    price levels (often all but one record at one level, so that many
+    resamples tie), with unit or non-unit weights; a config with a bandwidth
+    narrow enough to leave kernel windows empty or not, empirical or given
+    level masses, self-normalized or not; and a constant, group, tabular or
+    linear policy that prices every record."""
+    n, k = draw(st.integers(4, 30)), draw(st.integers(1, 2))
+    X = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]),
+                               min_size=k, max_size=k), min_size=n, max_size=n))
+    groups = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=2, max_size=4,
+                           unique=True))
+    if draw(st.booleans()):
+        price = [levels[0]] * n
+        price[draw(st.integers(0, n - 1))] = levels[1]
+    else:
+        price = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        price[0], price[1] = levels[0], levels[1]
+    demand = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = rng.uniform(0.25, 4.0, n).tolist() if draw(st.booleans()) else None
+    log = record_table(_rows(X, groups, price, demand, weight))
+
+    masses = None
+    if draw(st.booleans()):
+        masses = {lvl: float(m) for lvl, m in zip(
+            LEVELS, rng.uniform(0.1, 1.0, len(LEVELS)))}
+    config = fp.OPEConfig(bandwidth=draw(st.sampled_from([0.02, 0.1, 0.3, 0.7])),
+                          level_masses=masses,
+                          self_normalize=draw(st.booleans()))
+
+    kind = draw(st.sampled_from(["constant", "group", "tabular", "linear"]))
+    if kind == "constant":
+        policy = fp.ConstantPolicy(float(draw(st.sampled_from(
+            LEVELS + (1.0, 1.45)))))
+    elif kind == "group":
+        policy = fp.GroupPolicy(prices={"a": float(rng.uniform(0.8, 2.0)),
+                                        "b": draw(st.sampled_from(LEVELS))})
+    elif kind == "tabular":
+        support = np.unique(log.X, axis=0)
+        table = {(i, None): float(rng.uniform(0.8, 2.0))
+                 for i in range(len(support))}
+        table.update({(i, "b"): draw(st.sampled_from(LEVELS))
+                      for i in range(0, len(support), 2)})
+        policy = fp.TabularPolicy(support=support, table=table)
+    else:
+        policy = fp.LinearPolicy(theta=rng.normal(0.0, 0.5, k),
+                                 intercept=float(rng.uniform(0.8, 2.0)),
+                                 clip_lo=0.8, clip_hi=2.0)
+    return log, config, policy
+
+
+@given(case=_cases(), n_boot=st.integers(2, 12), seed=st.integers(0, 2**16))
+@settings(max_examples=200)
+def test_bootstrap_matches_the_take_based_oracle(case, n_boot, seed):
+    log, config, policy = case
+
+    def bits(fn):
+        got = _outcome(fn)
+        return got if isinstance(got, tuple) else _bits(got)
+
+    assert bits(lambda: fp.ope_bootstrap_se(log, policy, config, n_boot, seed)) \
+        == bits(lambda: take_bootstrap_se(log, policy, config, n_boot, seed))
+
+
+@given(case=_cases(), n_starts=st.integers(1, 5), seed=st.integers(0, 2**16),
+       clip=st.sampled_from([(None, None), (0.5, 2.5), (1.0, 1.5)]))
+@settings(max_examples=40)
+def test_policy_search_matches_the_per_candidate_oracle(case, n_starts, seed,
+                                                        clip):
+    log, config, _ = case
+
+    def bits(search):
+        got = _outcome(lambda: search(log, config, *clip, n_starts=n_starts,
+                                      seed=seed))
+        if isinstance(got, tuple):
+            return got
+        p = got.policy
+        return (_bits(got.value), got.starts,
+                [(row["start"], _bits(row["value"])) for row in got.trace],
+                [_bits(v) for v in p.theta], _bits(p.intercept),
+                p.clip_lo, p.clip_hi)
+
+    assert bits(fp.optimize_linear_policy) == bits(candidate_policy_search)
+
+
+def _market_log(n=600, seed=4):
+    """``n`` logged records over two discrete covariates: 6 strata."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.choice([0.0, 1.0], n), rng.choice([0.0, 1.0, 2.0], n)])
+    price = rng.choice(LEVELS, n)
+    demand = (rng.random(n) < 1.6 - 0.5 * price + 0.1 * X[:, 0]).astype(float)
+    return record_table(_rows(X, rng.choice(["a", "b"], n), price, demand))
+
+
+def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
+        monkeypatch):
+    # a later edit that goes back to pricing every record per candidate or
+    # per resample shows here, though its outputs would not change
+    log = _market_log()
+    sizes, price_batch = [], fp.LinearPolicy.price_batch
+
+    def counted(self, X, g, groups):
+        sizes.append(len(X))
+        return price_batch(self, X, g, groups)
+
+    monkeypatch.setattr(fp.LinearPolicy, "price_batch", counted)
+    fp.optimize_linear_policy(log, n_starts=2, seed=1)
+    assert len(log.strata[0]) == 6
+    assert len(sizes) > 20 and max(sizes) <= len(log.strata[0])
+    sizes.clear()
+    policy = fp.LinearPolicy(theta=[0.4, 0.1], intercept=1.2, clip_lo=0.8,
+                             clip_hi=2.0)
+    fp.ope_bootstrap_se(log, policy, n_boot=40)
+    assert sizes == [len(log)]
+
+
+# -- errors: raised when the context is built, with their CLI error_code -----
+
+
+def _tie_log(prices=(1, 1, 1, 1, 1, 2)):
+    return record_table(_rows([[0.0]] * len(prices), "a" * len(prices), prices,
+                              [1, 0, 1, 1, 0, 1][:len(prices)]))
+
+
+def _all_tie_seed(log, n_boot):
+    """The first seed whose ``n_boot`` resamples of ``log`` each log one
+    price, on the bootstrap's own ``rng.integers`` stream."""
+    n = len(log)
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        if all(np.ptp(log.price[rng.integers(0, n, size=n)]) == 0.0
+               for _ in range(n_boot)):
+            return seed
+    raise AssertionError("no seed found")
+
+
+# prices the covariate 0.0 at the logged price 1.0, where a kernel of width
+# 1e-308 overflows
+_LINEAR = fp.LinearPolicy(theta=[0.3], intercept=1.0, clip_lo=0.8, clip_hi=2.0)
+_ALL = {
+    "value": lambda log, policy, config: fp.ope_value(log, policy, config),
+    "diagnostics": lambda log, policy, config: fp.ope_weight_diagnostics(
+        log, policy, config),
+    "bootstrap": lambda log, policy, config: fp.ope_bootstrap_se(
+        log, policy, config, n_boot=20),
+    "search": lambda log, policy, config: fp.optimize_linear_policy(
+        log, config, n_starts=2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ALL))
+@pytest.mark.parametrize("case, error, message", [
+    ("no_variation", fp.MissingFieldError, "carry no variation"),
+    ("no_mass", fp.MissingFieldError, "logged price 2 has no behavior mass"),
+    ("overflow", fp.MissingFieldError, "bandwidth 1e-308 is too narrow"),
+])
+def test_a_log_no_estimate_can_use_fails_in_every_entry_point(entry, case,
+                                                              error, message):
+    log, config = _tie_log(), fp.OPEConfig(bandwidth=0.5)
+    if case == "no_variation":
+        log = _tie_log((1.2,) * 6)
+    elif case == "no_mass":
+        config = fp.OPEConfig(bandwidth=0.5, level_masses={1.0: 0.5})
+    else:
+        config = fp.OPEConfig(bandwidth=1e-308)
+    with pytest.raises(error, match=message) as info:
+        _ALL[entry](log, _LINEAR, config)
+    assert info.value.code == "missing_field"
+
+
+def _unpriced_log():
+    """The last record is in group b at covariate 1.0: the group policies
+    below have no price for it, and it is off the tabular support."""
+    return record_table(_rows([[0.0]] * 5 + [[1.0]], "aaaaab",
+                              [1, 1, 2, 2, 1, 2], [1, 0, 1, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("entry", ["value", "diagnostics", "bootstrap"])
+@pytest.mark.parametrize("policy, error, code", [
+    (fp.GroupPolicy(prices={"a": 1.2}), fp.UnknownGroupError, "unknown_group"),
+    (fp.TabularPolicy(support=[[0.0]], table={(0, None): 1.2}),
+     fp.DimensionMismatchError, "dimension_mismatch"),
+])
+def test_an_unpriceable_row_fails_before_any_resample(entry, policy, error,
+                                                      code):
+    with pytest.raises(error) as info:
+        _ALL[entry](_unpriced_log(), policy, fp.OPEConfig(bandwidth=0.5))
+    assert info.value.code == code
+
+
+def test_a_bootstrap_without_two_usable_resamples_fails():
+    log, config = _tie_log(), fp.OPEConfig(bandwidth=0.5)
+    # every resample ties
+    with pytest.raises(fp.EmptyWeightError, match="no usable resamples"):
+        fp.ope_bootstrap_se(log, fp.ConstantPolicy(1.2), config, n_boot=3,
+                            seed=_all_tie_seed(log, 3))
+    # every kernel window is empty
+    with pytest.raises(fp.EmptyWeightError,
+                       match="no usable resamples") as info:
+        fp.ope_bootstrap_se(log, fp.ConstantPolicy(12.0), config, n_boot=20)
+    assert info.value.code == "empty_weights"
+
+
+def _run_ope(tmp_path, capsys, log, policy, *flags):
+    records = tmp_path / "records.csv"
+    fp.write_records_csv(records, log)
+    target = ["--search"]
+    if policy is not None:
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(fp.policy_to_dict(policy)))
+        target = ["--policy", str(path)]
+    out = tmp_path / "out"
+    code = main(["ope", "--records", str(records), *target, *flags,
+                 "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert not (out / "ope.json").exists()
+    return code, err
+
+
+@pytest.mark.parametrize("case, policy, flags, code", [
+    ("no_variation", None, [], "missing_field"),
+    ("no_variation", fp.ConstantPolicy(1.2), [], "missing_field"),
+    ("overflow", None, ["--bandwidth", "1e-308"], "missing_field"),
+    ("unpriced", fp.GroupPolicy(prices={"a": 1.2}), [], "unknown_group"),
+    ("unpriced", fp.TabularPolicy(support=[[0.0]], table={(0, None): 1.2}),
+     [], "dimension_mismatch"),
+    ("empty", fp.ConstantPolicy(12.0), [], "empty_weights"),
+    ("ties", fp.ConstantPolicy(1.2), ["--n-boot", "3"], "empty_weights"),
+])
+def test_ope_error_codes(tmp_path, capsys, case, policy, flags, code):
+    log = (_tie_log((1.2,) * 6) if case == "no_variation"
+           else _unpriced_log() if case == "unpriced" else _tie_log())
+    if case == "ties":
+        flags = flags + ["--seed", str(_all_tie_seed(log, 3))]
+    status, err = _run_ope(tmp_path, capsys, log, policy, "--bandwidth", "0.5",
+                           *flags)
+    assert status == 2, err
+    assert f"error_code={code}" in err
