@@ -461,8 +461,7 @@ def attribute_gap_decomposition(model, population, x_index: int, group: str,
     if isinstance(model, PartiallyLinearDemand):
         raise DecompositionError(
             "attribute gap decomposition needs a curved demand family")
-    if population.support is None or population.membership is None:
-        raise MissingFieldError("population needs a support with membership")
+    population.joint_weights()  # MissingSupportError without a support
     x = population.support[x_index]
     mixture = {g: float(population.membership[x_index, k])
                for k, g in enumerate(population.groups)}

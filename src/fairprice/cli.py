@@ -286,12 +286,9 @@ def _parity_solver(mode: str):
 
 def _share_solution(model, population, args):
     """Share-subsidized prices per support cell, with realized disparity."""
-    if population.support is None or population.membership is None:
-        raise MissingFieldError(
-            "share pricing needs a population with a discrete support")
+    groups, n = population.groups, len(population.joint_weights())
     penalty = SharePenalty(weight=args.share_lambda, scope=args.scope,
                            group=args.group)
-    groups, n = population.groups, len(population.support)
     ell = [penalty.effective(population.rho, g) for g in groups]
     prices = share_prices(model, population.support.repeat(len(groups), 0),
                           list(range(len(groups))) * n, groups, ell * n)
@@ -398,6 +395,7 @@ def _cmd_sweep(args) -> int:
         json_rows = [dict(zip(header, row)) for row in rows]
         parameters = {"kind": "parity", "mode": args.mode, "grid": grid}
     else:
+        population.joint_weights()  # a population file carries no records
         json_rows = share_frontier(model, population, grid,
                                    scope=args.scope, group=args.group)
         header = ("weight", "group", "price_mean", "access", "revenue")
@@ -445,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="records CSV path")
     p.add_argument("--model", choices=("logistic", "linear"), required=True)
     p.add_argument("--allow-upward", action="store_true",
-                   help="accept a nonnegative fitted price slope")
+                   help="accept a nonnegative fitted price slope (linear fits "
+                        "only: a logistic one always exits 3)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("price", parents=[common],

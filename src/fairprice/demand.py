@@ -545,12 +545,21 @@ class PartiallyLinearDemand:
     def __post_init__(self):
         if self.baseline_form not in ("linear", "table"):
             raise InvalidRecordError(f"unknown baseline form {self.baseline_form!r}")
-        for g, b in self.beta.items():
+        for g in self.beta:
             if g not in self.baseline:
                 raise UnknownGroupError(f"baseline missing group {g!r}")
-            if b >= 0.0 and not self.allow_upward:
+            if not self.allow_upward:
+                self.downward_slopes([g])
+
+    def downward_slopes(self, groups) -> np.ndarray:
+        """The price slopes of ``groups``, in order: UnknownGroupError for a
+        group without one, UpwardSlopeError for one that is not negative."""
+        slopes = self._slopes(np.arange(len(groups)), tuple(groups))
+        for g, b in zip(groups, slopes.tolist()):
+            if not b < 0.0:
                 raise UpwardSlopeError(
                     f"group {g!r}: price slope {b:g} is not negative")
+        return slopes
 
     def baseline_rows(self, X, g, groups) -> np.ndarray:
         """``dbar(x, a)`` of every row of ``X``."""
@@ -603,7 +612,7 @@ class LogisticDemand:
     """Take-up probability ``sigmoid(gamma . x + beta * p + intercept)``.
 
     The kernels take ``g`` and ``groups`` like the other families and ignore
-    them."""
+    them. ``beta`` must be negative: demand falls in price."""
 
     gamma: np.ndarray
     beta: float
@@ -613,6 +622,9 @@ class LogisticDemand:
         self.gamma = np.asarray(self.gamma, dtype=float).reshape(-1)
         self.beta = float(self.beta)
         self.intercept = float(self.intercept)
+        if not self.beta < 0.0:
+            raise UpwardSlopeError(
+                f"logistic price slope {self.beta:g} is not negative")
 
     def _sigmoid(self, X, p) -> np.ndarray:
         p = _check_price(self, p)
@@ -637,7 +649,8 @@ class LatentValuationModel:
 
     ``loc`` maps group -> (intercept, coefficient vector). The noise family
     must be one of the log-concave families in ``NOISE_FAMILIES`` so revenue
-    under the implied demand curve is well behaved.
+    under the implied demand curve is well behaved, at a finite positive
+    ``scale``.
     """
 
     loc: dict
@@ -649,8 +662,8 @@ class LatentValuationModel:
             raise InvalidRecordError(
                 f"unknown noise family {self.noise!r}; "
                 f"choose from {sorted(NOISE_FAMILIES)}")
-        if not (self.scale > 0.0):
-            raise InvalidRecordError("noise scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise InvalidRecordError("noise scale must be positive and finite")
         self.scale = float(self.scale)
 
     @property
@@ -767,8 +780,8 @@ def fit_logistic(records: RecordTable):
     The price enters as one more covariate; coefficients are reported as
     (gamma, beta, intercept). Raises PerfectSeparationError when the
     likelihood is unbounded, SingularDesignError when some coefficient is
-    unidentified, and ConvergenceError (with the final gradient norm) when
-    the iteration cap is hit.
+    unidentified, ConvergenceError (with the final gradient norm) when the
+    iteration cap is hit, and UpwardSlopeError for a price slope >= 0.
 
     Returns
     -------
@@ -844,10 +857,10 @@ def fit_logistic(records: RecordTable):
 def fit_partially_linear(records: RecordTable, allow_upward=False):
     """Per-group least squares of demand on (price, covariates, intercept).
 
-    A fitted nonnegative price slope raises UpwardSlopeError unless the
-    caller explicitly opts in with ``allow_upward`` (the returned model then
-    carries the override flag). Groups with rank-deficient designs, e.g. no
-    price variation, raise SingularDesignError.
+    Groups with rank-deficient designs, e.g. no price variation, raise
+    SingularDesignError. The model's constructor then raises UpwardSlopeError
+    for a nonnegative fitted price slope unless the caller explicitly opts in
+    with ``allow_upward`` (the returned model carries the override flag).
     """
     table = records.require("price", "demand")
     y, w = table.demand, table.weight
@@ -865,12 +878,7 @@ def fit_partially_linear(records: RecordTable, allow_upward=False):
         if rank < Xg.shape[1]:
             raise SingularDesignError(
                 f"group {g!r}: rank-deficient design ({rank} < {Xg.shape[1]})")
-        slope = float(coef[0])
-        if slope >= 0.0 and not allow_upward:
-            raise UpwardSlopeError(
-                f"group {g!r}: fitted price slope {slope:.6g} is not negative; "
-                "demand must fall in price")
-        beta[g] = slope
+        beta[g] = float(coef[0])
         baseline[g] = (float(coef[-1]), np.asarray(coef[1:-1], dtype=float))
         resid = yg - Xg @ coef
         rss[g] = float(w[rows] @ resid ** 2)

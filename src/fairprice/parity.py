@@ -29,7 +29,6 @@ from .errors import (
     PreconditionError,
     UnenforceableConstraintError,
     UnknownGroupError,
-    UpwardSlopeError,
 )
 from .policies import TabularPolicy, table_rows
 
@@ -98,26 +97,32 @@ class ParitySolution:
         }
 
 
-def _check_parity_inputs(model, population, gamma):
+def _two_group_joint(population) -> np.ndarray:
+    """The joint weights of a population of two groups of positive prior."""
+    joint = population.joint_weights()
+    if len(population.groups) != 2:
+        raise PreconditionError(
+            f"parity compares exactly two groups, got {len(population.groups)}")
+    for g in population.groups:
+        if not population.rho[g] > 0.0:
+            raise PreconditionError(f"group {g!r} needs a positive prior")
+    return joint
+
+
+def _check_parity_inputs(model, population, gamma, shared=None):
+    """``gamma`` as a float once the inputs are checked; with ``shared``, the
+    name of a result that needs it, the two groups must share one slope."""
     if not isinstance(model, PartiallyLinearDemand):
         raise PreconditionError(
             "closed-form parity pricing needs partially linear demand")
-    if population.support is None or population.membership is None:
-        raise MissingSupportError(
-            "parity solvers need a discrete support with membership probabilities")
-    if len(population.groups) != 2:
-        raise PreconditionError(
-            f"parity solvers handle exactly two groups, got {len(population.groups)}")
+    _two_group_joint(population)
     gamma = float(gamma)
     if math.isnan(gamma) or gamma < 0.0:
         raise MissingFieldError("gamma must be a nonnegative number or infinity")
-    for g in population.groups:
-        if g not in model.beta:
-            raise UnknownGroupError(f"model has no slope for group {g!r}")
-        if model.beta[g] >= 0.0:
-            raise UpwardSlopeError(f"group {g!r}: price slope must be negative")
-        if not (population.rho.get(g, 0.0) > 0.0):
-            raise PreconditionError(f"group {g!r} needs a positive prior")
+    beta = model.downward_slopes(population.groups)
+    if shared and abs(beta[0] - beta[1]) > 1e-12:
+        raise PreconditionError(
+            f"{shared} needs a price slope shared across groups")
     return gamma
 
 
@@ -219,11 +224,7 @@ def expected_revenue(policy, model, population) -> float:
 
 def policy_disparity(policy, population) -> float:
     """Mean offered price gap E[P | first group] - E[P | second group]."""
-    if population.support is None or population.membership is None:
-        raise MissingSupportError("disparity over a policy needs a support")
-    if len(population.groups) != 2:
-        raise PreconditionError("policy disparity is defined for two groups")
-    joint = population.joint_weights()
+    joint = _two_group_joint(population)
     n = population.support.shape[0]
     means = []
     for k in range(len(population.groups)):
@@ -245,12 +246,8 @@ def revenue_loss_bound(model: PartiallyLinearDemand,
     demand with a shared slope the two coincide.
     """
     gamma = math.inf
-    _check_parity_inputs(model, population, gamma)
-    betas = [model.beta[g] for g in population.groups]
-    if abs(betas[0] - betas[1]) > 1e-12:
-        raise PreconditionError(
-            "revenue loss bound needs a price slope shared across groups")
-    beta = betas[0]
+    _check_parity_inputs(model, population, gamma, "revenue loss bound")
+    beta = model.beta[population.groups[0]]
     based = solve_attribute_based_parity(model, population, gamma)
     blind = solve_attribute_blind_parity(model, population, gamma)
     actual = (expected_revenue(based.policy(), model, population)
@@ -330,17 +327,13 @@ def compare_parity_modes(model: PartiallyLinearDemand,
     zero cap and the per-group sign of ``p_based(x, g) - p_blind(x)`` is both
     predicted from the multipliers and measured directly.
     """
-    _check_parity_inputs(model, population, 0.0)
+    _check_parity_inputs(model, population, 0.0, "mode comparison")
     groups = population.groups
+    beta = model.beta[groups[0]]
     support = population.support
     if not (0 <= x_index < support.shape[0]):
         raise MissingSupportError(
             f"support index {x_index} out of range 0..{support.shape[0] - 1}")
-    betas = [model.beta[g] for g in groups]
-    if abs(betas[0] - betas[1]) > 1e-12:
-        raise PreconditionError(
-            "mode comparison needs a price slope shared across groups")
-    beta = betas[0]
     dbar_xa = _dbar_matrix(model, population)
     if float(np.max(np.abs(dbar_xa[:, 0] - dbar_xa[:, 1]))) > 1e-9:
         raise PreconditionError(
@@ -409,7 +402,6 @@ def compare_parity_modes(model: PartiallyLinearDemand,
 
 def most_group_leaning_index(population: Population, group: str) -> int:
     """Support index whose membership tilts most toward ``group``."""
-    if population.membership is None:
-        raise MissingSupportError("population has no membership matrix")
+    population.joint_weights()  # MissingSupportError without a support
     k = population.group_index(group)
     return int(np.argmax(population.membership[:, k]))

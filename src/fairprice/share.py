@@ -99,17 +99,14 @@ def share_prices(model, X, g, groups, ell) -> np.ndarray:
 def _share_rows(model, X, g, groups, ell) -> np.ndarray:
     if isinstance(model, PartiallyLinearDemand):
         dbar, beta = model.baseline_rows(X, g, groups), model._slopes(g, groups)
-        if np.any(beta >= 0.0):
-            raise PreconditionError("price slope must be negative")
+        model.downward_slopes([groups[j] for j in np.unique(g)])
         return -dbar / (2.0 * beta) - ell / 2.0
     # np.where(b > a, b, a) is Python's max(a, b), on ties of +-0 and NaN too
     if isinstance(model, LatentValuationModel):
         center, spread = model.location_rows(X, g, groups), model.scale
     elif isinstance(model, LogisticDemand):
-        spread, center = 1.0, np.zeros(len(ell))
-        if model.beta != 0.0:
-            spread = 1.0 / abs(model.beta)
-            center = -(_row_dots(X, model.gamma) + model.intercept) / model.beta
+        spread = 1.0 / abs(model.beta)
+        center = -(_row_dots(X, model.gamma) + model.intercept) / model.beta
         center = np.where(0.0 > center, 0.0, center)
     else:
         raise PreconditionError(f"unsupported model {type(model).__name__}")

@@ -51,7 +51,6 @@ import numpy as np
 from .demand import (
     CSV_LEADING_COLUMNS,
     CSV_TRAILING_COLUMNS,
-    NOISE_FAMILIES,
     LatentValuationModel,
     LogisticDemand,
     Population,
@@ -61,6 +60,7 @@ from .demand import (
 from .errors import (
     ConfigError,
     EmptyWeightError,
+    FairPriceError,
     InvalidRecordError,
     MissingFieldError,
 )
@@ -220,6 +220,14 @@ class ScenarioConfig:
                     f"{key}: expected a finite number, got {text_value!r}",
                     lines.get(key)) from None
 
+        def at_line(key, check):
+            """``check()``, which builds a model from the value of ``key``
+            alone: the model's own error is raised at the line of ``key``."""
+            try:
+                check()
+            except FairPriceError as exc:
+                raise ConfigError(f"{key}: {exc}", lines.get(key)) from None
+
         try:
             n = int(take("n", required=True))
         except ValueError:
@@ -283,12 +291,9 @@ class ScenarioConfig:
 
         if kind == "latent":
             noise = take("noise", "logistic")
-            if noise not in NOISE_FAMILIES:
-                raise ConfigError(f"unknown noise family {noise!r}; choose from "
-                                  f"{sorted(NOISE_FAMILIES)}", lines.get("noise"))
+            at_line("noise", lambda: LatentValuationModel({}, noise))
             scale = as_float("scale", take("scale", "1"))
-            if not scale > 0.0:
-                raise ConfigError("scale must be positive", lines.get("scale"))
+            at_line("scale", lambda: LatentValuationModel({}, scale=scale))
             loc = {}
             for g in groups:
                 loc_icpt = take(f"loc.{g}.intercept", required=True)
@@ -297,8 +302,7 @@ class ScenarioConfig:
             model = LatentValuationModel(loc=loc, noise=noise, scale=scale)
         else:
             beta = as_float("beta", take("beta", required=True))
-            if beta >= 0:
-                raise ConfigError("beta must be negative", lines.get("beta"))
+            at_line("beta", lambda: LogisticDemand([], beta))
             intercept = as_float("intercept", take("intercept", "0"))
             model = LogisticDemand(gamma=coef_vector("gamma."), beta=beta,
                                    intercept=intercept)

@@ -717,9 +717,13 @@ def test_share_subsidy_for_unknown_group_exits_2(tmp_path, sim_dir, capsys,
     assert "'zz'" in err
 
 
-@pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
-                                     ["price", "--share-lambda"]],
-                         ids=["sweep", "price"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--kind", "share", "--grid", "0.5", "--scope", "group",
+     "--group", "b"],
+    ["price", "--share-lambda", "0.5", "--scope", "group", "--group", "b"],
+    # population scope: the realized disparity needs both groups' priors
+    ["price", "--share-lambda", "0.5"],
+], ids=["sweep", "price", "price_population_scope"])
 def test_share_subsidy_for_a_group_of_zero_prior_exits_2(tmp_path, capsys,
                                                          command):
     model = fp.LatentValuationModel(loc={g: (2.0, [0.5]) for g in "ab"})
@@ -729,13 +733,98 @@ def test_share_subsidy_for_a_group_of_zero_prior_exits_2(tmp_path, capsys,
     model_path.write_text(json.dumps(fp.model_to_dict(model)))
     pop_path.write_text(json.dumps(fp.population_to_dict(pop)))
     out = tmp_path / "o"
-    code = main(command + ["0.5", "--scope", "group", "--group", "b",
-                           "--model", str(model_path), "--population",
+    code = main(command + ["--model", str(model_path), "--population",
                            str(pop_path), "--out-dir", str(out), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
     assert "error_code=precondition" in err
     assert "'b' needs a positive prior" in err
+
+
+def _rising_takeup_log(path):
+    """400 records whose binary take-up rises with price, in both groups."""
+    import numpy as np
+
+    rng = np.random.default_rng(4)
+    price, x = rng.uniform(0.5, 2.5, 400), rng.normal(size=400)
+    buy = rng.random(400) < expit(-1.0 + 1.2 * price + 0.3 * x)
+    fp.write_records_csv(path, record_table(
+        dict(id=f"r{i}", group="ab"[i % 2], covariates=[x[i]],
+             price=price[i], demand=float(buy[i])) for i in range(400)))
+
+
+_GOOD_POPULATION = fp.population_to_dict(fp.Population(
+    groups=("a", "b"), support=[[0.0], [1.0]], masses=[0.5, 0.5],
+    membership=[[0.6, 0.4], [0.3, 0.7]]))
+_GOOD_MODEL = {"kind": "partially_linear", "beta": {"a": -1.0, "b": -0.8},
+               "baseline": {g: {"intercept": 2.0, "coefs": [0.3]}
+                            for g in "ab"}}
+_PRICING = [["price", "--gamma", "0.1"], ["price", "--share-lambda", "0.3"],
+            ["sweep", "--kind", "parity", "--grid", "0.1"],
+            ["sweep", "--kind", "share", "--grid", "0.3"]]
+# fault -> (model, population, fit commands, exit status, error code); a
+# population-scope share sweep never needs a group's prior, so it does not
+# meet a zero prior (test_share_subsidy_for_a_group_of_zero_prior_exits_2
+# has the group-scope cases)
+_FAULTS = {
+    "upward_linear": (
+        dict(_GOOD_MODEL, beta={"a": -1.0, "b": 0.5}, allow_upward=True),
+        _GOOD_POPULATION, [["fit", "--model", "linear"]], 3, "upward_slope"),
+    "upward_logistic": (
+        {"kind": "logistic", "gamma": [0.5], "beta": 0.7, "intercept": 0.2},
+        _GOOD_POPULATION, [["fit", "--model", "logistic"],
+                           ["fit", "--model", "linear"]], 3, "upward_slope"),
+    "no_support": (
+        _GOOD_MODEL, {"groups": ["a", "b"], "rho": {"a": 0.5, "b": 0.5}},
+        [], 2, "missing_support"),
+    "zero_prior": (
+        _GOOD_MODEL, dict(_GOOD_POPULATION, membership=[[1.0, 0.0]] * 2,
+                          rho=None), [], 2, "precondition"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_each_pricing_fault_ends_alike_in_every_command(tmp_path, capsys,
+                                                         fault):
+    model, population, fits, status, error_code = _FAULTS[fault]
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "pop")}
+    paths["model"].write_text(json.dumps(model))
+    paths["pop"].write_text(json.dumps(population))
+    _rising_takeup_log(tmp_path / "records.csv")
+    commands = [c + ["--records", str(tmp_path / "records.csv")]
+                for c in fits]
+    commands += [c + ["--model", str(paths["model"]),
+                      "--population", str(paths["pop"])]
+                 for c in (_PRICING[:3] if fault == "zero_prior"
+                           else _PRICING)]
+    ends = set()
+    for k, command in enumerate(commands):
+        out = tmp_path / f"o{k}"
+        code = main(command + ["--out-dir", str(out), "--quiet"])
+        tokens = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error_code=")]
+        ends.add((code, *tokens))
+        assert not out.exists() or not any(out.iterdir()), command
+    assert ends == {(status, f"error_code={error_code}")}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+def test_logistic_model_file_with_a_rising_slope_exits_3(tmp_path, sim_dir,
+                                                         capsys, beta,
+                                                         command):
+    model_path, policy_path = tmp_path / "model.json", tmp_path / "pol.json"
+    model_path.write_text(json.dumps({"kind": "logistic", "gamma": [0.5],
+                                      "beta": beta, "intercept": 0.2}))
+    policy_path.write_text(json.dumps(fp.policy_to_dict(
+        fp.ConstantPolicy(1.0))))
+    extra = (["--kind", "share", "--grid", "0.3"] if command == "sweep"
+             else ["--policy", str(policy_path)])
+    code = main([command, "--model", str(model_path), "--population",
+                 str(sim_dir / "population.json"), "--out-dir",
+                 str(tmp_path / "o"), "--quiet"] + extra)
+    assert code == 3
+    assert "error_code=upward_slope" in capsys.readouterr().err
 
 
 def test_share_price_with_a_logistic_model_of_other_width_exits_2(
@@ -791,8 +880,9 @@ def test_version_flag(capsys):
      "covariate.x1 = choice(0:nan, 1:nan)", 4),
     ("noise = logistic", "noise = bogus", 8),
     ("scale = 0.4", "scale = 0", 9),
+    ("demand = latent\nnoise = logistic", "demand = logistic\nbeta = 0.5", 8),
 ], ids=["nan_price_level", "negative_choice_prob", "nan_choice_probs",
-        "unknown_noise", "zero_scale"])
+        "unknown_noise", "zero_scale", "nonnegative_logistic_beta"])
 def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
                                                       new, line):
     path = tmp_path / "scenario.txt"

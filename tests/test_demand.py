@@ -78,6 +78,31 @@ def test_upward_slope_rejected_at_construction():
                                  baseline={"a": (1.0, np.array([]))})
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: fp.LatentValuationModel(loc={"a": (1.0, [])}, scale=np.inf),
+     fp.InvalidRecordError),
+    (lambda: fp.LatentValuationModel(loc={"a": (1.0, [])}, scale=np.nan),
+     fp.InvalidRecordError),
+    (lambda: fp.LogisticDemand(gamma=[0.5], beta=0.0), fp.UpwardSlopeError),
+    (lambda: fp.LogisticDemand(gamma=[0.5], beta=0.7), fp.UpwardSlopeError),
+], ids=["latent_inf_scale", "latent_nan_scale", "logistic_zero_beta",
+        "logistic_positive_beta"])
+def test_models_reject_invalid_parameters_at_construction(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_downward_slopes_name_the_offending_group():
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": 0.5},
+        baseline={g: (2.0, np.array([])) for g in "ab"}, allow_upward=True)
+    assert model.downward_slopes(["a"]).tolist() == [-1.0]
+    with pytest.raises(fp.UpwardSlopeError, match="group 'b'"):
+        model.downward_slopes(["a", "b"])
+    with pytest.raises(fp.UnknownGroupError, match="'zz'"):
+        model.downward_slopes(["zz"])
+
+
 def test_unknown_group_raises():
     m = _linear_model()
     with pytest.raises(fp.UnknownGroupError):

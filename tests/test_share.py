@@ -229,6 +229,17 @@ def test_degenerate_rows_raise_among_newton_rows():
         model, np.array([1.0]), "a", 0.3)
 
 
+def test_share_prices_name_a_later_rows_upward_group():
+    # only the second row's group slopes upward: the per-row retry raises
+    # that row's error, naming its group
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": 0.5},
+        baseline={g: (2.0, np.array([0.3])) for g in "ab"}, allow_upward=True)
+    with pytest.raises(fp.UpwardSlopeError, match="group 'b'"):
+        fp.share.share_prices(model, [[0.0], [1.0]], [0, 1], ("a", "b"),
+                              [0.0, 0.0])
+
+
 def test_share_solver_kernel_calls_do_not_grow_with_cells():
     """The share solver works on all cells at once: ten times the cells take
     about as many demand-kernel calls, not ten times as many."""
