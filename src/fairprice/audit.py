@@ -461,8 +461,7 @@ def attribute_gap_decomposition(model, population, x_index: int, group: str,
     if isinstance(model, PartiallyLinearDemand):
         raise DecompositionError(
             "attribute gap decomposition needs a curved demand family")
-    population.joint_weights()  # MissingSupportError without a support
-    x = population.support[x_index]
+    x = population.support_point(x_index)
     mixture = {g: float(population.membership[x_index, k])
                for k, g in enumerate(population.groups)}
     if interval is None:

@@ -430,6 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serialization of the primary output")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines on stdout")
+    pricing = argparse.ArgumentParser(add_help=False)
+    pricing.add_argument("--model", required=True, help="model JSON path")
+    pricing.add_argument("--population", required=True,
+                         help="population JSON path")
+    pricing.add_argument("--mode", choices=(ATTRIBUTE_BASED, ATTRIBUTE_BLIND),
+                         default=ATTRIBUTE_BASED,
+                         help="parity prices and sweeps only")
+    pricing.add_argument("--scope", choices=(POPULATION_SCOPE, GROUP_SCOPE),
+                         default=POPULATION_SCOPE,
+                         help="share prices and sweeps only")
+    pricing.add_argument("--group", default=None,
+                         help="share prices and sweeps: target group for "
+                              "group scope")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,13 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "only: a logistic one always exits 3)")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("price", parents=[common],
+    p = sub.add_parser("price", parents=[common, pricing],
                        help="solve parity-constrained or share-subsidized "
                             "prices on a support")
-    p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--population", required=True, help="population JSON path")
-    p.add_argument("--mode", choices=(ATTRIBUTE_BASED, ATTRIBUTE_BLIND),
-                   default=ATTRIBUTE_BASED)
     p.add_argument("--gamma", default=None,
                    help="parity cap (number or 'inf', default inf); "
                         "exclusive with --share-lambda")
@@ -461,10 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="price with a market-share subsidy of this weight "
                         "instead of a parity cap")
-    p.add_argument("--scope", choices=(POPULATION_SCOPE, GROUP_SCOPE),
-                   default=POPULATION_SCOPE, help="share pricing only")
-    p.add_argument("--group", default=None,
-                   help="share pricing: target group for group scope")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("audit", parents=[common],
@@ -496,18 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pattern-search starts (search mode)")
     p.set_defaults(func=_cmd_ope)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, pricing],
                        help="trace a constraint or subsidy frontier")
     p.add_argument("--kind", choices=("parity", "share"), default="parity")
-    p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--population", required=True, help="population JSON path")
     p.add_argument("--grid", required=True,
                    help="grid values: comma list or lo:hi:n")
-    p.add_argument("--mode", choices=(ATTRIBUTE_BASED, ATTRIBUTE_BLIND),
-                   default=ATTRIBUTE_BASED, help="parity sweeps only")
-    p.add_argument("--scope", choices=("population", "group"),
-                   default="population", help="share sweeps only")
-    p.add_argument("--group", default=None, help="share sweeps: target group")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

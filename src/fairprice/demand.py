@@ -299,10 +299,10 @@ class Population:
 
     ``support`` rows are covariate vectors with point masses ``masses`` and
     per-point group membership probabilities ``membership`` (rows sum to one).
-    The group priors ``rho`` must be the membership-weighted masses; they are
-    computed when omitted and validated when given. ``records``, a
-    RecordTable, are optional and used by record-level estimators; the
-    analytic solvers only touch the support.
+    The group priors ``rho``, keyed by exactly ``groups``, must be the
+    membership-weighted masses; they are computed when omitted and validated
+    when given. ``records``, a RecordTable, are optional and used by
+    record-level estimators; the analytic solvers only touch the support.
     """
 
     groups: tuple
@@ -317,6 +317,9 @@ class Population:
         self.groups = tuple(str(g) for g in self.groups)
         if len(set(self.groups)) != len(self.groups):
             raise InvalidRecordError("duplicate group labels")
+        if self.rho is not None and set(self.rho) != set(self.groups):
+            raise UnknownGroupError(f"rho names groups {list(self.rho)}, "
+                                    f"not exactly {list(self.groups)}")
         if self.rho is not None and not all(
                 math.isfinite(v) for v in self.rho.values()):
             raise InvalidRecordError("group priors must be finite")
@@ -347,13 +350,10 @@ class Population:
                     self.rho = {g: float(implied[k]) for k, g in enumerate(self.groups)}
                 else:
                     for k, g in enumerate(self.groups):
-                        if abs(self.rho.get(g, np.nan) - implied[k]) > 1e-7:
+                        if abs(self.rho[g] - implied[k]) > 1e-7:
                             raise InvalidRecordError(
                                 f"rho[{g}] inconsistent with support membership")
         if self.rho is not None:
-            missing = [g for g in self.groups if g not in self.rho]
-            if missing:
-                raise UnknownGroupError(f"rho missing groups {missing}")
             total = sum(self.rho[g] for g in self.groups)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidRecordError("group priors must sum to 1")
@@ -376,6 +376,15 @@ class Population:
             raise MissingSupportError(
                 "population has no discrete support with membership probabilities")
         return self.masses[:, None] * self.membership
+
+    def support_point(self, x_index: int) -> np.ndarray:
+        """The covariates of support point ``x_index``: MissingSupportError
+        without a support or for an index outside it."""
+        n = len(self.joint_weights())
+        if not 0 <= x_index < n:
+            raise MissingSupportError(
+                f"support index {x_index} out of range 0..{n - 1}")
+        return self.support[x_index]
 
     def cells(self) -> "Cells":
         """The population as weighted cells, one array per field.

@@ -25,7 +25,6 @@ import numpy as np
 from .demand import PartiallyLinearDemand, Population
 from .errors import (
     MissingFieldError,
-    MissingSupportError,
     PreconditionError,
     UnenforceableConstraintError,
     UnknownGroupError,
@@ -110,12 +109,14 @@ def _two_group_joint(population) -> np.ndarray:
 
 
 def _check_parity_inputs(model, population, gamma, shared=None):
-    """``gamma`` as a float once the inputs are checked; with ``shared``, the
-    name of a result that needs it, the two groups must share one slope."""
+    """The checked parity problem ``(gamma, joint, dbar, beta)``: ``gamma`` as
+    a float, the joint weights and ``dbar(x_i, g)`` of every support point and
+    group, and the group slopes. With ``shared``, the name of a result that
+    needs it, the two groups must share one slope."""
     if not isinstance(model, PartiallyLinearDemand):
         raise PreconditionError(
             "closed-form parity pricing needs partially linear demand")
-    _two_group_joint(population)
+    joint = _two_group_joint(population)
     gamma = float(gamma)
     if math.isnan(gamma) or gamma < 0.0:
         raise MissingFieldError("gamma must be a nonnegative number or infinity")
@@ -123,7 +124,7 @@ def _check_parity_inputs(model, population, gamma, shared=None):
     if shared and abs(beta[0] - beta[1]) > 1e-12:
         raise PreconditionError(
             f"{shared} needs a price slope shared across groups")
-    return gamma
+    return gamma, joint, _dbar_matrix(model, population), beta
 
 
 def _dbar_matrix(model, population) -> np.ndarray:
@@ -189,11 +190,9 @@ def solve_attribute_based_parity(model: PartiallyLinearDemand,
     multiplier follows in closed form from making the cap hold with equality;
     it is zero when the unconstrained prices already satisfy the cap.
     """
-    gamma = _check_parity_inputs(model, population, gamma)
-    beta = np.array([model.beta[g] for g in population.groups])
-    return _solve(ATTRIBUTE_BASED, population, gamma,
-                  population.joint_weights(), _dbar_matrix(model, population),
-                  beta, np.eye(len(beta)))
+    gamma, joint, dbar, beta = _check_parity_inputs(model, population, gamma)
+    return _solve(ATTRIBUTE_BASED, population, gamma, joint, dbar, beta,
+                  np.eye(len(beta)))
 
 
 def solve_attribute_blind_parity(model: PartiallyLinearDemand,
@@ -209,12 +208,10 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
     the covariates carry no group signal (``m`` identically zero) a binding
     cap cannot be enforced and the solver raises.
     """
-    gamma = _check_parity_inputs(model, population, gamma)
+    gamma, _, dbar, beta = _check_parity_inputs(model, population, gamma)
     memb = population.membership
-    beta = np.array([model.beta[g] for g in population.groups])
-    dbar_x = np.sum(memb * _dbar_matrix(model, population), axis=1)
-    return _solve(ATTRIBUTE_BLIND, population, gamma,
-                  population.masses, dbar_x, memb @ beta, memb)
+    return _solve(ATTRIBUTE_BLIND, population, gamma, population.masses,
+                  np.sum(memb * dbar, axis=1), memb @ beta, memb)
 
 
 def expected_revenue(policy, model, population) -> float:
@@ -245,20 +242,16 @@ def revenue_loss_bound(model: PartiallyLinearDemand,
     ``(E[dbar(X,A)^2] - E[dbar(X)^2]) / (4 |beta|)``; for partially linear
     demand with a shared slope the two coincide.
     """
-    gamma = math.inf
-    _check_parity_inputs(model, population, gamma, "revenue loss bound")
-    beta = model.beta[population.groups[0]]
+    gamma, joint, dbar_xa, beta = _check_parity_inputs(
+        model, population, math.inf, "revenue loss bound")
     based = solve_attribute_based_parity(model, population, gamma)
     blind = solve_attribute_blind_parity(model, population, gamma)
     actual = (expected_revenue(based.policy(), model, population)
               - expected_revenue(blind.policy(), model, population))
-    joint = population.joint_weights()
-    dbar_xa = _dbar_matrix(model, population)
-    memb = population.membership
-    dbar_x = np.sum(memb * dbar_xa, axis=1)
+    dbar_x = np.sum(population.membership * dbar_xa, axis=1)
     second_moment_xa = float(np.sum(joint * dbar_xa ** 2))
     second_moment_x = float(population.masses @ dbar_x ** 2)
-    bound = (second_moment_xa - second_moment_x) / (4.0 * abs(beta))
+    bound = (second_moment_xa - second_moment_x) / (4.0 * abs(float(beta[0])))
     return actual, bound
 
 
@@ -308,14 +301,6 @@ def _predict_sign(value: float, tol: float = 1e-12) -> str:
     return "equal"
 
 
-def _sign_of_diff(diff: float, tol: float = 1e-9) -> str:
-    if diff < -tol:
-        return "lower"
-    if diff > tol:
-        return "higher"
-    return "equal"
-
-
 def compare_parity_modes(model: PartiallyLinearDemand,
                          population: Population,
                          x_index: int) -> ModeComparison:
@@ -327,14 +312,10 @@ def compare_parity_modes(model: PartiallyLinearDemand,
     zero cap and the per-group sign of ``p_based(x, g) - p_blind(x)`` is both
     predicted from the multipliers and measured directly.
     """
-    _check_parity_inputs(model, population, 0.0, "mode comparison")
-    groups = population.groups
-    beta = model.beta[groups[0]]
-    support = population.support
-    if not (0 <= x_index < support.shape[0]):
-        raise MissingSupportError(
-            f"support index {x_index} out of range 0..{support.shape[0] - 1}")
-    dbar_xa = _dbar_matrix(model, population)
+    _, joint, dbar_xa, beta = _check_parity_inputs(
+        model, population, 0.0, "mode comparison")
+    population.support_point(x_index)
+    groups, beta = population.groups, float(beta[0])  # the shared slope
     if float(np.max(np.abs(dbar_xa[:, 0] - dbar_xa[:, 1]))) > 1e-9:
         raise PreconditionError(
             "mode comparison needs a baseline free of the group label")
@@ -344,7 +325,6 @@ def compare_parity_modes(model: PartiallyLinearDemand,
 
     # Unconstrained mean price per group fixes the orientation: `low` is the
     # group whose customers were cheaper before the cap.
-    joint = population.joint_weights()
     p0 = -dbar_xa / (2.0 * beta)
     means = joint.sum(axis=0)
     mean_price = [float(joint[:, k] @ p0[:, k] / means[k]) for k in range(2)]
@@ -382,22 +362,18 @@ def compare_parity_modes(model: PartiallyLinearDemand,
         predicted_low = _predict_sign(score_low, score_tol)
         predicted_high = _predict_sign(score_high, score_tol)
 
-    ratio = None
-    lhs = None
-    if abs(lam_b) > 1e-12:
-        ratio = lam_a / lam_b
-        lhs = ratio
+    ratio = lam_a / lam_b if abs(lam_b) > 1e-12 else None
     rhs = memb_low - (rho_low / rho_high) * memb_high
 
     return ModeComparison(
         x_index=x_index, group_low=low, group_high=high,
         lambda_attribute=lam_a, lambda_blind=lam_b, ratio=ratio,
         membership_low=memb_low, membership_high=memb_high,
-        contrast=contrast, condition_lhs=lhs, condition_rhs=rhs,
+        contrast=contrast, condition_lhs=ratio, condition_rhs=rhs,
         diff_low=float(diff_low), diff_high=float(diff_high),
         predicted_low=predicted_low, predicted_high=predicted_high,
-        consistent_low=_sign_of_diff(diff_low) == predicted_low,
-        consistent_high=_sign_of_diff(diff_high) == predicted_high)
+        consistent_low=_predict_sign(-diff_low, 1e-9) == predicted_low,
+        consistent_high=_predict_sign(-diff_high, 1e-9) == predicted_high)
 
 
 def most_group_leaning_index(population: Population, group: str) -> int:

@@ -186,7 +186,7 @@ class LinearPolicy:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
         if not self.clip_lo <= self.clip_hi:
-            raise ValueError("clip_lo must not exceed clip_hi")
+            raise InvalidRecordError("clip_lo must not exceed clip_hi")
 
     def price(self, x, a=None) -> float:
         return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])

@@ -202,14 +202,9 @@ def sensitivity_at_zero(model, x, group, scope: str = POPULATION_SCOPE,
     ``1 / rho_g``. A central finite difference of the full solver validates
     the formula; both are returned with their discrepancy.
     """
-    if scope not in (POPULATION_SCOPE, GROUP_SCOPE):
-        raise MissingFieldError(f"unknown share scope {scope!r}")
-    scale = 1.0
-    if scope == GROUP_SCOPE:
-        if rho is None or not (rho.get(group, 0.0) > 0.0):
-            raise PreconditionError(
-                "group-scope sensitivity needs the group priors")
-        scale = 1.0 / rho[group]
+    if scope == GROUP_SCOPE and rho is None:
+        raise PreconditionError("group-scope sensitivity needs the group priors")
+    scale = SharePenalty(1.0, scope, group).effective(rho, group)
 
     p_star = solve_share_price(model, x, group, 0.0)
     if p_star <= 0.0:

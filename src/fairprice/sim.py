@@ -856,6 +856,8 @@ def optimize_linear_policy(records: RecordTable,
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
     dim = records.X.shape[1]
+    # the policy's own clip-range check, before a start is drawn in it
+    LinearPolicy(theta=np.zeros(dim), intercept=lo, clip_lo=lo, clip_hi=hi)
     rows, row_of = records.strata  # the blind policy prices each row once
 
     def evaluate(vec):

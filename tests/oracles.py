@@ -637,7 +637,7 @@ def _oriented_weights(population, positive_group):
 
 
 def reference_attribute_based_parity(model, population, gamma):
-    gamma = _check_parity_inputs(model, population, gamma)
+    gamma = _check_parity_inputs(model, population, gamma)[0]
     support = population.support
     joint = population.joint_weights()
     groups = population.groups
@@ -678,7 +678,7 @@ def reference_attribute_based_parity(model, population, gamma):
 
 
 def reference_attribute_blind_parity(model, population, gamma):
-    gamma = _check_parity_inputs(model, population, gamma)
+    gamma = _check_parity_inputs(model, population, gamma)[0]
     support = population.support
     masses = population.masses
     memb = population.membership

@@ -388,6 +388,9 @@ def test_attribute_gap_decomposition_runs():
     # group-aware price vs. membership-mixture price at the same covariates
     assert rep.price_estimated != pytest.approx(rep.price_true)
     assert abs(rep.gap - (rep.price_estimated - rep.price_true)) < 1e-12
+    for x_index in (-1, 2):
+        with pytest.raises(fp.MissingSupportError, match="out of range 0..1"):
+            fp.attribute_gap_decomposition(model, pop, x_index, group="a")
 
 
 def test_run_audit_rejects_an_empty_selection():

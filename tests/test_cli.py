@@ -808,6 +808,23 @@ def test_each_pricing_fault_ends_alike_in_every_command(tmp_path, capsys,
     assert ends == {(status, f"error_code={error_code}")}
 
 
+@pytest.mark.parametrize("flags", [["--gamma", "0.1"],
+                                   ["--share-lambda", "0.3"]],
+                         ids=["parity", "share"])
+def test_a_rho_naming_a_third_group_exits_2(tmp_path, capsys, flags):
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "pop")}
+    paths["model"].write_text(json.dumps(_GOOD_MODEL))
+    paths["pop"].write_text(json.dumps(dict(
+        _GOOD_POPULATION, rho=dict(_GOOD_POPULATION["rho"], c=0.0))))
+    out = tmp_path / "o"
+    code = main(["price", *flags, "--model", str(paths["model"]),
+                 "--population", str(paths["pop"]), "--out-dir", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert "error_code=unknown_group" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 @pytest.mark.parametrize("command", ["sweep", "audit"])
 def test_logistic_model_file_with_a_rising_slope_exits_3(tmp_path, sim_dir,

@@ -483,6 +483,30 @@ def test_population_validation_errors():
                       rho={"a": 0.5, "b": 0.5})
 
 
+@given(k=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       keys=st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+@settings(max_examples=200)
+def test_a_population_takes_a_rho_keyed_by_exactly_its_groups(k, n, seed,
+                                                               keys):
+    rng = np.random.default_rng(seed)
+    groups, masses = tuple("abc"[:k]), rng.dirichlet(np.ones(n))
+    membership = rng.dirichlet(np.ones(k), size=n)
+    implied = masses @ membership
+    # a key outside the groups gets a prior of zero, so only the keys differ
+    rho = {g: float(implied[groups.index(g)]) if g in groups else 0.0
+           for g in keys}
+
+    def build():
+        return fp.Population(groups=groups, support=np.arange(n)[:, None],
+                             masses=masses, membership=membership, rho=rho)
+
+    if set(keys) == set(groups):
+        assert build().rho == rho
+    else:
+        with pytest.raises(fp.UnknownGroupError, match="rho names groups"):
+            build()
+
+
 def test_record_validation():
     with pytest.raises(fp.InvalidRecordError, match="record 0: covariates"):
         record_table([dict(id="0", group="a", covariates=[np.nan])])

@@ -162,6 +162,20 @@ def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
     assert sizes == [len(log)]
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (float("nan"), 1.0),
+                                    (1.0, float("nan"))])
+def test_an_inverted_or_nan_clip_range_is_an_input_error(lo, hi):
+    # the search draws its random starts inside the clip range, so the
+    # range's check comes before numpy meets it
+    for call in (lambda: fp.LinearPolicy(theta=[0.4, 0.1], intercept=1.2,
+                                         clip_lo=lo, clip_hi=hi),
+                 lambda: fp.optimize_linear_policy(_market_log(),
+                                                   clip_lo=lo, clip_hi=hi)):
+        with pytest.raises(fp.InvalidRecordError,
+                           match="clip_lo must not exceed clip_hi"):
+            call()
+
+
 # -- errors: raised when the context is built, with their CLI error_code -----
 
 
