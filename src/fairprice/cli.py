@@ -150,7 +150,6 @@ class _Run:
             "command": command,
             "version": VERSION,
             "seed": self.args.seed,
-            "format": self.args.format,
             "inputs": sorted(str(p) for p in inputs),
             "parameters": parameters,
             "outputs": sorted(self.outputs),
@@ -267,8 +266,6 @@ def _cmd_price(args) -> int:
 
     *_, payload["revenue"], by_group = population.cells().evaluate(policy, model)
     payload["access"] = {g: info["access"] for g, info in by_group.items()}
-    if "prices" not in payload:
-        payload["prices"] = table_rows(policy.table)
     rows = [(row["x_index"], "" if row["group"] is None else row["group"],
              row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))
@@ -296,8 +293,8 @@ def _share_solution(model, population, args):
     policy = TabularPolicy(support=population.support.copy(), table=table)
     parameters = {"mode": "share", "share_lambda": float(args.share_lambda),
                   "scope": args.scope, "group": args.group}
-    payload = dict(parameters, disparity=(policy_disparity(policy, population)
-                                          if len(groups) == 2 else None))
+    payload = dict(parameters, prices=table_rows(table), disparity=(
+        policy_disparity(policy, population) if len(groups) == 2 else None))
     return policy, payload, parameters
 
 
@@ -331,11 +328,9 @@ def _cmd_audit(args) -> int:
         report = run_audit(records, alpha=args.alpha, metrics=selected)
         inputs = [args.records]
 
-    if args.format == "csv":
-        rows = report.to_csv_rows()
-        run.write("audit.csv", _csv_text(rows[0], rows[1:]))
-    else:
-        run.write("audit.json", report.to_json())
+    rows = report.to_csv_rows()
+    run.write("audit.csv", _csv_text(rows[0], rows[1:]))
+    run.write("audit.json", report.to_json())
     computed = sum(1 for v in report.metrics.values()
                    if not (isinstance(v, dict) and set(v) == {"error"}))
     run.say(f"audited {report.n_records} records: {computed} of "
@@ -426,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomness (default 0)")
     common.add_argument("--out-dir", default=".",
                         help="directory for output files (default .)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="serialization of the primary output")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines on stdout")
     pricing = argparse.ArgumentParser(add_help=False)

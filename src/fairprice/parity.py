@@ -136,11 +136,16 @@ def _dbar_matrix(model, population) -> np.ndarray:
     return dbar.reshape(n, k)
 
 
-def _solve(mode, population, gamma, weight, dbar, slope, contrast):
-    """The closed form both solvers share, on price cells that are (x, a)
-    pairs or support points. ``weight``, ``dbar`` and ``slope`` broadcast to
-    the cells; ``contrast @ xi`` is each cell's contrast: the identity for
-    (x, a) cells, the membership matrix for support points."""
+def _solve(mode, population, problem):
+    """The closed form both solvers share, on a checked parity ``problem``.
+    Blind price cells are support points, which weigh the groups by
+    membership; ``contrast @ xi`` is each price cell's contrast."""
+    gamma, weight, dbar, slope = problem
+    contrast = np.eye(len(slope))
+    if mode == ATTRIBUTE_BLIND:
+        contrast = population.membership
+        weight, dbar = population.masses, np.sum(contrast * dbar, axis=1)
+        slope = contrast @ slope
     groups = population.groups
     xi_map = {g: parity_weight(population.rho, g, groups[0]) for g in groups}
     xi = np.array([xi_map[g] for g in groups])
@@ -190,9 +195,8 @@ def solve_attribute_based_parity(model: PartiallyLinearDemand,
     multiplier follows in closed form from making the cap hold with equality;
     it is zero when the unconstrained prices already satisfy the cap.
     """
-    gamma, joint, dbar, beta = _check_parity_inputs(model, population, gamma)
-    return _solve(ATTRIBUTE_BASED, population, gamma, joint, dbar, beta,
-                  np.eye(len(beta)))
+    return _solve(ATTRIBUTE_BASED, population,
+                  _check_parity_inputs(model, population, gamma))
 
 
 def solve_attribute_blind_parity(model: PartiallyLinearDemand,
@@ -208,10 +212,8 @@ def solve_attribute_blind_parity(model: PartiallyLinearDemand,
     the covariates carry no group signal (``m`` identically zero) a binding
     cap cannot be enforced and the solver raises.
     """
-    gamma, _, dbar, beta = _check_parity_inputs(model, population, gamma)
-    memb = population.membership
-    return _solve(ATTRIBUTE_BLIND, population, gamma, population.masses,
-                  np.sum(memb * dbar, axis=1), memb @ beta, memb)
+    return _solve(ATTRIBUTE_BLIND, population,
+                  _check_parity_inputs(model, population, gamma))
 
 
 def expected_revenue(policy, model, population) -> float:
@@ -242,10 +244,11 @@ def revenue_loss_bound(model: PartiallyLinearDemand,
     ``(E[dbar(X,A)^2] - E[dbar(X)^2]) / (4 |beta|)``; for partially linear
     demand with a shared slope the two coincide.
     """
-    gamma, joint, dbar_xa, beta = _check_parity_inputs(
-        model, population, math.inf, "revenue loss bound")
-    based = solve_attribute_based_parity(model, population, gamma)
-    blind = solve_attribute_blind_parity(model, population, gamma)
+    problem = _check_parity_inputs(model, population, math.inf,
+                                   "revenue loss bound")
+    _, joint, dbar_xa, beta = problem
+    based = _solve(ATTRIBUTE_BASED, population, problem)
+    blind = _solve(ATTRIBUTE_BLIND, population, problem)
     actual = (expected_revenue(based.policy(), model, population)
               - expected_revenue(blind.policy(), model, population))
     dbar_x = np.sum(population.membership * dbar_xa, axis=1)
@@ -312,16 +315,16 @@ def compare_parity_modes(model: PartiallyLinearDemand,
     zero cap and the per-group sign of ``p_based(x, g) - p_blind(x)`` is both
     predicted from the multipliers and measured directly.
     """
-    _, joint, dbar_xa, beta = _check_parity_inputs(
-        model, population, 0.0, "mode comparison")
+    problem = _check_parity_inputs(model, population, 0.0, "mode comparison")
+    _, joint, dbar_xa, beta = problem
     population.support_point(x_index)
     groups, beta = population.groups, float(beta[0])  # the shared slope
     if float(np.max(np.abs(dbar_xa[:, 0] - dbar_xa[:, 1]))) > 1e-9:
         raise PreconditionError(
             "mode comparison needs a baseline free of the group label")
 
-    based = solve_attribute_based_parity(model, population, 0.0)
-    blind = solve_attribute_blind_parity(model, population, 0.0)
+    based = _solve(ATTRIBUTE_BASED, population, problem)
+    blind = _solve(ATTRIBUTE_BLIND, population, problem)
 
     # Unconstrained mean price per group fixes the orientation: `low` is the
     # group whose customers were cheaper before the cap.

@@ -185,7 +185,7 @@ def test_price_csv_format(tmp_path, sim_dir):
     out = tmp_path / "pricecsv"
     code = main(["price", "--model", str(fit_out / "model.json"),
                  "--population", str(sim_dir / "population.json"),
-                 "--mode", "attribute_blind", "--format", "csv",
+                 "--mode", "attribute_blind",
                  "--out-dir", str(out), "--quiet"])
     assert code == 0
     lines = (out / "prices.csv").read_text().strip().splitlines()
@@ -380,6 +380,7 @@ _GOOD_ROWS = "".join(
     "r99,a,1.0,1.5,nan,,,1.0",
     "r99,a,1.0,1.5,1.0,,,inf",
     "r99,a,1.0,abc,1.0,,,1.0",
+    "r99,a,1.0,1.5,1.0,,",
 ])
 def test_bad_record_cell_exits_2_naming_the_line(tmp_path, capsys, command,
                                                  bad_row):
@@ -449,13 +450,39 @@ def test_audit_json_and_csv(tmp_path, sim_dir):
     blob = json.loads((out / "audit.json").read_text())
     assert blob["n_records"] == 800
     assert "marginal_price_disparity" in blob["metrics"]
+    lines = (out / "audit.csv").read_text().splitlines()
+    assert lines[0] == "metric,key,value"
+    assert {line.split(",")[0] for line in lines[1:]} == set(blob["metrics"])
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == ["audit.csv", "audit.json"]
+    assert "format" not in manifest
 
-    out_csv = tmp_path / "auditcsv"
-    code = main(["audit", "--records", str(sim_dir / "records.csv"),
-                 "--format", "csv", "--out-dir", str(out_csv), "--quiet"])
-    assert code == 0
-    first = (out_csv / "audit.csv").read_text().splitlines()[0]
-    assert first == "metric,key,value"
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "price", "audit",
+                                     "ope", "sweep"])
+def test_no_subcommand_takes_a_format_flag(tmp_path, sim_dir, scenario_path,
+                                           capsys, command):
+    # every subcommand writes one fixed set of files
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    records = ["--records", str(sim_dir / "records.csv")]
+    market = ["--model", str(sim_dir / "model_true.json"),
+              "--population", str(sim_dir / "population.json")]
+    argv = {
+        "simulate": ["simulate", "--scenario", scenario_path],
+        "fit": ["fit", *records, "--model", "linear"],
+        "price": ["price", *market, "--share-lambda", "0.3"],
+        "audit": ["audit", *records],
+        "ope": ["ope", *records, "--policy", str(policy), "--n-boot", "20"],
+        "sweep": ["sweep", "--kind", "share", *market, "--grid", "0,0.3"],
+    }[command]
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out), "--quiet"]) == 0
+    out = tmp_path / "with_format"
+    code = main(argv + ["--format", "json", "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("metric", ["", ",", " , "])
@@ -898,8 +925,27 @@ def test_version_flag(capsys):
     ("noise = logistic", "noise = bogus", 8),
     ("scale = 0.4", "scale = 0", 9),
     ("demand = latent\nnoise = logistic", "demand = logistic\nbeta = 0.5", 8),
+    ("n = 800", "n = 0", 2),
+    ("n = 800", "n = x", 2),
+    ("n = 800", "n = 800\n= 3", 3),
+    ("groups = a, b", "groups = a, a", 3),
+    ("demand = latent", "demand = probit", 7),
+    ("price_levels = 0.8, 1.2, 1.6, 2.0", "price_levels = -0.8, 1.2", 14),
+    ("scale = 0.4", "scale = abc", 9),
+    ("demand = latent\nnoise = logistic",
+     "demand = logistic\nbeta = -1.5\noutcome.surplus_weight = 0.5", 9),
+    ("choice(0:0.5, 1:0.5)", "normal(0, 0)", 4),
+    ("choice(0:0.5, 1:0.5)", "uniform(1, 1)", 4),
+    ("choice(0:0.5, 1:0.5)", "choice(0:0.5, 1:0.4)", 4),
+    ("choice(0:0.5, 1:0.5)", "choice(0:0.5, 0:0.5)", 4),
+    ("choice(0:0.5, 1:0.5)", "choice", 4),
 ], ids=["nan_price_level", "negative_choice_prob", "nan_choice_probs",
-        "unknown_noise", "zero_scale", "nonnegative_logistic_beta"])
+        "unknown_noise", "zero_scale", "nonnegative_logistic_beta",
+        "zero_n", "non_integer_n", "empty_key", "repeated_group",
+        "unknown_demand", "negative_price_level", "non_numeric_scale",
+        "surplus_weight_under_logistic", "zero_normal_scale",
+        "empty_uniform_range", "choice_probs_short_of_one",
+        "repeated_choice_value", "bare_choice"])
 def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
                                                       new, line):
     path = tmp_path / "scenario.txt"
@@ -910,6 +956,31 @@ def test_simulate_rejects_bad_numbers_naming_the_line(tmp_path, capsys, old,
     assert code == 2
     assert "error_code=config_parse" in err
     assert f"line {line}" in err
+
+
+def test_simulate_without_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.txt"
+    path.write_text(SCENARIO.replace("n = 800\n", ""))
+    code = main(["simulate", "--scenario", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert "missing required key 'n'" in err
+
+
+@pytest.mark.parametrize("grid", ["1:2", "a:b:3", "2:1:3", "x,y"])
+def test_sweep_rejects_a_bad_grid(tmp_path, sim_dir, capsys, grid):
+    out = tmp_path / "o"
+    code = main(["sweep", "--kind", "share", "--grid", grid,
+                 "--model", str(sim_dir / "model_true.json"),
+                 "--population", str(sim_dir / "population.json"),
+                 "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert f"grid spec {grid!r}" in err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("key", ["membership.zz", "loc.a.zz", "gamma.zz"])
@@ -1012,6 +1083,81 @@ def test_sweep_rejects_nan_population_fields(tmp_path, capsys, sim_dir,
     assert code == 2
     assert "error_code=invalid_value" in err
     assert f"population.{field}" in err
+
+
+@pytest.mark.parametrize("command", [["audit"], ["fit", "--model", "linear"]])
+def test_empty_records_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "records.csv"
+    path.write_text("")
+    code = main([command[0], "--records", str(path), *command[1:],
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert "empty records file" in err
+
+
+def test_model_file_that_is_not_json_exits_2(tmp_path, sim_dir, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("not json")
+    out = tmp_path / "o"
+    code = main(["price", "--model", str(path), "--share-lambda", "0.3",
+                 "--population", str(sim_dir / "population.json"),
+                 "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert "is not valid JSON" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("repeated_group", "duplicate group labels"),
+    ("negative_membership", "membership probabilities must be >= 0"),
+    ("rho_over_one", "group priors must sum to 1"),
+])
+def test_inconsistent_population_file_exits_2(tmp_path, sim_dir, capsys,
+                                              fault, message):
+    population = json.loads((sim_dir / "population.json").read_text())
+    if fault == "repeated_group":
+        population["groups"] = ["a", "a"]
+    elif fault == "negative_membership":
+        population["membership"][0] = [-0.1, 1.1]
+    else:
+        population = {"groups": ["a", "b"], "rho": {"a": 0.6, "b": 0.5}}
+    path = tmp_path / "population.json"
+    path.write_text(json.dumps(population))
+    out = tmp_path / "o"
+    code = main(["price", "--model", str(sim_dir / "model_true.json"),
+                 "--population", str(path), "--share-lambda", "0.3",
+                 "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert message in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "need --model, --policy and --population"),
+    (["--population", "POPULATION", "--metric", "conditional_parity_gap"],
+     "compute the access metric only"),
+], ids=["no_population", "records_metric"])
+def test_incomplete_model_audit_exits_2(tmp_path, sim_dir, capsys, flags,
+                                        message):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    flags = [str(sim_dir / "population.json") if f == "POPULATION" else f
+             for f in flags]
+    out = tmp_path / "o"
+    code = main(["audit", "--model", str(sim_dir / "model_true.json"),
+                 "--policy", str(policy), *flags, "--out-dir", str(out),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert message in err
+    assert not any(out.iterdir())
 
 
 def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):

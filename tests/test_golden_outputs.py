@@ -77,7 +77,6 @@ def run_pipeline(root: str) -> dict:
         ("fit_linear", ["fit", "--records", records, "--model", "linear"]),
         ("fit_logistic", ["fit", "--records", records, "--model", "logistic"]),
         ("audit_json", ["audit", "--records", records]),
-        ("audit_csv", ["audit", "--records", records, "--format", "csv"]),
         ("ope_policy", ["ope", "--records", records, "--n-boot", "20",
                         "--policy", write_json("linear.json", LINEAR_POLICY)]),
         ("ope_search", ["ope", "--records", records, "--search",

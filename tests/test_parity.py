@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice import parity
 from fairprice.util import json_dumps_stable
 
 from oracles import (
@@ -398,6 +399,23 @@ def test_compare_modes_requires_group_free_baseline():
     model, pop = _random_instance(rng, m=2, shared_beta=True)
     with pytest.raises(fp.PreconditionError):
         fp.compare_parity_modes(model, pop, x_index=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, pop: fp.revenue_loss_bound(model, pop),
+    lambda model, pop: fp.compare_parity_modes(model, pop, x_index=1),
+], ids=["revenue_loss_bound", "compare_parity_modes"])
+def test_loss_bound_and_mode_comparison_check_their_inputs_once(monkeypatch,
+                                                                run):
+    check, calls = parity._check_parity_inputs, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(parity, "_check_parity_inputs", counted)
+    run(*_comparison_instance(np.random.default_rng(11)))
+    assert len(calls) == 1
 
 
 def test_most_group_leaning_index():
