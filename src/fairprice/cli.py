@@ -5,8 +5,9 @@ demand model), ``price`` (model + population -> parity-constrained prices),
 ``audit`` (records -> fairness metrics), ``ope`` (records -> off-policy value
 or policy search), and ``sweep`` (constraint or subsidy frontiers).
 
-Every run writes its outputs plus a ``run_manifest.json`` into ``--out-dir``.
-All randomness flows from ``--seed``, so reruns with identical inputs produce
+A run writes its outputs, then a ``run_manifest.json``, into ``--out-dir``
+once it has succeeded; a failed run leaves ``--out-dir`` as it was. All
+randomness flows from ``--seed``, so reruns with identical inputs produce
 identical output bytes (the manifest's duration field aside). Failures print
 ``error_code=<token>`` on stderr and exit with a documented status:
 
@@ -126,26 +127,27 @@ def _parse_gamma(text: str) -> float:
 
 
 class _Run:
-    """Collects output files and the manifest for one CLI invocation."""
+    """Holds the output files of one CLI invocation until :meth:`finish`."""
 
     def __init__(self, args):
         if args.seed < 0:
             raise MissingFieldError("--seed must be nonnegative")
         self.args = args
-        self.out_dir = args.out_dir
-        os.makedirs(self.out_dir, exist_ok=True)
-        self.outputs = []
+        self.outputs = {}  # file name -> text, or a RecordTable for records.csv
         self.started = time.perf_counter()
 
-    def write(self, name: str, text: str):
-        atomic_write_text(os.path.join(self.out_dir, name), text)
-        self.outputs.append(name)
+    def write(self, name: str, content):
+        self.outputs[name] = content
 
-    def say(self, message: str):
-        if not self.args.quiet:
-            print(message)
-
-    def finish(self, command: str, inputs: list, parameters: dict) -> int:
+    def finish(self, command: str, inputs: list, parameters: dict,
+               summary: str) -> int:
+        """Write the outputs, then the manifest, then print ``summary``."""
+        for name, content in self.outputs.items():
+            path = os.path.join(self.args.out_dir, name)
+            if isinstance(content, str):
+                atomic_write_text(path, content)
+            else:
+                write_records_csv(path, content)
         manifest = {
             "command": command,
             "version": VERSION,
@@ -155,8 +157,10 @@ class _Run:
             "outputs": sorted(self.outputs),
             "duration_s": time.perf_counter() - self.started,
         }
-        atomic_write_text(os.path.join(self.out_dir, "run_manifest.json"),
+        atomic_write_text(os.path.join(self.args.out_dir, "run_manifest.json"),
                           json_dumps_stable(manifest))
+        if not self.args.quiet:
+            print(summary)
         return 0
 
 
@@ -165,21 +169,19 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    run = _Run(args)
+def _cmd_simulate(args, run) -> int:
     config = ScenarioConfig.from_file(args.scenario)
     model, population = simulate(config, args.seed)
-    records_path = os.path.join(run.out_dir, "records.csv")
-    write_records_csv(records_path, population.records)
-    run.outputs.append("records.csv")
+    run.write("records.csv", population.records)
     run.write("population.json", json_dumps_stable(population_to_dict(population)))
     run.write("model_true.json", json_dumps_stable(model_to_dict(model)))
     _write_experiment_bundle(run, population, config)
     takeup = float(population.records.demand.mean())
-    run.say(f"simulated {len(population.records)} records "
-            f"({', '.join(population.groups)}); mean take-up {takeup:.3f}")
     return run.finish("simulate", [args.scenario],
-                      {"scenario": str(args.scenario)})
+                      {"scenario": str(args.scenario)},
+                      f"simulated {len(population.records)} records "
+                      f"({', '.join(population.groups)}); "
+                      f"mean take-up {takeup:.3f}")
 
 
 def _write_experiment_bundle(run, population, config) -> None:
@@ -220,8 +222,7 @@ def _write_experiment_bundle(run, population, config) -> None:
               _csv_text(("price", "revenue", "margin"), curve_rows))
 
 
-def _cmd_fit(args) -> int:
-    run = _Run(args)
+def _cmd_fit(args, run) -> int:
     records = read_records_csv(args.records)
     if args.model == "logistic":
         model, diag = fit_logistic(records)
@@ -232,9 +233,9 @@ def _cmd_fit(args) -> int:
                    for k, v in vars(diag).items() if v is not None}
     run.write("model.json", json_dumps_stable(
         {"model": model_to_dict(model), "diagnostics": diagnostics}))
-    run.say(f"fitted {args.model} demand on {diag.n_records} records")
     return run.finish("fit", [args.records],
-                      {"model": args.model, "allow_upward": args.allow_upward})
+                      {"model": args.model, "allow_upward": args.allow_upward},
+                      f"fitted {args.model} demand on {diag.n_records} records")
 
 
 def _load_model_file(path):
@@ -244,8 +245,7 @@ def _load_model_file(path):
     return model_from_dict(data)
 
 
-def _cmd_price(args) -> int:
-    run = _Run(args)
+def _cmd_price(args, run) -> int:
     if args.share_lambda is not None and args.gamma is not None:
         raise ConfigError("pass --gamma or --share-lambda, not both")
     model = _load_model_file(args.model)
@@ -270,8 +270,8 @@ def _cmd_price(args) -> int:
              row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))
     run.write("prices.json", json_dumps_stable(payload))
-    run.say(f"{note}, expected revenue {payload['revenue']:.6g}")
-    return run.finish("price", [args.model, args.population], parameters)
+    return run.finish("price", [args.model, args.population], parameters,
+                      f"{note}, expected revenue {payload['revenue']:.6g}")
 
 
 def _parity_solver(mode: str):
@@ -298,8 +298,7 @@ def _share_solution(model, population, args):
     return policy, payload, parameters
 
 
-def _cmd_audit(args) -> int:
-    run = _Run(args)
+def _cmd_audit(args, run) -> int:
     selected = None if args.metric is None else check_metrics(
         m.strip() for spec in args.metric for m in spec.split(",") if m.strip())
 
@@ -333,14 +332,13 @@ def _cmd_audit(args) -> int:
     run.write("audit.json", report.to_json())
     computed = sum(1 for v in report.metrics.values()
                    if not (isinstance(v, dict) and set(v) == {"error"}))
-    run.say(f"audited {report.n_records} records: {computed} of "
-            f"{len(report.metrics)} metrics computed")
     return run.finish("audit", inputs, {"alpha": args.alpha,
-                                        "metrics": sorted(selected or ())})
+                                        "metrics": sorted(selected or ())},
+                      f"audited {report.n_records} records: {computed} of "
+                      f"{len(report.metrics)} metrics computed")
 
 
-def _cmd_ope(args) -> int:
-    run = _Run(args)
+def _cmd_ope(args, run) -> int:
     if bool(args.policy) == bool(args.search):
         raise MissingFieldError("pass exactly one of --policy or --search")
     check_n_boot(args.n_boot)
@@ -364,17 +362,16 @@ def _cmd_ope(args) -> int:
     se = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
                           seed=args.seed)
     payload.update(policy=policy_to_dict(policy), std_error=se)
-    run.say(note.format(payload["value"], se))
     run.write("ope.json", json_dumps_stable(payload))
     inputs = [args.records] + ([args.policy] if args.policy else [])
     return run.finish("ope", inputs,
                       {"bandwidth": args.bandwidth, "n_boot": args.n_boot,
                        "search": bool(args.search),
-                       **({"n_starts": args.n_starts} if args.search else {})})
+                       **({"n_starts": args.n_starts} if args.search else {})},
+                      note.format(payload["value"], se))
 
 
-def _cmd_sweep(args) -> int:
-    run = _Run(args)
+def _cmd_sweep(args, run) -> int:
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
     grid = _parse_grid(args.grid)
@@ -400,9 +397,9 @@ def _cmd_sweep(args) -> int:
     run.write("sweep.csv", _csv_text(header, rows))
     run.write("sweep.json", json_dumps_stable(
         {"parameters": parameters, "rows": json_rows}))
-    run.say(f"{args.kind} sweep over {len(grid)} grid points "
-            f"-> {len(rows)} rows")
-    return run.finish("sweep", [args.model, args.population], parameters)
+    return run.finish("sweep", [args.model, args.population], parameters,
+                      f"{args.kind} sweep over {len(grid)} grid points "
+                      f"-> {len(rows)} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +507,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _Run(args))
     except FairPriceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"error_code={exc.code}", file=sys.stderr)

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .optimize import PriceInterval, maximize_rows
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
-from .util import seqsum
+from .util import atomic_file, seqsum
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ def write_records_csv(path, records: RecordTable) -> None:
                               for name in CSV_TRAILING_COLUMNS]
     cells = [_column_cells(col) for col in numeric]
     labels = np.array(table.labels, dtype=object)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(table.X.shape[1]))
         # rows are formatted block by block as they are written, so no

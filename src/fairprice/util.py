@@ -3,11 +3,11 @@ checked reads of JSON input fields."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -59,21 +59,32 @@ def json_dumps_stable(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+@contextlib.contextmanager
+def atomic_file(path: str):
+    """A text handle on a new temp file beside ``path``, renamed onto
+    ``path`` when the block ends and removed when it raises.
+
+    The temp file is created exclusively (a planted file or symlink is
+    refused) with mode 0o666, so the umask sets the mode, as for ``open``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
+    tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_file`."""
+    with atomic_file(path) as handle:
+        handle.write(text)
 
 
 # JSON value kinds: accepted Python types and the name used in errors

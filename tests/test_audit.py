@@ -81,6 +81,13 @@ def test_two_sample_test_rejects_alpha_outside_unit_interval(alpha):
         fp.two_sample_distribution_test([1.0], [1.0], [2.0], [1.0], alpha)
 
 
+@pytest.mark.parametrize("x1, x2", [([], [1.0]), ([1.0], [])])
+def test_two_sample_test_needs_two_nonempty_samples(x1, x2):
+    with pytest.raises(fp.MissingFieldError, match="both samples"):
+        fp.two_sample_distribution_test(x1, [1.0] * len(x1), x2,
+                                        [1.0] * len(x2))
+
+
 def test_distributional_parity_stat():
     records = ([_rec(i, "a", float(i % 5), 1.0) for i in range(40)]
                + [_rec(100 + i, "b", float(i % 5) + 2.0, 1.0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -318,52 +319,6 @@ def test_fit_separable_data_exits_2_naming_the_problem(tmp_path, capsys):
     assert code == 2
     assert "perfect separation" in err
     assert "error_code=perfect_separation" in err
-
-
-def test_fit_upward_slope_exits_3(tmp_path, capsys):
-    # demand rises with price; the linear fit refuses without --allow-upward
-    path = tmp_path / "up.csv"
-    rows = []
-    for i in range(24):
-        price = 1.0 + (i % 4) * 0.5
-        rows.append(f"r{i},{'a' if i % 2 else 'b'},{(i // 4) % 3},"
-                    f"{price},{0.1 + 0.3 * price:.3f},,,\n")
-    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
-                    + "".join(rows))
-    code = main(["fit", "--records", str(path), "--model", "linear",
-                 "--out-dir", str(tmp_path / "o"), "--quiet"])
-    assert code == 3
-    assert "error_code=upward_slope" in capsys.readouterr().err
-
-
-def test_price_unenforceable_blind_constraint_exits_4(tmp_path, capsys):
-    import numpy as np
-
-    model = fp.PartiallyLinearDemand(
-        beta={"a": -1.0, "b": -1.0},
-        baseline={"a": (2.0, np.array([])), "b": (1.0, np.array([]))})
-    pop = fp.Population(groups=("a", "b"), support=[[]], masses=[1.0],
-                        membership=[[0.3, 0.7]])
-    (tmp_path / "model.json").write_text(
-        json.dumps(fp.model_to_dict(model)))
-    (tmp_path / "population.json").write_text(
-        json.dumps(fp.population_to_dict(pop)))
-    # a single support cell leaves blind prices no lever on the disparity
-    code = main(["price", "--model", str(tmp_path / "model.json"),
-                 "--population", str(tmp_path / "population.json"),
-                 "--mode", "attribute_blind", "--gamma", "0",
-                 "--out-dir", str(tmp_path / "o"), "--quiet"])
-    assert code == 4
-    assert "error_code=unenforceable_constraint" in capsys.readouterr().err
-
-
-def test_audit_nothing_computable_exits_5(tmp_path, capsys):
-    path = tmp_path / "empty.csv"
-    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n")
-    code = main(["audit", "--records", str(path),
-                 "--out-dir", str(tmp_path / "o"), "--quiet"])
-    assert code == 5
-    assert "error_code=no_computable_metric" in capsys.readouterr().err
 
 
 _GOOD_ROWS = "".join(
@@ -725,7 +680,7 @@ def test_share_weight_must_be_finite(tmp_path, sim_dir, capsys, command,
     err = capsys.readouterr().err
     assert "error_code=missing_field" in err
     assert "share weight" in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
@@ -831,8 +786,110 @@ def test_each_pricing_fault_ends_alike_in_every_command(tmp_path, capsys,
         tokens = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error_code=")]
         ends.add((code, *tokens))
-        assert not out.exists() or not any(out.iterdir()), command
+        assert not out.exists(), command
     assert ends == {(status, f"error_code={error_code}")}
+
+
+# input files of _FAILING_RUNS, by name; rising.csv is _rising_takeup_log
+_FAILING_INPUTS = {
+    "costly.txt": SCENARIO + "unit_cost = 5.0\n",
+    "empty.csv": "id,group,x1,price,demand,outcome,valuation,weight\n",
+    "model.json": _GOOD_MODEL,
+    "upward.json": _FAULTS["upward_linear"][0],
+    "pop.json": _GOOD_POPULATION,
+    "far.json": fp.policy_to_dict(fp.ConstantPolicy(100.0)),
+    # a single support cell leaves blind prices no lever on the disparity
+    "flat.json": {"kind": "partially_linear", "beta": {"a": -1.0, "b": -1.0},
+                  "baseline": {"a": {"intercept": 2.0, "coefs": []},
+                               "b": {"intercept": 1.0, "coefs": []}}},
+    "one_cell.json": fp.population_to_dict(fp.Population(
+        groups=("a", "b"), support=[[]], masses=[1.0],
+        membership=[[0.3, 0.7]])),
+}
+# a failing run of every subcommand and exit status: (argv, status, code)
+_FAILING_RUNS = {
+    "simulate_cost_above_every_price": (
+        ["simulate", "--scenario", "costly.txt"], 2, "degenerate_demand"),
+    "fit_rising_takeup": (
+        ["fit", "--records", "rising.csv", "--model", "linear"], 3,
+        "upward_slope"),
+    "price_rising_model": (
+        ["price", "--gamma", "0.1", "--model", "upward.json",
+         "--population", "pop.json"], 3, "upward_slope"),
+    "price_blind_on_one_cell": (
+        ["price", "--mode", "attribute_blind", "--gamma", "0",
+         "--model", "flat.json", "--population", "one_cell.json"], 4,
+        "unenforceable_constraint"),
+    "audit_no_records": (
+        ["audit", "--records", "empty.csv"], 5, "no_computable_metric"),
+    "ope_policy_outside_the_log": (
+        ["ope", "--records", "rising.csv", "--policy", "far.json"], 2,
+        "empty_weights"),
+    "sweep_two_part_grid": (
+        ["sweep", "--grid", "1:2", "--model", "model.json",
+         "--population", "pop.json"], 2, "config_parse"),
+    "sweep_missing_model": (
+        ["sweep", "--grid", "0.1", "--model", "missing.json",
+         "--population", "pop.json"], 1, "io"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING_RUNS))
+def test_a_failed_run_leaves_the_out_dir_as_it_found_it(tmp_path, capsys,
+                                                        case):
+    argv, status, error_code = _FAILING_RUNS[case]
+    for name, content in _FAILING_INPUTS.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    _rising_takeup_log(tmp_path / "rising.csv")
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".csv", ".json")) else a
+            for a in argv]
+    earlier = tmp_path / "earlier"
+    assert main(["sweep", "--grid", "0.1,0.2", "--model",
+                 str(tmp_path / "model.json"), "--population",
+                 str(tmp_path / "pop.json"), "--out-dir", str(earlier),
+                 "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    missing = tmp_path / "missing"
+    for out in (earlier, missing):
+        code = main(argv + ["--out-dir", str(out), "--quiet"])
+        assert code == status
+        assert f"error_code={error_code}" in capsys.readouterr().err
+    # the same files, byte for byte, and no temp file left behind
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+    assert not missing.exists()
+
+
+def test_a_run_whose_files_fail_to_write_reports_no_success(tmp_path,
+                                                           capsys):
+    _rising_takeup_log(tmp_path / "rising.csv")
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.5))))
+    out = tmp_path / "o"
+    (out / "ope.json").mkdir(parents=True)  # ope.json cannot be replaced
+    code = main(["ope", "--records", str(tmp_path / "rising.csv"),
+                 "--policy", str(policy), "--n-boot", "20",
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error_code=io" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["ope.json"]
+
+
+def test_every_output_takes_the_mode_the_umask_gives(tmp_path, scenario_path):
+    out = tmp_path / "o"
+    umask = os.umask(0o022)
+    try:
+        assert main(["simulate", "--scenario", scenario_path,
+                     "--out-dir", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == dict.fromkeys(
+        ["records.csv", "population.json", "model_true.json",
+         "experiment.csv", "experiment.json", "revenue_curve.csv",
+         "run_manifest.json"], 0o644)
 
 
 @pytest.mark.parametrize("flags", [["--gamma", "0.1"],
@@ -849,7 +906,7 @@ def test_a_rho_naming_a_third_group_exits_2(tmp_path, capsys, flags):
                  "--quiet"])
     assert code == 2
     assert "error_code=unknown_group" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7])
@@ -980,7 +1037,7 @@ def test_sweep_rejects_a_bad_grid(tmp_path, sim_dir, capsys, grid):
     assert code == 2
     assert "error_code=config_parse" in err
     assert f"grid spec {grid!r}" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["membership.zz", "loc.a.zz", "gamma.zz"])
@@ -1108,7 +1165,7 @@ def test_model_file_that_is_not_json_exits_2(tmp_path, sim_dir, capsys):
     assert code == 2
     assert "error_code=invalid_value" in err
     assert "is not valid JSON" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -1135,7 +1192,7 @@ def test_inconsistent_population_file_exits_2(tmp_path, sim_dir, capsys,
     assert code == 2
     assert "error_code=invalid_value" in err
     assert message in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1157,7 +1214,7 @@ def test_incomplete_model_audit_exits_2(tmp_path, sim_dir, capsys, flags,
     assert code == 2
     assert "error_code=missing_field" in err
     assert message in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):

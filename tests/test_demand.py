@@ -483,6 +483,21 @@ def test_population_validation_errors():
                       rho={"a": 0.5, "b": 0.5})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("masses", [np.nan, 0.5], "support masses must be finite"),
+    ("membership", [[np.nan, 0.4], [0.3, 0.7]],
+     "membership probabilities must be finite"),
+    ("rho", {"a": np.nan, "b": 0.55}, "group priors must be finite"),
+])
+def test_a_population_rejects_a_nan_parameter(field, value, message):
+    # the JSON readers refuse NaN first, so only a direct build meets these
+    params = dict(support=[[0.0], [1.0]], masses=[0.5, 0.5],
+                  membership=[[0.6, 0.4], [0.3, 0.7]])
+    params[field] = value
+    with pytest.raises(fp.InvalidRecordError, match=message):
+        fp.Population(groups=("a", "b"), **params)
+
+
 @given(k=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        keys=st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
 @settings(max_examples=200)

@@ -424,3 +424,5 @@ def test_most_group_leaning_index():
                         membership=[[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]])
     assert fp.most_group_leaning_index(pop, "a") == 1
     assert fp.most_group_leaning_index(pop, "b") == 0
+    with pytest.raises(fp.UnknownGroupError):
+        fp.most_group_leaning_index(pop, "zz")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice import sim
 from fairprice.demand import CSV_TRAILING_COLUMNS
 from fairprice.sim import read_records_csv, write_records_csv
 
@@ -169,6 +170,30 @@ def test_csv_round_trip_identical(tmp_path):
     assert path.read_text() == text1
     assert len(back) == len(pop.records)
     assert back.X[0].tolist() == pop.records.X[0].tolist()
+
+
+def test_csv_write_that_fails_leaves_the_old_file(tmp_path, monkeypatch):
+    cfg, pop, logged = _logged_scenario(seed=5, n=sim._ROW_BLOCK + 10)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, logged)
+    before = path.read_bytes()
+    real = sim._column_cells
+
+    def failing_cells(col):
+        cells, blocks = real(col), []
+
+        def second_block_fails(rows):
+            blocks.append(rows)
+            if len(blocks) == 2:
+                raise RuntimeError("write interrupted")
+            return cells(rows)
+        return second_block_fails
+
+    monkeypatch.setattr(sim, "_column_cells", failing_cells)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        write_records_csv(path, logged)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temp litter
 
 
 def test_csv_round_trip_with_quoted_fields(tmp_path):
@@ -347,6 +372,14 @@ def test_ope_empty_window_raises():
     lonely = fp.ConstantPolicy(12.0)  # far above every logged level
     with pytest.raises(fp.EmptyWeightError):
         fp.ope_value(logged, lonely, fp.OPEConfig(bandwidth=0.05))
+
+
+def test_policy_search_with_no_usable_start_raises():
+    cfg, pop, logged = _logged_scenario(seed=9)
+    # every start is clipped far above the logged prices
+    with pytest.raises(fp.EmptyWeightError, match="no starting policy"):
+        fp.optimize_linear_policy(logged, clip_lo=100.0, clip_hi=101.0,
+                                  n_starts=2)
 
 
 def test_ope_bootstrap_se_positive_and_stable():
