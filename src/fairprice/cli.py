@@ -26,15 +26,17 @@ lands on 1 or 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from csv import writer as csv_writer
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 
+from . import __version__
 from .audit import AuditReport, check_alpha, check_metrics, run_audit
 from .demand import (
     fit_logistic,
@@ -70,11 +72,6 @@ from .sim import (
 )
 from .util import atomic_write_text, fmt_float, json_dumps_stable
 
-try:
-    VERSION = pkg_version("fairprice")
-except PackageNotFoundError:  # running from a source tree without install
-    VERSION = "0.0.0"
-
 _EXIT_IO = 1
 
 
@@ -97,7 +94,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _parse_grid(text: str):
-    """Grid spec: either comma-separated values or ``lo:hi:n``."""
+    """Grid spec: either comma-separated values (``inf`` allowed, ``nan``
+    not) or ``lo:hi:n`` with finite points."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -110,11 +108,17 @@ def _parse_grid(text: str):
         if n < 2 or not lo < hi:
             raise ConfigError(f"grid spec {text!r}: needs lo < hi and n >= 2")
         step = (hi - lo) / (n - 1)
-        return [lo + k * step for k in range(n)]
+        grid = [lo + k * step for k in range(n)]
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError(f"grid spec {text!r}: lo:hi:n needs finite points")
+        return grid
     try:
-        return [float(t) for t in text.split(",")]
+        grid = [float(t) for t in text.split(",")]
     except ValueError:
         raise ConfigError(f"grid spec {text!r}: expected numbers") from None
+    if any(map(math.isnan, grid)):
+        raise ConfigError(f"grid spec {text!r}: nan is not a grid value")
+    return grid
 
 
 def _parse_gamma(text: str) -> float:
@@ -139,25 +143,29 @@ class _Run:
     def write(self, name: str, content):
         self.outputs[name] = content
 
-    def finish(self, command: str, inputs: list, parameters: dict,
-               summary: str) -> int:
-        """Write the outputs, then the manifest, then print ``summary``."""
+    def finish(self, inputs: list, parameters: dict, summary: str) -> int:
+        """Refuse a directory in place of any file of the run, then write
+        the outputs, then the manifest, then print ``summary``."""
+        paths = {name: os.path.join(self.args.out_dir, name)
+                 for name in [*self.outputs, "run_manifest.json"]}
+        for path in paths.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
         for name, content in self.outputs.items():
-            path = os.path.join(self.args.out_dir, name)
             if isinstance(content, str):
-                atomic_write_text(path, content)
+                atomic_write_text(paths[name], content)
             else:
-                write_records_csv(path, content)
+                write_records_csv(paths[name], content)
         manifest = {
-            "command": command,
-            "version": VERSION,
+            "command": self.args.command,
+            "version": __version__,
             "seed": self.args.seed,
             "inputs": sorted(str(p) for p in inputs),
             "parameters": parameters,
             "outputs": sorted(self.outputs),
             "duration_s": time.perf_counter() - self.started,
         }
-        atomic_write_text(os.path.join(self.args.out_dir, "run_manifest.json"),
+        atomic_write_text(paths["run_manifest.json"],
                           json_dumps_stable(manifest))
         if not self.args.quiet:
             print(summary)
@@ -177,8 +185,7 @@ def _cmd_simulate(args, run) -> int:
     run.write("model_true.json", json_dumps_stable(model_to_dict(model)))
     _write_experiment_bundle(run, population, config)
     takeup = float(population.records.demand.mean())
-    return run.finish("simulate", [args.scenario],
-                      {"scenario": str(args.scenario)},
+    return run.finish([args.scenario], {"scenario": str(args.scenario)},
                       f"simulated {len(population.records)} records "
                       f"({', '.join(population.groups)}); "
                       f"mean take-up {takeup:.3f}")
@@ -233,7 +240,7 @@ def _cmd_fit(args, run) -> int:
                    for k, v in vars(diag).items() if v is not None}
     run.write("model.json", json_dumps_stable(
         {"model": model_to_dict(model), "diagnostics": diagnostics}))
-    return run.finish("fit", [args.records],
+    return run.finish([args.records],
                       {"model": args.model, "allow_upward": args.allow_upward},
                       f"fitted {args.model} demand on {diag.n_records} records")
 
@@ -245,9 +252,23 @@ def _load_model_file(path):
     return model_from_dict(data)
 
 
+def _pricing_flags(args, share: bool) -> None:
+    """Refuse a pricing flag that the chosen solver would ignore, then fill
+    in the defaults."""
+    if share and args.mode is not None:
+        raise ConfigError("--mode applies to parity runs only")
+    if not share and (args.scope is not None or args.group is not None):
+        raise ConfigError("--scope and --group apply to share runs only")
+    if args.group is not None and args.scope != GROUP_SCOPE:
+        raise ConfigError("--group needs --scope group")
+    args.mode = args.mode or ATTRIBUTE_BASED
+    args.scope = args.scope or POPULATION_SCOPE
+
+
 def _cmd_price(args, run) -> int:
     if args.share_lambda is not None and args.gamma is not None:
         raise ConfigError("pass --gamma or --share-lambda, not both")
+    _pricing_flags(args, share=args.share_lambda is not None)
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
 
@@ -270,7 +291,7 @@ def _cmd_price(args, run) -> int:
              row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))
     run.write("prices.json", json_dumps_stable(payload))
-    return run.finish("price", [args.model, args.population], parameters,
+    return run.finish([args.model, args.population], parameters,
                       f"{note}, expected revenue {payload['revenue']:.6g}")
 
 
@@ -332,8 +353,8 @@ def _cmd_audit(args, run) -> int:
     run.write("audit.json", report.to_json())
     computed = sum(1 for v in report.metrics.values()
                    if not (isinstance(v, dict) and set(v) == {"error"}))
-    return run.finish("audit", inputs, {"alpha": args.alpha,
-                                        "metrics": sorted(selected or ())},
+    return run.finish(inputs, {"alpha": args.alpha,
+                               "metrics": sorted(selected or ())},
                       f"audited {report.n_records} records: {computed} of "
                       f"{len(report.metrics)} metrics computed")
 
@@ -364,7 +385,7 @@ def _cmd_ope(args, run) -> int:
     payload.update(policy=policy_to_dict(policy), std_error=se)
     run.write("ope.json", json_dumps_stable(payload))
     inputs = [args.records] + ([args.policy] if args.policy else [])
-    return run.finish("ope", inputs,
+    return run.finish(inputs,
                       {"bandwidth": args.bandwidth, "n_boot": args.n_boot,
                        "search": bool(args.search),
                        **({"n_starts": args.n_starts} if args.search else {})},
@@ -372,6 +393,7 @@ def _cmd_ope(args, run) -> int:
 
 
 def _cmd_sweep(args, run) -> int:
+    _pricing_flags(args, share=args.kind == "share")
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
     grid = _parse_grid(args.grid)
@@ -397,7 +419,7 @@ def _cmd_sweep(args, run) -> int:
     run.write("sweep.csv", _csv_text(header, rows))
     run.write("sweep.json", json_dumps_stable(
         {"parameters": parameters, "rows": json_rows}))
-    return run.finish("sweep", [args.model, args.population], parameters,
+    return run.finish([args.model, args.population], parameters,
                       f"{args.kind} sweep over {len(grid)} grid points "
                       f"-> {len(rows)} rows")
 
@@ -412,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fairprice",
         description="Parity-constrained personalized pricing toolkit")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {VERSION}")
+                        version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness (default 0)")
@@ -425,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     pricing.add_argument("--population", required=True,
                          help="population JSON path")
     pricing.add_argument("--mode", choices=(ATTRIBUTE_BASED, ATTRIBUTE_BLIND),
-                         default=ATTRIBUTE_BASED,
-                         help="parity prices and sweeps only")
+                         help="parity prices and sweeps only (default "
+                              f"{ATTRIBUTE_BASED})")
     pricing.add_argument("--scope", choices=(POPULATION_SCOPE, GROUP_SCOPE),
-                         default=POPULATION_SCOPE,
-                         help="share prices and sweeps only")
-    pricing.add_argument("--group", default=None,
-                         help="share prices and sweeps: target group for "
-                              "group scope")
+                         help="share prices and sweeps only (default "
+                              f"{POPULATION_SCOPE})")
+    pricing.add_argument("--group",
+                         help="share prices and sweeps with --scope group: "
+                              "the target group")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

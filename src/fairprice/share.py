@@ -132,7 +132,8 @@ def _share_rows(model, X, g, groups, ell) -> np.ndarray:
         return d + (p + ell[rows]) * dp, dp, *rest
 
     f_lo = foc(..., lo)[0]
-    golden = f_lo * foc(..., hi)[0] > 0.0
+    # signs, not the product, which under- or overflows at extreme demand
+    golden = np.sign(f_lo) * np.sign(foc(..., hi)[0]) > 0.0
     price, at = np.empty(len(ell)), np.flatnonzero(golden)
     if at.size:
         price[at] = golden_rows(lambda i, p: objective(at[i], p), lo[at],

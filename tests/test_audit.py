@@ -400,6 +400,16 @@ def test_attribute_gap_decomposition_runs():
             fp.attribute_gap_decomposition(model, pop, x_index, group="a")
 
 
+def test_attribute_gap_decomposition_rejects_group_blind_demand():
+    # logistic demand ignores the group: both optima coincide
+    model = fp.LogisticDemand(gamma=[0.5], beta=-1.4, intercept=0.8)
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
+                        masses=[0.5, 0.5],
+                        membership=[[0.8, 0.2], [0.3, 0.7]])
+    with pytest.raises(fp.DecompositionError, match="does not move"):
+        fp.attribute_gap_decomposition(model, pop, x_index=0, group="a")
+
+
 def test_run_audit_rejects_an_empty_selection():
     records = record_table([_rec(0, "a", 1.0, 1.0), _rec(1, "b", 2.0, 0.0)])
     with pytest.raises(fp.ConfigError, match="none selected") as info:

@@ -54,6 +54,7 @@ def test_simulate_outputs(sim_dir):
             "run_manifest.json"} <= names
     manifest = json.loads((sim_dir / "run_manifest.json").read_text())
     assert manifest["command"] == "simulate"
+    assert manifest["version"] == fp.__version__
     assert manifest["seed"] == 3
     assert "records.csv" in manifest["outputs"]
 
@@ -246,6 +247,31 @@ def test_price_share_lambda(tmp_path, sim_dir):
                                          b_price(results["0.6"])))
     assert blob["access"]["b"] > results["0"]["access"]["b"]
     assert blob["revenue"] < results["0"]["revenue"] + 1e-12
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["price", "--gamma", "0.1", "--scope", "group", "--group", "zz"],
+     "--scope and --group apply to share runs only"),
+    (["price", "--share-lambda", "0.3", "--mode", "attribute_blind"],
+     "--mode applies to parity runs only"),
+    (["sweep", "--kind", "parity", "--grid", "0,0.1", "--scope", "group",
+      "--group", "zz"], "--scope and --group apply to share runs only"),
+    (["price", "--share-lambda", "0.3", "--group", "a"],
+     "--group needs --scope group"),
+], ids=["parity_price_scope", "share_price_mode", "parity_sweep_scope",
+        "group_without_group_scope"])
+def test_pricing_flags_the_solver_ignores_exit_2(tmp_path, capsys, flags,
+                                                  message):
+    # the model file is missing: the flags are refused before any file is read
+    out = tmp_path / "o"
+    code = main(flags + ["--model", str(tmp_path / "missing.json"),
+                         "--population", str(tmp_path / "missing.json"),
+                         "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert message in err
+    assert not out.exists()
 
 
 def test_price_gamma_and_share_lambda_conflict(tmp_path, sim_dir, capsys):
@@ -665,12 +691,17 @@ def test_sweep_share(tmp_path, sim_dir):
     assert len(lines) == 1 + 3 * 2  # three weights x two groups
 
 
-@pytest.mark.parametrize("weight", ["inf", "nan"])
-@pytest.mark.parametrize("command", [["sweep", "--kind", "share", "--grid"],
-                                     ["price", "--share-lambda"]],
-                         ids=["sweep", "price"])
+# a nan grid point is refused as a grid value before it becomes a weight
+@pytest.mark.parametrize("command, weight, error_code, message", [
+    (["sweep", "--kind", "share", "--grid"], "inf", "missing_field",
+     "share weight"),
+    (["sweep", "--kind", "share", "--grid"], "nan", "config_parse",
+     "grid spec 'nan'"),
+    (["price", "--share-lambda"], "inf", "missing_field", "share weight"),
+    (["price", "--share-lambda"], "nan", "missing_field", "share weight"),
+], ids=["sweep-inf", "sweep-nan", "price-inf", "price-nan"])
 def test_share_weight_must_be_finite(tmp_path, sim_dir, capsys, command,
-                                     weight):
+                                     weight, error_code, message):
     out = tmp_path / "o"
     code = main(command + [weight,
                            "--model", str(sim_dir / "model_true.json"),
@@ -678,8 +709,8 @@ def test_share_weight_must_be_finite(tmp_path, sim_dir, capsys, command,
                            "--out-dir", str(out), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "error_code=missing_field" in err
-    assert "share weight" in err
+    assert f"error_code={error_code}" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -877,6 +908,25 @@ def test_a_run_whose_files_fail_to_write_reports_no_success(tmp_path,
     assert [p.name for p in out.iterdir()] == ["ope.json"]
 
 
+@pytest.mark.parametrize("name", ["revenue_curve.csv", "run_manifest.json"])
+def test_a_directory_in_place_of_an_output_fails_before_any_write(
+        tmp_path, capsys, scenario_path, name):
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", scenario_path, "--seed", "1",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+    code = main(["simulate", "--scenario", scenario_path, "--seed", "3",
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error_code=io" in captured.err
+    assert captured.out == ""
+    assert {p.name: p.is_file() and p.read_bytes()
+            for p in out.iterdir()} == before
+
+
 def test_every_output_takes_the_mode_the_umask_gives(tmp_path, scenario_path):
     out = tmp_path / "o"
     umask = os.umask(0o022)
@@ -966,11 +1016,8 @@ def test_unknown_subcommand_exits_nonzero():
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit):
-        # argparse handles --version itself when invoked via parse_args
-        import fairprice.cli as cli
-        cli.build_parser().parse_args(["--version"])
-    assert capsys.readouterr().out.strip()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"fairprice {fp.__version__}\n"
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -1026,10 +1073,11 @@ def test_simulate_without_n_exits_2(tmp_path, capsys):
     assert "missing required key 'n'" in err
 
 
-@pytest.mark.parametrize("grid", ["1:2", "a:b:3", "2:1:3", "x,y"])
+@pytest.mark.parametrize("grid", ["1:2", "a:b:3", "2:1:3", "x,y", "0:inf:3",
+                                  "-inf:0:3", "-1e308:1e308:3", "0.1,nan"])
 def test_sweep_rejects_a_bad_grid(tmp_path, sim_dir, capsys, grid):
     out = tmp_path / "o"
-    code = main(["sweep", "--kind", "share", "--grid", grid,
+    code = main(["sweep", "--kind", "share", f"--grid={grid}",
                  "--model", str(sim_dir / "model_true.json"),
                  "--population", str(sim_dir / "population.json"),
                  "--out-dir", str(out), "--quiet"])
@@ -1218,15 +1266,17 @@ def test_incomplete_model_audit_exits_2(tmp_path, sim_dir, capsys, flags,
 
 
 def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):
-    """``import fairprice.cli`` and an audit never import scipy.special."""
+    """``import fairprice.cli`` and an audit never import scipy.special, nor
+    the installer metadata (``importlib.metadata``, which loads ``email``)."""
     script = (
         "import sys\n"
         "import fairprice.cli\n"
-        "assert 'scipy.special' not in sys.modules, 'import'\n"
+        "lazy = ('scipy.special', 'importlib.metadata', 'email')\n"
+        "assert not set(lazy) & set(sys.modules), 'import'\n"
         "code = fairprice.cli.main(['audit', '--records', sys.argv[1],\n"
         "                           '--out-dir', sys.argv[2], '--quiet'])\n"
         "assert code == 0, code\n"
-        "assert 'scipy.special' not in sys.modules, 'audit'\n")
+        "assert not set(lazy) & set(sys.modules), 'audit'\n")
     src = os.path.dirname(os.path.dirname(fp.__file__))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))

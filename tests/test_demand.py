@@ -443,10 +443,14 @@ def test_fit_partially_linear_upward_slope():
     assert model.beta["a"] > 0
 
 
-def test_fit_partially_linear_no_price_variation():
-    records = [dict(id=str(i), group="a", covariates=[float(i)],
-                    price=1.0, demand=0.3) for i in range(10)]
-    with pytest.raises(fp.SingularDesignError):
+@pytest.mark.parametrize("price, covariate, message", [
+    (lambda i: 1.0, float, "no price variation"),
+    (lambda i: 1.0 + i % 3, lambda i: 0.5, "rank-deficient design"),
+], ids=["constant_price", "constant_covariate"])
+def test_fit_partially_linear_singular_design(price, covariate, message):
+    records = [dict(id=str(i), group="a", covariates=[covariate(i)],
+                    price=price(i), demand=0.3) for i in range(10)]
+    with pytest.raises(fp.SingularDesignError, match=message):
         fp.fit_partially_linear(record_table(records))
 
 

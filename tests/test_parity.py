@@ -235,6 +235,22 @@ def test_parity_weight_identities():
     assert 0.3 * xa ** 2 + 0.7 * xb ** 2 == pytest.approx(1 / 0.3 + 1 / 0.7)
 
 
+@pytest.mark.parametrize("rho, group, positive, error, message", [
+    ({"a": 0.2, "b": 0.3, "c": 0.5}, "a", None, fp.PreconditionError,
+     "exactly two groups, got 3"),
+    ({"a": 0.3, "b": 0.7}, "a", "zz", fp.UnknownGroupError,
+     "unknown group 'zz'"),
+    ({"a": 0.3, "b": 0.7}, "zz", "a", fp.UnknownGroupError,
+     "unknown group 'zz'"),
+    ({"a": 0.0, "b": 1.0}, "a", None, fp.PreconditionError,
+     "group 'a' needs a positive prior"),
+], ids=["three_groups", "unknown_positive", "unknown_group", "zero_prior"])
+def test_parity_weight_rejects_bad_priors_and_groups(rho, group, positive,
+                                                     error, message):
+    with pytest.raises(error, match=message):
+        fp.parity_weight(rho, group, positive_group=positive)
+
+
 def test_policy_disparity_agrees_with_solution():
     rng = np.random.default_rng(17)
     model, pop = _random_instance(rng, m=4, shared_beta=True)

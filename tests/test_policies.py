@@ -31,6 +31,8 @@ def test_tabular_policy_lookup_and_blind_fallback():
     assert pol.price([0.0], "b") == 0.9   # falls back to the blind entry
     assert pol.price([1.0], "a") == 2.0
     assert pol.price([1.0 + 1e-12], "a") == 2.0  # tolerant row match
+    empty = pol.price_batch(np.zeros((0, 1)), [], ("a",))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
     with pytest.raises(fp.DimensionMismatchError):
         pol.price([0.5], "a")   # off-support
     with pytest.raises(fp.DimensionMismatchError):

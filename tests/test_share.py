@@ -40,6 +40,34 @@ def test_logistic_share_price_matches_grid(ell):
     assert abs(p - p_grid) < 1e-4
 
 
+def test_share_price_under_a_large_tax_matches_grid():
+    # demand near 1e-161: the two bracket-end conditions (about 2e-161 and
+    # 3e-166) share a sign though their product underflows to 0.0
+    m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
+                                scale=0.4)
+    p = fp.share.share_prices(m, [[0.0]], [0], ("a",), [-150.0])[0]
+    p_grid, _ = grid_argmax(
+        lambda t: (t - 150.0) * fp.eval_demand(m, [0.0], "a", t), 150.0, 160.0)
+    assert abs(p - p_grid) < 1e-6
+
+
+def test_share_price_under_a_huge_subsidy_warns_nothing():
+    # the product of the bracket-end conditions overflows at weight 1e308
+    m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
+                                scale=0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prices = fp.share.share_prices(m, [[0.0], [1.0]], [0, 0], ("a",),
+                                       [1e308, 0.0])
+    assert prices[0] == 0.0
+    assert prices[1] == fp.solve_share_price(m, [1.0], "a", 0.0)
+
+
+def test_share_prices_reject_an_unsupported_model():
+    with pytest.raises(fp.PreconditionError, match="unsupported model object"):
+        fp.share.share_prices(object(), [[0.0]], [0], ("a",), [0.0])
+
+
 def test_share_price_foc_holds():
     m = fp.LatentValuationModel(loc={"g": (1.5, np.array([]))},
                                 noise="gumbel", scale=0.6)
