@@ -269,6 +269,7 @@ def _cmd_price(args, run) -> int:
     if args.share_lambda is not None and args.gamma is not None:
         raise ConfigError("pass --gamma or --share-lambda, not both")
     _pricing_flags(args, share=args.share_lambda is not None)
+    gamma = _parse_gamma(args.gamma if args.gamma is not None else "inf")
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
 
@@ -277,7 +278,6 @@ def _cmd_price(args, run) -> int:
         note = (f"share prices under lambda={fmt_float(args.share_lambda)} "
                 f"({args.scope} scope)")
     else:
-        gamma = _parse_gamma(args.gamma if args.gamma is not None else "inf")
         solution = _parity_solver(args.mode)(model, population, gamma)
         policy = solution.policy()
         payload = solution.to_dict()

@@ -42,6 +42,7 @@ the two interleave.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -551,15 +552,43 @@ def _csv_header(k: int) -> list:
 def read_records_csv(path) -> RecordTable:
     """Read records written by :func:`write_records_csv` (empty cell = missing).
 
-    Every non-empty numeric cell must parse as a finite number; the error
-    names the CSV line.
+    Records are UTF-8 text. Every non-empty numeric cell must parse as a
+    finite number; the error names the CSV line. A plain file is parsed
+    with array operations (:func:`_plain_cells`); a quoted or irregular
+    file, or one whose numbers ``loadtxt`` refuses, goes through the csv
+    module (:func:`_csv_cells`), with the same result or error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidRecordError("empty records file") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _record_table(_plain_cells(data) or _csv_cells(data))
+
+
+def _record_table(cells) -> RecordTable:
+    """The table of ``(ids, groups, values, present, where)``, where
+    ``values`` and ``present`` hold the numeric columns x1..xk,
+    price..weight."""
+    ids, groups, values, present, where = cells
+    k = values.shape[1] - len(CSV_TRAILING_COLUMNS)
+    return RecordTable.from_arrays(ids, groups, values[:, :k], values[:, k:],
+                                   present[:, k:], where)
+
+
+def _csv_cells(data: bytes):
+    """The cells of a records file through the csv module, which reads
+    quoted fields and blank lines and names the line of every error."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())
+        raise InvalidRecordError(
+            f"line {line}: records are not UTF-8 text ({exc.reason} at "
+            f"byte {exc.start})") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InvalidRecordError("empty records file")
         k = len(header) - len(CSV_LEADING_COLUMNS) - len(CSV_TRAILING_COLUMNS)
         expected = _csv_header(k)
         if k < 0 or header != expected:
@@ -578,6 +607,8 @@ def read_records_csv(path) -> RecordTable:
                     f"got {len(row)}")
             lines.append(lineno)
             rows.append(row)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise InvalidRecordError(f"line {reader.line_num}: {exc}") from None
     text = np.array([c.strip() for row in rows for c in row[2:]],
                     dtype=object).reshape(len(rows), len(expected) - 2)
     present = text != ""
@@ -593,9 +624,79 @@ def read_records_csv(path) -> RecordTable:
                     f"line {lines[i]}: {expected[j + 2]} cell {text[i, j]!r} "
                     "is not a number") from None
         raise
-    return RecordTable.from_arrays(
-        [row[0] for row in rows], [row[1] for row in rows], values[:, :k],
-        values[:, k:], present[:, k:], lambda i: f"line {lines[i]}")
+    return ([row[0] for row in rows], [row[1] for row in rows], values,
+            present, lambda i: f"line {lines[i]}")
+
+
+def _plain_cells(data: bytes):
+    """The cells of a plain records file, found with array operations, or
+    None when the csv module must read it.
+
+    A plain file is ASCII with no quote, NUL or lone CR, and each of its
+    lines holds exactly one cell per column, so its row ``i`` is line
+    ``i + 2`` and every comma or line end ends a cell. The numeric columns
+    that hold a value anywhere go through one ``loadtxt`` parse, with a
+    placeholder in their empty cells. A header, field size or number that the
+    csv path might read otherwise sends the file there instead.
+    """
+    if not data.isascii() or b'"' in data or b"\0" in data:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    header = data[:data.index(b"\n")].removesuffix(b"\r").decode().split(",")
+    k = len(header) - len(CSV_LEADING_COLUMNS) - len(CSV_TRAILING_COLUMNS)
+    if k < 0 or header != _csv_header(k):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if ends.size % len(header):
+        return None
+    ends = ends.reshape(-1, len(header))
+    line_end = buf[ends] == ord("\n")
+    if not line_end[:, -1].all() or line_end[:, :-1].any():
+        return None
+    # a CR is allowed only as part of a CRLF line end, outside the last cell
+    cr = buf[ends[:, -1] - 1] == ord("\r")
+    if np.count_nonzero(cr) != data.count(b"\r"):
+        return None
+    size = np.diff(ends.ravel(), prepend=-1).reshape(ends.shape)
+    size[:, -1] -= cr
+    size -= 1
+    ends[:, -1] -= cr
+    ends, size = ends[1:], size[1:]
+    if size.max(initial=0) > csv.field_size_limit():
+        return None
+    present = size[:, 2:] > 0
+    values = np.full(present.shape, np.nan)
+    used = present.any(axis=0)
+    if used.any():
+        # a 0 in each empty cell of a used column, then NaN in its value
+        holes = ends[:, 2:][used & ~present]
+        if holes.size:
+            data = np.insert(buf, holes, ord("0")).tobytes()
+        try:
+            values[:, used] = np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                dtype=float, delimiter=",", comments=None, quotechar=None,
+                skiprows=1, usecols=(np.flatnonzero(used) + 2).tolist(),
+                ndmin=2)
+        except ValueError:
+            return None
+        values[~present] = np.nan
+    return (_byte_cells(buf, ends[:, 0], size[:, 0]),
+            _byte_cells(buf, ends[:, 1], size[:, 1]), values, present,
+            lambda i: f"line {i + 2}")
+
+
+def _byte_cells(buf, stop, size):
+    """The cells of ``size[i]`` bytes that end at the comma ``buf[stop[i]]``,
+    as one str array; ASCII, so each byte is one code point."""
+    width = max(int(size.max(initial=0)), 1)
+    at = (stop - size)[:, None] + np.arange(width)
+    np.minimum(at, stop[:, None], out=at)
+    cells = buf[at].astype(np.uint32)
+    cells[cells == ord(",")] = 0  # past the cell's end: NUL pads a str
+    return cells.view(f"U{width}").ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import csv
 import json
 import os
 import stat
@@ -1200,6 +1201,48 @@ def test_empty_records_file_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert "error_code=invalid_value" in err
     assert "empty records file" in err
+
+
+@pytest.mark.parametrize("command", [["audit"], ["fit", "--model", "linear"]])
+def test_records_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"id,group,x1,price,demand,outcome,valuation,weight\n"
+                     + _GOOD_ROWS.encode() + b"r99,\xff,1.0,1.5,1.0,,,1.0\n")
+    out = tmp_path / "o"
+    code = main([command[0], "--records", str(path), *command[1:],
+                 "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert "line 14: records are not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rid", ["r", '"r"'], ids=["plain", "quoted"])
+def test_records_field_over_the_csv_limit_exits_2(tmp_path, capsys, rid):
+    path = tmp_path / "records.csv"
+    long_id = rid.replace("r", "r" * (csv.field_size_limit() + 1))
+    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
+                    + _GOOD_ROWS + f"{long_id},a,1.0,1.5,1.0,,,1.0\n")
+    code = main(["audit", "--records", str(path),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert "line 14: field larger than field limit" in err
+
+
+def test_price_rejects_bad_gamma_before_reading_files(tmp_path, sim_dir,
+                                                      capsys):
+    out = tmp_path / "o"
+    code = main(["price", "--model", str(tmp_path / "missing.json"),
+                 "--population", str(sim_dir / "population.json"),
+                 "--gamma", "abc", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error_code=config_parse" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_model_file_that_is_not_json_exits_2(tmp_path, sim_dir, capsys):

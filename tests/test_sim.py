@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import sim
@@ -220,6 +221,133 @@ def test_csv_round_trip_with_quoted_fields(tmp_path):
         # bit for bit: -0.0 stays negative and empty cells stay NaN
         want, got = getattr(table, name), getattr(back, name)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# numeric cells that either reader may meet: the writer's spellings, padding,
+# and after them spellings that float() reads but loadtxt refuses ("1_0", an
+# Arabic-Indic digit one) or that neither reads
+_CELLS = ["", "0.5", "-0.0", "1e-300", "2.0", "+3.", ".5", " 1.5 ", "\t2\x0b",
+          "nan", "-inf", "1e999", " ", "1_0", "\u0661", "abc", "0x10"]
+_PLAIN_IDS = ["r0", "r1", " x ", "", "a\tb"]
+_GROUPS = ["a", "b c", "", "d,e", ' "q" ', "line\nbreak"]
+
+
+@st.composite
+def _record_sources(draw):
+    """A small table for the writer, or the bytes of a file whose rows hold
+    the cells above. Half the files of either kind are plain: no id or
+    group that needs quotes and, for the cell rows, one cell per column.
+    Half the cell files use only the first nine cells."""
+    k, plain = draw(st.integers(0, 2)), draw(st.booleans())
+
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    def rid():
+        if plain:
+            return pick(*_PLAIN_IDS)
+        return draw(st.text(alphabet='r ,"\n\r', max_size=3))
+    groups = _GROUPS[:3] if plain else _GROUPS
+    if draw(st.booleans()):
+        return record_table(
+            dict(id=rid(), group=pick(*filter(None, groups)),
+                 covariates=[pick(-0.0, 1e-300, 0.5, 3.0) for _ in range(k)],
+                 price=pick(None, 1.0, 1e-300), demand=pick(None, 0.0, 1.0),
+                 outcome=pick(None, -0.0), valuation=pick(None, 2.5, -1e300),
+                 weight=pick(None, 1e-300, 2.0))
+            for _ in range(draw(st.integers(1, 4))))
+    cells = st.sampled_from(_CELLS[:9] if draw(st.booleans()) else _CELLS)
+    lines = [",".join(sim._csv_header(k))]
+    for _ in range(draw(st.integers(0, 4))):
+        width = len(CSV_TRAILING_COLUMNS) + k
+        width += 0 if plain else pick(0, -1, 1)
+        lines.append(",".join([rid(), pick(*groups),
+                               *draw(st.lists(cells, min_size=width,
+                                              max_size=width))]))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def _read_outcome(read, path):
+    """What ``read(path)`` gives: the table's columns, bit for bit, or the
+    class and message of its error."""
+    try:
+        table = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (table.ids.dtype, table.ids.tolist(), table.labels,
+            table.codes.tolist(), table.X.shape,
+            [getattr(table, name).view(np.uint64).tolist()
+             for name in ("X",) + CSV_TRAILING_COLUMNS])
+
+
+@given(source=_record_sources(), edits=st.data())
+@settings(max_examples=400)
+def test_array_and_csv_module_readers_agree(tmp_path_factory, source, edits):
+    path = tmp_path_factory.getbasetemp() / "agree.csv"
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        write_records_csv(path, source)
+    data = path.read_bytes()
+    if edits.draw(st.booleans()):
+        data = data.replace(b"\r\n", b"\n")
+    if edits.draw(st.booleans()):
+        # a blank or space-only line after some line
+        at = edits.draw(st.sampled_from(
+            [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]))
+        blank = edits.draw(st.sampled_from([b"\n", b"\r\n", b" \n"]))
+        data = data[:at] + blank + data[at:]
+    if edits.draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    path.write_bytes(data)
+    csv_module = _read_outcome(
+        lambda p: sim._record_table(sim._csv_cells(p.read_bytes())), path)
+    assert _read_outcome(read_records_csv, path) == csv_module
+
+
+def _refuse_csv_module(data):
+    raise AssertionError("the csv module path ran")
+
+
+def _sparse_table():
+    """Records with a column of empty cells (outcome) and columns where only
+    some cells are empty."""
+    return record_table(
+        dict(id=f"r{i}", group="ab"[i % 2], covariates=[-0.0, 0.5 * i],
+             price=1.0 + i, demand=None if i % 3 else float(i % 2),
+             valuation=2.5 if i % 2 else None)
+        for i in range(7))
+
+
+@pytest.mark.parametrize("kind", ["logged", "sparse", "no_weights"])
+def test_plain_records_file_skips_the_csv_module(tmp_path, monkeypatch, kind):
+    table = _logged_scenario(seed=5)[2] if kind == "logged" else _sparse_table()
+    path = tmp_path / "records.csv"
+    write_records_csv(path, table)
+    if kind == "no_weights":
+        # an empty last cell before each CRLF; an empty weight reads as 1
+        path.write_bytes(path.read_bytes().replace(b",1.0\r\n", b",\r\n"))
+    assert b'"' not in path.read_bytes()
+    monkeypatch.setattr(sim, "_csv_cells", _refuse_csv_module)
+    back = read_records_csv(path)
+    assert back.ids.tolist() == table.ids.tolist()
+    assert back.labels == table.labels
+    assert back.codes.tolist() == table.codes.tolist()
+    for name in ("X",) + CSV_TRAILING_COLUMNS:
+        want, got = getattr(table, name), getattr(back, name)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_quoted_records_file_goes_through_the_csv_module(tmp_path,
+                                                         monkeypatch):
+    table = record_table([
+        dict(id="com,ma", group="a", covariates=[0.5], price=1.0),
+        dict(id="two\nlines", group="b", covariates=[1.0], price=2.0)])
+    path = tmp_path / "records.csv"
+    write_records_csv(path, table)
+    monkeypatch.setattr(sim, "_csv_cells", _refuse_csv_module)
+    with pytest.raises(AssertionError, match="csv module path ran"):
+        read_records_csv(path)
 
 
 def test_csv_missing_fields_read_as_none(tmp_path):
