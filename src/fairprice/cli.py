@@ -6,9 +6,11 @@ demand model), ``price`` (model + population -> parity-constrained prices),
 or policy search), and ``sweep`` (constraint or subsidy frontiers).
 
 A run writes its outputs, then a ``run_manifest.json``, into ``--out-dir``
-once it has succeeded; a failed run leaves ``--out-dir`` as it was. All
-randomness flows from ``--seed``, so reruns with identical inputs produce
-identical output bytes (the manifest's duration field aside). Failures print
+once it has succeeded; a failed run leaves ``--out-dir`` as it was. Only
+``simulate`` and ``ope`` draw random numbers, and only they take ``--seed``,
+so reruns with identical inputs produce identical output bytes (the
+manifest's duration field aside). A flag that the run would ignore is
+refused. Failures print
 ``error_code=<token>`` on stderr and exit with a documented status:
 
     0  success
@@ -134,7 +136,7 @@ class _Run:
     """Holds the output files of one CLI invocation until :meth:`finish`."""
 
     def __init__(self, args):
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise MissingFieldError("--seed must be nonnegative")
         self.args = args
         self.outputs = {}  # file name -> text, or a RecordTable for records.csv
@@ -159,12 +161,13 @@ class _Run:
         manifest = {
             "command": self.args.command,
             "version": __version__,
-            "seed": self.args.seed,
             "inputs": sorted(str(p) for p in inputs),
             "parameters": parameters,
             "outputs": sorted(self.outputs),
             "duration_s": time.perf_counter() - self.started,
         }
+        if hasattr(self.args, "seed"):
+            manifest["seed"] = self.args.seed
         atomic_write_text(paths["run_manifest.json"],
                           json_dumps_stable(manifest))
         if not self.args.quiet:
@@ -230,6 +233,8 @@ def _write_experiment_bundle(run, population, config) -> None:
 
 
 def _cmd_fit(args, run) -> int:
+    if args.allow_upward and args.model == "logistic":
+        raise ConfigError("--allow-upward applies to linear fits only")
     records = read_records_csv(args.records)
     if args.model == "logistic":
         model, diag = fit_logistic(records)
@@ -362,6 +367,10 @@ def _cmd_audit(args, run) -> int:
 def _cmd_ope(args, run) -> int:
     if bool(args.policy) == bool(args.search):
         raise MissingFieldError("pass exactly one of --policy or --search")
+    if args.policy and args.n_starts is not None:
+        raise ConfigError("--n-starts applies to --search only")
+    if args.n_starts is None:
+        args.n_starts = 16
     check_n_boot(args.n_boot)
     records = read_records_csv(args.records)
     config = OPEConfig(bandwidth=args.bandwidth)
@@ -435,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parity-constrained personalized pricing toolkit")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness (default 0)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".",
                         help="directory for output files (default .)")
     common.add_argument("--quiet", action="store_true",
@@ -458,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded, common],
                        help="generate synthetic records from a scenario file")
     p.add_argument("--scenario", required=True, help="scenario config path")
     p.set_defaults(func=_cmd_simulate)
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("logistic", "linear"), required=True)
     p.add_argument("--allow-upward", action="store_true",
                    help="accept a nonnegative fitted price slope (linear fits "
-                        "only: a logistic one always exits 3)")
+                        "only)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("price", parents=[common, pricing],
@@ -499,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "strictly between 0 and 1")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("ope", parents=[common],
+    p = sub.add_parser("ope", parents=[seeded, common],
                        help="off-policy evaluation or linear policy search")
     p.add_argument("--records", required=True, help="records CSV path")
     p.add_argument("--policy", help="policy JSON path to evaluate")
@@ -509,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel bandwidth relative to the price range")
     p.add_argument("--n-boot", type=int, default=200,
                    help="bootstrap resamples for the standard error")
-    p.add_argument("--n-starts", type=int, default=16,
-                   help="pattern-search starts (search mode)")
+    p.add_argument("--n-starts", type=int, default=None,
+                   help="pattern-search starts (--search only, default 16)")
     p.set_defaults(func=_cmd_ope)
 
     p = sub.add_parser("sweep", parents=[common, pricing],

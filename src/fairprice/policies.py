@@ -18,6 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .demand import _row_dots
 from .errors import (
     DimensionMismatchError,
     InvalidRecordError,
@@ -196,11 +197,7 @@ class LinearPolicy:
         if X.shape[1] != self.theta.size:
             raise DimensionMismatchError(
                 f"policy expects {self.theta.size} covariates, got {X.shape[1]}")
-        # a stack of (1, k) @ (k,) products takes the same BLAS dot per row as
-        # the 1-D ``theta @ x``; ``X @ theta`` is one matrix-vector product,
-        # which sums in another order and changes last bits
-        rows = np.ascontiguousarray(X)[:, None, :]
-        raw = self.intercept + (rows @ self.theta)[:, 0]
+        raw = self.intercept + _row_dots(X, self.theta)
         # clipped as Python's min(hi, max(lo, raw)), which keeps its first
         # argument on ties and NaN
         raw = np.where(raw > self.clip_lo, raw, float(self.clip_lo))

@@ -90,10 +90,8 @@ class CovariateSpec:
     def values_and_probs(self):
         if self.kind == "constant":
             return [self.params[0]], [1.0]
-        if self.kind == "choice":
-            values, probs = zip(*self.params)
-            return list(values), list(probs)
-        raise ConfigError(f"covariate {self.name} is continuous")
+        values, probs = zip(*self.params)
+        return list(values), list(probs)
 
     def sample(self, rng):
         if self.kind == "normal":
@@ -552,11 +550,12 @@ def _csv_header(k: int) -> list:
 def read_records_csv(path) -> RecordTable:
     """Read records written by :func:`write_records_csv` (empty cell = missing).
 
-    Records are UTF-8 text. Every non-empty numeric cell must parse as a
-    finite number; the error names the CSV line. A plain file is parsed
-    with array operations (:func:`_plain_cells`); a quoted or irregular
-    file, or one whose numbers ``loadtxt`` refuses, goes through the csv
-    module (:func:`_csv_cells`), with the same result or error.
+    Records are UTF-8 text. Every non-empty numeric cell must be a finite
+    number in the grammar of :func:`_numbers`; the error names the CSV
+    line. A plain file is parsed with array operations
+    (:func:`_plain_cells`); a quoted or irregular file, or one whose numbers
+    ``loadtxt`` refuses, goes through the csv module (:func:`_csv_cells`),
+    with the same result or error.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -577,14 +576,13 @@ def _csv_cells(data: bytes):
     """The cells of a records file through the csv module, which reads
     quoted fields and blank lines and names the line of every error."""
     try:
-        data.decode("utf-8")
+        decoded = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len(data[:exc.start + 1].splitlines())
         raise InvalidRecordError(
             f"line {line}: records are not UTF-8 text ({exc.reason} at "
             f"byte {exc.start})") from None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                         newline=""))
+    reader = csv.reader(io.StringIO(decoded, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -614,11 +612,11 @@ def _csv_cells(data: bytes):
     present = text != ""
     values = np.full(text.shape, np.nan)
     try:
-        values[present] = np.array(text[present].tolist(), dtype=float)
+        values[present] = _numbers(text[present].tolist())
     except ValueError:
         for i, j in zip(*np.nonzero(present)):
             try:
-                float(text[i, j])
+                _numbers([text[i, j]])
             except ValueError:
                 raise InvalidRecordError(
                     f"line {lines[i]}: {expected[j + 2]} cell {text[i, j]!r} "
@@ -626,6 +624,16 @@ def _csv_cells(data: bytes):
         raise
     return ([row[0] for row in rows], [row[1] for row in rows], values,
             present, lambda i: f"line {lines[i]}")
+
+
+def _numbers(cells) -> np.ndarray:
+    """The stripped non-empty cells as floats under the one number grammar
+    of records.csv, the one ``np.loadtxt`` reads: ASCII text with no ``_``
+    that ``float()`` parses. ValueError for any other cell."""
+    joined = "".join(cells)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("records.csv numbers are ASCII without '_'")
+    return np.array(cells, dtype=float)
 
 
 def _plain_cells(data: bytes):

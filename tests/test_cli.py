@@ -440,17 +440,17 @@ def test_audit_json_and_csv(tmp_path, sim_dir):
     assert "format" not in manifest
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "price", "audit",
-                                     "ope", "sweep"])
-def test_no_subcommand_takes_a_format_flag(tmp_path, sim_dir, scenario_path,
-                                           capsys, command):
-    # every subcommand writes one fixed set of files
+_COMMANDS = ["simulate", "fit", "price", "audit", "ope", "sweep"]
+
+
+def _successful_argv(command, tmp_path, sim_dir, scenario_path):
+    """A run of ``command`` that exits 0, without --out-dir."""
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
     records = ["--records", str(sim_dir / "records.csv")]
     market = ["--model", str(sim_dir / "model_true.json"),
               "--population", str(sim_dir / "population.json")]
-    argv = {
+    return {
         "simulate": ["simulate", "--scenario", scenario_path],
         "fit": ["fit", *records, "--model", "linear"],
         "price": ["price", *market, "--share-lambda", "0.3"],
@@ -458,6 +458,13 @@ def test_no_subcommand_takes_a_format_flag(tmp_path, sim_dir, scenario_path,
         "ope": ["ope", *records, "--policy", str(policy), "--n-boot", "20"],
         "sweep": ["sweep", "--kind", "share", *market, "--grid", "0,0.3"],
     }[command]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_no_subcommand_takes_a_format_flag(tmp_path, sim_dir, scenario_path,
+                                           capsys, command):
+    # every subcommand writes one fixed set of files
+    argv = _successful_argv(command, tmp_path, sim_dir, scenario_path)
     out = tmp_path / "o"
     assert main(argv + ["--out-dir", str(out), "--quiet"]) == 0
     out = tmp_path / "with_format"
@@ -465,6 +472,75 @@ def test_no_subcommand_takes_a_format_flag(tmp_path, sim_dir, scenario_path,
     assert code == 2
     assert "--format" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_only_the_commands_that_draw_numbers_take_a_seed(
+        tmp_path, sim_dir, scenario_path, capsys, command):
+    argv = _successful_argv(command, tmp_path, sim_dir, scenario_path)
+    draws = command in ("simulate", "ope")
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert ("seed" in manifest) == draws
+    out = tmp_path / "seeded"
+    code = main(argv + ["--seed", "3", "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    if draws:
+        assert code == 0
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] == 3
+    else:
+        assert code == 2
+        assert "unrecognized arguments: --seed 3" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["fit", "--model", "logistic", "--allow-upward"],
+     "--allow-upward applies to linear fits only"),
+    (["ope", "--policy", "missing.json", "--n-starts", "3"],
+     "--n-starts applies to --search only"),
+], ids=["fit_logistic_allow_upward", "ope_policy_n_starts"])
+def test_flags_the_run_ignores_exit_2(tmp_path, capsys, flags, message):
+    # the records file is missing: the flags are refused before any file is
+    # read
+    out = tmp_path / "o"
+    code = main(flags + ["--records", str(tmp_path / "missing.csv"),
+                         "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=config_parse" in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_fit_linear_allow_upward_keeps_a_rising_slope(tmp_path, capsys):
+    records = tmp_path / "rising.csv"
+    _rising_takeup_log(records)
+    argv = ["fit", "--records", str(records), "--model", "linear", "--quiet"]
+    out = tmp_path / "refused"
+    assert main(argv + ["--out-dir", str(out)]) == 3
+    assert "error_code=upward_slope" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "kept"
+    assert main(argv + ["--allow-upward", "--out-dir", str(out)]) == 0
+    model = json.loads((out / "model.json").read_text())["model"]
+    assert model["allow_upward"] is True
+    assert min(model["beta"].values()) >= 0.0
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_a_run_prints_one_summary_line_unless_quiet(tmp_path, sim_dir, capsys,
+                                                    quiet):
+    argv = ["audit", "--records", str(sim_dir / "records.csv"),
+            "--out-dir", str(tmp_path / "o")]
+    assert main(argv + ["--quiet"] * quiet) == 0
+    out = capsys.readouterr().out
+    if quiet:
+        assert out == ""
+    else:
+        assert out.startswith("audited 800 records: ")
+        assert out.endswith("\n") and out.count("\n") == 1
 
 
 @pytest.mark.parametrize("metric", ["", ",", " , "])
@@ -1021,6 +1097,21 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out == f"fairprice {fp.__version__}\n"
 
 
+def _env_with_src() -> dict:
+    """The environment, with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(fp.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_module_entry_prints_the_version():
+    done = subprocess.run([sys.executable, "-m", "fairprice.cli", "--version"],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == f"fairprice {fp.__version__}\n"
+
+
 @pytest.mark.parametrize("old, new, line", [
     ("price_levels = 0.8, 1.2, 1.6, 2.0", "price_levels = 0.8, 1.2, nan", 14),
     ("covariate.x1 = choice(0:0.5, 1:0.5)",
@@ -1124,11 +1215,11 @@ def test_simulate_rejects_latent_keys_under_logistic_demand(tmp_path, capsys,
     assert f"line {line}: unknown key {key.split()[0]!r}" in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("command", ["simulate", "ope"])
 def test_negative_seed_exits_2(tmp_path, capsys, scenario_path, sim_dir,
                                command):
     source = (["--scenario", scenario_path] if command == "simulate"
-              else ["--records", str(sim_dir / "records.csv")])
+              else ["--records", str(sim_dir / "records.csv"), "--search"])
     code = main([command, *source, "--seed", "-1",
                  "--out-dir", str(tmp_path / "o"), "--quiet"])
     err = capsys.readouterr().err
@@ -1215,6 +1306,26 @@ def test_records_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert "error_code=invalid_value" in err
     assert "line 14: records are not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"],
+                         ids=["underscore", "arabic_indic", "fullwidth"])
+def test_a_number_outside_the_records_grammar_exits_2(tmp_path, capsys, cell,
+                                                      quote):
+    # float() reads all three; records.csv numbers are the ones loadtxt reads
+    path = tmp_path / "records.csv"
+    path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
+                    + _GOOD_ROWS + f"r99,a,1.0,{quote}{cell}{quote},1.0,,,\n",
+                    encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["audit", "--records", str(path), "--out-dir", str(out),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=invalid_value" in err
+    assert f"line 14: price cell {cell!r} is not a number" in err
     assert not out.exists()
 
 
@@ -1320,13 +1431,10 @@ def test_scipy_special_loads_on_first_use(tmp_path, sim_dir):
         "                           '--out-dir', sys.argv[2], '--quiet'])\n"
         "assert code == 0, code\n"
         "assert not set(lazy) & set(sys.modules), 'audit'\n")
-    src = os.path.dirname(os.path.dirname(fp.__file__))
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run(
         [sys.executable, "-c", script, str(sim_dir / "records.csv"),
-         str(tmp_path / "audit")], env=env, capture_output=True, text=True,
-        timeout=300)
+         str(tmp_path / "audit")], env=_env_with_src(), capture_output=True,
+        text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert (tmp_path / "audit" / "audit.json").exists()
 

@@ -350,6 +350,52 @@ def test_quoted_records_file_goes_through_the_csv_module(tmp_path,
         read_records_csv(path)
 
 
+_ONE_COVARIATE = "id,group,x1,price,demand,outcome,valuation,weight\n"
+
+
+# every numeric cell is empty, so no loadtxt parse meets these rows: only
+# the array reader's own checks keep it from reading them
+@pytest.mark.parametrize("rows", [
+    # the commas balance over the file: one row is a cell short, the next
+    # one a cell long, by an empty cell before its id
+    "r0,a,,,,,\n,r1,b,,,,,,\n",
+    # a lone CR in an unquoted id ends a line for the csv module
+    "r\r0,a,,,,,,\n",
+], ids=["short_then_long_row", "lone_cr_in_an_id"])
+def test_array_reader_leaves_a_misaligned_file_to_the_csv_module(tmp_path,
+                                                                 rows):
+    path = tmp_path / "records.csv"
+    path.write_bytes((_ONE_COVARIATE + rows).encode())
+    got = 7 if "\r" not in rows else 1
+    message = f"line 2: expected 8 cells, got {got}"
+    with pytest.raises(fp.InvalidRecordError, match=message):
+        sim._csv_cells(path.read_bytes())
+    with pytest.raises(fp.InvalidRecordError, match=message):
+        read_records_csv(path)
+
+
+# spellings a number cell may take; records.csv reads exactly those that
+# loadtxt reads, with the same bits
+_SPELLINGS = ["0.5", "-0.0", "1e-300", "+3.", ".5", "1.", "00012", "1e0001",
+              "1.5E-3", " 1.5 ", "\t2\x0b", "\x0c1", "nan", "-nan", "NaN",
+              "inf", "-inf", "INF", "Infinity", "1e999", "1_0", "_1", "1_",
+              "1_000.0", "\u0661", "\uff11", "\u0661\u0662", "abc", "0x10",
+              "1e", "e5", "--1", "1 0", "1d5", "1j", "nan(1)"]
+
+
+@pytest.mark.parametrize("cell", _SPELLINGS)
+def test_records_numbers_are_the_ones_loadtxt_reads(cell):
+    def outcome(parse):
+        try:
+            return parse().view(np.uint64).tolist()
+        except ValueError:
+            return "refused"
+    loadtxt = outcome(lambda: np.loadtxt(
+        [f"r,{cell}"], dtype=float, delimiter=",", comments=None,
+        quotechar=None, usecols=[1], ndmin=1))
+    assert outcome(lambda: sim._numbers([cell.strip()])) == loadtxt
+
+
 def test_csv_missing_fields_read_as_none(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("id,group,x1,price,demand,outcome,valuation,weight\n"
