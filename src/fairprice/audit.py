@@ -65,16 +65,13 @@ class AuditReport:
         rows = [("metric", "key", "value")]
         for name in sorted(self.metrics):
             value = self.metrics[name]
-            if isinstance(value, dict):
-                for key in sorted(value, key=str):
-                    inner = value[key]
-                    if isinstance(inner, dict):
-                        for k2 in sorted(inner, key=str):
-                            rows.append((name, f"{key}.{k2}", inner[k2]))
-                    else:
-                        rows.append((name, str(key), inner))
-            else:
-                rows.append((name, "", value))
+            for key in sorted(value, key=str):
+                inner = value[key]
+                if isinstance(inner, dict):
+                    for k2 in sorted(inner, key=str):
+                        rows.append((name, f"{key}.{k2}", inner[k2]))
+                else:
+                    rows.append((name, str(key), inner))
         return rows
 
 

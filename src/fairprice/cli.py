@@ -332,8 +332,10 @@ def _cmd_audit(args, run) -> int:
     if model_mode == bool(args.records):
         raise MissingFieldError(
             "pass either --records or the --model/--policy/--population trio")
-    check_alpha(args.alpha)
+    parameters = {"metrics": sorted(selected or ())}
     if model_mode:
+        if args.alpha is not None:
+            raise ConfigError("--alpha applies to records audits only")
         if not (args.model and args.policy and args.population):
             raise MissingFieldError(
                 "model-based audits need --model, --policy and --population")
@@ -349,17 +351,17 @@ def _cmd_audit(args, run) -> int:
             metrics={"access": population.cells().evaluate(policy, model)[3]})
         inputs = [args.model, args.policy, args.population]
     else:
+        parameters["alpha"] = alpha = 0.05 if args.alpha is None else args.alpha
+        check_alpha(alpha)
         records = read_records_csv(args.records)
-        report = run_audit(records, alpha=args.alpha, metrics=selected)
+        report = run_audit(records, alpha=alpha, metrics=selected)
         inputs = [args.records]
 
     rows = report.to_csv_rows()
     run.write("audit.csv", _csv_text(rows[0], rows[1:]))
     run.write("audit.json", report.to_json())
-    computed = sum(1 for v in report.metrics.values()
-                   if not (isinstance(v, dict) and set(v) == {"error"}))
-    return run.finish(inputs, {"alpha": args.alpha,
-                               "metrics": sorted(selected or ())},
+    computed = sum(set(v) != {"error"} for v in report.metrics.values())
+    return run.finish(inputs, parameters,
                       f"audited {report.n_records} records: {computed} of "
                       f"{len(report.metrics)} metrics computed")
 
@@ -504,9 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", action="append", default=None,
                    help="audit metric to compute (repeatable or "
                         "comma-separated; default all)")
-    p.add_argument("--alpha", type=float, default=0.05,
+    p.add_argument("--alpha", type=float, default=None,
                    help="test level for distributional metrics, "
-                        "strictly between 0 and 1")
+                        "strictly between 0 and 1 (records audits only, "
+                        "default 0.05)")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("ope", parents=[seeded, common],

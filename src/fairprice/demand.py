@@ -191,6 +191,19 @@ NOISE_FAMILIES: dict[str, NoiseFamily] = {
 # ---------------------------------------------------------------------------
 
 
+def distinct_rows(X) -> tuple:
+    """``(first, row_of)`` for the rows of the (n, k) matrix ``X``: the index
+    of the first row of each distinct row, in sorted order (first column
+    first), and the index into them of every row. -0.0 and 0.0 are one row,
+    spelled as its first row spells it."""
+    order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
+    new = np.ones(len(X), dtype=bool)
+    new[1:] = (X[order[1:]] != X[order[:-1]]).any(axis=1)
+    row_of = np.empty(len(X), dtype=np.intp)
+    row_of[order] = np.cumsum(new) - 1
+    return order[new], row_of
+
+
 @dataclass(eq=False)
 class RecordTable:
     """Records as columns: the one container every record-level path reads.
@@ -259,17 +272,11 @@ class RecordTable:
 
     @cached_property
     def strata(self) -> tuple:
-        """``(rows, row_of)``: the distinct covariate rows, sorted, each as its
-        stratum's first record has it (-0.0 and 0.0 are one stratum), and the
+        """``(rows, row_of)``: the :func:`distinct_rows` of ``X`` and the
         index into them of every record. Computed once per table, since ``X``
         is never written after construction."""
-        X = self.X
-        order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
-        new = np.ones(len(X), dtype=bool)
-        new[1:] = (X[order[1:]] != X[order[:-1]]).any(axis=1)
-        row_of = np.empty(len(X), dtype=np.intp)
-        row_of[order] = np.cumsum(new) - 1
-        return X[order[new]], row_of
+        first, row_of = distinct_rows(self.X)
+        return self.X[first], row_of
 
     @cached_property
     def price_levels(self) -> tuple:

@@ -133,14 +133,13 @@ class ScalarizationWeights:
     """Weights of the scalarized objective: revenue + access + outcomes.
 
     ``access_weight`` multiplies the sum of per-group expected take-up,
-    ``outcome_weight`` multiplies the mean downstream outcome, ``parity_cap``
-    and ``unit_cost`` parameterize the two reported constraint slacks.
+    ``outcome_weight`` multiplies the mean downstream outcome, and
+    ``parity_cap`` sets the reported parity slack.
     """
 
     access_weight: float = 0.0
     outcome_weight: float = 0.0
     parity_cap: float = math.inf
-    unit_cost: float = 0.0
 
 
 def scalarized_objective(policy, model, population, weights: ScalarizationWeights,
@@ -154,8 +153,9 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
 
     and two slacks are reported alongside (nonnegative means satisfied):
     ``parity`` is ``parity_cap - max pairwise |E[P|a] - E[P|b]|`` and
-    ``break_even`` is ``E[(P - unit_cost) D]``. ``outcome`` is a callable
-    ``(x, a, p) -> expected outcome`` and is required iff outcome_weight != 0.
+    ``break_even`` is ``E[(P - population.unit_cost) D]``. ``outcome`` is a
+    callable ``(x, a, p) -> expected outcome`` and is required iff
+    outcome_weight != 0.
 
     Returns ``(value, slacks_dict)``.
     """
@@ -166,7 +166,7 @@ def scalarized_objective(policy, model, population, weights: ScalarizationWeight
     cells = population.cells()
     p, d, revenue, by_group = cells.evaluate(policy, model)
     w = cells.mass
-    margin = seqsum(w * (p - weights.unit_cost) * d)
+    margin = seqsum(w * (p - population.unit_cost) * d)
     outcome_mean = 0.0
     if outcome is not None:
         outcome_mean = seqsum(w * np.array(

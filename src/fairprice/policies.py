@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .demand import _row_dots
+from .demand import _row_dots, distinct_rows
 from .errors import (
     DimensionMismatchError,
     InvalidRecordError,
@@ -42,10 +42,8 @@ def first_hits(support, X) -> np.ndarray:
     n, k = support.shape
     if k == 0:
         return np.zeros(len(X), dtype=np.intp)
-    by_row = np.lexsort(X.T)  # puts equal rows next to each other
-    new = np.r_[True, (X[by_row[1:]] != X[by_row[:-1]]).any(axis=1)]
-    rows, row_of = X[by_row[new]], np.empty(len(X), dtype=np.intp)
-    row_of[by_row] = np.cumsum(new) - 1
+    first, row_of = distinct_rows(X)
+    rows = X[first]
     # sort the support on its column with the most distinct values
     columns = np.ascontiguousarray(support.T)
     key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))

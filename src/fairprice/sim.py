@@ -56,6 +56,7 @@ from .demand import (
     LogisticDemand,
     Population,
     RecordTable,
+    distinct_rows,
     scipy_special,
 )
 from .errors import (
@@ -621,7 +622,6 @@ def _csv_cells(data: bytes):
                 raise InvalidRecordError(
                     f"line {lines[i]}: {expected[j + 2]} cell {text[i, j]!r} "
                     "is not a number") from None
-        raise
     return ([row[0] for row in rows], [row[1] for row in rows], values,
             present, lambda i: f"line {lines[i]}")
 
@@ -748,8 +748,7 @@ def run_pricing_experiment(model, population: Population,
     # record cells take their distinct rows, first appearances, as support
     support = population.support
     if cells.index is None:
-        support = cells.X[np.sort(np.unique(cells.X, axis=0,
-                                            return_index=True)[1])]
+        support = cells.X[np.sort(distinct_rows(cells.X)[0])]
     index = first_hits(support, cells.X)
     first = np.unique(index * len(cells.groups) + cells.g, return_index=True)[1]
     X, g = support[index[first]], cells.g[first]
@@ -859,8 +858,21 @@ def _kernel_log(records: RecordTable, config) -> _KernelLog:
 
 def ope_estimate(records: RecordTable, policy,
                  config: OPEConfig | None = None) -> dict:
-    """:func:`ope_value` as ``value`` and :func:`ope_weight_diagnostics`,
-    from one pricing of the log and one set of importance weights."""
+    """Kernel-smoothed off-policy estimate of a policy's expected revenue,
+    with how much of the log its importance weights use.
+
+    Each record is weighted by kernel proximity of its logged price to the
+    policy's price for that customer, divided by the behavior probability of
+    the logged level; the revenue signal is ``target price x logged demand``.
+    Self-normalization (the default) divides by the summed importance
+    weights, otherwise by the summed record weights. Raises when every kernel
+    weight vanishes (policy prices too far from the data).
+
+    Returns ``value``, the estimate; ``ess``, the Kish effective sample size
+    ``(sum imp)^2 / sum imp^2``; ``window_share``, the weighted share of
+    records inside the kernel window (nonzero weight); and
+    ``max_weight_share``, the largest single weight over the summed weights.
+    """
     value, imp, total, squares = _kernel_log(records, config).weights(
         policy.price_batch(records.X, records.codes, records.labels))
     w = records.weight
@@ -871,29 +883,8 @@ def ope_estimate(records: RecordTable, policy,
 
 def ope_value(records: RecordTable, policy,
               config: OPEConfig | None = None) -> float:
-    """Kernel-smoothed off-policy estimate of a policy's expected revenue.
-
-    Each record is weighted by kernel proximity of its logged price to the
-    policy's price for that customer, divided by the behavior probability of
-    the logged level; the revenue signal is ``target price x logged demand``.
-    Self-normalization (the default) divides by the summed importance
-    weights, otherwise by the summed record weights. Raises when every kernel
-    weight vanishes (policy prices too far from the data).
-    """
+    """The ``value`` of :func:`ope_estimate`."""
     return ope_estimate(records, policy, config)["value"]
-
-
-def ope_weight_diagnostics(records: RecordTable, policy,
-                           config: OPEConfig | None = None) -> dict:
-    """How much of the log the importance weights of :func:`ope_value` use.
-
-    ``ess`` is the Kish effective sample size ``(sum imp)^2 / sum imp^2``,
-    ``window_share`` the weighted share of records inside the kernel window
-    (nonzero weight), ``max_weight_share`` the largest single weight over
-    the summed weights.
-    """
-    estimate = ope_estimate(records, policy, config)
-    return {k: v for k, v in estimate.items() if k != "value"}
 
 
 def check_n_boot(n_boot) -> None:

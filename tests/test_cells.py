@@ -283,12 +283,13 @@ def test_scalarized_objective_sums_in_cell_order():
     pop = fp.Population(groups=GROUPS, support=rng.normal(size=(40, 2)),
                         masses=np.full(40, 1 / 40),
                         membership=np.column_stack([np.full(40, 0.3),
-                                                    np.full(40, 0.7)]))
+                                                    np.full(40, 0.7)]),
+                        unit_cost=0.2)
     model = fp.LatentValuationModel(
         loc={g: (1.5, np.array([0.2, -0.1])) for g in GROUPS}, noise="normal")
     policy = fp.GroupPolicy({"a": 1.1, "b": 1.3})
     value, slacks = fp.scalarized_objective(
-        policy, model, pop, fp.ScalarizationWeights(unit_cost=0.2))
+        policy, model, pop, fp.ScalarizationWeights())
     assert value == loop_expected_revenue(policy, model, pop)
     margin = 0.0
     for w, g, x in [(float(pop.joint_weights()[i, k]), g, pop.support[i])

@@ -614,20 +614,38 @@ def test_audit_rejects_alpha_outside_unit_interval(tmp_path, sim_dir, capsys,
     assert not (out / "audit.json").exists()
 
 
-@pytest.mark.parametrize("alpha", ["nan", "0"])
-def test_model_audit_rejects_alpha_outside_unit_interval(tmp_path, sim_dir,
-                                                        capsys, alpha):
-    policy_path = tmp_path / "policy.json"
-    policy_path.write_text(json.dumps(fp.policy_to_dict(
-        fp.GroupPolicy(prices={"a": 1.6, "b": 1.1}))))
+@pytest.mark.parametrize("alpha", ["nan", "0", "0.05", "0.5"])
+def test_model_audit_refuses_alpha(tmp_path, capsys, alpha):
+    # model mode computes only access, which takes no test level; the flag is
+    # refused before any of the (missing) input files is read
+    missing = [str(tmp_path / name) for name in ("m.json", "p.json", "q.json")]
     out = tmp_path / "o"
-    code = main(["audit", "--model", str(sim_dir / "model_true.json"),
-                 "--policy", str(policy_path),
-                 "--population", str(sim_dir / "population.json"),
-                 f"--alpha={alpha}", "--out-dir", str(out), "--quiet"])
+    code = main(["audit", "--model", missing[0], "--policy", missing[1],
+                 "--population", missing[2], f"--alpha={alpha}",
+                 "--out-dir", str(out), "--quiet"])
     assert code == 2
-    assert "error_code=missing_field" in capsys.readouterr().err
-    assert not (out / "audit.json").exists()
+    err = capsys.readouterr().err
+    assert "--alpha applies to records audits only" in err
+    assert "error_code=config_parse" in err
+    assert not out.exists()
+
+
+def test_only_records_audits_record_alpha(tmp_path, sim_dir):
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(fp.policy_to_dict(fp.ConstantPolicy(1.2))))
+    model_argv = ["audit", "--model", str(sim_dir / "model_true.json"),
+                  "--policy", str(policy_path),
+                  "--population", str(sim_dir / "population.json")]
+    records_argv = ["audit", "--records", str(sim_dir / "records.csv")]
+    for name, argv, parameters in [
+            ("model", model_argv, {"metrics": []}),
+            ("records", records_argv, {"alpha": 0.05, "metrics": []}),
+            ("records_alpha", records_argv + ["--alpha", "0.1"],
+             {"alpha": 0.1, "metrics": []})]:
+        out = tmp_path / name
+        assert main(argv + ["--out-dir", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parameters"] == parameters
 
 
 def test_audit_without_valuations_skips_oracle(tmp_path, sim_dir):

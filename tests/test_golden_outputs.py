@@ -46,6 +46,24 @@ loc.b.x2 = 0.15
 price_levels = 0.8, 1.2, 1.6, 2.0
 """
 
+# continuous covariates: the per-record draw loop, the interleaved logistic
+# price and take-up draws, a pricing experiment on record cells and tabular
+# prices matched on a log
+CONTINUOUS_SCENARIO = """
+n = 400
+groups = a, b
+covariate.x1 = uniform(0, 2)
+covariate.x2 = normal(0, 1)
+membership.intercept = 0.2
+membership.x1 = -0.6
+demand = logistic
+beta = -1.8
+intercept = 2.5
+gamma.x1 = 0.4
+gamma.x2 = 0.3
+price_levels = 0.8, 1.2, 1.6, 2.0
+"""
+
 LINEAR_POLICY = {"kind": "linear", "intercept": 1.2, "theta": [0.4, 0.1],
                  "clip_lo": 0.8, "clip_hi": 2.0}
 
@@ -107,6 +125,28 @@ def run_pipeline(root: str) -> dict:
                 "--out-dir", path(step), "--quiet"]
         assert main(argv) == 0, step
         steps.append((step, argv))
+    with open(path("continuous.txt"), "w", encoding="utf-8") as fh:
+        fh.write(CONTINUOUS_SCENARIO)
+    cont_records = path("cont_sim", "records.csv")
+    for step, argv in [
+            ("cont_sim", ["simulate", "--scenario", path("continuous.txt"),
+                          "--seed", "11"]),
+            ("cont_fit_logistic", ["fit", "--records", cont_records,
+                                   "--model", "logistic"]),
+            ("cont_audit", ["audit", "--records", cont_records]),
+            ("cont_ope_search", ["ope", "--records", cont_records, "--search",
+                                 "--n-starts", "2", "--n-boot", "20",
+                                 "--seed", "11"])]:
+        assert main(argv + ["--out-dir", path(step), "--quiet"]) == 0, step
+        steps.append((step, argv))
+    # the experiment's personalized policy: one table row per record
+    with open(path("cont_sim", "experiment.json"), encoding="utf-8") as fh:
+        policy = json.load(fh)["personalized"]["policy"]
+    argv = ["ope", "--records", cont_records, "--n-boot", "20", "--policy",
+            write_json("cont_personalized.json", policy),
+            "--out-dir", path("cont_ope_policy"), "--quiet"]
+    assert main(argv) == 0, "cont_ope_policy"
+    steps.append(("cont_ope_policy", argv))
     digests = {}
     for step, _ in steps:
         for name in sorted(os.listdir(path(step))):

@@ -201,7 +201,7 @@ def _all_tie_seed(log, n_boot):
 _LINEAR = fp.LinearPolicy(theta=[0.3], intercept=1.0, clip_lo=0.8, clip_hi=2.0)
 _ALL = {
     "value": lambda log, policy, config: fp.ope_value(log, policy, config),
-    "diagnostics": lambda log, policy, config: fp.ope_weight_diagnostics(
+    "estimate": lambda log, policy, config: fp.ope_estimate(
         log, policy, config),
     "bootstrap": lambda log, policy, config: fp.ope_bootstrap_se(
         log, policy, config, n_boot=20),
@@ -237,7 +237,7 @@ def _unpriced_log():
                               [1, 1, 2, 2, 1, 2], [1, 0, 1, 1, 0, 1]))
 
 
-@pytest.mark.parametrize("entry", ["value", "diagnostics", "bootstrap"])
+@pytest.mark.parametrize("entry", ["value", "estimate", "bootstrap"])
 @pytest.mark.parametrize("policy, error, code", [
     (fp.GroupPolicy(prices={"a": 1.2}), fp.UnknownGroupError, "unknown_group"),
     (fp.TabularPolicy(support=[[0.0]], table={(0, None): 1.2}),

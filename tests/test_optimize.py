@@ -99,8 +99,9 @@ def test_scalarized_objective_hand_computed():
     assert slack["break_even"] == pytest.approx(value)  # zero unit cost
     assert slack["parity"] == np.inf
 
+    pop.unit_cost = 0.2
     w2 = fp.ScalarizationWeights(access_weight=2.0, outcome_weight=0.0,
-                                 parity_cap=0.1, unit_cost=0.2)
+                                 parity_cap=0.1)
     v2, s2 = fp.scalarized_objective(policy, model, pop, w2)
     assert v2 == pytest.approx(value + 2.0 * (1.5 + 0.5))
     assert s2["break_even"] == pytest.approx((0.5 - 0.2) * (0.5 * 1.5 + 0.5 * 0.5))

@@ -5,8 +5,11 @@ solved by hand, and a brute-force Lagrangian grid solver (oracles.py) that
 shares no code with the implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import parity
@@ -442,3 +445,99 @@ def test_most_group_leaning_index():
     assert fp.most_group_leaning_index(pop, "b") == 0
     with pytest.raises(fp.UnknownGroupError):
         fp.most_group_leaning_index(pop, "zz")
+
+
+# ---------------------------------------------------------------------------
+# properties over random two-group partially linear markets
+# ---------------------------------------------------------------------------
+
+_SOLVERS = (fp.solve_attribute_based_parity, fp.solve_attribute_blind_parity)
+
+
+@st.composite
+def parity_markets(draw):
+    """A two-group partially linear market on a support of 1-6 distinct
+    points with 0-2 covariates (one point without covariates): shared or
+    distinct slopes, and now and then memberships within 1e-9 of the priors
+    (a blind cap the covariates cannot enforce)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 6)) if k else 1
+    q = (rng.uniform(0.2, 0.8) + rng.normal(scale=1e-9, size=n)
+         if draw(st.integers(0, 9)) == 0 else rng.uniform(0.0, 1.0, size=n))
+    b = -rng.uniform(0.5, 2.0)
+    beta = {"a": b, "b": b if draw(st.booleans()) else -rng.uniform(0.5, 2.0)}
+    model = fp.PartiallyLinearDemand(
+        beta=beta, baseline={g: (rng.uniform(-1.0, 3.0),
+                                 rng.uniform(-0.5, 0.5, k)) for g in "ab"})
+    population = fp.Population(groups=("a", "b"), support=rng.normal(size=(n, k)),
+                               masses=rng.dirichlet(np.ones(n)),
+                               membership=np.column_stack([q, 1.0 - q]))
+    return model, population
+
+
+def _revenue(solution, model, population):
+    """The solution's expected revenue and a rounding allowance for it: 1e-9
+    of the summed absolute cell terms, plus 1e-9."""
+    cells = population.cells()
+    p, d, revenue, _ = cells.evaluate(solution.policy(), model)
+    return revenue, 1e-9 * (1.0 + float(np.abs(cells.mass * p * d).sum()))
+
+
+def _solved(solve, model, population, gamma):
+    try:
+        return solve(model, population, gamma)
+    except fp.UnenforceableConstraintError:
+        return None
+
+
+@settings(max_examples=200)
+@given(parity_markets(), st.floats(0.0, 1.5))
+def test_parity_prices_keep_the_cap(market, share):
+    model, population = market
+    for solve in _SOLVERS:
+        gamma = share * solve(model, population, math.inf).unconstrained_disparity
+        solution = _solved(solve, model, population, gamma)
+        if solution is None:
+            continue
+        prices = np.array(list(solution.prices.values()))
+        assert abs(fp.policy_disparity(solution.policy(), population)) <= (
+            gamma + 1e-9 * (1.0 + np.abs(prices).max()))
+
+
+@settings(max_examples=200)
+@given(parity_markets(), st.floats(1.0, 3.0))
+def test_a_cap_at_or_above_the_unconstrained_gap_does_not_bind(market, factor):
+    model, population = market
+    for solve in _SOLVERS:
+        gap = abs(solve(model, population, math.inf).unconstrained_disparity)
+        for gamma in (gap, factor * gap):
+            assert solve(model, population, gamma).lambda_star == 0.0
+
+
+@settings(max_examples=200)
+@given(parity_markets(), st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+def test_revenue_does_not_fall_as_the_cap_grows(market, s, t):
+    model, population = market
+    for solve in _SOLVERS:
+        gap = solve(model, population, math.inf).unconstrained_disparity
+        tight, loose = (_solved(solve, model, population, share * gap)
+                        for share in sorted((s, t)))
+        if tight is None or loose is None:
+            continue
+        (low, slack), (high, _) = (_revenue(solution, model, population)
+                                   for solution in (tight, loose))
+        assert low <= high + slack
+
+
+@settings(max_examples=200)
+@given(parity_markets(), st.floats(0.0, 1.5))
+def test_attribute_based_revenue_is_at_least_blind_revenue(market, share):
+    model, population = market
+    based, blind = _SOLVERS
+    gamma = share * based(model, population, math.inf).unconstrained_disparity
+    blind_solution = _solved(blind, model, population, gamma)
+    if blind_solution is None:
+        return
+    revenue, slack = _revenue(based(model, population, gamma), model, population)
+    assert revenue + slack >= _revenue(blind_solution, model, population)[0]

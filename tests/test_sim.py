@@ -504,27 +504,26 @@ def test_ope_value_invariant_to_weight_scale(self_normalize):
             == fp.ope_value(logged, policy, ope_cfg))
 
 
-def test_ope_weight_diagnostics_on_one_level():
+def test_ope_estimate_diagnostics_on_one_level():
     # a window narrower than the level spacing keeps only the 1.2 records,
     # which all carry the same importance weight
     cfg, pop, logged = _logged_scenario(seed=9, n=2000)
     at_level = int(np.sum(logged.price == 1.2))
-    diag = fp.ope_weight_diagnostics(logged, fp.ConstantPolicy(1.2),
-                                     fp.OPEConfig(bandwidth=0.3))
+    diag = fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
+                           fp.OPEConfig(bandwidth=0.3))
     assert diag["ess"] == pytest.approx(at_level, rel=1e-12)
     assert diag["window_share"] == at_level / len(logged)
     assert diag["max_weight_share"] == pytest.approx(1.0 / at_level,
                                                      rel=1e-12)
 
 
-def test_ope_weight_diagnostics_match_direct_formulas():
+def test_ope_estimate_diagnostics_match_direct_formulas():
     cfg, pop, logged = _logged_scenario(seed=4, n=800)
     weighted = dataclasses.replace(
         logged, weight=np.random.default_rng(0).uniform(0.5, 2.0, len(logged)))
     policy = fp.LinearPolicy(theta=np.array([0.5]), intercept=1.0,
                              clip_lo=0.8, clip_hi=2.0)
-    diag = fp.ope_weight_diagnostics(weighted, policy,
-                                     fp.OPEConfig(bandwidth=0.3))
+    diag = fp.ope_estimate(weighted, policy, fp.OPEConfig(bandwidth=0.3))
     p, w = weighted.price, weighted.weight
     target = np.array([policy.price(x) for x in weighted.X])
     h = 0.3 * (p.max() - p.min())
