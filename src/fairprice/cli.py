@@ -9,9 +9,11 @@ A run writes its outputs, then a ``run_manifest.json``, into ``--out-dir``
 once it has succeeded; a failed run leaves ``--out-dir`` as it was. Only
 ``simulate`` and ``ope`` draw random numbers, and only they take ``--seed``,
 so reruns with identical inputs produce identical output bytes (the
-manifest's duration field aside). A flag that the run would ignore is
-refused. Failures print
-``error_code=<token>`` on stderr and exit with a documented status:
+manifest's duration field aside). Every accepted input changes the run:
+``_MODE_FLAGS`` names the flags each mode of a subcommand reads and their
+defaults, and a flag that only another mode reads is refused before any
+file is read. Failures print ``error_code=<token>`` on stderr and exit with
+a documented status:
 
     0  success
     1  missing or unreadable input file, or an unexpected internal error
@@ -74,8 +76,6 @@ from .sim import (
 )
 from .util import atomic_write_text, fmt_float, json_dumps_stable
 
-_EXIT_IO = 1
-
 
 def _load_json(path, what: str) -> dict:
     try:
@@ -88,10 +88,8 @@ def _load_json(path, what: str) -> dict:
 
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
-    w = csv_writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
+    csv_writer(buf).writerows([fmt_float(v) if isinstance(v, float) else v
+                               for v in row] for row in [header, *rows])
     return buf.getvalue()
 
 
@@ -123,15 +121,6 @@ def _parse_grid(text: str):
     return grid
 
 
-def _parse_gamma(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"gamma must be a number or 'inf', got {text!r}"
-                          ) from None
-    return value
-
-
 class _Run:
     """Holds the output files of one CLI invocation until :meth:`finish`."""
 
@@ -154,10 +143,9 @@ class _Run:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
         for name, content in self.outputs.items():
-            if isinstance(content, str):
-                atomic_write_text(paths[name], content)
-            else:
-                write_records_csv(paths[name], content)
+            writer = (atomic_write_text if isinstance(content, str)
+                      else write_records_csv)
+            writer(paths[name], content)
         manifest = {
             "command": self.args.command,
             "version": __version__,
@@ -203,19 +191,15 @@ def _write_experiment_bundle(run, population, config) -> None:
     uniform prices spanning the scenario's level grid.
     """
     model = config.model
-    interval = PriceInterval(min(config.price_levels),
-                             max(config.price_levels))
+    interval = PriceInterval(min(config.price_levels), max(config.price_levels))
     experiment = run_pricing_experiment(model, population, interval)
 
     rows, payload = [], {}
     for scheme in ("uniform", "group", "personalized"):
         info = experiment[scheme]
-        rows.append((scheme, "revenue", "", info["revenue"]))
-        rows.append((scheme, "margin", "", info["margin"]))
-        for g in sorted(info["access"]):
-            rows.append((scheme, "access", g, info["access"][g]))
-        for g in sorted(info["price_mean"]):
-            rows.append((scheme, "price_mean", g, info["price_mean"][g]))
+        rows += [(scheme, m, "", info[m]) for m in ("revenue", "margin")]
+        rows += [(scheme, m, g, info[m][g]) for m in ("access", "price_mean")
+                 for g in sorted(info[m])]
         payload[scheme] = dict(info, policy=policy_to_dict(info["policy"]))
     run.write("experiment.csv",
               _csv_text(("scheme", "metric", "group", "value"), rows))
@@ -233,14 +217,9 @@ def _write_experiment_bundle(run, population, config) -> None:
 
 
 def _cmd_fit(args, run) -> int:
-    if args.allow_upward and args.model == "logistic":
-        raise ConfigError("--allow-upward applies to linear fits only")
     records = read_records_csv(args.records)
-    if args.model == "logistic":
-        model, diag = fit_logistic(records)
-    else:
-        model, diag = fit_partially_linear(records,
-                                           allow_upward=args.allow_upward)
+    model, diag = (fit_logistic(records) if args.model == "logistic" else
+                   fit_partially_linear(records, allow_upward=args.allow_upward))
     diagnostics = {k: v.tolist() if k == "std_errors" else v
                    for k, v in vars(diag).items() if v is not None}
     run.write("model.json", json_dumps_stable(
@@ -257,24 +236,12 @@ def _load_model_file(path):
     return model_from_dict(data)
 
 
-def _pricing_flags(args, share: bool) -> None:
-    """Refuse a pricing flag that the chosen solver would ignore, then fill
-    in the defaults."""
-    if share and args.mode is not None:
-        raise ConfigError("--mode applies to parity runs only")
-    if not share and (args.scope is not None or args.group is not None):
-        raise ConfigError("--scope and --group apply to share runs only")
-    if args.group is not None and args.scope != GROUP_SCOPE:
-        raise ConfigError("--group needs --scope group")
-    args.mode = args.mode or ATTRIBUTE_BASED
-    args.scope = args.scope or POPULATION_SCOPE
-
-
 def _cmd_price(args, run) -> int:
-    if args.share_lambda is not None and args.gamma is not None:
-        raise ConfigError("pass --gamma or --share-lambda, not both")
-    _pricing_flags(args, share=args.share_lambda is not None)
-    gamma = _parse_gamma(args.gamma if args.gamma is not None else "inf")
+    try:
+        gamma = None if args.share_lambda is not None else float(args.gamma)
+    except ValueError:
+        raise ConfigError(f"gamma must be a number or 'inf', got "
+                          f"{args.gamma!r}") from None
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
 
@@ -284,8 +251,7 @@ def _cmd_price(args, run) -> int:
                 f"({args.scope} scope)")
     else:
         solution = _parity_solver(args.mode)(model, population, gamma)
-        policy = solution.policy()
-        payload = solution.to_dict()
+        policy, payload = solution.policy(), solution.to_dict()
         parameters = {"mode": args.mode, "gamma": gamma}
         note = (f"{args.mode} prices under gamma={fmt_float(gamma)}: "
                 f"multiplier {solution.lambda_star:.6g}")
@@ -310,8 +276,7 @@ def _parity_solver(mode: str):
 def _share_solution(model, population, args):
     """Share-subsidized prices per support cell, with realized disparity."""
     groups, n = population.groups, len(population.joint_weights())
-    penalty = SharePenalty(weight=args.share_lambda, scope=args.scope,
-                           group=args.group)
+    penalty = SharePenalty(args.share_lambda, args.scope, args.group)
     ell = [penalty.effective(population.rho, g) for g in groups]
     prices = share_prices(model, population.support.repeat(len(groups), 0),
                           list(range(len(groups))) * n, groups, ell * n)
@@ -328,14 +293,12 @@ def _cmd_audit(args, run) -> int:
     selected = None if args.metric is None else check_metrics(
         m.strip() for spec in args.metric for m in spec.split(",") if m.strip())
 
-    model_mode = bool(args.model or args.policy)
-    if model_mode == bool(args.records):
+    mode = _run_mode(args)
+    if mode is None:
         raise MissingFieldError(
             "pass either --records or the --model/--policy/--population trio")
     parameters = {"metrics": sorted(selected or ())}
-    if model_mode:
-        if args.alpha is not None:
-            raise ConfigError("--alpha applies to records audits only")
+    if mode == "model audits":
         if not (args.model and args.policy and args.population):
             raise MissingFieldError(
                 "model-based audits need --model, --policy and --population")
@@ -351,10 +314,10 @@ def _cmd_audit(args, run) -> int:
             metrics={"access": population.cells().evaluate(policy, model)[3]})
         inputs = [args.model, args.policy, args.population]
     else:
-        parameters["alpha"] = alpha = 0.05 if args.alpha is None else args.alpha
-        check_alpha(alpha)
+        parameters["alpha"] = args.alpha
+        check_alpha(args.alpha)
         records = read_records_csv(args.records)
-        report = run_audit(records, alpha=alpha, metrics=selected)
+        report = run_audit(records, alpha=args.alpha, metrics=selected)
         inputs = [args.records]
 
     rows = report.to_csv_rows()
@@ -367,12 +330,8 @@ def _cmd_audit(args, run) -> int:
 
 
 def _cmd_ope(args, run) -> int:
-    if bool(args.policy) == bool(args.search):
+    if _run_mode(args) is None:
         raise MissingFieldError("pass exactly one of --policy or --search")
-    if args.policy and args.n_starts is not None:
-        raise ConfigError("--n-starts applies to --search only")
-    if args.n_starts is None:
-        args.n_starts = 16
     check_n_boot(args.n_boot)
     records = read_records_csv(args.records)
     config = OPEConfig(bandwidth=args.bandwidth)
@@ -395,8 +354,7 @@ def _cmd_ope(args, run) -> int:
                           seed=args.seed)
     payload.update(policy=policy_to_dict(policy), std_error=se)
     run.write("ope.json", json_dumps_stable(payload))
-    inputs = [args.records] + ([args.policy] if args.policy else [])
-    return run.finish(inputs,
+    return run.finish([args.records, *([args.policy] if args.policy else [])],
                       {"bandwidth": args.bandwidth, "n_boot": args.n_boot,
                        "search": bool(args.search),
                        **({"n_starts": args.n_starts} if args.search else {})},
@@ -404,7 +362,6 @@ def _cmd_ope(args, run) -> int:
 
 
 def _cmd_sweep(args, run) -> int:
-    _pricing_flags(args, share=args.kind == "share")
     model = _load_model_file(args.model)
     population = population_from_dict(_load_json(args.population, "population"))
     grid = _parse_grid(args.grid)
@@ -436,8 +393,62 @@ def _cmd_sweep(args, run) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and modes
 # ---------------------------------------------------------------------------
+
+
+# Subcommand -> mode -> the flags (argparse dests) that set the mode apart,
+# with their defaults (None: none); all modes read the flags left out.
+_SHARE_MODES = {"share runs": {"scope": POPULATION_SCOPE},
+                "share runs with --scope group": {"scope": None, "group": None}}
+_MODE_FLAGS = {
+    "fit": {"linear fits": {"allow_upward": None}, "logistic fits": {}},
+    "price": {"parity runs": {"gamma": "inf", "mode": ATTRIBUTE_BASED},
+              **_SHARE_MODES},
+    "sweep": {"parity runs": {"mode": ATTRIBUTE_BASED}, **_SHARE_MODES},
+    "audit": {"records audits": {"records": None, "alpha": 0.05},
+              "model audits": dict.fromkeys(("model", "policy", "population"))},
+    "ope": {"--policy": {"policy": None},
+            "--search": {"search": None, "n_starts": 16}},
+}
+
+
+def _run_mode(args):
+    """The run's mode in ``_MODE_FLAGS``; None for ``simulate``, and for an
+    audit or ope run that names both modes or neither (the command refuses)."""
+    if args.command == "fit":
+        return f"{args.model} fits"
+    if args.command in ("price", "sweep"):
+        if (args.share_lambda is None if args.command == "price"
+                else args.kind == "parity"):
+            return "parity runs"
+        return ("share runs with --scope group" if args.scope == GROUP_SCOPE
+                else "share runs")
+    if args.command == "audit":
+        model_mode = bool(args.model or args.policy or args.population)
+        if model_mode != bool(args.records):
+            return "model audits" if model_mode else "records audits"
+    if args.command == "ope" and bool(args.policy) != bool(args.search):
+        return "--policy" if args.policy else "--search"
+    return None
+
+
+def _apply_mode(args) -> None:
+    """Refuse a flag given that the run's mode lacks, naming the first mode
+    that reads it; then fill in the defaults of the run's mode."""
+    mode = _run_mode(args)
+    if mode is None:
+        return
+    modes = _MODE_FLAGS[args.command]
+    for reader, flags in modes.items():
+        for flag in flags:
+            value = getattr(args, flag)  # False: a store_true flag not given
+            if flag not in modes[mode] and not (value is None or value is False):
+                raise ConfigError(f"--{flag.replace('_', '-')} applies to "
+                                  f"{reader} only")
+    for flag, default in modes[mode].items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,42 +470,34 @@ def build_parser() -> argparse.ArgumentParser:
     pricing.add_argument("--population", required=True,
                          help="population JSON path")
     pricing.add_argument("--mode", choices=(ATTRIBUTE_BASED, ATTRIBUTE_BLIND),
-                         help="parity prices and sweeps only (default "
-                              f"{ATTRIBUTE_BASED})")
+                         help=f"parity runs only (default {ATTRIBUTE_BASED})")
     pricing.add_argument("--scope", choices=(POPULATION_SCOPE, GROUP_SCOPE),
-                         help="share prices and sweeps only (default "
-                              f"{POPULATION_SCOPE})")
+                         help=f"share runs only (default {POPULATION_SCOPE})")
     pricing.add_argument("--group",
-                         help="share prices and sweeps with --scope group: "
-                              "the target group")
+                         help="target group (share runs with --scope group)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[seeded, common],
                        help="generate synthetic records from a scenario file")
     p.add_argument("--scenario", required=True, help="scenario config path")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", parents=[common],
                        help="fit a demand model to records")
     p.add_argument("--records", required=True, help="records CSV path")
     p.add_argument("--model", choices=("logistic", "linear"), required=True)
     p.add_argument("--allow-upward", action="store_true",
-                   help="accept a nonnegative fitted price slope (linear fits "
-                        "only)")
-    p.set_defaults(func=_cmd_fit)
+                   help="accept a fitted price slope >= 0 (linear fits only)")
 
     p = sub.add_parser("price", parents=[common, pricing],
                        help="solve parity-constrained or share-subsidized "
                             "prices on a support")
-    p.add_argument("--gamma", default=None,
-                   help="parity cap (number or 'inf', default inf); "
-                        "exclusive with --share-lambda")
-    p.add_argument("--share-lambda", dest="share_lambda", type=float,
-                   default=None,
+    p.add_argument("--gamma",
+                   help="parity cap, a number or 'inf' (parity runs only, "
+                        "default inf)")
+    p.add_argument("--share-lambda", type=float,
                    help="price with a market-share subsidy of this weight "
                         "instead of a parity cap")
-    p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("audit", parents=[common],
                        help="run fairness audit metrics over records")
@@ -503,14 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="policy JSON path (model-based audit)")
     p.add_argument("--population",
                    help="population JSON path (model-based audit)")
-    p.add_argument("--metric", action="append", default=None,
+    p.add_argument("--metric", action="append",
                    help="audit metric to compute (repeatable or "
                         "comma-separated; default all)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="test level for distributional metrics, "
-                        "strictly between 0 and 1 (records audits only, "
-                        "default 0.05)")
-    p.set_defaults(func=_cmd_audit)
+    p.add_argument("--alpha", type=float,
+                   help="test level of the distributional metrics, in (0, 1) "
+                        "(records audits only, default 0.05)")
 
     p = sub.add_parser("ope", parents=[seeded, common],
                        help="off-policy evaluation or linear policy search")
@@ -522,39 +523,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel bandwidth relative to the price range")
     p.add_argument("--n-boot", type=int, default=200,
                    help="bootstrap resamples for the standard error")
-    p.add_argument("--n-starts", type=int, default=None,
+    p.add_argument("--n-starts", type=int,
                    help="pattern-search starts (--search only, default 16)")
-    p.set_defaults(func=_cmd_ope)
 
     p = sub.add_parser("sweep", parents=[common, pricing],
                        help="trace a constraint or subsidy frontier")
     p.add_argument("--kind", choices=("parity", "share"), default="parity")
     p.add_argument("--grid", required=True,
                    help="grid values: comma list or lo:hi:n")
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "fit": _cmd_fit, "price": _cmd_price,
+             "audit": _cmd_audit, "ope": _cmd_ope, "sweep": _cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, _Run(args))
+        _apply_mode(args)
+        return _COMMANDS[args.command](args, _Run(args))
     except FairPriceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"error_code={exc.code}", file=sys.stderr)
-        return exc.exit_status
+        message, code, status = f"error: {exc}", exc.code, exc.exit_status
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("error_code=io", file=sys.stderr)
-        return _EXIT_IO
+        message, code, status = f"error: {exc}", "io", 1
     except Exception as exc:  # pragma: no cover - defensive catch-all
-        print(f"internal error: {exc}", file=sys.stderr)
-        print("error_code=internal", file=sys.stderr)
-        return 1
+        message, code, status = f"internal error: {exc}", "internal", 1
+    print(f"{message}\nerror_code={code}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

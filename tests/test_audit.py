@@ -439,3 +439,65 @@ def test_run_audit_collects_metrics_and_errors():
     rep2 = fp.run_audit(record_table(tied))
     assert rep2.metrics["concordance_lower_bound"] == {
         "error": "no_qualifying_pairs"}
+
+
+@st.composite
+def _audit_logs(draw):
+    """Logs of 4-24 records of both groups: prices and valuations from
+    small pools (ties), 0/1 take-up, weights, one covariate with two values
+    (shared strata), and now and then no valuations."""
+    n = draw(st.integers(4, 24))
+    groups = ["a", "b"] + draw(st.lists(st.sampled_from("ab"), min_size=n - 2,
+                                        max_size=n - 2))
+    prices = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5]), min_size=n,
+                           max_size=n))
+    demands = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n,
+                            max_size=n))
+    values = draw(st.one_of(st.none(), st.lists(
+        st.floats(0.0, 3.0, allow_nan=False), min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.5, 4.0, allow_nan=False), min_size=n,
+                            max_size=n))
+    xs = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    return [_rec(i, groups[i], prices[i], demands[i],
+                 valuation=None if values is None else values[i],
+                 weight=weights[i], x=(xs[i],)) for i in range(n)]
+
+
+def _close(a, b, tol):
+    """``a`` and ``b`` have the same keys, strings and flags, and numbers
+    within ``tol * (1 + |b|)``."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k], tol) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_close, a, b, [tol] * len(a)))
+    if isinstance(a, float) and not isinstance(b, bool):
+        return abs(a - b) <= tol * (1.0 + abs(b))
+    return a == b
+
+
+@settings(max_examples=100)
+@given(_audit_logs(), st.randoms(use_true_random=False))
+def test_permuting_the_records_keeps_every_audit_metric(log, random):
+    # sums in another order round differently: 1e-9 relative allows it
+    shuffled = list(log)
+    random.shuffle(shuffled)
+    before, after = (fp.run_audit(record_table(rows)).metrics
+                     for rows in (log, shuffled))
+    assert _close(after, before, 1e-9), (before, after)
+
+
+@settings(max_examples=100)
+@given(_audit_logs())
+def test_renaming_the_groups_renames_the_price_means(log):
+    # "z" and "y" sort the other way round, so the group codes swap too
+    names = {"a": "z", "b": "y"}
+    renamed = [dict(row, group=names[row["group"]]) for row in log]
+    before, after = (fp.run_audit(record_table(rows), metrics=[
+        "marginal_price_disparity", "distributional_parity"]).metrics
+        for rows in (log, renamed))
+    old, new = (m["marginal_price_disparity"] for m in (before, after))
+    assert new["price_mean"] == {names[g]: v
+                                 for g, v in old["price_mean"].items()}
+    assert new["max_gap"] == old["max_gap"]
+    assert (after["distributional_parity"]["statistic"]
+            == before["distributional_parity"]["statistic"])

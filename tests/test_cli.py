@@ -252,13 +252,13 @@ def test_price_share_lambda(tmp_path, sim_dir):
 
 @pytest.mark.parametrize("flags, message", [
     (["price", "--gamma", "0.1", "--scope", "group", "--group", "zz"],
-     "--scope and --group apply to share runs only"),
+     "--scope applies to share runs only"),
     (["price", "--share-lambda", "0.3", "--mode", "attribute_blind"],
      "--mode applies to parity runs only"),
     (["sweep", "--kind", "parity", "--grid", "0,0.1", "--scope", "group",
-      "--group", "zz"], "--scope and --group apply to share runs only"),
+      "--group", "zz"], "--scope applies to share runs only"),
     (["price", "--share-lambda", "0.3", "--group", "a"],
-     "--group needs --scope group"),
+     "--group applies to share runs with --scope group only"),
 ], ids=["parity_price_scope", "share_price_mode", "parity_sweep_scope",
         "group_without_group_scope"])
 def test_pricing_flags_the_solver_ignores_exit_2(tmp_path, capsys, flags,

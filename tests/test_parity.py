@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import parity
+from fairprice.share import share_prices
 from fairprice.util import json_dumps_stable
 
 from oracles import (
@@ -541,3 +542,32 @@ def test_attribute_based_revenue_is_at_least_blind_revenue(market, share):
         return
     revenue, slack = _revenue(based(model, population, gamma), model, population)
     assert revenue + slack >= _revenue(blind_solution, model, population)[0]
+
+
+@settings(max_examples=200)
+@given(parity_markets(), st.floats(0.0, 1.5))
+def test_a_blind_policy_prices_both_groups_alike(market, share):
+    model, population = market
+    blind = fp.solve_attribute_blind_parity
+    gamma = share * blind(model, population, math.inf).unconstrained_disparity
+    solution = _solved(blind, model, population, gamma)
+    if solution is None:
+        return
+    support, n = population.support, len(population.support)
+    prices = [solution.policy().price_batch(support, np.full(n, k),
+                                            population.groups)
+              for k in range(2)]
+    assert prices[0].tobytes() == prices[1].tobytes()
+
+
+@settings(max_examples=200)
+@given(parity_markets())
+def test_a_zero_share_penalty_gives_the_uncapped_prices(market):
+    model, population = market
+    solution = fp.solve_attribute_based_parity(model, population, math.inf)
+    n, groups = len(population.support), population.groups
+    share = share_prices(model, population.support.repeat(2, 0), [0, 1] * n,
+                         groups, [0.0] * (2 * n))
+    uncapped = np.array([solution.prices[i, g] for i in range(n)
+                         for g in groups])
+    assert np.all(np.abs(share - uncapped) <= 1e-12 * (1.0 + np.abs(uncapped)))
