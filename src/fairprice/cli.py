@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from csv import writer as csv_writer
 
 from . import __version__
 from .audit import AuditReport, check_alpha, check_metrics, run_audit
@@ -74,7 +72,7 @@ from .sim import (
     simulate,
     write_records_csv,
 )
-from .util import atomic_write_text, fmt_float, json_dumps_stable
+from .util import atomic_write_text, csv_text, fmt_float, json_dumps_stable
 
 
 def _load_json(path, what: str) -> dict:
@@ -87,10 +85,12 @@ def _load_json(path, what: str) -> dict:
 
 
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    csv_writer(buf).writerows([fmt_float(v) if isinstance(v, float) else v
-                               for v in row] for row in [header, *rows])
-    return buf.getvalue()
+    """CSV text of ``header`` and ``rows``, one column at a time: floats by
+    :func:`fmt_float`, None as an empty cell, the rest by ``str``."""
+    columns = list(zip(*rows)) or [()] * len(header)
+    return csv_text([[name, *(fmt_float(v) if v is None or isinstance(v, float)
+                               else str(v) for v in column)]
+                     for name, column in zip(header, columns)])
 
 
 def _parse_grid(text: str):
@@ -258,8 +258,7 @@ def _cmd_price(args, run) -> int:
 
     *_, payload["revenue"], by_group = population.cells().evaluate(policy, model)
     payload["access"] = {g: info["access"] for g, info in by_group.items()}
-    rows = [(row["x_index"], "" if row["group"] is None else row["group"],
-             row["price"]) for row in payload["prices"]]
+    rows = [(row["x_index"], row["group"], row["price"]) for row in payload["prices"]]
     run.write("prices.csv", _csv_text(("x_index", "group", "price"), rows))
     run.write("prices.json", json_dumps_stable(payload))
     return run.finish([args.model, args.population], parameters,
@@ -435,7 +434,8 @@ def _run_mode(args):
 
 def _apply_mode(args) -> None:
     """Refuse a flag given that the run's mode lacks, naming the first mode
-    that reads it; then fill in the defaults of the run's mode."""
+    that reads it; then fill in the defaults of the run's mode, and refuse a
+    share run whose scope lacks its group."""
     mode = _run_mode(args)
     if mode is None:
         return
@@ -449,6 +449,8 @@ def _apply_mode(args) -> None:
     for flag, default in modes[mode].items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
+    if mode.startswith("share runs"):
+        SharePenalty(0.0, args.scope, args.group)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .optimize import PriceInterval, maximize_rows
 from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
-from .util import atomic_file, seqsum
+from .util import atomic_file, csv_text, seqsum
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +505,14 @@ def write_records_csv(path, records: RecordTable) -> None:
     cells = [_column_cells(col) for col in numeric]
     labels = np.array(table.labels, dtype=object)
     with atomic_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(table.X.shape[1]))
+        fh.write(csv_text([[name] for name in _csv_header(table.X.shape[1])]))
         # rows are formatted block by block as they are written, so no
-        # column of cell strings is ever held in memory
+        # column of cell strings is ever held in memory; numeric cells never
+        # need quotes, so only the ids and labels are checked
         for lo in range(0, len(table), _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            writer.writerows(zip(table.ids[rows].tolist(),
-                                 labels[table.codes[rows]].tolist(),
-                                 *(column(rows) for column in cells)))
+            text = [table.ids[rows].tolist(), labels[table.codes[rows]].tolist()]
+            fh.write(csv_text(text + [column(rows) for column in cells], text))
 
 
 def _column_cells(col):

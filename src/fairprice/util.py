@@ -4,10 +4,13 @@ checked reads of JSON input fields."""
 from __future__ import annotations
 
 import contextlib
-import json
+import csv
+import io
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,6 +20,18 @@ from .errors import InvalidRecordError, MissingFieldError
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form, '' for None. Used by every CSV writer."""
     return "" if x is None else repr(float(x))
+
+
+def csv_text(columns, checked=None) -> str:
+    """What ``csv.writer`` writes for the rows whose string cells are
+    ``columns``, joined by commas when no ``checked`` cell needs quotes."""
+    cells = "".join(map("".join, columns if checked is None else checked))
+    if len(columns) > 1 and not any(c in cells for c in ',"\r\n'):
+        text = "\r\n".join(map(",".join, zip(*columns)))
+        return text and text + "\r\n"
+    buf = io.StringIO()  # csv.writer quotes an empty cell alone on its row
+    csv.writer(buf).writerows(zip(*columns))
+    return buf.getvalue()
 
 
 def seqsum(terms):
@@ -33,30 +48,78 @@ def seqsum(terms):
     return float(total) if total.ndim == 0 else total
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        # numpy scalar
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-    return obj
+def _json_floats(items) -> list:
+    texts = list(map(float.__repr__, items))
+    # a finite sum has finite terms; an overflow only costs the slow path
+    return texts if math.isfinite(sum(items)) else [
+        t if math.isfinite(v) else f'"{t}"' for v, t in zip(items, texts)]
+
+
+# exact scalar type -> the JSON texts of a list of such values; bool comes
+# before int, so that isinstance matches a subclass to its own base first
+_JSON_SCALARS = {
+    bool: lambda items: [("false", "true")[v] for v in items],
+    type(None): lambda items: ["null"] * len(items),
+    float: _json_floats,
+    int: lambda items: list(map(int.__repr__, items)),
+    str: lambda items: list(map(encode_basestring_ascii, items)),
+}
 
 
 def json_dumps_stable(obj) -> str:
-    """JSON text with sorted keys and no NaN/Infinity literals.
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` with dict
+    keys ``str()``-ed, numpy scalars as Python scalars and non-finite floats
+    as the strings "inf", "-inf", "nan", which strict JSON readers parse."""
+    return _json_text(obj, "\n") + "\n"
 
-    Non-finite floats are encoded as the strings "inf", "-inf", "nan" so the
-    output stays parseable by strict JSON readers. Output is byte-deterministic
-    for equal inputs.
-    """
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+def _json_text(obj, indent: str) -> str:
+    """JSON text of ``obj``, whose closing line starts with ``indent``."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}  # the last equal key wins
+        texts = [f"{encode_basestring_ascii(k)}: {_json_text(items[k], inner)}"
+                 for k in sorted(items)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        texts = obj and (_json_scalars(obj) or _json_rows(obj, inner)
+                         or [_json_text(v, inner) for v in obj])
+        brackets = "[]"
+    else:
+        if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
+            obj = obj.item()  # a numpy scalar
+        for kind, write in _JSON_SCALARS.items():
+            if isinstance(obj, kind):
+                return write([obj])[0]
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return (brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+            if texts else brackets)
+
+
+def _json_scalars(items):
+    """JSON texts of exact scalars of one type; None for other items."""
+    kinds = set(map(type, items))
+    if len(kinds) == 1 and kinds <= _JSON_SCALARS.keys():
+        return _JSON_SCALARS[kinds.pop()](items)
+
+
+def _json_rows(rows, indent: str):
+    """JSON texts of dicts of such scalars that share one set of str keys,
+    formatted one key column at a time; else None."""
+    if (set(map(type, rows)) != {dict} or not rows[0] or len(set(map(len, rows))) > 1
+            or set(map(type, rows[0])) != {str}):
+        return None
+    keys = sorted(rows[0])
+    try:  # equal sizes, so a row with every key of the first has no other
+        columns = [_json_scalars(list(map(itemgetter(key), rows))) for key in keys]
+    except KeyError:
+        return None
+    if None in columns:
+        return None
+    # one %-template per row, with a % in a key escaped
+    row = ",".join(f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+                   for k in keys)
+    return list(map(f"{{{row}{indent}}}".__mod__, zip(*columns)))
 
 
 @contextlib.contextmanager

@@ -813,3 +813,31 @@ def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
                              clip_lo=lo, clip_hi=hi)
     return fp.PolicySearchResult(policy=policy, value=float(best_val),
                                  trace=trace, starts=len(starts))
+
+
+# ---------------------------------------------------------------------------
+# JSON output: the two-pass writer that ``util.json_dumps_stable``'s one
+# recursive writer replaced, verbatim apart from the names
+# ---------------------------------------------------------------------------
+
+import json  # noqa: E402
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
+        # numpy scalar
+        obj = obj.item()
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+    return obj
+
+
+def stdlib_json_dumps_stable(obj) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"

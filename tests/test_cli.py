@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import csv
+import io
 import json
 import os
 import stat
@@ -11,7 +12,8 @@ import pytest
 from scipy.special import expit
 
 import fairprice as fp
-from fairprice.cli import main
+from fairprice.cli import _csv_text, main
+from fairprice.util import fmt_float
 
 from tables import record_table
 
@@ -273,6 +275,37 @@ def test_pricing_flags_the_solver_ignores_exit_2(tmp_path, capsys, flags,
     assert "error_code=config_parse" in err
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["price", "--share-lambda", "0.3", "--scope", "group"],
+    ["sweep", "--kind", "share", "--scope", "group", "--grid", "0:1:3"],
+], ids=["price", "sweep"])
+def test_a_group_scope_without_a_group_exits_2(tmp_path, capsys, flags):
+    # the model file is missing: the run is refused before any file is read
+    out = tmp_path / "o"
+    code = main(flags + ["--model", str(tmp_path / "missing.json"),
+                         "--population", str(tmp_path / "missing.json"),
+                         "--out-dir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error_code=missing_field" in err
+    assert "group-scoped share penalty needs a group" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], ["a,b", 'q"', "cr\r", "lf\n", "\u00e9"]],
+                         ids=["plain", "quoted"])
+def test_csv_text_formats_cells_as_the_csv_module(labels):
+    header = ("x_index", "group", "price")
+    rows = [(i, labels[i % len(labels)], None if i % 3 else i / 7.0)
+            for i in range(12)]
+    for cells in (rows, []):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(
+            [fmt_float(v) if isinstance(v, float) else v for v in row]
+            for row in [header, *cells])
+        assert _csv_text(header, cells) == buf.getvalue()
 
 
 def test_price_gamma_and_share_lambda_conflict(tmp_path, sim_dir, capsys):

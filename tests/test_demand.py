@@ -632,6 +632,16 @@ def test_model_dict_round_trip():
         assert fp.model_to_dict(back) == fp.model_to_dict(m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: fp.eval_demand(m, [0.0], "a", 1.0),
+    lambda m: fp.demand_gradient(m, [0.0], "a", 1.0),
+    fp.model_to_dict,
+], ids=["eval_demand", "demand_gradient", "model_to_dict"])
+def test_a_non_model_is_a_type_error(call):
+    with pytest.raises(TypeError, match="not a demand model: dict"):
+        call({"kind": "latent"})
+
+
 def test_population_dict_round_trip():
     pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
                         masses=[0.5, 0.5],

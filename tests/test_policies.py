@@ -67,6 +67,8 @@ def test_policy_dict_round_trips():
         assert fp.policy_to_dict(back) == blob
     with pytest.raises(fp.MissingFieldError):
         fp.policy_from_dict({"kind": "cubist"})
+    with pytest.raises(TypeError, match="not a policy: dict"):
+        fp.policy_to_dict({"kind": "constant", "value": 1.0})
 
 
 _TABULAR = {"kind": "tabular", "support": [[0.0, 1.0], [2.0, 3.0]],

@@ -159,7 +159,7 @@ def test_zero_noise_double_reruns_the_loop_from_the_same_state(noise):
     run_both(scenario(noise=noise), 9, rng=ZeroInBlock(9))
 
 
-def _table(n, seed):
+def _table(n, seed, ids=None, groups=("a", "b")):
     rng = np.random.default_rng(seed)
     signed_zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     values = np.full((n, 5), np.nan)
@@ -171,17 +171,30 @@ def _table(n, seed):
     values[rng.random(n) < 0.1, 3] = np.nan
     values[:, 4] = 1.0
     X = np.column_stack([signed_zero, rng.uniform(-1.0, 1.0, size=n)])
-    ids = [f"r{i}" for i in range(n)]
+    ids = [f"r{i}" for i in range(n)] if ids is None else ids
     return fp.RecordTable.from_arrays(
-        ids, rng.choice(["a", "b"], size=n), X, values, ~np.isnan(values),
+        ids, rng.choice(list(groups), size=n), X, values, ~np.isnan(values),
         lambda i: ids[i])
 
 
 @pytest.mark.parametrize("n", [40, 2 * sim._ROW_BLOCK + 5])
 def test_csv_writer_matches_the_per_cell_writer(tmp_path, n):
-    table = _table(n, n)
-    sim.write_records_csv(tmp_path / "block.csv", table)
-    cell_write_records_csv(tmp_path / "cell.csv", table)
-    text = (tmp_path / "block.csv").read_bytes()
-    assert text == (tmp_path / "cell.csv").read_bytes()
-    assert b",-0.0," in text and b",0.0," in text and b",," in text
+    # ids that csv.writer quotes, in the first and last rows only, so that a
+    # long table has blocks written both ways; then group labels it quotes
+    quoted = [f"r{i}" for i in range(n)]
+    quoted[0], quoted[-1] = 'r,"0"\r\n\u00e9', "cr\r"
+    for ids, groups in [(None, ("a", "b")), (quoted, ("a", "b")),
+                        (None, ('a,"b"', "lf\n\u00e9"))]:
+        table = _table(n, n, ids, groups)
+        sim.write_records_csv(tmp_path / "block.csv", table)
+        cell_write_records_csv(tmp_path / "cell.csv", table)
+        text = (tmp_path / "block.csv").read_bytes()
+        assert text == (tmp_path / "cell.csv").read_bytes()
+        assert b",-0.0," in text and b",0.0," in text and b",," in text
+        assert (b'"' in text) == (ids is not None or groups[0] != "a")
+        back = sim.read_records_csv(tmp_path / "block.csv")
+        assert back.ids.tolist() == table.ids.tolist()
+        assert back.labels == table.labels
+        assert np.array_equal(back.codes, table.codes)
+        sim.write_records_csv(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == text
