@@ -64,6 +64,11 @@ gamma.x2 = 0.3
 price_levels = 0.8, 1.2, 1.6, 2.0
 """
 
+# the scenario's latent market, whose noise family each share run replaces
+LATENT_MODEL = {"kind": "latent", "noise": "logistic", "scale": 0.4,
+                "loc": {"a": {"intercept": 2.0, "coefs": [0.5, 0.15]},
+                        "b": {"intercept": 1.3, "coefs": [0.5, 0.15]}}}
+
 LINEAR_POLICY = {"kind": "linear", "intercept": 1.2, "theta": [0.4, 0.1],
                  "clip_lo": 0.8, "clip_hi": 2.0}
 
@@ -109,6 +114,20 @@ def run_pipeline(root: str) -> dict:
         ("sweep_share", ["sweep", "--kind", "share", *market,
                          "--grid", "0:1:3", "--scope", "group", "--group", "b"]),
     ]
+    # share prices and sweeps for every demand family: the four other latent
+    # noise families, the fitted logistic and the fitted partially linear
+    # model; the sweep's negative weight is a tax
+    share_models = [(noise, ["--model", write_json(f"latent_{noise}.json",
+                                                   dict(LATENT_MODEL, noise=noise)),
+                             *population])
+                    for noise in ("normal", "exponential", "laplace", "gumbel")]
+    share_models += [
+        ("logistic", ["--model", path("fit_logistic", "model.json"), *population]),
+        ("linear", fitted)]
+    for name, model in share_models:
+        steps += [(f"price_share_{name}", ["price", *model, "--share-lambda", "0.3"]),
+                  (f"sweep_share_{name}", ["sweep", "--kind", "share", *model,
+                                           "--grid=-0.4,0,0.3,0.8"])]
     for step, argv in steps:
         assert main(argv + ["--out-dir", path(step), "--quiet"]) == 0, step
     # model-mode audits of the simulated experiment's policies and of the
