@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import json
 import math
 import os
@@ -279,11 +278,11 @@ def _share_solution(model, population, args):
     ell = [penalty.effective(population.rho, g) for g in groups]
     prices = share_prices(model, population.support.repeat(len(groups), 0),
                           list(range(len(groups))) * n, groups, ell * n)
-    table = dict(zip(itertools.product(range(n), groups), prices.tolist()))
-    policy = TabularPolicy(support=population.support.copy(), table=table)
+    policy = TabularPolicy(population.support.copy(),
+                           array=(groups, prices.reshape(n, len(groups))))
     parameters = {"mode": "share", "share_lambda": float(args.share_lambda),
                   "scope": args.scope, "group": args.group}
-    payload = dict(parameters, prices=table_rows(table), disparity=(
+    payload = dict(parameters, prices=table_rows(policy.table), disparity=(
         policy_disparity(policy, population) if len(groups) == 2 else None))
     return policy, payload, parameters
 

@@ -84,14 +84,26 @@ def _normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
+# above this z, 1 - expit(z) has lost over 23 of its 53 bits to the rounding
+# of expit(z) near 1, and all of them past z = 36.7, where expit(z) rounds to
+# 1; expit(-z) keeps them
+_LOGISTIC_TAIL = 16.0
+
+
+def _logistic_upper(z, s):
+    """``1 - s`` for ``s = expit(z)``, as ``expit(-z)`` above ``_LOGISTIC_TAIL``."""
+    tail = np.greater(z, _LOGISTIC_TAIL)
+    return np.where(tail, scipy_special().expit(-z), 1.0 - s) if tail.any() else 1.0 - s
+
+
 def _logistic_pdf(z):
     s = scipy_special().expit(z)
-    return s * (1.0 - s)
+    return s * _logistic_upper(z, s)
 
 
 def _logistic_pdf_prime(z):
     s = scipy_special().expit(z)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
+    return s * _logistic_upper(z, s) * (1.0 - 2.0 * s)
 
 
 def _exponential_cdf(z):
@@ -202,6 +214,44 @@ def distinct_rows(X) -> tuple:
     row_of = np.empty(len(X), dtype=np.intp)
     row_of[order] = np.cumsum(new) - 1
     return order[new], row_of
+
+
+# a row matches a support point within this distance in every coordinate
+_MATCH_TOL = 1e-9
+# (row, support point) candidate pairs tested at once by first_hits
+_MATCH_BLOCK = 1 << 12
+
+
+def first_hits(support, X) -> np.ndarray:
+    """Index of the first support point within 1e-9 of each row of ``X`` in
+    every coordinate (TabularPolicy's match), n_support where there is none.
+    Only the points whose sort key lies within 2e-9 of a row's can pass; the
+    candidate pairs are tested a block of rows at a time, a coordinate at a
+    time."""
+    n, k = support.shape
+    if k == 0:
+        return np.zeros(len(X), dtype=np.intp)
+    first, row_of = distinct_rows(X)
+    rows = X[first]
+    # sort the support on its column with the most distinct values
+    columns = np.ascontiguousarray(support.T)
+    key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))
+    order = np.argsort(columns[key])
+    keys = columns[key][order]
+    first = np.searchsorted(keys, rows[:, key] - 2 * _MATCH_TOL)
+    count = np.searchsorted(keys, rows[:, key] + 2 * _MATCH_TOL, "right") - first
+    start = np.cumsum(count) - count
+    hit = np.full(len(rows), n, dtype=np.intp)
+    # rows a..b-1 start their pairs in one _MATCH_BLOCK-sized stretch
+    cuts = (np.flatnonzero(np.diff(start // _MATCH_BLOCK)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+        r = np.repeat(np.arange(a, b), count[a:b])
+        s = order[first[r] + np.arange(len(r)) - (start[r] - start[a])]
+        for c in range(k):
+            near = np.abs(columns[c][s] - rows[r, c]) <= _MATCH_TOL
+            r, s = r[near], s[near]
+        np.minimum.at(hit, r, s)
+    return hit[row_of]
 
 
 @dataclass(eq=False)
@@ -384,6 +434,25 @@ class Population:
                 "population has no discrete support with membership probabilities")
         return self.masses[:, None] * self.membership
 
+    @cached_property
+    def support_classes(self) -> np.ndarray:
+        """The :func:`first_hits` of the support on itself: the support point
+        whose prices a :class:`~fairprice.policies.TabularPolicy` on this
+        support gives each point. Computed once, as ``support`` must not
+        change after it."""
+        return first_hits(self.support, self.support)
+
+    def support_prices(self, policy, index, g) -> np.ndarray:
+        """The prices under ``policy`` of support points ``index`` in groups
+        ``g``. A policy with a ``lookup`` on this very support reads the
+        points' :attr:`support_classes`, its match of them, instead of
+        matching them again."""
+        X = self.support[index]
+        lookup = getattr(policy, "lookup", None)
+        if lookup is not None and np.array_equal(policy.support, self.support):
+            return lookup(self.support_classes[index], X, g, self.groups)
+        return policy.price_batch(X, g, self.groups)
+
     def support_point(self, x_index: int) -> np.ndarray:
         """The covariates of support point ``x_index``: MissingSupportError
         without a support or for an index outside it."""
@@ -405,7 +474,7 @@ class Population:
             joint = self.joint_weights()
             index, g = np.nonzero(joint > 0.0)
             return Cells(joint[index, g], g, self.support[index], index,
-                         self.groups)
+                         self.groups, self)
         table = self.records
         if table is None or not len(table):
             raise MissingFieldError("population has neither support nor records")
@@ -419,7 +488,7 @@ class Cells(NamedTuple):
     """Weighted population cells (see :meth:`Population.cells`).
 
     ``g`` indexes ``groups`` per cell; ``index`` is the support row of each
-    cell, or None for record cells.
+    cell in ``population``, or both are None for record cells.
     """
 
     mass: np.ndarray
@@ -427,6 +496,7 @@ class Cells(NamedTuple):
     X: np.ndarray
     index: np.ndarray | None
     groups: tuple
+    population: Population | None = None
 
     def totals(self, k: int, *terms) -> list:
         """Each per-cell ``terms`` array summed over the cells of group
@@ -440,7 +510,9 @@ class Cells(NamedTuple):
         added in cell order, and for each group of positive mass, in
         ``groups`` order, its ``access`` (mean demand), ``price_mean`` and
         ``weight`` (mass), divided from cell-order totals."""
-        p = policy.price_batch(self.X, self.g, self.groups)
+        p = (policy.price_batch(self.X, self.g, self.groups)
+             if self.population is None
+             else self.population.support_prices(policy, self.index, self.g))
         d = model.demand(self.X, self.g, p, self.groups)
         w, by_group = self.mass, {}
         for k, g in enumerate(self.groups):
@@ -450,13 +522,17 @@ class Cells(NamedTuple):
                                "price_mean": psum / mass, "weight": mass}
         return p, d, seqsum(w * p * d), by_group
 
-    def curve(self, model, p, weights, revenue=False) -> np.ndarray:
+    def curve(self, model, p, weights, revenue=False, terms=None) -> np.ndarray:
         """For each row of the (R, n_cells) ``weights``, the cells' ``weight *
         demand``, or with ``revenue`` their ``(weight * price) * demand``,
         added cell by cell as a ``total +=`` loop over the cells adds them.
         ``p`` broadcasts against the rows: one price per row (an (R,) result)
         or an (R or 1, m) grid (an (R, m) one). A block of cells at a time
-        bounds the memory, and each block's demand serves every row."""
+        bounds the memory, and each block's demand serves every row.
+        ``terms``, the cells' ``model.row_terms``, spares a caller that draws
+        many curves computing them for each."""
+        if terms is None:
+            terms = model.row_terms(self.X, self.g, self.groups)
         p = np.asarray(p, dtype=float)
         grid = p if p.ndim == 2 else p[:, None]
         step = max(1, _GRID_CELLS // grid.size)
@@ -465,12 +541,12 @@ class Cells(NamedTuple):
                           grid.shape[1]))
         for k in range(0, len(self.mass), step):
             rows = slice(k, k + step)
-            d = model.demand(self.X[rows], self.g[rows], grid.reshape(1, -1),
-                             self.groups).reshape((-1,) + grid.shape)
+            d = model.kernels(take_rows(terms, rows), grid.reshape(1, -1),
+                              "demand")[0].reshape((-1,) + grid.shape)
             w = weights[:, rows].T[:, :, None] * (grid if revenue else 1.0)
-            terms = block[:len(d) + 1]
-            np.multiply(w, d, out=terms[1:])
-            block[0] = seqsum(terms.reshape(len(terms), -1)).reshape(block[0].shape)
+            added = block[:len(d) + 1]
+            np.multiply(w, d, out=added[1:])
+            block[0] = seqsum(added.reshape(len(added), -1)).reshape(block[0].shape)
         return block[0] if p.ndim == 2 else block[0, :, 0]
 
 
@@ -485,6 +561,33 @@ class Cells(NamedTuple):
 # a (k,) row ``X`` with one index ``g``; the scalar functions below evaluate
 # that form. Row terms use the per-row dot of ``_row_dots``, so a row of a
 # matrix gets the very bits the same row gets alone.
+#
+# A family's ``row_terms(X, g, groups)`` is the tuple of per-row arrays that
+# its prices act on (``loc``; ``gamma . x``; ``dbar`` and the slope), and its
+# ``kernels(terms, p, *kinds)`` returns the named kinds from them in one call.
+# A solver computes the terms once and takes their rows with ``take_rows``;
+# ``demand``, ``gradient`` and ``curvature`` compute them for each call.
+
+
+def take_rows(terms, rows) -> tuple:
+    """The ``rows`` of every per-row array of ``terms``."""
+    return tuple(t[rows] for t in terms)
+
+
+def _per_call(kind):
+    """The ``kind`` kernel of a family from the row terms of its call; the
+    price is checked before the rows, as every kernel call checks it."""
+    def kernel(self, X, g, p, groups) -> np.ndarray:
+        p = _check_price(self, p)
+        return self.kernels(self.row_terms(X, g, groups), p, kind)[0]
+    kernel.__name__ = kernel.__qualname__ = kind
+    return kernel
+
+
+class _RowKernels:
+    """A family's ``demand``, ``gradient`` and ``curvature``."""
+
+    demand, gradient, curvature = map(_per_call, ("demand", "gradient", "curvature"))
 
 
 def _row_dots(X, coefs):
@@ -543,7 +646,7 @@ def _affine_rows(X, g, groups, params, known, what) -> np.ndarray:
 
 
 @dataclass
-class PartiallyLinearDemand:
+class PartiallyLinearDemand(_RowKernels):
     """Expected demand ``dbar(x, a) + beta_a * p``, unclamped.
 
     ``baseline`` holds the intercept term ``dbar``: with ``baseline_form ==
@@ -607,24 +710,23 @@ class PartiallyLinearDemand:
     def slope(self, group) -> float:
         return float(self._slopes(0, (group,)))
 
-    def demand(self, X, g, p, groups) -> np.ndarray:
-        p = _check_price(self, p)
-        dbar = _along(self.baseline_rows(X, g, groups), p)
-        return dbar + _along(self._slopes(g, groups), p) * p
+    def row_terms(self, X, g, groups) -> tuple:
+        """``(dbar, slope)`` of every row."""
+        return self.baseline_rows(X, g, groups), self._slopes(g, groups)
 
-    def gradient(self, X, g, p, groups) -> np.ndarray:
+    def kernels(self, terms, p, *kinds) -> list:
         p = _check_price(self, p)
-        slopes = _along(self._slopes(g, groups), p)
-        return np.broadcast_to(slopes, np.broadcast_shapes(
-            np.shape(slopes), np.shape(p))).copy()
-
-    def curvature(self, X, g, p, groups) -> np.ndarray:
-        p = _check_price(self, p)
-        return np.zeros(np.shape(_along(np.zeros(np.shape(g)), p) + p))
+        dbar, slopes = terms
+        slopes = _along(slopes, p)
+        shape = np.broadcast_shapes(np.shape(slopes), np.shape(p))
+        kernel = {"demand": lambda: _along(dbar, p) + slopes * p,
+                  "gradient": lambda: np.broadcast_to(slopes, shape).copy(),
+                  "curvature": lambda: np.zeros(shape)}
+        return [kernel[kind]() for kind in kinds]
 
 
 @dataclass
-class LogisticDemand:
+class LogisticDemand(_RowKernels):
     """Take-up probability ``sigmoid(gamma . x + beta * p + intercept)``.
 
     The kernels take ``g`` and ``groups`` like the other families and ignore
@@ -642,25 +744,23 @@ class LogisticDemand:
             raise UpwardSlopeError(
                 f"logistic price slope {self.beta:g} is not negative")
 
-    def _sigmoid(self, X, p) -> np.ndarray:
+    def row_terms(self, X, g, groups) -> tuple:
+        """``(gamma . x,)`` of every row."""
+        return (_row_dots(X, self.gamma),)
+
+    def kernels(self, terms, p, *kinds) -> list:
         p = _check_price(self, p)
-        index = _along(_row_dots(X, self.gamma), p) + self.beta * p
-        return scipy_special().expit(index + self.intercept)
-
-    def demand(self, X, g, p, groups) -> np.ndarray:
-        return self._sigmoid(X, p)
-
-    def gradient(self, X, g, p, groups) -> np.ndarray:
-        s = self._sigmoid(X, p)
-        return self.beta * s * (1.0 - s)
-
-    def curvature(self, X, g, p, groups) -> np.ndarray:
-        s = self._sigmoid(X, p)
-        return self.beta ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)
+        z = _along(terms[0], p) + self.beta * p + self.intercept
+        s = scipy_special().expit(z)
+        upper = None if kinds == ("demand",) else _logistic_upper(z, s)
+        kernel = {"demand": lambda: s,
+                  "gradient": lambda: self.beta * s * upper,
+                  "curvature": lambda: self.beta ** 2 * s * upper * (1.0 - 2.0 * s)}
+        return [kernel[kind]() for kind in kinds]
 
 
 @dataclass
-class LatentValuationModel:
+class LatentValuationModel(_RowKernels):
     """Valuation ``V = loc(x, a) + scale * noise``; purchase iff ``V >= p``.
 
     ``loc`` maps group -> (intercept, coefficient vector). The noise family
@@ -694,19 +794,18 @@ class LatentValuationModel:
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(self.location_rows(x, 0, (group,)))
 
-    def _z(self, X, g, p, groups) -> np.ndarray:
+    def row_terms(self, X, g, groups) -> tuple:
+        """``(loc,)`` of every row."""
+        return (self.location_rows(X, g, groups),)
+
+    def kernels(self, terms, p, *kinds) -> list:
         p = _check_price(self, p)
-        return (p - _along(self.location_rows(X, g, groups), p)) / self.scale
-
-    def demand(self, X, g, p, groups) -> np.ndarray:
-        return self.family.sf(self._z(X, g, p, groups))
-
-    def gradient(self, X, g, p, groups) -> np.ndarray:
-        return -self.family.pdf(self._z(X, g, p, groups)) / self.scale
-
-    def curvature(self, X, g, p, groups) -> np.ndarray:
-        return (-self.family.pdf_prime(self._z(X, g, p, groups))
-                / self.scale ** 2)
+        z = (p - _along(terms[0], p)) / self.scale
+        family = self.family
+        kernel = {"demand": lambda: family.sf(z),
+                  "gradient": lambda: -family.pdf(z) / self.scale,
+                  "curvature": lambda: -family.pdf_prime(z) / self.scale ** 2}
+        return [kernel[kind]() for kind in kinds]
 
 
 DemandModel = (PartiallyLinearDemand, LogisticDemand, LatentValuationModel)

@@ -16,7 +16,6 @@ nonnegative; reported multipliers refer to that orientation and the
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +61,9 @@ def parity_weight(rho: dict, group: str, positive_group: str | None = None) -> f
 class ParitySolution:
     """Solved constrained pricing problem on a discrete support.
 
-    ``prices`` maps ``(support_index, group)`` to a price; attribute-blind
-    solutions use ``None`` as the group key. ``lambda_star`` is the dual
+    ``price_array`` holds the price of every support point (rows) and
+    ``columns`` label (one column per group; one blind column, labelled
+    ``None``, for attribute-blind solutions). ``lambda_star`` is the dual
     multiplier in the orientation recorded by ``oriented_groups`` (positive
     group first); it is zero when the cap does not bind.
     """
@@ -73,14 +73,23 @@ class ParitySolution:
     lambda_star: float
     parity_weights: dict
     oriented_groups: tuple
-    prices: dict
+    price_array: np.ndarray
     support: np.ndarray
     groups: tuple
     unconstrained_disparity: float
     achieved_disparity: float
 
+    @property
+    def columns(self) -> tuple:
+        return self.groups if self.mode == ATTRIBUTE_BASED else (None,)
+
+    @property
+    def prices(self) -> dict:
+        """``(support_index, group) -> price``, read from ``price_array``."""
+        return self.policy().table
+
     def policy(self) -> TabularPolicy:
-        return TabularPolicy(support=self.support, table=dict(self.prices))
+        return TabularPolicy(self.support, array=(self.columns, self.price_array))
 
     def to_dict(self) -> dict:
         """JSON-ready description; an infinite ``gamma`` stays a float."""
@@ -174,14 +183,11 @@ def _solve(mode, population, problem):
         lam = (gamma - d0) / den
         prices = (-dbar + lam * c) / (2.0 * slope)
         achieved = gamma
-    support = population.support
-    columns = groups if mode == ATTRIBUTE_BASED else (None,)
-    table = dict(zip(itertools.product(range(support.shape[0]), columns),
-                     prices.reshape(-1).tolist()))
     return ParitySolution(
         mode=mode, gamma=gamma, lambda_star=float(lam),
         parity_weights=xi_map, oriented_groups=groups[::-1] if flip else groups,
-        prices=table, support=support.copy(), groups=groups,
+        price_array=prices.reshape(len(population.support), -1),
+        support=population.support.copy(), groups=groups,
         unconstrained_disparity=d0, achieved_disparity=float(achieved))
 
 
@@ -228,8 +234,7 @@ def policy_disparity(policy, population) -> float:
     means = []
     for k in range(len(population.groups)):
         w = joint[:, k]
-        prices = policy.price_batch(population.support, np.full(n, k),
-                                    population.groups)
+        prices = population.support_prices(policy, np.arange(n), np.full(n, k))
         means.append(float(w @ prices / w.sum()))
     return means[0] - means[1]
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
-from .demand import _row_dots, distinct_rows
+from .demand import _row_dots, first_hits
 from .errors import (
     DimensionMismatchError,
     InvalidRecordError,
@@ -26,43 +26,6 @@ from .errors import (
     UnknownGroupError,
 )
 from .util import json_field, json_number_map, json_numbers, json_rows, json_value
-
-# a row matches a support point within this distance in every coordinate
-_MATCH_TOL = 1e-9
-# (row, support point) candidate pairs tested at once by first_hits
-_MATCH_BLOCK = 1 << 12
-
-
-def first_hits(support, X) -> np.ndarray:
-    """Index of the first support point within 1e-9 of each row of ``X`` in
-    every coordinate (TabularPolicy's match), n_support where there is none.
-    Only the points whose sort key lies within 2e-9 of a row's can pass; the
-    candidate pairs are tested a block of rows at a time, a coordinate at a
-    time."""
-    n, k = support.shape
-    if k == 0:
-        return np.zeros(len(X), dtype=np.intp)
-    first, row_of = distinct_rows(X)
-    rows = X[first]
-    # sort the support on its column with the most distinct values
-    columns = np.ascontiguousarray(support.T)
-    key = int(np.argmax((np.diff(np.sort(columns)) != 0).sum(axis=1)))
-    order = np.argsort(columns[key])
-    keys = columns[key][order]
-    first = np.searchsorted(keys, rows[:, key] - 2 * _MATCH_TOL)
-    count = np.searchsorted(keys, rows[:, key] + 2 * _MATCH_TOL, "right") - first
-    start = np.cumsum(count) - count
-    hit = np.full(len(rows), n, dtype=np.intp)
-    # rows a..b-1 start their pairs in one _MATCH_BLOCK-sized stretch
-    cuts = (np.flatnonzero(np.diff(start // _MATCH_BLOCK)) + 1).tolist()
-    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
-        r = np.repeat(np.arange(a, b), count[a:b])
-        s = order[first[r] + np.arange(len(r)) - (start[r] - start[a])]
-        for c in range(k):
-            near = np.abs(columns[c][s] - rows[r, c]) <= _MATCH_TOL
-            r, s = r[near], s[near]
-        np.minimum.at(hit, r, s)
-    return hit[row_of]
 
 
 @dataclass(frozen=True)
@@ -101,7 +64,6 @@ class GroupPolicy:
         return prices[g]
 
 
-@dataclass
 class TabularPolicy:
     """Prices attached to the discrete covariate support.
 
@@ -109,37 +71,61 @@ class TabularPolicy:
     group ``None`` serves as the attribute-blind price for that support
     point and is the fallback when the requested group has no entry. A
     covariate row is priced at the first support point within 1e-9 of it in
-    every coordinate. The fields are read into a dense price table on first
-    use, so they must not change after it.
+    every coordinate. A solver passes ``array`` instead, a ``(columns,
+    prices)`` pair: column ``j`` of the (n_support, len(columns)) ``prices``
+    holds the prices of label ``columns[j]``, and ``table`` is read from it
+    on first use. Either way the prices are read into one dense price table
+    on first use, so neither may change after it.
     """
 
-    support: np.ndarray
-    table: dict
+    def __init__(self, support, table=None, array=None):
+        self.support = np.atleast_2d(np.asarray(support, dtype=float))
+        if array is None:
+            self.table = table
+        else:
+            columns, prices = tuple(array[0]), np.asarray(array[1], dtype=float)
+            self._array = columns, prices, np.ones(prices.shape, dtype=bool)
 
-    def __post_init__(self):
-        self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
+    @cached_property
+    def table(self) -> dict:  # read only from an array, which has every entry
+        columns, prices, _ = self._array
+        return dict(zip(product(range(len(prices)), columns), prices.ravel().tolist()))
+
+    @cached_property
+    def _array(self) -> tuple:
+        """``(columns, prices, present)``: the table's labels in order of
+        first use, and its prices and where it has an entry as
+        (n_support, len(columns)) arrays. Keys off the support are dropped."""
+        n = len(self.support)
+        idx, labels = zip(*self.table) if self.table else ((), ())
+        columns = tuple(dict.fromkeys(labels))
+        # a dict lookup matches an index as the table's own keys would; keys
+        # off the support go to the last row, dropped below
+        row_of = dict(zip(range(n), range(n)))
+        at = (np.fromiter(map(row_of.get, idx, repeat(n)), np.intp),
+              np.fromiter(map(columns.index, labels), np.intp))
+        prices = np.zeros((n + 1, len(columns)))
+        present = np.zeros(prices.shape, dtype=bool)
+        prices[at] = np.fromiter(map(float, self.table.values()), float)
+        present[at] = True
+        return columns, prices[:n], present[:n]
 
     @cached_property
     def _dense(self) -> tuple:
-        """``(column_of, prices, present)``: the table as an (n_support + 1,
+        """``(column_of, prices, present)``: the prices as an (n_support + 1,
         n_labels + 1) array and where it has an entry. The blind entries, in
         the last column, fill labels without their own and serve the labels
         not in ``column_of``; the last row, read for rows off the support,
         is empty."""
-        idx, labels = zip(*self.table) if self.table else ((), ())
-        column_of = {g: j for j, g in enumerate(
-            dict.fromkeys(g for g in labels if g is not None))}
-        n, blind = len(self.support), len(column_of)
-        # a dict lookup matches an index as the table's own keys would; keys
-        # off the support go to the last row, emptied below
-        row_of = dict(zip(range(n), range(n)))
-        at = (np.fromiter(map(row_of.get, idx, repeat(n)), np.intp),
-              np.fromiter(map(column_of.get, labels, repeat(blind)), np.intp))
-        prices = np.zeros((n + 1, blind + 1))
+        columns, given, has = self._array
+        # the labelled columns, then the blind one where there is one
+        labelled = [j for j, label in enumerate(columns) if label is not None]
+        order = labelled + [j for j, label in enumerate(columns) if label is None]
+        prices = np.zeros((len(given) + 1, len(labelled) + 1))
         present = np.zeros(prices.shape, dtype=bool)
-        prices[at] = np.fromiter(map(float, self.table.values()), float)
-        present[at], present[n] = True, False
+        prices[:-1, :len(order)], present[:-1, :len(order)] = given[:, order], has[:, order]
         fill = present[:, -1:] & ~present
+        column_of = {columns[j]: k for k, j in enumerate(labelled)}
         return column_of, np.where(fill, prices[:, -1:], prices), present | fill
 
     def price(self, x, a=None) -> float:
@@ -153,11 +139,16 @@ class TabularPolicy:
             raise DimensionMismatchError(
                 f"policy support has {self.support.shape[1]} covariates, "
                 f"got {X.shape[1]}")
+        return self.lookup(first_hits(self.support, X), X, g, groups)
+
+    def lookup(self, hits, X, g, groups) -> np.ndarray:
+        """The prices of rows ``X`` whose :func:`first_hits` on the support
+        are ``hits``: :meth:`price_batch` once the rows are matched."""
         column_of, prices, present = self._dense
         g = np.asarray(g, dtype=np.intp)
         column = np.array([column_of.get(a, len(column_of)) for a in groups],
                           dtype=np.intp)
-        at = (first_hits(self.support, X), column[g])
+        at = (hits, column[g])
         missing = ~present[at]
         if missing.any():
             i = int(np.argmax(missing))

@@ -20,10 +20,10 @@ from .demand import (
     LogisticDemand,
     PartiallyLinearDemand,
     _along,
-    _row_dots,
     demand_curvature,
     demand_gradient,
     eval_demand,
+    take_rows,
 )
 from .errors import (
     ConvergenceError,
@@ -85,38 +85,42 @@ def share_prices(model, X, g, groups, ell) -> np.ndarray:
     lockstep golden section for the rows where that condition keeps its sign
     on the bracket (boundary optimum). Prices stay above ``max(0, -ell)``.
     Each row gets the price it gets alone; a failure raises the first failing
-    row's.
+    row's. The model's row terms are computed once for all of it.
     """
     X, g, ell = np.asarray(X, float), np.asarray(g), np.asarray(ell, float)
     try:
         return _share_rows(model, X, g, groups, ell)
     except FairPriceError:
-        for r in range(len(ell)):
+        # a row fails as it fails alone, so when no row before the last
+        # fails, the error is the last row's
+        for r in range(len(ell) - 1):
             _share_rows(model, X[r:r + 1], g[r:r + 1], groups, ell[r:r + 1])
         raise
 
 
 def _share_rows(model, X, g, groups, ell) -> np.ndarray:
+    if not isinstance(model, (PartiallyLinearDemand, LatentValuationModel,
+                              LogisticDemand)):
+        raise PreconditionError(f"unsupported model {type(model).__name__}")
+    terms = model.row_terms(X, g, groups)
     if isinstance(model, PartiallyLinearDemand):
-        dbar, beta = model.baseline_rows(X, g, groups), model._slopes(g, groups)
         model.downward_slopes([groups[j] for j in np.unique(g)])
+        dbar, beta = terms
         return -dbar / (2.0 * beta) - ell / 2.0
     # np.where(b > a, b, a) is Python's max(a, b), on ties of +-0 and NaN too
     if isinstance(model, LatentValuationModel):
-        center, spread = model.location_rows(X, g, groups), model.scale
-    elif isinstance(model, LogisticDemand):
-        spread = 1.0 / abs(model.beta)
-        center = -(_row_dots(X, model.gamma) + model.intercept) / model.beta
-        center = np.where(0.0 > center, 0.0, center)
+        center, spread = terms[0], model.scale
     else:
-        raise PreconditionError(f"unsupported model {type(model).__name__}")
+        spread = 1.0 / abs(model.beta)
+        center = -(terms[0] + model.intercept) / model.beta
+        center = np.where(0.0 > center, 0.0, center)
     step = _BRACKET_SIGMAS * spread
     lo_min = np.where(-ell > 0.0, -ell, 0.0) + np.where(ell < 0.0, 1e-9, 0.0)
     hi0 = np.where(lo_min + step > center + step, lo_min + step, center + step)
 
     def objective(rows, p):
-        return (p + _along(ell[rows], p)) * model.demand(X[rows], g[rows], p,
-                                                        groups)
+        return (p + _along(ell[rows], p)) * model.kernels(
+            take_rows(terms, rows), p, "demand")[0]
 
     around, positive = grid_argmax(objective, len(ell), lo_min, hi0,
                                    _GRID_POINTS)
@@ -127,8 +131,8 @@ def _share_rows(model, X, g, groups, ell) -> np.ndarray:
     lo, hi = np.where(p0 - step > lo_min, p0 - step, lo_min), p0 + step
 
     def foc(rows, p, *more):  # D + (p + ell) D', then D' and the more kernels
-        d, dp, *rest = (getattr(model, kernel)(X[rows], g[rows], p, groups)
-                        for kernel in ("demand", "gradient") + more)
+        d, dp, *rest = model.kernels(take_rows(terms, rows), p, "demand",
+                                     "gradient", *more)
         return d + (p + ell[rows]) * dp, dp, *rest
 
     f_lo = foc(..., lo)[0]

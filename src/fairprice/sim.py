@@ -57,7 +57,9 @@ from .demand import (
     Population,
     RecordTable,
     distinct_rows,
+    first_hits,
     scipy_special,
+    take_rows,
 )
 from .errors import (
     ConfigError,
@@ -67,7 +69,7 @@ from .errors import (
     MissingFieldError,
 )
 from .optimize import PriceInterval, maximize_rows
-from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy, first_hits
+from .policies import ConstantPolicy, GroupPolicy, LinearPolicy, TabularPolicy
 from .util import atomic_file, csv_text, seqsum
 
 
@@ -737,24 +739,29 @@ def run_pricing_experiment(model, population: Population,
     # one weight row for the uniform price, then one per group with cells
     present = sorted((groups[k], k) for k in np.unique(cells.g).tolist())
     weights = np.array([w, *(np.where(cells.g == k, w, 0.0) for _, k in present)])
+    cell_terms = model.row_terms(cells.X, cells.g, groups)
     prices = maximize_rows(
-        lambda rows, p: (p - cost) * cells.curve(model, p, weights[rows]),
+        lambda rows, p: (p - cost) * cells.curve(model, p, weights[rows],
+                                                 terms=cell_terms),
         len(weights), interval)[0].tolist()
     out = {"uniform": ConstantPolicy(prices[0]), "group": GroupPolicy(
         prices={g: q for (g, _), q in zip(present, prices[1:])})}
 
     # one solve per (support point, group) that the policy's matcher finds;
     # record cells take their distinct rows, first appearances, as support
-    support = population.support
     if cells.index is None:
         support = cells.X[np.sort(distinct_rows(cells.X)[0])]
-    index = first_hits(support, cells.X)
+        index = first_hits(support, cells.X)
+    else:
+        support, index = population.support, population.support_classes[cells.index]
     first = np.unique(index * len(cells.groups) + cells.g, return_index=True)[1]
-    X, g = support[index[first]], cells.g[first]
+    terms = model.row_terms(support[index[first]], cells.g[first], groups)
     prices = maximize_rows(
-        lambda rows, p: (p - cost) * model.demand(X[rows], g[rows], p, groups),
+        lambda rows, p: (p - cost) * model.kernels(take_rows(terms, rows), p,
+                                                   "demand")[0],
         len(first), interval)[0]
-    table = dict(zip(zip(index[first].tolist(), (groups[k] for k in g.tolist())),
+    table = dict(zip(zip(index[first].tolist(),
+                         (groups[k] for k in cells.g[first].tolist())),
                      prices.tolist()))
     out["personalized"] = TabularPolicy(support=support, table=table)
 

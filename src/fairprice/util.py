@@ -104,22 +104,28 @@ def _json_scalars(items):
 
 
 def _json_rows(rows, indent: str):
-    """JSON texts of dicts of such scalars that share one set of str keys,
-    formatted one key column at a time; else None."""
-    if (set(map(type, rows)) != {dict} or not rows[0] or len(set(map(len, rows))) > 1
-            or set(map(type, rows[0])) != {str}):
+    """JSON texts of lists (or tuples) of one length, or of dicts that share
+    one set of str keys, of such scalars, formatted one column at a time;
+    else None."""
+    kinds = set(map(type, rows))
+    if kinds <= {list, tuple}:
+        keys, brackets, heads = range(len(rows[0])), "[]", [""] * len(rows[0])
+    elif kinds == {dict} and set(map(type, rows[0])) == {str}:
+        keys, brackets = sorted(rows[0]), "{}"
+        # a % in a key escaped for the %-template
+        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+    else:
         return None
-    keys = sorted(rows[0])
+    if not rows[0] or len(set(map(len, rows))) > 1:
+        return None
     try:  # equal sizes, so a row with every key of the first has no other
         columns = [_json_scalars(list(map(itemgetter(key), rows))) for key in keys]
     except KeyError:
         return None
     if None in columns:
         return None
-    # one %-template per row, with a % in a key escaped
-    row = ",".join(f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-                   for k in keys)
-    return list(map(f"{{{row}{indent}}}".__mod__, zip(*columns)))
+    row = ",".join(f"{indent}  {head}%s" for head in heads)
+    return list(map(f"{brackets[0]}{row}{indent}{brackets[1]}".__mod__, zip(*columns)))
 
 
 @contextlib.contextmanager

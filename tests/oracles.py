@@ -420,9 +420,11 @@ def formula_demand(model, x, group, p):
         beta = float(model.beta[group])
         return dbar + beta * p, beta, 0.0
     if isinstance(model, fp.LogisticDemand):
-        s = expit(float(model.gamma @ x + model.beta * p + model.intercept))
-        return (float(s), float(model.beta * s * (1.0 - s)),
-                float(model.beta ** 2 * s * (1.0 - s) * (1.0 - 2.0 * s)))
+        z = float(model.gamma @ x + model.beta * p + model.intercept)
+        s = expit(z)
+        upper = expit(-z) if z > 16.0 else 1.0 - s  # 1 - s, exact in the tail
+        return (float(s), float(model.beta * s * upper),
+                float(model.beta ** 2 * s * upper * (1.0 - 2.0 * s)))
     intercept, coefs = model.loc[group]
     z = (p - float(intercept + np.asarray(coefs, dtype=float) @ x)) / model.scale
     fam = model.family
@@ -666,14 +668,11 @@ def reference_attribute_based_parity(model, population, gamma):
         lam = num / den
         prices = (-dbar + lam * xi) / (2.0 * beta)
         achieved = gamma
-    table = {(i, g): float(prices[i, k])
-             for i in range(support.shape[0])
-             for k, g in enumerate(groups)}
     other = groups[1] if positive == groups[0] else groups[0]
     return ParitySolution(
         mode=ATTRIBUTE_BASED, gamma=gamma, lambda_star=float(lam),
         parity_weights=xi_map, oriented_groups=(positive, other),
-        prices=table, support=support.copy(), groups=groups,
+        price_array=prices, support=support.copy(), groups=groups,
         unconstrained_disparity=d0, achieved_disparity=float(achieved))
 
 
@@ -714,12 +713,11 @@ def reference_attribute_blind_parity(model, population, gamma):
         lam = (gamma - d0) / den
         prices = (-dbar_x + lam * m) / (2.0 * betabar)
         achieved = gamma
-    table = {(i, None): float(prices[i]) for i in range(support.shape[0])}
     other = groups[1] if positive == groups[0] else groups[0]
     return ParitySolution(
         mode=ATTRIBUTE_BLIND, gamma=gamma, lambda_star=float(lam),
         parity_weights=xi_map, oriented_groups=(positive, other),
-        prices=table, support=support.copy(), groups=groups,
+        price_array=prices[:, None], support=support.copy(), groups=groups,
         unconstrained_disparity=d0, achieved_disparity=float(achieved))
 
 

@@ -131,6 +131,62 @@ def test_near_duplicate_support_points_price_at_the_first_hit():
     assert fp.policy_disparity(policy, pop) == loop_policy_disparity(policy, pop)
 
 
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except fp.FairPriceError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _near_duplicate_policies(draw):
+    """A population whose support points repeat, exactly or within the 1e-9
+    match window, and a tabular policy on that support, some of whose
+    entries may be missing; and the policy on a support one ulp off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    support = np.round(rng.normal(size=(n, k)), 1)
+    copies = rng.integers(n, size=draw(st.integers(0, 4)))
+    jitter = rng.choice([0.0, 3e-10, -5e-10, 2e-9], size=(len(copies), k))
+    support = np.concatenate([support, support[copies] + jitter])[
+        rng.permutation(n + len(copies))]
+    n = len(support)
+    q = rng.uniform(0.0, 1.0, size=n)
+    population = fp.Population(groups=GROUPS, support=support,
+                               masses=np.full(n, 1.0 / n),
+                               membership=np.column_stack([q, 1.0 - q]))
+    table = {(i, g): float(rng.uniform(0.2, 2.5))
+             for i in range(n) for g in (None, *GROUPS) if rng.random() < 0.6}
+    policy = fp.TabularPolicy(support=support.copy(), table=table)
+    off = support.copy()
+    at = rng.integers(n), rng.integers(k)
+    off[at] = np.nextafter(off[at], np.inf)
+    off_policy = fp.TabularPolicy(support=off, table=table)
+    return population, policy, off_policy
+
+
+@settings(max_examples=200)
+@given(_near_duplicate_policies())
+def test_cached_support_classes_price_as_the_matcher_does(case):
+    # the cells of a support population through its cached classes, and
+    # through the matcher (as record cells are priced): the same outputs or
+    # the same first error; a policy one ulp off takes the matcher's path
+    population, policy, off_policy = case
+    model = fp.LatentValuationModel(
+        loc={g: (1.5, np.full(population.support.shape[1], 0.3))
+             for g in GROUPS}, noise="normal")
+    cells = population.cells()
+    cached = _outcome(lambda: cells.evaluate(policy, model))
+    assert cached == _outcome(
+        lambda: cells._replace(population=None).evaluate(policy, model))
+    assert cached == _outcome(lambda: cells.evaluate(off_policy, model))
+    n = len(population.support)
+    for k in range(len(GROUPS)):
+        assert _outcome(lambda: population.support_prices(
+            policy, np.arange(n), np.full(n, k))) == _outcome(
+            lambda: policy.price_batch(population.support, np.full(n, k), GROUPS))
+
+
 @settings(max_examples=15)
 @given(markets(max_points=3), st.sampled_from(["population", "group"]))
 def test_share_frontier_matches_cell_loop(market, scope):

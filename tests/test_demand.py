@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fairprice as fp
-from fairprice.demand import NOISE_FAMILIES
+from fairprice.demand import NOISE_FAMILIES, take_rows
 
 from oracles import central_difference, formula_demand
 from tables import record_table
@@ -266,6 +268,83 @@ def test_bad_prices_raise_the_scalar_errors(family, bad):
                 got.append(_outcome(lambda: scalar(model, [0.0], "a", prices)))
             for outcome in got:
                 assert outcome == want if want else not isinstance(outcome, tuple)
+
+
+def _result(fn):
+    """An error as its type and message, a value as its shape and bits."""
+    try:
+        value = fn()
+    except fp.FairPriceError as exc:
+        return type(exc), str(exc)
+    return np.shape(value), _bits(value)
+
+
+_KINDS = ("demand", "gradient", "curvature")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
+@settings(max_examples=200)
+@given(_kernel_cases(), st.data())
+def test_kernels_from_hoisted_row_terms_match_per_call_kernels(case, data):
+    # the terms of every row, computed once, then any rows of them in any
+    # order, at every price shape: the per-call kernels' bits
+    model, X, g, groups, prices = case
+    terms = model.row_terms(X, g, groups)
+    rows = np.array(data.draw(st.lists(st.integers(0, len(X) - 1),
+                                       max_size=8)), dtype=np.intp)
+    for p in (prices[-1], prices[np.arange(len(rows)) % len(prices)],
+              np.tile(prices, (len(rows), 1)), prices[None]):
+        got = model.kernels(take_rows(terms, rows), p, *_KINDS)
+        for kind, value in zip(_KINDS, got):
+            assert _result(lambda: value) == _result(
+                lambda: getattr(model, kind)(X[rows], g[rows], p, groups)), kind
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100)
+@given(_kernel_cases(), st.sampled_from([-0.5, np.nan, np.inf]),
+       st.sampled_from(_KINDS))
+def test_kernels_from_row_terms_raise_the_per_call_errors(case, bad, kind):
+    # a bad price, and a label the model lacks (logistic demand reads none)
+    model, X, g, groups, prices = case
+    for p, labels in ((np.append(prices, bad)[None], groups),
+                      (prices[None], ("a", "zz"))):
+        hoisted = _result(lambda: model.kernels(
+            model.row_terms(X, g, labels), p, kind)[0])
+        assert hoisted == _result(lambda: getattr(model, kind)(X, g, p, labels))
+
+
+@settings(max_examples=300)
+@given(st.floats(-700.0, 700.0))
+@example(16.0)
+@example(20.0)
+@example(40.0)
+@example(700.0)
+@example(-700.0)
+def test_logistic_densities_keep_their_precision_in_both_tails(z):
+    """Within 1e-8 of the exact density, relative, at every z (s * (1 - s)
+    loses it above z = 16 and is 0 past z = 36.7); the derivatives within
+    1e-8 of the density, the scale of their rounding by their zero at 0."""
+    def exact(z):
+        e = math.exp(-abs(z))
+        pdf = e / (1.0 + e) ** 2
+        return pdf, pdf * math.tanh(-z / 2.0)
+
+    fam = NOISE_FAMILIES["logistic"]
+    # latent logistic demand with z = p - 700, logistic demand with z = 700 - p
+    latent = fp.LatentValuationModel(loc={"a": (700.0, np.array([]))})
+    logistic = fp.LogisticDemand(gamma=[], beta=-1.0, intercept=700.0)
+    p_latent, p_logistic = z + 700.0, 700.0 - z
+    z_latent, z_logistic = p_latent - 700.0, -p_logistic + 700.0
+    cases = [(fam.pdf(z), fam.pdf_prime(z), exact(z)),
+             (-fp.demand_gradient(latent, [], "a", p_latent),
+              -fp.demand_curvature(latent, [], "a", p_latent), exact(z_latent)),
+             (-fp.demand_gradient(logistic, [], None, p_logistic),
+              fp.demand_curvature(logistic, [], None, p_logistic),
+              exact(z_logistic))]
+    for pdf, prime, (want_pdf, want_prime) in cases:
+        assert abs(pdf - want_pdf) <= 1e-8 * want_pdf, (pdf, want_pdf)
+        assert abs(prime - want_prime) <= 1e-8 * want_pdf, (prime, want_prime)
 
 
 def test_kernels_check_groups_and_covariates_like_scalars():

@@ -175,6 +175,7 @@ def run_pipeline(root: str) -> dict:
     return digests
 
 
+@pytest.mark.filterwarnings("ignore:negative share weight")  # the tax sweeps
 def test_cli_outputs_match_recorded_digests(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)

@@ -225,9 +225,15 @@ def _priced_rows(draw):
     elif kind == "tabular":
         policy = fp.TabularPolicy(support=support, table=table)
     elif kind == "parity":
+        # a solver's price array: a column per group, or one blind column
+        mode = draw(st.sampled_from(["attribute_based", "attribute_blind"]))
+        columns = 2 if mode == "attribute_based" else 1
+        prices = draw(st.lists(_coef, min_size=columns * len(support),
+                               max_size=columns * len(support)))
         policy = fp.ParitySolution(
-            mode="attribute_based", gamma=0.0, lambda_star=0.0,
-            parity_weights={}, oriented_groups=("a", "b"), prices=table,
+            mode=mode, gamma=0.0, lambda_star=0.0,
+            parity_weights={}, oriented_groups=("a", "b"),
+            price_array=np.reshape(prices, (len(support), columns)),
             support=support, groups=("a", "b"),
             unconstrained_disparity=0.0, achieved_disparity=0.0).policy()
     else:

@@ -51,6 +51,31 @@ def test_share_price_under_a_large_tax_matches_grid():
     assert abs(p - p_grid) < 1e-6
 
 
+def test_share_price_under_an_extreme_tax_has_a_newton_slope():
+    # the optimum sits near z = 370, where the logistic density is about
+    # 1e-161: computed as s * (1 - s) it was 0.0, and so was the Newton
+    # slope 2 D' + (p + ell) D''
+    m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
+                                scale=0.4)
+    p = fp.share.share_prices(m, [[0.0]], [0], ("a",), [-150.0])[0]
+    assert fp.revenue_curvature(m, [0.0], "a", p, -150.0) < 0.0
+    assert abs(p - 150.4) < 1e-6  # p + ell = D / -D' = scale, the hazard's inverse
+
+
+def test_share_price_iteration_cap_raises_convergence_error():
+    # a curvature kernel a million times too steep: every Newton step stays
+    # inside the bracket but crawls, so the bracket never narrows
+    class Crawling(fp.LatentValuationModel):
+        def kernels(self, terms, p, *kinds):
+            values = super().kernels(terms, p, *kinds)
+            return [np.full(np.shape(v), -1e6) if kind == "curvature" else v
+                    for kind, v in zip(kinds, values)]
+
+    m = Crawling(loc={"a": (2.0, [0.5])}, noise="logistic", scale=0.4)
+    with pytest.raises(fp.ConvergenceError, match="failed to localize"):
+        fp.share.share_prices(m, [[0.0]], [0], ("a",), [0.0])
+
+
 def test_share_price_under_a_huge_subsidy_warns_nothing():
     # the product of the bracket-end conditions overflows at weight 1e308
     m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
@@ -134,6 +159,25 @@ def test_sensitivity_fd_agreement_across_models():
         g = "g" if isinstance(m, fp.LatentValuationModel) else None
         rep = fp.sensitivity_at_zero(m, [], g, scope=fp.POPULATION_SCOPE)
         assert rep.discrepancy < 5e-4 * max(1.0, abs(rep.analytic))
+
+
+def test_sensitivity_refuses_an_optimum_at_or_below_zero():
+    # a negative baseline puts the closed-form price -dbar / (2 beta) below 0
+    m = fp.PartiallyLinearDemand(beta={"g": -1.0},
+                                 baseline={"g": (-1.0, np.array([]))})
+    with pytest.raises(fp.PreconditionError, match="not interior"):
+        fp.sensitivity_at_zero(m, [], "g")
+
+
+def test_sensitivity_refuses_an_optimum_without_negative_curvature():
+    # exponential noise with loc > scale: revenue rises up to the kink at
+    # p = loc and falls after it, so the optimum is the kink, where the
+    # revenue curvature (p - 2 scale) / scale^2 is positive on the right
+    # and 0 on the left
+    m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
+                                noise="exponential", scale=0.5)
+    with pytest.raises(fp.PreconditionError, match="is not negative"):
+        fp.sensitivity_at_zero(m, [], "g")
 
 
 def test_sensitivity_requires_rho_for_group_scope():
@@ -274,17 +318,9 @@ def test_share_solver_kernel_calls_do_not_grow_with_cells():
     calls = []
 
     class Counting(fp.LatentValuationModel):
-        def demand(self, *args):
-            calls.append("demand")
-            return super().demand(*args)
-
-        def gradient(self, *args):
-            calls.append("gradient")
-            return super().gradient(*args)
-
-        def curvature(self, *args):
-            calls.append("curvature")
-            return super().curvature(*args)
+        def kernels(self, terms, p, *kinds):
+            calls.extend(kinds)
+            return super().kernels(terms, p, *kinds)
 
     def kernel_calls(n_points):
         model = Counting(loc={"a": (2.0, np.array([0.3])),

@@ -67,20 +67,50 @@ def _rows(draw):
     return rows
 
 
+@st.composite
+def _list_rows(draw):
+    """Lists of one length whose columns each hold one scalar type, as a
+    support matrix, with the writer's fallbacks mixed in: a ragged row, a
+    nested value, a column of mixed types, a numpy scalar; empty rows when
+    the length is 0, tuple rows as JSON writes them too."""
+    width = draw(st.integers(0, 3))
+    kinds = [st.sampled_from([_FLOATS, st.integers(), _TEXT, st.booleans(),
+                              st.none()]) for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*map(draw, kinds)).map(list),
+                         min_size=1, max_size=5))
+    odd = draw(st.sampled_from(["none", "ragged", "nested", "mixed", "numpy",
+                                "tuple"]))
+    j = draw(st.integers(0, width - 1)) if width else None
+    if odd == "ragged":
+        rows.append(draw(st.lists(_PLAIN, max_size=width + 1)))
+    elif odd == "tuple":
+        rows[-1] = tuple(rows[-1])
+    elif j is not None and odd == "nested":
+        rows[-1][j] = draw(st.lists(_PLAIN, max_size=2))
+    elif j is not None and odd == "mixed":
+        rows[-1][j] = draw(_PLAIN)
+    elif j is not None and odd == "numpy":
+        rows[0][j] = np.float64(draw(_FLOATS))
+    return rows
+
+
 _JSON_VALUES = st.recursive(
-    _SCALARS | _rows(),
+    _SCALARS | _rows() | _list_rows(),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=24)
 
 
-@given(_rows() | _JSON_VALUES)
+@given(_rows() | _list_rows() | _JSON_VALUES)
 @example({1: "int key", "1": "str key", 0: [], "0": {}, "t": ()})
 @example([{"a": 1, "b": 2.0}, {"a": 3, "c": 4.0}])
 @example([{"a": 1}, {"a": 2, "b": None}])
 @example([{"%s": float("nan"), "%": "%d"}, {"%s": float("-inf"), "%": True}])
 @example([{"x": None, "y": "a"}, {"x": 1, "y": "b"}, {"x": 2.5, "y": "c"}])
+@example([[0.5, -0.0], [1e16, float("nan")], (float("-inf"), 2.0)])
+@example([[1, "%s"], [2.0, "%"], [[3.0], None]])
+@example([[], [], [1.0]])
 def test_json_writer_matches_the_stdlib_writer(obj):
     assert util.json_dumps_stable(obj) == stdlib_json_dumps_stable(obj)
 
