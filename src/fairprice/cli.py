@@ -278,11 +278,11 @@ def _share_solution(model, population, args):
     ell = [penalty.effective(population.rho, g) for g in groups]
     prices = share_prices(model, population.support.repeat(len(groups), 0),
                           list(range(len(groups))) * n, groups, ell * n)
-    policy = TabularPolicy(population.support.copy(),
-                           array=(groups, prices.reshape(n, len(groups))))
+    policy = TabularPolicy(population.support.copy(), groups,
+                           prices.reshape(n, len(groups)))
     parameters = {"mode": "share", "share_lambda": float(args.share_lambda),
                   "scope": args.scope, "group": args.group}
-    payload = dict(parameters, prices=table_rows(policy.table), disparity=(
+    payload = dict(parameters, prices=table_rows(policy), disparity=(
         policy_disparity(policy, population) if len(groups) == 2 else None))
     return policy, payload, parameters
 
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
         message, code, status = f"error: {exc}", exc.code, exc.exit_status
     except OSError as exc:
         message, code, status = f"error: {exc}", "io", 1
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:  # a defect: one line and exit 1, not a traceback
         message, code, status = f"internal error: {exc}", "internal", 1
     print(f"{message}\nerror_code={code}", file=sys.stderr)
     return status

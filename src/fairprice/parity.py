@@ -23,6 +23,7 @@ import numpy as np
 
 from .demand import PartiallyLinearDemand, Population
 from .errors import (
+    InvalidRecordError,
     MissingFieldError,
     PreconditionError,
     UnenforceableConstraintError,
@@ -61,9 +62,9 @@ def parity_weight(rho: dict, group: str, positive_group: str | None = None) -> f
 class ParitySolution:
     """Solved constrained pricing problem on a discrete support.
 
-    ``price_array`` holds the price of every support point (rows) and
-    ``columns`` label (one column per group; one blind column, labelled
-    ``None``, for attribute-blind solutions). ``lambda_star`` is the dual
+    ``price_array`` holds the price of every support point (rows) in one
+    column per group, or in one blind column, labelled ``None``, for
+    attribute-blind solutions. ``lambda_star`` is the dual
     multiplier in the orientation recorded by ``oriented_groups`` (positive
     group first); it is zero when the cap does not bind.
     """
@@ -80,16 +81,13 @@ class ParitySolution:
     achieved_disparity: float
 
     @property
-    def columns(self) -> tuple:
-        return self.groups if self.mode == ATTRIBUTE_BASED else (None,)
-
-    @property
     def prices(self) -> dict:
-        """``(support_index, group) -> price``, read from ``price_array``."""
+        """A read-only ``(support_index, group) -> price`` view of the prices."""
         return self.policy().table
 
     def policy(self) -> TabularPolicy:
-        return TabularPolicy(self.support, array=(self.columns, self.price_array))
+        columns = self.groups if self.mode == ATTRIBUTE_BASED else (None,)
+        return TabularPolicy(self.support, columns, self.price_array)
 
     def to_dict(self) -> dict:
         """JSON-ready description; an infinite ``gamma`` stays a float."""
@@ -101,7 +99,7 @@ class ParitySolution:
             "oriented_groups": list(self.oriented_groups),
             "unconstrained_disparity": self.unconstrained_disparity,
             "achieved_disparity": self.achieved_disparity,
-            "prices": table_rows(self.prices),
+            "prices": table_rows(self.policy()),
         }
 
 
@@ -121,11 +119,19 @@ def _check_parity_inputs(model, population, gamma, shared=None):
     """The checked parity problem ``(gamma, joint, dbar, beta)``: ``gamma`` as
     a float, the joint weights and ``dbar(x_i, g)`` of every support point and
     group, and the group slopes. With ``shared``, the name of a result that
-    needs it, the two groups must share one slope."""
+    needs it, the two groups must share one slope. Support points that a
+    policy matches as one are refused: its policy could not price each alone."""
     if not isinstance(model, PartiallyLinearDemand):
         raise PreconditionError(
             "closed-form parity pricing needs partially linear demand")
     joint = _two_group_joint(population)
+    twins = np.flatnonzero(population.support_classes != np.arange(len(joint)))
+    if twins.size:
+        i, j = twins[0], population.support_classes[twins[0]]
+        raise InvalidRecordError(
+            f"support points {j} {population.support[j].tolist()} and {i} "
+            f"{population.support[i].tolist()} lie within 1e-9 in every "
+            "coordinate; a policy prices them as one point, so merge them")
     gamma = float(gamma)
     if math.isnan(gamma) or gamma < 0.0:
         raise MissingFieldError("gamma must be a nonnegative number or infinity")

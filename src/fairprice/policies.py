@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,66 +67,55 @@ class GroupPolicy:
 class TabularPolicy:
     """Prices attached to the discrete covariate support.
 
-    ``table`` maps ``(support_index, group_label)`` to a price; a key with
-    group ``None`` serves as the attribute-blind price for that support
-    point and is the fallback when the requested group has no entry. A
-    covariate row is priced at the first support point within 1e-9 of it in
-    every coordinate. A solver passes ``array`` instead, a ``(columns,
-    prices)`` pair: column ``j`` of the (n_support, len(columns)) ``prices``
-    holds the prices of label ``columns[j]``, and ``table`` is read from it
-    on first use. Either way the prices are read into one dense price table
-    on first use, so neither may change after it.
+    Column ``j`` of the (n_support, len(columns)) ``prices`` holds the
+    prices of label ``columns[j]``, and ``present`` marks the entries that
+    exist (every entry when it is omitted). The column labelled ``None``
+    holds the attribute-blind prices, the fallback of a label without an
+    entry at a support point. A covariate row is priced at the first support
+    point within 1e-9 of it in every coordinate. The arrays are read into one
+    dense price table on first use, so they may not change after it.
     """
 
-    def __init__(self, support, table=None, array=None):
+    def __init__(self, support, columns, prices, present=None):
         self.support = np.atleast_2d(np.asarray(support, dtype=float))
-        if array is None:
-            self.table = table
-        else:
-            columns, prices = tuple(array[0]), np.asarray(array[1], dtype=float)
-            self._array = columns, prices, np.ones(prices.shape, dtype=bool)
+        self.columns, self.prices = tuple(columns), np.asarray(prices, dtype=float)
+        shape = (len(self.support), len(self.columns))
+        self.present = (np.ones(shape, dtype=bool) if present is None
+                        else np.asarray(present, dtype=bool))
+        if len(set(self.columns)) < len(self.columns):
+            raise InvalidRecordError(
+                f"tabular policy columns repeat a label: {self.columns!r}")
+        for name in ("prices", "present"):
+            if getattr(self, name).shape != shape:
+                raise DimensionMismatchError(
+                    f"tabular policy {name} must have shape {shape} (support "
+                    f"points, columns), got {getattr(self, name).shape}")
 
     @cached_property
-    def table(self) -> dict:  # read only from an array, which has every entry
-        columns, prices, _ = self._array
-        return dict(zip(product(range(len(prices)), columns), prices.ravel().tolist()))
-
-    @cached_property
-    def _array(self) -> tuple:
-        """``(columns, prices, present)``: the table's labels in order of
-        first use, and its prices and where it has an entry as
-        (n_support, len(columns)) arrays. Keys off the support are dropped."""
-        n = len(self.support)
-        idx, labels = zip(*self.table) if self.table else ((), ())
-        columns = tuple(dict.fromkeys(labels))
-        # a dict lookup matches an index as the table's own keys would; keys
-        # off the support go to the last row, dropped below
-        row_of = dict(zip(range(n), range(n)))
-        at = (np.fromiter(map(row_of.get, idx, repeat(n)), np.intp),
-              np.fromiter(map(columns.index, labels), np.intp))
-        prices = np.zeros((n + 1, len(columns)))
-        present = np.zeros(prices.shape, dtype=bool)
-        prices[at] = np.fromiter(map(float, self.table.values()), float)
-        present[at] = True
-        return columns, prices[:n], present[:n]
+    def table(self):
+        """A read-only ``(support_index, label) -> price`` view of the
+        entries, by support index, then label (the blind ``None`` first)."""
+        order = sorted(range(len(self.columns)), key=lambda j: (
+            self.columns[j] is not None, self.columns[j]))
+        labels = [self.columns[j] for j in order]
+        at = np.nonzero(self.present[:, order])
+        keys = zip(at[0].tolist(), map(labels.__getitem__, at[1].tolist()))
+        return MappingProxyType(dict(zip(keys, self.prices[:, order][at].tolist())))
 
     @cached_property
     def _dense(self) -> tuple:
-        """``(column_of, prices, present)``: the prices as an (n_support + 1,
-        n_labels + 1) array and where it has an entry. The blind entries, in
-        the last column, fill labels without their own and serve the labels
-        not in ``column_of``; the last row, read for rows off the support,
-        is empty."""
-        columns, given, has = self._array
-        # the labelled columns, then the blind one where there is one
-        labelled = [j for j, label in enumerate(columns) if label is not None]
-        order = labelled + [j for j, label in enumerate(columns) if label is None]
-        prices = np.zeros((len(given) + 1, len(labelled) + 1))
+        """``(column_of, blind, prices, present)``: the arrays plus an empty
+        row, read for rows off the support, and one column, the blind entries
+        filling every hole. A label not in ``column_of`` reads column
+        ``blind``: the blind one, or else the added column, then empty."""
+        n, k = self.prices.shape
+        prices = np.zeros((n + 1, k + 1))
         present = np.zeros(prices.shape, dtype=bool)
-        prices[:-1, :len(order)], present[:-1, :len(order)] = given[:, order], has[:, order]
-        fill = present[:, -1:] & ~present
-        column_of = {columns[j]: k for k, j in enumerate(labelled)}
-        return column_of, np.where(fill, prices[:, -1:], prices), present | fill
+        prices[:n, :k], present[:n, :k] = self.prices, self.present
+        column_of = dict(zip(self.columns, range(k)))
+        blind = [column_of.pop(None, k)]
+        fill = present[:, blind] & ~present
+        return column_of, blind[0], np.where(fill, prices[:, blind], prices), present | fill
 
     def price(self, x, a=None) -> float:
         return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])
@@ -144,10 +133,9 @@ class TabularPolicy:
     def lookup(self, hits, X, g, groups) -> np.ndarray:
         """The prices of rows ``X`` whose :func:`first_hits` on the support
         are ``hits``: :meth:`price_batch` once the rows are matched."""
-        column_of, prices, present = self._dense
+        column_of, blind, prices, present = self._dense
         g = np.asarray(g, dtype=np.intp)
-        column = np.array([column_of.get(a, len(column_of)) for a in groups],
-                          dtype=np.intp)
+        column = np.array([column_of.get(a, blind) for a in groups], dtype=np.intp)
         at = (hits, column[g])
         missing = ~present[at]
         if missing.any():
@@ -193,12 +181,10 @@ class LinearPolicy:
         return np.where(raw < self.clip_hi, raw, float(self.clip_hi))
 
 
-def table_rows(table: dict) -> list:
-    """A ``(support_index, group) -> price`` table as JSON rows, ordered by
-    support index, then group label (the blind ``None`` entry first)."""
-    return [{"x_index": idx, "group": group, "price": float(price)}
-            for (idx, group), price in sorted(
-                table.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
+def table_rows(policy: TabularPolicy) -> list:
+    """A tabular policy's :attr:`~TabularPolicy.table` as JSON rows."""
+    return [{"x_index": idx, "group": group, "price": price}
+            for (idx, group), price in policy.table.items()]
 
 
 def policy_to_dict(policy) -> dict:
@@ -212,7 +198,7 @@ def policy_to_dict(policy) -> dict:
     if isinstance(policy, TabularPolicy):
         return {"kind": "tabular",
                 "support": [[float(v) for v in row] for row in policy.support],
-                "prices": table_rows(policy.table)}
+                "prices": table_rows(policy)}
     if isinstance(policy, LinearPolicy):
         return {"kind": "linear", "intercept": float(policy.intercept),
                 "theta": [float(v) for v in policy.theta],
@@ -237,7 +223,7 @@ def policy_from_dict(data: dict):
     if kind == "tabular":
         support = json_rows(json_field(data, "support", "list", "policy"),
                             "policy.support")
-        table = {}
+        cells, columns = {}, {}
         for i, row in enumerate(json_field(data, "prices", "list", "policy")):
             at = f"policy.prices[{i}]"
             cell = (json_field(row, "x_index", "index", at),
@@ -246,11 +232,16 @@ def policy_from_dict(data: dict):
                 raise InvalidRecordError(
                     f"{at}.x_index must index the {len(support)} support "
                     f"points, got {cell[0]}")
-            if cell in table:
+            if cell in cells:
                 raise InvalidRecordError(f"{at} repeats the entry for "
                                          f"x_index {cell[0]}, group {cell[1]!r}")
-            table[cell] = json_field(row, "price", "number", at)
-        return TabularPolicy(support=support, table=table)
+            cells[cell] = json_field(row, "price", "number", at)
+            columns.setdefault(cell[1], len(columns))
+        prices = np.zeros((len(support), len(columns)))
+        present = np.zeros(prices.shape, dtype=bool)
+        at = ([i for i, _ in cells], [columns[label] for _, label in cells])
+        prices[at], present[at] = list(cells.values()), True
+        return TabularPolicy(support, columns, prices, present)
     if kind == "linear":
         theta = json_numbers(json_field(data, "theta", "list", "policy"),
                              "policy.theta")

@@ -760,10 +760,11 @@ def run_pricing_experiment(model, population: Population,
         lambda rows, p: (p - cost) * model.kernels(take_rows(terms, rows), p,
                                                    "demand")[0],
         len(first), interval)[0]
-    table = dict(zip(zip(index[first].tolist(),
-                         (groups[k] for k in cells.g[first].tolist())),
-                     prices.tolist()))
-    out["personalized"] = TabularPolicy(support=support, table=table)
+    at = index[first], cells.g[first]
+    table = np.zeros((len(support), len(groups)))
+    present = np.zeros(table.shape, dtype=bool)
+    table[at], present[at] = prices, True
+    out["personalized"] = TabularPolicy(support, groups, table, present)
 
     report = {}
     for mode, policy in out.items():

@@ -591,6 +591,16 @@ def scan_entry(table, idx: int, a) -> float:
         f"no price for support point {idx} and group {a!r}")
 
 
+def reference_table_rows(table: dict) -> list:
+    """A ``(support_index, group) -> price`` table as JSON rows, ordered by
+    support index, then group label (the blind ``None`` entry first): the
+    dict sort that ``policies.table_rows`` replaced, verbatim. ``None`` and
+    ``""`` tie, so the dict's order decides between them."""
+    return [{"x_index": idx, "group": group, "price": float(price)}
+            for (idx, group), price in sorted(
+                table.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
+
+
 def scan_tabular_prices(policy, X, groups) -> np.ndarray:
     """A TabularPolicy's price of every row: one full scan and one table
     lookup per row, the first failing row raising."""

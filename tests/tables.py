@@ -1,6 +1,6 @@
-"""In-memory record tables for the tests, built through
-``RecordTable.from_arrays``, which validates every cell as the CSV reader
-does."""
+"""In-memory record tables and tabular policies for the tests, built
+through ``RecordTable.from_arrays`` and ``policy_from_dict``, which validate
+every cell as the CSV reader and a policy file's reader do."""
 
 import numpy as np
 
@@ -23,3 +23,12 @@ def record_table(rows) -> fp.RecordTable:
         ids, [row["group"] for row in rows], X.reshape(len(rows), -1),
         np.where(present, cells, np.nan).astype(float), present,
         lambda i: f"record {ids[i]}")
+
+
+def tabular_policy(support, table) -> fp.TabularPolicy:
+    """A TabularPolicy on ``support`` of ``table``, a ``(support_index,
+    label) -> price`` dict, read as a policy file's ``prices`` rows."""
+    return fp.policy_from_dict({
+        "kind": "tabular", "support": np.asarray(support, dtype=float).tolist(),
+        "prices": [{"x_index": i, "group": a, "price": price}
+                   for (i, a), price in table.items()]})

@@ -372,6 +372,23 @@ def test_decomposition_sign_classification():
         assert all(t >= 0 for t in terms) or all(t <= 0 for t in terms)
 
 
+@pytest.mark.parametrize("est_loc, est_scale, true_loc, true_scale, sign", [
+    (0.2, 1.5, 0.0, 1.0, "positive"),
+    (1.4, 0.55, 2.0, 0.5, "negative"),
+])
+def test_decomposition_terms_of_one_sign_fix_the_gap_direction(
+        est_loc, est_scale, true_loc, true_scale, sign):
+    est, true = (fp.LatentValuationModel(loc={"g": (loc, np.array([]))},
+                                         noise="logistic", scale=scale)
+                 for loc, scale in ((est_loc, est_scale), (true_loc, true_scale)))
+    rep = fp.suboptimality_decomposition(est, true, [], "g",
+                                         fp.PriceInterval(0.05, 10.0))
+    terms = np.array([rep.term_level, rep.term_slope_error, rep.term_slope_shift])
+    assert rep.sign == sign
+    assert np.all(np.sign(terms) == (1.0 if sign == "positive" else -1.0))
+    assert np.all(np.abs(terms) > 1e-3)
+
+
 def test_decomposition_rejects_linear_estimate():
     # a partially linear estimate has no curvature: the slope-shift channel
     # vanishes identically and the split is uninformative
@@ -398,6 +415,17 @@ def test_attribute_gap_decomposition_runs():
     for x_index in (-1, 2):
         with pytest.raises(fp.MissingSupportError, match="out of range 0..1"):
             fp.attribute_gap_decomposition(model, pop, x_index, group="a")
+
+
+def test_attribute_gap_decomposition_rejects_linear_demand():
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": -1.2},
+        baseline={"a": (2.0, np.array([0.3])), "b": (1.5, np.array([0.3]))})
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
+                        masses=[0.5, 0.5],
+                        membership=[[0.8, 0.2], [0.3, 0.7]])
+    with pytest.raises(fp.DecompositionError, match="needs a curved demand"):
+        fp.attribute_gap_decomposition(model, pop, x_index=0, group="a")
 
 
 def test_attribute_gap_decomposition_rejects_group_blind_demand():

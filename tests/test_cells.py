@@ -16,7 +16,7 @@ from oracles import (
     loop_pricing_experiment,
     loop_share_frontier,
 )
-from tables import record_table
+from tables import record_table, tabular_policy
 
 GROUPS = ("a", "b")
 
@@ -91,7 +91,7 @@ def _policy(rng, population, kind):
         for g in GROUPS:
             if (i, None) not in table or rng.random() < 0.5:
                 table[(i, g)] = float(rng.uniform(0.2, 2.5))
-    return fp.TabularPolicy(support=support, table=table)
+    return tabular_policy(support, table)
 
 
 @settings(max_examples=200)
@@ -119,9 +119,8 @@ def test_near_duplicate_support_points_price_at_the_first_hit():
                         membership=[[0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
     model = fp.LatentValuationModel(
         loc={g: (1.5, np.array([0.4])) for g in GROUPS}, noise="gumbel")
-    policy = fp.TabularPolicy(support=pop.support,
-                              table={(0, None): 1.0, (1, None): 2.0,
-                                     (2, "a"): 1.2, (2, "b"): 1.4})
+    policy = tabular_policy(pop.support, {(0, None): 1.0, (1, None): 2.0,
+                                          (2, "a"): 1.2, (2, "b"): 1.4})
     assert fp.expected_revenue(policy, model, pop) \
         == loop_expected_revenue(policy, model, pop)
     access = pop.cells().evaluate(policy, model)[3]
@@ -157,11 +156,11 @@ def _near_duplicate_policies(draw):
                                membership=np.column_stack([q, 1.0 - q]))
     table = {(i, g): float(rng.uniform(0.2, 2.5))
              for i in range(n) for g in (None, *GROUPS) if rng.random() < 0.6}
-    policy = fp.TabularPolicy(support=support.copy(), table=table)
+    policy = tabular_policy(support, table)
     off = support.copy()
     at = rng.integers(n), rng.integers(k)
     off[at] = np.nextafter(off[at], np.inf)
-    off_policy = fp.TabularPolicy(support=off, table=table)
+    off_policy = tabular_policy(off, table)
     return population, policy, off_policy
 
 

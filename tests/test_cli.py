@@ -223,6 +223,30 @@ def test_price_single_point_instance_csv(tmp_path):
     assert prices["b"] == pytest.approx(0.75, abs=1e-9)
 
 
+def test_price_refuses_support_points_a_policy_matches_as_one(tmp_path, capsys):
+    import numpy as np
+
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": -1.0},
+        baseline={"a": (2.0, np.array([0.5])), "b": (1.0, np.array([0.5]))})
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0], [5e-10]],
+                        masses=[0.3, 0.3, 0.4],
+                        membership=[[0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
+    (tmp_path / "model.json").write_text(json.dumps(fp.model_to_dict(model)))
+    (tmp_path / "population.json").write_text(
+        json.dumps(fp.population_to_dict(pop)))
+    out = tmp_path / "o"
+    for mode in ("attribute_based", "attribute_blind"):
+        code = main(["price", "--model", str(tmp_path / "model.json"),
+                     "--population", str(tmp_path / "population.json"),
+                     "--mode", mode, "--gamma", "0", "--out-dir", str(out),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "support points 0 [0.0] and 2 [5e-10]" in err
+        assert "error_code=invalid_value" in err
+
+
 def test_price_share_lambda(tmp_path, sim_dir):
     """A share subsidy on one group buys its access with revenue."""
     results = {}
@@ -1017,6 +1041,19 @@ def test_a_failed_run_leaves_the_out_dir_as_it_found_it(tmp_path, capsys,
     # the same files, byte for byte, and no temp file left behind
     assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
     assert not missing.exists()
+
+
+def test_a_defect_in_a_command_exits_1_as_an_internal_error(tmp_path, sim_dir,
+                                                           capsys, monkeypatch):
+    def defect(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+    monkeypatch.setattr("fairprice.cli.fit_partially_linear", defect)
+    out = tmp_path / "o"
+    code = main(["fit", "--records", str(sim_dir / "records.csv"),
+                 "--model", "linear", "--out-dir", str(out), "--quiet"])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "internal error: float division by zero\nerror_code=internal\n")
 
 
 def test_a_run_whose_files_fail_to_write_reports_no_success(tmp_path,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 import fairprice as fp
 from fairprice.demand import NOISE_FAMILIES, take_rows
@@ -438,6 +439,46 @@ def test_fit_logistic_converges_on_large_discrete_log():
     assert diag.iterations <= 10
     est = np.concatenate([model.gamma, [model.beta, model.intercept]])
     assert np.all(np.abs(est - truth) <= 5.0 * diag.std_errors)
+
+
+def _logistic_log(x, price, demand):
+    return record_table(dict(id=str(i), group="a", covariates=np.ravel(xi),
+                             price=pi, demand=di)
+                        for i, (xi, pi, di) in enumerate(zip(x, price, demand)))
+
+
+# on these seven records the sixth full Newton step from zero overshoots
+_OVERSHOOT = ([-1.5, -0.2, 106.4, 1.2, 0.2, -23.5, 0.1],
+              [1.9, 1.4, 0.9, 1.5, 1.3, 0.5, 1.3],
+              [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def test_fit_logistic_halves_a_step_that_lowers_the_likelihood():
+    model, diag = fp.fit_logistic(_logistic_log(*_OVERSHOOT))
+    assert diag.gradient_norm < 1e-8 and model.beta < 0.0
+    X = np.column_stack([_OVERSHOOT[0], _OVERSHOOT[1], np.ones(7)])
+    y = np.array(_OVERSHOOT[2])
+
+    def loglik(coef):
+        return float(y @ (X @ coef) - np.logaddexp(0.0, X @ coef).sum())
+    # five full Newton steps from zero raise the likelihood, the sixth lowers it
+    coef, lls = np.zeros(3), [loglik(np.zeros(3))]
+    for _ in range(6):
+        mu = expit(X @ coef)
+        hessian = X.T @ (X * (mu * (1.0 - mu))[:, None])
+        coef = coef + np.linalg.solve(hessian, X.T @ (y - mu))
+        lls.append(loglik(coef))
+    assert lls[-1] < lls[-2] and lls[1:-1] == sorted(lls[1:-1])
+
+
+def test_fit_logistic_reports_a_singular_design_and_no_convergence(monkeypatch):
+    x, price, demand = _OVERSHOOT
+    with pytest.raises(fp.SingularDesignError, match="singular information"):
+        fp.fit_logistic(_logistic_log(np.c_[x, x], price, demand))
+    monkeypatch.setattr(fp.demand, "_LOGISTIC_MAX_ITER", 2)
+    with pytest.raises(fp.ConvergenceError,
+                       match=r"did not converge in 2 iterations \(gradient norm"):
+        fp.fit_logistic(_logistic_log(*_OVERSHOOT))
 
 
 def test_fit_logistic_weights_matter():

@@ -19,7 +19,7 @@ import fairprice as fp
 from fairprice.cli import main
 
 from oracles import candidate_policy_search, take_bootstrap_se
-from tables import record_table
+from tables import record_table, tabular_policy
 
 LEVELS = (0.8, 1.2, 1.6, 2.0)
 
@@ -89,7 +89,7 @@ def _cases(draw):
                  for i in range(len(support))}
         table.update({(i, "b"): draw(st.sampled_from(LEVELS))
                       for i in range(0, len(support), 2)})
-        policy = fp.TabularPolicy(support=support, table=table)
+        policy = tabular_policy(support, table)
     else:
         policy = fp.LinearPolicy(theta=rng.normal(0.0, 0.5, k),
                                  intercept=float(rng.uniform(0.8, 2.0)),
@@ -240,8 +240,8 @@ def _unpriced_log():
 @pytest.mark.parametrize("entry", ["value", "estimate", "bootstrap"])
 @pytest.mark.parametrize("policy, error, code", [
     (fp.GroupPolicy(prices={"a": 1.2}), fp.UnknownGroupError, "unknown_group"),
-    (fp.TabularPolicy(support=[[0.0]], table={(0, None): 1.2}),
-     fp.DimensionMismatchError, "dimension_mismatch"),
+    (tabular_policy([[0.0]], {(0, None): 1.2}), fp.DimensionMismatchError,
+     "dimension_mismatch"),
 ])
 def test_an_unpriceable_row_fails_before_any_resample(entry, policy, error,
                                                       code):
@@ -284,8 +284,8 @@ def _run_ope(tmp_path, capsys, log, policy, *flags):
     ("no_variation", fp.ConstantPolicy(1.2), [], "missing_field"),
     ("overflow", None, ["--bandwidth", "1e-308"], "missing_field"),
     ("unpriced", fp.GroupPolicy(prices={"a": 1.2}), [], "unknown_group"),
-    ("unpriced", fp.TabularPolicy(support=[[0.0]], table={(0, None): 1.2}),
-     [], "dimension_mismatch"),
+    ("unpriced", tabular_policy([[0.0]], {(0, None): 1.2}), [],
+     "dimension_mismatch"),
     ("empty", fp.ConstantPolicy(12.0), [], "empty_weights"),
     ("ties", fp.ConstantPolicy(1.2), ["--n-boot", "3"], "empty_weights"),
 ])

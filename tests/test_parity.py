@@ -6,6 +6,7 @@ shares no code with the implementation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     oracle_blind_parity,
     reference_attribute_based_parity,
     reference_attribute_blind_parity,
+    scan_locate,
 )
 
 
@@ -372,6 +374,22 @@ def test_compare_modes_consistency_sweep():
     assert checked > 50
 
 
+def test_compare_modes_on_a_support_without_group_signal_predicts_equal_prices():
+    # memberships equal to the priors at every point: the gap is exactly 0,
+    # neither cap binds, and both modes price every point alike
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -1.0, "b": -1.0},
+        baseline={"a": (2.0, np.array([0.5])), "b": (2.0, np.array([0.5]))})
+    pop = fp.Population(groups=("a", "b"), support=[[0.0], [1.0]],
+                        masses=[0.5, 0.5], membership=[[0.5, 0.5], [0.5, 0.5]])
+    for i in range(2):
+        rep = fp.compare_parity_modes(model, pop, x_index=i)
+        assert rep.lambda_attribute == rep.lambda_blind == 0.0
+        assert rep.diff_low == rep.diff_high == 0.0
+        assert rep.predicted_low == rep.predicted_high == "equal"
+        assert rep.consistent_low and rep.consistent_high
+
+
 def test_compare_modes_blind_overcharges_high_group_at_leaning_point():
     # At the support point leaning most toward the cheaper group, the blind
     # price exceeds what attribute-based pricing charges the *other* group:
@@ -457,13 +475,22 @@ _SOLVERS = (fp.solve_attribute_based_parity, fp.solve_attribute_blind_parity)
 
 @st.composite
 def parity_markets(draw):
-    """A two-group partially linear market on a support of 1-6 distinct
-    points with 0-2 covariates (one point without covariates): shared or
-    distinct slopes, and now and then memberships within 1e-9 of the priors
-    (a blind cap the covariates cannot enforce)."""
+    """A two-group partially linear market on a support of 1-6 points with
+    0-2 covariates (one point without covariates, or two in a draw with
+    copies): shared or distinct slopes, and now and then memberships within
+    1e-9 of the priors (a blind cap the covariates cannot enforce). One draw
+    in three adds copies of some points, each coordinate moved by 0, 3e-10,
+    -5e-10 or 2e-9: within or just outside the 1e-9 by which a policy
+    matches rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(0, 2))
-    n = draw(st.integers(1, 6)) if k else 1
+    support = rng.normal(size=(draw(st.integers(1, 6)) if k else 1, k))
+    if draw(st.integers(0, 2)) == 0:
+        copies = rng.integers(len(support), size=draw(st.integers(1, 3)))
+        jitter = rng.choice([0.0, 3e-10, -5e-10, 2e-9], size=(len(copies), k))
+        support = np.concatenate([support, support[copies] + jitter])
+        support = support[rng.permutation(len(support))]
+    n = len(support)
     q = (rng.uniform(0.2, 0.8) + rng.normal(scale=1e-9, size=n)
          if draw(st.integers(0, 9)) == 0 else rng.uniform(0.0, 1.0, size=n))
     b = -rng.uniform(0.5, 2.0)
@@ -471,10 +498,28 @@ def parity_markets(draw):
     model = fp.PartiallyLinearDemand(
         beta=beta, baseline={g: (rng.uniform(-1.0, 3.0),
                                  rng.uniform(-0.5, 0.5, k)) for g in "ab"})
-    population = fp.Population(groups=("a", "b"), support=rng.normal(size=(n, k)),
+    population = fp.Population(groups=("a", "b"), support=support,
                                masses=rng.dirichlet(np.ones(n)),
                                membership=np.column_stack([q, 1.0 - q]))
     return model, population
+
+
+def _twin(population):
+    """The first support point that the full-scan matcher finds at an
+    earlier point, and that point; None when every point is its own."""
+    support = population.support
+    for i in range(len(support)):
+        j = scan_locate(support, support[i])
+        if j != i:
+            return i, j
+    return None
+
+
+def _accepted(market) -> bool:
+    """Whether the solvers take the market: none of its support points is
+    matched to another (test_the_solved_policy_is_the_evaluated_policy holds
+    the refusal of the others)."""
+    return _twin(market[1]) is None
 
 
 def _revenue(solution, model, population):
@@ -493,7 +538,7 @@ def _solved(solve, model, population, gamma):
 
 
 @settings(max_examples=200)
-@given(parity_markets(), st.floats(0.0, 1.5))
+@given(parity_markets().filter(_accepted), st.floats(0.0, 1.5))
 def test_parity_prices_keep_the_cap(market, share):
     model, population = market
     for solve in _SOLVERS:
@@ -507,7 +552,7 @@ def test_parity_prices_keep_the_cap(market, share):
 
 
 @settings(max_examples=200)
-@given(parity_markets(), st.floats(1.0, 3.0))
+@given(parity_markets().filter(_accepted), st.floats(1.0, 3.0))
 def test_a_cap_at_or_above_the_unconstrained_gap_does_not_bind(market, factor):
     model, population = market
     for solve in _SOLVERS:
@@ -517,7 +562,8 @@ def test_a_cap_at_or_above_the_unconstrained_gap_does_not_bind(market, factor):
 
 
 @settings(max_examples=200)
-@given(parity_markets(), st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+@given(parity_markets().filter(_accepted), st.floats(0.0, 1.5),
+       st.floats(0.0, 1.5))
 def test_revenue_does_not_fall_as_the_cap_grows(market, s, t):
     model, population = market
     for solve in _SOLVERS:
@@ -532,7 +578,7 @@ def test_revenue_does_not_fall_as_the_cap_grows(market, s, t):
 
 
 @settings(max_examples=200)
-@given(parity_markets(), st.floats(0.0, 1.5))
+@given(parity_markets().filter(_accepted), st.floats(0.0, 1.5))
 def test_attribute_based_revenue_is_at_least_blind_revenue(market, share):
     model, population = market
     based, blind = _SOLVERS
@@ -545,7 +591,7 @@ def test_attribute_based_revenue_is_at_least_blind_revenue(market, share):
 
 
 @settings(max_examples=200)
-@given(parity_markets(), st.floats(0.0, 1.5))
+@given(parity_markets().filter(_accepted), st.floats(0.0, 1.5))
 def test_a_blind_policy_prices_both_groups_alike(market, share):
     model, population = market
     blind = fp.solve_attribute_blind_parity
@@ -561,7 +607,7 @@ def test_a_blind_policy_prices_both_groups_alike(market, share):
 
 
 @settings(max_examples=200)
-@given(parity_markets())
+@given(parity_markets().filter(_accepted))
 def test_a_zero_share_penalty_gives_the_uncapped_prices(market):
     model, population = market
     solution = fp.solve_attribute_based_parity(model, population, math.inf)
@@ -571,3 +617,51 @@ def test_a_zero_share_penalty_gives_the_uncapped_prices(market):
     uncapped = np.array([solution.prices[i, g] for i in range(n)
                          for g in groups])
     assert np.all(np.abs(share - uncapped) <= 1e-12 * (1.0 + np.abs(uncapped)))
+
+
+@settings(max_examples=300)
+@given(parity_markets(), st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+def test_the_solved_policy_is_the_evaluated_policy(market, s, t):
+    # a support with a point that a policy matches to an earlier one is
+    # refused; otherwise the solution's own policy has the achieved
+    # disparity, and its revenue does not fall as the cap grows
+    model, population = market
+    twin = _twin(population)
+    for solve in _SOLVERS:
+        if twin is not None:
+            i, j = twin
+            with pytest.raises(fp.InvalidRecordError, match=(
+                    rf"support points {j} \[.*\] and {i} \[")) as info:
+                solve(model, population, math.inf)
+            assert info.value.code == "invalid_value"
+            continue
+        gap = solve(model, population, math.inf).unconstrained_disparity
+        solutions = [_solved(solve, model, population, share * gap)
+                     for share in sorted((s, t))]
+        if None in solutions:
+            continue
+        for solution in solutions:
+            disparity = fp.policy_disparity(solution.policy(), population)
+            assert abs(abs(disparity) - solution.achieved_disparity) <= 1e-9 * (
+                1.0 + np.abs(solution.price_array).max())
+        (low, slack), (high, _) = (_revenue(solution, model, population)
+                                   for solution in solutions)
+        assert low <= high + slack
+
+
+def test_points_a_policy_matches_as_one_are_refused_by_every_parity_entry():
+    # two copies of one point: at the parent the blind solve at gamma 0.0711
+    # reported a disparity of 0.0707 while its policy's was 0
+    model = fp.PartiallyLinearDemand(
+        beta={"a": -0.561, "b": -0.525},
+        baseline={"a": (2.253, np.array([0.0])), "b": (2.651, np.array([0.0]))})
+    pop = fp.Population(groups=("a", "b"), support=[[1.0], [1.0]],
+                        masses=[0.4714, 0.5286],
+                        membership=[[0.637, 0.363], [0.270, 0.730]])
+    calls = [lambda solve=solve: solve(model, pop, 0.0711) for solve in _SOLVERS]
+    calls += [lambda: fp.revenue_loss_bound(model, pop),
+              lambda: fp.compare_parity_modes(model, pop, 0)]
+    for call in calls:
+        with pytest.raises(fp.InvalidRecordError, match=re.escape(
+                "support points 0 [1.0] and 1 [1.0] lie within 1e-9")):
+            call()

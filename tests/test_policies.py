@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
-from oracles import scalar_linear_price, scan_locate, scan_tabular_prices
+from fairprice.policies import table_rows
+from fairprice.util import json_dumps_stable
+
+from oracles import (
+    reference_table_rows,
+    scalar_linear_price,
+    scan_locate,
+    scan_tabular_prices,
+)
+from tables import tabular_policy
 
 
 def test_constant_policy():
@@ -24,9 +33,8 @@ def test_group_policy_default_and_error():
 
 
 def test_tabular_policy_lookup_and_blind_fallback():
-    pol = fp.TabularPolicy(support=[[0.0], [1.0]],
-                           table={(0, "a"): 1.0, (0, None): 0.9,
-                                  (1, None): 2.0})
+    pol = tabular_policy([[0.0], [1.0]],
+                         {(0, "a"): 1.0, (0, None): 0.9, (1, None): 2.0})
     assert pol.price([0.0], "a") == 1.0
     assert pol.price([0.0], "b") == 0.9   # falls back to the blind entry
     assert pol.price([1.0], "a") == 2.0
@@ -37,7 +45,7 @@ def test_tabular_policy_lookup_and_blind_fallback():
         pol.price([0.5], "a")   # off-support
     with pytest.raises(fp.DimensionMismatchError):
         pol.price([0.0, 1.0], "a")  # wrong arity
-    bare = fp.TabularPolicy(support=[[0.0]], table={(0, "a"): 1.0})
+    bare = tabular_policy([[0.0]], {(0, "a"): 1.0})
     with pytest.raises(fp.UnknownGroupError):
         bare.price([0.0], "b")
 
@@ -56,8 +64,7 @@ def test_policy_dict_round_trips():
     policies = [
         fp.ConstantPolicy(1.1),
         fp.GroupPolicy(prices={"a": 1.0, "b": 2.0}, default=1.4),
-        fp.TabularPolicy(support=[[0.0], [1.0]],
-                         table={(0, "a"): 1.0, (1, None): 2.0}),
+        tabular_policy([[0.0], [1.0]], {(0, "a"): 1.0, (1, None): 2.0}),
         fp.LinearPolicy(theta=np.array([0.3]), intercept=0.9,
                         clip_lo=0.0, clip_hi=3.0),
     ]
@@ -223,7 +230,7 @@ def _priced_rows(draw):
         policy = fp.GroupPolicy(prices=prices,
                                 default=draw(st.none() | _coef))
     elif kind == "tabular":
-        policy = fp.TabularPolicy(support=support, table=table)
+        policy = tabular_policy(support, table)
     elif kind == "parity":
         # a solver's price array: a column per group, or one blind column
         mode = draw(st.sampled_from(["attribute_based", "attribute_blind"]))
@@ -293,8 +300,8 @@ def test_tabular_price_batch_resolves_near_duplicates_to_first_hit():
     # points 0 and 2 lie within the 1e-9 tolerance of each other, so every
     # row near either resolves to point 0, as ``price`` does
     support = [[1.0, 2.0], [3.0, 4.0], [1.0 + 5e-10, 2.0 - 5e-10]]
-    pol = fp.TabularPolicy(support=support, table={
-        (0, None): 10.0, (1, None): 11.0, (2, None): 12.0})
+    pol = tabular_policy(support, {(0, None): 10.0, (1, None): 11.0,
+                                   (2, None): 12.0})
     X = np.array([[1.0 + 5e-10, 2.0 - 5e-10], [3.0, 4.0 + 5e-10],
                   [1.0 + 1.4e-9, 2.0], [1.0, 2.0]])
     want = [pol.price(x) for x in X]
@@ -303,8 +310,8 @@ def test_tabular_price_batch_resolves_near_duplicates_to_first_hit():
 
 
 def test_tabular_price_batch_errors_match_price():
-    pol = fp.TabularPolicy(support=[[0.0, 1.0], [2.0, 3.0]],
-                           table={(0, "a"): 1.0, (1, None): 2.0})
+    pol = tabular_policy([[0.0, 1.0], [2.0, 3.0]],
+                         {(0, "a"): 1.0, (1, None): 2.0})
     off = np.array([[0.0, 1.0], [2.0, 3.0 + 2e-9], [0.0, 1.0]])
     with pytest.raises(fp.DimensionMismatchError) as want:
         pol.price(off[1], "a")
@@ -328,8 +335,7 @@ def test_tabular_match_of_many_rows_against_a_large_support():
     # many blocks of rows, one coordinate shared by every support point
     rng = np.random.default_rng(8)
     support = np.column_stack([np.zeros(3000), rng.permutation(3000) * 0.5])
-    pol = fp.TabularPolicy(support=support,
-                           table={(i, None): float(i) for i in range(3000)})
+    pol = tabular_policy(support, {(i, None): float(i) for i in range(3000)})
     X = support[rng.integers(3000, size=5000)]
     want = [scan_locate(pol.support, x) for x in X]
     assert pol.price_batch(X, [0] * len(X), (None,)).tolist() == want
@@ -346,8 +352,8 @@ def test_tabular_match_over_many_blocks_of_candidates(shape):
                                        indexing="ij"), -1).reshape(-1, 2)
     else:
         support = rng.integers(2, size=(10000, 2)).astype(float)
-    pol = fp.TabularPolicy(support=support,
-                           table={(i, None): float(i) for i in range(len(support))})
+    pol = tabular_policy(support,
+                         {(i, None): float(i) for i in range(len(support))})
     X = support[rng.integers(len(support), size=1000)]
     X[::3] += 5e-10
     want = [scan_locate(pol.support, x) for x in X]
@@ -383,16 +389,21 @@ def _tabular_rows(draw):
     X = np.array([(r + [0.5])[:width] for r in rows]).reshape(len(rows), width)
     groups = draw(st.lists(st.sampled_from(_LABELS), min_size=len(rows),
                            max_size=len(rows)))
-    # keys off the support (-1, len(support)) are never read
-    cells = [(i, g) for i in range(-1, len(support) + 1) for g in _LABELS]
-    price = _coef | st.just(float("nan"))
-    table = {cell: draw(price) for cell in draw(
-        st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))}
-    if draw(st.sampled_from([True, True, False])):
-        for i in range(len(support)):
-            table.setdefault((i, None), draw(price))
-    return fp.TabularPolicy(support=np.reshape(support, (len(support), k)),
-                            table=table), X, groups
+    # a subset of the labels in any order, with entries missing and NaN prices
+    columns = draw(st.lists(st.sampled_from(_LABELS), unique=True))
+    full_blind = draw(st.sampled_from([True, True, False]))
+    if full_blind and None not in columns:
+        columns.append(None)
+    shape = (len(support), len(columns))
+    size = shape[0] * shape[1]
+    prices = draw(st.lists(_coef | st.just(float("nan")), min_size=size,
+                           max_size=size))
+    present = np.reshape(draw(st.lists(st.booleans(), min_size=size,
+                                       max_size=size)), shape).astype(bool)
+    if full_blind:
+        present[:, columns.index(None)] = True
+    return fp.TabularPolicy(np.reshape(support, (len(support), k)), columns,
+                            np.reshape(prices, shape), present), X, groups
 
 
 @settings(max_examples=300)
@@ -407,3 +418,63 @@ def test_tabular_prices_match_the_full_scan_bitwise(case):
         return
     one = _outcome(lambda: policy.price(X[-1], groups[-1]))
     assert np.float64(one).view(np.uint64) == want[-1:].view(np.uint64)[0]
+
+
+_ROW_LABELS = ("a", "b", "", None, "B")
+
+
+@st.composite
+def _tables(draw):
+    """A support and a ``(support_index, label) -> price`` table on it:
+    labelled, blind or mixed columns, labels that include ``""``, holes,
+    signed zeros, and any insertion order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    support = np.round(rng.normal(size=(n, k)), 1)
+    columns = draw(st.lists(st.sampled_from(_ROW_LABELS), unique=True))
+    cells = draw(st.permutations([(i, a) for i in range(n) for a in columns]))
+    price = _coef | st.sampled_from([0.0, -0.0])
+    return support, {cell: draw(price) for cell in cells if draw(st.booleans())}
+
+
+@settings(max_examples=300)
+@given(_tables())
+def test_table_rows_match_the_dict_sort_and_round_trip(case):
+    support, table = case
+    policy = tabular_policy(support, table)
+    # the dict sort breaks the tie between None and "" by the dict's order;
+    # table_rows puts the blind entry first, so the reference gets it first
+    blind_first = dict(sorted(table.items(), key=lambda kv: kv[0][1] is not None))
+    assert json_dumps_stable(table_rows(policy)) == json_dumps_stable(
+        reference_table_rows(blind_first))
+    back = fp.policy_from_dict(json.loads(json.dumps(fp.policy_to_dict(policy))))
+    for x in support:
+        for a in _ROW_LABELS + ("unpriced",):
+            _assert_same_outcome(
+                _outcome(lambda: back.price_batch([x], [0], (a,))),
+                _outcome(lambda: policy.price_batch([x], [0], (a,))))
+
+
+def test_table_rows_put_the_blind_entry_before_the_empty_label():
+    # the dict sort kept a policy file's order between "" and None at one
+    # point; the rows now always put the blind entry first
+    table = {(0, ""): 1.0, (0, None): 2.0}
+    policy = tabular_policy([[0.0]], table)
+    assert reference_table_rows(table) == [
+        {"x_index": 0, "group": "", "price": 1.0},
+        {"x_index": 0, "group": None, "price": 2.0}]
+    assert [row["group"] for row in table_rows(policy)] == [None, ""]
+
+
+def test_tabular_policy_refuses_repeated_labels_and_misshapen_arrays():
+    support = [[0.0], [1.0]]
+    with pytest.raises(fp.InvalidRecordError, match="repeat a label"):
+        fp.TabularPolicy(support, ("a", None, "a"), np.zeros((2, 3)))
+    for prices, present, name in [
+            (np.zeros((2, 1)), None, "prices"), (np.zeros((3, 2)), None, "prices"),
+            (np.zeros(4), None, "prices"),
+            (np.zeros((2, 2)), np.ones((2, 1), dtype=bool), "present"),
+            (np.zeros((2, 2)), np.ones(2, dtype=bool), "present")]:
+        with pytest.raises(fp.DimensionMismatchError,
+                           match=rf"{name} must have shape \(2, 2\)"):
+            fp.TabularPolicy(support, ("a", None), prices, present)
