@@ -29,14 +29,16 @@ price_levels = 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0
 
 
 def true_value(model, pop, policy):
-    """Expected revenue of a policy under the simulator's own model."""
-    total = 0.0
-    for i, x in enumerate(pop.support):
-        mix = {g: float(pop.membership[i, k])
-               for k, g in enumerate(pop.groups)}
-        p = policy.price(x)
-        total += float(pop.masses[i]) * p * fp.eval_demand(model, x, mix, p)
-    return total
+    """Expected revenue of a policy under the simulator's own model: over
+    the support points, mass * price * the membership mixture of the groups'
+    demand at that price."""
+    n, k = pop.membership.shape
+    p = policy.price_batch(pop.support, np.zeros(n, dtype=int), (None,))
+    # one row per (support point, group), support-major
+    point, group = np.repeat(np.arange(n), k), np.tile(np.arange(k), n)
+    terms = model.row_terms(pop.support[point], group, pop.groups)
+    d = model.kernels(terms, p[point], "demand")[0].reshape(n, k)
+    return float(np.sum(pop.masses * p * np.sum(pop.membership * d, axis=1)))
 
 
 def main():

@@ -26,9 +26,6 @@ from .demand import (
     PartiallyLinearDemand,
     Population,
     RecordTable,
-    demand_curvature,
-    demand_gradient,
-    eval_demand,
     fit_logistic,
     fit_partially_linear,
     model_from_dict,
@@ -59,8 +56,6 @@ from .errors import (
 from .optimize import (
     PriceInterval,
     ScalarizationWeights,
-    golden_section_max,
-    maximize_revenue_1d,
     monopoly_price_linear,
     scalarized_objective,
 )
@@ -91,10 +86,8 @@ from .share import (
     POPULATION_SCOPE,
     SensitivityReport,
     SharePenalty,
-    revenue_curvature,
     sensitivity_at_zero,
     share_frontier,
-    solve_share_price,
 )
 from .sim import (
     OPEConfig,

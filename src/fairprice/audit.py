@@ -11,16 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .demand import (
-    PartiallyLinearDemand,
-    RecordTable,
-    demand_gradient,
-    eval_demand,
-)
+from .demand import LogisticDemand, PartiallyLinearDemand, RecordTable
 from .errors import (
     ConfigError,
     DecompositionError,
@@ -31,7 +25,7 @@ from .errors import (
     NoQualifyingPairsError,
     PreconditionError,
 )
-from .optimize import PriceInterval, maximize_revenue_1d
+from .optimize import PriceInterval, maximize_rows
 from .util import json_dumps_stable
 
 
@@ -395,21 +389,42 @@ class DecompositionReport:
     sign: str
 
 
+def _customer(model, x, group):
+    """``kernels(p, *kinds)``: the named kernels of ``model`` at prices ``p``
+    (one price, or a (1, m) grid) for the customer at covariates ``x`` in
+    ``group``, a label or a {label: weight} mixture. A mixture adds ``w *
+    kernel`` in its order, starting from zeros; logistic demand takes no
+    group."""
+    mixture = isinstance(group, dict) and not isinstance(model, LogisticDemand)
+    groups = tuple(group) if mixture else (group,)
+    X = np.tile(np.asarray(x, dtype=float).reshape(-1), (len(groups), 1))
+    terms = model.row_terms(X, np.arange(len(groups)), groups)
+
+    def kernels(p, *kinds):
+        values = model.kernels(terms, p, *kinds)
+        if not mixture:
+            return [v[0] for v in values]
+        return [sum((w * v[j] for j, w in enumerate(group.values())),
+                    np.zeros(v.shape[1:])) for v in values]
+    return kernels
+
+
 def _decompose(estimated, est_group, true, true_group, x, interval):
     """Solve both pricing problems at ``x`` and decompose their price gap."""
-    curve_est = partial(eval_demand, estimated, x, est_group)
-    curve_true = partial(eval_demand, true, x, true_group)
-    p_est, _ = maximize_revenue_1d(curve_est, interval)
-    p_true, _ = maximize_revenue_1d(curve_true, interval)
-    grad_est_at_true = demand_gradient(estimated, x, est_group, p_true)
-    grad_est_at_est = demand_gradient(estimated, x, est_group, p_est)
+    est, tru = _customer(estimated, x, est_group), _customer(true, x, true_group)
+    p_est, p_true = (
+        float(maximize_rows(lambda rows, p: p * side(p, "demand")[0], 1,
+                            interval)[0][0]) for side in (est, tru))
+    d_est, grad_est_at_true = map(float, est(p_true, "demand", "gradient"))
+    d_true, grad_true = map(float, tru(p_true, "demand", "gradient"))
+    grad_est_at_est = float(est(p_est, "gradient")[0])
     t3 = grad_est_at_est - grad_est_at_true
     if abs(t3) < 1e-12:
         raise DecompositionError(
             "estimated demand slope does not move between the two optima; "
             "the decomposition is inapplicable (e.g. linear estimated demand)")
-    t1 = curve_est(p_true) - curve_true(p_true)
-    t2 = grad_est_at_true - demand_gradient(true, x, true_group, p_true)
+    t1 = d_est - d_true
+    t2 = grad_est_at_true - grad_true
     denominator = grad_est_at_est + grad_est_at_true
     predicted = -(t1 + p_true * (t2 + t3)) / denominator
     gap = p_est - p_true

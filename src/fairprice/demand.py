@@ -558,15 +558,14 @@ class Cells(NamedTuple):
 # the rows of an (n, k) covariate matrix ``X``: ``g`` indexes the label tuple
 # ``groups`` per row, and prices ``p`` broadcast against the rows along their
 # first axis (one price, one per row, or an (n or 1, m) grid). One customer is
-# a (k,) row ``X`` with one index ``g``; the scalar functions below evaluate
-# that form. Row terms use the per-row dot of ``_row_dots``, so a row of a
+# one row. Row terms use the per-row dot of ``_row_dots``, so a row of a
 # matrix gets the very bits the same row gets alone.
 #
 # A family's ``row_terms(X, g, groups)`` is the tuple of per-row arrays that
 # its prices act on (``loc``; ``gamma . x``; ``dbar`` and the slope), and its
 # ``kernels(terms, p, *kinds)`` returns the named kinds from them in one call.
 # A solver computes the terms once and takes their rows with ``take_rows``;
-# ``demand``, ``gradient`` and ``curvature`` compute them for each call.
+# ``demand`` computes them for each call.
 
 
 def take_rows(terms, rows) -> tuple:
@@ -574,20 +573,14 @@ def take_rows(terms, rows) -> tuple:
     return tuple(t[rows] for t in terms)
 
 
-def _per_call(kind):
-    """The ``kind`` kernel of a family from the row terms of its call; the
-    price is checked before the rows, as every kernel call checks it."""
-    def kernel(self, X, g, p, groups) -> np.ndarray:
-        p = _check_price(self, p)
-        return self.kernels(self.row_terms(X, g, groups), p, kind)[0]
-    kernel.__name__ = kernel.__qualname__ = kind
-    return kernel
-
-
 class _RowKernels:
-    """A family's ``demand``, ``gradient`` and ``curvature``."""
+    """A family's ``demand`` of the rows of one call."""
 
-    demand, gradient, curvature = map(_per_call, ("demand", "gradient", "curvature"))
+    def demand(self, X, g, p, groups) -> np.ndarray:
+        """The demand kernel from the row terms of this call; the price is
+        checked before the rows, as every kernel call checks it."""
+        p = _check_price(self, p)
+        return self.kernels(self.row_terms(X, g, groups), p, "demand")[0]
 
 
 def _row_dots(X, coefs):
@@ -827,44 +820,6 @@ def _check_price(model, p):
     if not isinstance(model, PartiallyLinearDemand) and p < 0.0:
         raise InvalidRecordError("price must be nonnegative for this demand family")
     return p
-
-
-def _one_customer(kernel: str, model, x, group, p):
-    """``kernel`` of ``model`` for one customer: a float at a scalar price,
-    an array at an array of prices. A {label: weight} mixture sums its
-    groups' values (logistic demand takes no group)."""
-    p = _check_price(model, p)
-    if not isinstance(model, DemandModel):
-        raise TypeError(f"not a demand model: {type(model).__name__}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    evaluate = getattr(model, kernel)
-    if isinstance(group, dict) and not isinstance(model, LogisticDemand):
-        out = sum((w * evaluate(x, 0, p, (g,)) for g, w in group.items()),
-                  np.zeros(np.shape(p)))
-    else:
-        out = evaluate(x, 0, p, (group,))
-    return float(out) if isinstance(p, float) else out
-
-
-def eval_demand(model, x, group, p):
-    """Model-scale expected demand at price ``p`` (a float, or an array of
-    prices for an array).
-
-    ``group`` may be a label or a {label: weight} mixture (used for
-    attribute-blind evaluation). Partially linear values are not clamped;
-    logistic and latent values are probabilities by construction.
-    """
-    return _one_customer("demand", model, x, group, p)
-
-
-def demand_gradient(model, x, group, p):
-    """Analytic d demand / d price at ``p`` (mixtures sum their components)."""
-    return _one_customer("gradient", model, x, group, p)
-
-
-def demand_curvature(model, x, group, p):
-    """Analytic d^2 demand / d price^2 at ``p``."""
-    return _one_customer("curvature", model, x, group, p)
 
 
 # ---------------------------------------------------------------------------

@@ -47,24 +47,6 @@ def monopoly_price_linear(dbar: float, beta: float) -> float:
     return -dbar / (2.0 * beta)
 
 
-def golden_section_max(f, lo: float, hi: float):
-    """Maximize a unimodal scalar function on [lo, hi]: the one-row call of
-    :func:`golden_rows`. Returns ``(argmax, value)``."""
-    price, value = golden_rows(
-        lambda rows, p: np.array([f(float(p[0]))], dtype=float), [lo], [hi], _TOL)
-    return float(price[0]), float(value[0])
-
-
-def maximize_revenue_1d(curve, interval: PriceInterval, shift: float = 0.0):
-    """Maximize ``(p - shift) * curve(p)`` over the interval: the one-row
-    call of :func:`maximize_rows`. ``curve`` maps a price array, or one
-    price, to model-scale demand (a scalar return broadcasts); ``shift`` is a
-    unit cost."""
-    price, value = maximize_rows(lambda rows, p: (p - shift) * curve(p[0]),
-                                 1, interval)
-    return float(price[0]), float(value[0])
-
-
 def maximize_rows(objective, n_rows: int, interval: PriceInterval):
     """``(price, value)`` arrays maximizing ``objective(rows, p)`` over the
     interval for each of ``n_rows`` rows; ``p`` holds one price per row, or

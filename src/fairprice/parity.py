@@ -354,14 +354,15 @@ def compare_parity_modes(model: PartiallyLinearDemand,
     lam_b = reframe(blind)
     rho_low = population.rho[low]
     rho_high = population.rho[high]
+    k_low, k_high = population.group_index(low), population.group_index(high)
     memb = population.membership[x_index]
-    memb_low = float(memb[population.group_index(low)])
-    memb_high = float(memb[population.group_index(high)])
+    memb_low, memb_high = float(memb[k_low]), float(memb[k_high])
     contrast = memb_low / rho_low - memb_high / rho_high
 
-    p_blind = blind.prices[(x_index, None)]
-    diff_low = based.prices[(x_index, low)] - p_blind
-    diff_high = based.prices[(x_index, high)] - p_blind
+    # the based solution has one price column per group, in group order
+    p_blind = blind.price_array[x_index, 0]
+    diff_low = based.price_array[x_index, k_low] - p_blind
+    diff_high = based.price_array[x_index, k_high] - p_blind
 
     xi_low = 1.0 / rho_low
     xi_high = -1.0 / rho_high

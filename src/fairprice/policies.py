@@ -2,10 +2,9 @@
 
 Every policy implements ``price_batch(X, g, groups)`` for the rows of an
 (n, k) covariate matrix, with ``g`` indexing the label tuple ``groups`` per
-row as in the demand kernels, and ``price(x, a=None)`` for one customer, the
-same prices bit for bit. An error names the first offending row; a label no
-row uses is never read. Attribute-blind policies ignore the group;
-attribute-based ones require it.
+row as in the demand kernels; one customer is one row. An error names the
+first offending row; a label no row uses is never read. Attribute-blind
+policies ignore the group; attribute-based ones require it.
 Policies are plain data so they can be serialized into run manifests and
 reloaded by the CLI.
 """
@@ -34,9 +33,6 @@ class ConstantPolicy:
 
     value: float
 
-    def price(self, x, a=None) -> float:
-        return float(self.value)
-
     def price_batch(self, X, g, groups) -> np.ndarray:
         return np.full(len(X), float(self.value))
 
@@ -48,19 +44,17 @@ class GroupPolicy:
     prices: dict
     default: float | None = None
 
-    def price(self, x, a=None) -> float:
-        if a is not None and a in self.prices:
-            return float(self.prices[a])
-        if self.default is not None:
-            return float(self.default)
-        raise UnknownGroupError(f"no price for group {a!r} and no default")
-
     def price_batch(self, X, g, groups) -> np.ndarray:
         # the codes in order of first use, so the first failing label is the
         # one of the first failing row
         prices = np.zeros(len(groups))
         for j in dict.fromkeys(np.asarray(g).tolist()):
-            prices[j] = self.price(None, groups[j])
+            a = groups[j]
+            price = (self.prices[a] if a is not None and a in self.prices
+                     else self.default)
+            if price is None:
+                raise UnknownGroupError(f"no price for group {a!r} and no default")
+            prices[j] = price
         return prices[g]
 
 
@@ -117,9 +111,6 @@ class TabularPolicy:
         fill = present[:, blind] & ~present
         return column_of, blind[0], np.where(fill, prices[:, blind], prices), present | fill
 
-    def price(self, x, a=None) -> float:
-        return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])
-
     def price_batch(self, X, g, groups) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if not len(X):
@@ -165,9 +156,6 @@ class LinearPolicy:
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
         if not self.clip_lo <= self.clip_hi:
             raise InvalidRecordError("clip_lo must not exceed clip_hi")
-
-    def price(self, x, a=None) -> float:
-        return float(self.price_batch(np.reshape(x, (1, -1)), [0], (a,))[0])
 
     def price_batch(self, X, g, groups) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import (
+    DemandModel,
     LatentValuationModel,
-    LogisticDemand,
     PartiallyLinearDemand,
     _along,
-    demand_curvature,
-    demand_gradient,
-    eval_demand,
     take_rows,
 )
 from .errors import (
@@ -99,8 +96,7 @@ def share_prices(model, X, g, groups, ell) -> np.ndarray:
 
 
 def _share_rows(model, X, g, groups, ell) -> np.ndarray:
-    if not isinstance(model, (PartiallyLinearDemand, LatentValuationModel,
-                              LogisticDemand)):
+    if not isinstance(model, DemandModel):
         raise PreconditionError(f"unsupported model {type(model).__name__}")
     terms = model.row_terms(X, g, groups)
     if isinstance(model, PartiallyLinearDemand):
@@ -164,18 +160,6 @@ def _share_rows(model, X, g, groups, ell) -> np.ndarray:
         "share-price iteration failed to localize the optimum")
 
 
-def solve_share_price(model, x, group, ell: float) -> float:
-    """The one-row call of :func:`share_prices`."""
-    return float(share_prices(model, np.reshape(x, (1, -1)), [0], (group,),
-                              [float(ell)])[0])
-
-
-def revenue_curvature(model, x, group, p, ell: float = 0.0) -> float:
-    """Second price derivative of ``(p + ell) * D(p)`` at ``p``."""
-    return (2.0 * demand_gradient(model, x, group, p)
-            + (p + ell) * demand_curvature(model, x, group, p))
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     """Local effect of a small share subsidy on the posted price.
@@ -210,19 +194,25 @@ def sensitivity_at_zero(model, x, group, scope: str = POPULATION_SCOPE,
     if scope == GROUP_SCOPE and rho is None:
         raise PreconditionError("group-scope sensitivity needs the group priors")
     scale = SharePenalty(1.0, scope, group).effective(rho, group)
+    X = np.reshape(x, (1, -1))
 
-    p_star = solve_share_price(model, x, group, 0.0)
+    def solve(ell):
+        return float(share_prices(model, X, [0], (group,), [ell])[0])
+
+    p_star = solve(0.0)
     if p_star <= 0.0:
         raise PreconditionError("optimal price is not interior (p* <= 0)")
-    demand = eval_demand(model, x, group, p_star)
-    curv = revenue_curvature(model, x, group, p_star)
+    demand, dp, ddp = (float(v[0]) for v in model.kernels(
+        model.row_terms(X, [0], (group,)), p_star,
+        "demand", "gradient", "curvature"))
+    # the second price derivative of revenue p * D(p)
+    curv = 2.0 * dp + p_star * ddp
     if not (curv < 0.0):
         raise PreconditionError(
             f"revenue curvature {curv:g} at the optimum is not negative")
     analytic = scale * demand / (p_star * curv)
 
-    plus = solve_share_price(model, x, group, scale * step)
-    minus = solve_share_price(model, x, group, -scale * step)
+    plus, minus = solve(scale * step), solve(-scale * step)
     fd = (plus - minus) / (2.0 * step)
     return SensitivityReport(
         price=float(p_star), analytic=float(analytic),

@@ -191,15 +191,15 @@ def loop_weighted_mean(values, weights):
 
 
 # ---------------------------------------------------------------------------
-# population-cell loops: one scalar price and demand call per cell
+# population-cell loops: one price and demand call per cell
 # ---------------------------------------------------------------------------
 #
-# Cell-by-cell reference loops, written against the scalar API only
-# (``policy.price``, ``fp.eval_demand``, ``model.dbar`` and the like) and
-# accumulating in cell order, so an array path that keeps the order matches
-# them bit for bit.
+# Cell-by-cell reference loops, one customer at a time (``one_price``,
+# ``one_customer``, ``model.dbar`` and the like) and accumulating in cell
+# order, so an array path that keeps the order matches them bit for bit.
 
 import fairprice as fp  # noqa: E402
+from tables import one_customer, one_price  # noqa: E402
 
 _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -222,16 +222,16 @@ def loop_cells(population):
 def loop_expected_revenue(policy, model, population):
     total = 0.0
     for w, _, g, x in loop_cells(population):
-        p = policy.price(x, g)
-        total += w * p * fp.eval_demand(model, x, g, p)
+        p = one_price(policy, x, g)
+        total += w * p * one_customer(model, x, g, p)
     return total
 
 
 def loop_access(policy, model, population):
     stats = {g: [0.0, 0.0, 0.0] for g in population.groups}
     for w, _, g, x in loop_cells(population):
-        p = policy.price(x, g)
-        d = fp.eval_demand(model, x, g, p)
+        p = one_price(policy, x, g)
+        d = one_customer(model, x, g, p)
         stats[g][0] += w
         stats[g][1] += w * d
         stats[g][2] += w * p
@@ -245,7 +245,7 @@ def loop_policy_disparity(policy, population):
     means = []
     for k, g in enumerate(population.groups):
         w = joint[:, k]
-        prices = np.array([policy.price(x, g) for x in population.support])
+        prices = np.array([one_price(policy, x, g) for x in population.support])
         means.append(float(w @ prices / w.sum()))
     return means[0] - means[1]
 
@@ -297,11 +297,11 @@ def loop_share_price(model, x, group, ell):
     lo_min = max(0.0, -ell) + (1e-9 if ell < 0.0 else 0.0)
 
     def objective(p):
-        return (p + ell) * fp.eval_demand(model, x, group, p)
+        return (p + ell) * one_customer(model, x, group, p)
 
     def foc(p):
-        return (fp.eval_demand(model, x, group, p)
-                + (p + ell) * fp.demand_gradient(model, x, group, p))
+        return (one_customer(model, x, group, p)
+                + (p + ell) * one_customer(model, x, group, p, "gradient"))
 
     grid = np.linspace(lo_min, max(center + 10.0 * spread,
                                    lo_min + 10.0 * spread), 2001)
@@ -322,8 +322,8 @@ def loop_share_price(model, x, group, ell):
             b = p
         if b - a < 1e-12 * max(1.0, abs(p)):
             return float(0.5 * (a + b))
-        slope = (2.0 * fp.demand_gradient(model, x, group, p)
-                 + (p + ell) * fp.demand_curvature(model, x, group, p))
+        slope = (2.0 * one_customer(model, x, group, p, "gradient")
+                 + (p + ell) * one_customer(model, x, group, p, "curvature"))
         if slope != 0.0 and a < p - fp_ / slope < b:
             p = p - fp_ / slope
             continue
@@ -340,7 +340,7 @@ def loop_share_frontier(model, population, weights, scope="population",
         for m, _, g, x in loop_cells(population):
             p = loop_share_price(model, x, g,
                                  penalty.effective(population.rho, g))
-            d = fp.eval_demand(model, x, g, p)
+            d = one_customer(model, x, g, p)
             acc = stats[g]
             acc[0] += m
             acc[1] += m * p
@@ -359,7 +359,7 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
     cells = loop_cells(population)
 
     def curve_of(sub):
-        return lambda p: sum(w * fp.eval_demand(model, x, g, p)
+        return lambda p: sum(w * one_customer(model, x, g, p)
                              for w, _, g, x in sub)
 
     prices = {"uniform": {}, "group": {}, "personalized": {}}
@@ -372,7 +372,7 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
         key = (tuple(float(v) for v in x), g)
         if key not in prices["personalized"]:
             prices["personalized"][key] = loop_maximize_revenue(
-                lambda p, x=x, g=g: fp.eval_demand(model, x, g, p),
+                lambda p, x=x, g=g: one_customer(model, x, g, p),
                 lo, hi, grid_n, cost)
     price_of = {
         "uniform": lambda x, g: uniform,
@@ -386,7 +386,7 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
         stats = {}
         for w, _, g, x in cells:
             p = rule(x, g)
-            d = fp.eval_demand(model, x, g, p)
+            d = one_customer(model, x, g, p)
             revenue += w * p * d
             margin += w * (p - cost) * d
             acc = stats.setdefault(g, [0.0, 0.0, 0.0])
@@ -453,7 +453,6 @@ from fairprice.demand import (  # noqa: E402
     CSV_TRAILING_COLUMNS,
     Population,
     RecordTable,
-    eval_demand,
 )
 from fairprice.sim import ScenarioConfig, _csv_header, _exact_support  # noqa: E402
 from fairprice.util import fmt_float  # noqa: E402
@@ -531,7 +530,7 @@ def loop_log_interactions(config: ScenarioConfig, population: Population,
         if isinstance(model, fp.LatentValuationModel):
             table.demand[i] = float(table.valuation[i] >= p)
         else:
-            rate = eval_demand(model, x, groups[i], p)
+            rate = one_customer(model, x, groups[i], p)
             table.demand[i] = float(rng.random() < rate)
     if config.surplus_weight is not None:
         table.outcome[:] = (config.surplus_weight
@@ -609,10 +608,19 @@ def scan_tabular_prices(policy, X, groups) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LinearPolicy: the scalar formula that priced one customer before ``price``
-# became a one-row ``price_batch``, verbatim apart from taking the policy as
+# GroupPolicy and LinearPolicy: the scalar formulas that priced one customer
+# before ``price_batch`` took over, verbatim apart from taking the policy as
 # an argument
 # ---------------------------------------------------------------------------
+
+
+def scalar_group_price(policy, a) -> float:
+    """A group policy's price for one customer in group ``a``."""
+    if a is not None and a in policy.prices:
+        return float(policy.prices[a])
+    if policy.default is not None:
+        return float(policy.default)
+    raise UnknownGroupError(f"no price for group {a!r} and no default")
 
 
 def scalar_linear_price(policy, x) -> float:

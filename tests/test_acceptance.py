@@ -15,7 +15,7 @@ import fairprice as fp
 from fairprice.cli import main as cli_main
 
 from oracles import oracle_attribute_parity, oracle_blind_parity
-from tables import record_table
+from tables import one_customer, one_price, record_table
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +370,8 @@ price_levels = 0.8, 1.2, 1.6, 2.0
     for i, x in enumerate(pop.support):
         mix = {"a": float(pop.membership[i, 0]),
                "b": float(pop.membership[i, 1])}
-        p = policy.price(x)
-        truth += float(pop.masses[i]) * p * fp.eval_demand(model, x, mix, p)
+        p = one_price(policy, x)
+        truth += float(pop.masses[i]) * p * one_customer(model, x, mix, p)
 
     estimate = fp.ope_value(pop.records, policy, ope_cfg)
     se = fp.ope_bootstrap_se(pop.records, policy, ope_cfg, n_boot=200, seed=1)

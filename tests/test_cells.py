@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
+from fairprice.optimize import maximize_rows
 
 from oracles import (
     loop_access,
@@ -16,7 +17,7 @@ from oracles import (
     loop_pricing_experiment,
     loop_share_frontier,
 )
-from tables import record_table, tabular_policy
+from tables import one_customer, one_price, record_table, tabular_policy
 
 GROUPS = ("a", "b")
 
@@ -247,7 +248,7 @@ def test_curve_rows_are_the_curves_of_the_cells_they_select(market, m, revenue):
     def loop(mask, prices):
         total = np.zeros(len(prices))
         for w, k, x in zip(cells.mass[mask], cells.g[mask], cells.X[mask]):
-            d = fp.eval_demand(model, x, cells.groups[k], prices)
+            d = one_customer(model, x, cells.groups[k], prices)
             total = total + (w * prices if revenue else w) * d
         return total.tolist()
 
@@ -264,8 +265,6 @@ def test_curve_rows_are_the_curves_of_the_cells_they_select(market, m, revenue):
 @settings(max_examples=25)
 @given(markets(max_points=4), st.floats(0.0, 0.3))
 def test_row_maximizer_prices_each_row_as_alone(market, cost):
-    from fairprice.optimize import maximize_rows
-
     model, population, _ = market
     cells = population.cells()
     interval = fp.PriceInterval(0.05, 3.0)
@@ -274,10 +273,9 @@ def test_row_maximizer_prices_each_row_as_alone(market, cost):
                                                   p, cells.groups),
         len(cells.g), interval)
     for j, (x, k) in enumerate(zip(cells.X, cells.g)):
-        alone = fp.maximize_revenue_1d(
-            lambda p: fp.eval_demand(model, x, cells.groups[k], p), interval,
-            shift=cost)
-        assert (many[0][j], many[1][j]) == alone
+        alone = maximize_rows(lambda rows, p: (p - cost) * one_customer(
+            model, x, cells.groups[k], p[0]), 1, interval)
+        assert (many[0][j], many[1][j]) == (alone[0][0], alone[1][0])
 
 
 def _near_duplicate_market(groups=None, **support):
@@ -298,8 +296,9 @@ def _near_duplicate_market(groups=None, **support):
     interval = fp.PriceInterval(0.05, 4.0)
 
     def alone(x, g):
-        return fp.maximize_revenue_1d(
-            lambda p: fp.eval_demand(model, [x], g, p), interval)[0]
+        return maximize_rows(
+            lambda rows, p: p * one_customer(model, [x], g, p[0]), 1,
+            interval)[0][0]
     return fp.run_pricing_experiment(model, pop, interval)["personalized"], alone
 
 
@@ -349,8 +348,8 @@ def test_scalarized_objective_sums_in_cell_order():
     margin = 0.0
     for w, g, x in [(float(pop.joint_weights()[i, k]), g, pop.support[i])
                     for i in range(40) for k, g in enumerate(GROUPS)]:
-        p = policy.price(x, g)
-        margin += w * (p - 0.2) * fp.eval_demand(model, x, g, p)
+        p = one_price(policy, x, g)
+        margin += w * (p - 0.2) * one_customer(model, x, g, p)
     assert slacks["break_even"] == margin
 
 

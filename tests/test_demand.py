@@ -9,7 +9,7 @@ import fairprice as fp
 from fairprice.demand import NOISE_FAMILIES, take_rows
 
 from oracles import central_difference, formula_demand
-from tables import record_table
+from tables import one_customer, record_table
 
 
 def test_noise_families_pdf_matches_cdf_derivative():
@@ -50,18 +50,18 @@ def _linear_model():
 def test_partially_linear_eval_and_slope():
     m = _linear_model()
     x = [2.0]
-    assert fp.eval_demand(m, x, "a", 1.5) == pytest.approx(2.0 + 1.0 - 1.5)
-    assert fp.eval_demand(m, x, "b", 1.0) == pytest.approx(1.0 - 0.5 - 0.5)
-    assert fp.demand_gradient(m, x, "a", 0.7) == -1.0
-    assert fp.demand_curvature(m, x, "b", 0.7) == 0.0
+    assert one_customer(m, x, "a", 1.5) == pytest.approx(2.0 + 1.0 - 1.5)
+    assert one_customer(m, x, "b", 1.0) == pytest.approx(1.0 - 0.5 - 0.5)
+    assert one_customer(m, x, "a", 0.7, "gradient") == -1.0
+    assert one_customer(m, x, "b", 0.7, "curvature") == 0.0
     # values are model scale: no clamping to [0, 1]
-    assert fp.eval_demand(m, x, "a", 0.0) == pytest.approx(3.0)
-    assert fp.eval_demand(m, x, "a", 10.0) < 0.0
+    assert one_customer(m, x, "a", 0.0) == pytest.approx(3.0)
+    assert one_customer(m, x, "a", 10.0) < 0.0
 
 
 def test_partially_linear_negative_prices_allowed():
     m = _linear_model()
-    assert fp.eval_demand(m, [0.0], "a", -1.0) == pytest.approx(3.0)
+    assert one_customer(m, [0.0], "a", -1.0) == pytest.approx(3.0)
 
 
 def test_mixture_group_is_weighted_average():
@@ -69,10 +69,10 @@ def test_mixture_group_is_weighted_average():
     mix = {"a": 0.3, "b": 0.7}
     x = [1.0]
     p = 0.8
-    want = 0.3 * fp.eval_demand(m, x, "a", p) + 0.7 * fp.eval_demand(m, x, "b", p)
-    assert fp.eval_demand(m, x, mix, p) == pytest.approx(want)
+    want = 0.3 * one_customer(m, x, "a", p) + 0.7 * one_customer(m, x, "b", p)
+    assert one_customer(m, x, mix, p) == pytest.approx(want)
     want_g = 0.3 * (-1.0) + 0.7 * (-0.5)
-    assert fp.demand_gradient(m, x, mix, p) == pytest.approx(want_g)
+    assert one_customer(m, x, mix, p, "gradient") == pytest.approx(want_g)
 
 
 def test_upward_slope_rejected_at_construction():
@@ -109,24 +109,24 @@ def test_downward_slopes_name_the_offending_group():
 def test_unknown_group_raises():
     m = _linear_model()
     with pytest.raises(fp.UnknownGroupError):
-        fp.eval_demand(m, [0.0], "zz", 1.0)
+        one_customer(m, [0.0], "zz", 1.0)
 
 
-def test_logistic_demand_gradient_and_curvature_match_fd():
+def test_logistic_gradient_and_curvature_match_fd():
     m = fp.LogisticDemand(gamma=[0.4, -0.2], beta=-1.3, intercept=0.6)
     x = [1.0, 2.0]
     for p in (0.1, 0.9, 2.5):
-        g = central_difference(lambda t: fp.eval_demand(m, x, None, t), p, 1e-5)
+        g = central_difference(lambda t: one_customer(m, x, None, t), p, 1e-5)
         c = central_difference(
-            lambda t: fp.demand_gradient(m, x, None, t), p, 1e-5)
-        assert abs(g - fp.demand_gradient(m, x, None, p)) < 1e-8
-        assert abs(c - fp.demand_curvature(m, x, None, p)) < 1e-7
+            lambda t: one_customer(m, x, None, t, "gradient"), p, 1e-5)
+        assert abs(g - one_customer(m, x, None, p, "gradient")) < 1e-8
+        assert abs(c - one_customer(m, x, None, p, "curvature")) < 1e-7
 
 
 def test_logistic_rejects_negative_price():
     m = fp.LogisticDemand(gamma=[0.0], beta=-1.0)
     with pytest.raises(fp.InvalidRecordError):
-        fp.eval_demand(m, [0.0], None, -0.5)
+        one_customer(m, [0.0], None, -0.5)
 
 
 @pytest.mark.parametrize("noise", sorted(NOISE_FAMILIES))
@@ -135,29 +135,37 @@ def test_latent_demand_derivatives_match_fd(noise):
                                 noise=noise, scale=0.7)
     x = [1.0]
     for p in (0.5, 1.8, 3.2):
-        g = central_difference(lambda t: fp.eval_demand(m, x, "g", t), p, 1e-5)
-        assert abs(g - fp.demand_gradient(m, x, "g", p)) < 1e-6, (noise, p)
+        g = central_difference(lambda t: one_customer(m, x, "g", t), p, 1e-5)
+        assert abs(g - one_customer(m, x, "g", p, "gradient")) < 1e-6, (noise, p)
         c = central_difference(
-            lambda t: fp.demand_gradient(m, x, "g", t), p, 1e-5)
-        assert abs(c - fp.demand_curvature(m, x, "g", p)) < 1e-5, (noise, p)
+            lambda t: one_customer(m, x, "g", t, "gradient"), p, 1e-5)
+        assert abs(c - one_customer(m, x, "g", p, "curvature")) < 1e-5, (noise, p)
 
 
 def test_latent_demand_is_survival_probability():
     m = fp.LatentValuationModel(loc={"g": (1.0, np.array([]))},
                                 noise="normal", scale=0.5)
-    assert fp.eval_demand(m, [], "g", 0.0) > 0.97
-    assert fp.eval_demand(m, [], "g", 1.0) == pytest.approx(0.5)
-    assert fp.eval_demand(m, [], "g", 30.0) >= 0.0
+    assert one_customer(m, [], "g", 0.0) > 0.97
+    assert one_customer(m, [], "g", 1.0) == pytest.approx(0.5)
+    assert one_customer(m, [], "g", 30.0) >= 0.0
     # deep tail must not produce garbage
-    assert fp.eval_demand(m, [], "g", 30.0) < 1e-300 or \
-        fp.eval_demand(m, [], "g", 30.0) == 0.0
+    assert one_customer(m, [], "g", 30.0) < 1e-300 or \
+        one_customer(m, [], "g", 30.0) == 0.0
 
 
 # -- array kernels ----------------------------------------------------------
 
 _FAMILIES = sorted(NOISE_FAMILIES) + ["logistic_demand", "linear", "table"]
-_KERNELS = (("demand", fp.eval_demand), ("gradient", fp.demand_gradient),
-            ("curvature", fp.demand_curvature))
+_KINDS = ("demand", "gradient", "curvature")
+
+
+def _per_call(model, kind):
+    """The ``kind`` kernel of ``model`` from the row terms of each call:
+    ``model.demand`` for demand."""
+    if kind == "demand":
+        return model.demand
+    return lambda X, g, p, groups: model.kernels(
+        model.row_terms(X, g, groups), p, kind)[0]
 
 
 def _bits(values):
@@ -219,9 +227,9 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 def test_array_kernels_match_scalar_functions_bitwise(case):
     model, X, g, groups, prices = case
-    for name, scalar in _KERNELS:
-        kernel = getattr(model, name)
-        want = [[scalar(model, x, groups[j], p) for p in prices]
+    for name in _KINDS:
+        kernel = _per_call(model, name)
+        want = [[one_customer(model, x, groups[j], p, name) for p in prices]
                 for x, j in zip(X, g)]
         # a price grid for every row, one price per row, one shared price
         assert _bits(kernel(X, g, prices[None], groups)) == _bits(want), name
@@ -231,11 +239,13 @@ def test_array_kernels_match_scalar_functions_bitwise(case):
         assert _bits(kernel(X, g, prices[-1], groups)) == _bits(
             [row[-1] for row in want]), name
         # one customer over an array of prices
-        assert _bits(scalar(model, X[0], groups[g[0]], prices)) == _bits(want[0])
+        assert _bits(one_customer(model, X[0], groups[g[0]], prices, name)) \
+            == _bits(want[0])
     for x, j in zip(X, g):
         for p in prices:
             formula = formula_demand(model, x, groups[j], float(p))
-            values = [scalar(model, x, groups[j], p) for _, scalar in _KERNELS]
+            values = [one_customer(model, x, groups[j], p, kind)
+                      for kind in _KINDS]
             assert _bits(values) == _bits(formula), (x, p)
 
 
@@ -262,11 +272,12 @@ def test_bad_prices_raise_the_scalar_errors(family, bad):
 
     for prices in (bad, [0.3, bad, np.nan], [[0.2], [bad]]):
         want = first_error(np.ravel(prices))
-        for name, scalar in _KERNELS:
-            got = [_outcome(lambda: getattr(model, name)(
+        for name in _KINDS:
+            got = [_outcome(lambda: _per_call(model, name)(
                 X, g, np.asarray(prices), ("a",)))]
             if np.ndim(prices) < 2:
-                got.append(_outcome(lambda: scalar(model, [0.0], "a", prices)))
+                got.append(_outcome(
+                    lambda: one_customer(model, [0.0], "a", prices, name)))
             for outcome in got:
                 assert outcome == want if want else not isinstance(outcome, tuple)
 
@@ -278,9 +289,6 @@ def _result(fn):
     except fp.FairPriceError as exc:
         return type(exc), str(exc)
     return np.shape(value), _bits(value)
-
-
-_KINDS = ("demand", "gradient", "curvature")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
@@ -298,7 +306,7 @@ def test_kernels_from_hoisted_row_terms_match_per_call_kernels(case, data):
         got = model.kernels(take_rows(terms, rows), p, *_KINDS)
         for kind, value in zip(_KINDS, got):
             assert _result(lambda: value) == _result(
-                lambda: getattr(model, kind)(X[rows], g[rows], p, groups)), kind
+                lambda: _per_call(model, kind)(X[rows], g[rows], p, groups)), kind
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -312,7 +320,7 @@ def test_kernels_from_row_terms_raise_the_per_call_errors(case, bad, kind):
                       (prices[None], ("a", "zz"))):
         hoisted = _result(lambda: model.kernels(
             model.row_terms(X, g, labels), p, kind)[0])
-        assert hoisted == _result(lambda: getattr(model, kind)(X, g, p, labels))
+        assert hoisted == _result(lambda: _per_call(model, kind)(X, g, p, labels))
 
 
 @settings(max_examples=300)
@@ -338,10 +346,10 @@ def test_logistic_densities_keep_their_precision_in_both_tails(z):
     p_latent, p_logistic = z + 700.0, 700.0 - z
     z_latent, z_logistic = p_latent - 700.0, -p_logistic + 700.0
     cases = [(fam.pdf(z), fam.pdf_prime(z), exact(z)),
-             (-fp.demand_gradient(latent, [], "a", p_latent),
-              -fp.demand_curvature(latent, [], "a", p_latent), exact(z_latent)),
-             (-fp.demand_gradient(logistic, [], None, p_logistic),
-              fp.demand_curvature(logistic, [], None, p_logistic),
+             (-one_customer(latent, [], "a", p_latent, "gradient"),
+              -one_customer(latent, [], "a", p_latent, "curvature"), exact(z_latent)),
+             (-one_customer(logistic, [], None, p_logistic, "gradient"),
+              one_customer(logistic, [], None, p_logistic, "curvature"),
               exact(z_logistic))]
     for pdf, prime, (want_pdf, want_prime) in cases:
         assert abs(pdf - want_pdf) <= 1e-8 * want_pdf, (pdf, want_pdf)
@@ -354,24 +362,23 @@ def test_kernels_check_groups_and_covariates_like_scalars():
     X = np.zeros((3, 2))
     for model, scalar_args in ((latent, ([0.0, 0.0], "z")),
                                (linear, ([0.0], "z"))):
-        want = _outcome(lambda: fp.eval_demand(model, *scalar_args, 1.0))
+        want = _outcome(lambda: one_customer(model, *scalar_args, 1.0))
         assert want == (fp.UnknownGroupError, "unknown group 'z'")
         got = _outcome(lambda: model.demand(X[:, :len(scalar_args[0])],
                                             [0, 1, 0], 1.0, ("a", "z")))
         assert got == want
     assert _outcome(lambda: latent.demand(np.zeros((2, 3)), [0, 0], 1.0, ("a",))) \
-        == _outcome(lambda: fp.eval_demand(latent, [0.0] * 3, "a", 1.0)) \
+        == _outcome(lambda: one_customer(latent, [0.0] * 3, "a", 1.0)) \
         == (fp.DimensionMismatchError, "location expects 2 covariates, got 3")
     # one row with a numpy integer group index, as Cells.g yields it
     two = fp.LatentValuationModel(loc={"a": (1.0, np.array([0.2, 0.1])),
                                        "b": (0.5, np.array([0.3, 0.0]))})
     x = np.array([1.0, 2.0])
     for model, row in ((two, x), (linear, x[:1])):
-        for kernel, scalar in (("demand", fp.eval_demand),
-                               ("gradient", fp.demand_gradient),
-                               ("curvature", fp.demand_curvature)):
-            got = getattr(model, kernel)(row, np.intp(1), 1.5, ("a", "b"))
-            assert got.shape == () and float(got) == scalar(model, row, "b", 1.5)
+        for kind in _KINDS:
+            got = _per_call(model, kind)(row, np.intp(1), 1.5, ("a", "b"))
+            assert got.shape == () and float(got) == one_customer(
+                model, row, "b", 1.5, kind)
 
 
 def test_population_cells_support_and_record_views():
@@ -403,7 +410,7 @@ def _logistic_records(n, rng, gamma=(0.8,), beta=-1.5, intercept=0.5):
     for i in range(n):
         x = rng.normal(size=len(gamma))
         p = rng.uniform(0.2, 2.5)
-        d = float(rng.random() < fp.eval_demand(model, x, None, p))
+        d = float(rng.random() < one_customer(model, x, None, p))
         records.append(dict(id=str(i), group="a" if i % 2 else "b",
                             covariates=x, price=p, demand=d))
     return records
@@ -537,7 +544,7 @@ def test_fit_partially_linear_recovery():
         x = rng.normal(size=1)
         g = "a" if rng.random() < 0.5 else "b"
         p = rng.uniform(0.2, 2.0)
-        d = fp.eval_demand(truth, x, g, p) + 0.05 * rng.normal()
+        d = one_customer(truth, x, g, p) + 0.05 * rng.normal()
         records.append(dict(id=str(i), group=g, covariates=x,
                             price=p, demand=d))
     model, diag = fp.fit_partially_linear(record_table(records))
@@ -752,11 +759,7 @@ def test_model_dict_round_trip():
         assert fp.model_to_dict(back) == fp.model_to_dict(m)
 
 
-@pytest.mark.parametrize("call", [
-    lambda m: fp.eval_demand(m, [0.0], "a", 1.0),
-    lambda m: fp.demand_gradient(m, [0.0], "a", 1.0),
-    fp.model_to_dict,
-], ids=["eval_demand", "demand_gradient", "model_to_dict"])
+@pytest.mark.parametrize("call", [fp.model_to_dict], ids=["model_to_dict"])
 def test_a_non_model_is_a_type_error(call):
     with pytest.raises(TypeError, match="not a demand model: dict"):
         call({"kind": "latent"})

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import fairprice as fp
+from fairprice.optimize import _TOL, golden_rows, maximize_rows
 
 from oracles import grid_argmax
+from tables import one_customer
 
 
 def test_monopoly_price_linear_matches_grid():
@@ -22,14 +24,15 @@ def test_monopoly_price_requires_downward_slope():
 
 
 def test_golden_section_quadratic():
-    x, v = fp.golden_section_max(lambda t: -(t - 0.37) ** 2 + 2.0, 0.0, 1.0)
-    assert abs(x - 0.37) < 1e-6
-    assert v == pytest.approx(2.0, abs=1e-10)
+    x, v = golden_rows(lambda rows, t: -(t - 0.37) ** 2 + 2.0, [0.0], [1.0],
+                       _TOL)
+    assert abs(x[0] - 0.37) < 1e-6
+    assert v[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_golden_section_endpoint_max():
-    x, v = fp.golden_section_max(lambda t: t, 0.0, 3.0)
-    assert x == pytest.approx(3.0, abs=1e-6)
+    x, v = golden_rows(lambda rows, t: t, [0.0], [3.0], _TOL)
+    assert x[0] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_price_interval_validation():
@@ -39,45 +42,51 @@ def test_price_interval_validation():
         fp.PriceInterval(0.0, 1.0, grid_n=8)
 
 
-def test_maximize_revenue_1d_latent_curve():
+def _one_row(m, shift=0.0):
+    """The revenue ``(p - shift) * D(p)`` of one customer without covariates
+    in group "g", as a ``maximize_rows`` objective."""
+    return lambda rows, p: (p - shift) * m.demand(np.zeros((1, 0)), [0], p,
+                                                  ("g",))
+
+
+def test_maximize_rows_latent_curve():
     m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
                                 noise="logistic", scale=0.5)
-    curve = lambda p: fp.eval_demand(m, [], "g", p)
     interval = fp.PriceInterval(0.01, 8.0)
-    p_star, v_star = fp.maximize_revenue_1d(curve, interval)
-    p_grid, v_grid = grid_argmax(lambda t: t * curve(t), 0.01, 8.0)
+    (p_star,), (v_star,) = maximize_rows(_one_row(m), 1, interval)
+    p_grid, v_grid = grid_argmax(lambda t: t * one_customer(m, [], "g", t),
+                                 0.01, 8.0)
     assert abs(p_star - p_grid) < 1e-4
     assert v_star >= v_grid - 1e-9
 
 
-def test_maximize_revenue_1d_with_cost_shift():
+def test_maximize_rows_with_cost_shift():
     m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
                                 noise="normal", scale=0.6)
-    curve = lambda p: fp.eval_demand(m, [], "g", p)
     cost = 0.8
-    p_star, v_star = fp.maximize_revenue_1d(
-        curve, fp.PriceInterval(0.01, 8.0), shift=cost)
-    p_grid, v_grid = grid_argmax(lambda t: (t - cost) * curve(t), 0.01, 8.0)
+    interval = fp.PriceInterval(0.01, 8.0)
+    (p_star,), _ = maximize_rows(_one_row(m, cost), 1, interval)
+    p_grid, v_grid = grid_argmax(
+        lambda t: (t - cost) * one_customer(m, [], "g", t), 0.01, 8.0)
     assert abs(p_star - p_grid) < 1e-4
     # shifting the objective moves the optimum strictly up
-    p0, _ = fp.maximize_revenue_1d(curve, fp.PriceInterval(0.01, 8.0))
+    (p0,), _ = maximize_rows(_one_row(m), 1, interval)
     assert p_star > p0
 
 
 def test_maximize_revenue_unimodal_flag_agrees():
-    curve = lambda p: np.maximum(3.0 - p, 0.0)
-    interval = fp.PriceInterval(0.01, 3.0)
-    p1, _ = fp.maximize_revenue_1d(curve, interval)
+    (p1,), _ = maximize_rows(lambda rows, p: p * np.maximum(3.0 - p, 0.0), 1,
+                             fp.PriceInterval(0.01, 3.0))
     assert abs(p1 - 1.5) < 1e-5
 
 
 def test_maximize_revenue_degenerate():
+    interval = fp.PriceInterval(0.1, 2.0)
     with pytest.raises(fp.DegenerateDemandError):
-        fp.maximize_revenue_1d(lambda p: 0.0, fp.PriceInterval(0.1, 2.0))
+        maximize_rows(lambda rows, p: p * 0.0, 1, interval)
     with pytest.raises(fp.DegenerateDemandError):
         # net of a prohibitive cost the objective is everywhere negative
-        fp.maximize_revenue_1d(lambda p: 1.0, fp.PriceInterval(0.1, 2.0),
-                               shift=5.0)
+        maximize_rows(lambda rows, p: p - 5.0, 1, interval)
 
 
 def _two_point_population():

@@ -24,6 +24,7 @@ from oracles import (
     reference_attribute_blind_parity,
     scan_locate,
 )
+from tables import one_price
 
 
 def _hand_model_population():
@@ -156,8 +157,8 @@ def test_attribute_blind_matches_oracle(seed, gamma):
         got = sol.prices[(i, None)]  # one price per covariate cell
         assert abs(got - prices[i]) < 1e-3
         # both group labels resolve to the cell price
-        assert policy.price(pop.support[i], "a") == got
-        assert policy.price(pop.support[i], "b") == got
+        assert one_price(policy, pop.support[i], "a") == got
+        assert one_price(policy, pop.support[i], "b") == got
     got_rev = fp.expected_revenue(sol.policy(), model, pop)
     assert abs(got_rev - revenue) < 1e-5
     assert abs(sol.achieved_disparity) <= gamma + 1e-7
@@ -302,7 +303,7 @@ def test_solution_dict_keeps_infinite_gamma_and_one_policy():
     assert '"gamma": "inf"' in json_dumps_stable(blob)
     # the solution prices through one tabular policy built from its table
     policy = sol.policy()
-    assert policy.price([], "a") == sol.prices[(0, None)]
+    assert one_price(policy, [], "a") == sol.prices[(0, None)]
     assert policy.price_batch(np.zeros((2, 0)), [0, 1], ("a", "b")).tolist() == [
         sol.prices[(0, None)]] * 2
 

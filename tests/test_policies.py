@@ -11,53 +11,54 @@ from fairprice.util import json_dumps_stable
 
 from oracles import (
     reference_table_rows,
+    scalar_group_price,
     scalar_linear_price,
     scan_locate,
     scan_tabular_prices,
 )
-from tables import tabular_policy
+from tables import one_price, tabular_policy
 
 
 def test_constant_policy():
-    assert fp.ConstantPolicy(1.3).price([0.0, 1.0], "a") == 1.3
+    assert one_price(fp.ConstantPolicy(1.3), [0.0, 1.0], "a") == 1.3
 
 
 def test_group_policy_default_and_error():
     pol = fp.GroupPolicy(prices={"a": 1.0, "b": 2.0})
-    assert pol.price([], "a") == 1.0
+    assert one_price(pol, [], "a") == 1.0
     with pytest.raises(fp.UnknownGroupError):
-        pol.price([], "c")
+        one_price(pol, [], "c")
     with_default = fp.GroupPolicy(prices={"a": 1.0}, default=1.5)
-    assert with_default.price([], "c") == 1.5
-    assert with_default.price([], None) == 1.5
+    assert one_price(with_default, [], "c") == 1.5
+    assert one_price(with_default, [], None) == 1.5
 
 
 def test_tabular_policy_lookup_and_blind_fallback():
     pol = tabular_policy([[0.0], [1.0]],
                          {(0, "a"): 1.0, (0, None): 0.9, (1, None): 2.0})
-    assert pol.price([0.0], "a") == 1.0
-    assert pol.price([0.0], "b") == 0.9   # falls back to the blind entry
-    assert pol.price([1.0], "a") == 2.0
-    assert pol.price([1.0 + 1e-12], "a") == 2.0  # tolerant row match
+    assert one_price(pol, [0.0], "a") == 1.0
+    assert one_price(pol, [0.0], "b") == 0.9   # falls back to the blind entry
+    assert one_price(pol, [1.0], "a") == 2.0
+    assert one_price(pol, [1.0 + 1e-12], "a") == 2.0  # tolerant row match
     empty = pol.price_batch(np.zeros((0, 1)), [], ("a",))
     assert empty.dtype == np.float64 and empty.shape == (0,)
     with pytest.raises(fp.DimensionMismatchError):
-        pol.price([0.5], "a")   # off-support
+        one_price(pol, [0.5], "a")   # off-support
     with pytest.raises(fp.DimensionMismatchError):
-        pol.price([0.0, 1.0], "a")  # wrong arity
+        one_price(pol, [0.0, 1.0], "a")  # wrong arity
     bare = tabular_policy([[0.0]], {(0, "a"): 1.0})
     with pytest.raises(fp.UnknownGroupError):
-        bare.price([0.0], "b")
+        one_price(bare, [0.0], "b")
 
 
 def test_linear_policy_clipping():
     pol = fp.LinearPolicy(theta=[0.5, -1.0], intercept=1.0,
                           clip_lo=0.2, clip_hi=2.0)
-    assert pol.price([1.0, 0.0]) == 1.5
-    assert pol.price([10.0, 0.0]) == 2.0
-    assert pol.price([0.0, 10.0]) == 0.2
+    assert one_price(pol, [1.0, 0.0]) == 1.5
+    assert one_price(pol, [10.0, 0.0]) == 2.0
+    assert one_price(pol, [0.0, 10.0]) == 0.2
     with pytest.raises(fp.DimensionMismatchError):
-        pol.price([1.0])
+        one_price(pol, [1.0])
 
 
 def test_policy_dict_round_trips():
@@ -182,12 +183,13 @@ def _assert_same_outcome(got, want):
 
 
 def _price_loop(policy, X, g, groups):
-    """Each row priced alone: by the scalar formula for a linear policy
-    (``LinearPolicy.price`` is a one-row ``price_batch``), by ``price``
-    otherwise."""
-    price = policy.price
+    """Each row priced alone: by the scalar formula for a linear or group
+    policy, by a one-row ``price_batch`` otherwise."""
+    price = lambda x, a: one_price(policy, x, a)  # noqa: E731
     if isinstance(policy, fp.LinearPolicy):
         price = lambda x, a: scalar_linear_price(policy, x)  # noqa: E731
+    elif isinstance(policy, fp.GroupPolicy):
+        price = lambda x, a: scalar_group_price(policy, a)  # noqa: E731
     return np.array([price(x, groups[j]) for x, j in zip(X, g)], dtype=float)
 
 
@@ -304,7 +306,7 @@ def test_tabular_price_batch_resolves_near_duplicates_to_first_hit():
                                    (2, None): 12.0})
     X = np.array([[1.0 + 5e-10, 2.0 - 5e-10], [3.0, 4.0 + 5e-10],
                   [1.0 + 1.4e-9, 2.0], [1.0, 2.0]])
-    want = [pol.price(x) for x in X]
+    want = [one_price(pol, x) for x in X]
     assert want == [10.0, 11.0, 12.0, 10.0]
     assert pol.price_batch(X, [0] * 4, (None,)).tolist() == want
 
@@ -314,7 +316,7 @@ def test_tabular_price_batch_errors_match_price():
                          {(0, "a"): 1.0, (1, None): 2.0})
     off = np.array([[0.0, 1.0], [2.0, 3.0 + 2e-9], [0.0, 1.0]])
     with pytest.raises(fp.DimensionMismatchError) as want:
-        pol.price(off[1], "a")
+        one_price(pol, off[1], "a")
     with pytest.raises(fp.DimensionMismatchError) as got:
         pol.price_batch(off, [0, 0, 0], ("a",))
     assert str(got.value) == str(want.value)
@@ -324,7 +326,7 @@ def test_tabular_price_batch_errors_match_price():
         pol.price_batch(off, [0, 1, 1], ("b", "a"))
     for width in (1, 3):
         with pytest.raises(fp.DimensionMismatchError) as want:
-            pol.price(np.zeros(width), "a")
+            one_price(pol, np.zeros(width), "a")
         with pytest.raises(fp.DimensionMismatchError) as got:
             pol.price_batch(np.zeros((2, width)), [0, 0], ("a",))
         assert str(got.value) == str(want.value)
@@ -416,7 +418,7 @@ def test_tabular_prices_match_the_full_scan_bitwise(case):
     _assert_same_outcome(got, want)
     if isinstance(want, tuple):
         return
-    one = _outcome(lambda: policy.price(X[-1], groups[-1]))
+    one = _outcome(lambda: one_price(policy, X[-1], groups[-1]))
     assert np.float64(one).view(np.uint64) == want[-1:].view(np.uint64)[0]
 
 

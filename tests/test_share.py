@@ -3,30 +3,32 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice.cli import main
+from fairprice.demand import NOISE_FAMILIES
 
 from oracles import grid_argmax, loop_share_frontier, loop_share_price
+from tables import one_customer
 
 
 def test_linear_demand_closed_form():
     # argmax (p + ell) (dbar + beta p) shifts the monopoly price by -ell/2
     m = fp.PartiallyLinearDemand(beta={"g": -1.0},
                                  baseline={"g": (2.0, np.array([]))})
-    assert fp.solve_share_price(m, [], "g", 0.0) == pytest.approx(1.0)
-    assert fp.solve_share_price(m, [], "g", 0.5) == pytest.approx(0.75)
-    assert fp.solve_share_price(m, [], "g", -0.3) == pytest.approx(1.15)
+    prices = fp.share.share_prices(m, [[]] * 3, [0] * 3, ("g",), [0.0, 0.5, -0.3])
+    assert prices.tolist() == pytest.approx([1.0, 0.75, 1.15])
 
 
 @pytest.mark.parametrize("ell", [0.0, 0.2, 0.8, -0.1])
 def test_latent_share_price_matches_grid(ell):
     m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
                                 noise="logistic", scale=0.5)
-    p = fp.solve_share_price(m, [], "g", ell)
+    p = fp.share.share_prices(m, [[]], [0], ("g",), [ell])[0]
     lo = max(1e-6, -ell + 1e-6)
     p_grid, _ = grid_argmax(
-        lambda t: (t + ell) * fp.eval_demand(m, [], "g", t), lo, 8.0)
+        lambda t: (t + ell) * one_customer(m, [], "g", t), lo, 8.0)
     assert abs(p - p_grid) < 1e-4
 
 
@@ -34,9 +36,9 @@ def test_latent_share_price_matches_grid(ell):
 def test_logistic_share_price_matches_grid(ell):
     m = fp.LogisticDemand(gamma=[0.5], beta=-1.4, intercept=0.8)
     x = [1.0]
-    p = fp.solve_share_price(m, x, None, ell)
+    p = fp.share.share_prices(m, [x], [0], (None,), [ell])[0]
     p_grid, _ = grid_argmax(
-        lambda t: (t + ell) * fp.eval_demand(m, x, None, t), 1e-6, 12.0)
+        lambda t: (t + ell) * one_customer(m, x, None, t), 1e-6, 12.0)
     assert abs(p - p_grid) < 1e-4
 
 
@@ -47,7 +49,7 @@ def test_share_price_under_a_large_tax_matches_grid():
                                 scale=0.4)
     p = fp.share.share_prices(m, [[0.0]], [0], ("a",), [-150.0])[0]
     p_grid, _ = grid_argmax(
-        lambda t: (t - 150.0) * fp.eval_demand(m, [0.0], "a", t), 150.0, 160.0)
+        lambda t: (t - 150.0) * one_customer(m, [0.0], "a", t), 150.0, 160.0)
     assert abs(p - p_grid) < 1e-6
 
 
@@ -58,7 +60,8 @@ def test_share_price_under_an_extreme_tax_has_a_newton_slope():
     m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
                                 scale=0.4)
     p = fp.share.share_prices(m, [[0.0]], [0], ("a",), [-150.0])[0]
-    assert fp.revenue_curvature(m, [0.0], "a", p, -150.0) < 0.0
+    assert (2.0 * one_customer(m, [0.0], "a", p, "gradient")
+            + (p - 150.0) * one_customer(m, [0.0], "a", p, "curvature")) < 0.0
     assert abs(p - 150.4) < 1e-6  # p + ell = D / -D' = scale, the hazard's inverse
 
 
@@ -85,7 +88,7 @@ def test_share_price_under_a_huge_subsidy_warns_nothing():
         prices = fp.share.share_prices(m, [[0.0], [1.0]], [0, 0], ("a",),
                                        [1e308, 0.0])
     assert prices[0] == 0.0
-    assert prices[1] == fp.solve_share_price(m, [1.0], "a", 0.0)
+    assert prices[1] == fp.share.share_prices(m, [[1.0]], [0], ("a",), [0.0])[0]
 
 
 def test_share_prices_reject_an_unsupported_model():
@@ -97,19 +100,68 @@ def test_share_price_foc_holds():
     m = fp.LatentValuationModel(loc={"g": (1.5, np.array([]))},
                                 noise="gumbel", scale=0.6)
     ell = 0.3
-    p = fp.solve_share_price(m, [], "g", ell)
-    d = fp.eval_demand(m, [], "g", p)
-    dp = fp.demand_gradient(m, [], "g", p)
+    p = fp.share.share_prices(m, [[]], [0], ("g",), [ell])[0]
+    d = one_customer(m, [], "g", p)
+    dp = one_customer(m, [], "g", p, "gradient")
     assert abs(d + (p + ell) * dp) < 1e-7
 
 
-def test_revenue_curvature_formula():
+def test_sensitivity_curvature_is_the_revenue_second_derivative():
     m = fp.LatentValuationModel(loc={"g": (2.0, np.array([]))},
                                 noise="normal", scale=0.7)
-    p = 1.4
-    want = (2.0 * fp.demand_gradient(m, [], "g", p)
-            + p * fp.demand_curvature(m, [], "g", p))
-    assert fp.revenue_curvature(m, [], "g", p) == pytest.approx(want)
+    rep = fp.sensitivity_at_zero(m, [], "g")
+    p = rep.price
+    want = (2.0 * one_customer(m, [], "g", p, "gradient")
+            + p * one_customer(m, [], "g", p, "curvature"))
+    assert rep.curvature == want
+
+
+def _dense_argmax(revenue, lo, hi):
+    """The argmax of ``revenue`` of a price array on [lo, hi]: a
+    100001-point grid, then 2001-point grids between the neighbours of the
+    best point so far."""
+    for n in (100_001, 2001, 2001, 2001, 2001):
+        grid = np.linspace(lo, hi, n)
+        k = int(np.argmax(revenue(grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, n - 1)]
+    return float(grid[k])
+
+
+@st.composite
+def _curved_markets(draw):
+    """A latent model of any noise family, or logistic demand, with three
+    covariate rows in two groups and a price range that holds every row's
+    revenue maximum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(sorted(NOISE_FAMILIES) + ["logistic_demand"]))
+    X, g = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.integers(2, size=3)
+    if family == "logistic_demand":
+        model = fp.LogisticDemand(gamma=rng.normal(size=2),
+                                  beta=-rng.uniform(0.3, 3.0),
+                                  intercept=rng.uniform(-2.0, 3.0))
+        spread = 1.0 / abs(model.beta)
+        center = -(X @ model.gamma + model.intercept) / model.beta
+    else:
+        model = fp.LatentValuationModel(
+            loc={h: (rng.uniform(-1.0, 3.0), rng.normal(size=2) * 0.5)
+                 for h in "ab"},
+            noise=family, scale=rng.uniform(0.2, 2.0))
+        spread = model.scale
+        center = model.location_rows(X, g, ("a", "b"))
+    return model, X, g, float(np.max(center, initial=0.0) + 20.0 * spread)
+
+
+@settings(max_examples=150)
+@given(_curved_markets())
+def test_share_prices_at_weight_zero_maximize_revenue(market):
+    # with no subsidy the share price is the unconstrained monopoly price,
+    # the argmax of p * D(p), found here by dense grids alone
+    model, X, g, hi = market
+    prices = fp.share.share_prices(model, X, g, ("a", "b"), np.zeros(len(X)))
+    for r, p in enumerate(prices.tolist()):
+        best = _dense_argmax(lambda t: t * model.demand(
+            X[r:r + 1], g[r:r + 1], t[None], ("a", "b"))[0], 0.0, hi)
+        assert abs(p - best) <= 1e-6 * max(1.0, best), (r, p, best)
 
 
 def test_sensitivity_linear_demand_is_minus_half():
@@ -295,10 +347,10 @@ def test_degenerate_rows_raise_among_newton_rows():
         fp.share_frontier(model, pop, [0.3])
     assert str(caught.value) == message
     with pytest.raises(fp.DegenerateDemandError) as caught:
-        fp.solve_share_price(model, [1.0], "b", 0.3)
+        fp.share.share_prices(model, [[1.0]], [0], ("b",), [0.3])
     assert str(caught.value) == message
-    assert fp.solve_share_price(model, [1.0], "a", 0.3) == loop_share_price(
-        model, np.array([1.0]), "a", 0.3)
+    assert fp.share.share_prices(model, [[1.0]], [0], ("a",), [0.3])[0] \
+        == loop_share_price(model, np.array([1.0]), "a", 0.3)
 
 
 def test_share_prices_name_a_later_rows_upward_group():

@@ -10,7 +10,7 @@ from fairprice.demand import CSV_TRAILING_COLUMNS
 from fairprice.sim import read_records_csv, write_records_csv
 
 from oracles import take_bootstrap_se
-from tables import record_table
+from tables import one_price, record_table
 
 
 SCENARIO = """
@@ -142,7 +142,7 @@ def test_log_interactions_prices_rows_like_price():
     rng = np.random.default_rng(3)
     pop = fp.generate_population(cfg, rng)
     fp.log_interactions(cfg, pop, rng, policy=policy)
-    want = [policy.price(x) for x in pop.records.X]
+    want = [one_price(policy, x) for x in pop.records.X]
     assert pop.records.price.tolist() == want
     assert (pop.records.demand
             == (pop.records.valuation >= pop.records.price)).all()
@@ -525,7 +525,7 @@ def test_ope_estimate_diagnostics_match_direct_formulas():
                              clip_lo=0.8, clip_hi=2.0)
     diag = fp.ope_estimate(weighted, policy, fp.OPEConfig(bandwidth=0.3))
     p, w = weighted.price, weighted.weight
-    target = np.array([policy.price(x) for x in weighted.X])
+    target = np.array([one_price(policy, x) for x in weighted.X])
     h = 0.3 * (p.max() - p.min())
     u = (target - p) / h
     kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0) / h
