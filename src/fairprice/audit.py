@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import LogisticDemand, PartiallyLinearDemand, RecordTable
+from .demand import (
+    LatentValuationModel,
+    LogisticDemand,
+    PartiallyLinearDemand,
+    RecordTable,
+)
 from .errors import (
     ConfigError,
     DecompositionError,
@@ -477,8 +482,10 @@ def attribute_gap_decomposition(model, population, x_index: int, group: str,
     mixture = {g: float(population.membership[x_index, k])
                for k, g in enumerate(population.groups)}
     if interval is None:
-        centers = [model.location(x, g) if hasattr(model, "location") else 0.0
-                   for g in population.groups]
+        groups = population.groups
+        centers = (model.location_rows(np.tile(x, (len(groups), 1)),
+                                       np.arange(len(groups)), groups).tolist()
+                   if isinstance(model, LatentValuationModel) else [0.0])
         spread = getattr(model, "scale", 1.0)
         hi = max(max(centers) + 10.0 * spread, 10.0 * spread)
         interval = PriceInterval(0.0, float(hi))

@@ -107,22 +107,18 @@ def _logistic_pdf_prime(z):
 
 
 def _exponential_cdf(z):
-    z = np.asarray(z, dtype=float)
     return np.where(z < 0.0, 0.0, -np.expm1(-np.clip(z, 0.0, None)))
 
 
 def _exponential_pdf(z):
-    z = np.asarray(z, dtype=float)
     return np.where(z < 0.0, 0.0, np.exp(-np.clip(z, 0.0, None)))
 
 
 def _exponential_pdf_prime(z):
-    z = np.asarray(z, dtype=float)
     return np.where(z < 0.0, 0.0, -np.exp(-np.clip(z, 0.0, None)))
 
 
 def _laplace_cdf(z):
-    z = np.asarray(z, dtype=float)
     return np.where(z < 0.0, 0.5 * np.exp(np.clip(z, None, 0.0)),
                     1.0 - 0.5 * np.exp(-np.clip(z, 0.0, None)))
 
@@ -132,17 +128,14 @@ def _laplace_pdf(z):
 
 
 def _laplace_pdf_prime(z):
-    z = np.asarray(z, dtype=float)
     return -np.sign(z) * 0.5 * np.exp(-np.abs(z))
 
 
 def _gumbel_pdf(z):
-    z = np.asarray(z, dtype=float)
     return np.exp(-z - np.exp(-z))
 
 
 def _gumbel_pdf_prime(z):
-    z = np.asarray(z, dtype=float)
     return np.exp(-z - np.exp(-z)) * (np.exp(-z) - 1.0)
 
 
@@ -169,7 +162,7 @@ def _gumbel_from_uniform(u):
 NOISE_FAMILIES: dict[str, NoiseFamily] = {
     "normal": NoiseFamily(
         "normal", lambda z: scipy_special().ndtr(-z),
-        _normal_pdf, lambda z: -np.asarray(z, dtype=float) * _normal_pdf(z),
+        _normal_pdf, lambda z: -z * _normal_pdf(z),
         lambda rng, size=None: rng.standard_normal(size),
     ),
     "logistic": NoiseFamily(
@@ -557,9 +550,10 @@ class Cells(NamedTuple):
 # Each family evaluates ``demand``, ``gradient`` and ``curvature`` at once for
 # the rows of an (n, k) covariate matrix ``X``: ``g`` indexes the label tuple
 # ``groups`` per row, and prices ``p`` broadcast against the rows along their
-# first axis (one price, one per row, or an (n or 1, m) grid). One customer is
-# one row. Row terms use the per-row dot of ``_row_dots``, so a row of a
-# matrix gets the very bits the same row gets alone.
+# first axis (one price, one per row, or an (n or 1, m) grid). That is the only
+# input form: one customer is a (1, k) ``X`` with a one-element ``g``. Row
+# terms use the per-row dot of ``_row_dots``, so a row of a matrix gets the
+# very bits the same row gets alone.
 #
 # A family's ``row_terms(X, g, groups)`` is the tuple of per-row arrays that
 # its prices act on (``loc``; ``gamma . x``; ``dbar`` and the slope), and its
@@ -583,9 +577,9 @@ class _RowKernels:
         return self.kernels(self.row_terms(X, g, groups), p, "demand")[0]
 
 
-def _row_dots(X, coefs):
-    """``coefs @ x`` for every row ``x`` of ``X`` (or the one row ``X``);
-    raises DimensionMismatchError when ``x`` and ``coefs`` differ in length.
+def _row_dots(X, coefs, what="model"):
+    """``coefs @ x`` for every row ``x`` of the (n, k) ``X``; raises
+    DimensionMismatchError, naming ``what``, when their lengths differ.
 
     A stack of (1, k) @ (k,) products takes the same BLAS dot per row as the
     1-D product; ``X @ coefs`` sums in another order and changes last bits.
@@ -593,25 +587,20 @@ def _row_dots(X, coefs):
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != coefs.size:
         raise DimensionMismatchError(
-            f"model expects {coefs.size} covariates, got {X.shape[-1]}")
-    if X.ndim == 1:
-        return coefs @ X
+            f"{what} expects {coefs.size} covariates, got {X.shape[-1]}")
     return (np.ascontiguousarray(X)[:, None, :] @ coefs)[:, 0]
 
 
 def _along(rows, p):
-    """Per-row values shaped to broadcast with prices ``p``."""
-    if isinstance(p, float) or np.ndim(p) < 2 or not np.ndim(rows):
-        return rows
+    """Per-row values shaped to broadcast with prices ``p``: with one more
+    trailing axis for each axis of ``p`` past its first."""
     return rows.reshape(rows.shape + (1,) * (np.ndim(p) - 1))
 
 
 def _used_labels(g, groups, known) -> list:
     """The indices into ``groups`` that ``g`` uses, in order of first use;
     raises UnknownGroupError for the first label ``known`` lacks."""
-    if np.ndim(g) == 0:
-        used = [int(g)]
-    elif len(groups) == 1:
+    if len(groups) == 1:
         used = [0]
     else:
         used = list(dict.fromkeys(np.asarray(g).tolist()))
@@ -626,15 +615,12 @@ def _affine_rows(X, g, groups, params, known, what) -> np.ndarray:
     the row's group in ``params``."""
     X = np.asarray(X, dtype=float)
     used = _used_labels(g, groups, known)
-    out = np.empty(X.shape[:-1])
+    out = np.empty(len(X))
     for j in used:
         intercept, coefs = params[groups[j]]
         coefs = np.asarray(coefs, dtype=float).reshape(-1)
-        if coefs.size != X.shape[-1]:
-            raise DimensionMismatchError(
-                f"{what} expects {coefs.size} covariates, got {X.shape[-1]}")
         rows = ... if len(used) == 1 else np.asarray(g) == j
-        out[rows] = intercept + _row_dots(X[rows], coefs)
+        out[rows] = intercept + _row_dots(X[rows], coefs, what)
     return out
 
 
@@ -681,27 +667,19 @@ class PartiallyLinearDemand(_RowKernels):
         _used_labels(g, groups, self.beta)
         X = np.asarray(X, dtype=float)
         out = []
-        for x, j in zip(np.atleast_2d(X).tolist(), np.ravel(g).tolist()):
+        for x, j in zip(X.tolist(), np.asarray(g).tolist()):
             table = self.baseline[groups[j]]
             if tuple(x) not in table:
                 raise DimensionMismatchError(
                     f"covariate point {tuple(x)} not in baseline table for "
                     f"group {groups[j]!r}")
             out.append(table[tuple(x)])
-        return np.array(out, dtype=float).reshape(X.shape[:-1])
+        return np.array(out, dtype=float)
 
     def _slopes(self, g, groups):
         _used_labels(g, groups, self.beta)
         per_group = [float(self.beta.get(label, math.nan)) for label in groups]
         return np.array(per_group)[g]
-
-    def dbar(self, x, group) -> float:
-        """Baseline expected demand at zero price for one group."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(self.baseline_rows(x, 0, (group,)))
-
-    def slope(self, group) -> float:
-        return float(self._slopes(0, (group,)))
 
     def row_terms(self, X, g, groups) -> tuple:
         """``(dbar, slope)`` of every row."""
@@ -783,10 +761,6 @@ class LatentValuationModel(_RowKernels):
         """``loc(x, a)`` of every row of ``X``."""
         return _affine_rows(X, g, groups, self.loc, self.loc, "location")
 
-    def location(self, x, group) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(self.location_rows(x, 0, (group,)))
-
     def row_terms(self, X, g, groups) -> tuple:
         """``(loc,)`` of every row."""
         return (self.location_rows(X, g, groups),)
@@ -804,21 +778,16 @@ class LatentValuationModel(_RowKernels):
 DemandModel = (PartiallyLinearDemand, LogisticDemand, LatentValuationModel)
 
 
-def _check_price(model, p):
-    """``p`` as a float, or as a float array for an array of prices; raises
-    for the first price that is not finite (or negative, except for
-    partially linear demand)."""
-    if not isinstance(p, float) and np.ndim(p):
-        p = np.asarray(p, dtype=float)
-        negative_ok = isinstance(model, PartiallyLinearDemand)
-        for first in p[~np.isfinite(p) | ((p < 0.0) & (not negative_ok))][:1]:
-            _check_price(model, first)
-        return p
-    p = float(p)
-    if not math.isfinite(p):
-        raise InvalidRecordError("price must be finite")
-    if not isinstance(model, PartiallyLinearDemand) and p < 0.0:
-        raise InvalidRecordError("price must be nonnegative for this demand family")
+def _check_price(model, p) -> np.ndarray:
+    """``p`` as a float array; raises for the first price, in C order, that
+    is not finite (or negative, except for partially linear demand)."""
+    p = np.asarray(p, dtype=float)
+    finite = np.isfinite(p)
+    bad = ~finite if isinstance(model, PartiallyLinearDemand) else ~finite | (p < 0.0)
+    if bad.any():
+        raise InvalidRecordError(
+            "price must be nonnegative for this demand family"
+            if finite[bad][0] else "price must be finite")
     return p
 
 

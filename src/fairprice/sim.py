@@ -323,16 +323,15 @@ class ScenarioConfig:
                    price_levels=levels, unit_cost=unit_cost,
                    surplus_weight=surplus_weight)
 
-    def membership_prob(self, x):
-        """P(first group | x) from the logit membership rule: a float for
-        one covariate vector, an array for the rows of a matrix."""
-        x = np.asarray(x, dtype=float)
-        z = np.full(x.shape[:-1], self.membership_intercept)
+    def membership_prob(self, X) -> np.ndarray:
+        """P(first group | x) from the logit membership rule, for every row
+        ``x`` of the (n, k) covariate matrix ``X``."""
+        X = np.asarray(X, dtype=float)
+        z = np.full(len(X), self.membership_intercept)
         names = [c.name for c in self.covariates]
         for name, coef in self.membership_coefs.items():
-            z = z + coef * x[..., names.index(name)]
-        q = scipy_special().expit(z)
-        return float(q) if x.ndim == 1 else q
+            z = z + coef * X[:, names.index(name)]
+        return scipy_special().expit(z)
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ def loop_weighted_mean(values, weights):
 # ---------------------------------------------------------------------------
 #
 # Cell-by-cell reference loops, one customer at a time (``one_price``,
-# ``one_customer``, ``model.dbar`` and the like) and accumulating in cell
-# order, so an array path that keeps the order matches them bit for bit.
+# ``one_customer``, ``formula_baseline`` and the like) and accumulating in
+# cell order, so an array path that keeps the order matches them bit for bit.
 
 import fairprice as fp  # noqa: E402
 from tables import one_customer, one_price  # noqa: E402
@@ -287,9 +287,10 @@ def loop_share_price(model, x, group, ell):
     """Subsidized-revenue price: 2001-point grid, one demand call per point,
     then safeguarded Newton on the first-order condition."""
     if isinstance(model, fp.PartiallyLinearDemand):
-        return -model.dbar(x, group) / (2.0 * model.slope(group)) - ell / 2.0
+        beta = float(model.beta[group])
+        return -formula_baseline(model, x, group) / (2.0 * beta) - ell / 2.0
     if isinstance(model, fp.LatentValuationModel):
-        center, spread = model.location(x, group), model.scale
+        center, spread = formula_location(model, x, group), model.scale
     else:
         spread = 1.0 / abs(model.beta)
         x = np.asarray(x, dtype=float)
@@ -405,6 +406,26 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
 # ---------------------------------------------------------------------------
 
 
+def _affine(params, x) -> float:
+    """``intercept + coefs . x`` of one ``(intercept, coefs)`` pair."""
+    intercept, coefs = params
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return float(intercept + np.asarray(coefs, dtype=float) @ x)
+
+
+def formula_baseline(model, x, group) -> float:
+    """``dbar(x, a)`` of partially linear demand, read from its parameters
+    for the one customer at covariates ``x`` in ``group``."""
+    if model.baseline_form == "linear":
+        return _affine(model.baseline[group], x)
+    return float(model.baseline[group][tuple(float(v) for v in np.ravel(x))])
+
+
+def formula_location(model, x, group) -> float:
+    """``loc(x, a)`` of latent-valuation demand, read from its parameters."""
+    return _affine(model.loc[group], x)
+
+
 def formula_demand(model, x, group, p):
     """Demand, slope and curvature at one price from each family's own
     scalar formula (survival form per noise family)."""
@@ -412,21 +433,15 @@ def formula_demand(model, x, group, p):
 
     x = np.asarray(x, dtype=float).reshape(-1)
     if isinstance(model, fp.PartiallyLinearDemand):
-        if model.baseline_form == "linear":
-            intercept, coefs = model.baseline[group]
-            dbar = float(intercept + np.asarray(coefs, dtype=float) @ x)
-        else:
-            dbar = float(model.baseline[group][tuple(float(v) for v in x)])
         beta = float(model.beta[group])
-        return dbar + beta * p, beta, 0.0
+        return formula_baseline(model, x, group) + beta * p, beta, 0.0
     if isinstance(model, fp.LogisticDemand):
         z = float(model.gamma @ x + model.beta * p + model.intercept)
         s = expit(z)
         upper = expit(-z) if z > 16.0 else 1.0 - s  # 1 - s, exact in the tail
         return (float(s), float(model.beta * s * upper),
                 float(model.beta ** 2 * s * upper * (1.0 - 2.0 * s)))
-    intercept, coefs = model.loc[group]
-    z = (p - float(intercept + np.asarray(coefs, dtype=float) @ x)) / model.scale
+    z = (p - formula_location(model, x, group)) / model.scale
     fam = model.family
     survival = {"normal": lambda: ndtr(-z), "logistic": lambda: expit(-z),
                 "gumbel": lambda: -np.expm1(-np.exp(-z)),

@@ -37,20 +37,20 @@ def tabular_policy(support, table) -> fp.TabularPolicy:
 def one_customer(model, x, group, p, kind="demand"):
     """The ``kind`` kernel ("demand", "gradient" or "curvature") of
     ``model`` for one customer at covariates ``x`` in ``group``, at price
-    ``p``, from the row terms of the one row ``x``: a float at one price, an
-    array at an array of prices. A ``{label: weight}`` mixture adds ``weight
-    * kernel`` over its groups, starting from zeros; logistic demand takes no
-    group."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    ``p``, from the row terms of the one-row matrix of ``x``: a float at one
+    price, an array at a 1-D array of prices. A ``{label: weight}`` mixture
+    adds ``weight * kernel`` over its groups, starting from zeros; logistic
+    demand takes no group."""
+    X = np.reshape(np.asarray(x, dtype=float), (1, -1))
 
     def alone(label):
-        return model.kernels(model.row_terms(x, 0, (label,)), p, kind)[0]
+        return model.kernels(model.row_terms(X, [0], (label,)), p, kind)[0]
 
     if isinstance(group, dict) and not isinstance(model, fp.LogisticDemand):
         out = sum((w * alone(g) for g, w in group.items()), np.zeros(np.shape(p)))
     else:
         out = alone(group)
-    return float(out) if np.ndim(p) == 0 else out
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def one_price(policy, x, a=None) -> float:

@@ -14,7 +14,11 @@ import pytest
 import fairprice as fp
 from fairprice.cli import main as cli_main
 
-from oracles import oracle_attribute_parity, oracle_blind_parity
+from oracles import (
+    formula_baseline,
+    oracle_attribute_parity,
+    oracle_blind_parity,
+)
 from tables import one_customer, one_price, record_table
 
 
@@ -62,7 +66,7 @@ def _group_free_instance(rng, m):
 
 def _oracle_frame(model, pop, oriented_groups):
     m = len(pop.support)
-    dbar = np.array([[model.dbar(pop.support[i], g) for g in pop.groups]
+    dbar = np.array([[formula_baseline(model, pop.support[i], g) for g in pop.groups]
                      for i in range(m)])
     beta = np.array([model.beta[g] for g in pop.groups])
     pos = oriented_groups[0]
@@ -161,7 +165,7 @@ def test_criterion_02_gamma_monotonicity_and_information_nesting():
         r_xa = fp.expected_revenue(based_inf.policy(), model, pop)
         r_x = fp.expected_revenue(blind_inf.policy(), model, pop)
         joint = pop.joint_weights()
-        agg_dbar = sum(joint[i, j] * model.dbar(pop.support[i], g)
+        agg_dbar = sum(joint[i, j] * formula_baseline(model, pop.support[i], g)
                        for i in range(m)
                        for j, g in enumerate(pop.groups))
         agg_beta = sum(joint[i, j] * model.beta[g]

@@ -529,3 +529,34 @@ def test_renaming_the_groups_renames_the_price_means(log):
     assert new["max_gap"] == old["max_gap"]
     assert (after["distributional_parity"]["statistic"]
             == before["distributional_parity"]["statistic"])
+
+
+@settings(max_examples=100)
+@given(_audit_logs(), st.data())
+def test_an_integer_weight_counts_as_that_many_copies(log, data):
+    """A record of weight k gives the audit metrics of k copies of weight 1,
+    but for the fields that count records: ``count``, and the KS
+    ``threshold`` and ``reject``, whose effective sample size ``(sum w)^2 /
+    sum w^2`` is that of the records, not of their weight. The concordance
+    metrics count cross-group pairs only; the copies of a record share its
+    group, so they add no pair of their own and keep every field."""
+    ks = data.draw(st.lists(st.integers(1, 4), min_size=len(log),
+                            max_size=len(log)))
+    weighted = [dict(row, weight=float(k)) for row, k in zip(log, ks)]
+    copies = [dict(row, id=f"{row['id']}c{c}", weight=1.0)
+              for row, k in zip(log, ks) for c in range(k)]
+    before, after = (fp.run_audit(record_table(rows)).metrics
+                     for rows in (weighted, copies))
+    groups = sorted({row["group"] for row in log})
+    assert before["marginal_price_disparity"].pop("count") == {
+        g: sum(row["group"] == g for row in log) for g in groups}
+    assert after["marginal_price_disparity"].pop("count") == {
+        g: sum(k for row, k in zip(log, ks) if row["group"] == g)
+        for g in groups}
+    for metrics in (before, after):
+        for key in ("threshold", "reject"):
+            metrics["distributional_parity"].pop(key)
+    # tolerance 0: the weights are small integers and the prices come from a
+    # small pool, so every weighted sum is exact in any order, and so is
+    # every quotient and difference taken from the same sums
+    assert _close(after, before, 0.0), (before, after)

@@ -370,15 +370,16 @@ def test_kernels_check_groups_and_covariates_like_scalars():
     assert _outcome(lambda: latent.demand(np.zeros((2, 3)), [0, 0], 1.0, ("a",))) \
         == _outcome(lambda: one_customer(latent, [0.0] * 3, "a", 1.0)) \
         == (fp.DimensionMismatchError, "location expects 2 covariates, got 3")
-    # one row with a numpy integer group index, as Cells.g yields it
+    # one customer: a (1, k) matrix and an np.intp code array, as Cells.g
+    # yields it, gives the family's scalar formula bit for bit
     two = fp.LatentValuationModel(loc={"a": (1.0, np.array([0.2, 0.1])),
                                        "b": (0.5, np.array([0.3, 0.0]))})
-    x = np.array([1.0, 2.0])
-    for model, row in ((two, x), (linear, x[:1])):
-        for kind in _KINDS:
-            got = _per_call(model, kind)(row, np.intp(1), 1.5, ("a", "b"))
-            assert got.shape == () and float(got) == one_customer(
-                model, row, "b", 1.5, kind)
+    X1, g1 = np.array([[1.0, 2.0]]), np.array([1], dtype=np.intp)
+    for model, row in ((two, X1), (linear, X1[:, :1])):
+        got = [_per_call(model, kind)(row, g1, 1.5, ("a", "b")) for kind in _KINDS]
+        assert [v.shape for v in got] == [(1,)] * len(_KINDS)
+        assert _bits(np.concatenate(got)) == _bits(
+            formula_demand(model, row[0], "b", 1.5))
 
 
 def test_population_cells_support_and_record_views():

@@ -3,20 +3,32 @@ run in-process, must write exactly the recorded bytes.
 
 Each output file but ``run_manifest.json`` (which holds a duration) is
 hashed with sha256 and compared with ``tests/golden/digests.json``. The
-digests depend on the floating-point stack, so the test is skipped when the
+digests depend on the floating-point stack, so the tests skip when the
 Python, numpy or scipy version differs from the one they were recorded with.
+They depend on numpy's SIMD dispatch too: ``np.exp`` rounds differently in
+its AVX-512 routines. So ``digests.json`` holds one digest set per enabled
+dispatch, and a dispatch with no recorded set skips. The pipeline runs
+twice: here, and in a subprocess with numpy's AVX-512 targets turned off for
+it alone (``NPY_DISABLE_CPU_FEATURES``), which leaves AVX2 on an AVX-512
+machine.
 
-To record the digests again (only when an output is meant to change):
+To record the digests again (only when an output is meant to change; the
+sets of the dispatches this machine cannot run are dropped):
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+With ``--print`` the script records nothing and writes its own dispatch and
+digests to stdout as JSON; the subprocess run uses that form.
 """
 
 import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +37,10 @@ import scipy
 from fairprice.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+# numpy's AVX-512 dispatch targets, turned off for the second run
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 
 SCENARIO = """
 n = 2000
@@ -76,6 +92,38 @@ LINEAR_POLICY = {"kind": "linear", "intercept": 1.2, "theta": [0.4, 0.1],
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
+
+
+def dispatch() -> str:
+    """numpy's enabled SIMD dispatch targets, space-separated."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t])
+
+
+def recorded(targets: str) -> dict:
+    """The digests recorded for the dispatch ``targets``; skips when the
+    versions differ or no set was recorded for them."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    if golden["versions"] != versions():
+        pytest.skip(f"digests recorded under {golden['versions']}, "
+                    f"running under {versions()}")
+    if targets not in golden["digests"]:
+        pytest.skip(f"no digests recorded for numpy dispatch {targets!r}; "
+                    f"recorded for {sorted(golden['digests'])}")
+    return golden["digests"][targets]
+
+
+def run_without_avx512() -> dict:
+    """``{"dispatch", "digests"}`` of the pipeline run in a subprocess with
+    the ``NO_AVX512`` targets turned off for that process only."""
+    paths = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--print"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def run_pipeline(root: str) -> dict:
@@ -175,22 +223,42 @@ def run_pipeline(root: str) -> dict:
     return digests
 
 
+def pipeline_digests() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_pipeline(tmp)
+
+
 @pytest.mark.filterwarnings("ignore:negative share weight")  # the tax sweeps
 def test_cli_outputs_match_recorded_digests(tmp_path):
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    if golden["versions"] != versions():
-        pytest.skip(f"digests recorded under {golden['versions']}, "
-                    f"running under {versions()}")
-    assert run_pipeline(str(tmp_path)) == golden["digests"]
+    want = recorded(dispatch())
+    assert run_pipeline(str(tmp_path)) == want
+
+
+def test_cli_outputs_without_avx512_match_recorded_digests():
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    unknown = set(NO_AVX512.split()) - set(__cpu_dispatch__)
+    if unknown:
+        pytest.skip(f"numpy does not dispatch {sorted(unknown)} here")
+    run = run_without_avx512()
+    if run["dispatch"] == dispatch():
+        pytest.skip(f"numpy dispatch {run['dispatch']!r} has no AVX-512 "
+                    "target to turn off")
+    assert run["digests"] == recorded(run["dispatch"])
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = run_pipeline(tmp)
+    if sys.argv[1:] == ["--print"]:
+        warnings.simplefilter("ignore")  # the tax sweeps' share weights
+        json.dump({"dispatch": dispatch(), "digests": pipeline_digests()},
+                  sys.stdout)
+        sys.exit()
+    sets = {dispatch(): pipeline_digests()}
+    run = run_without_avx512()
+    sets[run["dispatch"]] = run["digests"]
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump({"versions": versions(), "digests": digests}, fh, indent=1,
+        json.dump({"versions": versions(), "digests": sets}, fh, indent=1,
                   sort_keys=True)
         fh.write("\n")
-    print(f"recorded {len(digests)} digests in {GOLDEN}", file=sys.stderr)
+    print(f"recorded digests for numpy dispatches {sorted(sets)} in {GOLDEN}",
+          file=sys.stderr)

@@ -18,6 +18,7 @@ from fairprice.share import share_prices
 from fairprice.util import json_dumps_stable
 
 from oracles import (
+    formula_baseline,
     oracle_attribute_parity,
     oracle_blind_parity,
     reference_attribute_based_parity,
@@ -101,7 +102,7 @@ def _random_instance(rng, m, shared_beta):
 
 def _oracle_inputs(model, pop):
     m = len(pop.support)
-    dbar = np.array([[model.dbar(pop.support[i], g) for g in pop.groups]
+    dbar = np.array([[formula_baseline(model, pop.support[i], g) for g in pop.groups]
                      for i in range(m)])
     beta = np.array([model.beta[g] for g in pop.groups])
     joint = pop.joint_weights()
@@ -142,7 +143,7 @@ def test_attribute_blind_matches_oracle(seed, gamma):
     m = len(pop.support)
     memb = np.asarray(pop.membership, dtype=float)
     dbar_x = np.array([
-        sum(memb[i, j] * model.dbar(pop.support[i], g)
+        sum(memb[i, j] * formula_baseline(model, pop.support[i], g)
             for j, g in enumerate(pop.groups)) for i in range(m)])
     betabar = memb @ np.array([model.beta[g] for g in pop.groups])
     pos = sol.oriented_groups[0]

@@ -37,10 +37,8 @@ def test_scenario_parses_and_builds_model():
     assert cfg.groups == ("a", "b")
     assert cfg.price_levels == (0.8, 1.2, 1.6, 2.0)
     assert isinstance(cfg.model, fp.LatentValuationModel)
-    assert cfg.membership_prob([0.0]) == pytest.approx(
-        1 / (1 + np.exp(-0.8)))
-    assert cfg.membership_prob([1.0]) == pytest.approx(
-        1 / (1 + np.exp(0.8)))
+    assert cfg.membership_prob([[0.0], [1.0]]) == pytest.approx(
+        [1 / (1 + np.exp(-0.8)), 1 / (1 + np.exp(0.8))])
 
 
 def test_scenario_error_reports_line_numbers():
@@ -85,9 +83,9 @@ def test_exact_support_for_discrete_covariates():
     assert pop.support.shape == (2, 1)
     assert pop.masses.tolist() == [0.5, 0.5]
     # membership at each support point is the exact logit value
-    for i, x in enumerate(pop.support):
-        want = cfg.membership_prob(x)
-        assert pop.membership[i, 0] == pytest.approx(want)
+    want = cfg.membership_prob(pop.support)
+    assert want.shape == (2,)
+    assert pop.membership[:, 0] == pytest.approx(want)
     assert len(pop.records) == 400
     assert pop.records.ids[0] == "r000000"
 
