@@ -55,8 +55,9 @@ def main():
           f"{'z':>6}")
     for level in (0.8, 1.2, 1.6, 2.0):
         policy = fp.ConstantPolicy(level)
-        est = fp.ope_value(records, policy, narrow)
-        se = fp.ope_bootstrap_se(records, policy, narrow, n_boot=200, seed=1)
+        est = fp.ope_estimate(records, policy, narrow)["value"]
+        se, _ = fp.ope_bootstrap_se(records, policy, narrow, n_boot=200,
+                                    seed=1)
         truth = true_value(model, pop, policy)
         z = (est - truth) / se
         print(f"{level:6.2f} {est:9.4f} {truth:7.4f} {se:8.4f} {z:+6.2f}")

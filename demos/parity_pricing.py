@@ -26,13 +26,13 @@ def main():
     print("== a one-cell market you can solve on paper ==")
     print("intercepts (a, b) = (2, 1), slope -1, groups split 50/50")
     free = fp.solve_attribute_based_parity(model, pop, gamma=np.inf)
-    print(f"unconstrained prices: a={free.prices[(0, 'a')]:.4f} "
-          f"b={free.prices[(0, 'b')]:.4f} "
+    a, b = free.price_array[0].tolist()
+    print(f"unconstrained prices: a={a:.4f} b={b:.4f} "
           f"(disparity {free.unconstrained_disparity:+.4f})")
 
     tight = fp.solve_attribute_based_parity(model, pop, gamma=0.0)
-    print(f"exact parity:        a={tight.prices[(0, 'a')]:.4f} "
-          f"b={tight.prices[(0, 'b')]:.4f} "
+    a, b = tight.price_array[0].tolist()
+    print(f"exact parity:        a={a:.4f} b={b:.4f} "
           f"(multiplier {tight.lambda_star:.4f})")
     r_free = fp.expected_revenue(free.policy(), model, pop)
     r_tight = fp.expected_revenue(tight.policy(), model, pop)

@@ -97,7 +97,6 @@ from .sim import (
     log_interactions,
     ope_bootstrap_se,
     ope_estimate,
-    ope_value,
     optimize_linear_policy,
     read_records_csv,
     run_pricing_experiment,

@@ -348,9 +348,10 @@ def _cmd_ope(args, run) -> int:
                        trace=result.trace)
         note = (f"best linear policy value {{:.6g}} (bootstrap se {{:.3g}}, "
                 f"{result.starts} starts)")
-    se = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
-                          seed=args.seed)
-    payload.update(policy=policy_to_dict(policy), std_error=se)
+    se, skipped = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
+                                   seed=args.seed)
+    payload.update(policy=policy_to_dict(policy), std_error=se,
+                   skipped_resamples=skipped)
     run.write("ope.json", json_dumps_stable(payload))
     return run.finish([args.records, *([args.policy] if args.policy else [])],
                       {"bandwidth": args.bandwidth, "n_boot": args.n_boot,

@@ -506,7 +506,8 @@ class Cells(NamedTuple):
         p = (policy.price_batch(self.X, self.g, self.groups)
              if self.population is None
              else self.population.support_prices(policy, self.index, self.g))
-        d = model.demand(self.X, self.g, p, self.groups)
+        d = model.kernels(model.row_terms(self.X, self.g, self.groups), p,
+                          "demand")[0]
         w, by_group = self.mass, {}
         for k, g in enumerate(self.groups):
             mass, dsum, psum = self.totals(k, w, w * d, w * p)
@@ -558,23 +559,12 @@ class Cells(NamedTuple):
 # A family's ``row_terms(X, g, groups)`` is the tuple of per-row arrays that
 # its prices act on (``loc``; ``gamma . x``; ``dbar`` and the slope), and its
 # ``kernels(terms, p, *kinds)`` returns the named kinds from them in one call.
-# A solver computes the terms once and takes their rows with ``take_rows``;
-# ``demand`` computes them for each call.
+# A solver computes the terms once and takes their rows with ``take_rows``.
 
 
 def take_rows(terms, rows) -> tuple:
     """The ``rows`` of every per-row array of ``terms``."""
     return tuple(t[rows] for t in terms)
-
-
-class _RowKernels:
-    """A family's ``demand`` of the rows of one call."""
-
-    def demand(self, X, g, p, groups) -> np.ndarray:
-        """The demand kernel from the row terms of this call; the price is
-        checked before the rows, as every kernel call checks it."""
-        p = _check_price(self, p)
-        return self.kernels(self.row_terms(X, g, groups), p, "demand")[0]
 
 
 def _row_dots(X, coefs, what="model"):
@@ -625,7 +615,7 @@ def _affine_rows(X, g, groups, params, known, what) -> np.ndarray:
 
 
 @dataclass
-class PartiallyLinearDemand(_RowKernels):
+class PartiallyLinearDemand:
     """Expected demand ``dbar(x, a) + beta_a * p``, unclamped.
 
     ``baseline`` holds the intercept term ``dbar``: with ``baseline_form ==
@@ -697,7 +687,7 @@ class PartiallyLinearDemand(_RowKernels):
 
 
 @dataclass
-class LogisticDemand(_RowKernels):
+class LogisticDemand:
     """Take-up probability ``sigmoid(gamma . x + beta * p + intercept)``.
 
     The kernels take ``g`` and ``groups`` like the other families and ignore
@@ -731,7 +721,7 @@ class LogisticDemand(_RowKernels):
 
 
 @dataclass
-class LatentValuationModel(_RowKernels):
+class LatentValuationModel:
     """Valuation ``V = loc(x, a) + scale * noise``; purchase iff ``V >= p``.
 
     ``loc`` maps group -> (intercept, coefficient vector). The noise family

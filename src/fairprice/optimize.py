@@ -50,14 +50,14 @@ def monopoly_price_linear(dbar: float, beta: float) -> float:
 def maximize_rows(objective, n_rows: int, interval: PriceInterval):
     """``(price, value)`` arrays maximizing ``objective(rows, p)`` over the
     interval for each of ``n_rows`` rows; ``p`` holds one price per row, or
-    price grids as an (n, m) or (1, m) array. A 64-point probe rejects rows
-    with no positive value; a ``grid_n``-point grid brackets each row's best
-    point, robust to several local peaks, and golden section refines it."""
-    lo, hi = interval.lo, interval.hi
-    if not grid_argmax(objective, n_rows, lo, hi, 64)[1].all():
+    price grids as an (n, m) or (1, m) array. A ``grid_n``-point grid
+    rejects rows with no positive value on it and brackets each other row's
+    best point, robust to several local peaks; golden section refines it."""
+    around, positive = grid_argmax(objective, n_rows, interval.lo,
+                                   interval.hi, interval.grid_n)
+    if not positive.all():
         raise DegenerateDemandError(
             "objective is nonpositive across the whole price interval")
-    around = grid_argmax(objective, n_rows, lo, hi, interval.grid_n)[0]
     return golden_rows(objective, around[:, 0], around[:, 2], _TOL)
 
 

@@ -80,11 +80,6 @@ class ParitySolution:
     unconstrained_disparity: float
     achieved_disparity: float
 
-    @property
-    def prices(self) -> dict:
-        """A read-only ``(support_index, group) -> price`` view of the prices."""
-        return self.policy().table
-
     def policy(self) -> TabularPolicy:
         columns = self.groups if self.mode == ATTRIBUTE_BASED else (None,)
         return TabularPolicy(self.support, columns, self.price_array)

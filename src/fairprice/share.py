@@ -232,7 +232,7 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
     """
     rows = []
     cells = population.cells()
-    m = cells.mass
+    m, terms = cells.mass, model.row_terms(cells.X, cells.g, cells.groups)
     for w in np.asarray(weights, dtype=float).reshape(-1):
         penalty = SharePenalty(weight=float(w), scope=scope, group=group)
         # every group's shift, so that a target group without cells is
@@ -240,7 +240,7 @@ def share_frontier(model, population, weights, scope: str = POPULATION_SCOPE,
         ell = [penalty.effective(population.rho, g) for g in cells.groups]
         p = share_prices(model, cells.X, cells.g, cells.groups,
                          np.array(ell)[cells.g])
-        d = model.demand(cells.X, cells.g, p, cells.groups)
+        d = model.kernels(terms, p, "demand")[0]
         for k, g in enumerate(population.groups):
             mass, psum, dsum, rsum = cells.totals(k, m, m * p, m * d, m * p * d)
             if mass > 0.0:

@@ -56,6 +56,7 @@ from .demand import (
     LogisticDemand,
     Population,
     RecordTable,
+    _check_price,
     distinct_rows,
     first_hits,
     scipy_special,
@@ -457,8 +458,10 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
     # the prices written below replace any cached levels of older ones
     vars(table).pop("price_levels", None)
     if policy is not None:
-        # pricing draws no random numbers, so batching it keeps the RNG stream
-        table.price[:] = policy.price_batch(table.X, table.codes, table.labels)
+        # pricing draws no random numbers, so batching it keeps the RNG
+        # stream; the model's price rule holds before any column changes
+        table.price[:] = _check_price(model, policy.price_batch(
+            table.X, table.codes, table.labels))
         u = rng.random(n) if logistic else None
     elif not logistic:
         table.price[:] = levels[rng.integers(len(levels), size=n)]
@@ -471,7 +474,8 @@ def log_interactions(config: ScenarioConfig, population: Population, rng,
             u[i] = rng.random()
         table.price[:] = levels[level]
     if logistic:
-        rate = model.demand(table.X, table.codes, table.price, table.labels)
+        terms = model.row_terms(table.X, table.codes, table.labels)
+        rate = model.kernels(terms, table.price, "demand")[0]
         table.demand[:] = u < rate
     else:
         table.demand[:] = table.valuation >= table.price
@@ -816,7 +820,7 @@ class _KernelLog:
         self.width = float(self.price.max() - self.price.min())
 
     def weights(self, target) -> tuple:
-        """``(value, imp, total, squares)``: the :func:`ope_value` estimate at
+        """``(value, imp, total, squares)``: the :func:`ope_estimate` value at
         the ``target`` prices, the importance weight of each record, their
         sum and the sum of their squares. Raises when the weights overflow (a
         bandwidth too narrow for floats) and when every weight vanishes."""
@@ -887,12 +891,6 @@ def ope_estimate(records: RecordTable, policy,
             "max_weight_share": float(imp.max() / total)}
 
 
-def ope_value(records: RecordTable, policy,
-              config: OPEConfig | None = None) -> float:
-    """The ``value`` of :func:`ope_estimate`."""
-    return ope_estimate(records, policy, config)["value"]
-
-
 def check_n_boot(n_boot) -> None:
     """Raise MissingFieldError unless ``n_boot >= 2``."""
     if n_boot < 2:
@@ -901,26 +899,31 @@ def check_n_boot(n_boot) -> None:
 
 def ope_bootstrap_se(records: RecordTable, policy,
                      config: OPEConfig | None = None, n_boot: int = 200,
-                     seed: int = 0) -> float:
-    """Bootstrap standard error of :func:`ope_value` over record resamples,
-    skipping those with an empty kernel window or one logged price. The log
-    is priced once; a resample gathers its records' columns and prices."""
+                     seed: int = 0) -> tuple:
+    """``(std_error, skipped)``: the bootstrap standard error of the
+    :func:`ope_estimate` value over record resamples, and how many resamples
+    it skipped by cause, ``{"empty_window": k, "tied_prices": m}`` (an empty
+    kernel window; logged prices that all tie). The log is priced once; a
+    resample gathers its records' columns and prices."""
     check_n_boot(n_boot)
     log = _kernel_log(records, config)
     target = policy.price_batch(records.X, records.codes, records.labels)
     levels, rng, values = records.price_levels[0], np.random.default_rng(seed), []
+    skipped = {"empty_window": 0, "tied_prices": 0}
     for _ in range(n_boot):
         idx = rng.integers(0, len(target), size=len(target))
         sample = _KernelLog(levels, log.level_of[idx], log.demand[idx],
                             log.weight[idx], log.given, log.config)
-        if sample.width > 0.0:
-            try:
-                values.append(sample.weights(target[idx])[0])
-            except EmptyWeightError:
-                pass
+        if not sample.width > 0.0:
+            skipped["tied_prices"] += 1
+            continue
+        try:
+            values.append(sample.weights(target[idx])[0])
+        except EmptyWeightError:
+            skipped["empty_window"] += 1
     if len(values) < 2:
         raise EmptyWeightError("bootstrap produced no usable resamples")
-    return float(np.std(np.asarray(values), ddof=1))
+    return float(np.std(np.asarray(values), ddof=1)), skipped
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import InvalidRecordError, MissingFieldError
 
 
 def fmt_float(x: float) -> str:
-    """Shortest round-trip decimal form, '' for None. Used by every CSV writer."""
+    """Shortest round-trip decimal form, '' for None (CLI tables and notes)."""
     return "" if x is None else repr(float(x))
 
 

@@ -272,10 +272,9 @@ def loop_maximize_revenue(curve, lo, hi, grid_n, shift, tol=1e-8):
     def objective(p):
         return (p - shift) * curve(p)
 
-    probe = np.array([objective(p) for p in np.linspace(lo, hi, 64)])
-    assert np.any(probe > 0.0)
     grid = np.linspace(lo, hi, grid_n)
     vals = np.array([objective(p) for p in grid])
+    assert np.any(vals > 0.0)
     k = int(np.argmax(vals))
     a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     if a == b:
@@ -757,7 +756,8 @@ def reference_attribute_blind_parity(model, population, gamma):
 # ---------------------------------------------------------------------------
 # Kernel OPE: the bootstrap and the linear policy search as they ran before
 # the log was priced once, verbatim apart from the names: every resample a
-# ``RecordTable.take`` and every search candidate an ``ope_value`` call
+# ``RecordTable.take`` and every search candidate an ``ope_estimate`` call,
+# and the bootstrap's skipped resamples counted at its two ``continue``s
 # ---------------------------------------------------------------------------
 
 from fairprice.errors import EmptyWeightError, MissingFieldError  # noqa: E402
@@ -770,18 +770,21 @@ def take_bootstrap_se(records, policy, config=None, n_boot=200, seed=0):
     table = records.require("price", "demand")
     rng = np.random.default_rng(seed)
     n = len(table)
-    values = []
+    values, skipped = [], {"empty_window": 0, "tied_prices": 0}
     for _ in range(n_boot):
         idx = rng.integers(0, n, size=n)
         if np.ptp(table.price[idx]) == 0.0:
+            skipped["tied_prices"] += 1
             continue
         try:
-            values.append(fp.ope_value(table.take(idx), policy, config))
+            values.append(fp.ope_estimate(table.take(idx), policy,
+                                          config)["value"])
         except EmptyWeightError:
+            skipped["empty_window"] += 1
             continue
     if len(values) < 2:
         raise EmptyWeightError("bootstrap produced no usable resamples")
-    return float(np.std(np.asarray(values), ddof=1))
+    return float(np.std(np.asarray(values), ddof=1)), skipped
 
 
 def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
@@ -799,7 +802,7 @@ def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
         policy = fp.LinearPolicy(theta=vec[1:], intercept=vec[0],
                                  clip_lo=lo, clip_hi=hi)
         try:
-            return fp.ope_value(table, policy, config)
+            return fp.ope_estimate(table, policy, config)["value"]
         except EmptyWeightError:
             return -math.inf
 

@@ -99,7 +99,7 @@ def test_criterion_01_closed_forms_match_bruteforce_oracle():
         for i in range(m):
             for j, g in enumerate(pop.groups):
                 worst_price = max(worst_price,
-                                  abs(sol.prices[(i, g)] - prices[i, j]))
+                                  abs(sol.price_array[i, j] - prices[i, j]))
         worst_revenue = max(
             worst_revenue,
             abs(fp.expected_revenue(sol.policy(), model, pop) - revenue))
@@ -118,7 +118,7 @@ def test_criterion_01_closed_forms_match_bruteforce_oracle():
             np.asarray(pop.masses), gamma)
         for i in range(m):
             worst_price = max(worst_price,
-                              abs(solb.prices[(i, None)] - prices_b[i]))
+                              abs(solb.price_array[i, 0] - prices_b[i]))
         worst_revenue = max(
             worst_revenue,
             abs(fp.expected_revenue(solb.policy(), model, pop) - revenue_b))
@@ -135,8 +135,7 @@ def test_criterion_01_closed_forms_match_bruteforce_oracle():
                         membership=[[0.5, 0.5]])
     sol = fp.solve_attribute_based_parity(model, pop, gamma=0.0)
     assert sol.lambda_star == pytest.approx(0.25, abs=1e-9)
-    assert sol.prices[(0, "a")] == pytest.approx(0.75, abs=1e-9)
-    assert sol.prices[(0, "b")] == pytest.approx(0.75, abs=1e-9)
+    assert sol.price_array[0].tolist() == pytest.approx([0.75, 0.75], abs=1e-9)
 
 
 def test_criterion_02_gamma_monotonicity_and_information_nesting():
@@ -377,8 +376,9 @@ price_levels = 0.8, 1.2, 1.6, 2.0
         p = one_price(policy, x)
         truth += float(pop.masses[i]) * p * one_customer(model, x, mix, p)
 
-    estimate = fp.ope_value(pop.records, policy, ope_cfg)
-    se = fp.ope_bootstrap_se(pop.records, policy, ope_cfg, n_boot=200, seed=1)
+    estimate = fp.ope_estimate(pop.records, policy, ope_cfg)["value"]
+    se, _ = fp.ope_bootstrap_se(pop.records, policy, ope_cfg, n_boot=200,
+                                seed=1)
     assert abs(estimate - truth) <= 3.0 * se
 
     result = fp.optimize_linear_policy(pop.records, ope_cfg, n_starts=6,
@@ -386,8 +386,8 @@ price_levels = 0.8, 1.2, 1.6, 2.0
     best_constant = -np.inf
     for c in np.linspace(0.8, 2.0, 121):
         try:
-            v = fp.ope_value(pop.records, fp.ConstantPolicy(float(c)),
-                             ope_cfg)
+            v = fp.ope_estimate(pop.records, fp.ConstantPolicy(float(c)),
+                                ope_cfg)["value"]
         except fp.EmptyWeightError:
             continue
         best_constant = max(best_constant, v)

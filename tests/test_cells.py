@@ -269,8 +269,8 @@ def test_row_maximizer_prices_each_row_as_alone(market, cost):
     cells = population.cells()
     interval = fp.PriceInterval(0.05, 3.0)
     many = maximize_rows(
-        lambda rows, p: (p - cost) * model.demand(cells.X[rows], cells.g[rows],
-                                                  p, cells.groups),
+        lambda rows, p: (p - cost) * model.kernels(model.row_terms(
+            cells.X[rows], cells.g[rows], cells.groups), p, "demand")[0],
         len(cells.g), interval)
     for j, (x, k) in enumerate(zip(cells.X, cells.g)):
         alone = maximize_rows(lambda rows, p: (p - cost) * one_customer(

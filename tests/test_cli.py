@@ -1683,3 +1683,5 @@ def test_ope_bootstrap_skips_a_resample_with_one_logged_price(tmp_path,
     blob = json.loads((tmp_path / "o" / "ope.json").read_text())
     assert blob["value"] == pytest.approx(0.72)
     assert blob["std_error"] > 0.0
+    # 64 of the 200 resamples log one price, and ope.json counts them
+    assert blob["skipped_resamples"] == {"empty_window": 0, "tied_prices": 64}

@@ -160,10 +160,7 @@ _KINDS = ("demand", "gradient", "curvature")
 
 
 def _per_call(model, kind):
-    """The ``kind`` kernel of ``model`` from the row terms of each call:
-    ``model.demand`` for demand."""
-    if kind == "demand":
-        return model.demand
+    """The ``kind`` kernel of ``model`` from the row terms of each call."""
     return lambda X, g, p, groups: model.kernels(
         model.row_terms(X, g, groups), p, kind)[0]
 
@@ -314,13 +311,23 @@ def test_kernels_from_hoisted_row_terms_match_per_call_kernels(case, data):
 @given(_kernel_cases(), st.sampled_from([-0.5, np.nan, np.inf]),
        st.sampled_from(_KINDS))
 def test_kernels_from_row_terms_raise_the_per_call_errors(case, bad, kind):
-    # a bad price, and a label the model lacks (logistic demand reads none)
+    # a bad price, a label the model lacks (logistic demand reads none), and
+    # both at once: the row terms come first, so their error wins
     model, X, g, groups, prices = case
-    for p, labels in ((np.append(prices, bad)[None], groups),
-                      (prices[None], ("a", "zz"))):
-        hoisted = _result(lambda: model.kernels(
-            model.row_terms(X, g, labels), p, kind)[0])
-        assert hoisted == _result(lambda: _per_call(model, kind)(X, g, p, labels))
+    finite = bool(np.isfinite(bad))
+    price_error = None if finite and isinstance(
+        model, fp.PartiallyLinearDemand) else (fp.InvalidRecordError, (
+            "price must be nonnegative for this demand family" if finite
+            else "price must be finite"))
+    row_error = None if isinstance(model, fp.LogisticDemand) or not (
+        g == 1).any() else (fp.UnknownGroupError, "unknown group 'zz'")
+    for p, labels, want in (
+            (np.append(prices, bad)[None], groups, price_error),
+            (prices[None], ("a", "zz"), row_error),
+            (np.append(prices, bad)[None], ("a", "zz"),
+             row_error or price_error)):
+        got = _outcome(lambda: _per_call(model, kind)(X, g, p, labels))
+        assert got == want if want else not isinstance(got, tuple)
 
 
 @settings(max_examples=300)
@@ -364,10 +371,10 @@ def test_kernels_check_groups_and_covariates_like_scalars():
                                (linear, ([0.0], "z"))):
         want = _outcome(lambda: one_customer(model, *scalar_args, 1.0))
         assert want == (fp.UnknownGroupError, "unknown group 'z'")
-        got = _outcome(lambda: model.demand(X[:, :len(scalar_args[0])],
-                                            [0, 1, 0], 1.0, ("a", "z")))
+        got = _outcome(lambda: model.row_terms(X[:, :len(scalar_args[0])],
+                                               [0, 1, 0], ("a", "z")))
         assert got == want
-    assert _outcome(lambda: latent.demand(np.zeros((2, 3)), [0, 0], 1.0, ("a",))) \
+    assert _outcome(lambda: latent.row_terms(np.zeros((2, 3)), [0, 0], ("a",))) \
         == _outcome(lambda: one_customer(latent, [0.0] * 3, "a", 1.0)) \
         == (fp.DimensionMismatchError, "location expects 2 covariates, got 3")
     # one customer: a (1, k) matrix and an np.intp code array, as Cells.g

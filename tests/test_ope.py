@@ -2,10 +2,11 @@
 
 ``ope_bootstrap_se`` prices the log once and gathers each resample;
 ``optimize_linear_policy`` prices each distinct covariate row once per
-candidate. Both must give the bits of the take-based bootstrap and the
-per-candidate ``ope_value`` search in ``tests/oracles.py``. A log that no
-resample or candidate can use fails when the context is built, with the
-error class and CLI ``error_code`` pinned here.
+candidate. Both must give the bits of the take-based bootstrap (and its
+counts of skipped resamples) and of the per-candidate ``ope_estimate``
+search in ``tests/oracles.py``. A log that no resample or candidate can use
+fails when the context is built, with the error class and CLI
+``error_code`` pinned here.
 """
 
 import json
@@ -102,9 +103,9 @@ def _cases(draw):
 def test_bootstrap_matches_the_take_based_oracle(case, n_boot, seed):
     log, config, policy = case
 
-    def bits(fn):
+    def bits(fn):  # an error's (type, message), or the bits and the counts
         got = _outcome(fn)
-        return got if isinstance(got, tuple) else _bits(got)
+        return got if isinstance(got[0], type) else (_bits(got[0]), got[1])
 
     assert bits(lambda: fp.ope_bootstrap_se(log, policy, config, n_boot, seed)) \
         == bits(lambda: take_bootstrap_se(log, policy, config, n_boot, seed))
@@ -200,7 +201,8 @@ def _all_tie_seed(log, n_boot):
 # 1e-308 overflows
 _LINEAR = fp.LinearPolicy(theta=[0.3], intercept=1.0, clip_lo=0.8, clip_hi=2.0)
 _ALL = {
-    "value": lambda log, policy, config: fp.ope_value(log, policy, config),
+    "value": lambda log, policy, config: fp.ope_estimate(
+        log, policy, config)["value"],
     "estimate": lambda log, policy, config: fp.ope_estimate(
         log, policy, config),
     "bootstrap": lambda log, policy, config: fp.ope_bootstrap_se(
@@ -248,6 +250,23 @@ def test_an_unpriceable_row_fails_before_any_resample(entry, policy, error,
     with pytest.raises(error) as info:
         _ALL[entry](_unpriced_log(), policy, fp.OPEConfig(bandwidth=0.5))
     assert info.value.code == code
+
+
+def test_the_bootstrap_counts_the_resamples_it_skips():
+    # only the records logged at 3 are in the kernel window of the price 3,
+    # so a resample without them has an empty window unless its prices tie
+    log, config = _tie_log((1, 1, 2, 2, 3, 3)), fp.OPEConfig(bandwidth=0.3)
+    rng, want = np.random.default_rng(0), {"empty_window": 0, "tied_prices": 0}
+    for _ in range(50):
+        price = log.price[rng.integers(0, len(log), size=len(log))]
+        if np.ptp(price) == 0.0:
+            want["tied_prices"] += 1
+        elif 3.0 not in price:
+            want["empty_window"] += 1
+    assert want["empty_window"] > 0 and sum(want.values()) <= 48
+    se, skipped = fp.ope_bootstrap_se(log, fp.ConstantPolicy(3.0), config,
+                                      n_boot=50, seed=0)
+    assert se > 0.0 and skipped == want
 
 
 def test_a_bootstrap_without_two_usable_resamples_fails():

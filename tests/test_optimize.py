@@ -45,8 +45,8 @@ def test_price_interval_validation():
 def _one_row(m, shift=0.0):
     """The revenue ``(p - shift) * D(p)`` of one customer without covariates
     in group "g", as a ``maximize_rows`` objective."""
-    return lambda rows, p: (p - shift) * m.demand(np.zeros((1, 0)), [0], p,
-                                                  ("g",))
+    terms = m.row_terms(np.zeros((1, 0)), [0], ("g",))
+    return lambda rows, p: (p - shift) * m.kernels(terms, p, "demand")[0]
 
 
 def test_maximize_rows_latent_curve():
@@ -87,6 +87,19 @@ def test_maximize_revenue_degenerate():
     with pytest.raises(fp.DegenerateDemandError):
         # net of a prohibitive cost the objective is everywhere negative
         maximize_rows(lambda rows, p: p - 5.0, 1, interval)
+
+
+def test_maximize_rows_refuses_a_row_only_when_its_grid_finds_no_gain():
+    # positive only where |p - 0.5| < 5e-4: between the points of a 64-point
+    # grid (31/63 and 32/63), but on 2047/4095 and 2048/4095 of the default
+    # 4096-point one
+    def bump(rows, p):
+        return 2.5e-7 - (p - 0.5) ** 2
+
+    (price,), (value,) = maximize_rows(bump, 1, fp.PriceInterval(0.0, 1.0))
+    assert price == pytest.approx(0.5, abs=1e-8) and value > 0.0
+    with pytest.raises(fp.DegenerateDemandError):
+        maximize_rows(bump, 1, fp.PriceInterval(0.0, 1.0, grid_n=64))
 
 
 def _two_point_population():

@@ -44,8 +44,7 @@ def test_hand_instance_attribute_based():
     model, pop = _hand_model_population()
     sol = fp.solve_attribute_based_parity(model, pop, gamma=0.0)
     assert sol.lambda_star == pytest.approx(0.25, abs=1e-9)
-    assert sol.prices[(0, "a")] == pytest.approx(0.75, abs=1e-9)
-    assert sol.prices[(0, "b")] == pytest.approx(0.75, abs=1e-9)
+    assert sol.price_array[0].tolist() == pytest.approx([0.75, 0.75], abs=1e-9)
     assert sol.achieved_disparity == pytest.approx(0.0, abs=1e-9)
     assert sol.unconstrained_disparity == pytest.approx(0.5, abs=1e-9)
 
@@ -70,8 +69,7 @@ def test_gamma_inf_is_unconstrained():
         assert sol.achieved_disparity == pytest.approx(
             sol.unconstrained_disparity)
     sol = fp.solve_attribute_based_parity(model, pop, gamma=np.inf)
-    assert sol.prices[(0, "a")] == pytest.approx(1.0)
-    assert sol.prices[(0, "b")] == pytest.approx(0.5)
+    assert sol.price_array[0].tolist() == pytest.approx([1.0, 0.5])
 
 
 def test_slack_constraint_is_inactive():
@@ -127,7 +125,7 @@ def test_attribute_based_matches_oracle(seed, gamma):
 
     for i in range(len(pop.support)):
         for j, g in enumerate(pop.groups):
-            assert abs(sol.prices[(i, g)] - prices[i, j]) < 1e-3, (i, g)
+            assert abs(sol.price_array[i, j] - prices[i, j]) < 1e-3, (i, g)
     got_rev = fp.expected_revenue(sol.policy(), model, pop)
     assert abs(got_rev - revenue) < 1e-5
     assert abs(sol.achieved_disparity) <= gamma + 1e-7
@@ -155,7 +153,7 @@ def test_attribute_blind_matches_oracle(seed, gamma):
 
     policy = sol.policy()
     for i in range(m):
-        got = sol.prices[(i, None)]  # one price per covariate cell
+        got = sol.price_array[i, 0]  # one price per covariate cell
         assert abs(got - prices[i]) < 1e-3
         # both group labels resolve to the cell price
         assert one_price(policy, pop.support[i], "a") == got
@@ -172,7 +170,7 @@ def _solve_outcome(solver, model, pop, gamma):
         sol = solver(model, pop, gamma)
     except fp.FairPriceError as exc:
         return type(exc), str(exc)
-    return (json_dumps_stable(sol.to_dict()), repr(list(sol.prices.items())),
+    return (json_dumps_stable(sol.to_dict()), repr(list(sol.policy().table.items())),
             repr(list(sol.parity_weights.items())), sol.oriented_groups)
 
 
@@ -304,9 +302,9 @@ def test_solution_dict_keeps_infinite_gamma_and_one_policy():
     assert '"gamma": "inf"' in json_dumps_stable(blob)
     # the solution prices through one tabular policy built from its table
     policy = sol.policy()
-    assert one_price(policy, [], "a") == sol.prices[(0, None)]
+    assert one_price(policy, [], "a") == sol.price_array[0, 0]
     assert policy.price_batch(np.zeros((2, 0)), [0, 1], ("a", "b")).tolist() == [
-        sol.prices[(0, None)]] * 2
+        sol.price_array[0, 0]] * 2
 
 
 def test_parity_rejects_latent_model():
@@ -548,7 +546,7 @@ def test_parity_prices_keep_the_cap(market, share):
         solution = _solved(solve, model, population, gamma)
         if solution is None:
             continue
-        prices = np.array(list(solution.prices.values()))
+        prices = solution.price_array
         assert abs(fp.policy_disparity(solution.policy(), population)) <= (
             gamma + 1e-9 * (1.0 + np.abs(prices).max()))
 
@@ -616,8 +614,7 @@ def test_a_zero_share_penalty_gives_the_uncapped_prices(market):
     n, groups = len(population.support), population.groups
     share = share_prices(model, population.support.repeat(2, 0), [0, 1] * n,
                          groups, [0.0] * (2 * n))
-    uncapped = np.array([solution.prices[i, g] for i in range(n)
-                         for g in groups])
+    uncapped = solution.price_array.ravel()
     assert np.all(np.abs(share - uncapped) <= 1e-12 * (1.0 + np.abs(uncapped)))
 
 

@@ -159,8 +159,9 @@ def test_share_prices_at_weight_zero_maximize_revenue(market):
     model, X, g, hi = market
     prices = fp.share.share_prices(model, X, g, ("a", "b"), np.zeros(len(X)))
     for r, p in enumerate(prices.tolist()):
-        best = _dense_argmax(lambda t: t * model.demand(
-            X[r:r + 1], g[r:r + 1], t[None], ("a", "b"))[0], 0.0, hi)
+        best = _dense_argmax(lambda t: t * model.kernels(model.row_terms(
+            X[r:r + 1], g[r:r + 1], ("a", "b")), t[None], "demand")[0][0],
+            0.0, hi)
         assert abs(p - best) <= 1e-6 * max(1.0, best), (r, p, best)
 
 

@@ -117,6 +117,31 @@ def test_log_interactions_under_policy():
     assert set(pop.records.price.tolist()) == {1.1}
 
 
+@pytest.mark.parametrize("demand", ["latent", "logistic"])
+@pytest.mark.parametrize("price, message", [
+    (-1.0, "price must be nonnegative for this demand family"),
+    (float("nan"), "price must be finite")])
+def test_log_interactions_refuses_a_bad_policy_price_before_any_change(
+        demand, price, message):
+    # both families check the policy's prices before a column is written or
+    # a take-up drawn
+    head, tail = SCENARIO.split("demand = latent")
+    text = SCENARIO if demand == "latent" else head + (
+        "demand = logistic\nbeta = -1.8\nintercept = 2.5\ngamma.x1 = 0.4\n"
+        + tail[tail.index("price_levels"):])
+    cfg = fp.ScenarioConfig.from_text(text)
+    rng = np.random.default_rng(3)
+    pop = fp.generate_population(cfg, rng)
+    fp.log_interactions(cfg, pop, rng)
+    table, state = pop.records, rng.bit_generator.state
+    before = [c.copy() for c in (table.price, table.demand, table.outcome)]
+    with pytest.raises(fp.InvalidRecordError, match=message):
+        fp.log_interactions(cfg, pop, rng, policy=fp.ConstantPolicy(price))
+    for old, new in zip(before, (table.price, table.demand, table.outcome)):
+        assert np.array_equal(old, new, equal_nan=True)
+    assert rng.bit_generator.state == state
+
+
 def test_relogged_prices_replace_the_cached_price_levels():
     cfg = fp.ScenarioConfig.from_text(SCENARIO)
     rng = np.random.default_rng(3)
@@ -465,7 +490,7 @@ def test_ope_constant_policy_at_level_is_exact_average():
     # than the kernel window, averages only that level's records
     cfg, pop, logged = _logged_scenario(seed=9, n=2000)
     target = fp.ConstantPolicy(1.2)
-    est = fp.ope_value(logged, target, fp.OPEConfig(bandwidth=0.3))
+    est = fp.ope_estimate(logged, target, fp.OPEConfig(bandwidth=0.3))["value"]
     want = 1.2 * np.mean(logged.demand[logged.price == 1.2])
     assert est == pytest.approx(want, abs=1e-12)
 
@@ -473,10 +498,11 @@ def test_ope_constant_policy_at_level_is_exact_average():
 def test_ope_level_masses_override():
     cfg, pop, logged = _logged_scenario(seed=9, n=1000)
     masses = {lvl: 0.25 for lvl in cfg.price_levels}
-    est_known = fp.ope_value(logged, fp.ConstantPolicy(1.2),
-                             fp.OPEConfig(bandwidth=0.3, level_masses=masses))
-    est_emp = fp.ope_value(logged, fp.ConstantPolicy(1.2),
-                           fp.OPEConfig(bandwidth=0.3))
+    est_known = fp.ope_estimate(
+        logged, fp.ConstantPolicy(1.2),
+        fp.OPEConfig(bandwidth=0.3, level_masses=masses))["value"]
+    est_emp = fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
+                              fp.OPEConfig(bandwidth=0.3))["value"]
     # self-normalization cancels a uniform mass constant
     assert est_known == pytest.approx(est_emp, rel=1e-9)
 
@@ -486,8 +512,8 @@ def test_ope_level_masses_missing_level_raises():
     masses = {0.8: 0.25, 1.2: 0.25, 1.6: 0.25}    # no entry for 2.0
     with pytest.raises(fp.MissingFieldError,
                        match="logged price 2 has no behavior mass"):
-        fp.ope_value(logged, fp.ConstantPolicy(1.2),
-                     fp.OPEConfig(bandwidth=0.3, level_masses=masses))
+        fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
+                        fp.OPEConfig(bandwidth=0.3, level_masses=masses))
 
 
 @pytest.mark.parametrize("self_normalize", [True, False])
@@ -498,8 +524,8 @@ def test_ope_value_invariant_to_weight_scale(self_normalize):
     ope_cfg = fp.OPEConfig(bandwidth=0.3, self_normalize=self_normalize)
     policy = fp.LinearPolicy(theta=np.array([0.4]), intercept=1.1,
                              clip_lo=0.8, clip_hi=2.0)
-    assert (fp.ope_value(doubled, policy, ope_cfg)
-            == fp.ope_value(logged, policy, ope_cfg))
+    assert (fp.ope_estimate(doubled, policy, ope_cfg)["value"]
+            == fp.ope_estimate(logged, policy, ope_cfg)["value"])
 
 
 def test_ope_estimate_diagnostics_on_one_level():
@@ -542,7 +568,7 @@ def test_ope_empty_window_raises():
     cfg, pop, logged = _logged_scenario(seed=9)
     lonely = fp.ConstantPolicy(12.0)  # far above every logged level
     with pytest.raises(fp.EmptyWeightError):
-        fp.ope_value(logged, lonely, fp.OPEConfig(bandwidth=0.05))
+        fp.ope_estimate(logged, lonely, fp.OPEConfig(bandwidth=0.05))
 
 
 def test_policy_search_with_no_usable_start_raises():
@@ -555,12 +581,13 @@ def test_policy_search_with_no_usable_start_raises():
 
 def test_ope_bootstrap_se_positive_and_stable():
     cfg, pop, logged = _logged_scenario(seed=9, n=1500)
-    se = fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
-                             fp.OPEConfig(bandwidth=0.3), n_boot=60, seed=4)
-    assert se > 0
-    se2 = fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
-                              fp.OPEConfig(bandwidth=0.3), n_boot=60, seed=4)
-    assert se == se2
+    se, skipped = fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
+                                      fp.OPEConfig(bandwidth=0.3), n_boot=60,
+                                      seed=4)
+    assert se > 0 and skipped == {"empty_window": 0, "tied_prices": 0}
+    assert fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
+                               fp.OPEConfig(bandwidth=0.3), n_boot=60,
+                               seed=4) == (se, skipped)
 
 
 def test_ope_config_validation():
@@ -585,7 +612,8 @@ def test_policy_search_beats_every_constant():
     result = fp.optimize_linear_policy(logged, ope_cfg, n_starts=4, seed=0)
     assert isinstance(result.policy, fp.LinearPolicy)
     for lvl in cfg.price_levels:
-        const = fp.ope_value(logged, fp.ConstantPolicy(lvl), ope_cfg)
+        const = fp.ope_estimate(logged, fp.ConstantPolicy(lvl),
+                                ope_cfg)["value"]
         assert result.value >= const - 1e-9, lvl
     # one trace row per start; the reported value is the best of them
     assert len(result.trace) == result.starts
@@ -610,10 +638,12 @@ def test_ope_bootstrap_skips_resamples_with_one_logged_price():
         dict(id=f"r{i}", group="a", covariates=[0.0], price=p, demand=d)
         for i, (p, d) in enumerate(zip([1, 1, 1, 1, 1, 2], [1, 0, 1, 1, 0, 1])))
     policy, config = fp.ConstantPolicy(1.2), fp.OPEConfig(bandwidth=0.5)
-    assert fp.ope_value(log, policy, config) == pytest.approx(0.72)
+    assert fp.ope_estimate(log, policy, config)["value"] == pytest.approx(0.72)
     rng = np.random.default_rng(3)
     kept = sum(np.ptp(log.price[rng.integers(0, len(log), size=len(log))]) > 0.0
                for _ in range(200))
     assert 100 < kept < 200
-    se = fp.ope_bootstrap_se(log, policy, config, n_boot=200, seed=3)
-    assert se == take_bootstrap_se(log, policy, config, n_boot=200, seed=3)
+    se, skipped = fp.ope_bootstrap_se(log, policy, config, n_boot=200, seed=3)
+    assert skipped == {"empty_window": 0, "tied_prices": 200 - kept}
+    assert (se, skipped) == take_bootstrap_se(log, policy, config, n_boot=200,
+                                              seed=3)

@@ -4,8 +4,8 @@
 renamed or deleted function would read 0 in every per-layer metric that
 depends on it. This resolves each target the way ``Tracer.install`` does.
 The retired targets name the one-customer functions that the row kernels
-replaced; each must stay absent, so that the set hides neither a typo nor a
-function that comes back.
+replaced and ``ope_value``, which ``ope_estimate`` holds; each must stay
+absent, so that the set hides neither a typo nor a function that comes back.
 """
 
 import importlib
@@ -26,6 +26,7 @@ RETIRED = {
     ("share", "solve_share_price"),
     ("optimize", "maximize_revenue_1d"),
     ("optimize", "golden_section_max"),
+    ("sim", "ope_value"),
 }
 
 
