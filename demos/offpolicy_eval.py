@@ -50,14 +50,13 @@ def main():
     print("\n== constant prices: estimate vs simulator truth ==")
     # window 0.15 * range(=1.2) = 0.18 stays inside one 0.2-spaced level,
     # so an on-grid target reuses exactly its own logged draws
-    narrow = fp.OPEConfig(bandwidth=0.15)
     print(f"{'price':>6} {'estimate':>9} {'truth':>7} {'std err':>8} "
           f"{'z':>6}")
     for level in (0.8, 1.2, 1.6, 2.0):
         policy = fp.ConstantPolicy(level)
-        est = fp.ope_estimate(records, policy, narrow)["value"]
-        se, _ = fp.ope_bootstrap_se(records, policy, narrow, n_boot=200,
-                                    seed=1)
+        est = fp.ope_estimate(records, policy, bandwidth=0.15)["value"]
+        se, _ = fp.ope_bootstrap_se(records, policy, bandwidth=0.15,
+                                    n_boot=200, seed=1)
         truth = true_value(model, pop, policy)
         z = (est - truth) / se
         print(f"{level:6.2f} {est:9.4f} {truth:7.4f} {se:8.4f} {z:+6.2f}")

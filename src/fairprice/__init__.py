@@ -90,7 +90,6 @@ from .share import (
     share_frontier,
 )
 from .sim import (
-    OPEConfig,
     PolicySearchResult,
     ScenarioConfig,
     generate_population,

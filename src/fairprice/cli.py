@@ -60,8 +60,8 @@ from .parity import (
 from .policies import TabularPolicy, policy_from_dict, policy_to_dict, table_rows
 from .share import GROUP_SCOPE, POPULATION_SCOPE, SharePenalty, share_frontier, share_prices
 from .sim import (
-    OPEConfig,
     ScenarioConfig,
+    check_bandwidth,
     check_n_boot,
     ope_bootstrap_se,
     ope_estimate,
@@ -332,24 +332,24 @@ def _cmd_ope(args, run) -> int:
         raise MissingFieldError("pass exactly one of --policy or --search")
     check_n_boot(args.n_boot)
     records = read_records_csv(args.records)
-    config = OPEConfig(bandwidth=args.bandwidth)
+    check_bandwidth(args.bandwidth)
     payload = {"bandwidth": args.bandwidth, "n_records": len(records),
                "n_boot": args.n_boot}
     if args.policy:
         policy = policy_from_dict(_load_json(args.policy, "policy"))
-        payload.update(ope_estimate(records, policy, config))
+        payload.update(ope_estimate(records, policy, args.bandwidth))
         note = "off-policy value {:.6g} (bootstrap se {:.3g})"
     else:
-        result = optimize_linear_policy(records, config, n_starts=args.n_starts,
-                                        seed=args.seed)
+        result = optimize_linear_policy(records, args.bandwidth,
+                                        n_starts=args.n_starts, seed=args.seed)
         policy = result.policy
-        payload.update(ope_estimate(records, policy, config),
-                       value=result.value, starts=result.starts,
+        payload.update(ope_estimate(records, policy, args.bandwidth),
+                       value=result.value, starts=len(result.trace),
                        trace=result.trace)
         note = (f"best linear policy value {{:.6g}} (bootstrap se {{:.3g}}, "
-                f"{result.starts} starts)")
-    se, skipped = ope_bootstrap_se(records, policy, config, n_boot=args.n_boot,
-                                   seed=args.seed)
+                f"{len(result.trace)} starts)")
+    se, skipped = ope_bootstrap_se(records, policy, args.bandwidth,
+                                   n_boot=args.n_boot, seed=args.seed)
     payload.update(policy=policy_to_dict(policy), std_error=se,
                    skipped_resamples=skipped)
     run.write("ope.json", json_dumps_stable(payload))

@@ -788,35 +788,16 @@ def run_pricing_experiment(model, population: Population,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OPEConfig:
-    """Kernel off-policy evaluation settings.
-
-    ``bandwidth`` is measured relative to the logged price range, so the
-    effective kernel width in price units is ``bandwidth * range``.
-    ``level_masses`` maps logged price level -> behavior probability; omit it
-    to plug in the empirical level frequencies.
-    """
-
-    bandwidth: float = 0.3
-    level_masses: dict | None = None
-    self_normalize: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.bandwidth < math.inf):
-            raise MissingFieldError("bandwidth must be positive and finite")
-
-
 class _KernelLog:
     """A log as kernel OPE reads it: each record's price (its index into the
-    logged ``levels``), demand, weight and behavior mass (from ``given``, one
-    per level, or the level frequencies when None), and the price range."""
+    logged ``levels``), demand, weight and behavior mass (its level's
+    weighted frequency), the price range and the ``bandwidth``."""
 
-    def __init__(self, levels, level_of, demand, weight, given, config):
-        self.level_of, self.given, self.config = level_of, given, config
+    def __init__(self, levels, level_of, demand, weight, bandwidth):
+        self.level_of, self.bandwidth = level_of, bandwidth
         self.price, self.demand, self.weight = levels[level_of], demand, weight
-        self.masses = (np.bincount(level_of, weights=weight) / weight.sum()
-                       if given is None else given)[level_of]
+        self.masses = (np.bincount(level_of, weights=weight)
+                       / weight.sum())[level_of]
         self.width = float(self.price.max() - self.price.min())
 
     def weights(self, target) -> tuple:
@@ -824,7 +805,7 @@ class _KernelLog:
         the ``target`` prices, the importance weight of each record, their
         sum and the sum of their squares. Raises when the weights overflow (a
         bandwidth too narrow for floats) and when every weight vanishes."""
-        p, h = self.price, self.config.bandwidth * self.width
+        p, h = self.price, self.bandwidth * self.width
         # overflows are caught below: a weight that is not finite makes the
         # sum inf or nan
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -834,61 +815,60 @@ class _KernelLog:
             total, squares = float(imp.sum()), float((imp * imp).sum())
             if not all(map(math.isfinite, (total, total * total, squares))):
                 raise MissingFieldError(
-                    f"bandwidth {self.config.bandwidth!r} is too narrow: the "
+                    f"bandwidth {self.bandwidth!r} is too narrow: the "
                     f"kernel weights overflow")
         if total <= 0.0:
             raise EmptyWeightError(
                 "no logged interaction falls inside the kernel window of the "
                 "target policy")
-        norm = total if self.config.self_normalize else self.weight.sum()
-        value = float((imp * (target * self.demand)).sum() / norm)
+        value = float((imp * (target * self.demand)).sum() / total)
         return value, imp, total, squares
 
 
-def _kernel_log(records: RecordTable, config) -> _KernelLog:
-    """The kernel OPE log of ``records``. Raises when a price or demand cell
-    is empty, when the logged prices all tie and when a logged level has no
-    behavior mass in ``config.level_masses``."""
-    config = config or OPEConfig()
+def _kernel_log(records: RecordTable, bandwidth: float) -> _KernelLog:
+    """The kernel OPE log of ``records``. Raises when the bandwidth is not
+    positive and finite, when a price or demand cell is empty and when the
+    logged prices all tie."""
+    check_bandwidth(bandwidth)
     table = records.require("price", "demand")
     levels, level_of = table.price_levels
     if levels.size < 2:
         raise MissingFieldError(
             "logged prices carry no variation; off-policy weights undefined")
-    given = None if config.level_masses is None else np.array(
-        [config.level_masses.get(float(v), 0.0) for v in levels])
     # the narrowest codes make the bootstrap's gathers cheap
-    log = _KernelLog(levels, level_of.astype(np.min_scalar_type(levels.size)),
-                     table.demand, table.weight, given, config)
-    if given is not None and np.any(log.masses <= 0.0):
-        bad = float(table.price[int(np.argmin(log.masses))])
-        raise MissingFieldError(f"logged price {bad:g} has no behavior mass")
-    return log
+    return _KernelLog(levels, level_of.astype(np.min_scalar_type(levels.size)),
+                      table.demand, table.weight, bandwidth)
 
 
 def ope_estimate(records: RecordTable, policy,
-                 config: OPEConfig | None = None) -> dict:
+                 bandwidth: float = 0.3) -> dict:
     """Kernel-smoothed off-policy estimate of a policy's expected revenue,
     with how much of the log its importance weights use.
 
     Each record is weighted by kernel proximity of its logged price to the
-    policy's price for that customer, divided by the behavior probability of
-    the logged level; the revenue signal is ``target price x logged demand``.
-    Self-normalization (the default) divides by the summed importance
-    weights, otherwise by the summed record weights. Raises when every kernel
-    weight vanishes (policy prices too far from the data).
+    policy's price for that customer (a kernel ``bandwidth`` times the logged
+    price range wide), divided by the weighted frequency of the logged level;
+    the revenue signal is ``target price x logged demand`` over the summed
+    weights. Raises when every kernel weight vanishes (policy prices too far
+    from the data).
 
     Returns ``value``, the estimate; ``ess``, the Kish effective sample size
     ``(sum imp)^2 / sum imp^2``; ``window_share``, the weighted share of
     records inside the kernel window (nonzero weight); and
     ``max_weight_share``, the largest single weight over the summed weights.
     """
-    value, imp, total, squares = _kernel_log(records, config).weights(
+    value, imp, total, squares = _kernel_log(records, bandwidth).weights(
         policy.price_batch(records.X, records.codes, records.labels))
     w = records.weight
     return {"value": value, "ess": total * total / squares,
             "window_share": float(w[imp > 0.0].sum() / w.sum()),
             "max_weight_share": float(imp.max() / total)}
+
+
+def check_bandwidth(bandwidth) -> None:
+    """Raise MissingFieldError unless ``bandwidth`` is positive and finite."""
+    if not (0.0 < bandwidth < math.inf):
+        raise MissingFieldError("bandwidth must be positive and finite")
 
 
 def check_n_boot(n_boot) -> None:
@@ -898,7 +878,7 @@ def check_n_boot(n_boot) -> None:
 
 
 def ope_bootstrap_se(records: RecordTable, policy,
-                     config: OPEConfig | None = None, n_boot: int = 200,
+                     bandwidth: float = 0.3, n_boot: int = 200,
                      seed: int = 0) -> tuple:
     """``(std_error, skipped)``: the bootstrap standard error of the
     :func:`ope_estimate` value over record resamples, and how many resamples
@@ -906,14 +886,14 @@ def ope_bootstrap_se(records: RecordTable, policy,
     kernel window; logged prices that all tie). The log is priced once; a
     resample gathers its records' columns and prices."""
     check_n_boot(n_boot)
-    log = _kernel_log(records, config)
+    log = _kernel_log(records, bandwidth)
     target = policy.price_batch(records.X, records.codes, records.labels)
     levels, rng, values = records.price_levels[0], np.random.default_rng(seed), []
     skipped = {"empty_window": 0, "tied_prices": 0}
     for _ in range(n_boot):
         idx = rng.integers(0, len(target), size=len(target))
         sample = _KernelLog(levels, log.level_of[idx], log.demand[idx],
-                            log.weight[idx], log.given, log.config)
+                            log.weight[idx], log.bandwidth)
         if not sample.width > 0.0:
             skipped["tied_prices"] += 1
             continue
@@ -936,7 +916,6 @@ class PolicySearchResult:
     policy: LinearPolicy
     value: float
     trace: list
-    starts: int
 
 
 # times the policy search halves its pattern step
@@ -944,7 +923,7 @@ _SEARCH_HALVINGS = 6
 
 
 def optimize_linear_policy(records: RecordTable,
-                           config: OPEConfig | None = None,
+                           bandwidth: float = 0.3,
                            clip_lo: float | None = None,
                            clip_hi: float | None = None,
                            n_starts: int = 16,
@@ -960,7 +939,7 @@ def optimize_linear_policy(records: RecordTable,
     """
     if n_starts < 1:
         raise MissingFieldError("n_starts must be at least 1")
-    log = _kernel_log(records, config)
+    log = _kernel_log(records, bandwidth)
     prices = records.price_levels[0].tolist()
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
@@ -1010,4 +989,4 @@ def optimize_linear_policy(records: RecordTable,
     policy = LinearPolicy(theta=best_vec[1:], intercept=float(best_vec[0]),
                           clip_lo=lo, clip_hi=hi)
     return PolicySearchResult(policy=policy, value=float(best_val),
-                              trace=trace, starts=len(starts))
+                              trace=trace)

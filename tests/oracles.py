@@ -195,11 +195,11 @@ def loop_weighted_mean(values, weights):
 # ---------------------------------------------------------------------------
 #
 # Cell-by-cell reference loops, one customer at a time (``one_price``,
-# ``one_customer``, ``formula_baseline`` and the like) and accumulating in
+# ``customer``, ``formula_baseline`` and the like) and accumulating in
 # cell order, so an array path that keeps the order matches them bit for bit.
 
 import fairprice as fp  # noqa: E402
-from tables import one_customer, one_price  # noqa: E402
+from tables import customer, one_customer, one_price  # noqa: E402
 
 _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -295,13 +295,13 @@ def loop_share_price(model, x, group, ell):
         x = np.asarray(x, dtype=float)
         center = max(-(model.gamma @ x + model.intercept) / model.beta, 0.0)
     lo_min = max(0.0, -ell) + (1e-9 if ell < 0.0 else 0.0)
+    kernel = customer(model, x, group)
 
     def objective(p):
-        return (p + ell) * one_customer(model, x, group, p)
+        return (p + ell) * kernel(p)
 
     def foc(p):
-        return (one_customer(model, x, group, p)
-                + (p + ell) * one_customer(model, x, group, p, "gradient"))
+        return kernel(p) + (p + ell) * kernel(p, "gradient")
 
     grid = np.linspace(lo_min, max(center + 10.0 * spread,
                                    lo_min + 10.0 * spread), 2001)
@@ -322,8 +322,8 @@ def loop_share_price(model, x, group, ell):
             b = p
         if b - a < 1e-12 * max(1.0, abs(p)):
             return float(0.5 * (a + b))
-        slope = (2.0 * one_customer(model, x, group, p, "gradient")
-                 + (p + ell) * one_customer(model, x, group, p, "curvature"))
+        slope = (2.0 * kernel(p, "gradient")
+                 + (p + ell) * kernel(p, "curvature"))
         if slope != 0.0 and a < p - fp_ / slope < b:
             p = p - fp_ / slope
             continue
@@ -357,23 +357,23 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
     """Uniform, per-group and per-cell prices, then revenue, margin, access
     and mean price per scheme; histograms are left out."""
     cells = loop_cells(population)
+    demand = [customer(model, x, g) for _, _, g, x in cells]
 
-    def curve_of(sub):
-        return lambda p: sum(w * one_customer(model, x, g, p)
-                             for w, _, g, x in sub)
+    def curve_of(members):
+        return lambda p: sum(cells[j][0] * demand[j](p) for j in members)
 
     prices = {"uniform": {}, "group": {}, "personalized": {}}
-    uniform = loop_maximize_revenue(curve_of(cells), lo, hi, grid_n, cost)
+    uniform = loop_maximize_revenue(curve_of(range(len(cells))), lo, hi,
+                                    grid_n, cost)
     for g in sorted({c[2] for c in cells}):
-        sub = [c for c in cells if c[2] == g]
-        prices["group"][g] = loop_maximize_revenue(curve_of(sub), lo, hi,
+        members = [j for j, c in enumerate(cells) if c[2] == g]
+        prices["group"][g] = loop_maximize_revenue(curve_of(members), lo, hi,
                                                    grid_n, cost)
     for j, (_, _, g, x) in enumerate(cells):
         key = (tuple(float(v) for v in x), g)
         if key not in prices["personalized"]:
             prices["personalized"][key] = loop_maximize_revenue(
-                lambda p, x=x, g=g: one_customer(model, x, g, p),
-                lo, hi, grid_n, cost)
+                demand[j], lo, hi, grid_n, cost)
     price_of = {
         "uniform": lambda x, g: uniform,
         "group": lambda x, g: prices["group"][g],
@@ -384,9 +384,9 @@ def loop_pricing_experiment(model, population, lo, hi, grid_n=4096,
     for mode, rule in price_of.items():
         revenue = margin = 0.0
         stats = {}
-        for w, _, g, x in cells:
+        for (w, _, g, x), kernel in zip(cells, demand):
             p = rule(x, g)
-            d = one_customer(model, x, g, p)
+            d = kernel(p)
             revenue += w * p * d
             margin += w * (p - cost) * d
             acc = stats.setdefault(g, [0.0, 0.0, 0.0])
@@ -761,12 +761,11 @@ def reference_attribute_blind_parity(model, population, gamma):
 # ---------------------------------------------------------------------------
 
 from fairprice.errors import EmptyWeightError, MissingFieldError  # noqa: E402
-from fairprice.sim import _SEARCH_HALVINGS, OPEConfig, check_n_boot  # noqa: E402
+from fairprice.sim import _SEARCH_HALVINGS, check_n_boot  # noqa: E402
 
 
-def take_bootstrap_se(records, policy, config=None, n_boot=200, seed=0):
+def take_bootstrap_se(records, policy, bandwidth=0.3, n_boot=200, seed=0):
     check_n_boot(n_boot)
-    config = config or OPEConfig()
     table = records.require("price", "demand")
     rng = np.random.default_rng(seed)
     n = len(table)
@@ -778,7 +777,7 @@ def take_bootstrap_se(records, policy, config=None, n_boot=200, seed=0):
             continue
         try:
             values.append(fp.ope_estimate(table.take(idx), policy,
-                                          config)["value"])
+                                          bandwidth)["value"])
         except EmptyWeightError:
             skipped["empty_window"] += 1
             continue
@@ -787,11 +786,10 @@ def take_bootstrap_se(records, policy, config=None, n_boot=200, seed=0):
     return float(np.std(np.asarray(values), ddof=1)), skipped
 
 
-def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
-                            n_starts=16, seed=0):
+def candidate_policy_search(records, bandwidth=0.3, clip_lo=None,
+                            clip_hi=None, n_starts=16, seed=0):
     if n_starts < 1:
         raise MissingFieldError("n_starts must be at least 1")
-    config = config or OPEConfig()
     table = records.require("price", "demand")
     prices = table.price_levels[0].tolist()
     lo = min(prices) if clip_lo is None else float(clip_lo)
@@ -802,7 +800,7 @@ def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
         policy = fp.LinearPolicy(theta=vec[1:], intercept=vec[0],
                                  clip_lo=lo, clip_hi=hi)
         try:
-            return fp.ope_estimate(table, policy, config)["value"]
+            return fp.ope_estimate(table, policy, bandwidth)["value"]
         except EmptyWeightError:
             return -math.inf
 
@@ -846,7 +844,7 @@ def candidate_policy_search(records, config=None, clip_lo=None, clip_hi=None,
     policy = fp.LinearPolicy(theta=best_vec[1:], intercept=float(best_vec[0]),
                              clip_lo=lo, clip_hi=hi)
     return fp.PolicySearchResult(policy=policy, value=float(best_val),
-                                 trace=trace, starts=len(starts))
+                                 trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -34,23 +34,33 @@ def tabular_policy(support, table) -> fp.TabularPolicy:
                    for (i, a), price in table.items()]})
 
 
-def one_customer(model, x, group, p, kind="demand"):
-    """The ``kind`` kernel ("demand", "gradient" or "curvature") of
-    ``model`` for one customer at covariates ``x`` in ``group``, at price
-    ``p``, from the row terms of the one-row matrix of ``x``: a float at one
-    price, an array at a 1-D array of prices. A ``{label: weight}`` mixture
-    adds ``weight * kernel`` over its groups, starting from zeros; logistic
-    demand takes no group."""
+def customer(model, x, group):
+    """``kernel(p, kind="demand")``: the ``kind`` kernel ("demand",
+    "gradient" or "curvature") of ``model`` for one customer at covariates
+    ``x`` in ``group``, at price ``p``, from the row terms of the one-row
+    matrix of ``x``, computed once per label: a float at one price, an array
+    at a 1-D array of prices. A ``{label: weight}`` mixture adds ``weight *
+    kernel`` over its groups, starting from zeros; logistic demand takes no
+    group."""
     X = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    mixture = isinstance(group, dict) and not isinstance(model, fp.LogisticDemand)
+    parts = [(w, model.row_terms(X, [0], (g,)))
+             for g, w in (group.items() if mixture else [(group, None)])]
 
-    def alone(label):
-        return model.kernels(model.row_terms(X, [0], (label,)), p, kind)[0]
+    def kernel(p, kind="demand"):
+        if mixture:
+            out = sum((w * model.kernels(terms, p, kind)[0]
+                       for w, terms in parts), np.zeros(np.shape(p)))
+        else:
+            out = model.kernels(parts[0][1], p, kind)[0]
+        return float(out[0]) if np.ndim(p) == 0 else out
 
-    if isinstance(group, dict) and not isinstance(model, fp.LogisticDemand):
-        out = sum((w * alone(g) for g, w in group.items()), np.zeros(np.shape(p)))
-    else:
-        out = alone(group)
-    return float(out[0]) if np.ndim(p) == 0 else out
+    return kernel
+
+
+def one_customer(model, x, group, p, kind="demand"):
+    """``customer(model, x, group)(p, kind)``, for a single call."""
+    return customer(model, x, group)(p, kind)
 
 
 def one_price(policy, x, a=None) -> float:

@@ -364,7 +364,6 @@ price_levels = 0.8, 1.2, 1.6, 2.0
 """
     cfg = fp.ScenarioConfig.from_text(scenario)
     model, pop = fp.simulate(cfg, seed=9)
-    ope_cfg = fp.OPEConfig(bandwidth=0.3)
     policy = fp.LinearPolicy(theta=np.array([0.4]), intercept=1.2,
                              clip_lo=0.8, clip_hi=2.0)
 
@@ -376,18 +375,18 @@ price_levels = 0.8, 1.2, 1.6, 2.0
         p = one_price(policy, x)
         truth += float(pop.masses[i]) * p * one_customer(model, x, mix, p)
 
-    estimate = fp.ope_estimate(pop.records, policy, ope_cfg)["value"]
-    se, _ = fp.ope_bootstrap_se(pop.records, policy, ope_cfg, n_boot=200,
+    estimate = fp.ope_estimate(pop.records, policy, 0.3)["value"]
+    se, _ = fp.ope_bootstrap_se(pop.records, policy, 0.3, n_boot=200,
                                 seed=1)
     assert abs(estimate - truth) <= 3.0 * se
 
-    result = fp.optimize_linear_policy(pop.records, ope_cfg, n_starts=6,
+    result = fp.optimize_linear_policy(pop.records, 0.3, n_starts=6,
                                        seed=0)
     best_constant = -np.inf
     for c in np.linspace(0.8, 2.0, 121):
         try:
             v = fp.ope_estimate(pop.records, fp.ConstantPolicy(float(c)),
-                                ope_cfg)["value"]
+                                0.3)["value"]
         except fp.EmptyWeightError:
             continue
         best_constant = max(best_constant, v)

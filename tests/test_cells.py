@@ -17,7 +17,8 @@ from oracles import (
     loop_pricing_experiment,
     loop_share_frontier,
 )
-from tables import one_customer, one_price, record_table, tabular_policy
+from tables import (customer, one_customer, one_price, record_table,
+                    tabular_policy)
 
 GROUPS = ("a", "b")
 
@@ -273,8 +274,9 @@ def test_row_maximizer_prices_each_row_as_alone(market, cost):
             cells.X[rows], cells.g[rows], cells.groups), p, "demand")[0],
         len(cells.g), interval)
     for j, (x, k) in enumerate(zip(cells.X, cells.g)):
-        alone = maximize_rows(lambda rows, p: (p - cost) * one_customer(
-            model, x, cells.groups[k], p[0]), 1, interval)
+        demand = customer(model, x, cells.groups[k])
+        alone = maximize_rows(lambda rows, p: (p - cost) * demand(p[0]), 1,
+                              interval)
         assert (many[0][j], many[1][j]) == (alone[0][0], alone[1][0])
 
 
@@ -296,9 +298,9 @@ def _near_duplicate_market(groups=None, **support):
     interval = fp.PriceInterval(0.05, 4.0)
 
     def alone(x, g):
-        return maximize_rows(
-            lambda rows, p: p * one_customer(model, [x], g, p[0]), 1,
-            interval)[0][0]
+        demand = customer(model, [x], g)
+        return maximize_rows(lambda rows, p: p * demand(p[0]), 1,
+                             interval)[0][0]
     return fp.run_pricing_experiment(model, pop, interval)["personalized"], alone
 
 

@@ -797,6 +797,24 @@ def test_ope_rejects_a_bandwidth_whose_kernel_weights_overflow(
     assert not (out / "ope.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--policy", "policy.json", "--bandwidth", "nan"],
+    ["--search", "--n-starts", "0", "--bandwidth", "0"],
+], ids=["invalid_policy_json", "search_without_starts"])
+def test_ope_checks_the_bandwidth_before_the_policy_and_the_starts(
+        tmp_path, sim_dir, capsys, monkeypatch, flags):
+    # the bandwidth is checked once the records are read, so its error wins
+    # over a policy file that is not JSON and over --n-starts 0
+    (tmp_path / "policy.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path)
+    code = main(["ope", "--records", str(sim_dir / "records.csv"), *flags,
+                 "--out-dir", str(tmp_path / "x"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "bandwidth must be positive and finite" in err
+    assert "error_code=missing_field" in err
+
+
 def test_simulate_without_membership_coefficients(tmp_path):
     """An intercept-only membership rule gives every support point the same
     membership row."""

@@ -9,6 +9,7 @@ fails when the context is built, with the error class and CLI
 ``error_code`` pinned here.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -45,12 +46,11 @@ def _rows(X, groups, price, demand, weight=None):
 
 @st.composite
 def _cases(draw):
-    """``(log, config, policy)``: a log of 4-30 records over one or two
+    """``(log, bandwidth, policy)``: a log of 4-30 records over one or two
     covariates drawn with signed zeros, in two groups, logged at two to four
     price levels (often all but one record at one level, so that many
-    resamples tie), with unit or non-unit weights; a config with a bandwidth
-    narrow enough to leave kernel windows empty or not, empirical or given
-    level masses, self-normalized or not; and a constant, group, tabular or
+    resamples tie), with unit or non-unit weights; a bandwidth narrow enough
+    to leave kernel windows empty or not; and a constant, group, tabular or
     linear policy that prices every record."""
     n, k = draw(st.integers(4, 30)), draw(st.integers(1, 2))
     X = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]),
@@ -68,14 +68,7 @@ def _cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weight = rng.uniform(0.25, 4.0, n).tolist() if draw(st.booleans()) else None
     log = record_table(_rows(X, groups, price, demand, weight))
-
-    masses = None
-    if draw(st.booleans()):
-        masses = {lvl: float(m) for lvl, m in zip(
-            LEVELS, rng.uniform(0.1, 1.0, len(LEVELS)))}
-    config = fp.OPEConfig(bandwidth=draw(st.sampled_from([0.02, 0.1, 0.3, 0.7])),
-                          level_masses=masses,
-                          self_normalize=draw(st.booleans()))
+    bandwidth = draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]))
 
     kind = draw(st.sampled_from(["constant", "group", "tabular", "linear"]))
     if kind == "constant":
@@ -95,20 +88,21 @@ def _cases(draw):
         policy = fp.LinearPolicy(theta=rng.normal(0.0, 0.5, k),
                                  intercept=float(rng.uniform(0.8, 2.0)),
                                  clip_lo=0.8, clip_hi=2.0)
-    return log, config, policy
+    return log, bandwidth, policy
 
 
 @given(case=_cases(), n_boot=st.integers(2, 12), seed=st.integers(0, 2**16))
 @settings(max_examples=200)
 def test_bootstrap_matches_the_take_based_oracle(case, n_boot, seed):
-    log, config, policy = case
+    log, bandwidth, policy = case
 
     def bits(fn):  # an error's (type, message), or the bits and the counts
         got = _outcome(fn)
         return got if isinstance(got[0], type) else (_bits(got[0]), got[1])
 
-    assert bits(lambda: fp.ope_bootstrap_se(log, policy, config, n_boot, seed)) \
-        == bits(lambda: take_bootstrap_se(log, policy, config, n_boot, seed))
+    assert bits(lambda: fp.ope_bootstrap_se(log, policy, bandwidth, n_boot,
+                                            seed)) \
+        == bits(lambda: take_bootstrap_se(log, policy, bandwidth, n_boot, seed))
 
 
 @given(case=_cases(), n_starts=st.integers(1, 5), seed=st.integers(0, 2**16),
@@ -116,15 +110,15 @@ def test_bootstrap_matches_the_take_based_oracle(case, n_boot, seed):
 @settings(max_examples=40)
 def test_policy_search_matches_the_per_candidate_oracle(case, n_starts, seed,
                                                         clip):
-    log, config, _ = case
+    log, bandwidth, _ = case
 
     def bits(search):
-        got = _outcome(lambda: search(log, config, *clip, n_starts=n_starts,
+        got = _outcome(lambda: search(log, bandwidth, *clip, n_starts=n_starts,
                                       seed=seed))
         if isinstance(got, tuple):
             return got
         p = got.policy
-        return (_bits(got.value), got.starts,
+        return (_bits(got.value),
                 [(row["start"], _bits(row["value"])) for row in got.trace],
                 [_bits(v) for v in p.theta], _bits(p.intercept),
                 p.clip_lo, p.clip_hi)
@@ -201,34 +195,31 @@ def _all_tie_seed(log, n_boot):
 # 1e-308 overflows
 _LINEAR = fp.LinearPolicy(theta=[0.3], intercept=1.0, clip_lo=0.8, clip_hi=2.0)
 _ALL = {
-    "value": lambda log, policy, config: fp.ope_estimate(
-        log, policy, config)["value"],
-    "estimate": lambda log, policy, config: fp.ope_estimate(
-        log, policy, config),
-    "bootstrap": lambda log, policy, config: fp.ope_bootstrap_se(
-        log, policy, config, n_boot=20),
-    "search": lambda log, policy, config: fp.optimize_linear_policy(
-        log, config, n_starts=2),
+    "value": lambda log, policy, bandwidth: fp.ope_estimate(
+        log, policy, bandwidth)["value"],
+    "estimate": lambda log, policy, bandwidth: fp.ope_estimate(
+        log, policy, bandwidth),
+    "bootstrap": lambda log, policy, bandwidth: fp.ope_bootstrap_se(
+        log, policy, bandwidth, n_boot=20),
+    "search": lambda log, policy, bandwidth: fp.optimize_linear_policy(
+        log, bandwidth, n_starts=2),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_ALL))
 @pytest.mark.parametrize("case, error, message", [
     ("no_variation", fp.MissingFieldError, "carry no variation"),
-    ("no_mass", fp.MissingFieldError, "logged price 2 has no behavior mass"),
     ("overflow", fp.MissingFieldError, "bandwidth 1e-308 is too narrow"),
 ])
 def test_a_log_no_estimate_can_use_fails_in_every_entry_point(entry, case,
                                                               error, message):
-    log, config = _tie_log(), fp.OPEConfig(bandwidth=0.5)
+    log, bandwidth = _tie_log(), 0.5
     if case == "no_variation":
         log = _tie_log((1.2,) * 6)
-    elif case == "no_mass":
-        config = fp.OPEConfig(bandwidth=0.5, level_masses={1.0: 0.5})
     else:
-        config = fp.OPEConfig(bandwidth=1e-308)
+        bandwidth = 1e-308
     with pytest.raises(error, match=message) as info:
-        _ALL[entry](log, _LINEAR, config)
+        _ALL[entry](log, _LINEAR, bandwidth)
     assert info.value.code == "missing_field"
 
 
@@ -248,14 +239,14 @@ def _unpriced_log():
 def test_an_unpriceable_row_fails_before_any_resample(entry, policy, error,
                                                       code):
     with pytest.raises(error) as info:
-        _ALL[entry](_unpriced_log(), policy, fp.OPEConfig(bandwidth=0.5))
+        _ALL[entry](_unpriced_log(), policy, 0.5)
     assert info.value.code == code
 
 
 def test_the_bootstrap_counts_the_resamples_it_skips():
     # only the records logged at 3 are in the kernel window of the price 3,
     # so a resample without them has an empty window unless its prices tie
-    log, config = _tie_log((1, 1, 2, 2, 3, 3)), fp.OPEConfig(bandwidth=0.3)
+    log = _tie_log((1, 1, 2, 2, 3, 3))
     rng, want = np.random.default_rng(0), {"empty_window": 0, "tied_prices": 0}
     for _ in range(50):
         price = log.price[rng.integers(0, len(log), size=len(log))]
@@ -264,22 +255,75 @@ def test_the_bootstrap_counts_the_resamples_it_skips():
         elif 3.0 not in price:
             want["empty_window"] += 1
     assert want["empty_window"] > 0 and sum(want.values()) <= 48
-    se, skipped = fp.ope_bootstrap_se(log, fp.ConstantPolicy(3.0), config,
+    se, skipped = fp.ope_bootstrap_se(log, fp.ConstantPolicy(3.0), 0.3,
                                       n_boot=50, seed=0)
     assert se > 0.0 and skipped == want
 
 
 def test_a_bootstrap_without_two_usable_resamples_fails():
-    log, config = _tie_log(), fp.OPEConfig(bandwidth=0.5)
+    log = _tie_log()
     # every resample ties
     with pytest.raises(fp.EmptyWeightError, match="no usable resamples"):
-        fp.ope_bootstrap_se(log, fp.ConstantPolicy(1.2), config, n_boot=3,
+        fp.ope_bootstrap_se(log, fp.ConstantPolicy(1.2), 0.5, n_boot=3,
                             seed=_all_tie_seed(log, 3))
     # every kernel window is empty
     with pytest.raises(fp.EmptyWeightError,
                        match="no usable resamples") as info:
-        fp.ope_bootstrap_se(log, fp.ConstantPolicy(12.0), config, n_boot=20)
+        fp.ope_bootstrap_se(log, fp.ConstantPolicy(12.0), 0.5, n_boot=20)
     assert info.value.code == "empty_weights"
+
+
+# -- record weights: a level's behavior mass is its weighted share of the log
+
+
+def _bits_of(got):
+    """The bits of every number an entry point returns."""
+    if isinstance(got, float):
+        return _bits(got)
+    if isinstance(got, dict):
+        return {key: _bits(v) for key, v in got.items()}
+    if isinstance(got, tuple):
+        return _bits(got[0]), got[1]
+    return (_bits(got.value),
+            [(row["start"], _bits(row["value"])) for row in got.trace],
+            [_bits(v) for v in got.policy.theta], _bits(got.policy.intercept))
+
+
+@pytest.mark.parametrize("entry", sorted(_ALL))
+def test_every_entry_point_reads_record_weights_as_relative(entry):
+    # scaling every weight by a power of two scales each level's summed
+    # weight, the log's total and every importance weight exactly, so the
+    # masses and the ratios over the summed weights keep their bits
+    log = _market_log(n=300)
+    weight = np.random.default_rng(1).uniform(0.25, 4.0, len(log))
+    weighted = dataclasses.replace(log, weight=weight)
+    scaled = dataclasses.replace(log, weight=8.0 * weight)
+    policy = fp.LinearPolicy(theta=[0.4, 0.1], intercept=1.2, clip_lo=0.8,
+                             clip_hi=2.0)
+    got = _bits_of(_ALL[entry](weighted, policy, 0.3))
+    assert _bits_of(_ALL[entry](scaled, policy, 0.3)) == got
+    # the weights are read: the unweighted log gives other numbers
+    assert _bits_of(_ALL[entry](log, policy, 0.3)) != got
+
+
+def test_a_record_of_weight_two_counts_as_two_copies():
+    prices, demand = [1, 1, 2, 2, 2], [1, 1, 1, 0, 0]
+    weighted = record_table(_rows([[0.0]] * 5, "a" * 5, prices, demand,
+                                  [2.0, 1.0, 1.0, 1.0, 1.0]))
+    copied = record_table(_rows([[0.0]] * 6, "a" * 6, [1, *prices],
+                                [1, *demand]))
+    policy = fp.ConstantPolicy(1.4)
+    value = fp.ope_estimate(weighted, policy, 0.9)["value"]
+    assert value == pytest.approx(
+        fp.ope_estimate(copied, policy, 0.9)["value"], rel=1e-12)
+    # by hand: both levels hold half the weight, so each record's importance
+    # weight is its weight times its Epanechnikov kernel at 1.4 over 1/2
+    h = 0.9
+    kernel = {p: 0.75 * (1.0 - ((1.4 - p) / h) ** 2) / h for p in (1, 2)}
+    imp = [w * kernel[p] / 0.5
+           for p, w in zip(prices, [2.0, 1.0, 1.0, 1.0, 1.0])]
+    assert value == pytest.approx(
+        sum(i * 1.4 * d for i, d in zip(imp, demand)) / sum(imp), rel=1e-12)
 
 
 def _run_ope(tmp_path, capsys, log, policy, *flags):

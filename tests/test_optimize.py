@@ -5,7 +5,7 @@ import fairprice as fp
 from fairprice.optimize import _TOL, golden_rows, maximize_rows
 
 from oracles import grid_argmax
-from tables import one_customer
+from tables import customer
 
 
 def test_monopoly_price_linear_matches_grid():
@@ -54,8 +54,8 @@ def test_maximize_rows_latent_curve():
                                 noise="logistic", scale=0.5)
     interval = fp.PriceInterval(0.01, 8.0)
     (p_star,), (v_star,) = maximize_rows(_one_row(m), 1, interval)
-    p_grid, v_grid = grid_argmax(lambda t: t * one_customer(m, [], "g", t),
-                                 0.01, 8.0)
+    demand = customer(m, [], "g")
+    p_grid, v_grid = grid_argmax(lambda t: t * demand(t), 0.01, 8.0)
     assert abs(p_star - p_grid) < 1e-4
     assert v_star >= v_grid - 1e-9
 
@@ -66,8 +66,8 @@ def test_maximize_rows_with_cost_shift():
     cost = 0.8
     interval = fp.PriceInterval(0.01, 8.0)
     (p_star,), _ = maximize_rows(_one_row(m, cost), 1, interval)
-    p_grid, v_grid = grid_argmax(
-        lambda t: (t - cost) * one_customer(m, [], "g", t), 0.01, 8.0)
+    demand = customer(m, [], "g")
+    p_grid, v_grid = grid_argmax(lambda t: (t - cost) * demand(t), 0.01, 8.0)
     assert abs(p_star - p_grid) < 1e-4
     # shifting the objective moves the optimum strictly up
     (p0,), _ = maximize_rows(_one_row(m), 1, interval)

@@ -10,7 +10,7 @@ from fairprice.cli import main
 from fairprice.demand import NOISE_FAMILIES
 
 from oracles import grid_argmax, loop_share_frontier, loop_share_price
-from tables import one_customer
+from tables import customer, one_customer
 
 
 def test_linear_demand_closed_form():
@@ -27,8 +27,8 @@ def test_latent_share_price_matches_grid(ell):
                                 noise="logistic", scale=0.5)
     p = fp.share.share_prices(m, [[]], [0], ("g",), [ell])[0]
     lo = max(1e-6, -ell + 1e-6)
-    p_grid, _ = grid_argmax(
-        lambda t: (t + ell) * one_customer(m, [], "g", t), lo, 8.0)
+    demand = customer(m, [], "g")
+    p_grid, _ = grid_argmax(lambda t: (t + ell) * demand(t), lo, 8.0)
     assert abs(p - p_grid) < 1e-4
 
 
@@ -37,8 +37,8 @@ def test_logistic_share_price_matches_grid(ell):
     m = fp.LogisticDemand(gamma=[0.5], beta=-1.4, intercept=0.8)
     x = [1.0]
     p = fp.share.share_prices(m, [x], [0], (None,), [ell])[0]
-    p_grid, _ = grid_argmax(
-        lambda t: (t + ell) * one_customer(m, x, None, t), 1e-6, 12.0)
+    demand = customer(m, x, None)
+    p_grid, _ = grid_argmax(lambda t: (t + ell) * demand(t), 1e-6, 12.0)
     assert abs(p - p_grid) < 1e-4
 
 
@@ -48,8 +48,8 @@ def test_share_price_under_a_large_tax_matches_grid():
     m = fp.LatentValuationModel(loc={"a": (2.0, [0.5])}, noise="logistic",
                                 scale=0.4)
     p = fp.share.share_prices(m, [[0.0]], [0], ("a",), [-150.0])[0]
-    p_grid, _ = grid_argmax(
-        lambda t: (t - 150.0) * one_customer(m, [0.0], "a", t), 150.0, 160.0)
+    demand = customer(m, [0.0], "a")
+    p_grid, _ = grid_argmax(lambda t: (t - 150.0) * demand(t), 150.0, 160.0)
     assert abs(p - p_grid) < 1e-6
 
 

@@ -490,42 +490,19 @@ def test_ope_constant_policy_at_level_is_exact_average():
     # than the kernel window, averages only that level's records
     cfg, pop, logged = _logged_scenario(seed=9, n=2000)
     target = fp.ConstantPolicy(1.2)
-    est = fp.ope_estimate(logged, target, fp.OPEConfig(bandwidth=0.3))["value"]
+    est = fp.ope_estimate(logged, target, 0.3)["value"]
     want = 1.2 * np.mean(logged.demand[logged.price == 1.2])
     assert est == pytest.approx(want, abs=1e-12)
 
 
-def test_ope_level_masses_override():
-    cfg, pop, logged = _logged_scenario(seed=9, n=1000)
-    masses = {lvl: 0.25 for lvl in cfg.price_levels}
-    est_known = fp.ope_estimate(
-        logged, fp.ConstantPolicy(1.2),
-        fp.OPEConfig(bandwidth=0.3, level_masses=masses))["value"]
-    est_emp = fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
-                              fp.OPEConfig(bandwidth=0.3))["value"]
-    # self-normalization cancels a uniform mass constant
-    assert est_known == pytest.approx(est_emp, rel=1e-9)
-
-
-def test_ope_level_masses_missing_level_raises():
-    cfg, pop, logged = _logged_scenario(seed=9, n=400)
-    masses = {0.8: 0.25, 1.2: 0.25, 1.6: 0.25}    # no entry for 2.0
-    with pytest.raises(fp.MissingFieldError,
-                       match="logged price 2 has no behavior mass"):
-        fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
-                        fp.OPEConfig(bandwidth=0.3, level_masses=masses))
-
-
-@pytest.mark.parametrize("self_normalize", [True, False])
-def test_ope_value_invariant_to_weight_scale(self_normalize):
+def test_ope_value_invariant_to_weight_scale():
     # record weights are relative: doubling all of them is the same log
     cfg, pop, logged = _logged_scenario(seed=9, n=1000)
     doubled = dataclasses.replace(logged, weight=2.0 * logged.weight)
-    ope_cfg = fp.OPEConfig(bandwidth=0.3, self_normalize=self_normalize)
     policy = fp.LinearPolicy(theta=np.array([0.4]), intercept=1.1,
                              clip_lo=0.8, clip_hi=2.0)
-    assert (fp.ope_estimate(doubled, policy, ope_cfg)["value"]
-            == fp.ope_estimate(logged, policy, ope_cfg)["value"])
+    assert (fp.ope_estimate(doubled, policy, 0.3)["value"]
+            == fp.ope_estimate(logged, policy, 0.3)["value"])
 
 
 def test_ope_estimate_diagnostics_on_one_level():
@@ -534,7 +511,7 @@ def test_ope_estimate_diagnostics_on_one_level():
     cfg, pop, logged = _logged_scenario(seed=9, n=2000)
     at_level = int(np.sum(logged.price == 1.2))
     diag = fp.ope_estimate(logged, fp.ConstantPolicy(1.2),
-                           fp.OPEConfig(bandwidth=0.3))
+                           0.3)
     assert diag["ess"] == pytest.approx(at_level, rel=1e-12)
     assert diag["window_share"] == at_level / len(logged)
     assert diag["max_weight_share"] == pytest.approx(1.0 / at_level,
@@ -547,7 +524,7 @@ def test_ope_estimate_diagnostics_match_direct_formulas():
         logged, weight=np.random.default_rng(0).uniform(0.5, 2.0, len(logged)))
     policy = fp.LinearPolicy(theta=np.array([0.5]), intercept=1.0,
                              clip_lo=0.8, clip_hi=2.0)
-    diag = fp.ope_estimate(weighted, policy, fp.OPEConfig(bandwidth=0.3))
+    diag = fp.ope_estimate(weighted, policy, 0.3)
     p, w = weighted.price, weighted.weight
     target = np.array([one_price(policy, x) for x in weighted.X])
     h = 0.3 * (p.max() - p.min())
@@ -568,7 +545,7 @@ def test_ope_empty_window_raises():
     cfg, pop, logged = _logged_scenario(seed=9)
     lonely = fp.ConstantPolicy(12.0)  # far above every logged level
     with pytest.raises(fp.EmptyWeightError):
-        fp.ope_estimate(logged, lonely, fp.OPEConfig(bandwidth=0.05))
+        fp.ope_estimate(logged, lonely, 0.05)
 
 
 def test_policy_search_with_no_usable_start_raises():
@@ -582,18 +559,24 @@ def test_policy_search_with_no_usable_start_raises():
 def test_ope_bootstrap_se_positive_and_stable():
     cfg, pop, logged = _logged_scenario(seed=9, n=1500)
     se, skipped = fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
-                                      fp.OPEConfig(bandwidth=0.3), n_boot=60,
+                                      0.3, n_boot=60,
                                       seed=4)
     assert se > 0 and skipped == {"empty_window": 0, "tied_prices": 0}
     assert fp.ope_bootstrap_se(logged, fp.ConstantPolicy(1.2),
-                               fp.OPEConfig(bandwidth=0.3), n_boot=60,
+                               0.3, n_boot=60,
                                seed=4) == (se, skipped)
 
 
-def test_ope_config_validation():
-    for bandwidth in (0.0, float("inf"), float("nan")):
-        with pytest.raises(fp.MissingFieldError):
-            fp.OPEConfig(bandwidth=bandwidth)
+def test_ope_bandwidth_validation():
+    cfg, pop, logged = _logged_scenario(seed=9)
+    policy = fp.ConstantPolicy(1.2)
+    for bandwidth in (0.0, -0.3, float("inf"), float("nan")):
+        for call in (lambda: fp.ope_estimate(logged, policy, bandwidth),
+                     lambda: fp.ope_bootstrap_se(logged, policy, bandwidth),
+                     lambda: fp.optimize_linear_policy(logged, bandwidth)):
+            with pytest.raises(fp.MissingFieldError,
+                               match="bandwidth must be positive and finite"):
+                call()
 
 
 def test_ope_counts_below_their_minimum_raise():
@@ -608,24 +591,21 @@ def test_ope_counts_below_their_minimum_raise():
 
 def test_policy_search_beats_every_constant():
     cfg, pop, logged = _logged_scenario(seed=21, n=1200)
-    ope_cfg = fp.OPEConfig(bandwidth=0.3)
-    result = fp.optimize_linear_policy(logged, ope_cfg, n_starts=4, seed=0)
+    result = fp.optimize_linear_policy(logged, 0.3, n_starts=4, seed=0)
     assert isinstance(result.policy, fp.LinearPolicy)
     for lvl in cfg.price_levels:
-        const = fp.ope_estimate(logged, fp.ConstantPolicy(lvl),
-                                ope_cfg)["value"]
+        const = fp.ope_estimate(logged, fp.ConstantPolicy(lvl), 0.3)["value"]
         assert result.value >= const - 1e-9, lvl
     # one trace row per start; the reported value is the best of them
-    assert len(result.trace) == result.starts
+    assert len(result.trace) == 4
     assert result.value == pytest.approx(
         max(row["value"] for row in result.trace))
 
 
 def test_policy_search_deterministic_under_seed():
     cfg, pop, logged = _logged_scenario(seed=21, n=600)
-    ope_cfg = fp.OPEConfig(bandwidth=0.3)
-    r1 = fp.optimize_linear_policy(logged, ope_cfg, n_starts=3, seed=5)
-    r2 = fp.optimize_linear_policy(logged, ope_cfg, n_starts=3, seed=5)
+    r1 = fp.optimize_linear_policy(logged, 0.3, n_starts=3, seed=5)
+    r2 = fp.optimize_linear_policy(logged, 0.3, n_starts=3, seed=5)
     assert r1.value == r2.value
     assert r1.policy.theta.tolist() == r2.policy.theta.tolist()
     assert r1.policy.intercept == r2.policy.intercept
@@ -637,13 +617,13 @@ def test_ope_bootstrap_skips_resamples_with_one_logged_price():
     log = record_table(
         dict(id=f"r{i}", group="a", covariates=[0.0], price=p, demand=d)
         for i, (p, d) in enumerate(zip([1, 1, 1, 1, 1, 2], [1, 0, 1, 1, 0, 1])))
-    policy, config = fp.ConstantPolicy(1.2), fp.OPEConfig(bandwidth=0.5)
-    assert fp.ope_estimate(log, policy, config)["value"] == pytest.approx(0.72)
+    policy = fp.ConstantPolicy(1.2)
+    assert fp.ope_estimate(log, policy, 0.5)["value"] == pytest.approx(0.72)
     rng = np.random.default_rng(3)
     kept = sum(np.ptp(log.price[rng.integers(0, len(log), size=len(log))]) > 0.0
                for _ in range(200))
     assert 100 < kept < 200
-    se, skipped = fp.ope_bootstrap_se(log, policy, config, n_boot=200, seed=3)
+    se, skipped = fp.ope_bootstrap_se(log, policy, 0.5, n_boot=200, seed=3)
     assert skipped == {"empty_window": 0, "tied_prices": 200 - kept}
-    assert (se, skipped) == take_bootstrap_se(log, policy, config, n_boot=200,
+    assert (se, skipped) == take_bootstrap_se(log, policy, 0.5, n_boot=200,
                                               seed=3)
