@@ -790,28 +790,57 @@ def run_pricing_experiment(model, population: Population,
 
 class _KernelLog:
     """A log as kernel OPE reads it: each record's price (its index into the
-    logged ``levels``), demand, weight and behavior mass (its level's
-    weighted frequency), the price range and the ``bandwidth``."""
+    sorted logged ``levels``), demand, weight and behavior mass (its level's
+    weighted frequency), the price range and the ``bandwidth``. A record's
+    kernel factor ``kernel((target - logged) / h) / h`` depends only on its
+    price class (the records one target price covers) and its level, so it
+    is evaluated once per (class, level) pair. Raises when the bandwidth is
+    not positive and finite, a price or demand cell is empty or the logged
+    prices all tie."""
 
-    def __init__(self, levels, level_of, demand, weight, bandwidth):
-        self.level_of, self.bandwidth = level_of, bandwidth
-        self.price, self.demand, self.weight = levels[level_of], demand, weight
-        self.masses = (np.bincount(level_of, weights=weight)
-                       / weight.sum())[level_of]
-        self.width = float(self.price.max() - self.price.min())
+    def __init__(self, records: RecordTable, bandwidth: float):
+        check_bandwidth(bandwidth)
+        table = records.require("price", "demand")
+        self.levels, level_of = table.price_levels
+        if self.levels.size < 2:
+            raise MissingFieldError(
+                "logged prices carry no variation; off-policy weights undefined")
+        # the narrowest codes make the bootstrap's gathers cheap
+        self.level_of = level_of.astype(np.min_scalar_type(self.levels.size))
+        self.demand, self.weight = table.demand, table.weight
+        self.masses = (np.bincount(level_of, weights=self.weight)
+                       / self.weight.sum())[level_of]
+        self.width = float(self.levels[-1] - self.levels[0])
+        self.bandwidth = bandwidth
 
-    def weights(self, target) -> tuple:
-        """``(value, imp, total, squares)``: the :func:`ope_estimate` value at
-        the ``target`` prices, the importance weight of each record, their
-        sum and the sum of their squares. Raises when the weights overflow (a
-        bandwidth too narrow for floats) and when every weight vanishes."""
-        p, h = self.price, self.bandwidth * self.width
-        # overflows are caught below: a weight that is not finite makes the
-        # sum inf or nan
+    def pairs(self, class_of) -> tuple:
+        """``(pair_class, pair_price, pair_of)``: each (class, level) pair in
+        the log and every record's pair code (``intp``: an index array of a
+        narrower dtype is cast on every gather)."""
+        keys, pair_of = np.unique(class_of * self.levels.size + self.level_of,
+                                  return_inverse=True)
+        pair_class, level = np.divmod(keys, self.levels.size)
+        return pair_class, self.levels[level], pair_of
+
+    def weighted(self, prices, pairs, width):
+        """Each record's weight times its kernel factor, the class ``c`` of
+        the :meth:`pairs` priced at ``prices[c]`` and the kernel ``bandwidth``
+        times ``width`` wide; :meth:`weights` catches an overflow."""
+        h = self.bandwidth * width
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u = (target - p) / h  # the Epanechnikov kernel's argument
-            kernel = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-            imp = self.weight * (kernel / h) / self.masses
+            u = (prices[pairs[0]] - pairs[1]) / h  # the kernel's argument
+            # Epanechnikov: 1 - u * u is negative or nan where not |u| <= 1
+            kernel = np.fmax(0.75 * (1.0 - u * u), 0.0)
+            return self.weight * (kernel / h)[pairs[2]]
+
+    def weights(self, weighted, masses, signal) -> tuple:
+        """``(value, imp, total, squares)``: the :func:`ope_estimate` value of
+        records of these :meth:`weighted` factors, behavior ``masses`` and
+        revenue ``signal`` (target price x demand), their importance weights,
+        the sum and the sum of squares. Raises when the weights overflow (a
+        bandwidth too narrow for floats) and when every weight vanishes."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            imp = weighted / masses
             total, squares = float(imp.sum()), float((imp * imp).sum())
             if not all(map(math.isfinite, (total, total * total, squares))):
                 raise MissingFieldError(
@@ -821,23 +850,8 @@ class _KernelLog:
             raise EmptyWeightError(
                 "no logged interaction falls inside the kernel window of the "
                 "target policy")
-        value = float((imp * (target * self.demand)).sum() / total)
+        value = float((imp * signal).sum() / total)
         return value, imp, total, squares
-
-
-def _kernel_log(records: RecordTable, bandwidth: float) -> _KernelLog:
-    """The kernel OPE log of ``records``. Raises when the bandwidth is not
-    positive and finite, when a price or demand cell is empty and when the
-    logged prices all tie."""
-    check_bandwidth(bandwidth)
-    table = records.require("price", "demand")
-    levels, level_of = table.price_levels
-    if levels.size < 2:
-        raise MissingFieldError(
-            "logged prices carry no variation; off-policy weights undefined")
-    # the narrowest codes make the bootstrap's gathers cheap
-    return _KernelLog(levels, level_of.astype(np.min_scalar_type(levels.size)),
-                      table.demand, table.weight, bandwidth)
 
 
 def ope_estimate(records: RecordTable, policy,
@@ -857,8 +871,12 @@ def ope_estimate(records: RecordTable, policy,
     records inside the kernel window (nonzero weight); and
     ``max_weight_share``, the largest single weight over the summed weights.
     """
-    value, imp, total, squares = _kernel_log(records, bandwidth).weights(
-        policy.price_batch(records.X, records.codes, records.labels))
+    log = _KernelLog(records, bandwidth)
+    target = policy.price_batch(records.X, records.codes, records.labels)
+    prices, class_of = np.unique(target, return_inverse=True)
+    value, imp, total, squares = log.weights(
+        log.weighted(prices, log.pairs(class_of), log.width), log.masses,
+        target * log.demand)
     w = records.weight
     return {"value": value, "ess": total * total / squares,
             "window_share": float(w[imp > 0.0].sum() / w.sum()),
@@ -883,22 +901,33 @@ def ope_bootstrap_se(records: RecordTable, policy,
     """``(std_error, skipped)``: the bootstrap standard error of the
     :func:`ope_estimate` value over record resamples, and how many resamples
     it skipped by cause, ``{"empty_window": k, "tied_prices": m}`` (an empty
-    kernel window; logged prices that all tie). The log is priced once; a
-    resample gathers its records' columns and prices."""
+    kernel window; logged prices that all tie). The log is priced and its
+    weighted kernel factors computed once, at its price range, for each
+    resample to gather; a resample that lacks the lowest or the highest
+    logged level has a narrower range and has them computed again."""
     check_n_boot(n_boot)
-    log = _kernel_log(records, bandwidth)
+    log = _KernelLog(records, bandwidth)
     target = policy.price_batch(records.X, records.codes, records.labels)
-    levels, rng, values = records.price_levels[0], np.random.default_rng(seed), []
+    prices, class_of = np.unique(target, return_inverse=True)
+    pairs, levels, signal = log.pairs(class_of), log.levels, target * log.demand
+    full = log.weighted(prices, pairs, log.width)
+    rng, values = np.random.default_rng(seed), []
     skipped = {"empty_window": 0, "tied_prices": 0}
     for _ in range(n_boot):
         idx = rng.integers(0, len(target), size=len(target))
-        sample = _KernelLog(levels, log.level_of[idx], log.demand[idx],
-                            log.weight[idx], log.bandwidth)
-        if not sample.width > 0.0:
+        level_of, weight = log.level_of[idx], log.weight[idx]
+        mass = np.bincount(level_of, weights=weight, minlength=levels.size)
+        present = np.flatnonzero(mass)  # weights are positive
+        width = float(levels[present[-1]] - levels[present[0]])
+        if not width > 0.0:
             skipped["tied_prices"] += 1
             continue
+        # a resample without the lowest or the highest level is narrower
+        weighted = (full if width == log.width
+                    else log.weighted(prices, pairs, width))[idx]
         try:
-            values.append(sample.weights(target[idx])[0])
+            values.append(log.weights(weighted, (mass / weight.sum())[level_of],
+                                      signal[idx])[0])
         except EmptyWeightError:
             skipped["empty_window"] += 1
     if len(values) < 2:
@@ -939,21 +968,23 @@ def optimize_linear_policy(records: RecordTable,
     """
     if n_starts < 1:
         raise MissingFieldError("n_starts must be at least 1")
-    log = _kernel_log(records, bandwidth)
+    log = _KernelLog(records, bandwidth)
     prices = records.price_levels[0].tolist()
     lo = min(prices) if clip_lo is None else float(clip_lo)
     hi = max(prices) if clip_hi is None else float(clip_hi)
     dim = records.X.shape[1]
     # the policy's own clip-range check, before a start is drawn in it
     LinearPolicy(theta=np.zeros(dim), intercept=lo, clip_lo=lo, clip_hi=hi)
-    rows, row_of = records.strata  # the blind policy prices each row once
+    rows, row_of = records.strata  # the blind policy's price classes
+    pairs = log.pairs(row_of)
 
     def evaluate(vec):
-        policy = LinearPolicy(theta=vec[1:], intercept=vec[0],
-                              clip_lo=lo, clip_hi=hi)
+        row_price = LinearPolicy(theta=vec[1:], intercept=vec[0], clip_lo=lo,
+                                 clip_hi=hi).price_batch(
+            rows, np.zeros(len(rows), np.intp), records.labels)
         try:
-            return log.weights(policy.price_batch(
-                rows, np.zeros(len(rows), np.intp), records.labels)[row_of])[0]
+            return log.weights(log.weighted(row_price, pairs, log.width),
+                               log.masses, row_price[row_of] * log.demand)[0]
         except EmptyWeightError:
             return -math.inf
 

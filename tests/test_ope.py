@@ -1,6 +1,8 @@
 """Kernel OPE on one per-log context, checked against the loops it replaced.
 
-``ope_bootstrap_se`` prices the log once and gathers each resample;
+The kernel is evaluated once per (price class, logged level) pair.
+``ope_bootstrap_se`` prices the log and weighs its records once and gathers
+each resample, weighing again only a resample with a narrower price range;
 ``optimize_linear_policy`` prices each distinct covariate row once per
 candidate. Both must give the bits of the take-based bootstrap (and its
 counts of skipped resamples) and of the per-candidate ``ope_estimate``
@@ -47,41 +49,67 @@ def _rows(X, groups, price, demand, weight=None):
 @st.composite
 def _cases(draw):
     """``(log, bandwidth, policy)``: a log of 4-30 records over one or two
-    covariates drawn with signed zeros, in two groups, logged at two to four
-    price levels (often all but one record at one level, so that many
-    resamples tie), with unit or non-unit weights; a bandwidth narrow enough
-    to leave kernel windows empty or not; and a constant, group, tabular or
-    linear policy that prices every record."""
+    covariates, drawn with signed zeros or with full mantissas (every record
+    its own stratum), in two groups, logged at two to four price levels
+    (often all but one record at one level, so that many resamples tie, or
+    one record at the lowest or highest of three or four levels, so that
+    many resamples have a narrower price range without tying), with unit or
+    non-unit weights; a bandwidth narrow enough to leave kernel windows empty
+    or not; and a constant (signed zeros included), group, tabular or linear
+    policy that prices every record, some of which give many rows one price
+    or give -0.0 to some records and 0.0 to others."""
     n, k = draw(st.integers(4, 30)), draw(st.integers(1, 2))
-    X = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]),
-                               min_size=k, max_size=k), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]),
+                                   min_size=k, max_size=k),
+                          min_size=n, max_size=n))
+    else:
+        X = rng.uniform(-1.0, 2.0, (n, k)).tolist()
     groups = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
     levels = draw(st.lists(st.sampled_from(LEVELS), min_size=2, max_size=4,
                            unique=True))
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(["one_off", "mixed", "rare_extreme"]))
+    if layout == "one_off":
         price = [levels[0]] * n
         price[draw(st.integers(0, n - 1))] = levels[1]
-    else:
+    elif layout == "mixed" or len(levels) < 3:
         price = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
         price[0], price[1] = levels[0], levels[1]
+    else:
+        inner = sorted(levels)
+        rare = inner.pop(draw(st.sampled_from([0, -1])))
+        price = draw(st.lists(st.sampled_from(inner), min_size=n, max_size=n))
+        price[0], price[1] = inner[0], inner[-1]
+        price[draw(st.integers(2, n - 1))] = rare
     demand = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weight = rng.uniform(0.25, 4.0, n).tolist() if draw(st.booleans()) else None
     log = record_table(_rows(X, groups, price, demand, weight))
     bandwidth = draw(st.sampled_from([0.02, 0.1, 0.3, 0.7]))
 
-    kind = draw(st.sampled_from(["constant", "group", "tabular", "linear"]))
+    support = np.unique(log.X, axis=0)
+    kind = draw(st.sampled_from(["constant", "zero", "group", "signed_zeros",
+                                 "tabular", "one_price", "linear"]))
     if kind == "constant":
         policy = fp.ConstantPolicy(float(draw(st.sampled_from(
             LEVELS + (1.0, 1.45)))))
+    elif kind == "zero":
+        policy = fp.ConstantPolicy(draw(st.sampled_from([0.0, -0.0])))
     elif kind == "group":
         policy = fp.GroupPolicy(prices={"a": float(rng.uniform(0.8, 2.0)),
                                         "b": draw(st.sampled_from(LEVELS))})
+    elif kind == "signed_zeros":
+        policy = fp.GroupPolicy(prices={"a": 0.0, "b": -0.0})
     elif kind == "tabular":
-        support = np.unique(log.X, axis=0)
         table = {(i, None): float(rng.uniform(0.8, 2.0))
                  for i in range(len(support))}
         table.update({(i, "b"): draw(st.sampled_from(LEVELS))
+                      for i in range(0, len(support), 2)})
+        policy = tabular_policy(support, table)
+    elif kind == "one_price":
+        one = draw(st.sampled_from(LEVELS + (1.45,)))
+        table = {(i, None): one for i in range(len(support))}
+        table.update({(i, "b"): draw(st.sampled_from([one, 1.0]))
                       for i in range(0, len(support), 2)})
         policy = tabular_policy(support, table)
     else:
@@ -137,24 +165,47 @@ def _market_log(n=600, seed=4):
 
 def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
         monkeypatch):
-    # a later edit that goes back to pricing every record per candidate or
-    # per resample shows here, though its outputs would not change
+    # a later edit that goes back to pricing every record, or to evaluating
+    # the kernel on every record, per candidate or per resample shows here,
+    # though its outputs would not change
     log = _market_log()
     sizes, price_batch = [], fp.LinearPolicy.price_batch
+    kernels, weighted = [], fp.sim._KernelLog.weighted
 
     def counted(self, X, g, groups):
         sizes.append(len(X))
         return price_batch(self, X, g, groups)
 
+    def counted_kernel(self, prices, pairs, width):
+        kernels.append((len(pairs[0]), width))
+        return weighted(self, prices, pairs, width)
+
     monkeypatch.setattr(fp.LinearPolicy, "price_batch", counted)
+    monkeypatch.setattr(fp.sim._KernelLog, "weighted", counted_kernel)
     fp.optimize_linear_policy(log, n_starts=2, seed=1)
     assert len(log.strata[0]) == 6
     assert len(sizes) > 20 and max(sizes) <= len(log.strata[0])
+    # one kernel evaluation per candidate, on at most strata x levels values
+    assert len(kernels) == len(sizes)
+    assert max(size for size, _ in kernels) <= 6 * len(LEVELS)
     sizes.clear()
+    kernels.clear()
     policy = fp.LinearPolicy(theta=[0.4, 0.1], intercept=1.2, clip_lo=0.8,
                              clip_hi=2.0)
     fp.ope_bootstrap_se(log, policy, n_boot=40)
     assert sizes == [len(log)]
+    # every resample holds the lowest and the highest level
+    assert [width for _, width in kernels] == [np.ptp(log.price)]
+    # once at the log's price range, then once per narrower resample
+    log = _tie_log((1, 2, 2, 2, 2, 3))
+    kernels.clear()
+    rng, want = np.random.default_rng(5), [2.0]
+    for _ in range(30):
+        width = np.ptp(log.price[rng.integers(0, len(log), size=len(log))])
+        want += [width] if 0.0 < width < 2.0 else []
+    assert len(want) > 5
+    fp.ope_bootstrap_se(log, fp.ConstantPolicy(2.0), 0.6, n_boot=30, seed=5)
+    assert [width for _, width in kernels] == want
 
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (float("nan"), 1.0),
