@@ -788,15 +788,22 @@ def run_pricing_experiment(model, population: Population,
 # ---------------------------------------------------------------------------
 
 
+# cells (rows x records) in a block of resamples or candidates, at least one row
+_BLOCK_CELLS = 2 ** 14
+
+
 class _KernelLog:
     """A log as kernel OPE reads it: each record's price (its index into the
     sorted logged ``levels``), demand, weight and behavior mass (its level's
     weighted frequency), the price range and the ``bandwidth``. A record's
     kernel factor ``kernel((target - logged) / h) / h`` depends only on its
     price class (the records one target price covers) and its level, so it
-    is evaluated once per (class, level) pair. Raises when the bandwidth is
-    not positive and finite, a price or demand cell is empty or the logged
-    prices all tie."""
+    is evaluated once per (class, level) pair. The methods take blocks of up
+    to :attr:`block` rows, one per resample or candidate, and sum each row;
+    a block is C-ordered, so that a row's sum has a one-row sum's bits (a
+    gather along a row uses ``take``: ``a[:, codes]`` is Fortran-ordered).
+    Raises when the bandwidth is not positive and finite, a price or demand
+    cell is empty or the logged prices all tie."""
 
     def __init__(self, records: RecordTable, bandwidth: float):
         check_bandwidth(bandwidth)
@@ -812,6 +819,7 @@ class _KernelLog:
                        / self.weight.sum())[level_of]
         self.width = float(self.levels[-1] - self.levels[0])
         self.bandwidth = bandwidth
+        self.block = max(1, _BLOCK_CELLS // len(level_of))  # rows
 
     def pairs(self, class_of) -> tuple:
         """``(pair_class, pair_price, pair_of)``: each (class, level) pair in
@@ -823,35 +831,39 @@ class _KernelLog:
         return pair_class, self.levels[level], pair_of
 
     def weighted(self, prices, pairs, width):
-        """Each record's weight times its kernel factor, the class ``c`` of
-        the :meth:`pairs` priced at ``prices[c]`` and the kernel ``bandwidth``
-        times ``width`` wide; :meth:`weights` catches an overflow."""
+        """Each record's weight times its kernel factor, per row of class
+        ``prices``: the class ``c`` of the :meth:`pairs` priced at ``prices[...,
+        c]`` and the kernel ``bandwidth`` times ``width`` wide."""
         h = self.bandwidth * width
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u = (prices[pairs[0]] - pairs[1]) / h  # the kernel's argument
+            u = (prices.take(pairs[0], axis=-1) - pairs[1]) / h  # the argument
             # Epanechnikov: 1 - u * u is negative or nan where not |u| <= 1
             kernel = np.fmax(0.75 * (1.0 - u * u), 0.0)
-            return self.weight * (kernel / h)[pairs[2]]
+            return self.weight * (kernel / h).take(pairs[2], axis=-1)
 
     def weights(self, weighted, masses, signal) -> tuple:
-        """``(value, imp, total, squares)``: the :func:`ope_estimate` value of
-        records of these :meth:`weighted` factors, behavior ``masses`` and
-        revenue ``signal`` (target price x demand), their importance weights,
-        the sum and the sum of squares. Raises when the weights overflow (a
-        bandwidth too narrow for floats) and when every weight vanishes."""
+        """``(imp, rows)``: the importance weights of these :meth:`weighted`
+        factors over behavior ``masses``, and each row's :meth:`value` input:
+        the value of revenue ``signal`` (target price x demand), the weights'
+        sum and their sum of squares, as floats."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             imp = weighted / masses
-            total, squares = float(imp.sum()), float((imp * imp).sum())
-            if not all(map(math.isfinite, (total, total * total, squares))):
-                raise MissingFieldError(
-                    f"bandwidth {self.bandwidth!r} is too narrow: the "
-                    f"kernel weights overflow")
+            total, squares = imp.sum(axis=1), (imp * imp).sum(axis=1)
+            value = (imp * signal).sum(axis=1) / total
+        return imp, zip(value.tolist(), total.tolist(), squares.tolist())
+
+    def value(self, value, total, squares) -> float:
+        """A row's :meth:`weights` ``value``; raises when its weights overflow
+        (a bandwidth too narrow for floats) and when they all vanish."""
+        if not all(map(math.isfinite, (total, total * total, squares))):
+            raise MissingFieldError(
+                f"bandwidth {self.bandwidth!r} is too narrow: the "
+                f"kernel weights overflow")
         if total <= 0.0:
             raise EmptyWeightError(
                 "no logged interaction falls inside the kernel window of the "
                 "target policy")
-        value = float((imp * signal).sum() / total)
-        return value, imp, total, squares
+        return value
 
 
 def ope_estimate(records: RecordTable, policy,
@@ -874,12 +886,13 @@ def ope_estimate(records: RecordTable, policy,
     log = _KernelLog(records, bandwidth)
     target = policy.price_batch(records.X, records.codes, records.labels)
     prices, class_of = np.unique(target, return_inverse=True)
-    value, imp, total, squares = log.weights(
-        log.weighted(prices, log.pairs(class_of), log.width), log.masses,
-        target * log.demand)
+    imp, ((value, total, squares),) = log.weights(  # a block of one row
+        log.weighted(prices[None], log.pairs(class_of), log.width),
+        log.masses, target * log.demand)
     w = records.weight
-    return {"value": value, "ess": total * total / squares,
-            "window_share": float(w[imp > 0.0].sum() / w.sum()),
+    return {"value": log.value(value, total, squares),
+            "ess": total * total / squares,
+            "window_share": float(w[imp[0] > 0.0].sum() / w.sum()),
             "max_weight_share": float(imp.max() / total)}
 
 
@@ -901,35 +914,40 @@ def ope_bootstrap_se(records: RecordTable, policy,
     """``(std_error, skipped)``: the bootstrap standard error of the
     :func:`ope_estimate` value over record resamples, and how many resamples
     it skipped by cause, ``{"empty_window": k, "tied_prices": m}`` (an empty
-    kernel window; logged prices that all tie). The log is priced and its
-    weighted kernel factors computed once, at its price range, for each
-    resample to gather; a resample that lacks the lowest or the highest
-    logged level has a narrower range and has them computed again."""
+    kernel window; logged prices that all tie). The log's weighted kernel
+    factors are computed once, at its price range; a resample without the
+    lowest or the highest level is narrower and has them computed again.
+    Resamples go ``b`` at a time: one ``(b, n)`` draw (``b`` draws of ``n``,
+    bit for bit), one ``bincount`` of their level masses and one pass over
+    the block. Ties are skipped; then, in order, an overflow raises and an
+    empty kernel window is skipped."""
     check_n_boot(n_boot)
     log = _KernelLog(records, bandwidth)
     target = policy.price_batch(records.X, records.codes, records.labels)
     prices, class_of = np.unique(target, return_inverse=True)
     pairs, levels, signal = log.pairs(class_of), log.levels, target * log.demand
     full = log.weighted(prices, pairs, log.width)
-    rng, values = np.random.default_rng(seed), []
+    rng, values, n = np.random.default_rng(seed), [], len(target)
     skipped = {"empty_window": 0, "tied_prices": 0}
-    for _ in range(n_boot):
-        idx = rng.integers(0, len(target), size=len(target))
-        level_of, weight = log.level_of[idx], log.weight[idx]
-        mass = np.bincount(level_of, weights=weight, minlength=levels.size)
-        present = np.flatnonzero(mass)  # weights are positive
-        width = float(levels[present[-1]] - levels[present[0]])
-        if not width > 0.0:
-            skipped["tied_prices"] += 1
-            continue
-        # a resample without the lowest or the highest level is narrower
-        weighted = (full if width == log.width
-                    else log.weighted(prices, pairs, width))[idx]
-        try:
-            values.append(log.weights(weighted, (mass / weight.sum())[level_of],
-                                      signal[idx])[0])
-        except EmptyWeightError:
-            skipped["empty_window"] += 1
+    for start in range(0, n_boot, log.block):
+        idx = rng.integers(0, n, size=(min(log.block, n_boot - start), n))
+        code = log.level_of[idx] + levels.size * np.arange(len(idx))[:, None]
+        weight = log.weight[idx]  # positive: a level with mass is present
+        mass = np.bincount(code.ravel(), weight.ravel(), len(idx) * levels.size)
+        present = mass.reshape(-1, levels.size) != 0.0
+        width = (levels[levels.size - 1 - present[:, ::-1].argmax(axis=1)]
+                 - levels[present.argmax(axis=1)])
+        weighted, kept = full[idx], width > 0.0
+        for row in np.flatnonzero(kept & (width != log.width)):
+            weighted[row] = log.weighted(prices, pairs, width[row])[idx[row]]
+        mass /= np.repeat(weight.sum(axis=1), levels.size)
+        skipped["tied_prices"] += len(idx) - int(kept.sum())
+        for row in itertools.compress(log.weights(
+                weighted, mass[code], signal[idx])[1], kept):
+            try:
+                values.append(log.value(*row))
+            except EmptyWeightError:
+                skipped["empty_window"] += 1
     if len(values) < 2:
         raise EmptyWeightError("bootstrap produced no usable resamples")
     return float(np.std(np.asarray(values), ddof=1)), skipped
@@ -976,17 +994,28 @@ def optimize_linear_policy(records: RecordTable,
     # the policy's own clip-range check, before a start is drawn in it
     LinearPolicy(theta=np.zeros(dim), intercept=lo, clip_lo=lo, clip_hi=hi)
     rows, row_of = records.strata  # the blind policy's price classes
-    pairs = log.pairs(row_of)
+    pairs, memo = log.pairs(row_of), {}
 
-    def evaluate(vec):
-        row_price = LinearPolicy(theta=vec[1:], intercept=vec[0], clip_lo=lo,
-                                 clip_hi=hi).price_batch(
-            rows, np.zeros(len(rows), np.intp), records.labels)
-        try:
-            return log.weights(log.weighted(row_price, pairs, log.width),
-                               log.masses, row_price[row_of] * log.demand)[0]
-        except EmptyWeightError:
-            return -math.inf
+    def evaluate(vecs) -> list:
+        # each candidate's OPE value (-inf for an empty kernel window): one
+        # met before is looked up, new ones go ``log.block`` at a time
+        keys = [vec.tobytes() for vec in vecs]
+        new = [*{key: vec for key, vec in zip(keys, vecs)
+                 if key not in memo}.items()]
+        for at in range(0, len(new), log.block):
+            row_prices = np.array([LinearPolicy(
+                theta=vec[1:], intercept=vec[0], clip_lo=lo,
+                clip_hi=hi).price_batch(rows, np.zeros(len(rows), np.intp),
+                                        records.labels)
+                for _, vec in new[at:at + log.block]])
+            for (key, _), row in zip(new[at:], log.weights(
+                    log.weighted(row_prices, pairs, log.width), log.masses,
+                    row_prices.take(row_of, axis=1) * log.demand)[1]):
+                try:
+                    memo[key] = log.value(*row)
+                except EmptyWeightError:
+                    memo[key] = -math.inf
+        return [memo[key] for key in keys]
 
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([[lvl], np.zeros(dim)]) for lvl in prices]
@@ -994,21 +1023,22 @@ def optimize_linear_policy(records: RecordTable,
         starts.append(np.concatenate([[rng.uniform(lo, hi)], rng.normal(
             0.0, 0.25 * (hi - lo), size=dim)]))
 
+    # a sweep evaluates all its candidates, each coordinate moved by +step
+    # then by -step, before it chooses a move
+    moves = np.arange(2 * dim + 2), np.arange(2 * dim + 2) // 2
+    signs = np.tile([1.0, -1.0], dim + 1)
     best_vec, best_val = None, -math.inf
     trace = []
-    for si, start in enumerate(starts):
-        vec, val = start, evaluate(start)
+    for si, (vec, val) in enumerate(zip(starts, evaluate(starts))):
         for halving in range(_SEARCH_HALVINGS + 1):
             step = 0.1 * (hi - lo) * 0.5 ** halving
             while True:
+                cands = np.repeat(vec[None], len(signs), axis=0)
+                cands[moves] += signs * step
                 best_move, best_move_val = None, val
-                for k in range(vec.size):
-                    for sign in (1.0, -1.0):
-                        cand = vec.copy()
-                        cand[k] += sign * step
-                        cand_val = evaluate(cand)
-                        if cand_val > best_move_val + 1e-15:
-                            best_move, best_move_val = cand, cand_val
+                for cand, cand_val in zip(cands, evaluate(cands)):
+                    if cand_val > best_move_val + 1e-15:
+                        best_move, best_move_val = cand, cand_val
                 if best_move is None:
                     break
                 vec, val = best_move, best_move_val

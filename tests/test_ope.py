@@ -2,11 +2,13 @@
 
 The kernel is evaluated once per (price class, logged level) pair.
 ``ope_bootstrap_se`` prices the log and weighs its records once and gathers
-each resample, weighing again only a resample with a narrower price range;
-``optimize_linear_policy`` prices each distinct covariate row once per
-candidate. Both must give the bits of the take-based bootstrap (and its
-counts of skipped resamples) and of the per-candidate ``ope_estimate``
-search in ``tests/oracles.py``. A log that no resample or candidate can use
+each block of resamples, weighing again only a resample with a narrower
+price range; ``optimize_linear_policy`` prices each distinct covariate row
+once per candidate, evaluates a sweep's new candidates as one block and
+looks up a candidate it has met before. Both must give the bits of the
+take-based bootstrap (and its counts of skipped resamples) and of the
+per-candidate ``ope_estimate`` search in ``tests/oracles.py``, whatever the
+block size. A log that no resample or candidate can use
 fails when the context is built, with the error class and CLI
 ``error_code`` pinned here.
 """
@@ -119,39 +121,103 @@ def _cases(draw):
     return log, bandwidth, policy
 
 
+def _boot_bits(bootstrap, *args):
+    """An error's (type, message), or the bits and the skip counts."""
+    got = _outcome(lambda: bootstrap(*args))
+    return got if isinstance(got[0], type) else (_bits(got[0]), got[1])
+
+
+def _search_bits(search, log, bandwidth, clip, n_starts, seed):
+    """An error's (type, message), or the bits of the result."""
+    got = _outcome(lambda: search(log, bandwidth, *clip, n_starts=n_starts,
+                                  seed=seed))
+    if isinstance(got, tuple):
+        return got
+    p = got.policy
+    return (_bits(got.value),
+            [(row["start"], _bits(row["value"])) for row in got.trace],
+            [_bits(v) for v in p.theta], _bits(p.intercept),
+            p.clip_lo, p.clip_hi)
+
+
+CLIPS = [(None, None), (0.5, 2.5), (1.0, 1.5)]
+
+
 @given(case=_cases(), n_boot=st.integers(2, 12), seed=st.integers(0, 2**16))
 @settings(max_examples=200)
 def test_bootstrap_matches_the_take_based_oracle(case, n_boot, seed):
     log, bandwidth, policy = case
-
-    def bits(fn):  # an error's (type, message), or the bits and the counts
-        got = _outcome(fn)
-        return got if isinstance(got[0], type) else (_bits(got[0]), got[1])
-
-    assert bits(lambda: fp.ope_bootstrap_se(log, policy, bandwidth, n_boot,
-                                            seed)) \
-        == bits(lambda: take_bootstrap_se(log, policy, bandwidth, n_boot, seed))
+    args = log, policy, bandwidth, n_boot, seed
+    assert _boot_bits(fp.ope_bootstrap_se, *args) \
+        == _boot_bits(take_bootstrap_se, *args)
 
 
 @given(case=_cases(), n_starts=st.integers(1, 5), seed=st.integers(0, 2**16),
-       clip=st.sampled_from([(None, None), (0.5, 2.5), (1.0, 1.5)]))
+       clip=st.sampled_from(CLIPS))
 @settings(max_examples=40)
 def test_policy_search_matches_the_per_candidate_oracle(case, n_starts, seed,
                                                         clip):
     log, bandwidth, _ = case
+    args = log, bandwidth, clip, n_starts, seed
+    assert _search_bits(fp.optimize_linear_policy, *args) \
+        == _search_bits(candidate_policy_search, *args)
 
-    def bits(search):
-        got = _outcome(lambda: search(log, bandwidth, *clip, n_starts=n_starts,
-                                      seed=seed))
-        if isinstance(got, tuple):
-            return got
-        p = got.policy
-        return (_bits(got.value),
-                [(row["start"], _bits(row["value"])) for row in got.trace],
-                [_bits(v) for v in p.theta], _bits(p.intercept),
-                p.clip_lo, p.clip_hi)
 
-    assert bits(fp.optimize_linear_policy) == bits(candidate_policy_search)
+# a _cases log fits in one block; these cell counts make a block of one row,
+# or of three rows, which no bootstrap below fills at its end
+_ROWS = {1: lambda n: n - 1, 3: lambda n: 3 * n + 1}
+
+
+@given(case=_cases(), n_boot=st.sampled_from([2, 4, 5, 8, 11]),
+       n_starts=st.integers(1, 3), seed=st.integers(0, 2**16),
+       clip=st.sampled_from(CLIPS), rows=st.sampled_from(sorted(_ROWS)))
+@settings(max_examples=60)
+def test_blocks_of_one_row_or_several_keep_the_oracles_bits(
+        case, n_boot, n_starts, seed, clip, rows):
+    log, bandwidth, policy = case
+    boot = log, policy, bandwidth, n_boot, seed
+    search = log, bandwidth, clip, n_starts, seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fp.sim, "_BLOCK_CELLS", _ROWS[rows](len(log)))
+        got = (_boot_bits(fp.ope_bootstrap_se, *boot),
+               _search_bits(fp.optimize_linear_policy, *search))
+    assert got == (_boot_bits(take_bootstrap_se, *boot),
+                   _search_bits(candidate_policy_search, *search))
+
+
+@pytest.mark.parametrize("rows", sorted(_ROWS))
+@pytest.mark.parametrize("prices, price, kinds, error, message", [
+    ((1, 1, 1, 1, 1, 2), 1.0, ["tied_over", "overflow"],
+     fp.MissingFieldError, "too narrow"),
+    ((1, 1, 2, 2, 3, 3), 3.0, ["empty_window", "overflow"],
+     fp.MissingFieldError, "too narrow"),
+    # the tie is skipped though its weights overflow
+    ((3, 3, 1, 2), 3.0, ["tied_over", "empty_window"],
+     fp.EmptyWeightError, "no usable resamples"),
+])
+def test_a_blocks_resamples_are_skipped_or_raise_in_their_order(
+        monkeypatch, rows, prices, price, kinds, error, message):
+    # a kernel of width 1e-308 overflows on the records logged at ``price``,
+    # and only there; the first seed whose two resamples are of ``kinds``
+    log, n = _tie_log(prices), len(prices)
+
+    def kind(resample):
+        if price not in resample:
+            return "tied" if np.ptp(resample) == 0.0 else "empty_window"
+        return "tied_over" if np.ptp(resample) == 0.0 else "overflow"
+
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        if [kind(log.price[rng.integers(0, n, size=n)])
+                for _ in kinds] == kinds:
+            break
+    else:
+        raise AssertionError("no seed found")
+    monkeypatch.setattr(fp.sim, "_BLOCK_CELLS", _ROWS[rows](n))
+    args = log, fp.ConstantPolicy(price), 1e-308, len(kinds), seed
+    got = _boot_bits(fp.ope_bootstrap_se, *args)
+    assert got == _boot_bits(take_bootstrap_se, *args)
+    assert got[0] is error and message in got[1]
 
 
 def _market_log(n=600, seed=4):
@@ -165,29 +231,45 @@ def _market_log(n=600, seed=4):
 
 def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
         monkeypatch):
-    # a later edit that goes back to pricing every record, or to evaluating
-    # the kernel on every record, per candidate or per resample shows here,
-    # though its outputs would not change
+    # a later edit that goes back to pricing every record, to evaluating
+    # the kernel on every record, per candidate or per resample, to one
+    # candidate a pass, or to evaluating a candidate the search has met
+    # before shows here, though its outputs would not change
     log = _market_log()
     sizes, price_batch = [], fp.LinearPolicy.price_batch
     kernels, weighted = [], fp.sim._KernelLog.weighted
+    seen, estimate = [], fp.ope_estimate
 
     def counted(self, X, g, groups):
         sizes.append(len(X))
         return price_batch(self, X, g, groups)
 
     def counted_kernel(self, prices, pairs, width):
-        kernels.append((len(pairs[0]), width))
+        # the rows of a search's block; a bootstrap's one row
+        kernels.append((len(prices) if np.ndim(prices) == 2 else 1,
+                        len(pairs[0]), width))
         return weighted(self, prices, pairs, width)
+
+    def counted_estimate(records, policy, bandwidth):
+        seen.append(np.concatenate([[policy.intercept], policy.theta]))
+        return estimate(records, policy, bandwidth)
 
     monkeypatch.setattr(fp.LinearPolicy, "price_batch", counted)
     monkeypatch.setattr(fp.sim._KernelLog, "weighted", counted_kernel)
     fp.optimize_linear_policy(log, n_starts=2, seed=1)
     assert len(log.strata[0]) == 6
     assert len(sizes) > 20 and max(sizes) <= len(log.strata[0])
-    # one kernel evaluation per candidate, on at most strata x levels values
-    assert len(kernels) == len(sizes)
-    assert max(size for size, _ in kernels) <= 6 * len(LEVELS)
+    # each candidate priced is one row of a kernel evaluation on at most
+    # strata x levels values, and a block holds several of them
+    assert sum(rows for rows, _, _ in kernels) == len(sizes)
+    assert max(size for _, size, _ in kernels) <= 6 * len(LEVELS)
+    assert len(kernels) < len(sizes)
+    # one candidate priced per distinct candidate of the per-candidate
+    # search, which meets some candidates again
+    priced = len(sizes)
+    monkeypatch.setattr(fp, "ope_estimate", counted_estimate)
+    candidate_policy_search(log, n_starts=2, seed=1)
+    assert len({vec.tobytes() for vec in seen}) == priced < len(seen)
     sizes.clear()
     kernels.clear()
     policy = fp.LinearPolicy(theta=[0.4, 0.1], intercept=1.2, clip_lo=0.8,
@@ -195,7 +277,7 @@ def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
     fp.ope_bootstrap_se(log, policy, n_boot=40)
     assert sizes == [len(log)]
     # every resample holds the lowest and the highest level
-    assert [width for _, width in kernels] == [np.ptp(log.price)]
+    assert [width for _, _, width in kernels] == [np.ptp(log.price)]
     # once at the log's price range, then once per narrower resample
     log = _tie_log((1, 2, 2, 2, 2, 3))
     kernels.clear()
@@ -205,8 +287,7 @@ def test_the_search_prices_strata_and_the_bootstrap_prices_the_log_once(
         want += [width] if 0.0 < width < 2.0 else []
     assert len(want) > 5
     fp.ope_bootstrap_se(log, fp.ConstantPolicy(2.0), 0.6, n_boot=30, seed=5)
-    assert [width for _, width in kernels] == want
-
+    assert [width for _, _, width in kernels] == want
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (float("nan"), 1.0),
                                     (1.0, float("nan"))])

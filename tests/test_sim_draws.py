@@ -1,6 +1,8 @@
 """The simulator's block draws and blocked CSV writer against the
 record-by-record loops they replaced (``tests/oracles.py``): equal bits in
-every column and the generator left in the same state."""
+every column and the generator left in the same state. Also the numpy facts
+that kernel OPE's blocks rely on: a (rows, n) draw, C-ordered row sums and
+gathers."""
 
 import numpy as np
 import pytest
@@ -198,3 +200,37 @@ def test_csv_writer_matches_the_per_cell_writer(tmp_path, n):
         assert np.array_equal(back.codes, table.codes)
         sim.write_records_csv(tmp_path / "again.csv", back)
         assert (tmp_path / "again.csv").read_bytes() == text
+
+
+# -- numpy facts that kernel OPE's blocks of resamples and candidates rely on
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 4097])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_a_rows_by_n_draw_is_rows_draws_of_n(n, rows):
+    block, loop = (np.random.default_rng(n * 10 + rows) for _ in range(2))
+    want = np.array([loop.integers(0, n, size=n) for _ in range(rows)])
+    assert_same_bits(block.integers(0, n, size=(rows, n)), want)
+    assert block.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 129, 2000, 8193, 200_000])
+def test_a_c_ordered_row_sum_has_the_bits_of_a_one_row_sum(n):
+    rng = np.random.default_rng(n)
+    rows = max(1, 2 ** 14 // n)
+    a = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-20, 20, (rows, n)))
+    want = [float(row.sum()).hex() for row in a]
+    assert [x.hex() for x in a.sum(axis=1).tolist()] == want
+    if n == 2000:
+        # a Fortran-ordered block adds down its rows one by one instead:
+        # the case the blocks must avoid
+        got = np.asfortranarray(a).sum(axis=1).tolist()
+        assert [x.hex() for x in got] != want
+
+
+def test_the_blocks_gathers_are_c_ordered():
+    a, codes = np.arange(12.0).reshape(3, 4), np.array([0, 2, 1, 1, 3])
+    idx = np.random.default_rng(0).integers(0, 4, (3, 5))
+    assert not a[:, codes].flags.c_contiguous  # the gather to avoid
+    assert a.take(codes, axis=-1).flags.c_contiguous
+    assert np.arange(4.0)[idx].flags.c_contiguous
